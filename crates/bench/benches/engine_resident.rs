@@ -86,13 +86,11 @@ fn report(name: &str, total: Duration, mut lat: Vec<Duration>) {
 fn main() {
     let cat = catalog();
     let plans = mix();
-    // `clamp_threads: false`: the contrast under test is spawn/join per
-    // query vs a parked pool, so the worker count must not silently clamp
-    // to 1 on small CI boxes (where both paths would degenerate to inline
-    // single-thread runs and measure nothing).
+    // The contrast under test is spawn/join per query vs a parked pool, so
+    // the worker count stays above 1 even on small CI boxes (where inline
+    // single-thread runs on both paths would measure nothing).
     let opts = |cache: Arc<CacheManager>| JitOptions {
         threads: THREADS,
-        clamp_threads: false,
         cache: Some(cache),
         ..Default::default()
     };

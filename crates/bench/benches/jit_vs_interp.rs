@@ -26,16 +26,9 @@ fn main() {
             .expect("lowers"),
     );
     let opts = JitOptions::default();
-    let interp_opts = JitOptions {
-        interpret_only: true,
-        ..Default::default()
-    };
 
     let jit = case("jit: scan+filter+sum (2k rows)", 5, 10, || {
         run_jit(&plan, &catalog, &opts).expect("runs");
-    });
-    case("jit (kernels disabled)", 5, 10, || {
-        run_jit(&plan, &catalog, &interp_opts).expect("runs");
     });
     let volcano = case("volcano: scan+filter+sum (2k rows)", 5, 10, || {
         run_volcano(&plan, &catalog).expect("runs");

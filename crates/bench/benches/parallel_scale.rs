@@ -46,12 +46,11 @@ fn plan(q: &str) -> vida_algebra::Plan {
 fn sweep(name: &str, cat: &MemoryCatalog, plans: &[vida_algebra::Plan]) {
     let mut base = None;
     for threads in THREADS {
-        // The sweep measures scheduling itself, so opt out of the
-        // available-parallelism clamp: oversubscribed counts must really run
-        // that many workers even on small machines.
+        // The sweep measures scheduling itself: `threads` is honoured as
+        // given, so oversubscribed counts really run that many workers even
+        // on small machines.
         let opts = JitOptions {
             threads,
-            clamp_threads: false,
             ..Default::default()
         };
         let d = case(&format!("{name}, {threads} worker(s)"), 3, 1, || {

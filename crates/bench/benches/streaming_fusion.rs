@@ -1,12 +1,21 @@
-//! Streaming push pipelines vs the legacy materializing executor on a
-//! scan→select→join→fold chain.
+//! Streaming push pipelines on a scan→select→join→fold chain: wall time
+//! and — through a counting global allocator — the **peak bytes live during
+//! execution**, which is where fusion shows up even when the operator work
+//! itself dominates time.
 //!
-//! The legacy path (`JitOptions::materialize_stages`) hands a full
-//! `Vec<Tuple>` from every operator stage to the next; the push loop fuses
-//! the chain end to end, with the join build side as the only buffer. This
-//! bench records both wall time and — through a counting global allocator —
-//! the **peak bytes live during execution**, which is where fusion shows up
-//! even when the operator work itself dominates time.
+//! Recorded baseline (frozen): until PR 12 this bench also ran the legacy
+//! pull-and-materialize executor, which handed a full `Vec<Tuple>` from
+//! every operator stage to the next. Its last measured numbers against the
+//! push loop (PR 5, 20k x 20k rows, single-core container) were
+//!
+//! | chain | time, materializing / streaming | peak allocation drop |
+//! |---|---|---|
+//! | scan → select → hash-join probe → fold | 1.20x | 1.34x |
+//! | scan → select → fold | 1.14x | 1.72x |
+//!
+//! The executor and its `materialize_stages` switch are deleted; a change
+//! that makes the numbers below worse by those factors has given the
+//! fusion win back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,72 +93,25 @@ fn main() {
     let chain =
         plan_of("for { p <- Patients, g <- Genetics, p.id = g.id, p.age > 40 } yield sum g.snp");
 
-    let streaming = JitOptions::default();
-    let materializing = JitOptions {
-        materialize_stages: true,
-        ..Default::default()
-    };
-
-    // Prove the modes are what they claim before timing them.
-    let (v_stream, s_stream) = run_jit_with_stats(&chain, &catalog, &streaming).expect("runs");
-    let (v_mat, s_mat) = run_jit_with_stats(&chain, &catalog, &materializing).expect("runs");
-    assert_eq!(v_stream, v_mat, "modes must agree");
-    assert_eq!(s_stream.operator_materializations, 0);
-    assert!(s_mat.operator_materializations >= 2);
+    let opts = JitOptions::default();
+    let (_, stats) = run_jit_with_stats(&chain, &catalog, &opts).expect("runs");
+    assert!(stats.fused_stage_depth >= 3, "the chain must fuse");
     println!(
-        "join+fold chain (20k x 20k rows): fused depth {}, \
-         materializing buffers {}",
-        s_stream.fused_stage_depth, s_mat.operator_materializations
+        "join+fold chain (20k x 20k rows): fused depth {}",
+        stats.fused_stage_depth
     );
 
-    let t_mat = case("chain: materializing (legacy pull)", 3, 5, || {
-        run_jit_with_stats(&chain, &catalog, &materializing).expect("runs");
-    });
-    let t_stream = case("chain: streaming push (serial)", 3, 5, || {
-        run_jit_with_stats(&chain, &catalog, &streaming).expect("runs");
-    });
-    println!(
-        "streaming speedup (materializing/streaming): {:.2}x",
-        t_mat.as_secs_f64() / t_stream.as_secs_f64().max(1e-12)
-    );
-
-    // Peak-allocation comparison (one untimed run per mode, post-warmup).
-    let peak_mat = peak_during(|| {
-        run_jit_with_stats(&chain, &catalog, &materializing).expect("runs");
-    });
-    let peak_stream = peak_during(|| {
-        run_jit_with_stats(&chain, &catalog, &streaming).expect("runs");
-    });
-    println!(
-        "peak allocation: materializing {:.1} KiB, streaming {:.1} KiB ({:.2}x drop)",
-        kib(peak_mat),
-        kib(peak_stream),
-        peak_mat as f64 / peak_stream.max(1) as f64
-    );
-
-    // A selective select→fold chain, where the legacy path buffers every
-    // surviving tuple before folding.
+    // A selective select→fold chain, where a materializing executor would
+    // buffer every surviving tuple before folding.
     let fold = plan_of("for { p <- Patients, p.age > 30 } yield sum p.age");
-    let t_mat = case("scan+select+fold: materializing", 3, 5, || {
-        run_jit_with_stats(&fold, &catalog, &materializing).expect("runs");
-    });
-    let t_stream = case("scan+select+fold: streaming push", 3, 5, || {
-        run_jit_with_stats(&fold, &catalog, &streaming).expect("runs");
-    });
-    println!(
-        "streaming speedup (materializing/streaming): {:.2}x",
-        t_mat.as_secs_f64() / t_stream.as_secs_f64().max(1e-12)
-    );
-    let peak_mat = peak_during(|| {
-        run_jit_with_stats(&fold, &catalog, &materializing).expect("runs");
-    });
-    let peak_stream = peak_during(|| {
-        run_jit_with_stats(&fold, &catalog, &streaming).expect("runs");
-    });
-    println!(
-        "peak allocation: materializing {:.1} KiB, streaming {:.1} KiB ({:.2}x drop)",
-        kib(peak_mat),
-        kib(peak_stream),
-        peak_mat as f64 / peak_stream.max(1) as f64
-    );
+    for (name, plan) in [("chain", &chain), ("scan+select+fold", &fold)] {
+        case(&format!("{name}: streaming push"), 3, 5, || {
+            run_jit_with_stats(plan, &catalog, &opts).expect("runs");
+        });
+        // One untimed run, post-warmup.
+        let peak = peak_during(|| {
+            run_jit_with_stats(plan, &catalog, &opts).expect("runs");
+        });
+        println!("{name}: peak allocation {:.1} KiB", kib(peak));
+    }
 }

@@ -46,8 +46,8 @@ UTILITIES:
                       this to check --trace-out / --stats-json artifacts)
 
 OPTIONS:
-    --threads N       morsel-driven worker threads for query execution
-                      (default 1 = serial; clamped to the machine's
+    --threads N       worker threads of the morsel driver (default 1: the
+                      grid runs inline; clamped here to the machine's
                       available parallelism; see `cargo bench
                       parallel_scale` for the thread-sweep microbenchmark)
     --queries N       number of workload queries to generate (default 200)
@@ -78,8 +78,9 @@ OPTIONS:
                       memory-mapping them (the escape hatch for filesystems
                       where mmap misbehaves; the default maps every input)
     --assert-fused    exit non-zero unless streaming execution fused every
-                      pipeline (operator_materializations must be 0 across
-                      the whole workload — the CI smoke contract)
+                      pipeline: each query that did not fall back to
+                      Volcano wholesale must report fused_stage_depth >= 2,
+                      and at least one must (the CI smoke contract)
     --serve           run the workload through the vida-server front end
                       instead of the serial driver: a resident engine plus
                       a query service with admission control, concurrent
@@ -312,10 +313,13 @@ fn cache_locality(args: &Args) {
 
     let cache = Arc::new(CacheManager::new(args.budget_mb << 20));
     let model = args.cost_model.then(|| Arc::new(CostModel::new()));
+    // The library honours `threads` as given; oversubscribing a core only
+    // adds scheduling overhead, so the CLI is where the request is clamped.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let opts = JitOptions {
         cache: Some(Arc::clone(&cache)),
         cost_model: model.clone(),
-        threads: args.threads,
+        threads: args.threads.min(cores),
         trace: args.trace_out.is_some(),
         plan_opt: args.plan_opt,
         ..Default::default()
@@ -346,6 +350,10 @@ fn cache_locality(args: &Args) {
 
     let mut cached = 0usize;
     let mut total = 0usize;
+    // Pipeline-covered queries, and those of them that ran as one fused
+    // push chain (checked per query: `accumulate` only keeps the maximum).
+    let mut pipelined = 0usize;
+    let mut fused = 0usize;
     let mut accum = vida_exec::ExecStats::default();
     // Per-query traces on a shared workload timeline (offset ns from t0)
     // and per-query wall times, for --trace-out / --stats-json.
@@ -397,6 +405,10 @@ fn cache_locality(args: &Args) {
                     if stats.served_from_cache {
                         cached += 1;
                     }
+                    if stats.whole_query_fallbacks == 0 {
+                        pipelined += 1;
+                        fused += (stats.fused_stage_depth >= 2) as usize;
+                    }
                     if let Some(trace) = stats.trace.take() {
                         if slowest.as_ref().map_or(true, |(ns, _, _)| elapsed_ns > *ns) {
                             slowest = Some((elapsed_ns, traces.len(), q.text.clone()));
@@ -418,8 +430,7 @@ fn cache_locality(args: &Args) {
     );
     println!(
         "worker threads:          {} (effective {})",
-        args.threads,
-        opts.effective_threads()
+        args.threads, opts.threads
     );
     let mapped = ["Patients", "Genetics", "Regions"]
         .iter()
@@ -444,8 +455,8 @@ fn cache_locality(args: &Args) {
         accum.unnest_pipelines, accum.theta_pipelines, accum.whole_query_fallbacks
     );
     println!(
-        "streaming fusion:        {} operator materializations, max fused depth {}",
-        accum.operator_materializations, accum.fused_stage_depth
+        "streaming fusion:        {fused} of {pipelined} pipeline queries fused, max fused depth {}",
+        accum.fused_stage_depth
     );
     if args.plan_opt {
         println!(
@@ -524,11 +535,10 @@ fn cache_locality(args: &Args) {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    if args.assert_fused && accum.operator_materializations != 0 {
+    if args.assert_fused && (fused == 0 || fused != pipelined) {
         eprintln!(
-            "FAIL: --assert-fused: {} operator materializations (streaming \
-             execution must fuse every pipeline-covered shape)",
-            accum.operator_materializations
+            "FAIL: --assert-fused: {fused} of {pipelined} pipeline queries reported a fused \
+             chain (streaming execution must fuse every pipeline-covered shape)"
         );
         std::process::exit(1);
     }

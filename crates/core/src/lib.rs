@@ -93,7 +93,6 @@ mod tests {
             &cat,
             &JitOptions {
                 threads: 4,
-                clamp_threads: false, // force workers even on small machines
                 ..Default::default()
             },
         )

@@ -20,7 +20,7 @@
 //!   into an engine-wide tally ([`Engine::stats`]).
 //!
 //! Per-query state lives in a [`Session`]: its own `JitOptions` overrides
-//! (tracing, plan-opt, interpret-only — anything except the worker count,
+//! (tracing, plan-opt, morsel size — anything except the worker count,
 //! which the pool fixes), its own accumulated stats, and an optional
 //! **tenant id** that cache replica writes are billed to
 //! (`CacheManager::put_with_cost_for`), so one tenant's working set cannot
@@ -80,12 +80,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over `catalog`. `defaults.effective_threads()`
-    /// fixes the resident pool's size for the engine's lifetime; the
-    /// other options (cache, cost model, tracing, …) become per-session
-    /// defaults.
+    /// Build an engine over `catalog`. `defaults.threads` fixes the
+    /// resident pool's size for the engine's lifetime; the other options
+    /// (cache, cost model, tracing, …) become per-session defaults.
     pub fn new(catalog: Arc<dyn SourceProvider>, defaults: JitOptions) -> Self {
-        let pool = WorkerPool::resident(defaults.effective_threads());
+        let pool = WorkerPool::resident(defaults.threads);
         Engine {
             catalog,
             defaults,
@@ -176,7 +175,7 @@ pub struct Session<'e> {
 impl Session<'_> {
     /// Per-session option overrides (tracing, plan-opt, morsel size, …).
     /// The worker count is the engine pool's and cannot be changed here —
-    /// `threads`/`clamp_threads` edits are ignored at execution.
+    /// `threads` edits are ignored at execution.
     pub fn options_mut(&mut self) -> &mut JitOptions {
         &mut self.opts
     }
@@ -299,12 +298,18 @@ mod tests {
     #[test]
     fn session_options_override_per_query_behaviour() {
         let engine = Engine::new(catalog(), JitOptions::default());
-        let plan = plan_of("for { p <- Patients, p.age > 60 } yield sum p.age");
+        // `Str` ordering and division are outside the compiled subset, so
+        // the session also drives interpreted select and head steps.
+        let plan = plan_of("for { p <- Patients, p.city < \"c\" } yield sum p.age / 2");
         let mut s = engine.session();
-        s.options_mut().interpret_only = true;
+        assert!(s.execute_with_stats(&plan).unwrap().1.trace.is_none());
+        s.options_mut().trace = true;
         let (v, stats) = s.execute_with_stats(&plan).unwrap();
-        assert_eq!(v, Value::Int(136));
+        assert_eq!(v, Value::Int(17));
         assert_eq!(stats.kernels_compiled, 0);
+        assert!(stats.trace.is_some());
+        // Overrides are per session: a sibling keeps the engine defaults.
+        assert!(engine.execute_with_stats(&plan).unwrap().1.trace.is_none());
     }
 
     #[test]

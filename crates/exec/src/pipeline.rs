@@ -48,10 +48,9 @@
 //!
 //! Only genuinely degenerate plans fall back to the interpreted Volcano
 //! engine wholesale — constant queries over the unit dataset, unnests whose
-//! input is the unit row (literal collections), joins whose right side is
-//! not a scan, and every join under `interpret_only` — so `run_jit` is
-//! total over all valid plans and `ExecStats::whole_query_fallbacks`
-//! records when the fallback engine ran.
+//! input is the unit row (literal collections), and joins whose right side
+//! is not a scan — so `run_jit` is total over all valid plans and
+//! `ExecStats::whole_query_fallbacks` records when the fallback engine ran.
 //!
 //! Execution is a **streaming push loop** (HyPer-style data-centric
 //! pipelines): each compiled stage consumes one tuple at a time and pushes
@@ -59,24 +58,18 @@
 //! select→project→unnest→probe→fold chains fuse end to end with **no
 //! intermediate `Vec<Tuple>`** between operators. The only pipeline
 //! breakers are join build sides (hash tables / band indexes), which
-//! materialize once per join before the loop starts.
-//! `ExecStats::operator_materializations` stays 0 on every pipeline-covered
-//! shape (and `fused_stage_depth` reports the fused chain length); the
-//! legacy pull-and-materialize executor survives behind
-//! `JitOptions::materialize_stages` as the ablation baseline the
-//! `streaming_fusion` bench measures against.
+//! materialize once per join before the loop starts;
+//! `ExecStats::fused_stage_depth` reports the fused chain length.
 //!
-//! With `JitOptions::threads > 1` the same fused pipeline runs
-//! **morsel-driven parallel** (`vida-parallel`): raw scans split into
-//! aligned byte ranges parsed by concurrent workers, join builds
-//! materialize morsel-parallel (radix-partitioned), and the leftmost scan's
-//! rows split into morsels that each worker drives through the whole stage
-//! chain into a private partial fold; partials merge in morsel order.
-//! Morsel boundaries depend only on the data — never the worker count — so
-//! every parallel thread count produces the same result (float folds
-//! reassociate at morsel boundaries, so serial vs parallel can differ in
-//! the last ulp for `sum`/`prod`/`avg` over floats; everything else is
-//! bit-identical), and `threads <= 1` takes the serial push loop.
+//! One **morsel driver** (`vida-parallel`) runs every phase at every
+//! worker count: raw scans split into aligned byte ranges, replica decodes
+//! and join builds (radix-partitioned) into unit morsels, and the leftmost
+//! scan's rows into morsels that each drive through the whole stage chain
+//! into a private partial fold; partials merge in morsel order. Morsel
+//! boundaries depend only on the data — never the worker count — so every
+//! thread count produces the same result bit for bit, float folds
+//! included. Serial execution is the one-worker grid: the pool runs it
+//! inline on the caller and folds each partial as it is produced.
 
 use crate::catalog::SourceProvider;
 use crate::stats::ExecStats;
@@ -93,9 +86,7 @@ use vida_jit::frame::{decode_output, StringInterner};
 use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr, Qualifier};
 use vida_optimizer::{CostModel, FieldObservation};
-use vida_parallel::{
-    partition_of, plan_scan, plan_scan_tail, radix, MorselPlan, WorkerPool, DEFAULT_MORSEL_UNITS,
-};
+use vida_parallel::{partition_of, plan_scan_tail, radix, MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
 use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Type, Value, VidaError};
 
@@ -144,37 +135,20 @@ pub struct JitOptions {
     /// `Values` replicas (the pre-model behaviour). Ignored unless `cache`
     /// is also set.
     pub cost_model: Option<Arc<CostModel>>,
-    /// Disable kernel compilation: single-source pipelines still bind
-    /// plugins to touched attributes but evaluate every expression through
-    /// the interpreter (isolates codegen wins in benchmarks); joins need
-    /// compiled key kernels and fall back to the Volcano engine wholesale.
-    pub interpret_only: bool,
-    /// Worker threads for morsel-driven execution. `0` or `1` runs the
-    /// original serial path (bit-identical to the pre-parallel engine);
-    /// higher counts split scans, joins, and folds across workers. Every
-    /// parallel thread count produces the same result: morsel boundaries
-    /// depend only on the data, and partial folds merge in morsel order.
-    /// The parallel result also equals the serial one, except that float
-    /// `sum`/`prod`/`avg` reassociate addition at morsel boundaries and may
-    /// differ from serial in the last ulp (tuple sets, element order, and
-    /// every exact monoid match bit for bit).
+    /// Worker threads of the morsel driver, honoured as given (`0` means
+    /// 1; callers that want a machine-sized pool pass
+    /// `std::thread::available_parallelism()`). One worker runs the morsel
+    /// grid inline on the caller; more split scans, decodes, join builds,
+    /// and folds across workers. The grid depends only on the data and
+    /// partial folds merge in morsel order, so every thread count —
+    /// including 1 — produces the same result bit for bit, float
+    /// aggregates included. A resident `Engine` fixes the count at
+    /// construction; its sessions ignore later edits.
     pub threads: usize,
     /// Units per morsel for unit-count morsel plans (`0` = the
     /// `vida-parallel` default). Mainly for tests, which shrink it to force
     /// multi-morsel coverage on small fixtures.
     pub morsel_rows: usize,
-    /// Clamp `threads` to `std::thread::available_parallelism()` (default
-    /// `true`): oversubscribing a core costs ~15% on scan+fold with zero
-    /// upside. Set `false` to force oversubscription (tests and scheduling
-    /// benchmarks deliberately run many workers on few cores).
-    pub clamp_threads: bool,
-    /// Ablation baseline: run the legacy **materializing** executor — every
-    /// operator stage produces a full `Vec<Tuple>` handed to the next stage
-    /// — instead of the streaming push loop. Serial only (`threads` is
-    /// ignored). `ExecStats::operator_materializations` counts the buffers
-    /// it pays for; the `streaming_fusion` bench uses it to measure what
-    /// fusion buys.
-    pub materialize_stages: bool,
     /// Record a per-query span trace (opt-in observability): nested stage
     /// spans on the coordinator track, per-morsel spans on worker tracks,
     /// and per-kernel invocation counts, all collected into
@@ -198,11 +172,8 @@ impl Default for JitOptions {
         JitOptions {
             cache: None,
             cost_model: None,
-            interpret_only: false,
             threads: 0,
             morsel_rows: 0,
-            clamp_threads: true,
-            materialize_stages: false,
             trace: false,
             plan_opt: true,
         }
@@ -240,22 +211,6 @@ impl JitOptions {
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
-    }
-
-    /// Effective worker count: `0` normalizes to 1, and (unless
-    /// `clamp_threads` is off) the count is capped at the machine's
-    /// available parallelism — extra workers on a saturated core only add
-    /// scheduling overhead.
-    pub fn effective_threads(&self) -> usize {
-        let t = self.threads.max(1);
-        if self.clamp_threads {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            t.min(cores)
-        } else {
-            t
-        }
     }
 }
 
@@ -296,7 +251,7 @@ pub fn run_jit(plan: &Plan, catalog: &dyn SourceProvider, opts: &JitOptions) -> 
 /// This is the compatibility shim over the resident-engine execution path:
 /// it synthesizes a per-call spawn-mode pool and a private interner, so
 /// behaviour matches the pre-resident engine exactly (worker threads spawn
-/// per parallel phase and string ids start at zero every call). Long-lived
+/// per multi-worker phase and string ids start at zero every call). Long-lived
 /// callers should hold an [`Engine`](crate::engine::Engine) instead and let
 /// its sessions share one parked worker pool, cache, and interner.
 pub fn run_jit_with_stats(
@@ -305,7 +260,7 @@ pub fn run_jit_with_stats(
     opts: &JitOptions,
 ) -> Result<(Value, ExecStats)> {
     let ctx = ExecContext {
-        pool: WorkerPool::new(opts.effective_threads()),
+        pool: WorkerPool::new(opts.threads),
         interner: Arc::new(SharedInterner::new()),
         tenant: None,
     };
@@ -314,7 +269,7 @@ pub fn run_jit_with_stats(
 
 /// Cross-query execution state threaded from the resident engine (or
 /// synthesized per call by the [`run_jit`] shim): the worker pool every
-/// parallel phase submits to, the interner string slots resolve through,
+/// phase submits its morsels to, the interner string slots resolve through,
 /// and the tenant that cache replica writes are billed to.
 pub(crate) struct ExecContext {
     pub(crate) pool: WorkerPool,
@@ -336,17 +291,17 @@ pub(crate) fn execute_with_context(
         ..Default::default()
     };
     let t0 = Instant::now();
-    let pipeline = match PipelineBuilder::new(catalog, opts, ctx, &mut stats).build(plan)? {
-        Some(p) => p,
-        None => {
-            // Whole-query fallback: shape outside the generated pipelines.
-            stats.whole_query_fallbacks = 1;
-            let v = run_volcano(plan, catalog)?;
-            return Ok((v, stats));
-        }
-    };
+    let built = PipelineBuilder::new(catalog, opts, ctx, &mut stats).build(plan)?;
     stats.codegen = t0.elapsed();
     let t1 = Instant::now();
+    let Some(pipeline) = built else {
+        // Whole-query fallback: shape outside the generated pipelines. The
+        // declined build is the query's codegen time, Volcano its execution.
+        stats.whole_query_fallbacks = 1;
+        let v = run_volcano(plan, catalog)?;
+        stats.execution = t1.elapsed();
+        return Ok((v, stats));
+    };
     let value = pipeline.execute(&mut stats)?;
     stats.execution = t1.elapsed();
     // Pair the optimizer's estimate with the observed pipeline output so
@@ -516,16 +471,12 @@ struct Pipeline {
     /// Datasets referenced inside nested head/predicate comprehensions,
     /// materialized up front (mirrors the Volcano engine).
     base_env: Bindings,
-    /// Morsel-driven worker count; 1 = the serial path.
-    threads: usize,
-    /// The pool parallel phases submit to: the engine's resident pool
-    /// (workers parked between queries, runs attached) or a per-query
+    /// The pool every phase submits its morsels to: the engine's resident
+    /// pool (workers parked between queries, runs attached) or a per-query
     /// spawn-mode pool under the `run_jit` shim.
     pool: WorkerPool,
     /// Units per morsel (0 = `vida-parallel` default).
     morsel_rows: usize,
-    /// Run the legacy materializing executor instead of the push loop.
-    materialize_stages: bool,
     /// Fold-partial cache seam for single-source primitive folds (`None`
     /// for every other shape — they always run the plain full fold).
     fold_seam: Option<FoldSeam>,
@@ -533,8 +484,8 @@ struct Pipeline {
 
 /// Where cached pre-finalize fold partials are looked up and refreshed,
 /// for queries that qualify: one scanned source (selects allowed), no
-/// joins/unnests, a primitive output monoid, no free datasets, and not the
-/// materializing ablation. When revalidation proved the source grew in
+/// joins/unnests, a primitive output monoid, and no free datasets. When
+/// revalidation proved the source grew in
 /// place and the cached partial covers exactly the unchanged prefix,
 /// `reuse` carries it — the executor then drives only rows
 /// `reuse.rows..nrows` and merges the partial in front (ViDa's O(delta)
@@ -920,18 +871,6 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
-    /// Worker count execution actually uses: the resident pool's size when
-    /// one is attached (sessions share the engine's parked workers — a
-    /// per-query `threads` request cannot grow the pool), the clamped
-    /// option count otherwise.
-    fn exec_threads(&self) -> usize {
-        if self.ctx.pool.is_resident() {
-            self.ctx.pool.threads()
-        } else {
-            self.opts.effective_threads()
-        }
-    }
-
     /// `Ok(None)` = shape outside the generated pipelines (use the fallback
     /// engine); errors are real (catalog failures, kernel bugs).
     fn build(mut self, plan: &Plan) -> Result<Option<Pipeline>> {
@@ -958,7 +897,6 @@ impl<'a> PipelineBuilder<'a> {
         // result-invariant (see `vida_optimizer::plan`).
         let mut reorder_report = None;
         if self.opts.plan_opt
-            && !self.opts.interpret_only
             && matches!(
                 monoid,
                 Monoid::Primitive(_) | Monoid::Collection(CollectionKind::Set)
@@ -1038,23 +976,15 @@ impl<'a> PipelineBuilder<'a> {
         let interner = Arc::clone(&self.ctx.interner);
         let mut unnest_cursor = 0usize;
         let mut join_cursor = 0usize;
-        let Some(root) = self.assemble(
+        let root = self.assemble(
             &shape,
             &order,
             &layout,
             &interner,
             &mut unnest_cursor,
             &mut join_cursor,
-        )?
-        else {
-            self.stats.span_end();
-            return Ok(None);
-        };
+        )?;
         self.stats.span_end();
-        // Stage counters only after the whole tree assembled: a parent join
-        // can still bail (interpret_only), and a counted stage that never
-        // executes would break the "counter > 0 == stage ran" contract the
-        // coverage tests rely on.
         self.stats.bushy_lowered += rotations;
         if let Some(r) = reorder_report {
             self.stats.joins_reordered += r.joins_reordered;
@@ -1173,8 +1103,7 @@ impl<'a> PipelineBuilder<'a> {
                 if matches!(*monoid, Monoid::Primitive(_))
                     && matches!(root, Node::Source(_))
                     && unnests.is_empty()
-                    && base_env.is_empty()
-                    && !self.opts.materialize_stages =>
+                    && base_env.is_empty() =>
             {
                 let query_hash = fnv1a(&format!("{plan:?}"));
                 let reuse = match self.freshness.get(&dataset) {
@@ -1210,10 +1139,8 @@ impl<'a> PipelineBuilder<'a> {
             frame_width: layout.len(),
             interner,
             base_env,
-            threads: self.exec_threads(),
             pool: self.ctx.pool.clone(),
             morsel_rows: self.opts.morsel_rows,
-            materialize_stages: self.opts.materialize_stages,
             fold_seam,
         }))
     }
@@ -1395,13 +1322,13 @@ impl<'a> PipelineBuilder<'a> {
         let mut grown: Vec<(usize, Option<Vec<Value>>)> = Vec::new();
 
         if let Some(cache) = &self.opts.cache {
-            // Probe span counts replica-served work: one "tuple" per
-            // rehydrated row, one "morsel" per served column. The same
-            // counts at every thread count — the parallel decode's worker
-            // sub-spans are timing-only.
+            // Counts live on the span that did the work: this span carries
+            // the pointer-shared `Values` replicas (one "tuple" per served
+            // row, one "morsel" per column); decoded replicas are counted
+            // by `decode_replica`'s per-morsel worker spans.
             self.stats.span_begin(stage::CACHE_PROBE);
-            let mut served = 0u64;
-            let mut served_rows = 0u64;
+            let mut shared = 0u64;
+            let mut shared_rows = 0u64;
             // Revalidation verdict → invalidation protocol. Unchanged
             // files drop stale strangers as before; grown files retain the
             // previous generation (its prefix still serves); shrunk or
@@ -1433,13 +1360,15 @@ impl<'a> PipelineBuilder<'a> {
                         let vals = match &*data {
                             // Parsed replicas serve by pointer share — no
                             // per-row decode, no copy.
-                            CachedData::Values(v) => Arc::clone(v),
+                            CachedData::Values(v) => {
+                                shared += 1;
+                                shared_rows += nrows as u64;
+                                Arc::clone(v)
+                            }
                             _ => Arc::new(self.decode_replica(plugin, col, &data, nrows)?),
                         };
                         out[i] = Some(vals);
                         self.stats.cached_columns += 1;
-                        served += 1;
-                        served_rows += nrows as u64;
                     }
                     Some((_, data, fp))
                         if grown_info.is_some_and(|(pf, pu, _)| fp == pf && data.len() == pu) =>
@@ -1453,18 +1382,20 @@ impl<'a> PipelineBuilder<'a> {
                         // unchanged bytes).
                         let (_, _, prefix_units) = grown_info.expect("guard");
                         let prefix = match &*data {
-                            CachedData::Values(_) => None,
+                            CachedData::Values(_) => {
+                                shared += 1;
+                                shared_rows += prefix_units as u64;
+                                None
+                            }
                             _ => Some(self.decode_replica(plugin, col, &data, prefix_units)?),
                         };
                         grown.push((i, prefix));
                         self.stats.cached_columns += 1;
-                        served += 1;
-                        served_rows += prefix_units as u64;
                     }
                     _ => missing.push(i),
                 }
             }
-            self.stats.span_end_counted(served_rows, served);
+            self.stats.span_end_counted(shared_rows, shared);
         } else {
             missing = (0..touched.len()).collect();
         }
@@ -1473,27 +1404,10 @@ impl<'a> PipelineBuilder<'a> {
             let (_, _, prefix_units) = grown_info.expect("grown implies Extended");
             let from = prefix_units;
             self.stats.span_begin(stage::SCAN);
-            let tail_morsels = if self.stats.trace.is_some() {
-                plan_scan_tail(plugin.as_ref(), self.opts.morsel_rows, from).len() as u64
-            } else {
-                0
-            };
             let cols: Vec<usize> = grown.iter().map(|&(i, _)| touched[i]).collect();
-            let tails = if self.exec_threads() > 1 {
-                self.scan_columns_parallel(plugin, &cols, from)?
-            } else {
-                let mut read: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-                plugin.scan_project_range(&cols, from..nrows, &mut |_, vals| {
-                    for (c, v) in read.iter_mut().zip(vals) {
-                        c.push(v);
-                    }
-                    Ok(())
-                })?;
-                read
-            };
+            let tails = self.scan_columns(plugin, &cols, from)?;
             self.stats.tail_rows_scanned += (nrows - from) as u64;
-            self.stats
-                .span_end_counted((nrows - from) as u64, tail_morsels);
+            self.stats.span_end();
             let (prev_fingerprint, _, _) = grown_info.expect("grown implies Extended");
             for ((i, prefix), tail) in grown.into_iter().zip(tails) {
                 let cache = self.opts.cache.as_ref().expect("grown implies cache");
@@ -1512,16 +1426,8 @@ impl<'a> PipelineBuilder<'a> {
                                 // (concurrent eviction): re-read the whole
                                 // column from raw — correctness over speed on
                                 // this rare race.
-                                let mut vals: Vec<Value> = Vec::with_capacity(nrows);
-                                plugin.scan_project_range(
-                                    &[touched[i]],
-                                    0..nrows,
-                                    &mut |_, row| {
-                                        vals.extend(row);
-                                        Ok(())
-                                    },
-                                )?;
-                                let full = Arc::new(vals);
+                                let vals = self.scan_columns(plugin, &[touched[i]], 0)?;
+                                let full = Arc::new(vals.into_iter().next().expect("one column"));
                                 if self.opts.cost_model.is_none() {
                                     cache.put(
                                         key,
@@ -1552,28 +1458,9 @@ impl<'a> PipelineBuilder<'a> {
 
         if !missing.is_empty() {
             self.stats.span_begin(stage::SCAN);
-            // Morsel count mirrors what the parallel scan dispatches, so the
-            // scan span aggregates identically at every thread count (the
-            // plan depends only on the data). Computed only when tracing.
-            let scan_morsels = if self.stats.trace.is_some() {
-                plan_scan(plugin.as_ref(), self.opts.morsel_rows).len() as u64
-            } else {
-                0
-            };
             let cols: Vec<usize> = missing.iter().map(|&i| touched[i]).collect();
-            let read = if self.exec_threads() > 1 {
-                self.scan_columns_parallel(plugin, &cols, 0)?
-            } else {
-                let mut read: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-                plugin.scan_project(&cols, &mut |_, vals| {
-                    for (c, v) in read.iter_mut().zip(vals) {
-                        c.push(v);
-                    }
-                    Ok(())
-                })?;
-                read
-            };
-            self.stats.span_end_counted(nrows as u64, scan_morsels);
+            let read = self.scan_columns(plugin, &cols, 0)?;
+            self.stats.span_end();
             for (&i, col_vals) in missing.iter().zip(read) {
                 let field = &schema.fields()[touched[i]].name;
                 let full = Arc::new(col_vals);
@@ -1602,12 +1489,10 @@ impl<'a> PipelineBuilder<'a> {
         Ok(columns)
     }
 
-    /// Rehydrate one cached replica into a parsed column. `Positions`
-    /// replicas seek straight into the raw file via the plugin's span
-    /// parser; everything else decodes in memory. With multiple workers the
-    /// decode is morsel-driven (the warm-cache half of parallel execution),
-    /// and chunks concatenate in morsel order so the column is identical to
-    /// a serial decode.
+    /// Rehydrate one cached replica into a parsed column, morsel by morsel
+    /// (the warm-cache half of the morsel driver). `Positions` replicas
+    /// seek straight into the raw file via the plugin's span parser;
+    /// everything else decodes in memory.
     fn decode_replica(
         &mut self,
         plugin: &Arc<dyn vida_formats::InputPlugin>,
@@ -1615,51 +1500,22 @@ impl<'a> PipelineBuilder<'a> {
         data: &CachedData,
         nrows: usize,
     ) -> Result<Vec<Value>> {
-        let decode_row = |r: usize| -> Result<Value> {
-            match data {
-                CachedData::Positions(spans) => plugin.parse_field_span(col, spans[r]),
-                other => other.get(r),
-            }
-        };
-        let threads = self.exec_threads();
-        if threads > 1 && nrows > 1 {
-            let plan = MorselPlan::fixed(nrows, self.opts.morsel_rows);
-            self.stats.morsels += plan.len() as u64;
-            let epoch = self.stats.trace_epoch();
-            let chunks = self.ctx.pool.run_morsels(
-                plan.len(),
-                |w| w,
-                |w, m| {
-                    // Timing-only worker sub-spans: the coordinator's probe
-                    // span carries the counts, so aggregates stay identical
-                    // to a serial decode.
-                    let mut wt = epoch.map(|e| {
-                        let mut t = QueryTrace::with_epoch(*w as u32 + 1, e);
-                        t.begin(stage::CACHE_PROBE);
-                        t
-                    });
-                    let range = plan.range(m);
-                    let mut chunk = Vec::with_capacity(range.len());
-                    for r in range {
-                        chunk.push(decode_row(r)?);
-                    }
-                    if let Some(t) = wt.as_mut() {
-                        t.end_counted(0, 0);
-                    }
-                    Ok::<_, VidaError>((chunk, wt))
-                },
-            )?;
-            let mut out = Vec::with_capacity(nrows);
-            for (chunk, wt) in chunks {
-                if let (Some(mine), Some(wt)) = (self.stats.trace.as_deref_mut(), wt) {
-                    mine.absorb(wt);
-                }
-                out.extend(chunk);
-            }
-            Ok(out)
-        } else {
-            (0..nrows).map(decode_row).collect()
-        }
+        let plan = MorselPlan::fixed(nrows, self.opts.morsel_rows);
+        let mut out = Vec::with_capacity(nrows);
+        self.run_chunks(
+            &plan,
+            stage::CACHE_PROBE,
+            |range| {
+                range
+                    .map(|r| match data {
+                        CachedData::Positions(spans) => plugin.parse_field_span(col, spans[r]),
+                        other => other.get(r),
+                    })
+                    .collect::<Result<Vec<Value>>>()
+            },
+            |chunk| out.extend(chunk),
+        )?;
+        Ok(out)
     }
 
     /// The post-query cost-model step (§5): fold this query's access
@@ -1779,33 +1635,23 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
-    /// The parallel raw scan: the dispatcher splits the file into aligned
-    /// morsels (newline-aligned CSV byte ranges, record-aligned JSON spans)
-    /// and workers parse disjoint ranges concurrently, sharing only the
-    /// atomic positional structures. Chunks concatenate in morsel order, so
-    /// the materialized columns are identical to a serial scan's. `from`
-    /// restricts the scan to units `from..num_units()` — the appended tail
-    /// of a grown file (`0` scans everything).
-    fn scan_columns_parallel(
+    /// The raw scan: the dispatcher splits the file into aligned morsels
+    /// (newline-aligned CSV byte ranges, record-aligned JSON spans) and
+    /// workers parse disjoint ranges, sharing only the atomic positional
+    /// structures. `from` restricts the scan to units `from..num_units()`
+    /// — the appended tail of a grown file (`0` scans everything).
+    fn scan_columns(
         &mut self,
         plugin: &Arc<dyn vida_formats::InputPlugin>,
         cols: &[usize],
         from: usize,
     ) -> Result<Vec<Vec<Value>>> {
         let plan = plan_scan_tail(plugin.as_ref(), self.opts.morsel_rows, from);
-        let epoch = self.stats.trace_epoch();
-        let chunks = self.ctx.pool.run_morsels(
-            plan.len(),
-            |w| w,
-            |w, m| {
-                // Timing-only worker sub-spans (counts live on the
-                // coordinator's scan span — see materialize_columns).
-                let mut wt = epoch.map(|e| {
-                    let mut t = QueryTrace::with_epoch(*w as u32 + 1, e);
-                    t.begin(stage::SCAN);
-                    t
-                });
-                let range = plan.range(m);
+        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(plan.units()); cols.len()];
+        self.run_chunks(
+            &plan,
+            stage::SCAN,
+            |range| {
                 let mut chunk: Vec<Vec<Value>> = vec![Vec::with_capacity(range.len()); cols.len()];
                 plugin.scan_project_range(cols, range, &mut |_, vals| {
                     for (c, v) in chunk.iter_mut().zip(vals) {
@@ -1813,23 +1659,56 @@ impl<'a> PipelineBuilder<'a> {
                     }
                     Ok(())
                 })?;
+                Ok(chunk)
+            },
+            |chunk| {
+                for (o, c) in out.iter_mut().zip(chunk) {
+                    o.extend(c);
+                }
+            },
+        )?;
+        Ok(out)
+    }
+
+    /// Run `work` over every morsel of `plan` on the query's pool and hand
+    /// the chunks to `append` in morsel order, so the assembled column is
+    /// the same at every worker count. Each morsel runs inside a
+    /// worker-track `stage` span carrying its row count.
+    fn run_chunks<T: Send>(
+        &mut self,
+        plan: &MorselPlan,
+        stage: &'static str,
+        work: impl Fn(std::ops::Range<usize>) -> Result<T> + Sync,
+        mut append: impl FnMut(T),
+    ) -> Result<()> {
+        self.stats.morsels += plan.len() as u64;
+        let epoch = self.stats.trace_epoch();
+        let stats = &mut *self.stats;
+        self.ctx.pool.fold_morsels(
+            plan.len(),
+            |w, m| {
+                let range = plan.range(m);
+                let rows = range.len() as u64;
+                let mut wt = epoch.map(|e| {
+                    let mut t = QueryTrace::with_epoch(w as u32 + 1, e);
+                    t.begin(stage);
+                    t
+                });
+                let chunk = work(range)?;
                 if let Some(t) = wt.as_mut() {
-                    t.end_counted(0, 0);
+                    t.end_counted(rows, 1);
                 }
                 Ok::<_, VidaError>((chunk, wt))
             },
-        )?;
-        self.stats.morsels += plan.len() as u64;
-        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(plan.units()); cols.len()];
-        for (chunk, wt) in chunks {
-            if let (Some(mine), Some(wt)) = (self.stats.trace.as_deref_mut(), wt) {
-                mine.absorb(wt);
-            }
-            for (o, c) in out.iter_mut().zip(chunk) {
-                o.extend(c);
-            }
-        }
-        Ok(out)
+            (),
+            |(), (chunk, wt)| {
+                if let (Some(mine), Some(wt)) = (stats.trace.as_deref_mut(), wt) {
+                    mine.absorb(wt);
+                }
+                append(chunk);
+                Ok(())
+            },
+        )
     }
 
     /// Compile a boolean step (kernel when possible).
@@ -1839,9 +1718,7 @@ impl<'a> PipelineBuilder<'a> {
         layout: &FrameLayout,
         interner: &SharedInterner,
     ) -> Result<Step> {
-        if !self.opts.interpret_only
-            && JitCompiler::try_prepare(predicate, layout) == Some(SlotType::Bool)
-        {
+        if JitCompiler::try_prepare(predicate, layout) == Some(SlotType::Bool) {
             // Kernel ids are the query's dense compile order — the trace
             // layer's per-kernel invocation index.
             let k = interner
@@ -1856,8 +1733,7 @@ impl<'a> PipelineBuilder<'a> {
     /// Build the operator tree. Joins pick their strategy here: hash join
     /// on compilable equi-keys, band sort-probe on a compilable range
     /// predicate, block-nested-loop otherwise (with the predicate compiled
-    /// into one fused kernel when possible). `None` only under
-    /// `interpret_only`, whose joins need key kernels.
+    /// into one fused kernel when possible).
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &mut self,
@@ -1867,18 +1743,15 @@ impl<'a> PipelineBuilder<'a> {
         interner: &SharedInterner,
         unnest_cursor: &mut usize,
         join_cursor: &mut usize,
-    ) -> Result<Option<Node>> {
+    ) -> Result<Node> {
         match shape {
             Shape::Scan { binding, .. } => {
                 let idx = order.iter().position(|b| b == binding).expect("bound");
-                Ok(Some(Node::Source(idx)))
+                Ok(Node::Source(idx))
             }
             Shape::Unnest { input, selects, .. } => {
-                let Some(inner) =
-                    self.assemble(input, order, layout, interner, unnest_cursor, join_cursor)?
-                else {
-                    return Ok(None);
-                };
+                let inner =
+                    self.assemble(input, order, layout, interner, unnest_cursor, join_cursor)?;
                 // Specs were pushed in the same DFS order bind_layout used.
                 let stage = *unnest_cursor;
                 *unnest_cursor += 1;
@@ -1886,11 +1759,11 @@ impl<'a> PipelineBuilder<'a> {
                     .iter()
                     .map(|s| self.step(s, layout, interner))
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Some(Node::Unnest {
+                Ok(Node::Unnest {
                     input: Box::new(inner),
                     stage,
                     selects,
-                }))
+                })
             }
             Shape::Join {
                 left,
@@ -1898,11 +1771,8 @@ impl<'a> PipelineBuilder<'a> {
                 predicate,
                 selects,
             } => {
-                let Some(lnode) =
-                    self.assemble(left, order, layout, interner, unnest_cursor, join_cursor)?
-                else {
-                    return Ok(None);
-                };
+                let lnode =
+                    self.assemble(left, order, layout, interner, unnest_cursor, join_cursor)?;
                 let Shape::Scan {
                     binding: rbinding, ..
                 } = right.as_ref()
@@ -1911,9 +1781,6 @@ impl<'a> PipelineBuilder<'a> {
                 };
                 let ridx = order.iter().position(|b| b == rbinding).expect("bound");
 
-                if self.opts.interpret_only {
-                    return Ok(None);
-                }
                 // Claim this join's build slot (same DFS order
                 // `Pipeline::prepare_builds` walks).
                 let build = *join_cursor;
@@ -1951,7 +1818,7 @@ impl<'a> PipelineBuilder<'a> {
                                 })?
                                 .with_id(self.stats.kernels_compiled + 1);
                             self.stats.kernels_compiled += 2;
-                            return Ok(Some(Node::HashJoin {
+                            return Ok(Node::HashJoin {
                                 left: Box::new(lnode),
                                 right: ridx,
                                 build,
@@ -1962,7 +1829,7 @@ impl<'a> PipelineBuilder<'a> {
                                 float_keys,
                                 predicate: predicate_step,
                                 selects,
-                            }));
+                            });
                         }
                     }
                 }
@@ -2004,14 +1871,14 @@ impl<'a> PipelineBuilder<'a> {
 
                 // Strategy 3 (band = None): block-nested-loop over morsels
                 // with the fused predicate kernel.
-                Ok(Some(Node::ThetaJoin {
+                Ok(Node::ThetaJoin {
                     left: Box::new(lnode),
                     right: ridx,
                     build,
                     band,
                     predicate: predicate_step,
                     selects,
-                }))
+                })
             }
         }
     }
@@ -2163,42 +2030,40 @@ impl<'a> PipelineBuilder<'a> {
         {
             return HeadPlan::CountOnly;
         }
-        if !self.opts.interpret_only {
-            if JitCompiler::try_prepare(head, layout).is_some() {
-                if let Ok(k) = interner
-                    .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(head, layout, i)))
-                {
-                    let k = k.with_id(self.stats.kernels_compiled);
-                    self.stats.kernels_compiled += 1;
-                    return HeadPlan::Kernel(k, head.clone());
-                }
+        if JitCompiler::try_prepare(head, layout).is_some() {
+            if let Ok(k) =
+                interner.with_mut(|i| JitCompiler::new().and_then(|c| c.compile(head, layout, i)))
+            {
+                let k = k.with_id(self.stats.kernels_compiled);
+                self.stats.kernels_compiled += 1;
+                return HeadPlan::Kernel(k, head.clone());
             }
-            if let Expr::Record(fields) = head {
-                if matches!(monoid, Monoid::Collection(_))
-                    && fields
-                        .iter()
-                        .all(|(_, e)| JitCompiler::try_prepare(e, layout).is_some())
-                {
-                    let mut ks = Vec::with_capacity(fields.len());
-                    let mut ok = true;
-                    for (n, e) in fields {
-                        match interner
-                            .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(e, layout, i)))
-                        {
-                            Ok(k) => {
-                                let id = self.stats.kernels_compiled + ks.len() as u32;
-                                ks.push((n.clone(), k.with_id(id)));
-                            }
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
+        }
+        if let Expr::Record(fields) = head {
+            if matches!(monoid, Monoid::Collection(_))
+                && fields
+                    .iter()
+                    .all(|(_, e)| JitCompiler::try_prepare(e, layout).is_some())
+            {
+                let mut ks = Vec::with_capacity(fields.len());
+                let mut ok = true;
+                for (n, e) in fields {
+                    match interner
+                        .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(e, layout, i)))
+                    {
+                        Ok(k) => {
+                            let id = self.stats.kernels_compiled + ks.len() as u32;
+                            ks.push((n.clone(), k.with_id(id)));
+                        }
+                        Err(_) => {
+                            ok = false;
+                            break;
                         }
                     }
-                    if ok {
-                        self.stats.kernels_compiled += ks.len() as u32;
-                        return HeadPlan::RecordKernels(ks, head.clone());
-                    }
+                }
+                if ok {
+                    self.stats.kernels_compiled += ks.len() as u32;
+                    return HeadPlan::RecordKernels(ks, head.clone());
                 }
             }
         }
@@ -2210,117 +2075,158 @@ impl<'a> PipelineBuilder<'a> {
 // Execution
 // ---------------------------------------------------------------------------
 
+// One morsel driver runs the fused push pipeline at every worker count:
+// join build sides materialize first (the pipeline breakers), then the
+// leftmost scan's rows split into morsels and each morsel drives through
+// the whole stage chain into a private partial fold. Three invariants keep
+// every thread count result-identical:
+//
+// 1. Morsel grids depend only on the leftmost scan's row count (and the
+//    `morsel_rows` knob), never on the worker count, so the partial-result
+//    sequence is fixed.
+// 2. Per-morsel partials merge — and collection chunks concatenate — in
+//    morsel order (`WorkerPool::fold_morsels`), so element order is the
+//    scan order and float folds associate the same way everywhere.
+// 3. The radix-partitioned build assigns partitions by key bits alone
+//    (partition count is a function of the build size, not the worker
+//    count), and bucket lists keep ascending build-tuple order, so every
+//    probe sees the same candidate set in the same order.
+
 impl Pipeline {
     fn execute(self, stats: &mut ExecStats) -> Result<Value> {
-        stats.threads = self.threads as u32;
-        if self.materialize_stages {
-            // Ablation baseline: the pre-streaming pull-and-materialize
-            // executor (serial; `operator_materializations` counts its
-            // inter-operator buffers).
-            return self.execute_materialized(stats);
-        }
+        stats.threads = self.pool.threads() as u32;
         stats.fused_stage_depth = fused_depth(&self.root) + 1; // + the fold
-        if self.threads > 1 {
-            return self.execute_parallel(stats);
-        }
-
-        // Serial push loop: prepare the pipeline breakers (join build
-        // sides), then drive every leftmost-scan row through the fused
-        // stage chain straight into the fold — no intermediate Vec<Tuple>.
         let joins = has_join(&self.root);
         if joins {
             stats.span_begin(stage::BUILD_SIDE);
         }
-        let builds = self.prepare_builds(None, stats)?;
+        let builds = self.prepare_builds(stats)?;
         if joins {
             stats.span_end();
         }
         let nrows = self.sources[leftmost_source(&self.root)].nrows;
-        // A reusable cached prefix partial shrinks the drive to the
-        // appended rows; the fold arms merge the partial in front.
+        // A reusable cached prefix partial shrinks the morsel grid to the
+        // appended rows (`from = 0` is the ordinary whole-source grid).
         let from = self.fold_reuse_rows();
-        let dstage = drive_stage(&self.root);
-        stats.span_begin(stage::FOLD);
-        let value = self.fold_stream(stats, |stats, sink| {
-            if stats.trace.is_none() {
-                return self.drive(&self.root, from..nrows, &builds, stats, sink);
-            }
-            // Traced drive: count pushed tuples through a wrapping sink and
-            // report the morsel count the parallel grid would dispatch, so
-            // the span aggregates identically at every thread count.
-            stats.span_begin(dstage);
-            let mut pushed = 0u64;
-            let r = self.drive(&self.root, from..nrows, &builds, stats, &mut |stats, t| {
-                pushed += 1;
-                sink(stats, t)
-            });
-            stats.span_end_counted(pushed, morsel_count(nrows - from, self.morsel_rows));
-            r
-        })?;
-        stats.span_end();
-        Ok(value)
-    }
+        let plan = MorselPlan::fixed(nrows - from, self.morsel_rows).shifted(from);
+        stats.morsels += plan.len() as u64;
 
-    /// The serial fold: `produce` pushes every surviving tuple into the
-    /// sink this function provides, and the sink folds straight into the
-    /// output monoid. Collection monoids accumulate and canonicalize once;
-    /// primitives merge incrementally (preserving overflow and type-error
-    /// semantics); `count` with a total head just counts. Shared by the
-    /// streaming drive and the materializing ablation, so the two engines
-    /// cannot diverge on fold semantics.
-    fn fold_stream(
-        &self,
-        stats: &mut ExecStats,
-        produce: impl FnOnce(&mut ExecStats, TupleSink<'_>) -> Result<()>,
-    ) -> Result<Value> {
-        match self.monoid {
+        stats.span_begin(stage::FOLD);
+        let value = match self.monoid {
             Monoid::Collection(kind) => {
-                let mut items = Vec::new();
-                produce(stats, &mut |stats, t| {
-                    stats.actual_rows += 1;
-                    items.push(self.head_value(&t, stats)?);
-                    Ok(())
-                })?;
-                Ok(match kind {
+                // Per-morsel head values, concatenated in morsel order (the
+                // scan's element sequence), then one canonicalization.
+                let items = self.fold_drive(
+                    &plan,
+                    &builds,
+                    stats,
+                    Vec::new,
+                    |items, t, ws| {
+                        items.push(self.head_value(t, ws)?);
+                        Ok(())
+                    },
+                    Vec::new(),
+                    |mut all: Vec<Value>, chunk| {
+                        all.extend(chunk);
+                        Ok(all)
+                    },
+                )?;
+                match kind {
                     CollectionKind::Set => Value::set(items),
                     k => Value::Collection(k, items),
-                })
+                }
             }
             Monoid::Primitive(PrimitiveMonoid::Count)
                 if matches!(self.head, HeadPlan::CountOnly) =>
             {
-                // A reused partial in this arm is always the plain count
-                // (the same plan hash always lands in the same arm).
-                let mut n = match self.fold_reuse_partial(stats) {
+                // `count` with a total head just counts. A reused partial
+                // in this arm is always the plain count (the same plan hash
+                // always lands in the same arm).
+                let base = match self.fold_reuse_partial(stats) {
                     Some(Value::Int(k)) => k,
                     _ => 0,
                 };
-                produce(stats, &mut |stats, _| {
-                    stats.actual_rows += 1;
-                    n += 1;
-                    Ok(())
-                })?;
+                let n = self.fold_drive(
+                    &plan,
+                    &builds,
+                    stats,
+                    || 0i64,
+                    |n, _, _| {
+                        *n += 1;
+                        Ok(())
+                    },
+                    base,
+                    |acc, n| Ok(acc + n),
+                )?;
                 self.store_fold_partial(&Value::Int(n));
-                Ok(Value::Int(n))
+                Value::Int(n)
             }
             m => {
-                // Seed from the cached prefix partial when one is valid:
-                // `merge(prefix, unit(v))` is exactly the in-order merge a
-                // full serial fold would have reached after the prefix rows.
-                let mut acc = match self.fold_reuse_partial(stats) {
-                    Some(prefix) => prefix,
-                    None => m.zero(),
-                };
-                produce(stats, &mut |stats, t| {
-                    stats.actual_rows += 1;
-                    let v = self.head_value(&t, stats)?;
-                    acc = m.merge(std::mem::replace(&mut acc, Value::Null), m.unit(v))?;
-                    Ok(())
-                })?;
-                self.store_fold_partial(&acc);
-                m.finalize(acc)
+                // Per-morsel partial folds (merging incrementally preserves
+                // overflow and type-error semantics), merged in morsel
+                // order via `Monoid::merge_partials`. A reused cached
+                // prefix partial goes in front — the prefix plus morsel
+                // order over the tail is exactly the whole-source order.
+                let prefix = self.fold_reuse_partial(stats);
+                let merged = self.fold_drive(
+                    &plan,
+                    &builds,
+                    stats,
+                    || m.zero(),
+                    |acc, t, ws| {
+                        let v = self.head_value(t, ws)?;
+                        *acc = m.merge(std::mem::replace(acc, Value::Null), m.unit(v))?;
+                        Ok(())
+                    },
+                    prefix,
+                    |acc: Option<Value>, p| m.merge_partials(acc.into_iter().chain([p])).map(Some),
+                )?;
+                let merged = merged.unwrap_or_else(|| m.zero());
+                self.store_fold_partial(&merged);
+                m.finalize(merged)?
             }
-        }
+        };
+        stats.span_end();
+        Ok(value)
+    }
+
+    /// Drive every morsel of `plan` through the fused stage chain on the
+    /// pool. Each morsel folds its surviving tuples into a private partial
+    /// (`new` + `push`) on worker-local stats inside a per-morsel drive
+    /// span; `merge` folds the partials into `init` in morsel order and the
+    /// worker stats are absorbed alongside.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_drive<P: Send, A>(
+        &self,
+        plan: &MorselPlan,
+        builds: &[JoinBuild],
+        stats: &mut ExecStats,
+        new: impl Fn() -> P + Sync,
+        push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()> + Sync,
+        init: A,
+        mut merge: impl FnMut(A, P) -> Result<A>,
+    ) -> Result<A> {
+        let epoch = stats.trace_epoch();
+        let dstage = drive_stage(&self.root);
+        self.pool.fold_morsels(
+            plan.len(),
+            |w, m| {
+                let mut ws = worker_stats(w, epoch);
+                ws.span_begin(dstage);
+                let mut partial = new();
+                self.drive(&self.root, plan.range(m), builds, &mut ws, &mut |ws, t| {
+                    ws.actual_rows += 1;
+                    push(&mut partial, &t, ws)
+                })?;
+                ws.span_end_counted(ws.actual_rows, 1);
+                Ok::<_, VidaError>((partial, ws))
+            },
+            init,
+            |acc, (partial, ws)| {
+                stats.absorb_worker(ws);
+                merge(acc, partial)
+            },
+        )
     }
 
     /// Rows covered by a reusable cached prefix partial — the drive starts
@@ -2501,23 +2407,6 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Materialize a source's tuples over a row range — used only where a
-    /// buffer is genuinely required: join build sides (pipeline breakers)
-    /// and the legacy materializing executor.
-    fn source_tuples_range(
-        &self,
-        idx: usize,
-        rows: std::ops::Range<usize>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.push_source(idx, rows, stats, &mut |_, t| {
-            out.push(t);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
     /// Drive the push loop: stream `range` rows of the pipeline's leftmost
     /// scan through every fused stage, handing each surviving tuple to
     /// `sink`. Each operator arm wraps `sink` in its own consumer closure,
@@ -2606,30 +2495,25 @@ impl Pipeline {
     /// Materialize the build side of every join in the tree, in the DFS
     /// order `assemble` assigned build slots. These are the pipeline
     /// breakers of push execution: each right side scans into a tuple
-    /// buffer once (morsel-parallel when a pool is given), then hashes into
-    /// radix-partitioned tables or sorts into a band index. Partition
-    /// counts and bucket order depend only on the data, so every thread
-    /// count probes identical candidate sets.
-    fn prepare_builds(
-        &self,
-        pool: Option<&WorkerPool>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<JoinBuild>> {
+    /// buffer once, morsel by morsel, then hashes into radix-partitioned
+    /// tables or sorts into a band index. Partition counts and bucket order
+    /// depend only on the data, so every thread count probes identical
+    /// candidate sets.
+    fn prepare_builds(&self, stats: &mut ExecStats) -> Result<Vec<JoinBuild>> {
         let mut builds = Vec::new();
-        self.prepare_builds_node(&self.root, pool, stats, &mut builds)?;
+        self.prepare_builds_node(&self.root, stats, &mut builds)?;
         Ok(builds)
     }
 
     fn prepare_builds_node(
         &self,
         node: &Node,
-        pool: Option<&WorkerPool>,
         stats: &mut ExecStats,
         builds: &mut Vec<JoinBuild>,
     ) -> Result<()> {
         match node {
             Node::Source(_) => Ok(()),
-            Node::Unnest { input, .. } => self.prepare_builds_node(input, pool, stats, builds),
+            Node::Unnest { input, .. } => self.prepare_builds_node(input, stats, builds),
             Node::HashJoin {
                 left,
                 right,
@@ -2639,14 +2523,14 @@ impl Pipeline {
                 float_keys,
                 ..
             } => {
-                self.prepare_builds_node(left, pool, stats, builds)?;
-                let right_tuples = self.build_side_tuples(*right, pool, stats)?;
+                self.prepare_builds_node(left, stats, builds)?;
+                let right_tuples = self.build_side_tuples(*right, stats)?;
                 let jb = JoinBuild::hash(
                     right_tuples,
                     right_key,
                     *right_key_ty,
                     *float_keys,
-                    pool,
+                    &self.pool,
                     self.morsel_rows,
                     stats,
                 )?;
@@ -2661,8 +2545,8 @@ impl Pipeline {
                 band,
                 ..
             } => {
-                self.prepare_builds_node(left, pool, stats, builds)?;
-                let right_tuples = self.build_side_tuples(*right, pool, stats)?;
+                self.prepare_builds_node(left, stats, builds)?;
+                let right_tuples = self.build_side_tuples(*right, stats)?;
                 if let Some(b) = band {
                     if stats.trace.is_some() {
                         // BandIndex::build invokes the band key kernel once
@@ -2679,31 +2563,37 @@ impl Pipeline {
         }
     }
 
-    /// Build-side scan: the whole source serially, morsel-parallel with a
-    /// pool.
-    fn build_side_tuples(
-        &self,
-        idx: usize,
-        pool: Option<&WorkerPool>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Tuple>> {
-        match pool {
-            Some(pool) => self.source_tuples_parallel(idx, pool, stats),
-            None => {
-                // The serial build scan carries the same counts the
-                // parallel per-morsel worker spans sum to.
-                let nrows = self.sources[idx].nrows;
-                stats.span_begin(stage::BUILD_SIDE);
-                let out = self.source_tuples_range(idx, 0..nrows, stats)?;
-                stats.span_end_counted(out.len() as u64, morsel_count(nrows, self.morsel_rows));
-                Ok(out)
-            }
-        }
+    /// Build-side scan, morsel by morsel: chunks concatenate in morsel
+    /// order, so the buffer is the source's scan order at every worker
+    /// count.
+    fn build_side_tuples(&self, idx: usize, stats: &mut ExecStats) -> Result<Vec<Tuple>> {
+        let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
+        stats.morsels += plan.len() as u64;
+        let epoch = stats.trace_epoch();
+        self.pool.fold_morsels(
+            plan.len(),
+            |w, m| {
+                let mut ws = worker_stats(w, epoch);
+                ws.span_begin(stage::BUILD_SIDE);
+                let mut out = Vec::new();
+                self.push_source(idx, plan.range(m), &mut ws, &mut |_, t| {
+                    out.push(t);
+                    Ok(())
+                })?;
+                ws.span_end_counted(out.len() as u64, 1);
+                Ok::<_, VidaError>((out, ws))
+            },
+            Vec::new(),
+            |mut all, (chunk, ws)| {
+                all.extend(chunk);
+                stats.absorb_worker(ws);
+                Ok(all)
+            },
+        )
     }
 
     /// Emit the surviving join pairs of one probe tuple against its
-    /// candidate build tuples, pushing each straight into `sink` (shared by
-    /// the streaming drive and the legacy materializing executor).
+    /// candidate build tuples, pushing each straight into `sink`.
     #[allow(clippy::too_many_arguments)]
     fn probe_pairs(
         &self,
@@ -2748,8 +2638,7 @@ impl Pipeline {
 
     /// Flatten one input tuple through an unnest stage: one output tuple
     /// per collection element, frames extended with the element slots,
-    /// stage selects applied, survivors pushed into `sink` (shared by the
-    /// streaming drive and the legacy materializing executor).
+    /// stage selects applied, survivors pushed into `sink`.
     fn unnest_tuple(
         &self,
         stage: usize,
@@ -2808,119 +2697,6 @@ impl Pipeline {
         }
         Ok(())
     }
-
-    /// The legacy pull-and-materialize executor (ablation baseline behind
-    /// [`JitOptions::materialize_stages`]): every operator stage produces a
-    /// full `Vec<Tuple>` handed to the next stage, and
-    /// `ExecStats::operator_materializations` counts each buffer. Serial
-    /// only — it exists so the `streaming_fusion` bench can measure what
-    /// the push loop buys.
-    fn execute_materialized(&self, stats: &mut ExecStats) -> Result<Value> {
-        let tuples = self.exec_node_materialized(&self.root, stats)?;
-        // Feed the materialized buffer through the same fold the streaming
-        // engine uses.
-        self.fold_stream(stats, |stats, sink| {
-            for t in tuples {
-                sink(stats, t)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn exec_node_materialized(&self, node: &Node, stats: &mut ExecStats) -> Result<Vec<Tuple>> {
-        // Each arm materializes its full output before the parent consumes
-        // it — the inter-operator buffer the streaming engine eliminates.
-        stats.operator_materializations += 1;
-        let mut out = Vec::new();
-        let mut collect = |_: &mut ExecStats, t: Tuple| -> Result<()> {
-            out.push(t);
-            Ok(())
-        };
-        match node {
-            Node::Source(idx) => {
-                let nrows = self.sources[*idx].nrows;
-                self.push_source(*idx, 0..nrows, stats, &mut collect)?;
-            }
-            Node::HashJoin {
-                left,
-                right,
-                right_key,
-                left_key,
-                left_key_ty,
-                right_key_ty,
-                float_keys,
-                predicate,
-                selects,
-                ..
-            } => {
-                let left_tuples = self.exec_node_materialized(left, stats)?;
-                let right_tuples =
-                    self.source_tuples_range(*right, 0..self.sources[*right].nrows, stats)?;
-                let jb = JoinBuild::hash(
-                    right_tuples,
-                    right_key,
-                    *right_key_ty,
-                    *float_keys,
-                    None,
-                    self.morsel_rows,
-                    stats,
-                )?;
-                let rslots = &self.sources[*right].slots;
-                for lt in &left_tuples {
-                    let candidates = jb.hash_candidates(lt, left_key, *left_key_ty, *float_keys);
-                    self.probe_pairs(
-                        lt,
-                        &candidates,
-                        &jb.right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        &mut collect,
-                    )?;
-                }
-            }
-            Node::ThetaJoin {
-                left,
-                right,
-                band,
-                predicate,
-                selects,
-                ..
-            } => {
-                let left_tuples = self.exec_node_materialized(left, stats)?;
-                let right_tuples =
-                    self.source_tuples_range(*right, 0..self.sources[*right].nrows, stats)?;
-                let index = band.as_ref().map(|b| BandIndex::build(b, &right_tuples));
-                let all: Vec<usize> = (0..right_tuples.len()).collect();
-                let rslots = &self.sources[*right].slots;
-                for lt in &left_tuples {
-                    let candidates = theta_candidates(lt, band.as_ref(), index.as_ref());
-                    self.probe_pairs(
-                        lt,
-                        candidates.as_deref().unwrap_or(&all),
-                        &right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        &mut collect,
-                    )?;
-                }
-            }
-            Node::Unnest {
-                input,
-                stage,
-                selects,
-            } => {
-                let input_tuples = self.exec_node_materialized(input, stats)?;
-                for t in &input_tuples {
-                    self.unnest_tuple(*stage, selects, t, stats, &mut collect)?;
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// The consumer side of one pipeline stage: receives each surviving tuple
@@ -2935,8 +2711,8 @@ type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, Tuple) -> Result<()>;
 struct JoinBuild {
     right_tuples: Vec<Tuple>,
     /// Hash strategy: radix-partitioned tables (`partition_count` depends
-    /// only on the build size, so serial and parallel builds are
-    /// identical) plus the invalid-frame stragglers every probe checks
+    /// only on the build size, so the build is the same at every worker
+    /// count) plus the invalid-frame stragglers every probe checks
     /// through the interpreter.
     tables: Vec<HashMap<i64, Vec<usize>>>,
     partitions: usize,
@@ -2951,16 +2727,16 @@ struct JoinBuild {
 
 impl JoinBuild {
     /// Hash-join build: extract key bits, split by radix partition, and
-    /// assemble one table per partition. With a pool the extraction runs
-    /// morsel-wise and partition tables build in parallel; visiting
-    /// morsel pre-splits in morsel order keeps every bucket's index list
-    /// ascending — the same order a serial single-table build produces.
+    /// assemble one table per partition. The extraction runs morsel-wise
+    /// and the partition tables build one per pool morsel; visiting morsel
+    /// pre-splits in morsel order keeps every bucket's index list
+    /// ascending — the build side's scan order.
     fn hash(
         right_tuples: Vec<Tuple>,
         right_key: &CompiledKernel,
         right_key_ty: SlotType,
         float_keys: bool,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
         morsel_rows: usize,
         stats: &mut ExecStats,
     ) -> Result<JoinBuild> {
@@ -2968,84 +2744,55 @@ impl JoinBuild {
         let all = (0..right_tuples.len()).collect();
         let key_of = |t: &Tuple| encode_key(right_key.call(&t.frame), right_key_ty, float_keys);
         if stats.trace.is_some() {
-            // The build extracts the key of every valid tuple exactly once,
-            // serial or parallel.
+            // The build extracts the key of every valid tuple exactly once.
             let n = right_tuples.iter().filter(|t| t.valid).count() as u64;
             stats.kernel_hits(right_key.id(), n);
         }
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                // Phase 1: workers pre-split key bits by partition,
-                // morsel-wise.
-                let rplan = MorselPlan::fixed(right_tuples.len(), morsel_rows);
-                stats.morsels += rplan.len() as u64;
-                let pre = pool.run_morsels(
-                    rplan.len(),
-                    |_| (),
-                    |_, m| {
-                        let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
-                        let mut loose: Vec<usize> = Vec::new();
-                        for i in rplan.range(m) {
-                            let t = &right_tuples[i];
-                            if t.valid {
-                                let k = key_of(t);
-                                parts[partition_of(k, partitions)].push((k, i));
-                            } else {
-                                loose.push(i);
-                            }
-                        }
-                        Ok::<_, VidaError>((parts, loose))
-                    },
-                )?;
-                // Phase 2: one worker per partition assembles that
-                // partition's table from the morsel-ordered pre-splits.
-                let tables = pool.run_morsels(
-                    partitions,
-                    |_| (),
-                    |_, p| {
-                        let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-                        for (parts, _) in &pre {
-                            for &(k, i) in &parts[p] {
-                                table.entry(k).or_default().push(i);
-                            }
-                        }
-                        Ok::<_, VidaError>(table)
-                    },
-                )?;
-                let loose = pre.iter().flat_map(|(_, l)| l.iter().copied()).collect();
-                Ok(JoinBuild {
-                    right_tuples,
-                    tables,
-                    partitions,
-                    loose,
-                    index: None,
-                    all,
-                })
-            }
-            _ => {
-                let mut tables: Vec<HashMap<i64, Vec<usize>>> = vec![HashMap::new(); partitions];
+        // Phase 1: pre-split key bits by partition, morsel-wise.
+        let rplan = MorselPlan::fixed(right_tuples.len(), morsel_rows);
+        stats.morsels += rplan.len() as u64;
+        let pre = pool.run_morsels(
+            rplan.len(),
+            |_| (),
+            |_, m| {
+                let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
                 let mut loose: Vec<usize> = Vec::new();
-                for (i, t) in right_tuples.iter().enumerate() {
+                for i in rplan.range(m) {
+                    let t = &right_tuples[i];
                     if t.valid {
                         let k = key_of(t);
-                        tables[partition_of(k, partitions)]
-                            .entry(k)
-                            .or_default()
-                            .push(i);
+                        parts[partition_of(k, partitions)].push((k, i));
                     } else {
                         loose.push(i);
                     }
                 }
-                Ok(JoinBuild {
-                    right_tuples,
-                    tables,
-                    partitions,
-                    loose,
-                    index: None,
-                    all,
-                })
-            }
-        }
+                Ok::<_, VidaError>((parts, loose))
+            },
+        )?;
+        // Phase 2: one pool morsel per partition assembles that partition's
+        // table from the morsel-ordered pre-splits.
+        let tables = pool.run_morsels(
+            partitions,
+            |_| (),
+            |_, p| {
+                let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
+                for (parts, _) in &pre {
+                    for &(k, i) in &parts[p] {
+                        table.entry(k).or_default().push(i);
+                    }
+                }
+                Ok::<_, VidaError>(table)
+            },
+        )?;
+        let loose = pre.iter().flat_map(|(_, l)| l.iter().copied()).collect();
+        Ok(JoinBuild {
+            right_tuples,
+            tables,
+            partitions,
+            loose,
+            index: None,
+            all,
+        })
     }
 
     /// Theta-join build: tuples plus (for band joins) the sorted key index.
@@ -3118,17 +2865,6 @@ fn drive_stage(node: &Node) -> &'static str {
     } else {
         stage::SCAN
     }
-}
-
-/// Morsel count the serial path reports for a `units`-row range, matching
-/// `MorselPlan::fixed` so serial and parallel trace counters agree.
-fn morsel_count(units: usize, morsel_rows: usize) -> u64 {
-    let step = if morsel_rows == 0 {
-        DEFAULT_MORSEL_UNITS
-    } else {
-        morsel_rows
-    };
-    units.div_ceil(step) as u64
 }
 
 /// Scratch stats for one worker, carrying a trace buffer on the worker's
@@ -3256,191 +2992,6 @@ fn theta_candidates(
     c.extend(index.unindexed.iter().copied());
     c.sort_unstable();
     Some(c)
-}
-
-// ---------------------------------------------------------------------------
-// Morsel-driven parallel execution (vida-parallel)
-// ---------------------------------------------------------------------------
-//
-// The same fused push pipeline, executed by a worker pool: join build sides
-// materialize first (morsel-parallel, the pipeline breakers), then the
-// leftmost scan's rows split into morsels and each worker drives its morsel
-// through the whole stage chain into a private partial fold. Three
-// invariants keep every thread count result-identical:
-//
-// 1. Morsel grids depend only on the leftmost scan's row count (and the
-//    `morsel_rows` knob), never on the worker count, so the partial-result
-//    sequence is fixed.
-// 2. Per-morsel partials merge — and collection chunks concatenate — in
-//    morsel order (`WorkerPool::fold_morsels`), so element order matches
-//    the serial push loop exactly.
-// 3. The radix-partitioned build assigns partitions by key bits alone
-//    (partition count is a function of the build size, not the worker
-//    count), and bucket lists keep ascending build-tuple order, so every
-//    probe sees the same candidate set in the same order as a serial
-//    single-table build.
-
-impl Pipeline {
-    fn execute_parallel(&self, stats: &mut ExecStats) -> Result<Value> {
-        let pool = &self.pool;
-        let joins = has_join(&self.root);
-        if joins {
-            stats.span_begin(stage::BUILD_SIDE);
-        }
-        let builds = self.prepare_builds(Some(pool), stats)?;
-        if joins {
-            stats.span_end();
-        }
-        let nrows = self.sources[leftmost_source(&self.root)].nrows;
-        // A reusable cached prefix partial shrinks the morsel grid to the
-        // appended rows (`from = 0` is the ordinary whole-source grid).
-        let from = self.fold_reuse_rows();
-        let plan = MorselPlan::fixed(nrows - from, self.morsel_rows).shifted(from);
-        stats.morsels += plan.len() as u64;
-        let epoch = stats.trace_epoch();
-        let dstage = drive_stage(&self.root);
-
-        stats.span_begin(stage::FOLD);
-        let value = match self.monoid {
-            Monoid::Collection(kind) => {
-                // Per-morsel head values, concatenated in morsel order:
-                // identical element sequence to the serial push loop, then
-                // one canonicalization.
-                let items = pool.fold_morsels(
-                    plan.len(),
-                    |w, m| {
-                        let mut ws = worker_stats(w, epoch);
-                        ws.span_begin(dstage);
-                        let mut items = Vec::new();
-                        self.drive(&self.root, plan.range(m), &builds, &mut ws, &mut |ws, t| {
-                            ws.actual_rows += 1;
-                            items.push(self.head_value(&t, ws)?);
-                            Ok(())
-                        })?;
-                        ws.span_end_counted(items.len() as u64, 1);
-                        Ok::<_, VidaError>((items, ws))
-                    },
-                    Vec::new(),
-                    |mut all, (chunk, ws)| {
-                        all.extend(chunk);
-                        stats.absorb_worker(ws);
-                        Ok(all)
-                    },
-                )?;
-                Ok(match kind {
-                    CollectionKind::Set => Value::set(items),
-                    k => Value::Collection(k, items),
-                })
-            }
-            Monoid::Primitive(PrimitiveMonoid::Count)
-                if matches!(self.head, HeadPlan::CountOnly) =>
-            {
-                // A reused partial in this arm is always the plain count
-                // (the same plan hash always lands in the same arm).
-                let base = match self.fold_reuse_partial(stats) {
-                    Some(Value::Int(k)) => k,
-                    _ => 0,
-                };
-                let n = pool.fold_morsels(
-                    plan.len(),
-                    |w, m| {
-                        let mut ws = worker_stats(w, epoch);
-                        ws.span_begin(dstage);
-                        let mut n = 0i64;
-                        self.drive(&self.root, plan.range(m), &builds, &mut ws, &mut |ws, _| {
-                            ws.actual_rows += 1;
-                            n += 1;
-                            Ok(())
-                        })?;
-                        ws.span_end_counted(n as u64, 1);
-                        Ok::<_, VidaError>((n, ws))
-                    },
-                    0i64,
-                    |acc, (n, ws)| {
-                        stats.absorb_worker(ws);
-                        Ok(acc + n)
-                    },
-                )?;
-                self.store_fold_partial(&Value::Int(base + n));
-                Ok(Value::Int(base + n))
-            }
-            m => {
-                // Per-morsel partial folds, merged deterministically in
-                // morsel order via the Monoid trait. A reused cached prefix
-                // partial goes in front — morsel order over the tail plus
-                // the prefix is exactly the whole-source order.
-                let mut seed = Vec::with_capacity(plan.len() + 1);
-                if let Some(prefix) = self.fold_reuse_partial(stats) {
-                    seed.push(prefix);
-                }
-                let accs = pool.fold_morsels(
-                    plan.len(),
-                    |w, mi| {
-                        let mut ws = worker_stats(w, epoch);
-                        ws.span_begin(dstage);
-                        let mut acc = m.zero();
-                        let mut pushed = 0u64;
-                        self.drive(
-                            &self.root,
-                            plan.range(mi),
-                            &builds,
-                            &mut ws,
-                            &mut |ws, t| {
-                                ws.actual_rows += 1;
-                                let v = self.head_value(&t, ws)?;
-                                acc =
-                                    m.merge(std::mem::replace(&mut acc, Value::Null), m.unit(v))?;
-                                pushed += 1;
-                                Ok(())
-                            },
-                        )?;
-                        ws.span_end_counted(pushed, 1);
-                        Ok::<_, VidaError>((acc, ws))
-                    },
-                    seed,
-                    |mut accs, (acc, ws)| {
-                        accs.push(acc);
-                        stats.absorb_worker(ws);
-                        Ok(accs)
-                    },
-                )?;
-                let merged = m.merge_partials(accs)?;
-                self.store_fold_partial(&merged);
-                m.finalize(merged)
-            }
-        }?;
-        stats.span_end();
-        Ok(value)
-    }
-
-    /// Morsel-parallel build-side scan: chunks concatenate in morsel order,
-    /// so the buffer is identical to a serial scan's.
-    fn source_tuples_parallel(
-        &self,
-        idx: usize,
-        pool: &WorkerPool,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Tuple>> {
-        let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
-        stats.morsels += plan.len() as u64;
-        let epoch = stats.trace_epoch();
-        pool.fold_morsels(
-            plan.len(),
-            |w, m| {
-                let mut ws = worker_stats(w, epoch);
-                ws.span_begin(stage::BUILD_SIDE);
-                let out = self.source_tuples_range(idx, plan.range(m), &mut ws)?;
-                ws.span_end_counted(out.len() as u64, 1);
-                Ok::<_, VidaError>((out, ws))
-            },
-            Vec::new(),
-            |mut all, (chunk, ws)| {
-                all.extend(chunk);
-                stats.absorb_worker(ws);
-                Ok(all)
-            },
-        )
-    }
 }
 
 /// Record the pipeline stages a fully-assembled operator tree will execute
@@ -3726,15 +3277,19 @@ mod tests {
     }
 
     #[test]
-    fn interpret_only_pipeline_agrees() {
-        let opts = JitOptions {
-            interpret_only: true,
-            ..Default::default()
-        };
-        let plan = plan_of("for { p <- Patients, p.age > 60 } yield sum p.age");
-        let (v, stats) = run_jit_with_stats(&plan, &catalog(), &opts).unwrap();
-        assert_eq!(v, Value::Int(136));
-        assert_eq!(stats.kernels_compiled, 0);
+    fn declined_expressions_run_interpreted_steps() {
+        // The compiler declines `Str` ordering and division, so the select
+        // becomes a `Step::Interp` and the head a `HeadPlan::Interp`: the
+        // pipeline still binds only the touched columns, but every tuple
+        // evaluates through the interpreter.
+        let plan = plan_of("for { p <- Patients, p.city < \"c\" } yield sum p.age / 2");
+        let (v, stats) = run_jit_with_stats(&plan, &catalog(), &JitOptions::default()).unwrap();
+        assert_eq!(v, Value::Int(17)); // bern only: 34 / 2
+        assert_eq!(v, crate::volcano::run_volcano(&plan, &catalog()).unwrap());
+        assert_eq!(stats.kernels_compiled, 0, "{stats:?}");
+        assert_eq!(stats.whole_query_fallbacks, 0, "{stats:?}");
+        // Three select evaluations plus one head evaluation.
+        assert_eq!(stats.fallback_tuples, 4, "{stats:?}");
     }
 
     #[test]
@@ -3815,6 +3370,19 @@ mod tests {
     }
 
     #[test]
+    fn fallback_queries_report_their_time() {
+        // Regression: the whole-query-fallback branch used to return before
+        // the timers were read, so Volcano-fallback queries contributed
+        // 0 ns to `ExecStats`.
+        let plan = plan_of("1 + 2");
+        let (_, stats) =
+            run_jit_with_stats(&plan, &nested_catalog(), &JitOptions::default()).unwrap();
+        assert_eq!(stats.whole_query_fallbacks, 1);
+        assert!(stats.codegen > std::time::Duration::ZERO, "{stats:?}");
+        assert!(stats.execution > std::time::Duration::ZERO, "{stats:?}");
+    }
+
+    #[test]
     fn unnest_agrees_with_volcano_at_every_thread_count() {
         let cat = nested_catalog();
         let queries = [
@@ -3831,7 +3399,6 @@ mod tests {
                 let opts = JitOptions {
                     threads,
                     morsel_rows: 1,
-                    clamp_threads: false,
                     ..Default::default()
                 };
                 let v = run_jit(&plan, &cat, &opts).unwrap();
@@ -3859,7 +3426,6 @@ mod tests {
                 let opts = JitOptions {
                     threads,
                     morsel_rows: 1,
-                    clamp_threads: false,
                     ..Default::default()
                 };
                 let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
@@ -3903,7 +3469,6 @@ mod tests {
             let opts = JitOptions {
                 threads,
                 morsel_rows: 1,
-                clamp_threads: false,
                 ..Default::default()
             };
             assert_eq!(run_jit(&bushy, &cat, &opts).unwrap(), oracle);
@@ -3968,36 +3533,31 @@ mod tests {
     }
 
     #[test]
-    fn interpret_only_joins_still_fall_back_wholesale() {
-        let opts = JitOptions {
-            interpret_only: true,
-            ..Default::default()
-        };
-        let plan = plan_of("for { p <- Patients, g <- Genetics, p.id < g.id } yield count p");
-        let (_, stats) = run_jit_with_stats(&plan, &catalog(), &opts).unwrap();
-        assert_eq!(stats.whole_query_fallbacks, 1, "{stats:?}");
-        assert_eq!(stats.raw_columns, 0);
-        // An unnest below an interpret_only join must not count as an
-        // executed pipeline stage: the whole query fell back.
-        let cat = nested_catalog();
-        cat.register_records(
-            "Flat",
-            Schema::from_pairs([("id", Type::Int)]),
-            &[Value::record([("id", Value::Int(5))])],
-        )
-        .unwrap();
-        let plan =
-            plan_of("for { r <- Regions, v <- r.voxels, f <- Flat, v = f.id } yield count v");
-        let (_, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert_eq!(stats.whole_query_fallbacks, 1, "{stats:?}");
-        assert_eq!(stats.unnest_pipelines, 0, "{stats:?}");
-        assert_eq!(stats.theta_pipelines, 0, "{stats:?}");
+    fn joins_on_declined_predicates_run_interpreted_nested_loops() {
+        // A join predicate the compiler declines (`Str` ordering, division
+        // in the key) has no key kernels: it runs block-nested-loop with
+        // the predicate as a `Step::Interp` — inside the pipeline, not as a
+        // whole-query fallback.
+        let cat = catalog();
+        for q in [
+            "for { p <- Patients, q <- Patients, p.city < q.city } yield list p.id",
+            "for { p <- Patients, g <- Genetics, p.id / 1 = g.id } yield list g.snp",
+        ] {
+            let plan = plan_of(q);
+            let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
+            assert_eq!(v, crate::volcano::run_volcano(&plan, &cat).unwrap(), "{q}");
+            assert_eq!(stats.whole_query_fallbacks, 0, "{q}: {stats:?}");
+            assert_eq!(stats.theta_pipelines, 1, "{q}: {stats:?}");
+            // Every candidate pair evaluated the predicate interpreted.
+            assert!(stats.fallback_tuples >= 9, "{q}: {stats:?}");
+        }
     }
 
     #[test]
-    fn parallel_execution_matches_serial() {
+    fn every_thread_count_runs_the_same_grid() {
         // Tiny morsels force genuine multi-morsel scheduling even on the
-        // 3-row fixtures; results must be identical at every thread count.
+        // 3-row fixtures; results and morsel counts must be identical at
+        // every thread count.
         let queries = [
             "for { p <- Patients, p.age > 40 } yield count p",
             "for { p <- Patients } yield max p.age",
@@ -4009,18 +3569,19 @@ mod tests {
         let cat = catalog();
         for q in queries {
             let plan = plan_of(q);
-            let serial = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
-            for threads in [2, 8] {
+            let oracle = crate::volcano::run_volcano(&plan, &cat).unwrap();
+            let mut morsels = None;
+            for threads in [1, 2, 8] {
                 let opts = JitOptions {
                     threads,
                     morsel_rows: 1,
-                    clamp_threads: false, // force oversubscription coverage
                     ..Default::default()
                 };
                 let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-                assert_eq!(v, serial, "threads={threads} deviates for {q}");
+                assert_eq!(v, oracle, "threads={threads} deviates for {q}");
                 assert_eq!(stats.threads, threads as u32);
                 assert!(stats.morsels >= 2, "{q}: expected multi-morsel run");
+                assert_eq!(*morsels.get_or_insert(stats.morsels), stats.morsels, "{q}");
             }
         }
     }
@@ -4042,7 +3603,6 @@ mod tests {
         let opts = JitOptions {
             threads: 4,
             morsel_rows: 1,
-            clamp_threads: false,
             ..Default::default()
         };
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
@@ -4051,32 +3611,13 @@ mod tests {
     }
 
     #[test]
-    fn serial_path_reports_one_thread() {
+    fn default_options_run_one_worker() {
         let plan = plan_of("for { p <- Patients } yield sum p.age");
         let (_, stats) = run_jit_with_stats(&plan, &catalog(), &JitOptions::default()).unwrap();
         assert_eq!(stats.threads, 1);
         let (_, stats) =
             run_jit_with_stats(&plan, &catalog(), &JitOptions::with_threads(0)).unwrap();
         assert_eq!(stats.threads, 1);
-    }
-
-    #[test]
-    fn threads_auto_clamp_to_available_parallelism() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // Default options clamp an absurd worker count to the machine.
-        let opts = JitOptions::with_threads(4096);
-        assert_eq!(opts.effective_threads(), 4096.min(cores));
-        // Opting out restores the requested count (scheduling benchmarks).
-        let forced = JitOptions {
-            threads: 4096,
-            clamp_threads: false,
-            ..Default::default()
-        };
-        assert_eq!(forced.effective_threads(), 4096);
-        // 0 still normalizes to the serial path either way.
-        assert_eq!(JitOptions::default().effective_threads(), 1);
     }
 
     #[test]
@@ -4261,7 +3802,6 @@ mod tests {
             cost_model: Some(model),
             threads: 2,
             morsel_rows: 1,
-            clamp_threads: false,
             ..Default::default()
         };
         let cat = catalog();
@@ -4276,10 +3816,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_pipeline_pays_zero_operator_materializations() {
+    fn push_loop_fuses_every_covered_shape() {
         // The push loop must fuse every covered shape end to end: scans,
-        // joins (build sides are breakers, not operator buffers), unnests,
-        // selects, every monoid.
+        // joins (build sides are breakers, not stages), unnests, selects,
+        // every monoid.
         let cat = catalog();
         let nested = nested_catalog();
         let cases: Vec<(&MemoryCatalog, &str, u32)> = vec![
@@ -4307,58 +3847,15 @@ mod tests {
                 let opts = JitOptions {
                     threads,
                     morsel_rows: 1,
-                    clamp_threads: false,
                     ..Default::default()
                 };
                 let (_, stats) = run_jit_with_stats(&plan, cat, &opts).unwrap();
                 assert_eq!(
-                    stats.operator_materializations, 0,
+                    stats.fused_stage_depth, depth,
                     "{q} at {threads} threads: {stats:?}"
                 );
-                assert_eq!(stats.fused_stage_depth, depth, "{q}: {stats:?}");
             }
         }
-    }
-
-    #[test]
-    fn materializing_ablation_agrees_and_counts_buffers() {
-        // materialize_stages runs the legacy pull executor: identical
-        // results, but one inter-operator Vec<Tuple> per stage.
-        let cat = catalog();
-        let queries = [
-            ("for { p <- Patients, p.age > 60 } yield sum p.age", 1),
-            (
-                "for { p <- Patients, g <- Genetics, p.id = g.id } yield list g.snp",
-                2,
-            ),
-            (
-                "for { p <- Patients, g <- Genetics, p.id >= g.id } yield count p",
-                2,
-            ),
-        ];
-        for (q, buffers) in queries {
-            let plan = plan_of(q);
-            let streaming = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
-            let opts = JitOptions {
-                materialize_stages: true,
-                ..Default::default()
-            };
-            let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-            assert_eq!(v, streaming, "ablation deviates for {q}");
-            assert_eq!(stats.operator_materializations, buffers, "{q}: {stats:?}");
-            assert_eq!(stats.fused_stage_depth, 0, "{q}: {stats:?}");
-        }
-        // The nested shapes agree too.
-        let cat = nested_catalog();
-        let plan = plan_of("for { r <- Regions, v <- r.voxels } yield list v");
-        let streaming = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
-        let opts = JitOptions {
-            materialize_stages: true,
-            ..Default::default()
-        };
-        let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert_eq!(v, streaming);
-        assert_eq!(stats.operator_materializations, 2, "{stats:?}");
     }
 
     #[test]
@@ -4369,7 +3866,7 @@ mod tests {
         let (v, stats) = run_jit_with_stats(&plan, &catalog(), &JitOptions::default()).unwrap();
         assert_eq!(v, Value::Int(1)); // only age 65 is in (40, 70)
         assert_eq!(stats.fallback_tuples, 0, "{stats:?}");
-        assert_eq!(stats.operator_materializations, 0, "{stats:?}");
+        assert_eq!(stats.fused_stage_depth, 2, "{stats:?}");
     }
 
     #[test]

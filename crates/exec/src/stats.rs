@@ -42,9 +42,10 @@ pub struct ExecStats {
     /// Of those, queries whose every scanned column came from caches — the
     /// numerator of the paper's §6 cache-served share.
     pub queries_served_from_cache: u32,
-    /// Worker threads used by the morsel-driven engine (1 = serial path).
+    /// Worker threads of the pool that ran the query's morsels.
     pub threads: u32,
-    /// Morsels dispatched across all parallel phases of the query.
+    /// Morsels dispatched across every phase of the query (scans, replica
+    /// decodes, join builds, the drive) — the same at every thread count.
     pub morsels: u64,
     /// Cache replicas written by the cost model's post-query sync (layout
     /// chosen by `CostModel::choose_layout`).
@@ -65,19 +66,12 @@ pub struct ExecStats {
     /// (plan shape outside the generated pipelines — unit-dataset constant
     /// queries and the like); summed across queries by [`ExecStats::accumulate`].
     pub whole_query_fallbacks: u32,
-    /// Inter-operator `Vec<Tuple>` buffers paid for during execution. The
-    /// streaming push engine fuses scan→select→unnest→probe→fold chains
-    /// end to end, so this is **0** on every pipeline-covered shape; only
-    /// the legacy materializing executor (`JitOptions::materialize_stages`,
-    /// the ablation baseline) pays one per operator stage. Join build sides
-    /// and band indexes are pipeline *breakers* — materialized per morsel
-    /// side by design (HyPer-style data-centric compilation) — and are not
-    /// counted here.
-    pub operator_materializations: u64,
     /// Operator stages fused into one streaming push loop for this query
-    /// (scan = 1, +1 per unnest stage and join probe, +1 for the fold).
-    /// 0 when the query fell back wholesale or ran the legacy materializing
-    /// path. [`ExecStats::accumulate`] keeps the maximum across queries.
+    /// (scan = 1, +1 per unnest stage and join probe, +1 for the fold), so
+    /// at least 2 on every pipeline-covered shape; 0 when the query fell
+    /// back wholesale. Join build sides and band indexes are pipeline
+    /// *breakers*, not stages. [`ExecStats::accumulate`] keeps the maximum
+    /// across queries.
     pub fused_stage_depth: u32,
     /// Scan leaves the cost-based plan optimizer moved away from their
     /// syntactic position (join reordering / build-side swaps). 0 when the
@@ -152,7 +146,6 @@ impl ExecStats {
         self.theta_pipelines += other.theta_pipelines;
         self.bushy_lowered += other.bushy_lowered;
         self.whole_query_fallbacks += other.whole_query_fallbacks;
-        self.operator_materializations += other.operator_materializations;
         self.fused_stage_depth = self.fused_stage_depth.max(other.fused_stage_depth);
         self.joins_reordered += other.joins_reordered;
         self.conjuncts_reordered += other.conjuncts_reordered;
@@ -175,7 +168,7 @@ impl ExecStats {
         (est - act).abs() / act.max(1.0)
     }
 
-    /// Merge counters from one worker of a parallel phase (wall times are
+    /// Merge counters from one morsel's worker-local stats (wall times are
     /// measured by the coordinator, not summed across workers). Takes the
     /// worker stats by value so the worker's span buffer can be absorbed
     /// into the coordinator's trace without cloning.
@@ -186,7 +179,6 @@ impl ExecStats {
         self.cached_columns += other.cached_columns;
         self.raw_columns += other.raw_columns;
         self.morsels += other.morsels;
-        self.operator_materializations += other.operator_materializations;
         self.actual_rows += other.actual_rows;
         if let (Some(mine), Some(theirs)) = (self.trace.as_deref_mut(), other.trace) {
             mine.absorb(*theirs);
@@ -282,10 +274,6 @@ impl ExecStats {
             self.whole_query_fallbacks
         ));
         out.push_str(&format!(
-            "\"operator_materializations\":{},",
-            self.operator_materializations
-        ));
-        out.push_str(&format!(
             "\"fused_stage_depth\":{},",
             self.fused_stage_depth
         ));
@@ -335,7 +323,6 @@ mod tests {
             theta_pipelines: 2,
             bushy_lowered: 1,
             whole_query_fallbacks: 1,
-            operator_materializations: 3,
             fused_stage_depth: 4,
             joins_reordered: 1,
             conjuncts_reordered: 2,
@@ -359,7 +346,6 @@ mod tests {
         assert_eq!(a.theta_pipelines, 4);
         assert_eq!(a.bushy_lowered, 2);
         assert_eq!(a.whole_query_fallbacks, 2);
-        assert_eq!(a.operator_materializations, 6);
         assert_eq!(a.fused_stage_depth, 4); // max, not sum
         assert_eq!(a.joins_reordered, 2);
         assert_eq!(a.conjuncts_reordered, 4);

@@ -398,9 +398,6 @@ fn thread_sweep(q: &str, n: usize) -> Value {
         let opts = JitOptions {
             threads,
             morsel_rows: 16,
-            // The sweep must really run 2/8 workers even on a single-core
-            // CI machine — these oracles are the parallel-correctness gate.
-            clamp_threads: false,
             ..Default::default()
         };
         let v = run_jit(&plan, &cat, &opts).unwrap_or_else(|e| panic!("jit x{threads} {q}: {e}"));
@@ -416,6 +413,52 @@ fn parallel_scan_aggregates_across_thread_counts() {
     thread_sweep("for { g <- Genetics } yield sum g.snp", 200);
     thread_sweep("for { g <- Genetics, g.snp > 0.5 } yield avg g.snp", 200);
     thread_sweep("for { p <- Patients } yield any p.age > 80", 200);
+}
+
+#[test]
+fn float_aggregates_are_bit_identical_at_every_thread_count() {
+    // Non-dyadic floats (k/10, (k%7+1)/3): their sums round at every step,
+    // so any difference in association order shows up in the last ulp. One
+    // morsel grid at every worker count — 1 included — means one
+    // association order, hence one bit pattern. (The Volcano oracle folds
+    // flat, so it is deliberately not part of this comparison.)
+    let cat = MemoryCatalog::new();
+    let rows: Vec<Value> = (0..200)
+        .map(|k| {
+            Value::record([
+                ("x", Value::Float(k as f64 / 10.0)),
+                ("y", Value::Float(((k % 7) + 1) as f64 / 3.0)),
+            ])
+        })
+        .collect();
+    cat.register_records(
+        "F",
+        Schema::from_pairs([("x", Type::Float), ("y", Type::Float)]),
+        &rows,
+    )
+    .unwrap();
+    for q in [
+        "for { f <- F } yield sum f.x",
+        "for { f <- F, f.x > 1.5 } yield avg f.x",
+        "for { f <- F, f.x < 4.0 } yield prod f.y",
+    ] {
+        let plan = rewrite(&lower(&parse(q).unwrap()).expect("lowers"));
+        let bits = |threads: usize| {
+            let opts = JitOptions {
+                threads,
+                morsel_rows: 16,
+                ..Default::default()
+            };
+            match run_jit(&plan, &cat, &opts).unwrap_or_else(|e| panic!("x{threads} {q}: {e}")) {
+                Value::Float(f) => f.to_bits(),
+                other => panic!("{q}: expected a float, got {other}"),
+            }
+        };
+        let one = bits(1);
+        for threads in [2, 8] {
+            assert_eq!(bits(threads), one, "threads={threads} drifts for {q}");
+        }
+    }
 }
 
 #[test]
@@ -489,7 +532,6 @@ fn parallel_warm_cache_run_is_identical() {
             cache: Some(Arc::clone(&cache)),
             threads,
             morsel_rows: 16,
-            clamp_threads: false, // force real workers on single-core CI
             ..Default::default()
         };
         let (v, stats) = vida_exec::run_jit_with_stats(&plan, &cat, &opts)

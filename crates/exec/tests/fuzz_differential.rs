@@ -28,9 +28,9 @@
 //! generated shape is inside the pipeline coverage, the fuzzer also
 //! asserts that **no plan takes the whole-query Volcano fallback**
 //! (unnests, theta joins, bushy trees, and *reordered* joins all compile)
-//! and that **no stage materializes an inter-operator `Vec<Tuple>`**
-//! (`ExecStats::operator_materializations == 0`: the streaming push loop
-//! fuses every chain end to end).
+//! and that **every plan runs as one fused push chain**
+//! (`ExecStats::fused_stage_depth >= 2`: at least a scan and the fold,
+//! with no operator between them outside the loop).
 //!
 //! Seeds are fixed in code, so a failure replays exactly: the panic message
 //! carries the seed, the plan index, and the plan itself.
@@ -485,7 +485,6 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
             let opts = JitOptions {
                 threads,
                 morsel_rows: 4,
-                clamp_threads: false,
                 ..Default::default()
             };
             [
@@ -523,7 +522,6 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
                             let opts = JitOptions {
                                 threads,
                                 morsel_rows: 4,
-                                clamp_threads: false,
                                 plan_opt,
                                 ..Default::default()
                             };
@@ -563,13 +561,7 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
                                     );
                                 }
                                 // Streaming execution: every covered shape fuses
-                                // end to end — no inter-operator Vec<Tuple>.
-                                assert_eq!(
-                                    stats.operator_materializations,
-                                    0,
-                                    "{}",
-                                    ctx(&format!("{tag} materialized a stage"))
-                                );
+                                // end to end into the push loop.
                                 assert!(
                                     stats.fused_stage_depth >= 2,
                                     "{}",
@@ -597,7 +589,6 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
                             let opts = JitOptions {
                                 threads,
                                 morsel_rows: 4,
-                                clamp_threads: false,
                                 plan_opt,
                                 ..Default::default()
                             };
@@ -678,7 +669,6 @@ fn fuzz_append_mutations_between_query_batches() {
             cache: Some(Arc::clone(&cache)),
             threads: 8,
             morsel_rows: 4,
-            clamp_threads: false,
             ..Default::default()
         },
     );
@@ -741,7 +731,6 @@ fn fuzz_append_mutations_between_query_batches() {
             cache: Some(Arc::clone(&cache)),
             threads: 1,
             morsel_rows: 4,
-            clamp_threads: false,
             ..Default::default()
         };
         for (probe_plan, appended) in probes.iter().zip([
@@ -772,7 +761,6 @@ fn fuzz_append_mutations_between_query_batches() {
                     cache: Some(Arc::clone(&cache)),
                     threads,
                     morsel_rows: 4,
-                    clamp_threads: false,
                     ..Default::default()
                 };
                 let got = run_jit_with_stats(plan, &*cat, &opts);
@@ -865,13 +853,12 @@ fn escaped_fixtures_decode_exactly_serial_and_parallel() {
             let opts = JitOptions {
                 threads,
                 morsel_rows: 1,
-                clamp_threads: false,
                 ..Default::default()
             };
             for provider in [&cat, &mapped] {
                 let (v, stats) = run_jit_with_stats(plan, provider, &opts).unwrap();
                 assert_eq!(&v, oracle, "threads={threads}");
-                assert_eq!(stats.operator_materializations, 0, "{stats:?}");
+                assert_eq!(stats.fused_stage_depth, 2, "{stats:?}");
             }
         }
     }

@@ -184,7 +184,6 @@ fn mutation_matrix_matches_cold_rescan() {
                     cache: Some(Arc::new(CacheManager::new(1 << 20))),
                     threads,
                     morsel_rows: 4,
-                    clamp_threads: false,
                     ..Default::default()
                 };
                 let ctx = |what: &str, plan: &str| {
@@ -316,7 +315,6 @@ fn append_requery_scans_only_the_tail() {
             cache: Some(Arc::new(CacheManager::new(1 << 20))),
             threads,
             morsel_rows: 4,
-            clamp_threads: false,
             ..Default::default()
         };
         let plan = rewrite(&plans()[0].1);
@@ -368,7 +366,6 @@ fn truncation_while_resident_is_safe_on_both_backings() {
             cache: Some(Arc::new(CacheManager::new(1 << 20))),
             threads: 2,
             morsel_rows: 8,
-            clamp_threads: false,
             ..Default::default()
         };
         let plan = rewrite(&plans()[0].1);

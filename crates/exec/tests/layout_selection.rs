@@ -163,7 +163,6 @@ fn forced_layouts_agree_under_parallel_decode() {
                 cost_model: Some(Arc::new(CostModel::new())),
                 threads,
                 morsel_rows: 8,
-                clamp_threads: false, // force multi-worker decode coverage
                 ..Default::default()
             };
             results.push(run_jit(&plan, &cat, &opts).expect("runs"));

@@ -120,7 +120,6 @@ fn opts_for(workers: usize, cache: Option<Arc<CacheManager>>) -> JitOptions {
     JitOptions {
         threads: workers,
         morsel_rows: 4,
-        clamp_threads: false,
         cache,
         ..Default::default()
     }
@@ -222,7 +221,6 @@ fn concurrent_sessions_multiplex_one_pool() {
         JitOptions {
             threads: 2,
             morsel_rows: 1,
-            clamp_threads: false,
             ..Default::default()
         },
     );

@@ -3,10 +3,11 @@
 //! the per-stage tuple counts with `ExecStats`, and a Chrome-trace JSON
 //! round-trip through the repo's own JSON reader.
 //!
-//! Counts attach to whichever span level exists in *both* the serial and
-//! parallel paths (serial drive spans report the arithmetic morsel count
-//! of their range; parallel per-morsel worker spans report 1 each), so
-//! every aggregate asserted here must be identical at any worker count.
+//! Counts attach to the span that did the work: every scan, build-side
+//! and drive morsel runs inside a worker-track span reporting its own
+//! tuples and 1 morsel, at every worker count (one worker runs the same
+//! grid inline), so every aggregate asserted here must be identical at any
+//! worker count.
 
 mod common;
 
@@ -33,7 +34,6 @@ fn traced(q: &str, threads: usize) -> (Value, ExecStats) {
     let opts = JitOptions {
         threads,
         morsel_rows: 4,
-        clamp_threads: false,
         ..JitOptions::default()
     }
     .with_trace();

@@ -22,30 +22,7 @@ use vida_formats::InputPlugin;
 /// produce (tests use tiny overrides to force multi-morsel coverage on
 /// small fixtures).
 pub fn plan_scan(plugin: &dyn InputPlugin, morsel_units: usize) -> MorselPlan {
-    let units = plugin.num_units();
-    // Fast path: formats whose units tile the file hand over their offset
-    // table (the CSV row index) and each boundary is one binary search.
-    let by_bytes = if let Some(offsets) = plugin.unit_offsets() {
-        MorselPlan::byte_aligned_offsets(offsets, DEFAULT_MORSEL_BYTES)
-    } else if plugin.unit_byte_span(0).is_some() {
-        MorselPlan::byte_aligned(units, DEFAULT_MORSEL_BYTES, |i| {
-            plugin
-                .unit_byte_span(i)
-                .map(|(s, e)| e.saturating_sub(s))
-                .unwrap_or(1)
-        })
-    } else {
-        return MorselPlan::fixed(units, morsel_units);
-    };
-    // Honor an explicit finer grid (diagnostics/tests); otherwise prefer the
-    // byte-balanced plan.
-    if morsel_units != 0 {
-        let fixed = MorselPlan::fixed(units, morsel_units);
-        if fixed.len() > by_bytes.len() {
-            return fixed;
-        }
-    }
-    by_bytes
+    plan_scan_tail(plugin, morsel_units, 0)
 }
 
 /// [`plan_scan`] restricted to units `from_unit..num_units()` — the morsel

@@ -11,10 +11,9 @@
 //! - [`MorselPlan`]: the morsel grid. Boundaries depend only on the data
 //!   (unit counts or raw byte spans), **never** on the worker count, so any
 //!   number of workers produces the same per-morsel partial results and the
-//!   deterministic merge yields one canonical answer. (Relative to a flat
-//!   serial fold, merging per-morsel partials reassociates float addition,
-//!   so float `sum`-style folds can differ from serial in the last ulp;
-//!   exact monoids match bit for bit.)
+//!   deterministic merge yields one canonical answer — float folds
+//!   included, because a one-worker pool folds the same grid in the same
+//!   order.
 //! - [`WorkerPool`]: `std::thread`-scoped workers pulling morsel indexes
 //!   from an atomic claim counter, each with private scratch state; results
 //!   are returned in morsel order regardless of completion order.

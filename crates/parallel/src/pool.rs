@@ -200,11 +200,14 @@ impl WorkerPool {
     /// on morsel claims and may complete out of order, but the fold the
     /// caller sees is always the serial left fold over morsel-indexed
     /// partials, so the result is identical at every worker count (the
-    /// determinism contract). The merge runs on the caller after all
-    /// partials exist. On a resident pool this is attach/detach, not
-    /// spawn/join: the caller parks on the run's completion latch while the
-    /// shared workers drain its morsels (interleaved with any other
-    /// attached runs), then folds.
+    /// determinism contract). A one-worker pool folds each partial into the
+    /// accumulator the moment it is produced — at most one un-merged
+    /// partial is ever alive, and the first `Err` (from `work` or `merge`)
+    /// stops the run before the next morsel starts. With more workers the
+    /// merge runs on the caller after all partials exist; on a resident
+    /// pool that is attach/detach, not spawn/join: the caller parks on the
+    /// run's completion latch while the shared workers drain its morsels
+    /// (interleaved with any other attached runs), then folds.
     pub fn fold_morsels<A, P, E, W, M>(
         &self,
         morsels: usize,
@@ -218,12 +221,11 @@ impl WorkerPool {
         W: Fn(usize, usize) -> std::result::Result<P, E> + Sync,
         M: FnMut(A, P) -> std::result::Result<A, E>,
     {
-        let partials = self.run_morsels(morsels, |w| w, |w, m| work(*w, m))?;
-        let mut acc = init;
-        for p in partials {
-            acc = merge(acc, p)?;
+        if self.threads == 1 {
+            return (0..morsels).try_fold(init, |acc, m| merge(acc, work(0, m)?));
         }
-        Ok(acc)
+        let partials = self.run_morsels(morsels, |w| w, |w, m| work(*w, m))?;
+        partials.into_iter().try_fold(init, merge)
     }
 }
 
@@ -723,6 +725,56 @@ mod tests {
                 |acc, p| Ok(acc + p),
             );
             assert_eq!(r.unwrap_err(), "bad morsel");
+        }
+    }
+
+    #[test]
+    fn one_worker_fold_streams_partials() {
+        // Serial execution is the 1-worker grid, so its peak memory must
+        // not grow with the morsel count: each partial is merged (and
+        // dropped) before the next morsel runs.
+        struct Partial<'a>(&'a AtomicUsize);
+        impl Drop for Partial<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        for pool in pools(1) {
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let merged = pool
+                .fold_morsels(
+                    64,
+                    |_, _| {
+                        let now = live.fetch_add(1, Ordering::Relaxed) + 1;
+                        peak.fetch_max(now, Ordering::Relaxed);
+                        Ok::<_, ()>(Partial(&live))
+                    },
+                    0usize,
+                    |acc, _partial| Ok(acc + 1),
+                )
+                .unwrap();
+            assert_eq!(merged, 64);
+            assert_eq!(peak.load(Ordering::Relaxed), 1, "partials piled up");
+            assert_eq!(live.load(Ordering::Relaxed), 0);
+
+            // The first error stops the run: no later morsel starts.
+            let ran = AtomicUsize::new(0);
+            let r = pool.fold_morsels(
+                64,
+                |_, m| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if m == 3 {
+                        Err("bad morsel")
+                    } else {
+                        Ok(m)
+                    }
+                },
+                0usize,
+                |acc, p| Ok(acc + p),
+            );
+            assert_eq!(r.unwrap_err(), "bad morsel");
+            assert_eq!(ran.load(Ordering::Relaxed), 4);
         }
     }
 
