@@ -1,0 +1,906 @@
+//! The morsel driver: join builds, the fused push loop over the morsel
+//! grid, the monoid fold, and the fold-partial cache seam.
+
+use super::join::{theta_candidates, BandIndex, JoinBuild};
+use super::{HeadPlan, Node, Pipeline, Step, Tuple, TupleSink};
+use crate::stats::ExecStats;
+use std::time::Instant;
+use vida_cache::FoldPartial;
+use vida_jit::frame::decode_output;
+use vida_jit::{CompiledKernel, SharedInterner, SlotType};
+use vida_lang::{eval, Bindings};
+use vida_parallel::MorselPlan;
+use vida_trace::{stage, QueryTrace};
+use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Value, VidaError};
+
+// One morsel driver runs the fused push pipeline at every worker count:
+// join build sides materialize first (the pipeline breakers), then the
+// leftmost scan's rows split into morsels and each morsel drives through
+// the whole stage chain into a private partial fold. Three invariants keep
+// every thread count result-identical:
+//
+// 1. Morsel grids depend only on the leftmost scan's row count (and the
+//    `morsel_rows` knob), never on the worker count, so the partial-result
+//    sequence is fixed.
+// 2. Per-morsel partials merge — and collection chunks concatenate — in
+//    morsel order (`WorkerPool::fold_morsels`), so element order is the
+//    scan order and float folds associate the same way everywhere.
+// 3. The radix-partitioned build assigns partitions by key bits alone
+//    (partition count is a function of the build size, not the worker
+//    count), and bucket lists keep ascending build-tuple order, so every
+//    probe sees the same candidate set in the same order.
+
+impl Pipeline {
+    pub(super) fn execute(self, stats: &mut ExecStats) -> Result<Value> {
+        stats.threads = self.pool.threads() as u32;
+        stats.fused_stage_depth = fused_depth(&self.root) + 1; // + the fold
+        let joins = has_join(&self.root);
+        if joins {
+            stats.span_begin(stage::BUILD_SIDE);
+        }
+        let builds = self.prepare_builds(stats)?;
+        if joins {
+            stats.span_end();
+        }
+        let nrows = self.sources[leftmost_source(&self.root)].nrows;
+        // A reusable cached prefix partial shrinks the morsel grid to the
+        // appended rows (`from = 0` is the ordinary whole-source grid).
+        let from = self.fold_reuse_rows();
+        let plan = MorselPlan::fixed(nrows - from, self.morsel_rows).shifted(from);
+        stats.morsels += plan.len() as u64;
+
+        stats.span_begin(stage::FOLD);
+        let value = match self.monoid {
+            Monoid::Collection(kind) => {
+                // Per-morsel head values, concatenated in morsel order (the
+                // scan's element sequence), then one canonicalization.
+                let items = self.fold_drive(
+                    &plan,
+                    &builds,
+                    stats,
+                    Vec::new,
+                    |items, t, ws| {
+                        items.push(self.head_value(t, ws)?);
+                        Ok(())
+                    },
+                    Vec::new(),
+                    |mut all: Vec<Value>, chunk| {
+                        all.extend(chunk);
+                        Ok(all)
+                    },
+                )?;
+                match kind {
+                    CollectionKind::Set => Value::set(items),
+                    k => Value::Collection(k, items),
+                }
+            }
+            Monoid::Primitive(PrimitiveMonoid::Count)
+                if matches!(self.head, HeadPlan::CountOnly) =>
+            {
+                // `count` with a total head just counts. A reused partial
+                // in this arm is always the plain count (the same plan hash
+                // always lands in the same arm).
+                let base = match self.fold_reuse_partial(stats) {
+                    Some(Value::Int(k)) => k,
+                    _ => 0,
+                };
+                let n = self.fold_drive(
+                    &plan,
+                    &builds,
+                    stats,
+                    || 0i64,
+                    |n, _, _| {
+                        *n += 1;
+                        Ok(())
+                    },
+                    base,
+                    |acc, n| Ok(acc + n),
+                )?;
+                self.store_fold_partial(&Value::Int(n));
+                Value::Int(n)
+            }
+            m => {
+                // Per-morsel partial folds (merging incrementally preserves
+                // overflow and type-error semantics), merged in morsel
+                // order via `Monoid::merge_partials`. A reused cached
+                // prefix partial goes in front — the prefix plus morsel
+                // order over the tail is exactly the whole-source order.
+                let prefix = self.fold_reuse_partial(stats);
+                let merged = self.fold_drive(
+                    &plan,
+                    &builds,
+                    stats,
+                    || m.zero(),
+                    |acc, t, ws| {
+                        let v = self.head_value(t, ws)?;
+                        *acc = m.merge(std::mem::replace(acc, Value::Null), m.unit(v))?;
+                        Ok(())
+                    },
+                    prefix,
+                    |acc: Option<Value>, p| m.merge_partials(acc.into_iter().chain([p])).map(Some),
+                )?;
+                let merged = merged.unwrap_or_else(|| m.zero());
+                self.store_fold_partial(&merged);
+                m.finalize(merged)?
+            }
+        };
+        stats.span_end();
+        Ok(value)
+    }
+
+    /// Drive every morsel of `plan` through the fused stage chain on the
+    /// pool. Each morsel folds its surviving tuples into a private partial
+    /// (`new` + `push`) on worker-local stats inside a per-morsel drive
+    /// span; `merge` folds the partials into `init` in morsel order and the
+    /// worker stats are absorbed alongside.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_drive<P: Send, A>(
+        &self,
+        plan: &MorselPlan,
+        builds: &[JoinBuild],
+        stats: &mut ExecStats,
+        new: impl Fn() -> P + Sync,
+        push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()> + Sync,
+        init: A,
+        mut merge: impl FnMut(A, P) -> Result<A>,
+    ) -> Result<A> {
+        let epoch = stats.trace_epoch();
+        let dstage = drive_stage(&self.root);
+        self.pool.fold_morsels(
+            plan.len(),
+            |w, m| {
+                let mut ws = worker_stats(w, epoch);
+                ws.span_begin(dstage);
+                let mut partial = new();
+                self.drive(&self.root, plan.range(m), builds, &mut ws, &mut |ws, t| {
+                    ws.actual_rows += 1;
+                    push(&mut partial, &t, ws)
+                })?;
+                ws.span_end_counted(ws.actual_rows, 1);
+                Ok::<_, VidaError>((partial, ws))
+            },
+            init,
+            |acc, (partial, ws)| {
+                stats.absorb_worker(ws);
+                merge(acc, partial)
+            },
+        )
+    }
+
+    /// Rows covered by a reusable cached prefix partial — the drive starts
+    /// there (0 = no reuse, fold everything).
+    fn fold_reuse_rows(&self) -> usize {
+        self.fold_seam
+            .as_ref()
+            .and_then(|s| s.reuse.as_ref())
+            .map(|p| p.rows)
+            .unwrap_or(0)
+    }
+
+    /// The cached prefix partial for this run, counting the reuse.
+    fn fold_reuse_partial(&self, stats: &mut ExecStats) -> Option<Value> {
+        let p = self.fold_seam.as_ref()?.reuse.as_ref()?;
+        stats.partials_reused += 1;
+        Some(p.partial.clone())
+    }
+
+    /// Refresh the cached partial: the pre-finalize accumulator now covers
+    /// the whole source at its current fingerprint.
+    fn store_fold_partial(&self, partial: &Value) {
+        if let Some(seam) = &self.fold_seam {
+            seam.cache.folds().put(
+                &seam.dataset,
+                seam.query_hash,
+                FoldPartial {
+                    partial: partial.clone(),
+                    rows: seam.nrows,
+                    fingerprint: seam.fingerprint,
+                },
+            );
+        }
+    }
+
+    fn head_value(&self, t: &Tuple, stats: &mut ExecStats) -> Result<Value> {
+        match &self.head {
+            HeadPlan::CountOnly => Ok(Value::Int(1)),
+            HeadPlan::Kernel(k, _) if t.valid => {
+                stats.kernel_hit(k.id());
+                Ok(self.decode(k, &t.frame))
+            }
+            HeadPlan::RecordKernels(ks, _) if t.valid => {
+                if stats.trace.is_some() {
+                    for (_, k) in ks {
+                        stats.kernel_hit(k.id());
+                    }
+                }
+                Ok(Value::Record(
+                    ks.iter()
+                        .map(|(n, k)| (n.clone(), self.decode(k, &t.frame)))
+                        .collect(),
+                ))
+            }
+            other => {
+                // Interpreted head, or a compiled head over a tuple whose
+                // frame could not encode (nulls): exact interpreter
+                // semantics over rebuilt bindings.
+                stats.fallback_tuples += 1;
+                let e = other.source_expr().expect("CountOnly handled above");
+                eval(e, &self.env_for(t))
+            }
+        }
+    }
+
+    /// Decode a kernel result, resolving interned string ids.
+    fn decode(&self, k: &CompiledKernel, frame: &[i64]) -> Value {
+        let bits = k.call(frame);
+        match k.output() {
+            SlotType::Str => self
+                .interner
+                .resolve(bits)
+                .map(Value::str)
+                .unwrap_or(Value::Null),
+            ty => decode_output(bits, ty),
+        }
+    }
+
+    /// Rebuild interpreter bindings for a tuple from its provenance: source
+    /// rows first, then unnest element values.
+    fn env_for(&self, t: &Tuple) -> Bindings {
+        let mut env = self.base_env.clone();
+        for &(src, row) in &t.rows {
+            let s = &self.sources[src];
+            env.insert(
+                s.binding.clone(),
+                Value::Record(
+                    s.env_fields
+                        .iter()
+                        .map(|(n, col)| (n.clone(), col[row].clone()))
+                        .collect(),
+                ),
+            );
+        }
+        for (stage, v) in &t.unnest_vals {
+            env.insert(self.unnests[*stage].binding.clone(), v.clone());
+        }
+        env
+    }
+
+    /// Evaluate a boolean step: the kernel on valid frames, the interpreter
+    /// otherwise (nulls route through exact null semantics).
+    fn apply_step(
+        &self,
+        step: &Step,
+        t: &Tuple,
+        stats: &mut ExecStats,
+        context: &str,
+    ) -> Result<bool> {
+        if let Step::Kernel(k, _) = step {
+            if t.valid {
+                stats.kernel_hit(k.id());
+                return Ok(k.call_bool(&t.frame));
+            }
+        }
+        let expr = match step {
+            Step::Kernel(_, e) | Step::Interp(e) => e,
+        };
+        stats.fallback_tuples += 1;
+        match eval(expr, &self.env_for(t))? {
+            Value::Bool(b) => Ok(b),
+            other => Err(VidaError::Exec(format!(
+                "{context} predicate not boolean: {other}"
+            ))),
+        }
+    }
+
+    /// Scan-side tuple production over a contiguous row range, pushed one
+    /// tuple at a time into `sink` — the head of every fused pipeline.
+    /// Valid frames run the fused [`SelectKernel`] chain; frames that could
+    /// not encode (nulls) walk the selects through the interpreter.
+    fn push_source(
+        &self,
+        idx: usize,
+        rows: std::ops::Range<usize>,
+        stats: &mut ExecStats,
+        sink: TupleSink<'_>,
+    ) -> Result<()> {
+        let s = &self.sources[idx];
+        'rows: for row in rows {
+            let mut frame = vec![0i64; self.frame_width];
+            let mut valid = true;
+            for (slot, col) in &s.slot_cols {
+                match col[row] {
+                    Some(bits) => frame[*slot] = bits,
+                    None => valid = false,
+                }
+            }
+            let t = Tuple {
+                frame,
+                valid,
+                rows: vec![(idx, row)],
+                unnest_vals: Vec::new(),
+            };
+            if valid {
+                if let Some(fused) = &s.fused_selects {
+                    if stats.trace.is_some() {
+                        // Attribute one hit per chained kernel — admit()
+                        // short-circuits, so this over-counts rejected
+                        // tails slightly; close enough for a hotness rank.
+                        for id in fused.kernel_ids() {
+                            stats.kernel_hit(id);
+                        }
+                    }
+                    if fused.admit(&t.frame) {
+                        sink(stats, t)?;
+                    }
+                    continue;
+                }
+            }
+            for sel in &s.selects {
+                if !self.apply_step(sel, &t, stats, "selection")? {
+                    continue 'rows;
+                }
+            }
+            sink(stats, t)?;
+        }
+        Ok(())
+    }
+
+    /// Drive the push loop: stream `range` rows of the pipeline's leftmost
+    /// scan through every fused stage, handing each surviving tuple to
+    /// `sink`. Each operator arm wraps `sink` in its own consumer closure,
+    /// so a select→unnest→probe→fold chain executes as one loop nest with
+    /// **no intermediate `Vec<Tuple>`**; the join build sides arrive
+    /// pre-materialized in `builds` (the only pipeline breakers).
+    fn drive(
+        &self,
+        node: &Node,
+        range: std::ops::Range<usize>,
+        builds: &[JoinBuild],
+        stats: &mut ExecStats,
+        sink: TupleSink<'_>,
+    ) -> Result<()> {
+        match node {
+            Node::Source(idx) => self.push_source(*idx, range, stats, sink),
+            Node::Unnest {
+                input,
+                stage,
+                selects,
+            } => self.drive(input, range, builds, stats, &mut |stats, t| {
+                self.unnest_tuple(*stage, selects, &t, stats, sink)
+            }),
+            Node::HashJoin {
+                left,
+                right,
+                build,
+                left_key,
+                left_key_ty,
+                float_keys,
+                predicate,
+                selects,
+                ..
+            } => {
+                let jb = &builds[*build];
+                let rslots = &self.sources[*right].slots;
+                self.drive(left, range, builds, stats, &mut |stats, lt| {
+                    if lt.valid {
+                        stats.kernel_hit(left_key.id());
+                    }
+                    let candidates = jb.hash_candidates(&lt, left_key, *left_key_ty, *float_keys);
+                    self.probe_pairs(
+                        &lt,
+                        &candidates,
+                        &jb.right_tuples,
+                        rslots,
+                        predicate,
+                        selects,
+                        stats,
+                        sink,
+                    )
+                })
+            }
+            Node::ThetaJoin {
+                left,
+                right,
+                build,
+                band,
+                predicate,
+                selects,
+            } => {
+                let jb = &builds[*build];
+                let rslots = &self.sources[*right].slots;
+                self.drive(left, range, builds, stats, &mut |stats, lt| {
+                    if let Some(b) = band {
+                        if lt.valid && jb.index.is_some() {
+                            stats.kernel_hit(b.left_key.id());
+                        }
+                    }
+                    let candidates = theta_candidates(&lt, band.as_ref(), jb.index.as_ref());
+                    self.probe_pairs(
+                        &lt,
+                        candidates.as_deref().unwrap_or(&jb.all),
+                        &jb.right_tuples,
+                        rslots,
+                        predicate,
+                        selects,
+                        stats,
+                        sink,
+                    )
+                })
+            }
+        }
+    }
+
+    /// Materialize the build side of every join in the tree, in the DFS
+    /// order `assemble` assigned build slots. These are the pipeline
+    /// breakers of push execution: each right side scans into a tuple
+    /// buffer once, morsel by morsel, then hashes into radix-partitioned
+    /// tables or sorts into a band index. Partition counts and bucket order
+    /// depend only on the data, so every thread count probes identical
+    /// candidate sets.
+    fn prepare_builds(&self, stats: &mut ExecStats) -> Result<Vec<JoinBuild>> {
+        let mut builds = Vec::new();
+        self.prepare_builds_node(&self.root, stats, &mut builds)?;
+        Ok(builds)
+    }
+
+    fn prepare_builds_node(
+        &self,
+        node: &Node,
+        stats: &mut ExecStats,
+        builds: &mut Vec<JoinBuild>,
+    ) -> Result<()> {
+        match node {
+            Node::Source(_) => Ok(()),
+            Node::Unnest { input, .. } => self.prepare_builds_node(input, stats, builds),
+            Node::HashJoin {
+                left,
+                right,
+                build,
+                right_key,
+                right_key_ty,
+                float_keys,
+                ..
+            } => {
+                self.prepare_builds_node(left, stats, builds)?;
+                let right_tuples = self.build_side_tuples(*right, stats)?;
+                let jb = JoinBuild::hash(
+                    right_tuples,
+                    right_key,
+                    *right_key_ty,
+                    *float_keys,
+                    &self.pool,
+                    self.morsel_rows,
+                    stats,
+                )?;
+                debug_assert_eq!(builds.len(), *build);
+                builds.push(jb);
+                Ok(())
+            }
+            Node::ThetaJoin {
+                left,
+                right,
+                build,
+                band,
+                ..
+            } => {
+                self.prepare_builds_node(left, stats, builds)?;
+                let right_tuples = self.build_side_tuples(*right, stats)?;
+                if let Some(b) = band {
+                    if stats.trace.is_some() {
+                        // BandIndex::build invokes the band key kernel once
+                        // per valid build tuple.
+                        let n = right_tuples.iter().filter(|t| t.valid).count() as u64;
+                        stats.kernel_hits(b.right_key.id(), n);
+                    }
+                }
+                let index = band.as_ref().map(|b| BandIndex::build(b, &right_tuples));
+                debug_assert_eq!(builds.len(), *build);
+                builds.push(JoinBuild::theta(right_tuples, index));
+                Ok(())
+            }
+        }
+    }
+
+    /// Build-side scan, morsel by morsel: chunks concatenate in morsel
+    /// order, so the buffer is the source's scan order at every worker
+    /// count.
+    fn build_side_tuples(&self, idx: usize, stats: &mut ExecStats) -> Result<Vec<Tuple>> {
+        let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
+        stats.morsels += plan.len() as u64;
+        let epoch = stats.trace_epoch();
+        self.pool.fold_morsels(
+            plan.len(),
+            |w, m| {
+                let mut ws = worker_stats(w, epoch);
+                ws.span_begin(stage::BUILD_SIDE);
+                let mut out = Vec::new();
+                self.push_source(idx, plan.range(m), &mut ws, &mut |_, t| {
+                    out.push(t);
+                    Ok(())
+                })?;
+                ws.span_end_counted(out.len() as u64, 1);
+                Ok::<_, VidaError>((out, ws))
+            },
+            Vec::new(),
+            |mut all, (chunk, ws)| {
+                all.extend(chunk);
+                stats.absorb_worker(ws);
+                Ok(all)
+            },
+        )
+    }
+
+    /// Emit the surviving join pairs of one probe tuple against its
+    /// candidate build tuples, pushing each straight into `sink`.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_pairs(
+        &self,
+        lt: &Tuple,
+        candidates: &[usize],
+        right_tuples: &[Tuple],
+        rslots: &[usize],
+        predicate: &Step,
+        selects: &[Step],
+        stats: &mut ExecStats,
+        sink: TupleSink<'_>,
+    ) -> Result<()> {
+        'pairs: for &ri in candidates {
+            let rt = &right_tuples[ri];
+            let mut frame = lt.frame.clone();
+            for &slot in rslots {
+                frame[slot] = rt.frame[slot];
+            }
+            let merged = Tuple {
+                frame,
+                valid: lt.valid && rt.valid,
+                rows: lt.rows.iter().chain(rt.rows.iter()).copied().collect(),
+                unnest_vals: lt
+                    .unnest_vals
+                    .iter()
+                    .chain(rt.unnest_vals.iter())
+                    .cloned()
+                    .collect(),
+            };
+            if !self.apply_step(predicate, &merged, stats, "join")? {
+                continue;
+            }
+            for sel in selects {
+                if !self.apply_step(sel, &merged, stats, "selection")? {
+                    continue 'pairs;
+                }
+            }
+            sink(stats, merged)?;
+        }
+        Ok(())
+    }
+
+    /// Flatten one input tuple through an unnest stage: one output tuple
+    /// per collection element, frames extended with the element slots,
+    /// stage selects applied, survivors pushed into `sink`.
+    fn unnest_tuple(
+        &self,
+        stage: usize,
+        selects: &[Step],
+        t: &Tuple,
+        stats: &mut ExecStats,
+        sink: TupleSink<'_>,
+    ) -> Result<()> {
+        let u = &self.unnests[stage];
+        let evaluated;
+        let coll: &Value = match u.src_col {
+            Some((src, col)) => {
+                let (_, row) = t
+                    .rows
+                    .iter()
+                    .find(|(s, _)| *s == src)
+                    .copied()
+                    .expect("unnest source bound upstream");
+                &self.sources[src].env_fields[col].1[row]
+            }
+            None => {
+                evaluated = eval(&u.path, &self.env_for(t))?;
+                &evaluated
+            }
+        };
+        let items = coll.elements().ok_or_else(|| {
+            VidaError::Exec(format!("unnest path {} produced non-collection", u.path))
+        })?;
+        'items: for item in items {
+            let mut frame = t.frame.clone();
+            let mut valid = t.valid;
+            for (field, slot, ty) in &u.slots {
+                let v = match field {
+                    None => Some(item),
+                    Some(f) => item.field(f),
+                };
+                match v.and_then(|v| encode_elem(*ty, v, &self.interner)) {
+                    Some(bits) => frame[*slot] = bits,
+                    None => valid = false,
+                }
+            }
+            let mut unnest_vals = t.unnest_vals.clone();
+            unnest_vals.push((stage, item.clone()));
+            let nt = Tuple {
+                frame,
+                valid,
+                rows: t.rows.clone(),
+                unnest_vals,
+            };
+            for sel in selects {
+                if !self.apply_step(sel, &nt, stats, "selection")? {
+                    continue 'items;
+                }
+            }
+            sink(stats, nt)?;
+        }
+        Ok(())
+    }
+}
+
+/// Encode one unnest element (or element field) into a non-string slot —
+/// the interner-free half of [`encode_elem`], shared by every non-`Str`
+/// element type.
+fn encode_scalar(ty: SlotType, v: &Value) -> Option<i64> {
+    match (ty, v) {
+        (SlotType::Int, Value::Int(x)) => Some(*x),
+        (SlotType::Float, Value::Float(x)) => Some(x.to_bits() as i64),
+        (SlotType::Float, Value::Int(x)) => Some((*x as f64).to_bits() as i64),
+        (SlotType::Bool, Value::Bool(b)) => Some(*b as i64),
+        _ => None,
+    }
+}
+
+/// Encode one unnest element (or element field) into a slot at runtime.
+/// `Str` elements intern through the shared interner — safe from parallel
+/// workers because the table is lock-guarded, and cheap because the build
+/// pre-interned every string reachable through the direct-column path.
+fn encode_elem(ty: SlotType, v: &Value, interner: &SharedInterner) -> Option<i64> {
+    match (ty, v) {
+        (SlotType::Str, Value::Str(s)) => Some(interner.intern(s)),
+        _ => encode_scalar(ty, v),
+    }
+}
+
+/// Leftmost scan of the pipeline tree — the source whose rows the push
+/// loop (and its morsel grid) ranges over.
+fn leftmost_source(node: &Node) -> usize {
+    match node {
+        Node::Source(idx) => *idx,
+        Node::HashJoin { left, .. } | Node::ThetaJoin { left, .. } => leftmost_source(left),
+        Node::Unnest { input, .. } => leftmost_source(input),
+    }
+}
+
+/// Whether the pipeline tree contains any join (and therefore a build
+/// side worth its own trace span).
+fn has_join(node: &Node) -> bool {
+    match node {
+        Node::Source(_) => false,
+        Node::HashJoin { .. } | Node::ThetaJoin { .. } => true,
+        Node::Unnest { input, .. } => has_join(input),
+    }
+}
+
+/// Trace stage name of the drive loop: a probe when any join is fused into
+/// the push pipeline, otherwise a plain scan.
+fn drive_stage(node: &Node) -> &'static str {
+    if has_join(node) {
+        stage::PROBE
+    } else {
+        stage::SCAN
+    }
+}
+
+/// Scratch stats for one worker, carrying a trace buffer on the worker's
+/// own track (`worker + 1`; track 0 is the coordinator) when tracing.
+fn worker_stats(worker: usize, epoch: Option<Instant>) -> ExecStats {
+    let mut ws = ExecStats::default();
+    if let Some(e) = epoch {
+        ws.trace = Some(Box::new(QueryTrace::with_epoch(worker as u32 + 1, e)));
+    }
+    ws
+}
+
+/// Operator stages fused into the push loop (scan = 1, +1 per join probe
+/// and unnest stage; the caller adds 1 for the fold).
+fn fused_depth(node: &Node) -> u32 {
+    match node {
+        Node::Source(_) => 1,
+        Node::HashJoin { left, .. } | Node::ThetaJoin { left, .. } => 1 + fused_depth(left),
+        Node::Unnest { input, .. } => 1 + fused_depth(input),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::{catalog, jit, nested_catalog, plan_of};
+    use super::*;
+    use crate::catalog::MemoryCatalog;
+    use crate::pipeline::{run_jit, run_jit_with_stats, JitOptions};
+    use vida_types::{Schema, Type};
+
+    #[test]
+    fn scan_filter_aggregate() {
+        assert_eq!(
+            jit("for { p <- Patients, p.age > 60 } yield count p"),
+            Value::Int(2)
+        );
+        assert_eq!(jit("for { p <- Patients } yield max p.age"), Value::Int(71));
+        assert_eq!(
+            jit("for { p <- Patients, p.city = \"geneva\" } yield sum p.age"),
+            Value::Int(136)
+        );
+    }
+
+    #[test]
+    fn string_head_decodes_through_interner() {
+        let v = jit("for { p <- Patients, p.age > 60 } yield set p.city");
+        assert_eq!(v.elements().unwrap(), &[Value::str("geneva")]);
+    }
+
+    #[test]
+    fn null_tuples_take_interpreted_fallback() {
+        let cat = MemoryCatalog::new();
+        cat.register_records(
+            "T",
+            Schema::from_pairs([("x", Type::Int)]),
+            &[
+                Value::record([("x", Value::Int(5))]),
+                Value::record([("x", Value::Null)]),
+                Value::record([("x", Value::Int(7))]),
+            ],
+        )
+        .unwrap();
+        let plan = plan_of("for { t <- T, t.x > 4 } yield count t");
+        let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
+        // null > 4 is false in this calculus; the null row must not count.
+        assert_eq!(v, Value::Int(2));
+        assert!(stats.fallback_tuples >= 1);
+    }
+
+    #[test]
+    fn unnest_runs_through_generated_pipeline() {
+        let cat = nested_catalog();
+        let plan = plan_of("for { r <- Regions, v <- r.voxels, v > 10 } yield sum v");
+        let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
+        assert_eq!(v, Value::Int(15 + 30 + 12));
+        assert_eq!(stats.whole_query_fallbacks, 0, "{stats:?}");
+        assert_eq!(stats.unnest_pipelines, 1);
+        // The element slot compiled the inner predicate: no per-tuple
+        // interpretation beyond nulls (of which this fixture has none).
+        assert_eq!(stats.fallback_tuples, 0, "{stats:?}");
+        assert!(stats.kernels_compiled >= 1);
+        // Element order is preserved (list monoid).
+        let plan = plan_of("for { r <- Regions, v <- r.voxels } yield list v");
+        let (v, _) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
+        assert_eq!(
+            v.elements().unwrap(),
+            &[5, 15, 30, 7, 12].map(Value::Int) as &[Value]
+        );
+    }
+
+    #[test]
+    fn unnest_agrees_with_volcano_at_every_thread_count() {
+        let cat = nested_catalog();
+        let queries = [
+            "for { r <- Regions, v <- r.voxels } yield list v",
+            "for { r <- Regions, v <- r.voxels, v > 10 } yield count v",
+            "for { r <- Regions, v <- r.voxels, r.id > 1 } yield sum (v + r.id)",
+            "for { r <- Regions, v <- r.voxels } yield bag (id := r.id, v := v)",
+            "for { r <- Regions, v <- r.voxels } yield set v",
+        ];
+        for q in queries {
+            let plan = plan_of(q);
+            let oracle = crate::volcano::run_volcano(&plan, &cat).unwrap();
+            for threads in [1usize, 2, 8] {
+                let opts = JitOptions {
+                    threads,
+                    morsel_rows: 1,
+                    ..Default::default()
+                };
+                let v = run_jit(&plan, &cat, &opts).unwrap();
+                assert_eq!(v, oracle, "threads={threads} deviates for {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_thread_count_runs_the_same_grid() {
+        // Tiny morsels force genuine multi-morsel scheduling even on the
+        // 3-row fixtures; results and morsel counts must be identical at
+        // every thread count.
+        let queries = [
+            "for { p <- Patients, p.age > 40 } yield count p",
+            "for { p <- Patients } yield max p.age",
+            "for { p <- Patients, p.city != \"bern\" } yield list p.id",
+            "for { p <- Patients, p.age > 30 } yield set p.city",
+            "for { p <- Patients, g <- Genetics, p.id = g.id } \
+             yield bag (a := p.age, s := g.snp)",
+        ];
+        let cat = catalog();
+        for q in queries {
+            let plan = plan_of(q);
+            let oracle = crate::volcano::run_volcano(&plan, &cat).unwrap();
+            let mut morsels = None;
+            for threads in [1, 2, 8] {
+                let opts = JitOptions {
+                    threads,
+                    morsel_rows: 1,
+                    ..Default::default()
+                };
+                let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
+                assert_eq!(v, oracle, "threads={threads} deviates for {q}");
+                assert_eq!(stats.threads, threads as u32);
+                assert!(stats.morsels >= 2, "{q}: expected multi-morsel run");
+                assert_eq!(*morsels.get_or_insert(stats.morsels), stats.morsels, "{q}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_null_tuples_take_fallback() {
+        let cat = MemoryCatalog::new();
+        cat.register_records(
+            "T",
+            Schema::from_pairs([("x", Type::Int)]),
+            &[
+                Value::record([("x", Value::Int(5))]),
+                Value::record([("x", Value::Null)]),
+                Value::record([("x", Value::Int(7))]),
+            ],
+        )
+        .unwrap();
+        let plan = plan_of("for { t <- T, t.x > 4 } yield count t");
+        let opts = JitOptions {
+            threads: 4,
+            morsel_rows: 1,
+            ..Default::default()
+        };
+        let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
+        assert_eq!(v, Value::Int(2));
+        assert!(stats.fallback_tuples >= 1);
+    }
+
+    #[test]
+    fn push_loop_fuses_every_covered_shape() {
+        // The push loop must fuse every covered shape end to end: scans,
+        // joins (build sides are breakers, not stages), unnests, selects,
+        // every monoid.
+        let cat = catalog();
+        let nested = nested_catalog();
+        let cases: Vec<(&MemoryCatalog, &str, u32)> = vec![
+            // (catalog, query, expected fused depth incl. the fold)
+            (&cat, "for { p <- Patients, p.age > 60 } yield sum p.age", 2),
+            (
+                &cat,
+                "for { p <- Patients, g <- Genetics, p.id = g.id } yield list g.snp",
+                3,
+            ),
+            (
+                &cat,
+                "for { p <- Patients, g <- Genetics, p.id < g.id } yield count p",
+                3,
+            ),
+            (
+                &nested,
+                "for { r <- Regions, v <- r.voxels, v > 10 } yield sum v",
+                3,
+            ),
+        ];
+        for (cat, q, depth) in cases {
+            let plan = plan_of(q);
+            for threads in [1usize, 2, 8] {
+                let opts = JitOptions {
+                    threads,
+                    morsel_rows: 1,
+                    ..Default::default()
+                };
+                let (_, stats) = run_jit_with_stats(&plan, cat, &opts).unwrap();
+                assert_eq!(
+                    stats.fused_stage_depth, depth,
+                    "{q} at {threads} threads: {stats:?}"
+                );
+            }
+        }
+    }
+}

@@ -1,0 +1,519 @@
+//! The JIT executor — per-query generated pipelines (ViDa §4.1).
+//!
+//! [`run_jit`] turns a `Reduce`-rooted algebra plan into a specialized
+//! pipeline at query time:
+//!
+//! - **input plugins bound to exactly the touched attributes**: the analysis
+//!   pass collects every `binding.field` path the query references and the
+//!   generated scans read only those columns — no "database page" of unused
+//!   attributes is ever built;
+//! - **register frames**: each touched scalar attribute gets one 64-bit slot
+//!   in a query-wide [`vida_jit::FrameLayout`]; columns are pre-encoded to their slot
+//!   representation at pipeline-generation time, so per-tuple work in the
+//!   hot loop is a flat `i64` copy plus kernel calls;
+//! - **compiled kernels**: filter predicates, join keys, and head
+//!   expressions inside the compilable subset become fused
+//!   [`CompiledKernel`]s (type dispatch resolved at generation time);
+//!   everything else — and every tuple whose frame cannot encode (nulls,
+//!   non-scalars) — takes the interpreted fallback path, the hybrid
+//!   execution §6 describes;
+//! - **hash joins when equi-keys exist**: `Plan::equi_join_keys` supplies
+//!   the build/probe key expressions, compiled against the shared frame;
+//! - **theta-join pipelines otherwise**: a range predicate
+//!   (`Plan::band_join_keys`) compiles into band key kernels and probes a
+//!   sorted key index; any other predicate (including the constant-`true`
+//!   product) runs block-nested-loop with the predicate compiled into one
+//!   fused kernel;
+//! - **unnest stages**: `Plan::Unnest` flattens collection-valued paths
+//!   (nested JSON columns, including cached `BinaryJson` replicas) into the
+//!   flat register frames — scalar elements get their own slots (strings
+//!   intern through the shared lock-guarded interner) so inner predicates
+//!   compile to kernels, and everything else takes the per-tuple
+//!   interpreted fallback;
+//! - **bushy joins lowered**: `vida_algebra::lower::left_deepen` rotates
+//!   bushy join trees into the left-deep chains the pipelines execute
+//!   before shape analysis, so directly-constructed bushy plans compile
+//!   too;
+//! - **cost-model-driven cache replicas**: with a [`CacheManager`] attached,
+//!   touched columns are served from cached replicas and raw-file reads
+//!   populate the cache for the next query. With a
+//!   [`vida_optimizer::CostModel`] attached too, the pipeline
+//!   records per-field access statistics after every query and the model
+//!   decides each replica's layout — parsed `Values`, compact `BinaryJson`,
+//!   or `Positions` (raw byte spans rehydrated by exact-seek parses) — plus
+//!   the `get_any` probe order and a rebuild-cost eviction bonus (§5);
+//! - **monoid folding**: results fold with the output monoid; collection
+//!   monoids accumulate and canonicalize once at the end, and `count` with a
+//!   total head skips head evaluation entirely.
+//!
+//! Only genuinely degenerate plans fall back to the interpreted Volcano
+//! engine wholesale — constant queries over the unit dataset, unnests whose
+//! input is the unit row (literal collections), and joins whose right side
+//! is not a scan — so `run_jit` is total over all valid plans and
+//! `ExecStats::whole_query_fallbacks` records when the fallback engine ran.
+//!
+//! Execution is a **streaming push loop** (HyPer-style data-centric
+//! pipelines): each compiled stage consumes one tuple at a time and pushes
+//! it into the next stage's consumer closure, so
+//! select→project→unnest→probe→fold chains fuse end to end with **no
+//! intermediate `Vec<Tuple>`** between operators. The only pipeline
+//! breakers are join build sides (hash tables / band indexes), which
+//! materialize once per join before the loop starts;
+//! `ExecStats::fused_stage_depth` reports the fused chain length.
+//!
+//! One **morsel driver** (`vida-parallel`) runs every phase at every
+//! worker count: raw scans split into aligned byte ranges, replica decodes
+//! and join builds (radix-partitioned) into unit morsels, and the leftmost
+//! scan's rows into morsels that each drive through the whole stage chain
+//! into a private partial fold; partials merge in morsel order. Morsel
+//! boundaries depend only on the data — never the worker count — so every
+//! thread count produces the same result bit for bit, float folds
+//! included. Serial execution is the one-worker grid: the pool runs it
+//! inline on the caller and folds each partial as it is produced.
+
+mod bind;
+mod columns;
+mod drive;
+mod join;
+mod options;
+mod shape;
+
+pub use options::JitOptions;
+
+use crate::catalog::SourceProvider;
+use crate::stats::ExecStats;
+use crate::volcano::run_volcano;
+use bind::PipelineBuilder;
+use std::sync::Arc;
+use std::time::Instant;
+use vida_algebra::Plan;
+use vida_cache::{CacheManager, FoldPartial};
+use vida_jit::{CompiledKernel, SelectKernel, SharedInterner, SlotType};
+use vida_lang::{BinOp, Bindings, Expr};
+use vida_parallel::WorkerPool;
+use vida_trace::QueryTrace;
+use vida_types::{Monoid, Result, Value};
+
+/// Execute a plan with the JIT engine.
+///
+/// The plan must be `Reduce`-rooted (every lowered comprehension is); plan
+/// shapes outside the generated pipelines transparently fall back to the
+/// interpreted Volcano engine, so `run_jit` is total over valid plans.
+///
+/// # Example
+///
+/// ```
+/// use vida_algebra::{lower, rewrite};
+/// use vida_exec::{run_jit, JitOptions, MemoryCatalog};
+/// use vida_lang::parse;
+/// use vida_types::{Schema, Type, Value};
+///
+/// let cat = MemoryCatalog::new();
+/// cat.register_records(
+///     "Patients",
+///     Schema::from_pairs([("id", Type::Int), ("age", Type::Int)]),
+///     &[
+///         Value::record([("id", Value::Int(1)), ("age", Value::Int(71))]),
+///         Value::record([("id", Value::Int(2)), ("age", Value::Int(34))]),
+///     ],
+/// )
+/// .unwrap();
+/// let expr = parse("for { p <- Patients, p.age > 60 } yield count p").unwrap();
+/// let plan = rewrite(&lower(&expr).unwrap());
+/// assert_eq!(run_jit(&plan, &cat, &JitOptions::default()).unwrap(), Value::Int(1));
+/// ```
+pub fn run_jit(plan: &Plan, catalog: &dyn SourceProvider, opts: &JitOptions) -> Result<Value> {
+    run_jit_with_stats(plan, catalog, opts).map(|(v, _)| v)
+}
+
+/// Execute a plan with the JIT engine, returning execution statistics.
+///
+/// This is the compatibility shim over the resident-engine execution path:
+/// it synthesizes a per-call spawn-mode pool and a private interner, so
+/// behaviour matches the pre-resident engine exactly (worker threads spawn
+/// per multi-worker phase and string ids start at zero every call). Long-lived
+/// callers should hold an [`Engine`](crate::engine::Engine) instead and let
+/// its sessions share one parked worker pool, cache, and interner.
+pub fn run_jit_with_stats(
+    plan: &Plan,
+    catalog: &dyn SourceProvider,
+    opts: &JitOptions,
+) -> Result<(Value, ExecStats)> {
+    let ctx = ExecContext {
+        pool: WorkerPool::new(opts.threads),
+        interner: Arc::new(SharedInterner::new()),
+        tenant: None,
+    };
+    execute_with_context(plan, catalog, opts, &ctx)
+}
+
+/// Cross-query execution state threaded from the resident engine (or
+/// synthesized per call by the [`run_jit`] shim): the worker pool every
+/// phase submits its morsels to, the interner string slots resolve through,
+/// and the tenant that cache replica writes are billed to.
+pub(crate) struct ExecContext {
+    pub(crate) pool: WorkerPool,
+    pub(crate) interner: Arc<SharedInterner>,
+    pub(crate) tenant: Option<String>,
+}
+
+/// The one execution path both [`run_jit_with_stats`] and
+/// `Engine::execute` funnel into.
+pub(crate) fn execute_with_context(
+    plan: &Plan,
+    catalog: &dyn SourceProvider,
+    opts: &JitOptions,
+    ctx: &ExecContext,
+) -> Result<(Value, ExecStats)> {
+    let mut stats = ExecStats {
+        queries: 1,
+        trace: opts.trace.then(|| Box::new(QueryTrace::start())),
+        ..Default::default()
+    };
+    let t0 = Instant::now();
+    let built = PipelineBuilder::new(catalog, opts, ctx, &mut stats).build(plan)?;
+    stats.codegen = t0.elapsed();
+    let t1 = Instant::now();
+    let Some(pipeline) = built else {
+        // Whole-query fallback: shape outside the generated pipelines. The
+        // declined build is the query's codegen time, Volcano its execution.
+        stats.whole_query_fallbacks = 1;
+        let v = run_volcano(plan, catalog)?;
+        stats.execution = t1.elapsed();
+        return Ok((v, stats));
+    };
+    let value = pipeline.execute(&mut stats)?;
+    stats.execution = t1.elapsed();
+    // Pair the optimizer's estimate with the observed pipeline output so
+    // `cardinality_error` compares like with like after accumulation.
+    if stats.estimated_rows > 0 {
+        stats.estimated_rows_actual = stats.actual_rows;
+    }
+    stats.served_from_cache = stats.raw_columns == 0 && stats.cached_columns > 0;
+    stats.queries_served_from_cache = stats.served_from_cache as u32;
+    if let Some(trace) = stats.query_trace() {
+        let hits: u64 = trace.kernel_invocations().iter().sum();
+        vida_trace::global_metrics().kernel_invocations.add(hits);
+    }
+    Ok((value, stats))
+}
+
+/// One boolean evaluation step: a compiled kernel (with its source
+/// expression for null-tuple fallback) or an interpreted expression.
+enum Step {
+    Kernel(CompiledKernel, Expr),
+    Interp(Expr),
+}
+
+/// How the reduce head is evaluated per surviving tuple. Compiled variants
+/// carry the source expression for tuples on the fallback path.
+enum HeadPlan {
+    /// `count` with a total head: no evaluation needed at all.
+    CountOnly,
+    /// Scalar head compiled to one kernel.
+    Kernel(CompiledKernel, Expr),
+    /// Record head with every field compiled.
+    RecordKernels(Vec<(String, CompiledKernel)>, Expr),
+    /// Everything else: the reference interpreter.
+    Interp(Expr),
+}
+
+impl HeadPlan {
+    fn source_expr(&self) -> Option<&Expr> {
+        match self {
+            HeadPlan::CountOnly => None,
+            HeadPlan::Kernel(_, e) | HeadPlan::RecordKernels(_, e) | HeadPlan::Interp(e) => Some(e),
+        }
+    }
+}
+
+/// A bound input: one scanned dataset with its materialized touched columns.
+struct Source {
+    binding: String,
+    nrows: usize,
+    /// Fields materialized for binding-record reconstruction, schema order.
+    env_fields: Vec<(String, Arc<Vec<Value>>)>,
+    /// `(global slot, encoded column)`; `None` cells mark tuples that must
+    /// take the interpreted fallback (nulls, type mismatches).
+    slot_cols: Vec<(usize, Vec<Option<i64>>)>,
+    /// All global slot indexes owned by this source (for frame merging).
+    slots: Vec<usize>,
+    /// Selection steps applied as tuples leave the scan.
+    selects: Vec<Step>,
+    /// Fast path: when every select compiled, the chain is fused into one
+    /// [`SelectKernel`] evaluated short-circuit per valid frame (invalid
+    /// frames still walk `selects` through the interpreter).
+    fused_selects: Option<SelectKernel>,
+}
+
+/// Pipeline tree: left-deep joins and unnest stages over bound sources.
+///
+/// The tree's left spine is one fused push pipeline: tuples stream from the
+/// leftmost scan through every stage's sink without intermediate buffers.
+/// Join right sides are the pipeline breakers — each is materialized once
+/// into [`JoinBuild`] slot `build` before the push loop starts.
+enum Node {
+    Source(usize),
+    HashJoin {
+        left: Box<Node>,
+        right: usize,
+        /// Index into the prepared [`JoinBuild`] list (DFS order).
+        build: usize,
+        left_key: CompiledKernel,
+        right_key: CompiledKernel,
+        left_key_ty: SlotType,
+        right_key_ty: SlotType,
+        /// Promote int keys to float bits so `p.id = g.fid` hashes
+        /// consistently across the numeric tower.
+        float_keys: bool,
+        /// Full join predicate, checked per candidate pair.
+        predicate: Step,
+        /// Selects sitting above this join.
+        selects: Vec<Step>,
+    },
+    /// Non-equi join: band sort-probe when the predicate contains a range
+    /// comparison between the two sides, block-nested-loop (with the
+    /// predicate compiled into one fused kernel) otherwise.
+    ThetaJoin {
+        left: Box<Node>,
+        right: usize,
+        /// Index into the prepared [`JoinBuild`] list (DFS order).
+        build: usize,
+        band: Option<Band>,
+        /// Full join predicate, checked per candidate pair.
+        predicate: Step,
+        /// Selects sitting above this join.
+        selects: Vec<Step>,
+    },
+    /// Flatten a collection-valued path of earlier bindings; one output
+    /// tuple per element, frame extended with the element's slots.
+    Unnest {
+        input: Box<Node>,
+        /// Index into [`Pipeline::unnests`].
+        stage: usize,
+        /// Selects sitting above this unnest (may reference the element).
+        selects: Vec<Step>,
+    },
+}
+
+/// Sort-probe strategy for a range theta join: both band keys compile to
+/// kernels; the right side sorts by key once and each probe narrows its
+/// candidates to the half-open range satisfying `left_key op right_key`.
+struct Band {
+    left_key: CompiledKernel,
+    right_key: CompiledKernel,
+    /// Comparison with the left key on the left: `Lt`, `Le`, `Gt`, or `Ge`.
+    op: BinOp,
+    /// Compare keys in the float domain (the numeric tower mixed).
+    float_keys: bool,
+    left_key_ty: SlotType,
+    right_key_ty: SlotType,
+}
+
+/// One compiled unnest stage: where the collection comes from and which
+/// frame slots its elements fill.
+struct UnnestStage {
+    binding: String,
+    path: Expr,
+    /// Fast path: `(source index, touched-column position)` when the path
+    /// is a single projection off a scanned source — the collection is read
+    /// straight from the materialized column, no interpreter environment.
+    src_col: Option<(usize, usize)>,
+    /// Element slots: `None` = the element itself (scalar collections),
+    /// `Some(field)` = a record element's field. `Str` slots intern their
+    /// elements through the pipeline's shared interner at runtime.
+    slots: Vec<(Option<String>, usize, SlotType)>,
+}
+
+/// One in-flight tuple: its register frame, whether every slot encoded, and
+/// the provenance used to rebuild bindings on the fallback path — `(source,
+/// row)` pairs for scans plus `(unnest stage, element)` values for unnests.
+struct Tuple {
+    frame: Vec<i64>,
+    valid: bool,
+    rows: Vec<(usize, usize)>,
+    unnest_vals: Vec<(usize, Value)>,
+}
+
+/// The consumer side of one pipeline stage: receives each surviving tuple
+/// (plus the worker-local stats) and forwards it — into the next stage's
+/// closure, the fold, or a build buffer. Passing stats through the sink
+/// keeps one mutable path through the whole recursive loop nest.
+type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, Tuple) -> Result<()>;
+
+struct Pipeline {
+    sources: Vec<Source>,
+    /// Unnest stages in plan DFS order (indexed by `Node::Unnest::stage`).
+    unnests: Vec<UnnestStage>,
+    root: Node,
+    monoid: Monoid,
+    head: HeadPlan,
+    frame_width: usize,
+    /// String table kernel constants were interned into and string frame
+    /// slots resolve through. Shared with the engine on the resident path
+    /// (so ids are stable across sessions) and lock-guarded, which is what
+    /// lets `Str` unnest elements intern from parallel workers.
+    interner: Arc<SharedInterner>,
+    /// Datasets referenced inside nested head/predicate comprehensions,
+    /// materialized up front (mirrors the Volcano engine).
+    base_env: Bindings,
+    /// The pool every phase submits its morsels to: the engine's resident
+    /// pool (workers parked between queries, runs attached) or a per-query
+    /// spawn-mode pool under the `run_jit` shim.
+    pool: WorkerPool,
+    /// Units per morsel (0 = `vida-parallel` default).
+    morsel_rows: usize,
+    /// Fold-partial cache seam for single-source primitive folds (`None`
+    /// for every other shape — they always run the plain full fold).
+    fold_seam: Option<FoldSeam>,
+}
+
+/// Where cached pre-finalize fold partials are looked up and refreshed,
+/// for queries that qualify: one scanned source (selects allowed), no
+/// joins/unnests, a primitive output monoid, and no free datasets. When
+/// revalidation proved the source grew in
+/// place and the cached partial covers exactly the unchanged prefix,
+/// `reuse` carries it — the executor then drives only rows
+/// `reuse.rows..nrows` and merges the partial in front (ViDa's O(delta)
+/// warm re-query). After every qualifying fold the refreshed accumulator
+/// is stored back under the current fingerprint.
+struct FoldSeam {
+    cache: Arc<CacheManager>,
+    dataset: String,
+    /// FNV-1a over the plan's debug rendering — the query half of the
+    /// fold-cache key.
+    query_hash: u64,
+    /// Current source fingerprint, stamped on the refreshed partial.
+    fingerprint: (u64, u64),
+    /// Rows the refreshed partial will cover (the whole source).
+    nrows: usize,
+    reuse: Option<FoldPartial>,
+}
+
+/// Fixtures shared by the unit tests of every pipeline module.
+#[cfg(test)]
+mod testutil {
+    use super::*;
+    use crate::catalog::MemoryCatalog;
+    use vida_algebra::{lower, rewrite};
+    use vida_lang::parse;
+    use vida_types::{Schema, Type};
+
+    pub(super) fn catalog() -> MemoryCatalog {
+        let cat = MemoryCatalog::new();
+        cat.register_records(
+            "Patients",
+            Schema::from_pairs([("id", Type::Int), ("age", Type::Int), ("city", Type::Str)]),
+            &[
+                Value::record([
+                    ("id", Value::Int(1)),
+                    ("age", Value::Int(71)),
+                    ("city", Value::str("geneva")),
+                ]),
+                Value::record([
+                    ("id", Value::Int(2)),
+                    ("age", Value::Int(34)),
+                    ("city", Value::str("bern")),
+                ]),
+                Value::record([
+                    ("id", Value::Int(3)),
+                    ("age", Value::Int(65)),
+                    ("city", Value::str("geneva")),
+                ]),
+            ],
+        )
+        .unwrap();
+        cat.register_records(
+            "Genetics",
+            Schema::from_pairs([("id", Type::Int), ("snp", Type::Float)]),
+            &[
+                Value::record([("id", Value::Int(1)), ("snp", Value::Float(0.9))]),
+                Value::record([("id", Value::Int(2)), ("snp", Value::Float(0.1))]),
+                Value::record([("id", Value::Int(3)), ("snp", Value::Float(0.5))]),
+            ],
+        )
+        .unwrap();
+        cat
+    }
+
+    pub(super) fn plan_of(q: &str) -> Plan {
+        rewrite(&lower(&parse(q).unwrap()).unwrap())
+    }
+
+    pub(super) fn jit(q: &str) -> Value {
+        run_jit(&plan_of(q), &catalog(), &JitOptions::default()).unwrap()
+    }
+
+    pub(super) fn nested_catalog() -> MemoryCatalog {
+        let cat = MemoryCatalog::new();
+        cat.register_records(
+            "Regions",
+            Schema::from_pairs([("id", Type::Int), ("voxels", Type::bag(Type::Int))]),
+            &[
+                Value::record([
+                    ("id", Value::Int(1)),
+                    ("voxels", Value::bag(vec![Value::Int(5), Value::Int(15)])),
+                ]),
+                Value::record([
+                    ("id", Value::Int(2)),
+                    (
+                        "voxels",
+                        Value::bag(vec![Value::Int(30), Value::Int(7), Value::Int(12)]),
+                    ),
+                ]),
+                Value::record([("id", Value::Int(3)), ("voxels", Value::bag(vec![]))]),
+            ],
+        )
+        .unwrap();
+        cat
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::{catalog, nested_catalog, plan_of};
+    use super::*;
+
+    #[test]
+    fn agrees_with_volcano_engine() {
+        let queries = [
+            "for { p <- Patients } yield avg p.age",
+            "for { p <- Patients, p.city != \"bern\" } yield list p.id",
+            "for { p <- Patients, g <- Genetics, p.id = g.id } \
+             yield bag (a := p.age, s := g.snp)",
+            "for { p <- Patients } yield all p.age > 20",
+            "for { p <- Patients, p.age > 40, p.age < 70 } yield count p",
+        ];
+        let cat = catalog();
+        for q in queries {
+            let plan = plan_of(q);
+            let via_volcano = crate::volcano::run_volcano(&plan, &cat).unwrap();
+            let via_jit = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
+            assert_eq!(via_jit, via_volcano, "jit deviates for {q}");
+        }
+    }
+
+    #[test]
+    fn fallback_queries_report_their_time() {
+        // Regression: the whole-query-fallback branch used to return before
+        // the timers were read, so Volcano-fallback queries contributed
+        // 0 ns to `ExecStats`.
+        let plan = plan_of("1 + 2");
+        let (_, stats) =
+            run_jit_with_stats(&plan, &nested_catalog(), &JitOptions::default()).unwrap();
+        assert_eq!(stats.whole_query_fallbacks, 1);
+        assert!(stats.codegen > std::time::Duration::ZERO, "{stats:?}");
+        assert!(stats.execution > std::time::Duration::ZERO, "{stats:?}");
+    }
+
+    #[test]
+    fn unknown_dataset_is_catalog_error() {
+        let plan = plan_of("for { x <- Missing } yield sum x.a");
+        assert_eq!(
+            run_jit(&plan, &catalog(), &JitOptions::default())
+                .unwrap_err()
+                .kind(),
+            "catalog"
+        );
+    }
+}
