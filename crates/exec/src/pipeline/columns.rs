@@ -3,12 +3,13 @@
 //! replica sync that keeps each field in the cost model's chosen layout.
 
 use super::bind::{Freshness, PipelineBuilder};
+use super::drive::morsel_fold;
 use std::sync::Arc;
 use vida_cache::{bson, CacheKey, CacheManager, CachedData, Layout};
 use vida_optimizer::FieldObservation;
 use vida_parallel::{plan_scan_tail, MorselPlan};
-use vida_trace::{stage, QueryTrace};
-use vida_types::{Result, Value, VidaError};
+use vida_trace::stage;
+use vida_types::{Result, Value};
 
 impl PipelineBuilder<'_> {
     /// Touched columns, cache-first: replicas in any storable layout are
@@ -229,21 +230,27 @@ impl PipelineBuilder<'_> {
         nrows: usize,
     ) -> Result<Vec<Value>> {
         let plan = MorselPlan::fixed(nrows, self.opts.morsel_rows);
-        let mut out = Vec::with_capacity(nrows);
-        self.run_chunks(
+        morsel_fold(
+            &self.ctx.pool,
             &plan,
             stage::CACHE_PROBE,
-            |range| {
-                range
+            self.stats,
+            |range, _| {
+                let rows = range.len() as u64;
+                let chunk = range
                     .map(|r| match data {
                         CachedData::Positions(spans) => plugin.parse_field_span(col, spans[r]),
                         other => other.get(r),
                     })
-                    .collect::<Result<Vec<Value>>>()
+                    .collect::<Result<Vec<Value>>>()?;
+                Ok((chunk, rows))
             },
-            |chunk| out.extend(chunk),
-        )?;
-        Ok(out)
+            Vec::with_capacity(nrows),
+            |mut out, chunk| {
+                out.extend(chunk);
+                Ok(out)
+            },
+        )
     }
 
     /// The post-query cost-model step (§5): fold this query's access
@@ -375,11 +382,13 @@ impl PipelineBuilder<'_> {
         from: usize,
     ) -> Result<Vec<Vec<Value>>> {
         let plan = plan_scan_tail(plugin.as_ref(), self.opts.morsel_rows, from);
-        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(plan.units()); cols.len()];
-        self.run_chunks(
+        morsel_fold(
+            &self.ctx.pool,
             &plan,
             stage::SCAN,
-            |range| {
+            self.stats,
+            |range, _| {
+                let rows = range.len() as u64;
                 let mut chunk: Vec<Vec<Value>> = vec![Vec::with_capacity(range.len()); cols.len()];
                 plugin.scan_project_range(cols, range, &mut |_, vals| {
                     for (c, v) in chunk.iter_mut().zip(vals) {
@@ -387,54 +396,14 @@ impl PipelineBuilder<'_> {
                     }
                     Ok(())
                 })?;
-                Ok(chunk)
+                Ok((chunk, rows))
             },
-            |chunk| {
+            vec![Vec::with_capacity(plan.units()); cols.len()],
+            |mut out: Vec<Vec<Value>>, chunk| {
                 for (o, c) in out.iter_mut().zip(chunk) {
                     o.extend(c);
                 }
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// Run `work` over every morsel of `plan` on the query's pool and hand
-    /// the chunks to `append` in morsel order, so the assembled column is
-    /// the same at every worker count. Each morsel runs inside a
-    /// worker-track `stage` span carrying its row count.
-    fn run_chunks<T: Send>(
-        &mut self,
-        plan: &MorselPlan,
-        stage: &'static str,
-        work: impl Fn(std::ops::Range<usize>) -> Result<T> + Sync,
-        mut append: impl FnMut(T),
-    ) -> Result<()> {
-        self.stats.morsels += plan.len() as u64;
-        let epoch = self.stats.trace_epoch();
-        let stats = &mut *self.stats;
-        self.ctx.pool.fold_morsels(
-            plan.len(),
-            |w, m| {
-                let range = plan.range(m);
-                let rows = range.len() as u64;
-                let mut wt = epoch.map(|e| {
-                    let mut t = QueryTrace::with_epoch(w as u32 + 1, e);
-                    t.begin(stage);
-                    t
-                });
-                let chunk = work(range)?;
-                if let Some(t) = wt.as_mut() {
-                    t.end_counted(rows, 1);
-                }
-                Ok::<_, VidaError>((chunk, wt))
-            },
-            (),
-            |(), (chunk, wt)| {
-                if let (Some(mine), Some(wt)) = (stats.trace.as_deref_mut(), wt) {
-                    mine.absorb(wt);
-                }
-                append(chunk);
-                Ok(())
+                Ok(out)
             },
         )
     }

@@ -4,12 +4,12 @@
 use super::join::{theta_candidates, BandIndex, JoinBuild};
 use super::{HeadPlan, Node, Pipeline, Step, Tuple, TupleSink};
 use crate::stats::ExecStats;
-use std::time::Instant;
+use std::ops::Range;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
 use vida_jit::{CompiledKernel, SharedInterner, SlotType};
 use vida_lang::{eval, Bindings};
-use vida_parallel::MorselPlan;
+use vida_parallel::{MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
 use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Value, VidaError};
 
@@ -47,7 +47,6 @@ impl Pipeline {
         // appended rows (`from = 0` is the ordinary whole-source grid).
         let from = self.fold_reuse_rows();
         let plan = MorselPlan::fixed(nrows - from, self.morsel_rows).shifted(from);
-        stats.morsels += plan.len() as u64;
 
         stats.span_begin(stage::FOLD);
         let value = match self.monoid {
@@ -128,11 +127,9 @@ impl Pipeline {
         Ok(value)
     }
 
-    /// Drive every morsel of `plan` through the fused stage chain on the
-    /// pool. Each morsel folds its surviving tuples into a private partial
-    /// (`new` + `push`) on worker-local stats inside a per-morsel drive
-    /// span; `merge` folds the partials into `init` in morsel order and the
-    /// worker stats are absorbed alongside.
+    /// Drive every morsel of `plan` through the fused stage chain: each
+    /// morsel folds its surviving tuples into a private partial (`new` +
+    /// `push`), and `merge` folds the partials into `init` in morsel order.
     #[allow(clippy::too_many_arguments)]
     fn fold_drive<P: Send, A>(
         &self,
@@ -142,28 +139,23 @@ impl Pipeline {
         new: impl Fn() -> P + Sync,
         push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()> + Sync,
         init: A,
-        mut merge: impl FnMut(A, P) -> Result<A>,
+        merge: impl FnMut(A, P) -> Result<A>,
     ) -> Result<A> {
-        let epoch = stats.trace_epoch();
-        let dstage = drive_stage(&self.root);
-        self.pool.fold_morsels(
-            plan.len(),
-            |w, m| {
-                let mut ws = worker_stats(w, epoch);
-                ws.span_begin(dstage);
+        morsel_fold(
+            &self.pool,
+            plan,
+            drive_stage(&self.root),
+            stats,
+            |range, ws| {
                 let mut partial = new();
-                self.drive(&self.root, plan.range(m), builds, &mut ws, &mut |ws, t| {
+                self.drive(&self.root, range, builds, ws, &mut |ws, t| {
                     ws.actual_rows += 1;
                     push(&mut partial, &t, ws)
                 })?;
-                ws.span_end_counted(ws.actual_rows, 1);
-                Ok::<_, VidaError>((partial, ws))
+                Ok((partial, ws.actual_rows))
             },
             init,
-            |acc, (partial, ws)| {
-                stats.absorb_worker(ws);
-                merge(acc, partial)
-            },
+            merge,
         )
     }
 
@@ -299,7 +291,7 @@ impl Pipeline {
     fn push_source(
         &self,
         idx: usize,
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
@@ -354,7 +346,7 @@ impl Pipeline {
     fn drive(
         &self,
         node: &Node,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         builds: &[JoinBuild],
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
@@ -506,25 +498,23 @@ impl Pipeline {
     /// count.
     fn build_side_tuples(&self, idx: usize, stats: &mut ExecStats) -> Result<Vec<Tuple>> {
         let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
-        stats.morsels += plan.len() as u64;
-        let epoch = stats.trace_epoch();
-        self.pool.fold_morsels(
-            plan.len(),
-            |w, m| {
-                let mut ws = worker_stats(w, epoch);
-                ws.span_begin(stage::BUILD_SIDE);
+        morsel_fold(
+            &self.pool,
+            &plan,
+            stage::BUILD_SIDE,
+            stats,
+            |range, ws| {
                 let mut out = Vec::new();
-                self.push_source(idx, plan.range(m), &mut ws, &mut |_, t| {
+                self.push_source(idx, range, ws, &mut |_, t| {
                     out.push(t);
                     Ok(())
                 })?;
-                ws.span_end_counted(out.len() as u64, 1);
-                Ok::<_, VidaError>((out, ws))
+                let n = out.len() as u64;
+                Ok((out, n))
             },
             Vec::new(),
-            |mut all, (chunk, ws)| {
+            |mut all, chunk| {
                 all.extend(chunk);
-                stats.absorb_worker(ws);
                 Ok(all)
             },
         )
@@ -691,14 +681,42 @@ fn drive_stage(node: &Node) -> &'static str {
     }
 }
 
-/// Scratch stats for one worker, carrying a trace buffer on the worker's
-/// own track (`worker + 1`; track 0 is the coordinator) when tracing.
-fn worker_stats(worker: usize, epoch: Option<Instant>) -> ExecStats {
-    let mut ws = ExecStats::default();
-    if let Some(e) = epoch {
-        ws.trace = Some(Box::new(QueryTrace::with_epoch(worker as u32 + 1, e)));
-    }
-    ws
+/// The one way a phase runs on the pool: `work` processes each morsel of
+/// `plan` on scratch stats of its own, inside a `stage` span on the
+/// worker's track (`worker + 1`; track 0 is the coordinator) that carries
+/// the tuple count `work` reports and 1 morsel. `merge` folds the partials
+/// into `init` in morsel order — absorbing each morsel's stats and spans
+/// into `stats` alongside — so results, counters, and traces are the same
+/// at every worker count.
+pub(super) fn morsel_fold<P: Send, A>(
+    pool: &WorkerPool,
+    plan: &MorselPlan,
+    stage: &'static str,
+    stats: &mut ExecStats,
+    work: impl Fn(Range<usize>, &mut ExecStats) -> Result<(P, u64)> + Sync,
+    init: A,
+    mut merge: impl FnMut(A, P) -> Result<A>,
+) -> Result<A> {
+    stats.morsels += plan.len() as u64;
+    let epoch = stats.trace_epoch();
+    pool.fold_morsels(
+        plan.len(),
+        |w, m| {
+            let mut ws = ExecStats::default();
+            if let Some(e) = epoch {
+                ws.trace = Some(Box::new(QueryTrace::with_epoch(w as u32 + 1, e)));
+            }
+            ws.span_begin(stage);
+            let (partial, tuples) = work(plan.range(m), &mut ws)?;
+            ws.span_end_counted(tuples, 1);
+            Ok::<_, VidaError>((partial, ws))
+        },
+        init,
+        |acc, (partial, ws)| {
+            stats.absorb_worker(ws);
+            merge(acc, partial)
+        },
+    )
 }
 
 /// Operator stages fused into the push loop (scan = 1, +1 per join probe

@@ -8,9 +8,9 @@
 //!   generated scans read only those columns — no "database page" of unused
 //!   attributes is ever built;
 //! - **register frames**: each touched scalar attribute gets one 64-bit slot
-//!   in a query-wide [`vida_jit::FrameLayout`]; columns are pre-encoded to their slot
-//!   representation at pipeline-generation time, so per-tuple work in the
-//!   hot loop is a flat `i64` copy plus kernel calls;
+//!   in a query-wide [`vida_jit::FrameLayout`]; columns are pre-encoded to
+//!   their slot representation at pipeline-generation time, so per-tuple
+//!   work in the hot loop is a flat `i64` copy plus kernel calls;
 //! - **compiled kernels**: filter predicates, join keys, and head
 //!   expressions inside the compilable subset become fused
 //!   [`CompiledKernel`]s (type dispatch resolved at generation time);
@@ -37,8 +37,8 @@
 //! - **cost-model-driven cache replicas**: with a [`CacheManager`] attached,
 //!   touched columns are served from cached replicas and raw-file reads
 //!   populate the cache for the next query. With a
-//!   [`vida_optimizer::CostModel`] attached too, the pipeline
-//!   records per-field access statistics after every query and the model
+//!   [`vida_optimizer::CostModel`] attached too, the pipeline records
+//!   per-field access statistics after every query and the model
 //!   decides each replica's layout — parsed `Values`, compact `BinaryJson`,
 //!   or `Positions` (raw byte spans rehydrated by exact-seek parses) — plus
 //!   the `get_any` probe order and a rebuild-cost eviction bonus (§5);
@@ -70,6 +70,14 @@
 //! thread count produces the same result bit for bit, float folds
 //! included. Serial execution is the one-worker grid: the pool runs it
 //! inline on the caller and folds each partial as it is produced.
+//!
+//! Module map, in the order a query passes through: `options`
+//! ([`JitOptions`]), `shape` (which plans the pipelines accept, touched
+//! paths), `bind` (source binding, operator-tree assembly, head planning),
+//! `columns` (cache probe, raw scan, replica decode and sync, incremental
+//! tail), `join` (build sides: hash tables, band index), `drive` (the
+//! morsel driver: push loop, fold, fold-partial seam). This file holds the
+//! entry points and the pipeline IR those modules share.
 
 mod bind;
 mod columns;

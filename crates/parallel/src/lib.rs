@@ -35,6 +35,6 @@ pub mod pool;
 pub mod radix;
 
 pub use dispatcher::{plan_scan, plan_scan_tail};
-pub use morsel::{MorselPlan, DEFAULT_MORSEL_UNITS};
+pub use morsel::MorselPlan;
 pub use pool::WorkerPool;
 pub use radix::{partition_count, partition_of};
