@@ -1,17 +1,18 @@
 //! `reproduce` — entry point for replaying the paper's experiments.
 //!
-//! The measurement drivers land incrementally; today the binary documents
-//! the available figures and runs a smoke-level demonstration of the
-//! cache-locality experiment so the wiring (workload generator → SQL/
-//! comprehension front-end → JIT pipelines → cost model → cache stats) is
-//! exercised end to end.
+//! The binary runs a smoke-level demonstration of the cache-locality
+//! experiment so the wiring (workload generator → comprehension front-end →
+//! a resident `Engine`'s sessions → cost model → cache stats) is exercised
+//! end to end, and hosts two artifact utilities (`validate-json`,
+//! `bench-compare`). Timings live in the repo benchmark
+//! (`bash benchmark/run.sh`), not here.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 use vida_bench::fixtures;
 use vida_cache::CacheManager;
-use vida_exec::{run_jit_with_stats, Engine, JitOptions, MemoryCatalog, SourceProvider};
+use vida_exec::{Engine, ExecStats, JitOptions, MemoryCatalog, SourceProvider};
 use vida_formats::csv::CsvFile;
 use vida_formats::json::JsonFile;
 use vida_formats::plugin::{CsvPlugin, JsonPlugin};
@@ -30,26 +31,34 @@ reproduce — replay the ViDa (CIDR'15) experiments
 USAGE:
     reproduce <figure> [OPTIONS]
     reproduce validate-json <path>...
+    reproduce bench-compare <A.json> <B.json>
 
 FIGURES:
     cache-locality    HBP-style query mix over raw CSV/JSON; reports the
                       share of queries served entirely from column caches
                       (the paper reports ~80% for the HBP workload) and the
                       replica layouts the cost model picked
-    figure5           (planned) response times across raw formats
-    jit-vs-interp     (planned) generated pipelines vs static operators;
-                      see `cargo bench` for the current microbenchmarks
+
+    Response times across raw formats (the paper's Figure 5) and generated
+    pipelines vs static operators are measured by the repo benchmark:
+    `bash benchmark/run.sh --workload fig5_cold` and the
+    `exec.volcano_over_jit` metric of its traced run.
 
 UTILITIES:
     validate-json     parse each file with the engine's own JSON reader and
                       exit non-zero if any is missing or malformed (CI uses
                       this to check --trace-out / --stats-json artifacts)
+    bench-compare     compare two `bash benchmark/run.sh` set artifacts
+                      (BENCH_<pr>.json) under BENCHMARK.json's bounds: one
+                      row per workload x end-to-end metric (A, B, B/A,
+                      bound, verdict); exits 1 if B is worse than A beyond
+                      a bound or a workload's failed share rose
 
 OPTIONS:
     --threads N       worker threads of the morsel driver (default 1: the
                       grid runs inline; clamped here to the machine's
-                      available parallelism; see `cargo bench
-                      parallel_scale` for the thread-sweep microbenchmark)
+                      available parallelism; the benchmark's
+                      `parallel.scan_speedup` metric is the thread sweep)
     --queries N       number of workload queries to generate (default 200)
     --mix MIX         workload mix: 'hbp' (selections, joins, and
                       aggregates with the paper's locality skew; default),
@@ -216,12 +225,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    // `validate-json` takes positional paths, not figure options — dispatch
+    // The utilities take positional paths, not figure options — dispatch
     // before the flag parser.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("validate-json") {
-        validate_json(&argv[1..]);
-        return;
+    match argv.first().map(String::as_str) {
+        Some("validate-json") => return validate_json(&argv[1..]),
+        Some("bench-compare") => return bench_compare(&argv[1..]),
+        _ => {}
     }
     let args = match parse_args() {
         Ok(a) => a,
@@ -271,6 +281,36 @@ fn validate_json(paths: &[String]) {
     }
 }
 
+/// Print the comparison table of two benchmark artifacts; exit 1 when the
+/// second regressed, 2 when the arguments or files are unusable.
+fn bench_compare(paths: &[String]) {
+    let [a, b] = paths else {
+        eprintln!("bench-compare expects exactly two paths\n\n{USAGE}");
+        std::process::exit(2);
+    };
+    let read = |path: &String| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("FAIL: {path}: {e}");
+            std::process::exit(2);
+        })
+    };
+    // The contract is the one this binary was built beside.
+    let contract = include_str!("../../../../BENCHMARK.json");
+    match vida_bench::compare::compare(contract, &read(a), &read(b)) {
+        Ok((table, pass)) => {
+            print!("{table}");
+            if !pass {
+                eprintln!("FAIL: {b} is worse than {a} beyond a BENCHMARK.json bound");
+                std::process::exit(1);
+            }
+        }
+        Err(e) => {
+            eprintln!("FAIL: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn cache_locality(args: &Args) {
     // Stage the raw inputs as real files so queries run against the same
     // ingest path users get: mmap'd by default, owned reads with --no-mmap.
@@ -310,6 +350,7 @@ fn cache_locality(args: &Args) {
     let regions = JsonFile::open_with("Regions", &regions_path, fixtures::regions_schema(), mode)
         .expect("fixture parses");
     catalog.register(Arc::new(JsonPlugin::new(regions)));
+    let catalog = Arc::new(catalog);
 
     let cache = Arc::new(CacheManager::new(args.budget_mb << 20));
     let model = args.cost_model.then(|| Arc::new(CostModel::new()));
@@ -354,7 +395,10 @@ fn cache_locality(args: &Args) {
     // push chain (checked per query: `accumulate` only keeps the maximum).
     let mut pipelined = 0usize;
     let mut fused = 0usize;
-    let mut accum = vida_exec::ExecStats::default();
+    // One resident engine for the whole batch: its session accumulates the
+    // workload-level stats every report line below reads.
+    let engine = Engine::new(catalog.clone(), opts);
+    let mut session = engine.session();
     // Per-query traces on a shared workload timeline (offset ns from t0)
     // and per-query wall times, for --trace-out / --stats-json.
     let mut traces: Vec<(u64, QueryTrace)> = Vec::new();
@@ -397,7 +441,7 @@ fn cache_locality(args: &Args) {
             };
             let plan = vida_algebra::rewrite(&vida_algebra::lower(&expr).expect("lowers"));
             let offset_ns = t0.elapsed().as_nanos() as u64;
-            match run_jit_with_stats(&plan, &catalog, &opts) {
+            match session.execute_with_stats(&plan) {
                 Ok((_, mut stats)) => {
                     let elapsed_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(offset_ns);
                     total += 1;
@@ -415,13 +459,13 @@ fn cache_locality(args: &Args) {
                         }
                         traces.push((offset_ns, *trace));
                     }
-                    accum.accumulate(&stats);
                 }
                 Err(e) => eprintln!("query failed ({e}): {}", q.text),
             }
         }
     }
     let wall_ns = t0.elapsed().as_nanos() as u64;
+    let accum = session.stats();
     let metrics_delta = global_metrics().snapshot().since(&metrics_before);
     let pct = 100.0 * cached as f64 / total.max(1) as f64;
     println!(
@@ -430,7 +474,8 @@ fn cache_locality(args: &Args) {
     );
     println!(
         "worker threads:          {} (effective {})",
-        args.threads, opts.threads
+        args.threads,
+        engine.threads()
     );
     let mapped = ["Patients", "Genetics", "Regions"]
         .iter()
@@ -525,7 +570,7 @@ fn cache_locality(args: &Args) {
                 total,
                 wall_ns,
                 &timings_ns,
-                &accum,
+                accum,
                 &cache,
                 &metrics_delta,
             ),
@@ -555,12 +600,12 @@ fn cache_locality(args: &Args) {
 /// grep, and exits non-zero if any response failed.
 fn serve_smoke(
     args: &Args,
-    catalog: MemoryCatalog,
+    catalog: Arc<MemoryCatalog>,
     opts: JitOptions,
     queries: &[vida_workload::QuerySpec],
 ) {
     let executors = args.clients.max(2);
-    let engine = Arc::new(Engine::new(Arc::new(catalog), opts));
+    let engine = Arc::new(Engine::new(catalog, opts));
     let server = QueryServer::start(
         Arc::clone(&engine),
         ServerConfig {
@@ -669,7 +714,7 @@ fn stats_json(
     total: usize,
     wall_ns: u64,
     timings_ns: &[u64],
-    accum: &vida_exec::ExecStats,
+    accum: &ExecStats,
     cache: &CacheManager,
     metrics: &MetricsSnapshot,
 ) -> String {

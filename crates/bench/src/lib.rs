@@ -1,10 +1,13 @@
 //! # vida-bench
 //!
-//! Benchmark support: deterministic raw-data fixtures and a minimal timing
-//! harness. The workspace builds offline with no external dependencies, so
-//! the benches under `benches/` use this harness (plain `fn main`,
-//! `harness = false`) instead of criterion; swapping criterion back in when
-//! vendored is a mechanical change confined to this crate.
+//! Benchmark support: deterministic raw-data fixtures, a minimal timing
+//! harness, and the [`compare`] gate over two `BENCH_<pr>.json` artifacts.
+//! The workspace builds offline with no external dependencies, so the two
+//! contract benches under `benches/` use this harness (plain `fn main`,
+//! `harness = false`); every other performance number comes from the repo
+//! benchmark (`bash benchmark/run.sh`, metric names in `BENCHMARK.json`).
+
+pub mod compare;
 
 use std::time::{Duration, Instant};
 use vida_types::{Schema, Type};

@@ -3,10 +3,12 @@
 //! Facade crate: one dependency pulling in the whole ViDa engine, with the
 //! common types re-exported at the top level. Downstream code (benchmarks,
 //! services, notebooks) can depend on `vida-core` alone and follow the
-//! query lifecycle end to end:
+//! query lifecycle end to end — parse, lower, rewrite, then execute through
+//! a [`Session`] of a resident [`Engine`]:
 //!
 //! ```
-//! use vida_core::{lower, parse, rewrite, run_jit, JitOptions, MemoryCatalog, Schema, Type, Value};
+//! use std::sync::Arc;
+//! use vida_core::{lower, parse, rewrite, Engine, JitOptions, MemoryCatalog, Schema, Type, Value};
 //!
 //! let cat = MemoryCatalog::new();
 //! cat.register_records(
@@ -16,14 +18,17 @@
 //! )
 //! .unwrap();
 //! let plan = rewrite(&lower(&parse("for { p <- Patients, p.age > 60 } yield count p").unwrap()).unwrap());
-//! assert_eq!(run_jit(&plan, &cat, &JitOptions::default()).unwrap(), Value::Int(1));
+//! let engine = Engine::new(Arc::new(cat), JitOptions::default());
+//! let mut session = engine.session();
+//! assert_eq!(session.execute(&plan).unwrap(), Value::Int(1));
+//! assert_eq!(session.stats().queries, 1);
 //! ```
 
 pub use vida_algebra::{execute_plan, lower, rewrite, Plan};
 pub use vida_cache::{CacheKey, CacheManager, CacheStats, CachedData, Layout, TenantStats};
 pub use vida_exec::{
-    run_jit, run_jit_with_stats, run_volcano, Engine, ExecStats, JitOptions, MemoryCatalog,
-    OutputFormat, Session, SourceProvider,
+    run_volcano, Engine, ExecStats, JitOptions, MemoryCatalog, OutputFormat, Session,
+    SourceProvider,
 };
 pub use vida_formats::{open_plugin, DataFormat, InputPlugin, SourceDescription};
 pub use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SlotType};
@@ -52,6 +57,7 @@ pub use vida_types as types;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn facade_runs_the_full_lifecycle() {
@@ -67,11 +73,9 @@ mod tests {
         .unwrap();
         let expr = parse("for { t <- T } yield sum t.x").unwrap();
         let plan = rewrite(&lower(&expr).unwrap());
-        assert_eq!(
-            run_jit(&plan, &cat, &JitOptions::default()).unwrap(),
-            Value::Int(42)
-        );
         assert_eq!(run_volcano(&plan, &cat).unwrap(), Value::Int(42));
+        let engine = Engine::new(Arc::new(cat), JitOptions::default());
+        assert_eq!(engine.execute(&plan).unwrap(), Value::Int(42));
     }
 
     #[test]
@@ -87,22 +91,17 @@ mod tests {
         .unwrap();
         let plan =
             rewrite(&lower(&parse("for { t <- T, t.x > 9 } yield sum t.x").unwrap()).unwrap());
-        let serial = run_jit(&plan, &cat, &JitOptions::default()).unwrap();
-        let parallel = run_jit(
-            &plan,
-            &cat,
-            &JitOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
+        let cat = Arc::new(cat);
+        let serial = Engine::new(cat.clone(), JitOptions::default());
+        let parallel = Engine::new(cat, JitOptions::with_threads(4));
+        assert_eq!(
+            serial.execute(&plan).unwrap(),
+            parallel.execute(&plan).unwrap()
+        );
     }
 
     #[test]
     fn facade_exposes_the_cost_model() {
-        use std::sync::Arc;
         let cat = MemoryCatalog::new();
         cat.register_records(
             "T",
@@ -114,14 +113,13 @@ mod tests {
         let model = Arc::new(CostModel::new());
         let opts = JitOptions::with_cost_model(Arc::clone(&cache), Arc::clone(&model));
         let plan = rewrite(&lower(&parse("for { t <- T } yield sum t.x").unwrap()).unwrap());
-        run_jit(&plan, &cat, &opts).unwrap();
+        Engine::new(Arc::new(cat), opts).execute(&plan).unwrap();
         assert_eq!(model.profile("T", "x").unwrap().touches, 1);
         assert!(!cache.layout_counts().is_empty());
     }
 
     #[test]
     fn facade_runs_a_resident_engine() {
-        use std::sync::Arc;
         let cat = MemoryCatalog::new();
         cat.register_records(
             "T",

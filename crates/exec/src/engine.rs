@@ -1,9 +1,9 @@
 //! The resident query engine: one long-lived owner of all cross-query
 //! execution state.
 //!
-//! [`run_jit`](crate::run_jit) treats every query as an island — it spawns
-//! worker threads, builds a string interner, and throws both away when the
-//! call returns. An [`Engine`] keeps that state resident instead:
+//! [`Engine`] and [`Session`] are the way in: build one engine over a
+//! catalog, open a session per query stream, call [`Session::execute`].
+//! The engine keeps everything a query can share with the next one:
 //!
 //! - **one worker pool** (`WorkerPool::resident`): workers spawn once and
 //!   park between queries; parallel phases *attach* runs to the pool
@@ -11,8 +11,7 @@
 //!   interleave on the same workers (morsel-granularity time slicing);
 //! - **the shared catalog, cache, and cost model** (carried inside the
 //!   engine's default [`JitOptions`]): replica caches, sketches, and
-//!   PR-9-style plugin revalidation all accumulate across queries exactly
-//!   as repeated `run_jit` calls with shared `Arc`s would;
+//!   PR-9-style plugin revalidation all accumulate across queries;
 //! - **one string interner** ([`SharedInterner`]): kernel string ids are
 //!   stable across sessions, and `Str` unnest elements can intern at
 //!   runtime from parallel workers;
@@ -26,10 +25,11 @@
 //! (`CacheManager::put_with_cost_for`), so one tenant's working set cannot
 //! evict another in-quota tenant's.
 //!
-//! Results are bit-identical to [`run_jit`](crate::run_jit) at the same
-//! worker count: both funnel into the same internal execution path, and
-//! morsel boundaries depend only on the data — never on which pool runs
-//! them or what else is attached to it.
+//! Results are bit-identical at every worker count and under any number
+//! of concurrent sessions: morsel boundaries depend only on the data —
+//! never on which pool runs them or what else is attached to it. (The
+//! hidden per-call `run_jit` wrappers that older call sites compile
+//! against run the same internal path on a throwaway pool and interner.)
 
 use crate::catalog::SourceProvider;
 use crate::pipeline::{execute_with_context, ExecContext, JitOptions};
@@ -114,8 +114,7 @@ impl Engine {
         }
     }
 
-    /// Execute one plan through a throwaway untenanted session — the
-    /// resident-engine equivalent of [`run_jit`](crate::run_jit).
+    /// Execute one plan through a throwaway untenanted session.
     pub fn execute(&self, plan: &Plan) -> Result<Value> {
         self.session().execute(plan)
     }
@@ -186,6 +185,40 @@ impl Session<'_> {
     }
 
     /// Execute one plan on the engine's resident pool.
+    ///
+    /// The plan must be `Reduce`-rooted (every lowered comprehension is);
+    /// plan shapes outside the generated pipelines transparently fall back
+    /// to the interpreted Volcano engine, so execution is total over valid
+    /// plans.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use vida_algebra::{lower, rewrite};
+    /// use vida_exec::{Engine, JitOptions, MemoryCatalog};
+    /// use vida_lang::parse;
+    /// use vida_types::{Schema, Type, Value};
+    ///
+    /// let cat = MemoryCatalog::new();
+    /// cat.register_records(
+    ///     "Patients",
+    ///     Schema::from_pairs([("id", Type::Int), ("age", Type::Int)]),
+    ///     &[
+    ///         Value::record([("id", Value::Int(1)), ("age", Value::Int(71))]),
+    ///         Value::record([("id", Value::Int(2)), ("age", Value::Int(34))]),
+    ///     ],
+    /// )
+    /// .unwrap();
+    /// let engine = Engine::new(Arc::new(cat), JitOptions::default());
+    /// let mut session = engine.session();
+    /// let expr = parse("for { p <- Patients, p.age > 60 } yield count p").unwrap();
+    /// let plan = rewrite(&lower(&expr).unwrap());
+    /// assert_eq!(session.execute(&plan).unwrap(), Value::Int(1));
+    /// let (v, stats) = session.execute_with_stats(&plan).unwrap();
+    /// assert_eq!((v, stats.tuples_scanned), (Value::Int(1), 2));
+    /// assert_eq!(session.stats().queries, 2);
+    /// ```
     pub fn execute(&mut self, plan: &Plan) -> Result<Value> {
         self.execute_with_stats(plan).map(|(v, _)| v)
     }
@@ -314,8 +347,8 @@ mod tests {
 
     #[test]
     fn shim_and_engine_share_one_execution_path() {
-        // The shim's per-call context reproduces pre-resident behaviour:
-        // fresh interner, spawn-mode pool, identical stats shape.
+        // The hidden wrapper's per-call context (fresh interner, spawn-mode
+        // pool) must not drift from the session path: identical stats shape.
         let cat = catalog();
         let plan = plan_of("for { p <- Patients, p.age > 60 } yield count p");
         let (v, stats) = run_jit_with_stats(&plan, cat.as_ref(), &JitOptions::default()).unwrap();
@@ -324,5 +357,7 @@ mod tests {
         assert_eq!(v, ev);
         assert_eq!(stats.kernels_compiled, estats.kernels_compiled);
         assert_eq!(stats.tuples_scanned, estats.tuples_scanned);
+        assert_eq!(stats.morsels, estats.morsels);
+        assert_eq!(stats.fused_stage_depth, estats.fused_stage_depth);
     }
 }

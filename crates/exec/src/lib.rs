@@ -6,7 +6,7 @@
 //!
 //! 1. **The JIT executor** ([`pipeline`]) — the paper's contribution. At
 //!    query time it *generates* a specialized pipeline: input plugins bound
-//!    to exactly the attributes the query touches, Cranelift-compiled
+//!    to exactly the attributes the query touches, compiled
 //!    predicate/projection kernels over register frames, hash joins when
 //!    equi-keys exist, fused monoid accumulators, and layout-aware cache
 //!    reads/writes. No general-purpose checks survive into the inner loop.
@@ -29,7 +29,9 @@ pub mod volcano;
 pub use catalog::{MemoryCatalog, SourceProvider};
 pub use engine::{Engine, Session};
 pub use output::OutputFormat;
-pub use pipeline::{run_jit, run_jit_with_stats, JitOptions};
+pub use pipeline::JitOptions;
+#[doc(hidden)]
+pub use pipeline::{run_jit, run_jit_with_stats};
 pub use stats::ExecStats;
 pub use vida_trace::{chrome_trace_json, global_metrics, stage, QueryTrace};
 pub use volcano::run_volcano;

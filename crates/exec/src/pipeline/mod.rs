@@ -1,7 +1,7 @@
 //! The JIT executor — per-query generated pipelines (ViDa §4.1).
 //!
-//! [`run_jit`] turns a `Reduce`-rooted algebra plan into a specialized
-//! pipeline at query time:
+//! [`Session::execute`](crate::Session::execute) turns a `Reduce`-rooted
+//! algebra plan into a specialized pipeline at query time:
 //!
 //! - **input plugins bound to exactly the touched attributes**: the analysis
 //!   pass collects every `binding.field` path the query references and the
@@ -49,7 +49,7 @@
 //! Only genuinely degenerate plans fall back to the interpreted Volcano
 //! engine wholesale — constant queries over the unit dataset, unnests whose
 //! input is the unit row (literal collections), and joins whose right side
-//! is not a scan — so `run_jit` is total over all valid plans and
+//! is not a scan — so execution is total over all valid plans and
 //! `ExecStats::whole_query_fallbacks` records when the fallback engine ran.
 //!
 //! Execution is a **streaming push loop** (HyPer-style data-centric
@@ -102,46 +102,17 @@ use vida_parallel::WorkerPool;
 use vida_trace::QueryTrace;
 use vida_types::{Monoid, Result, Value};
 
-/// Execute a plan with the JIT engine.
-///
-/// The plan must be `Reduce`-rooted (every lowered comprehension is); plan
-/// shapes outside the generated pipelines transparently fall back to the
-/// interpreted Volcano engine, so `run_jit` is total over valid plans.
-///
-/// # Example
-///
-/// ```
-/// use vida_algebra::{lower, rewrite};
-/// use vida_exec::{run_jit, JitOptions, MemoryCatalog};
-/// use vida_lang::parse;
-/// use vida_types::{Schema, Type, Value};
-///
-/// let cat = MemoryCatalog::new();
-/// cat.register_records(
-///     "Patients",
-///     Schema::from_pairs([("id", Type::Int), ("age", Type::Int)]),
-///     &[
-///         Value::record([("id", Value::Int(1)), ("age", Value::Int(71))]),
-///         Value::record([("id", Value::Int(2)), ("age", Value::Int(34))]),
-///     ],
-/// )
-/// .unwrap();
-/// let expr = parse("for { p <- Patients, p.age > 60 } yield count p").unwrap();
-/// let plan = rewrite(&lower(&expr).unwrap());
-/// assert_eq!(run_jit(&plan, &cat, &JitOptions::default()).unwrap(), Value::Int(1));
-/// ```
+/// Per-call compatibility wrapper (see [`run_jit_with_stats`]).
+#[doc(hidden)]
 pub fn run_jit(plan: &Plan, catalog: &dyn SourceProvider, opts: &JitOptions) -> Result<Value> {
     run_jit_with_stats(plan, catalog, opts).map(|(v, _)| v)
 }
 
-/// Execute a plan with the JIT engine, returning execution statistics.
-///
-/// This is the compatibility shim over the resident-engine execution path:
-/// it synthesizes a per-call spawn-mode pool and a private interner, so
-/// behaviour matches the pre-resident engine exactly (worker threads spawn
-/// per multi-worker phase and string ids start at zero every call). Long-lived
-/// callers should hold an [`Engine`](crate::engine::Engine) instead and let
-/// its sessions share one parked worker pool, cache, and interner.
+/// Per-call compatibility wrapper over the path `Session::execute` runs:
+/// one query on a throwaway spawn-mode pool and a private interner. Kept
+/// for the call sites that predate [`Engine`](crate::Engine) (the frozen
+/// `benchmark/` package, differential tests); new code opens a session.
+#[doc(hidden)]
 pub fn run_jit_with_stats(
     plan: &Plan,
     catalog: &dyn SourceProvider,
@@ -156,7 +127,7 @@ pub fn run_jit_with_stats(
 }
 
 /// Cross-query execution state threaded from the resident engine (or
-/// synthesized per call by the [`run_jit`] shim): the worker pool every
+/// synthesized per call by the `run_jit` wrapper): the worker pool every
 /// phase submits its morsels to, the interner string slots resolve through,
 /// and the tenant that cache replica writes are billed to.
 pub(crate) struct ExecContext {
@@ -165,8 +136,8 @@ pub(crate) struct ExecContext {
     pub(crate) tenant: Option<String>,
 }
 
-/// The one execution path both [`run_jit_with_stats`] and
-/// `Engine::execute` funnel into.
+/// The one execution path: `Session::execute_with_stats` and the hidden
+/// `run_jit_with_stats` wrapper both funnel into it.
 pub(crate) fn execute_with_context(
     plan: &Plan,
     catalog: &dyn SourceProvider,
@@ -367,7 +338,7 @@ struct Pipeline {
     base_env: Bindings,
     /// The pool every phase submits its morsels to: the engine's resident
     /// pool (workers parked between queries, runs attached) or a per-query
-    /// spawn-mode pool under the `run_jit` shim.
+    /// spawn-mode pool under the `run_jit` wrapper.
     pool: WorkerPool,
     /// Units per morsel (0 = `vida-parallel` default).
     morsel_rows: usize,

@@ -8,14 +8,15 @@ use vida_optimizer::CostModel;
 ///
 /// # Example
 ///
-/// Attach a cache and the optimizer's cost model, then run the same query
-/// twice: the second run is served from adaptively-chosen column replicas.
+/// Build an engine with a cache and the optimizer's cost model attached,
+/// then run the same query twice: the second run is served from
+/// adaptively-chosen column replicas.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use vida_algebra::{lower, rewrite};
 /// use vida_cache::CacheManager;
-/// use vida_exec::{run_jit_with_stats, JitOptions, MemoryCatalog};
+/// use vida_exec::{Engine, JitOptions, MemoryCatalog};
 /// use vida_lang::parse;
 /// use vida_optimizer::CostModel;
 /// use vida_types::{Schema, Type, Value};
@@ -32,8 +33,9 @@ use vida_optimizer::CostModel;
 ///     Arc::new(CostModel::new()),
 /// );
 /// let plan = rewrite(&lower(&parse("for { t <- T } yield sum t.x").unwrap()).unwrap());
-/// let (_, cold) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-/// let (v, warm) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
+/// let engine = Engine::new(Arc::new(cat), opts);
+/// let (_, cold) = engine.execute_with_stats(&plan).unwrap();
+/// let (v, warm) = engine.execute_with_stats(&plan).unwrap();
 /// assert_eq!(v, Value::Int(41));
 /// assert!(!cold.served_from_cache && warm.served_from_cache);
 /// ```

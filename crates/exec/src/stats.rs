@@ -3,7 +3,7 @@
 //! These counters back the paper's headline measurements: the share of the
 //! workload served from caches (§6: ~80%), code-generation time (the paper
 //! notes LLVM keeps compilation "almost insignificant"; we report the
-//! Cranelift equivalent), and interpreted-fallback coverage.
+//! closure-kernel equivalent), and interpreted-fallback coverage.
 //!
 //! When `JitOptions::trace` is set, the stats struct also carries the
 //! query's [`QueryTrace`] span buffer; the `span_*`/`kernel_*` hooks below
@@ -16,11 +16,11 @@ use vida_trace::QueryTrace;
 /// Statistics for one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
-    /// Time spent generating the pipeline (analysis + Cranelift).
+    /// Time spent generating the pipeline (analysis + kernel compilation).
     pub codegen: Duration,
     /// Time spent executing the generated pipeline.
     pub execution: Duration,
-    /// Number of Cranelift kernels compiled for this query.
+    /// Number of kernels compiled for this query.
     pub kernels_compiled: u32,
     /// Tuples produced by scans (before filtering).
     pub tuples_scanned: u64,
@@ -37,7 +37,7 @@ pub struct ExecStats {
     /// the per-query tally lives in `queries_served_from_cache`.
     pub served_from_cache: bool,
     /// Queries merged into this struct (1 after a single
-    /// `run_jit_with_stats`; summed by [`ExecStats::accumulate`]).
+    /// `execute_with_stats`; summed by [`ExecStats::accumulate`]).
     pub queries: u32,
     /// Of those, queries whose every scanned column came from caches — the
     /// numerator of the paper's §6 cache-served share.

@@ -7,7 +7,7 @@
 //!
 //! - **zero per-query thread spawns** (`pool_thread_spawns` delta is 0
 //!   across any number of resident queries — workers were counted once,
-//!   at engine construction), and
+//!   at engine construction, and a 1-worker engine starts none at all), and
 //! - **morsel-granularity time slicing** (`pool_multiplexed_claims` goes
 //!   nonzero when ≥2 sessions' runs are in flight on one pool).
 //!
@@ -204,6 +204,27 @@ fn resident_queries_spawn_zero_threads() {
         delta.pool_attached_runs > 0,
         "2-worker queries should attach runs to the parked pool"
     );
+}
+
+/// A 1-worker engine runs every morsel grid inline on the caller, so it
+/// must start no OS thread at all — not at construction (the regression: a
+/// parked `vida-worker-0` nothing could ever wake), not per query.
+#[test]
+fn single_threaded_engine_spawns_zero_threads() {
+    let _guard = metrics_guard();
+    let plans = plans();
+    let before = global_metrics().snapshot();
+    let engine = Engine::new(Arc::new(owned_catalog()), opts_for(1, None));
+    let mut session = engine.session();
+    for plan in &plans {
+        session.execute(plan).unwrap();
+    }
+    let delta = global_metrics().snapshot().since(&before);
+    assert_eq!(
+        delta.pool_thread_spawns, 0,
+        "a threads: 1 engine has no use for a worker thread"
+    );
+    assert_eq!(session.stats().queries as usize, plans.len());
 }
 
 /// The time-slicing claim: two sessions driving the same 2-worker pool

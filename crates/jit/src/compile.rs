@@ -1,4 +1,4 @@
-//! Portable compilation of scalar expressions (the default backend).
+//! Portable compilation of scalar expressions.
 //!
 //! [`JitCompiler::compile`] turns a calculus expression over a
 //! [`FrameLayout`] into a *fused kernel*: a tree of monomorphic closures
@@ -6,9 +6,7 @@
 //! All type dispatch, slot resolution, and string interning happen once,
 //! at compilation — the per-tuple call path contains no type tags, no hash
 //! lookups, and allocates nothing, which is the §4.1 property the paper's
-//! LLVM backend provides. (A true native-code backend using Cranelift lives
-//! in `compile_cranelift.rs` behind the `cranelift` feature; it exposes the
-//! identical API and is used when the cranelift crates are vendored.)
+//! LLVM backend provides.
 //!
 //! The compilable subset is pure and total (no division, no collection
 //! operations). Expressions outside it return `None` from
@@ -139,9 +137,7 @@ impl SelectKernel {
 
 /// Per-query compiler.
 ///
-/// The portable backend is stateless, but the constructor stays fallible and
-/// the `compile` call consuming for API parity with the Cranelift backend
-/// (which owns a JIT module per query).
+/// Stateless: one compiler value is consumed per compiled kernel.
 pub struct JitCompiler {
     _private: (),
 }

@@ -2,15 +2,11 @@
 //!
 //! Just-in-time compilation of scalar query kernels (ViDa §4, §4.1).
 //!
-//! The paper's executor uses LLVM to generate machine code per query; the
-//! calibration note for this reproduction names Cranelift as the Rust-native
-//! equivalent. The active backend ([`compile`]) is **portable**: it fuses
-//! each expression into a tree of monomorphic closures over the register
-//! frame, with all type dispatch resolved at compile time. A Cranelift
-//! backend with the identical API is kept as reference source in
-//! `src/compile_cranelift.rs`; it is not compiled (this workspace builds
-//! offline with no external crates) — mount it in place of [`compile`] once
-//! the cranelift-{codegen,frontend,jit,module} crates are vendored.
+//! The paper's executor uses LLVM to generate machine code per query. The
+//! backend here ([`compile`]) is **portable**: it fuses each expression into
+//! a tree of monomorphic closures over the register frame, with all type
+//! dispatch resolved at compile time. ARCHITECTURE.md ("Why closures")
+//! records the measurements that retired a native-code backend.
 //!
 //! What gets compiled: **scalar kernels** — filter predicates, arithmetic
 //! projections, aggregate-head expressions — specialized to a flat register

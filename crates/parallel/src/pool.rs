@@ -55,12 +55,13 @@ impl WorkerPool {
     /// A resident pool with `threads` workers (minimum 1), spawned now and
     /// parked between runs. Runs attach to the shared workers instead of
     /// spawning; concurrent runs from different threads interleave on the
-    /// same workers, one morsel claim at a time.
+    /// same workers, one morsel claim at a time. A 1-worker pool starts no
+    /// thread: its runs always execute inline on the caller.
     pub fn resident(threads: usize) -> Self {
         let threads = threads.max(1);
         WorkerPool {
             threads,
-            resident: Some(Arc::new(ResidentPool::start(threads))),
+            resident: (threads > 1).then(|| Arc::new(ResidentPool::start(threads))),
         }
     }
 
@@ -69,7 +70,7 @@ impl WorkerPool {
     }
 
     /// Whether this handle attaches runs to resident workers instead of
-    /// spawning per run.
+    /// spawning per run (false for a 1-worker pool, which does neither).
     pub fn is_resident(&self) -> bool {
         self.resident.is_some()
     }
@@ -80,9 +81,10 @@ impl WorkerPool {
     /// `init(worker)` builds one scratch value per worker; `work(&mut
     /// scratch, morsel)` processes one morsel. The first error cancels the
     /// run: in-flight morsels finish, unclaimed ones are skipped, and the
-    /// error is returned. In spawn mode a one-thread run executes inline on
-    /// the caller with zero synchronization; a resident run always attaches
-    /// to the pool so concurrent callers share the workers fairly.
+    /// error is returned. A one-worker run executes inline on the caller
+    /// with zero synchronization in either mode; a multi-worker resident run
+    /// always attaches to the pool so concurrent callers share the workers
+    /// fairly.
     pub fn run_morsels<S, R, E, I, W>(
         &self,
         morsels: usize,
@@ -100,11 +102,11 @@ impl WorkerPool {
             return Ok(Vec::new());
         }
         if self.threads == 1 {
-            // One worker claims every morsel in order whether the run
-            // executes inline or on a parked resident worker — so run it
-            // inline and skip the wakeup round-trip. Concurrent callers of
-            // a 1-worker resident pool each drive their own morsels on
-            // their own thread; the OS scheduler is the time slicer.
+            // One worker claims every morsel in order, so run it inline
+            // (a 1-worker resident pool has no parked thread to wake).
+            // Concurrent callers of a 1-worker pool each drive their own
+            // morsels on their own thread; the OS scheduler is the time
+            // slicer.
             let mut scratch = init(0);
             return (0..morsels).map(|m| work(&mut scratch, m)).collect();
         }
@@ -900,15 +902,17 @@ mod tests {
 
     #[test]
     fn resident_pool_shuts_down_on_last_handle_drop() {
-        let pool = WorkerPool::resident(2);
-        let clone = pool.clone();
-        let out: Vec<usize> = clone.run_morsels(4, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
-        assert_eq!(out.len(), 4);
-        drop(clone);
-        // Still serviceable through the surviving handle...
-        let out: Vec<usize> = pool.run_morsels(4, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
-        assert_eq!(out.len(), 4);
-        // ...and the final drop joins the workers (hangs here = regression).
-        drop(pool);
+        for threads in [1, 2] {
+            let pool = WorkerPool::resident(threads);
+            let clone = pool.clone();
+            let out: Vec<usize> = clone.run_morsels(4, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
+            assert_eq!(out.len(), 4);
+            drop(clone);
+            // Still serviceable through the surviving handle...
+            let out: Vec<usize> = pool.run_morsels(4, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
+            assert_eq!(out.len(), 4);
+            // ...and the final drop joins the workers (hangs here = regression).
+            drop(pool);
+        }
     }
 }
