@@ -2,6 +2,10 @@
 //!
 //! ViDa's query executors (§4, §4.1).
 //!
+//! The way in is a resident [`Engine`] over a catalog and one [`Session`]
+//! per query stream: [`Session::execute`] runs a plan, and
+//! [`Session::stats`] / [`Engine::stats`] accumulate what it cost.
+//!
 //! Two engines over the same algebra plans:
 //!
 //! 1. **The JIT executor** ([`pipeline`]) — the paper's contribution. At

@@ -80,9 +80,14 @@ fn invariants(trace: &QueryTrace) -> (BTreeMap<&'static str, (u64, u64)>, Vec<u6
 #[test]
 fn tracing_is_opt_in() {
     let cat = common::owned_catalog();
-    let (_, stats) =
+    let (plain, stats) =
         run_jit_with_stats(&plan_of(JOIN_COUNT), &cat, &JitOptions::default()).unwrap();
     assert!(stats.query_trace().is_none(), "default runs must not trace");
+    assert_eq!(
+        plain,
+        traced(JOIN_COUNT, 1).0,
+        "tracing must not change results"
+    );
 }
 
 #[test]

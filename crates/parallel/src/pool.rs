@@ -11,8 +11,8 @@
 //! A [`WorkerPool`] handle comes in two flavors:
 //!
 //! - **Per-run spawn** ([`WorkerPool::new`]): workers are spawned per run as
-//!   scoped threads borrowing the caller's data directly — the library
-//!   entry-point behavior `run_jit` keeps for compatibility.
+//!   scoped threads borrowing the caller's data directly — what the
+//!   per-call `run_jit` compatibility wrappers in `vida-exec` run on.
 //! - **Resident** ([`WorkerPool::resident`]): workers are spawned once and
 //!   park between queries; each `run_morsels` call *attaches* a run to the
 //!   shared pool and *detaches* when its morsels drain. Workers rotate
