@@ -18,12 +18,11 @@ fn number(v: &Value, path: &[&str]) -> Result<f64, String> {
         .ok_or_else(|| format!("no number at {}", path.join(".")))
 }
 
-fn names<'a>(contract: &'a Value, list: &str) -> Result<Vec<&'a Value>, String> {
-    let items = contract.field(list).and_then(Value::elements);
-    Ok(items
-        .ok_or_else(|| format!("BENCHMARK.json has no {list} list"))?
-        .iter()
-        .collect())
+fn list<'a>(contract: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    contract
+        .field(key)
+        .and_then(Value::elements)
+        .ok_or_else(|| format!("BENCHMARK.json has no {key} list"))
 }
 
 fn name_of(item: &Value) -> Result<&str, String> {
@@ -69,9 +68,10 @@ pub fn compare(contract: &str, a: &str, b: &str) -> Result<(String, bool), Strin
         "workload", "metric", "A", "B", "B/A", "bound"
     );
     let mut pass = true;
-    for workload in names(&contract, "workloads")? {
+    let metrics = list(&contract, "end_to_end")?;
+    for workload in list(&contract, "workloads")? {
         let workload = name_of(workload)?;
-        for metric in names(&contract, "end_to_end")? {
+        for metric in metrics {
             let name = name_of(metric)?;
             let bound = number(metric, &["bound"])?;
             let higher = metric.field("better").and_then(Value::as_str) == Some("higher");
@@ -91,8 +91,9 @@ pub fn compare(contract: &str, a: &str, b: &str) -> Result<(String, bool), Strin
             ));
         }
         let (fa, fb) = (failed_share(&a, workload)?, failed_share(&b, workload)?);
-        let verdict = if fb > fa { "WORSE" } else { "ok" };
-        pass &= fb <= fa;
+        let rose = fb > fa;
+        pass &= !rose;
+        let verdict = if rose { "WORSE" } else { "ok" };
         table.push_str(&format!(
             "{workload:<18} {:<26} {fa:>12.4} {fb:>12.4} {:>7} {:>6}  {verdict}\n",
             "failed_share", "-", "-"
