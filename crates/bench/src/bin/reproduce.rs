@@ -31,7 +31,7 @@ reproduce — replay the ViDa (CIDR'15) experiments
 USAGE:
     reproduce <figure> [OPTIONS]
     reproduce validate-json <path>...
-    reproduce bench-compare <A.json> <B.json>
+    reproduce bench-compare <A.json[,A2.json..]> <B.json[,B2.json..]>
 
 FIGURES:
     cache-locality    HBP-style query mix over raw CSV/JSON; reports the
@@ -52,7 +52,10 @@ UTILITIES:
                       (BENCH_<pr>.json) under BENCHMARK.json's bounds: one
                       row per workload x end-to-end metric (A, B, B/A,
                       bound, verdict); exits 1 if B is worse than A beyond
-                      a bound or a workload's failed share rose
+                      a bound or a workload's failed share rose. Either side
+                      may list several runs, comma-separated: medians are
+                      compared and the spread between runs decides whether
+                      a metric is resolved
 
 OPTIONS:
     --threads N       worker threads of the morsel driver (default 1: the
@@ -281,18 +284,23 @@ fn validate_json(paths: &[String]) {
     }
 }
 
-/// Print the comparison table of two benchmark artifacts; exit 1 when the
-/// second regressed, 2 when the arguments or files are unusable.
+/// Print the comparison table of two sides of benchmark artifacts (each a
+/// comma-separated list of runs); exit 1 when the second regressed, 2 when
+/// the arguments or files are unusable.
 fn bench_compare(paths: &[String]) {
     let [a, b] = paths else {
         eprintln!("bench-compare expects exactly two paths\n\n{USAGE}");
         std::process::exit(2);
     };
-    let read = |path: &String| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("FAIL: {path}: {e}");
-            std::process::exit(2);
-        })
+    let read = |list: &String| -> Vec<String> {
+        list.split(',')
+            .map(|path| {
+                std::fs::read_to_string(path).unwrap_or_else(|e| {
+                    eprintln!("FAIL: {path}: {e}");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
     };
     // The contract is the one this binary was built beside.
     let contract = include_str!("../../../../BENCHMARK.json");
@@ -689,7 +697,7 @@ fn serve_smoke(
     println!(
         "time slicing:            {} runs attached to the resident pool, {} multiplexed \
          morsel claims",
-        metrics_delta.pool_attached_runs, metrics_delta.pool_multiplexed_claims
+        metrics_delta.pool_runs, metrics_delta.pool_multiplexed_claims
     );
     println!(
         "responses:               {} ok, {rows} rows streamed, {failed} malformed/failed",

@@ -1,6 +1,8 @@
 //! `reproduce bench-compare A.json B.json`: the regression gate over two
 //! `bash benchmark/run.sh` set artifacts (the `BENCH_<pr>.json` files at
 //! the repo root), judged by the bounds and directions of `BENCHMARK.json`.
+//! Either side may be several runs (`A1.json,A2.json`): each metric is then
+//! judged on the median of the runs and on the spread between them.
 
 use vida_formats::json::parse_json;
 use vida_types::Value;
@@ -49,20 +51,55 @@ fn reading(doc: &Value, workload: &str, metric: &str) -> Result<(f64, f64), Stri
     Ok((value, (q3 - q1) / value))
 }
 
-fn failed_share(doc: &Value, workload: &str) -> Result<f64, String> {
-    let at = |leaf| number(doc, &["workloads", workload, "end_to_end", leaf]);
-    Ok(at("failed")? / at("attempted")?.max(1.0))
+/// One side's reading of one metric: the median of its runs' values, and
+/// its spread as a share of that median — a single run's quartile spread,
+/// or (max − min) across several runs.
+fn median_reading(docs: &[Value], workload: &str, metric: &str) -> Result<(f64, f64), String> {
+    let runs = docs
+        .iter()
+        .map(|doc| reading(doc, workload, metric))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut values: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    let median = (values[(n - 1) / 2] + values[n / 2]) / 2.0;
+    match runs[..] {
+        [(_, quartiles)] => Ok((median, quartiles)),
+        _ => Ok((median, (values[n - 1] - values[0]) / median)),
+    }
 }
 
-/// Compare artifact `b` (the change) with artifact `a` (the parent) under
-/// `contract` (`BENCHMARK.json`). Returns the table — one row per workload
-/// × end-to-end metric — and whether `b` passes: no metric worse than `a`
-/// beyond its bound and no workload's `failed_share` risen. A metric inside
-/// its bound whose quartile spread (in either artifact) exceeds the bound
-/// is `unresolved`, not `ok`: the runs are too wide to tell.
-pub fn compare(contract: &str, a: &str, b: &str) -> Result<(String, bool), String> {
+/// Failed over attempted, each summed across a side's runs.
+fn failed_share(docs: &[Value], workload: &str) -> Result<f64, String> {
+    let sum = |leaf| {
+        docs.iter()
+            .map(|doc| number(doc, &["workloads", workload, "end_to_end", leaf]))
+            .sum::<Result<f64, String>>()
+    };
+    Ok(sum("failed")? / sum("attempted")?.max(1.0))
+}
+
+fn runs(texts: &[impl AsRef<str>], what: &str) -> Result<Vec<Value>, String> {
+    match texts {
+        [] => Err(format!("no {what}")),
+        _ => texts.iter().map(|t| parse(t.as_ref(), what)).collect(),
+    }
+}
+
+/// Compare the runs `b` (the change) with the runs `a` (the parent) under
+/// `contract` (`BENCHMARK.json`); each side holds at least one artifact.
+/// Returns the table — one row per workload × end-to-end metric — and
+/// whether `b` passes: no metric's median worse than `a`'s beyond its bound
+/// and no workload's `failed_share` risen. A metric inside its bound whose
+/// spread (on either side) exceeds the bound is `unresolved`, not `ok`: the
+/// runs are too wide to tell.
+pub fn compare(
+    contract: &str,
+    a: &[impl AsRef<str>],
+    b: &[impl AsRef<str>],
+) -> Result<(String, bool), String> {
     let contract = parse(contract, "BENCHMARK.json")?;
-    let (a, b) = (parse(a, "first artifact")?, parse(b, "second artifact")?);
+    let (a, b) = (runs(a, "first artifact")?, runs(b, "second artifact")?);
     let mut table = format!(
         "{:<18} {:<26} {:>12} {:>12} {:>7} {:>6}  verdict\n",
         "workload", "metric", "A", "B", "B/A", "bound"
@@ -75,7 +112,8 @@ pub fn compare(contract: &str, a: &str, b: &str) -> Result<(String, bool), Strin
             let name = name_of(metric)?;
             let bound = number(metric, &["bound"])?;
             let higher = metric.field("better").and_then(Value::as_str) == Some("higher");
-            let ((va, sa), (vb, sb)) = (reading(&a, workload, name)?, reading(&b, workload, name)?);
+            let (va, sa) = median_reading(&a, workload, name)?;
+            let (vb, sb) = median_reading(&b, workload, name)?;
             let worse = if higher { va / vb } else { vb / va } - 1.0;
             let verdict = if worse > bound {
                 pass = false;
@@ -123,11 +161,11 @@ mod tests {
     #[test]
     fn within_bounds_passes_and_wide_spread_is_unresolved() {
         let a = artifact((10.0, 10.5), 100.0, 0);
-        let (table, pass) = compare(CONTRACT, &a, &artifact((12.0, 12.5), 90.0, 0)).unwrap();
+        let (table, pass) = compare(CONTRACT, &[&a], &[&artifact((12.0, 12.5), 90.0, 0)]).unwrap();
         assert!(pass, "{table}");
         assert_eq!(table.matches(" ok\n").count(), 3, "{table}");
         // Inside the bound, but the change's own quartiles are 40% apart.
-        let (table, pass) = compare(CONTRACT, &a, &artifact((10.0, 14.0), 100.0, 0)).unwrap();
+        let (table, pass) = compare(CONTRACT, &[&a], &[&artifact((10.0, 14.0), 100.0, 0)]).unwrap();
         assert!(pass && table.contains("unresolved"), "{table}");
     }
 
@@ -139,12 +177,12 @@ mod tests {
             artifact((10.0, 10.5), 75.0, 0),
             artifact((10.0, 10.5), 100.0, 1),
         ] {
-            let (table, pass) = compare(CONTRACT, &a, &b).unwrap();
+            let (table, pass) = compare(CONTRACT, &[&a], &[&b]).unwrap();
             assert!(!pass && table.matches("WORSE").count() == 1, "{table}");
         }
         // Better beyond the bound is not a regression.
         assert!(
-            compare(CONTRACT, &a, &artifact((5.0, 5.2), 200.0, 0))
+            compare(CONTRACT, &[&a], &[&artifact((5.0, 5.2), 200.0, 0)])
                 .unwrap()
                 .1
         );
@@ -153,7 +191,27 @@ mod tests {
     #[test]
     fn missing_or_zero_metric_is_an_error() {
         let a = artifact((10.0, 10.5), 100.0, 0);
-        assert!(compare(CONTRACT, &a, r#"{"workloads":{}}"#).is_err());
-        assert!(compare(CONTRACT, &a, &artifact((0.0, 0.0), 100.0, 0)).is_err());
+        assert!(compare(CONTRACT, &[&a], &[r#"{"workloads":{}}"#]).is_err());
+        assert!(compare(CONTRACT, &[&a], &[&artifact((0.0, 0.0), 100.0, 0)]).is_err());
+        assert!(compare(CONTRACT, &[&a], &[] as &[&str]).is_err());
+    }
+
+    #[test]
+    fn repeated_runs_compare_medians_and_between_run_spread() {
+        // In-run quartiles 40% apart, but the two runs agree: resolved.
+        let runs = [
+            artifact((10.0, 14.0), 100.0, 0),
+            artifact((10.2, 14.2), 100.0, 1),
+        ];
+        let (table, pass) = compare(CONTRACT, &runs, &runs).unwrap();
+        assert!(pass && table.matches(" ok\n").count() == 3, "{table}");
+        assert!(table.contains("0.0050"), "failed_share sums runs: {table}");
+        // The same data as a single run falls back to its quartiles.
+        let (table, pass) = compare(CONTRACT, &runs[..1], &runs[..1]).unwrap();
+        assert!(pass && table.contains("unresolved"), "{table}");
+        // Runs that disagree by more than the bound are unresolved.
+        let far = [runs[0].clone(), artifact((13.0, 13.0), 100.0, 0)];
+        let (table, _) = compare(CONTRACT, &runs, &far).unwrap();
+        assert!(table.contains("unresolved"), "{table}");
     }
 }

@@ -5,10 +5,10 @@
 //! catalog, open a session per query stream, call [`Session::execute`].
 //! The engine keeps everything a query can share with the next one:
 //!
-//! - **one worker pool** (`WorkerPool::resident`): workers spawn once and
-//!   park between queries; parallel phases *attach* runs to the pool
-//!   instead of spawning threads, and concurrent sessions' morsels
-//!   interleave on the same workers (morsel-granularity time slicing);
+//! - **one worker pool** ([`WorkerPool`]): workers spawn once and park
+//!   between queries; parallel phases *attach* runs to the pool instead of
+//!   spawning threads, and concurrent sessions' morsels interleave on the
+//!   same workers (morsel-granularity time slicing);
 //! - **the shared catalog, cache, and cost model** (carried inside the
 //!   engine's default [`JitOptions`]): replica caches, sketches, and
 //!   PR-9-style plugin revalidation all accumulate across queries;
@@ -30,6 +30,10 @@
 //! never on which pool runs them or what else is attached to it. (The
 //! hidden per-call `run_jit` wrappers that older call sites compile
 //! against run the same internal path on a throwaway pool and interner.)
+//!
+//! A query that panics — in a kernel, a plugin, or on a pool worker — fails
+//! with an `exec` error for its own session only; the pool's workers, the
+//! engine's shared state and every other session carry on.
 
 use crate::catalog::SourceProvider;
 use crate::pipeline::{execute_with_context, ExecContext, JitOptions};
@@ -84,7 +88,7 @@ impl Engine {
     /// resident pool's size for the engine's lifetime; the other options
     /// (cache, cost model, tracing, …) become per-session defaults.
     pub fn new(catalog: Arc<dyn SourceProvider>, defaults: JitOptions) -> Self {
-        let pool = WorkerPool::resident(defaults.threads);
+        let pool = WorkerPool::new(defaults.threads);
         Engine {
             catalog,
             defaults,
@@ -347,7 +351,7 @@ mod tests {
 
     #[test]
     fn shim_and_engine_share_one_execution_path() {
-        // The hidden wrapper's per-call context (fresh interner, spawn-mode
+        // The hidden wrapper's per-call context (fresh interner, per-call
         // pool) must not drift from the session path: identical stats shape.
         let cat = catalog();
         let plan = plan_of("for { p <- Patients, p.age > 60 } yield count p");

@@ -92,6 +92,7 @@ use crate::catalog::SourceProvider;
 use crate::stats::ExecStats;
 use crate::volcano::run_volcano;
 use bind::PipelineBuilder;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use vida_algebra::Plan;
@@ -100,7 +101,7 @@ use vida_jit::{CompiledKernel, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{BinOp, Bindings, Expr};
 use vida_parallel::WorkerPool;
 use vida_trace::QueryTrace;
-use vida_types::{Monoid, Result, Value};
+use vida_types::{Monoid, Result, Value, VidaError};
 
 /// Per-call compatibility wrapper (see [`run_jit_with_stats`]).
 #[doc(hidden)]
@@ -109,9 +110,10 @@ pub fn run_jit(plan: &Plan, catalog: &dyn SourceProvider, opts: &JitOptions) -> 
 }
 
 /// Per-call compatibility wrapper over the path `Session::execute` runs:
-/// one query on a throwaway spawn-mode pool and a private interner. Kept
-/// for the call sites that predate [`Engine`](crate::Engine) (the frozen
-/// `benchmark/` package, differential tests); new code opens a session.
+/// one query on a throwaway pool (its workers start once per call) and a
+/// private interner. Kept for the call sites that predate
+/// [`Engine`](crate::Engine) (the frozen `benchmark/` package, differential
+/// tests); new code opens a session.
 #[doc(hidden)]
 pub fn run_jit_with_stats(
     plan: &Plan,
@@ -138,7 +140,33 @@ pub(crate) struct ExecContext {
 
 /// The one execution path: `Session::execute_with_stats` and the hidden
 /// `run_jit_with_stats` wrapper both funnel into it.
+///
+/// It is also the one query boundary that catches a panic: whether it
+/// unwound on the caller or was re-raised from a pool worker, a panicking
+/// query becomes `VidaError::Exec("query panicked: ..")` for its caller
+/// alone — the pool, the engine and sibling sessions carry on.
 pub(crate) fn execute_with_context(
+    plan: &Plan,
+    catalog: &dyn SourceProvider,
+    opts: &JitOptions,
+    ctx: &ExecContext,
+) -> Result<(Value, ExecStats)> {
+    // Unwind safety: the query's own state dies with it, and the shared
+    // state it touched sits behind locks that poison instead of exposing a
+    // half-updated value.
+    let payload = match catch_unwind(AssertUnwindSafe(|| execute(plan, catalog, opts, ctx))) {
+        Ok(result) => return result,
+        Err(payload) => payload,
+    };
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload");
+    Err(VidaError::Exec(format!("query panicked: {message}")))
+}
+
+fn execute(
     plan: &Plan,
     catalog: &dyn SourceProvider,
     opts: &JitOptions,
@@ -336,9 +364,9 @@ struct Pipeline {
     /// Datasets referenced inside nested head/predicate comprehensions,
     /// materialized up front (mirrors the Volcano engine).
     base_env: Bindings,
-    /// The pool every phase submits its morsels to: the engine's resident
-    /// pool (workers parked between queries, runs attached) or a per-query
-    /// spawn-mode pool under the `run_jit` wrapper.
+    /// The pool every phase submits its morsels to: the engine's pool, or a
+    /// per-call one under the `run_jit` wrapper. Either way its workers
+    /// park between runs and each phase attaches a run.
     pool: WorkerPool,
     /// Units per morsel (0 = `vida-parallel` default).
     morsel_rows: usize,

@@ -11,21 +11,26 @@
 //! - **morsel-granularity time slicing** (`pool_multiplexed_claims` goes
 //!   nonzero when ≥2 sessions' runs are in flight on one pool).
 //!
+//! A query that panics inside a plugin fails with an `exec` error for its
+//! own session; the workers survive and sibling sessions stay bit-identical.
+//!
 //! The metrics registry is process-global and other tests in this binary
 //! also run pool work, so every test that reads a metrics *delta* (or
-//! whose spawn-mode baseline would bump one) serializes on a file-local
+//! whose per-call baseline starts pool threads) serializes on a file-local
 //! lock.
 
 mod common;
 
 use common::{file_catalog, owned_catalog};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 use vida_algebra::{rewrite, Plan};
 use vida_cache::CacheManager;
-use vida_exec::{global_metrics, run_jit, Engine, JitOptions, MemoryCatalog};
-use vida_formats::MapMode;
+use vida_exec::{global_metrics, run_jit, Engine, JitOptions, MemoryCatalog, SourceProvider};
+use vida_formats::{AccessStats, InputPlugin, MapMode};
 use vida_lang::{BinOp, Expr};
-use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Value};
+use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Schema, Value};
 
 /// Serializes the metrics-sensitive tests of this binary (see module doc).
 static METRICS_LOCK: Mutex<()> = Mutex::new(());
@@ -201,7 +206,7 @@ fn resident_queries_spawn_zero_threads() {
         "resident queries must not spawn per-query threads"
     );
     assert!(
-        delta.pool_attached_runs > 0,
+        delta.pool_runs > 0,
         "2-worker queries should attach runs to the parked pool"
     );
 }
@@ -288,4 +293,154 @@ fn concurrent_sessions_multiplex_one_pool() {
         multiplexed > 0,
         "two concurrent sessions never interleaved morsels on the shared pool"
     );
+}
+
+/// A test-only wrapper over the `A` fixture, registered as `name`, that
+/// calls `fault` whenever a scan or a field read reaches row
+/// [`FAULT_ROW`] — a panic or a stall planted in the middle of one morsel.
+struct FaultyPlugin {
+    inner: Arc<dyn InputPlugin>,
+    name: &'static str,
+    fault: fn(),
+}
+
+const FAULT_ROW: usize = 9;
+
+fn with_faulty(cat: MemoryCatalog, name: &'static str, fault: fn()) -> Arc<MemoryCatalog> {
+    let inner = cat.plugin("A").unwrap();
+    cat.register(Arc::new(FaultyPlugin { inner, name, fault }));
+    Arc::new(cat)
+}
+
+impl InputPlugin for FaultyPlugin {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn num_units(&self) -> usize {
+        self.inner.num_units()
+    }
+
+    fn read_field(&self, row: usize, col: usize) -> Result<Value> {
+        if row == FAULT_ROW {
+            (self.fault)();
+        }
+        self.inner.read_field(row, col)
+    }
+
+    fn scan_project_range(
+        &self,
+        cols: &[usize],
+        rows: Range<usize>,
+        f: &mut dyn FnMut(usize, Vec<Value>) -> Result<()>,
+    ) -> Result<()> {
+        if rows.contains(&FAULT_ROW) {
+            (self.fault)();
+        }
+        self.inner.scan_project_range(cols, rows, f)
+    }
+
+    fn stats(&self) -> Arc<AccessStats> {
+        self.inner.stats()
+    }
+
+    fn fingerprint(&self) -> (u64, u64) {
+        self.inner.fingerprint()
+    }
+
+    fn field_cost_factor(&self, col: usize) -> f64 {
+        self.inner.field_cost_factor(col)
+    }
+
+    fn raw_bytes(&self) -> usize {
+        self.inner.raw_bytes()
+    }
+}
+
+/// `sum p.k` over the faulty dataset `name`.
+fn sum_k_of(name: &str) -> Plan {
+    rewrite(&reduce(
+        scan(name, "p"),
+        Monoid::Primitive(PrimitiveMonoid::Sum),
+        Expr::var("p").proj("k"),
+    ))
+}
+
+/// Fault containment: a query whose plugin panics mid-scan fails with an
+/// `exec` error on its own session while sibling sessions run healthy
+/// plans concurrently, at 1/2/8 workers. Siblings and every later query on
+/// the same engine stay bit-identical to serial, and no worker thread is
+/// started after `Engine::new` — the pool's workers survived.
+#[test]
+fn a_panicking_query_fails_alone_and_the_engine_survives() {
+    let _guard = metrics_guard();
+    let plans = plans();
+    let poisoned = sum_k_of("P");
+    for workers in [1usize, 2, 8] {
+        let cat = with_faulty(owned_catalog(), "P", || panic!("injected plugin panic"));
+        let expected: Vec<Value> = plans
+            .iter()
+            .map(|p| run_jit(p, &*cat, &opts_for(workers, None)).unwrap())
+            .collect();
+        let cache = Arc::new(CacheManager::new(1 << 22));
+        let engine = Engine::new(cat, opts_for(workers, Some(cache)));
+        let before = global_metrics().snapshot();
+        std::thread::scope(|scope| {
+            for client in 0..2 {
+                let (engine, plans, expected) = (&engine, &plans, &expected);
+                scope.spawn(move || {
+                    let mut session = engine.session();
+                    for pass in 0..3 {
+                        for (i, plan) in plans.iter().enumerate() {
+                            assert_eq!(
+                                session.execute(plan).unwrap(),
+                                expected[i],
+                                "client {client} pass {pass} plan#{i} (x{workers})"
+                            );
+                        }
+                    }
+                });
+            }
+            let (engine, poisoned) = (&engine, &poisoned);
+            scope.spawn(move || {
+                let mut session = engine.session();
+                for _ in 0..3 {
+                    let err = session.execute(poisoned).unwrap_err();
+                    assert_eq!(err.kind(), "exec", "x{workers}: {err}");
+                    assert!(err.to_string().contains("panicked"), "x{workers}: {err}");
+                }
+            });
+        });
+        for (i, plan) in plans.iter().enumerate() {
+            assert_eq!(
+                engine.execute(plan).unwrap(),
+                expected[i],
+                "x{workers} #{i}"
+            );
+        }
+        let delta = global_metrics().snapshot().since(&before);
+        assert_eq!(delta.pool_thread_spawns, 0, "x{workers}: a worker died");
+    }
+}
+
+/// Regression: attached runs fed `worker_busy_ns` but never
+/// `worker_idle_ns`, so `busy / (busy + idle)` read exactly 1 on every
+/// multi-worker engine. One morsel of a 2-worker scan stalls for 20 ms
+/// while the others are instant: its sibling's wait is idle time.
+#[test]
+fn attached_runs_report_worker_idle_time() {
+    let _guard = metrics_guard();
+    let cat = with_faulty(owned_catalog(), "S", || {
+        std::thread::sleep(Duration::from_millis(20))
+    });
+    let engine = Engine::new(cat, opts_for(2, None));
+    let before = global_metrics().snapshot();
+    engine.execute(&sum_k_of("S")).unwrap();
+    let delta = global_metrics().snapshot().since(&before);
+    assert!(delta.worker_busy_ns > 0);
+    assert!(delta.worker_idle_ns > 0, "{delta:?}");
 }

@@ -14,9 +14,11 @@
 //!   deterministic merge yields one canonical answer — float folds
 //!   included, because a one-worker pool folds the same grid in the same
 //!   order.
-//! - [`WorkerPool`]: `std::thread`-scoped workers pulling morsel indexes
-//!   from an atomic claim counter, each with private scratch state; results
-//!   are returned in morsel order regardless of completion order.
+//! - [`WorkerPool`]: resident workers, started once and parked between
+//!   runs, pulling morsel indexes from each attached run's atomic claim
+//!   counter, each with private scratch state; results are returned in
+//!   morsel order regardless of completion order, and a panicking morsel
+//!   fails its run without taking a worker down.
 //! - [`dispatcher`]: aligned splitting of raw inputs — newline-aligned CSV
 //!   byte ranges and record-aligned JSON spans — via the byte-span hooks on
 //!   [`vida_formats::InputPlugin`].

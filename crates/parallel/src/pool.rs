@@ -1,5 +1,5 @@
-//! The worker pool: morsel-driven workers pulling from a shared claim
-//! counter, in two residency modes.
+//! The worker pool: resident morsel-driven workers pulling from per-run
+//! claim counters.
 //!
 //! Dispatch is the morsel-driven scheme: workers `fetch_add` a shared
 //! cursor to claim the next morsel, so fast workers naturally absorb skewed
@@ -8,71 +8,64 @@
 //! buffers) — the "per-worker state" half of the NUMA-friendly design, minus
 //! the NUMA placement `std` cannot express.
 //!
-//! A [`WorkerPool`] handle comes in two flavors:
+//! A [`WorkerPool`] starts its workers once and parks them between runs;
+//! each `run_morsels` call *attaches* a run to the shared pool and
+//! *detaches* when its morsels drain. Workers rotate round-robin across
+//! every attached run, claiming one morsel at a time, so concurrent queries
+//! time-slice the same workers at morsel granularity instead of
+//! oversubscribing the machine with per-query threads. A 1-worker pool
+//! starts no thread and runs every grid inline on the caller.
 //!
-//! - **Per-run spawn** ([`WorkerPool::new`]): workers are spawned per run as
-//!   scoped threads borrowing the caller's data directly — what the
-//!   per-call `run_jit` compatibility wrappers in `vida-exec` run on.
-//! - **Resident** ([`WorkerPool::resident`]): workers are spawned once and
-//!   park between queries; each `run_morsels` call *attaches* a run to the
-//!   shared pool and *detaches* when its morsels drain. Workers rotate
-//!   round-robin across every attached run, claiming one morsel at a time,
-//!   so concurrent queries time-slice the same workers at morsel
-//!   granularity instead of oversubscribing the machine with per-query
-//!   threads.
+//! A panic inside a morsel is contained at the attach boundary: the run
+//! fails as it would on an `Err`, the worker thread lives on, and the
+//! submitting thread re-raises the panic once the run has detached.
 //!
 //! Results come back **in morsel order**, not completion order, which is
-//! what makes downstream merges deterministic — in both modes, at every
-//! worker count, with any number of concurrently attached runs.
+//! what makes downstream merges deterministic — at every worker count, with
+//! any number of concurrently attached runs.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vida_trace::global_metrics;
 use vida_types::sync::{CachePadded, Mutex};
 
 /// A pool of `threads` workers executing morsel runs.
 ///
-/// The handle is cheap to clone. In spawn mode it is just a thread count;
-/// in resident mode clones share one set of parked worker threads, and the
-/// threads shut down (and are joined) when the last handle drops.
+/// The handle is cheap to clone: clones share one set of parked worker
+/// threads, which shut down (and are joined) when the last handle drops.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     threads: usize,
-    resident: Option<Arc<ResidentPool>>,
+    /// `None` for a 1-worker pool, whose runs execute inline.
+    workers: Option<Arc<ResidentPool>>,
 }
 
 impl WorkerPool {
-    /// A spawn-mode pool with `threads` workers (minimum 1): every threaded
-    /// run spawns its workers as scoped threads and joins them at run end.
+    /// A pool with `threads` workers (minimum 1). With more than one, the
+    /// workers start now and park between runs; concurrent runs from
+    /// different threads interleave on them, one morsel claim at a time. A
+    /// 1-worker pool starts no thread: its runs always execute inline on the
+    /// caller.
     pub fn new(threads: usize) -> Self {
-        WorkerPool {
-            threads: threads.max(1),
-            resident: None,
-        }
-    }
-
-    /// A resident pool with `threads` workers (minimum 1), spawned now and
-    /// parked between runs. Runs attach to the shared workers instead of
-    /// spawning; concurrent runs from different threads interleave on the
-    /// same workers, one morsel claim at a time. A 1-worker pool starts no
-    /// thread: its runs always execute inline on the caller.
-    pub fn resident(threads: usize) -> Self {
         let threads = threads.max(1);
         WorkerPool {
             threads,
-            resident: (threads > 1).then(|| Arc::new(ResidentPool::start(threads))),
+            workers: (threads > 1).then(|| Arc::new(ResidentPool::start(threads))),
         }
+    }
+
+    /// Alias of [`WorkerPool::new`], kept because the benchmark package
+    /// compiles against both names.
+    #[doc(hidden)]
+    pub fn resident(threads: usize) -> Self {
+        Self::new(threads)
     }
 
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether this handle attaches runs to resident workers instead of
-    /// spawning per run (false for a 1-worker pool, which does neither).
-    pub fn is_resident(&self) -> bool {
-        self.resident.is_some()
     }
 
     /// Execute `morsels` work items and collect their results in morsel
@@ -81,10 +74,11 @@ impl WorkerPool {
     /// `init(worker)` builds one scratch value per worker; `work(&mut
     /// scratch, morsel)` processes one morsel. The first error cancels the
     /// run: in-flight morsels finish, unclaimed ones are skipped, and the
-    /// error is returned. A one-worker run executes inline on the caller
-    /// with zero synchronization in either mode; a multi-worker resident run
-    /// always attaches to the pool so concurrent callers share the workers
-    /// fairly.
+    /// error is returned. A panic in `init` or `work` cancels the run the
+    /// same way and is then re-raised on the caller with its original
+    /// payload. A one-worker run executes inline on the caller with zero
+    /// synchronization; a multi-worker run always attaches to the pool so
+    /// concurrent callers share the workers fairly.
     pub fn run_morsels<S, R, E, I, W>(
         &self,
         morsels: usize,
@@ -101,96 +95,17 @@ impl WorkerPool {
         if morsels == 0 {
             return Ok(Vec::new());
         }
-        if self.threads == 1 {
-            // One worker claims every morsel in order, so run it inline
-            // (a 1-worker resident pool has no parked thread to wake).
+        match &self.workers {
+            Some(pool) => pool.attach_run(morsels, &init, &work),
+            // One worker claims every morsel in order, so run it inline.
             // Concurrent callers of a 1-worker pool each drive their own
             // morsels on their own thread; the OS scheduler is the time
             // slicer.
-            let mut scratch = init(0);
-            return (0..morsels).map(|m| work(&mut scratch, m)).collect();
-        }
-        if let Some(pool) = &self.resident {
-            return pool.attach_run(morsels, &init, &work);
-        }
-
-        let cursor = CachePadded::new(AtomicUsize::new(0));
-        let failed = AtomicBool::new(false);
-        let error: Mutex<Option<E>> = Mutex::new(None);
-        let slots: Vec<Mutex<Option<R>>> = (0..morsels).map(|_| Mutex::new(None)).collect();
-        let spawned = self.threads.min(morsels);
-        // Per-worker claim counts, published at run end so the coordinator
-        // can report the claim spread (the steal-imbalance signal).
-        let claims: Vec<CachePadded<AtomicUsize>> = (0..spawned)
-            .map(|_| CachePadded::new(AtomicUsize::new(0)))
-            .collect();
-        global_metrics().pool_thread_spawns.add(spawned as u64);
-
-        std::thread::scope(|scope| {
-            for worker in 0..spawned {
-                let cursor = &cursor;
-                let failed = &failed;
-                let error = &error;
-                let slots = &slots;
-                let claims = &claims;
-                let init = &init;
-                let work = &work;
-                scope.spawn(move || {
-                    let run_start = Instant::now();
-                    let mut busy = Duration::ZERO;
-                    let mut claimed = 0usize;
-                    let mut scratch = init(worker);
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels {
-                            break;
-                        }
-                        claimed += 1;
-                        let t0 = Instant::now();
-                        let result = work(&mut scratch, m);
-                        busy += t0.elapsed();
-                        match result {
-                            Ok(r) => *slots[m].lock() = Some(r),
-                            Err(e) => {
-                                failed.store(true, Ordering::Relaxed);
-                                let mut first = error.lock();
-                                if first.is_none() {
-                                    *first = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    // Busy = time inside work closures; idle = everything
-                    // else in the worker's lifetime (claim contention plus
-                    // the tail wait for slower siblings is charged to the
-                    // coordinator's scope join, not here).
-                    let metrics = global_metrics();
-                    metrics.worker_busy_ns.add(busy.as_nanos() as u64);
-                    metrics
-                        .worker_idle_ns
-                        .add(run_start.elapsed().saturating_sub(busy).as_nanos() as u64);
-                    metrics.worker_morsel_claims.record(claimed as u64);
-                    claims[worker].store(claimed, Ordering::Relaxed);
-                });
+            None => {
+                let mut scratch = init(0);
+                (0..morsels).map(|m| work(&mut scratch, m)).collect()
             }
-        });
-
-        let metrics = global_metrics();
-        metrics.pool_runs.inc();
-        let counts = claims.iter().map(|c| c.load(Ordering::Relaxed));
-        let spread = counts.clone().max().unwrap_or(0) - counts.min().unwrap_or(0);
-        metrics.morsel_claim_spread.record(spread as u64);
-
-        if let Some(e) = error.into_inner() {
-            return Err(e);
         }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("run completed without error"))
-            .collect())
     }
 
     /// Run `work` per morsel and fold the partials into one accumulator
@@ -206,10 +121,9 @@ impl WorkerPool {
     /// accumulator the moment it is produced — at most one un-merged
     /// partial is ever alive, and the first `Err` (from `work` or `merge`)
     /// stops the run before the next morsel starts. With more workers the
-    /// merge runs on the caller after all partials exist; on a resident
-    /// pool that is attach/detach, not spawn/join: the caller parks on the
-    /// run's completion latch while the shared workers drain its morsels
-    /// (interleaved with any other attached runs), then folds.
+    /// caller parks on the run's completion latch while the shared workers
+    /// drain its morsels (interleaved with any other attached runs), then
+    /// merges on its own thread.
     pub fn fold_morsels<A, P, E, W, M>(
         &self,
         morsels: usize,
@@ -223,17 +137,13 @@ impl WorkerPool {
         W: Fn(usize, usize) -> std::result::Result<P, E> + Sync,
         M: FnMut(A, P) -> std::result::Result<A, E>,
     {
-        if self.threads == 1 {
+        if self.workers.is_none() {
             return (0..morsels).try_fold(init, |acc, m| merge(acc, work(0, m)?));
         }
         let partials = self.run_morsels(morsels, |w| w, |w, m| work(*w, m))?;
         partials.into_iter().try_fold(init, merge)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Resident mode
-// ---------------------------------------------------------------------------
 
 /// One morsel of one attached run, seen untyped by the pool workers.
 ///
@@ -242,8 +152,15 @@ impl WorkerPool {
 /// through the erased `job` pointer in [`RunEntry`].
 trait MorselJob: Sync {
     /// Process morsel `m` as pool worker `worker`. Returns `false` when the
-    /// morsel failed (the run records the first error itself).
+    /// morsel failed — an `Err` or a panic, which the job records itself.
+    /// Never unwinds.
     fn run_morsel(&self, worker: usize, m: usize) -> bool;
+}
+
+/// Why a run stopped early: the first morsel to fail decides.
+enum Failure<E> {
+    Error(E),
+    Panic(Box<dyn Any + Send>),
 }
 
 /// The typed half of an attached run, borrowed from the submitter's stack.
@@ -256,8 +173,8 @@ struct Job<'a, S, R, E, I, W> {
     scratch: Vec<Mutex<Option<S>>>,
     /// Results in morsel order — the determinism contract.
     slots: Vec<Mutex<Option<R>>>,
-    error: Mutex<Option<E>>,
-    /// Nanoseconds spent inside `work`, summed across workers.
+    failure: Mutex<Option<Failure<E>>>,
+    /// Nanoseconds spent inside `init` and `work`, summed across workers.
     busy_ns: AtomicU64,
 }
 
@@ -271,42 +188,49 @@ where
 {
     fn run_morsel(&self, worker: usize, m: usize) -> bool {
         let mut slot = self.scratch[worker].lock();
-        let scratch = slot.get_or_insert_with(|| (self.init)(worker));
         let t0 = Instant::now();
-        let result = (self.work)(scratch, m);
+        // Unwinding stops here, inside the scratch guard's scope, so no
+        // guard or pool lock is dropped mid-panic (nothing is poisoned) and
+        // the worker thread survives. A scratch a panic left torn is never
+        // used again: this worker marks the run failed before its next
+        // claim, and a failed run's results are discarded.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let scratch = slot.get_or_insert_with(|| (self.init)(worker));
+            (self.work)(scratch, m)
+        }));
         self.busy_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        match result {
-            Ok(r) => {
+        let failure = match outcome {
+            Ok(Ok(r)) => {
                 *self.slots[m].lock() = Some(r);
-                true
+                return true;
             }
-            Err(e) => {
-                let mut first = self.error.lock();
-                if first.is_none() {
-                    *first = Some(e);
-                }
-                false
-            }
-        }
+            Ok(Err(e)) => Failure::Error(e),
+            Err(payload) => Failure::Panic(payload),
+        };
+        self.failure.lock().get_or_insert(failure);
+        false
     }
 }
 
 /// Claim/progress state of one attached run, shared between the submitter
 /// and the pool workers.
+///
+/// The protocol that keeps `job` valid: a worker increments `users` only
+/// under the pool lock and only while the entry is on the attached list,
+/// and decrements it (Release) after its last `run_morsel` call returns.
+/// The submitter takes the entry off the list — under the same lock, in
+/// the same critical section — only once it reads `finished()` and
+/// `users == 0` (Acquire), and only then leaves `attach_run`. So every
+/// dereference of `job` happens-before the submitter's stack frame dies.
+/// `in_flight` is what makes a *failed* run wait: it retires only when no
+/// morsel is still inside `run_morsel`.
 struct RunEntry {
-    /// Erased pointer to the submitter's stack-held [`Job`].
-    ///
-    /// # Safety
-    /// Only valid while the submitter is parked inside `attach_run`. The
-    /// submitter returns only after observing `finished() && users == 0`
-    /// under the pool lock, and workers increment `users` under that same
-    /// lock before dereferencing — so no worker can touch the pointer after
-    /// the submitter's stack unwinds (the rayon-scope argument).
+    /// Erased pointer to the submitter's stack-held [`Job`]; see above.
     job: *const (dyn MorselJob + 'static),
     morsels: usize,
-    /// The shared claim counter — the same `fetch_add` scheme as spawn
-    /// mode, which is what lets multiple runs' cursors coexist on one pool.
+    /// The shared claim counter — the `fetch_add` scheme that lets several
+    /// runs' cursors coexist on one pool.
     cursor: CachePadded<AtomicUsize>,
     /// Morsels claimed and fully processed (success or failure).
     completed: AtomicUsize,
@@ -316,13 +240,19 @@ struct RunEntry {
     /// Workers currently between claim and release on this entry; guards
     /// the `job` pointer (see above).
     users: AtomicUsize,
-    /// Per-pool-worker claim counts for the spread metric.
+    /// Per-pool-worker claim counts: the spread metric, and which workers
+    /// served the run (their idle time is charged to it).
     claims: Vec<CachePadded<AtomicUsize>>,
 }
 
-// SAFETY: the raw `job` pointer is the only non-Sync field; its lifetime is
-// protected by the `users` protocol documented on the field.
+// SAFETY: every field but `job` is atomics or owned data, Send + Sync on
+// its own. `job` is only dereferenced by workers holding a `users`
+// registration (the protocol on `RunEntry`), which keeps the pointee alive,
+// and only to call `run_morsel(&self)`, which `MorselJob: Sync` makes safe
+// from any thread. Moving or dropping an entry never touches the pointee.
 unsafe impl Send for RunEntry {}
+// SAFETY: as for `Send`: shared access reads atomics, and the pointee is
+// `Sync` and kept alive by the `users` protocol.
 unsafe impl Sync for RunEntry {}
 
 impl RunEntry {
@@ -351,8 +281,8 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// The long-lived half of a resident [`WorkerPool`]: parked worker threads
-/// plus the attached-run list they serve.
+/// The long-lived half of a multi-worker [`WorkerPool`]: parked worker
+/// threads plus the attached-run list they serve.
 #[derive(Debug)]
 struct ResidentPool {
     threads: usize,
@@ -367,9 +297,9 @@ struct PoolShared {
     cv: Condvar,
     /// Count of attached runs, readable without the state lock. Workers
     /// use it to pick a claim strategy: while it reads 1, a worker drains
-    /// its current run with lock-free cursor claims (spawn-mode cost);
-    /// at ≥2 every claim goes through the locked round-robin pick — the
-    /// morsel-granularity time slice between concurrent queries.
+    /// its current run with lock-free cursor claims; at ≥2 every claim goes
+    /// through the locked round-robin pick — the morsel-granularity time
+    /// slice between concurrent queries.
     active: AtomicUsize,
 }
 
@@ -399,8 +329,8 @@ impl ResidentPool {
                     .expect("spawn resident pool worker")
             })
             .collect();
-        // Resident threads are counted once, here — a zero delta of this
-        // counter across a query is the "no per-query spawns" proof.
+        // Workers are counted once, here — a zero delta of this counter
+        // across a query is the "no per-query spawns" proof.
         global_metrics().pool_thread_spawns.add(threads as u64);
         ResidentPool {
             threads,
@@ -410,7 +340,8 @@ impl ResidentPool {
     }
 
     /// Attach a run to the pool, park until its morsels drain, detach, and
-    /// collect the results in morsel order.
+    /// collect the results in morsel order — or return the first error, or
+    /// re-raise the first panic.
     fn attach_run<S, R, E, I, W>(
         &self,
         morsels: usize,
@@ -429,12 +360,17 @@ impl ResidentPool {
             work,
             scratch: (0..self.threads).map(|_| Mutex::new(None)).collect(),
             slots: (0..morsels).map(|_| Mutex::new(None)).collect(),
-            error: Mutex::new(None),
+            failure: Mutex::new(None),
             busy_ns: AtomicU64::new(0),
         };
-        // SAFETY: erase the stack borrow to hand the job to long-lived
-        // workers; the `users` protocol on `RunEntry::job` guarantees no
-        // worker dereferences it after this function returns.
+        // SAFETY: erases the stack borrow so long-lived workers can hold
+        // it. `job` outlives every dereference: workers reach the pointer
+        // only through `entry` under the `users` protocol (see `RunEntry`),
+        // and this function neither returns nor unwinds before the entry is
+        // detached with `users == 0` — nothing between here and the detach
+        // runs caller code (`run_morsel` catches every unwind on the
+        // workers), and the pool lock is never held across caller code, so
+        // it cannot be poisoned.
         let erased: *const (dyn MorselJob + 'static) = unsafe {
             std::mem::transmute::<&(dyn MorselJob + '_), *const (dyn MorselJob + 'static)>(&job)
         };
@@ -451,6 +387,7 @@ impl ResidentPool {
                 .collect(),
         });
 
+        let attached = Instant::now();
         {
             let mut state = self.shared.state.lock();
             state.runs.push(Arc::clone(&entry));
@@ -473,22 +410,27 @@ impl ResidentPool {
                 .active
                 .store(state.runs.len(), Ordering::Relaxed);
         }
+        let attached = attached.elapsed().as_nanos() as u64;
 
-        let metrics = global_metrics();
-        metrics.pool_runs.inc();
-        metrics.pool_attached_runs.inc();
-        metrics
-            .worker_busy_ns
-            .add(job.busy_ns.load(Ordering::Relaxed));
-        // Claim accounting mirrors spawn mode over the workers that
-        // actually served this run (parked-elsewhere workers are not idle
-        // on our account, so they don't enter the spread).
+        // Claim accounting over the workers that actually served this run
+        // (parked-elsewhere workers are not idle on our account, so they
+        // enter neither the spread nor the idle time).
         let counts: Vec<usize> = entry
             .claims
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .filter(|&c| c > 0)
             .collect();
+        let busy = job.busy_ns.load(Ordering::Relaxed);
+        let metrics = global_metrics();
+        metrics.pool_runs.inc();
+        metrics.worker_busy_ns.add(busy);
+        // Idle = each serving worker's attach→detach window minus the time
+        // it spent in morsels: claim overhead plus the tail wait for slower
+        // siblings.
+        metrics
+            .worker_idle_ns
+            .add((counts.len() as u64 * attached).saturating_sub(busy));
         for &c in &counts {
             metrics.worker_morsel_claims.record(c as u64);
         }
@@ -496,14 +438,15 @@ impl ResidentPool {
             counts.iter().max().copied().unwrap_or(0) - counts.iter().min().copied().unwrap_or(0);
         metrics.morsel_claim_spread.record(spread as u64);
 
-        if let Some(e) = job.error.into_inner() {
-            return Err(e);
+        match job.failure.into_inner() {
+            Some(Failure::Panic(payload)) => resume_unwind(payload),
+            Some(Failure::Error(e)) => Err(e),
+            None => Ok(job
+                .slots
+                .into_iter()
+                .map(|s| s.into_inner().expect("run completed without error"))
+                .collect()),
         }
-        Ok(job
-            .slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("run completed without error"))
-            .collect())
     }
 }
 
@@ -547,8 +490,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             };
             continue;
         };
-        // Register as a user under the lock (so the submitter cannot
-        // retire the job while we hold the pointer), then work unlocked.
+        // Register as a user under the lock, while the entry is still on
+        // the attached list (so the submitter cannot retire the job while
+        // we hold the pointer), then work unlocked.
         entry.users.fetch_add(1, Ordering::Relaxed);
         drop(state);
 
@@ -567,8 +511,10 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             if multiplexed {
                 global_metrics().pool_multiplexed_claims.inc();
             }
-            // SAFETY: `users > 0` keeps the submitter parked, so the
-            // job pointer is live (see `RunEntry::job`).
+            // SAFETY: our `users` registration keeps the submitter parked
+            // in `attach_run`, so the job pointer is live (the protocol on
+            // `RunEntry`). `run_morsel` never unwinds, so the `in_flight`
+            // and `users` decrements below always run.
             let ok = unsafe { (*entry.job).run_morsel(worker, m) };
             if !ok {
                 entry.failed.store(true, Ordering::Relaxed);
@@ -578,9 +524,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             did_work = true;
             // Solo fast path: while this is the pool's only attached run
             // there is nothing to time-slice against, so keep draining it
-            // with lock-free claims (spawn-mode cost). The moment another
-            // run attaches, fall back to the locked round-robin pick so
-            // concurrent queries interleave at morsel granularity.
+            // with lock-free claims. The moment another run attaches, fall
+            // back to the locked round-robin pick so concurrent queries
+            // interleave at morsel granularity.
             multiplexed = shared.active.load(Ordering::Relaxed) >= 2;
             if multiplexed {
                 break;
@@ -603,37 +549,32 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-
-    fn pools(threads: usize) -> [WorkerPool; 2] {
-        [WorkerPool::new(threads), WorkerPool::resident(threads)]
-    }
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_morsel_order() {
         for threads in [1, 2, 8] {
-            for pool in pools(threads) {
-                let out: Vec<usize> = pool
-                    .run_morsels(20, |_| (), |_, m| Ok::<_, ()>(m * m))
-                    .unwrap();
-                assert_eq!(
-                    out,
-                    (0..20).map(|m| m * m).collect::<Vec<_>>(),
-                    "threads={threads} resident={}",
-                    pool.is_resident()
-                );
-            }
+            let pool = WorkerPool::new(threads);
+            let out: Vec<usize> = pool
+                .run_morsels(20, |_| (), |_, m| Ok::<_, ()>(m * m))
+                .unwrap();
+            assert_eq!(
+                out,
+                (0..20).map(|m| m * m).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
     fn every_morsel_is_claimed_exactly_once() {
-        for pool in pools(4) {
-            let out: Vec<usize> = pool
-                .run_morsels(100, |_| (), |_, m| Ok::<_, ()>(m))
-                .unwrap();
-            let distinct: HashSet<_> = out.iter().copied().collect();
-            assert_eq!(distinct.len(), 100);
-        }
+        let pool = WorkerPool::new(4);
+        let out: Vec<usize> = pool
+            .run_morsels(100, |_| (), |_, m| Ok::<_, ()>(m))
+            .unwrap();
+        let distinct: HashSet<_> = out.iter().copied().collect();
+        assert_eq!(distinct.len(), 100);
     }
 
     #[test]
@@ -641,47 +582,44 @@ mod tests {
         // Each worker counts the morsels it processed into its scratch; the
         // per-morsel results carry the worker id so we can check no scratch
         // was shared across workers mid-run.
-        for pool in pools(3) {
-            let out = pool
-                .run_morsels(
-                    50,
-                    |worker| (worker, 0usize),
-                    |scratch, _| {
-                        scratch.1 += 1;
-                        Ok::<_, ()>(scratch.0)
-                    },
-                )
-                .unwrap();
-            assert_eq!(out.len(), 50);
-            for w in out {
-                assert!(w < 3);
-            }
+        let pool = WorkerPool::new(3);
+        let out = pool
+            .run_morsels(
+                50,
+                |worker| (worker, 0usize),
+                |scratch, _| {
+                    scratch.1 += 1;
+                    Ok::<_, ()>(scratch.0)
+                },
+            )
+            .unwrap();
+        assert_eq!(out.len(), 50);
+        for w in out {
+            assert!(w < 3);
         }
     }
 
     #[test]
     fn first_error_cancels_the_run() {
-        for pool in pools(4) {
-            let r: std::result::Result<Vec<()>, String> = pool.run_morsels(
-                1000,
-                |_| (),
-                |_, m| {
-                    if m == 5 {
-                        Err("boom".to_string())
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(r.unwrap_err(), "boom");
-        }
+        let pool = WorkerPool::new(4);
+        let r: std::result::Result<Vec<()>, String> = pool.run_morsels(
+            1000,
+            |_| (),
+            |_, m| {
+                if m == 5 {
+                    Err("boom".to_string())
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!(r.unwrap_err(), "boom");
     }
 
     #[test]
     fn single_thread_runs_inline() {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.threads(), 1);
-        assert!(!pool.is_resident());
         let out = pool
             .run_morsels(3, |_| 10usize, |s, m| Ok::<_, ()>(*s + m))
             .unwrap();
@@ -692,42 +630,33 @@ mod tests {
     fn fold_morsels_merges_in_morsel_order() {
         // A non-commutative fold (string concatenation) exposes any
         // completion-order merge: the result must equal the serial left
-        // fold at every worker count, in both residency modes.
+        // fold at every worker count.
         let expected: String = (0..32).map(|m| format!("[{m}]")).collect();
         for threads in [1, 2, 8] {
-            for pool in pools(threads) {
-                let folded = pool
-                    .fold_morsels(
-                        32,
-                        |_, m| Ok::<_, ()>(format!("[{m}]")),
-                        String::new(),
-                        |mut acc, p| {
-                            acc.push_str(&p);
-                            Ok(acc)
-                        },
-                    )
-                    .unwrap();
-                assert_eq!(
-                    folded,
-                    expected,
-                    "threads={threads} resident={}",
-                    pool.is_resident()
-                );
-            }
+            let folded = WorkerPool::new(threads)
+                .fold_morsels(
+                    32,
+                    |_, m| Ok::<_, ()>(format!("[{m}]")),
+                    String::new(),
+                    |mut acc, p| {
+                        acc.push_str(&p);
+                        Ok(acc)
+                    },
+                )
+                .unwrap();
+            assert_eq!(folded, expected, "threads={threads}");
         }
     }
 
     #[test]
     fn fold_morsels_propagates_errors() {
-        for pool in pools(4) {
-            let r = pool.fold_morsels(
-                10,
-                |_, m| if m == 3 { Err("bad morsel") } else { Ok(m) },
-                0usize,
-                |acc, p| Ok(acc + p),
-            );
-            assert_eq!(r.unwrap_err(), "bad morsel");
-        }
+        let r = WorkerPool::new(4).fold_morsels(
+            10,
+            |_, m| if m == 3 { Err("bad morsel") } else { Ok(m) },
+            0usize,
+            |acc, p| Ok(acc + p),
+        );
+        assert_eq!(r.unwrap_err(), "bad morsel");
     }
 
     #[test]
@@ -741,63 +670,60 @@ mod tests {
                 self.0.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        for pool in pools(1) {
-            let live = AtomicUsize::new(0);
-            let peak = AtomicUsize::new(0);
-            let merged = pool
-                .fold_morsels(
-                    64,
-                    |_, _| {
-                        let now = live.fetch_add(1, Ordering::Relaxed) + 1;
-                        peak.fetch_max(now, Ordering::Relaxed);
-                        Ok::<_, ()>(Partial(&live))
-                    },
-                    0usize,
-                    |acc, _partial| Ok(acc + 1),
-                )
-                .unwrap();
-            assert_eq!(merged, 64);
-            assert_eq!(peak.load(Ordering::Relaxed), 1, "partials piled up");
-            assert_eq!(live.load(Ordering::Relaxed), 0);
-
-            // The first error stops the run: no later morsel starts.
-            let ran = AtomicUsize::new(0);
-            let r = pool.fold_morsels(
+        let pool = WorkerPool::new(1);
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let merged = pool
+            .fold_morsels(
                 64,
-                |_, m| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    if m == 3 {
-                        Err("bad morsel")
-                    } else {
-                        Ok(m)
-                    }
+                |_, _| {
+                    let now = live.fetch_add(1, Ordering::Relaxed) + 1;
+                    peak.fetch_max(now, Ordering::Relaxed);
+                    Ok::<_, ()>(Partial(&live))
                 },
                 0usize,
-                |acc, p| Ok(acc + p),
-            );
-            assert_eq!(r.unwrap_err(), "bad morsel");
-            assert_eq!(ran.load(Ordering::Relaxed), 4);
-        }
+                |acc, _partial| Ok(acc + 1),
+            )
+            .unwrap();
+        assert_eq!(merged, 64);
+        assert_eq!(peak.load(Ordering::Relaxed), 1, "partials piled up");
+        assert_eq!(live.load(Ordering::Relaxed), 0);
+
+        // The first error stops the run: no later morsel starts.
+        let ran = AtomicUsize::new(0);
+        let r = pool.fold_morsels(
+            64,
+            |_, m| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if m == 3 {
+                    Err("bad morsel")
+                } else {
+                    Ok(m)
+                }
+            },
+            0usize,
+            |acc, p| Ok(acc + p),
+        );
+        assert_eq!(r.unwrap_err(), "bad morsel");
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
     }
 
     #[test]
     fn fold_morsels_reports_worker_indexes() {
         for threads in [1, 2, 4] {
-            for pool in pools(threads) {
-                let workers = pool
-                    .fold_morsels(
-                        64,
-                        |w, _| Ok::<_, ()>(w),
-                        Vec::new(),
-                        |mut acc, w| {
-                            acc.push(w);
-                            Ok(acc)
-                        },
-                    )
-                    .unwrap();
-                assert_eq!(workers.len(), 64);
-                assert!(workers.iter().all(|&w| w < threads), "threads={threads}");
-            }
+            let workers = WorkerPool::new(threads)
+                .fold_morsels(
+                    64,
+                    |w, _| Ok::<_, ()>(w),
+                    Vec::new(),
+                    |mut acc, w| {
+                        acc.push(w);
+                        Ok(acc)
+                    },
+                )
+                .unwrap();
+            assert_eq!(workers.len(), 64);
+            assert!(workers.iter().all(|&w| w < threads), "threads={threads}");
         }
     }
 
@@ -805,44 +731,55 @@ mod tests {
     fn threaded_runs_meter_worker_time_and_claims() {
         // Metrics are global and shared across concurrently-running tests,
         // so assert on deltas, not absolutes.
-        let before = global_metrics().snapshot();
         let pool = WorkerPool::new(2);
-        let out: Vec<usize> = pool.run_morsels(16, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
+        // Morsels 0 and 1 wait for each other, so two distinct workers
+        // must serve the run.
+        let both = std::sync::Barrier::new(2);
+        let before = global_metrics().snapshot();
+        let out: Vec<usize> = pool
+            .run_morsels(
+                16,
+                |_| (),
+                |_, m| {
+                    if m < 2 {
+                        both.wait();
+                    }
+                    Ok::<_, ()>(m)
+                },
+            )
+            .unwrap();
         assert_eq!(out.len(), 16);
         let delta = global_metrics().snapshot().since(&before);
         assert!(delta.pool_runs >= 1);
         // Both workers published a claim count, and all 16 claims landed.
         assert!(delta.worker_morsel_claims.count() >= 2);
         assert!(delta.worker_morsel_claims.sum >= 16);
-        // Spawn mode really spawned this run's workers.
-        assert!(delta.pool_thread_spawns >= 2);
     }
 
     #[test]
     fn zero_morsels_is_empty() {
-        for pool in pools(8) {
-            let out: Vec<u8> = pool.run_morsels(0, |_| (), |_, _| Ok::<_, ()>(0)).unwrap();
+        for threads in [1, 8] {
+            let out: Vec<u8> = WorkerPool::new(threads)
+                .run_morsels(0, |_| (), |_, _| Ok::<_, ()>(0))
+                .unwrap();
             assert!(out.is_empty());
         }
     }
 
     #[test]
     fn resident_pool_spawns_nothing_per_run() {
-        let pool = WorkerPool::resident(4);
-        assert!(pool.is_resident());
+        let pool = WorkerPool::new(4);
         let before = global_metrics().snapshot();
         for _ in 0..10 {
             let out: Vec<usize> = pool.run_morsels(32, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
             assert_eq!(out.len(), 32);
         }
         let delta = global_metrics().snapshot().since(&before);
-        // Other tests may run spawn-mode pools concurrently, so count this
-        // pool's activity positively through the attach counter and prove
-        // claims landed without new threads via busy accounting instead of
-        // asserting a global spawn delta of zero (that exact assertion
-        // lives in vida-exec's resident_engine integration test, which
-        // controls its whole process).
-        assert!(delta.pool_attached_runs >= 10);
+        // Other tests start pools concurrently, so count this pool's
+        // activity positively through the run counter instead of asserting
+        // a global spawn delta of zero (that exact assertion lives in
+        // vida-exec's resident_engine integration test, which controls its
+        // whole process).
         assert!(delta.pool_runs >= 10);
     }
 
@@ -852,7 +789,7 @@ mod tests {
         // flight on one 2-worker pool, the round-robin claim loop must take
         // claims while ≥2 runs are active. Retry the whole scenario a few
         // times to absorb scheduler noise on tiny machines.
-        let pool = WorkerPool::resident(2);
+        let pool = WorkerPool::new(2);
         let mut saw_multiplex = false;
         for _ in 0..10 {
             let before = global_metrics().snapshot();
@@ -888,7 +825,7 @@ mod tests {
             let delta = global_metrics().snapshot().since(&before);
             // Lower bound, not equality: the registry is process-global and
             // sibling tests may attach runs concurrently.
-            assert!(delta.pool_attached_runs >= 2);
+            assert!(delta.pool_runs >= 2);
             if delta.pool_multiplexed_claims > 0 {
                 saw_multiplex = true;
                 break;
@@ -903,7 +840,7 @@ mod tests {
     #[test]
     fn resident_pool_shuts_down_on_last_handle_drop() {
         for threads in [1, 2] {
-            let pool = WorkerPool::resident(threads);
+            let pool = WorkerPool::new(threads);
             let clone = pool.clone();
             let out: Vec<usize> = clone.run_morsels(4, |_| (), |_, m| Ok::<_, ()>(m)).unwrap();
             assert_eq!(out.len(), 4);
@@ -913,6 +850,137 @@ mod tests {
             assert_eq!(out.len(), 4);
             // ...and the final drop joins the workers (hangs here = regression).
             drop(pool);
+        }
+    }
+
+    /// Run `f` on a thread of its own and fail if it has not returned
+    /// within 10 s: a submitter parked forever is the bug these tests pin.
+    fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the submitter never returned")
+    }
+
+    #[test]
+    fn a_panicking_morsel_unwinds_the_submitter_and_the_pool_survives() {
+        for threads in [1, 2, 8] {
+            for site in ["work", "init", "fold"] {
+                let pool = WorkerPool::new(threads);
+                let run = pool.clone();
+                let outcome = within_timeout(move || {
+                    catch_unwind(AssertUnwindSafe(|| match site {
+                        "work" => run.run_morsels(
+                            64,
+                            |_| (),
+                            |_, m| {
+                                if m == 5 {
+                                    panic!("boom in work");
+                                }
+                                Ok::<_, ()>(m)
+                            },
+                        ),
+                        "init" => run.run_morsels(
+                            64,
+                            |_| -> usize { panic!("boom in init") },
+                            |_, m| Ok::<_, ()>(m),
+                        ),
+                        _ => run
+                            .fold_morsels(
+                                64,
+                                |_, m| {
+                                    if m == 5 {
+                                        panic!("boom in work");
+                                    }
+                                    Ok::<_, ()>(m)
+                                },
+                                0,
+                                |acc, p| Ok(acc + p),
+                            )
+                            .map(|sum| vec![sum]),
+                    }))
+                });
+                let payload = outcome.expect_err("the panic must reach the submitter");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("boom in"),
+                    "threads={threads} site={site}: lost the original payload: {message:?}"
+                );
+                // The same workers keep serving, with correct results.
+                for _ in 0..10 {
+                    let run = pool.clone();
+                    let out = within_timeout(move || {
+                        run.run_morsels(32, |_| (), |_, m| Ok::<_, ()>(m * 2))
+                            .unwrap()
+                    });
+                    assert_eq!(out, (0..32).map(|m| m * 2).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_worker_is_inside_the_job_after_a_failed_run_returns() {
+        // The `users`/`in_flight` protocol guarding the erased job pointer:
+        // when `run_morsels` returns an error or unwinds, every morsel that
+        // started has finished, so no worker still borrows the stack-held
+        // job. Morsel 5 fails while a sibling sleeps mid-morsel.
+        struct Finish<'a>(&'a AtomicUsize);
+        impl Drop for Finish<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        for threads in [2, 8] {
+            for panics in [false, true] {
+                let pool = WorkerPool::new(threads);
+                let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    pool.run_morsels(
+                        64,
+                        |_| (),
+                        |_, m| {
+                            started.fetch_add(1, Ordering::SeqCst);
+                            let _finish = Finish(&finished);
+                            if m != 5 {
+                                std::thread::sleep(Duration::from_millis(2));
+                                return Ok(m);
+                            }
+                            // Fail only once a sibling is mid-morsel.
+                            loop {
+                                let done = finished.load(Ordering::SeqCst);
+                                if started.load(Ordering::SeqCst) - done >= 2 {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                            }
+                            if panics {
+                                panic!("morsel 5");
+                            }
+                            Err("morsel 5")
+                        },
+                    )
+                }));
+                let (started, finished) = (started.into_inner(), finished.into_inner());
+                assert_eq!(
+                    started, finished,
+                    "threads={threads} panics={panics}: a worker outlived the run"
+                );
+                assert!(
+                    started > 5 && started < 64,
+                    "the failure cancelled no claims"
+                );
+                match outcome {
+                    Ok(r) => assert!(!panics && r.unwrap_err() == "morsel 5"),
+                    Err(_) => assert!(panics),
+                }
+            }
         }
     }
 }

@@ -107,7 +107,8 @@ pub struct ServerStats {
     pub rejected: u64,
     /// Queries executed and streamed successfully.
     pub completed: u64,
-    /// Queries that errored (parse/plan/execution/sink failures).
+    /// Queries that errored (parse/plan/execution/sink failures; a query
+    /// that panicked counts here too).
     pub failed: u64,
     /// Queries currently running on executor threads.
     pub in_flight: u64,
@@ -493,12 +494,18 @@ mod tests {
     use super::*;
     use crate::protocol::read_response;
     use std::io::Cursor;
+    use std::ops::Range;
     use std::sync::mpsc;
     use std::time::Duration;
-    use vida_exec::{JitOptions, MemoryCatalog};
+    use vida_exec::{JitOptions, MemoryCatalog, SourceProvider};
+    use vida_formats::{AccessStats, InputPlugin};
     use vida_types::{Schema, Type};
 
     fn engine() -> Arc<Engine> {
+        Arc::new(Engine::new(Arc::new(catalog()), JitOptions::default()))
+    }
+
+    fn catalog() -> MemoryCatalog {
         let cat = MemoryCatalog::new();
         cat.register_records(
             "Patients",
@@ -517,7 +524,7 @@ mod tests {
             ],
         )
         .unwrap();
-        Arc::new(Engine::new(Arc::new(cat), JitOptions::default()))
+        cat
     }
 
     fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -754,5 +761,95 @@ mod tests {
         let json = server.stats_json();
         assert!(json.contains("\"cache\":{"));
         assert!(json.contains("\"acme\":{\"budget_bytes\":65536"));
+    }
+
+    /// A test-only `Boom` dataset: `Patients` behind a plugin that panics
+    /// whenever a scan or a field read reaches row 1.
+    struct Boom(Arc<dyn InputPlugin>);
+
+    impl InputPlugin for Boom {
+        fn name(&self) -> &str {
+            "Boom"
+        }
+
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+
+        fn num_units(&self) -> usize {
+            self.0.num_units()
+        }
+
+        fn read_field(&self, row: usize, col: usize) -> Result<Value> {
+            assert_ne!(row, 1, "injected plugin panic");
+            self.0.read_field(row, col)
+        }
+
+        fn scan_project_range(
+            &self,
+            cols: &[usize],
+            rows: Range<usize>,
+            f: &mut dyn FnMut(usize, Vec<Value>) -> Result<()>,
+        ) -> Result<()> {
+            assert!(!rows.contains(&1), "injected plugin panic");
+            self.0.scan_project_range(cols, rows, f)
+        }
+
+        fn stats(&self) -> Arc<AccessStats> {
+            self.0.stats()
+        }
+
+        fn fingerprint(&self) -> (u64, u64) {
+            self.0.fingerprint()
+        }
+
+        fn field_cost_factor(&self, col: usize) -> f64 {
+            self.0.field_cost_factor(col)
+        }
+
+        fn raw_bytes(&self) -> usize {
+            self.0.raw_bytes()
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_fails_and_the_server_keeps_serving() {
+        for threads in [1, 2] {
+            let cat = catalog();
+            cat.register(Arc::new(Boom(cat.plugin("Patients").unwrap())));
+            let opts = JitOptions {
+                threads,
+                ..Default::default()
+            };
+            let engine = Arc::new(Engine::new(Arc::new(cat), opts));
+            let server = Arc::new(QueryServer::start(engine, ServerConfig::default()));
+            let boom = SharedBuffer::default();
+            assert!(server.submit(QueryRequest::new(
+                "for { b <- Boom } yield sum b.age",
+                Box::new(boom.clone()),
+            )));
+            // Drain on a thread of its own, so a hung executor fails the
+            // test by timeout instead of hanging it.
+            let (drained, done) = mpsc::channel();
+            let drainer = Arc::clone(&server);
+            std::thread::spawn(move || {
+                drainer.drain();
+                let _ = drained.send(());
+            });
+            wait_until("drain after a panicking query", || done.try_recv().is_ok());
+            let resp = read_response(&mut Cursor::new(boom.take())).unwrap();
+            let error = resp.error.expect("an error frame");
+            assert!(error.contains("panicked"), "threads={threads}: {error}");
+            assert_eq!(server.stats().failed, 1, "threads={threads}");
+            // The same server answers the next query correctly.
+            let next = SharedBuffer::default();
+            assert!(server.submit(QueryRequest::new(
+                "for { p <- Patients } yield sum p.age",
+                Box::new(next.clone()),
+            )));
+            server.drain();
+            let resp = read_response(&mut Cursor::new(next.take())).unwrap();
+            assert_eq!(resp.rows, vec![b"105".to_vec()], "threads={threads}");
+        }
     }
 }

@@ -151,17 +151,16 @@ pub struct MetricsRegistry {
     pub cache_replica_bytes: Histogram,
     /// Nanoseconds pool workers spent inside morsel work closures.
     pub worker_busy_ns: Counter,
-    /// Nanoseconds pool workers spent claiming/waiting between morsels.
+    /// Nanoseconds pool workers that served a run spent attached to it
+    /// outside morsel work: claiming, and waiting for slower siblings.
     pub worker_idle_ns: Counter,
-    /// Threaded pool runs completed.
+    /// Multi-worker pool runs completed (each attached to, and detached
+    /// from, its pool's resident workers).
     pub pool_runs: Counter,
-    /// OS threads spawned for pool work. Per-run scoped spawns count every
-    /// worker of every run; a resident pool counts its workers once, at
-    /// construction — so a zero delta across a query proves the resident
-    /// path spawned nothing.
+    /// OS threads spawned for pool workers. A pool counts its workers once,
+    /// when it starts — so a zero delta across a query proves the query
+    /// spawned nothing.
     pub pool_thread_spawns: Counter,
-    /// Morsel runs attached to (and detached from) a resident pool.
-    pub pool_attached_runs: Counter,
     /// Morsel claims taken while ≥2 runs were in flight on one resident
     /// pool — the time-slicing signal: nonzero means concurrent queries
     /// actually interleaved at morsel granularity.
@@ -194,7 +193,6 @@ impl MetricsRegistry {
             worker_idle_ns: self.worker_idle_ns.get(),
             pool_runs: self.pool_runs.get(),
             pool_thread_spawns: self.pool_thread_spawns.get(),
-            pool_attached_runs: self.pool_attached_runs.get(),
             pool_multiplexed_claims: self.pool_multiplexed_claims.get(),
             worker_morsel_claims: self.worker_morsel_claims.snapshot(),
             morsel_claim_spread: self.morsel_claim_spread.snapshot(),
@@ -216,7 +214,6 @@ pub struct MetricsSnapshot {
     pub worker_idle_ns: u64,
     pub pool_runs: u64,
     pub pool_thread_spawns: u64,
-    pub pool_attached_runs: u64,
     pub pool_multiplexed_claims: u64,
     pub worker_morsel_claims: HistogramSnapshot,
     pub morsel_claim_spread: HistogramSnapshot,
@@ -244,9 +241,6 @@ impl MetricsSnapshot {
             pool_thread_spawns: self
                 .pool_thread_spawns
                 .saturating_sub(earlier.pool_thread_spawns),
-            pool_attached_runs: self
-                .pool_attached_runs
-                .saturating_sub(earlier.pool_attached_runs),
             pool_multiplexed_claims: self
                 .pool_multiplexed_claims
                 .saturating_sub(earlier.pool_multiplexed_claims),
@@ -282,10 +276,6 @@ impl MetricsSnapshot {
         out.push_str(&format!(
             "\"pool_thread_spawns\":{},",
             self.pool_thread_spawns
-        ));
-        out.push_str(&format!(
-            "\"pool_attached_runs\":{},",
-            self.pool_attached_runs
         ));
         out.push_str(&format!(
             "\"pool_multiplexed_claims\":{},",
