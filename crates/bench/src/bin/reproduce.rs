@@ -80,8 +80,6 @@ OPTIONS:
                       paper reports ~80% of queries served from caches)
     --budget-mb N     cache budget in MiB (default 8); smaller budgets push
                       the cost model toward compact replica layouts
-    --no-cost-model   disable cost-model layout selection (every replica is
-                      cached as parsed values, the pre-model behaviour)
     --no-plan-opt     disable plan-level optimization (cost-based join
                       reordering, build-side choice, and selectivity-
                       ordered fused conjuncts): every plan runs in its
@@ -120,7 +118,6 @@ struct Args {
     mix: String,
     locality: f64,
     budget_mb: usize,
-    cost_model: bool,
     plan_opt: bool,
     assert_fused: bool,
     mmap: bool,
@@ -138,7 +135,6 @@ fn parse_args() -> Result<Args, String> {
         mix: "hbp".to_string(),
         locality: 0.8,
         budget_mb: 8,
-        cost_model: true,
         plan_opt: true,
         assert_fused: false,
         mmap: true,
@@ -200,7 +196,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--clients expects a positive integer")?;
                 args.serve = true;
             }
-            "--no-cost-model" => args.cost_model = false,
             "--no-plan-opt" => args.plan_opt = false,
             "--assert-fused" => args.assert_fused = true,
             "--no-mmap" => args.mmap = false,
@@ -361,13 +356,13 @@ fn cache_locality(args: &Args) {
     let catalog = Arc::new(catalog);
 
     let cache = Arc::new(CacheManager::new(args.budget_mb << 20));
-    let model = args.cost_model.then(|| Arc::new(CostModel::new()));
+    let model = Arc::new(CostModel::new());
     // The library honours `threads` as given; oversubscribing a core only
     // adds scheduling overhead, so the CLI is where the request is clamped.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let opts = JitOptions {
         cache: Some(Arc::clone(&cache)),
-        cost_model: model.clone(),
+        cost_model: Some(Arc::clone(&model)),
         threads: args.threads.min(cores),
         trace: args.trace_out.is_some(),
         plan_opt: args.plan_opt,
@@ -535,21 +530,16 @@ fn cache_locality(args: &Args) {
             rounds - 1
         );
     }
-    match &model {
-        Some(m) => {
-            let layouts: Vec<String> = cache
-                .layout_counts()
-                .iter()
-                .map(|(l, n)| format!("{}={n}", l.name()))
-                .collect();
-            println!(
-                "cost model:              on ({} fields tracked)",
-                m.fields_tracked()
-            );
-            println!("replica layouts:         {}", layouts.join(" "));
-        }
-        None => println!("cost model:              off (all replicas parsed values)"),
-    }
+    let layouts: Vec<String> = cache
+        .layout_counts()
+        .iter()
+        .map(|(l, n)| format!("{}={n}", l.name()))
+        .collect();
+    println!(
+        "cost model:              on ({} fields tracked)",
+        model.fields_tracked()
+    );
+    println!("replica layouts:         {}", layouts.join(" "));
 
     if let Some(path) = &args.trace_out {
         let refs: Vec<(u64, &QueryTrace)> = traces.iter().map(|(o, t)| (*o, t)).collect();

@@ -1,23 +1,23 @@
 //! Cache layouts (Figure 4).
 //!
-//! A tuple carrying a JSON object can be materialized as (a) the object's
-//! raw text, (b) a binary-JSON serialization, (c) a fully parsed in-memory
-//! object, or (d) just the `(start, end)` byte positions into the raw file.
-//! The optimizer chooses per operator (§5); this module gives each choice a
-//! concrete representation and conversion paths between them.
+//! A tuple carrying a JSON object can be materialized as (b) a binary-JSON
+//! serialization, (c) a fully parsed in-memory object, or (d) just the
+//! `(start, end)` byte positions into the raw file. The figure's (a), the
+//! object's raw text, is not a replica layout: it does not round-trip typed
+//! values (`"3"` rehydrates as a string, not an int), and the raw file
+//! already holds it. The optimizer's cost model picks one layout per cached
+//! field (§5); this module gives each choice a concrete representation and
+//! the conversion from parsed values.
 
 use crate::bson;
 use std::sync::Arc;
 use vida_types::{Result, Value, VidaError};
 
-/// The four materialization layouts of Figure 4, plus `Column` — the
-//  columnar replica layout §5 describes for tabular reuse.
+/// The replica layouts of Figure 4 the engine stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Parsed in-memory values, one per row (Figure 4 (c)).
     Values,
-    /// Raw text of each value (Figure 4 (a)).
-    Text,
     /// Binary-JSON serialization of each value (Figure 4 (b)).
     BinaryJson,
     /// `(start, end)` byte positions into the raw file (Figure 4 (d)).
@@ -25,10 +25,14 @@ pub enum Layout {
 }
 
 impl Layout {
+    /// Every layout, in ascending order of baseline serving cost (a
+    /// pointer-shared values hit < a binary-JSON decode < an exact-seek raw
+    /// parse).
+    pub const ALL: [Layout; 3] = [Layout::Values, Layout::BinaryJson, Layout::Positions];
+
     pub fn name(&self) -> &'static str {
         match self {
             Layout::Values => "values",
-            Layout::Text => "text",
             Layout::BinaryJson => "binary-json",
             Layout::Positions => "positions",
         }
@@ -46,7 +50,6 @@ impl Layout {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedData {
     Values(Arc<Vec<Value>>),
-    Text(Vec<String>),
     BinaryJson(Vec<Vec<u8>>),
     Positions(Vec<(u64, u64)>),
 }
@@ -55,7 +58,6 @@ impl CachedData {
     pub fn layout(&self) -> Layout {
         match self {
             CachedData::Values(_) => Layout::Values,
-            CachedData::Text(_) => Layout::Text,
             CachedData::BinaryJson(_) => Layout::BinaryJson,
             CachedData::Positions(_) => Layout::Positions,
         }
@@ -64,7 +66,6 @@ impl CachedData {
     pub fn len(&self) -> usize {
         match self {
             CachedData::Values(v) => v.len(),
-            CachedData::Text(v) => v.len(),
             CachedData::BinaryJson(v) => v.len(),
             CachedData::Positions(v) => v.len(),
         }
@@ -78,7 +79,6 @@ impl CachedData {
     pub fn approx_bytes(&self) -> usize {
         match self {
             CachedData::Values(v) => v.iter().map(Value::approx_bytes).sum::<usize>() + 24,
-            CachedData::Text(v) => v.iter().map(|s| s.len() + 24).sum::<usize>() + 24,
             CachedData::BinaryJson(v) => v.iter().map(|b| b.len() + 24).sum::<usize>() + 24,
             CachedData::Positions(v) => v.len() * 16 + 24,
         }
@@ -93,7 +93,6 @@ impl CachedData {
         let oob = || VidaError::Exec(format!("cache row {row} out of range"));
         match self {
             CachedData::Values(v) => v.get(row).cloned().ok_or_else(oob),
-            CachedData::Text(v) => v.get(row).map(|s| Value::Str(s.clone())).ok_or_else(oob),
             CachedData::BinaryJson(v) => {
                 let bytes = v.get(row).ok_or_else(oob)?;
                 bson::decode_value(bytes, 0).map(|(val, _)| val)
@@ -111,9 +110,6 @@ impl CachedData {
     pub fn from_values(values: &[Value], target: Layout) -> Result<CachedData> {
         match target {
             Layout::Values => Ok(CachedData::Values(Arc::new(values.to_vec()))),
-            Layout::Text => Ok(CachedData::Text(
-                values.iter().map(|v| v.to_string()).collect(),
-            )),
             Layout::BinaryJson => Ok(CachedData::BinaryJson(
                 values.iter().map(bson::to_bytes).collect(),
             )),
@@ -191,19 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn text_layout_prints_values() {
-        let c = CachedData::from_values(&[Value::Int(3)], Layout::Text).unwrap();
-        assert_eq!(c.get(0).unwrap(), Value::str("3"));
-    }
-
-    #[test]
     fn layout_names_unique() {
-        let names = [
-            Layout::Values.name(),
-            Layout::Text.name(),
-            Layout::BinaryJson.name(),
-            Layout::Positions.name(),
-        ];
+        let names = Layout::ALL.map(|l| l.name());
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
     }

@@ -6,9 +6,9 @@
 //! (~80% in the paper's HBP workload) turns repeated raw-file accesses into
 //! memory reads. Three ideas from the paper shape the design:
 //!
-//! 1. **Layout-aware replicas** — the same field may be cached in several
-//!    layouts (columnar values, row records, binary JSON, positions-only;
-//!    Figure 4) and the optimizer picks the one that fits the query.
+//! 1. **Layout-aware replicas** — a field may be cached in any of
+//!    [`Layout::ALL`] (parsed values, binary JSON, positions-only; Figure 4)
+//!    and the optimizer's cost model picks the one that fits the workload.
 //! 2. **Cache-pollution avoidance** — large nested objects can be cached as
 //!    `(start, end)` byte positions into the raw file rather than eagerly
 //!    materialized (§5).

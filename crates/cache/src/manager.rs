@@ -988,9 +988,7 @@ mod tests {
     #[test]
     fn get_any_miss_counts_once() {
         let m = CacheManager::new(1 << 20);
-        assert!(m
-            .get_any("d", "a", &[Layout::Values, Layout::Text])
-            .is_none());
+        assert!(m.get_any("d", "a", &Layout::ALL).is_none());
         assert_eq!(m.stats().misses, 1);
     }
 

@@ -33,7 +33,7 @@ pub use vida_exec::{
 pub use vida_formats::{open_plugin, DataFormat, InputPlugin, SourceDescription};
 pub use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SlotType};
 pub use vida_lang::{eval, parse, typecheck, Bindings, Expr, TypeEnv};
-pub use vida_optimizer::{CostModel, CostModelConfig, FieldObservation, Optimizer, Pass};
+pub use vida_optimizer::{CostModel, FieldObservation};
 pub use vida_parallel::{MorselPlan, WorkerPool};
 pub use vida_server::{QueryRequest, QueryServer, ServerConfig, ServerStats};
 pub use vida_sql::sql_to_comprehension;

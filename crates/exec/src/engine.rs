@@ -9,9 +9,11 @@
 //!   between queries; parallel phases *attach* runs to the pool instead of
 //!   spawning threads, and concurrent sessions' morsels interleave on the
 //!   same workers (morsel-granularity time slicing);
-//! - **the shared catalog, cache, and cost model** (carried inside the
-//!   engine's default [`JitOptions`]): replica caches, sketches, and
-//!   PR-9-style plugin revalidation all accumulate across queries;
+//! - **the shared catalog, cache, and cost model** (the cache carried
+//!   inside the engine's default [`JitOptions`]; the model is the defaults'
+//!   one, or one the engine creates, and it steers the cache for every
+//!   session whose options carry none): replica caches, sketches, and
+//!   plugin revalidation all accumulate across queries;
 //! - **one string interner** ([`SharedInterner`]): kernel string ids are
 //!   stable across sessions, and `Str` unnest elements can intern at
 //!   runtime from parallel workers;
@@ -42,6 +44,7 @@ use std::sync::Arc;
 use vida_algebra::Plan;
 use vida_cache::CacheManager;
 use vida_jit::SharedInterner;
+use vida_optimizer::CostModel;
 use vida_parallel::WorkerPool;
 use vida_types::sync::Mutex;
 use vida_types::{Result, Value};
@@ -79,6 +82,9 @@ pub struct Engine {
     pool: WorkerPool,
     /// Engine-wide string table: ids stable across sessions.
     interner: Arc<SharedInterner>,
+    /// The model steering the cache for sessions whose options carry none
+    /// (the defaults' own model when they set one).
+    cost_model: Arc<CostModel>,
     /// Every session's per-query stats, accumulated.
     stats: Mutex<ExecStats>,
 }
@@ -91,6 +97,7 @@ impl Engine {
         let pool = WorkerPool::new(defaults.threads);
         Engine {
             catalog,
+            cost_model: defaults.cost_model.clone().unwrap_or_default(),
             defaults,
             pool,
             interner: Arc::new(SharedInterner::new()),
@@ -234,6 +241,7 @@ impl Session<'_> {
             pool: self.engine.pool.clone(),
             interner: Arc::clone(&self.engine.interner),
             tenant: self.tenant.clone(),
+            cost_model: Arc::clone(&self.engine.cost_model),
         };
         let (value, stats) =
             execute_with_context(plan, self.engine.catalog.as_ref(), &self.opts, &ctx)?;
@@ -347,6 +355,20 @@ mod tests {
         assert!(stats.trace.is_some());
         // Overrides are per session: a sibling keeps the engine defaults.
         assert!(engine.execute_with_stats(&plan).unwrap().1.trace.is_none());
+    }
+
+    #[test]
+    fn sessions_without_a_model_share_the_engines_model() {
+        let model = Arc::new(CostModel::new());
+        let opts =
+            JitOptions::with_cost_model(Arc::new(CacheManager::new(1 << 20)), Arc::clone(&model));
+        let engine = Engine::new(catalog(), opts);
+        let plan = plan_of("for { p <- Patients } yield sum p.age");
+        engine.execute(&plan).unwrap();
+        let mut bare = engine.session();
+        bare.options_mut().cost_model = None;
+        bare.execute(&plan).unwrap();
+        assert_eq!(model.profile("Patients", "age").unwrap().touches, 2);
     }
 
     #[test]

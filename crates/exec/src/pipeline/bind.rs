@@ -10,11 +10,11 @@ use crate::catalog::SourceProvider;
 use crate::stats::ExecStats;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 use vida_algebra::lower::left_deepen;
 use vida_algebra::Plan;
 use vida_formats::Revalidation;
 use vida_jit::compile::path_of;
-use vida_jit::frame::StringInterner;
 use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr};
 use vida_optimizer::CostModel;
@@ -40,19 +40,6 @@ pub(super) enum Freshness {
     },
     /// Shrunk or edited in place: full invalidation, full re-scan.
     Rebuilt,
-}
-
-/// Encode one value into its slot representation (the runtime half of
-/// `FrameBuilder::fill_slot`, applied column-wise at generation time).
-fn encode_cell(ty: SlotType, v: &Value, interner: &mut StringInterner) -> Option<i64> {
-    match (ty, v) {
-        (SlotType::Int, Value::Int(x)) => Some(*x),
-        (SlotType::Float, Value::Float(x)) => Some(x.to_bits() as i64),
-        (SlotType::Float, Value::Int(x)) => Some((*x as f64).to_bits() as i64),
-        (SlotType::Bool, Value::Bool(b)) => Some(*b as i64),
-        (SlotType::Str, Value::Str(s)) => Some(interner.intern(s)),
-        _ => None,
-    }
 }
 
 /// Static element type of an unnest path, plus the direct-column fast path
@@ -184,6 +171,38 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
+    /// The cost model steering the attached cache: the session's own, else
+    /// the context's shared fallback — a cache is never left unsteered.
+    pub(super) fn cache_model(&self) -> &'a CostModel {
+        self.opts
+            .cost_model
+            .as_deref()
+            .unwrap_or(&self.ctx.cost_model)
+    }
+
+    /// The model whose sketches inform plan optimization: the cache's model
+    /// when a cache is attached, otherwise the session's, if any.
+    fn sketch_model(&self) -> Option<&'a CostModel> {
+        match self.opts.cache {
+            Some(_) => Some(self.cache_model()),
+            None => self.opts.cost_model.as_deref(),
+        }
+    }
+
+    /// Open one of the build's compile stretches (`LOWER`/`CODEGEN`): its
+    /// trace span, and the clock `ExecStats::codegen` sums. Everything else
+    /// the build does — cache probes, raw scans, replica sync, slot
+    /// encoding — is execution.
+    fn compile_begin(&mut self, stage: &'static str) -> Instant {
+        self.stats.span_begin(stage);
+        Instant::now()
+    }
+
+    fn compile_end(&mut self, started: Instant) {
+        self.stats.codegen += started.elapsed();
+        self.stats.span_end();
+    }
+
     /// `Ok(None)` = shape outside the generated pipelines (use the fallback
     /// engine); errors are real (catalog failures, kernel bugs).
     pub(super) fn build(mut self, plan: &Plan) -> Result<Option<Pipeline>> {
@@ -200,7 +219,7 @@ impl<'a> PipelineBuilder<'a> {
         // Bushy join trees rotate into left-deep chains before shape
         // analysis (inner join predicates fuse into the outer join, result
         // and tuple order preserved).
-        self.stats.span_begin(stage::LOWER);
+        let lower = self.compile_begin(stage::LOWER);
         let (mut input, rotations) = left_deepen(input);
         // Cost-based join reordering (build-side choice rides along: the
         // pipelines always build the right side of each join). Gated to
@@ -217,7 +236,7 @@ impl<'a> PipelineBuilder<'a> {
         {
             let est = CatalogEstimates {
                 catalog: self.catalog,
-                model: self.opts.cost_model.as_deref(),
+                model: self.sketch_model(),
             };
             let (reordered, report) = vida_optimizer::reorder_joins(&input, &est);
             if report.eligible {
@@ -226,13 +245,13 @@ impl<'a> PipelineBuilder<'a> {
             }
         }
         let shape = Shape::of(&input);
-        self.stats.span_end();
+        self.compile_end(lower);
         let Some(shape) = shape else {
             return Ok(None);
         };
 
         // Touched paths, grouped per scanned binding.
-        self.stats.span_begin(stage::CODEGEN);
+        let codegen = self.compile_begin(stage::CODEGEN);
         let mut exprs: Vec<&Expr> = Vec::new();
         shape.exprs(&mut exprs);
         exprs.push(head);
@@ -297,7 +316,7 @@ impl<'a> PipelineBuilder<'a> {
             &mut unnest_cursor,
             &mut join_cursor,
         )?;
-        self.stats.span_end();
+        self.compile_end(codegen);
         self.stats.bushy_lowered += rotations;
         if let Some(r) = reorder_report {
             self.stats.joins_reordered += r.joins_reordered;
@@ -337,7 +356,7 @@ impl<'a> PipelineBuilder<'a> {
                             slot,
                             columns[ti]
                                 .iter()
-                                .map(|v| encode_cell(ty, v, int))
+                                .map(|v| ty.encode(v, |s| int.intern(s)))
                                 .collect::<Vec<_>>(),
                         )
                     })
@@ -385,12 +404,12 @@ impl<'a> PipelineBuilder<'a> {
                 }
             });
         }
-        self.stats.span_begin(stage::CODEGEN);
+        let codegen = self.compile_begin(stage::CODEGEN);
         self.attach_selects(&mut sources, &shape, &layout, &interner)?;
         self.observe_select_stats(&sources, &shape);
 
         let head_plan = self.plan_head(*monoid, head, &layout, &interner);
-        self.stats.span_end();
+        self.compile_end(codegen);
 
         // Base environment: datasets referenced by nested comprehensions
         // (shared helper with the Volcano engine).
@@ -604,15 +623,27 @@ impl<'a> PipelineBuilder<'a> {
         interner: &SharedInterner,
     ) -> Result<Step> {
         if JitCompiler::try_prepare(predicate, layout) == Some(SlotType::Bool) {
-            // Kernel ids are the query's dense compile order — the trace
-            // layer's per-kernel invocation index.
-            let k = interner
-                .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(predicate, layout, i)))?
-                .with_id(self.stats.kernels_compiled);
-            self.stats.kernels_compiled += 1;
+            let k = self.compile(predicate, layout, interner)?;
             return Ok(Step::Kernel(k, predicate.clone()));
         }
         Ok(Step::Interp(predicate.clone()))
+    }
+
+    /// Compile one kernel under the interner lock (string constants intern
+    /// into the shared table) and tag it with the query's next dense id —
+    /// kernel ids are the compile order, the trace layer's per-kernel
+    /// invocation index.
+    fn compile(
+        &mut self,
+        e: &Expr,
+        layout: &FrameLayout,
+        interner: &SharedInterner,
+    ) -> Result<CompiledKernel> {
+        let k = interner
+            .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(e, layout, i)))?
+            .with_id(self.stats.kernels_compiled);
+        self.stats.kernels_compiled += 1;
+        Ok(k)
     }
 
     /// Build the operator tree. Joins pick their strategy here: hash join
@@ -692,17 +723,8 @@ impl<'a> PipelineBuilder<'a> {
                             _ => None, // incomparable key types
                         };
                         if let Some(float_keys) = float_keys {
-                            let left_key = interner
-                                .with_mut(|i| {
-                                    JitCompiler::new().and_then(|c| c.compile(&lk_expr, layout, i))
-                                })?
-                                .with_id(self.stats.kernels_compiled);
-                            let right_key = interner
-                                .with_mut(|i| {
-                                    JitCompiler::new().and_then(|c| c.compile(&rk_expr, layout, i))
-                                })?
-                                .with_id(self.stats.kernels_compiled + 1);
-                            self.stats.kernels_compiled += 2;
+                            let left_key = self.compile(&lk_expr, layout, interner)?;
+                            let right_key = self.compile(&rk_expr, layout, interner)?;
                             return Ok(Node::HashJoin {
                                 left: Box::new(lnode),
                                 right: ridx,
@@ -731,17 +753,8 @@ impl<'a> PipelineBuilder<'a> {
                     ) {
                         if numeric(lt) && numeric(rt) {
                             let float_keys = lt == SlotType::Float || rt == SlotType::Float;
-                            let left_key = interner
-                                .with_mut(|i| {
-                                    JitCompiler::new().and_then(|c| c.compile(&lk_expr, layout, i))
-                                })?
-                                .with_id(self.stats.kernels_compiled);
-                            let right_key = interner
-                                .with_mut(|i| {
-                                    JitCompiler::new().and_then(|c| c.compile(&rk_expr, layout, i))
-                                })?
-                                .with_id(self.stats.kernels_compiled + 1);
-                            self.stats.kernels_compiled += 2;
+                            let left_key = self.compile(&lk_expr, layout, interner)?;
+                            let right_key = self.compile(&rk_expr, layout, interner)?;
                             band = Some(Band {
                                 left_key,
                                 right_key,
@@ -811,8 +824,7 @@ impl<'a> PipelineBuilder<'a> {
                         // path keeps syntactic order: interpreted conjuncts
                         // can error, and error order is observable.
                         let order = if self.opts.plan_opt && kernels.len() > 1 {
-                            let order =
-                                rank_conjuncts(selects, dataset, self.opts.cost_model.as_deref());
+                            let order = rank_conjuncts(selects, dataset, self.sketch_model());
                             self.stats.conjuncts_reordered += order
                                 .iter()
                                 .enumerate()
@@ -850,7 +862,7 @@ impl<'a> PipelineBuilder<'a> {
         if !self.opts.plan_opt {
             return;
         }
-        let Some(model) = &self.opts.cost_model else {
+        let Some(model) = self.sketch_model() else {
             return;
         };
         let mut scans: Vec<(&String, &Vec<Expr>)> = Vec::new();
@@ -916,11 +928,7 @@ impl<'a> PipelineBuilder<'a> {
             return HeadPlan::CountOnly;
         }
         if JitCompiler::try_prepare(head, layout).is_some() {
-            if let Ok(k) =
-                interner.with_mut(|i| JitCompiler::new().and_then(|c| c.compile(head, layout, i)))
-            {
-                let k = k.with_id(self.stats.kernels_compiled);
-                self.stats.kernels_compiled += 1;
+            if let Ok(k) = self.compile(head, layout, interner) {
                 return HeadPlan::Kernel(k, head.clone());
             }
         }
@@ -930,25 +938,16 @@ impl<'a> PipelineBuilder<'a> {
                     .iter()
                     .all(|(_, e)| JitCompiler::try_prepare(e, layout).is_some())
             {
-                let mut ks = Vec::with_capacity(fields.len());
-                let mut ok = true;
-                for (n, e) in fields {
-                    match interner
-                        .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(e, layout, i)))
-                    {
-                        Ok(k) => {
-                            let id = self.stats.kernels_compiled + ks.len() as u32;
-                            ks.push((n.clone(), k.with_id(id)));
-                        }
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    self.stats.kernels_compiled += ks.len() as u32;
-                    return HeadPlan::RecordKernels(ks, head.clone());
+                // All fields or none: a field that fails to compile leaves
+                // the whole head interpreted and its siblings uncounted.
+                let compiled = self.stats.kernels_compiled;
+                let ks = fields
+                    .iter()
+                    .map(|(n, e)| Ok((n.clone(), self.compile(e, layout, interner)?)))
+                    .collect::<Result<Vec<_>>>();
+                match ks {
+                    Ok(ks) => return HeadPlan::RecordKernels(ks, head.clone()),
+                    Err(_) => self.stats.kernels_compiled = compiled,
                 }
             }
         }

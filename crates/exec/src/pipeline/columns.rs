@@ -12,14 +12,13 @@ use vida_trace::stage;
 use vida_types::{Result, Value};
 
 impl PipelineBuilder<'_> {
-    /// Touched columns, cache-first: replicas in any storable layout are
-    /// rehydrated (parsed values directly, binary JSON by decoding,
-    /// positions by exact-seek raw parses), anything missing is read from
-    /// the raw file in one projected scan. With a cost model attached, the
-    /// probe order comes from [`CostModel::read_preference`] and the
-    /// post-query [`PipelineBuilder::sync_replicas`] step decides which
-    /// replicas to (re-)write; without one, raw reads write `Values`
-    /// replicas as before.
+    /// Touched columns, cache-first: replicas in any layout are rehydrated
+    /// (parsed values directly, binary JSON by decoding, positions by
+    /// exact-seek raw parses), anything missing is read from the raw file
+    /// in one projected scan. The probe order comes from
+    /// [`vida_optimizer::CostModel::read_preference`], and the post-query
+    /// [`PipelineBuilder::sync_replicas`] step is the only writer of
+    /// replicas, in the layout the model chooses.
     pub(super) fn materialize_columns(
         &mut self,
         dataset: &str,
@@ -75,15 +74,11 @@ impl PipelineBuilder<'_> {
                     cache.invalidate_dataset(dataset);
                 }
             }
+            let model = self.cache_model();
             let pressure = cache_pressure(cache);
             for (i, &col) in touched.iter().enumerate() {
                 let field = &schema.fields()[col].name;
-                // Without a model, probe every storable layout cheapest
-                // decode first; the model reorders by its chosen layout.
-                let preference = match &self.opts.cost_model {
-                    Some(model) => model.read_preference(dataset, field, pressure),
-                    None => vec![Layout::Values, Layout::BinaryJson, Layout::Positions],
-                };
+                let preference = model.read_preference(dataset, field, pressure);
                 match cache.get_any_versioned(dataset, field, &preference) {
                     Some((_, data, fp)) if fp == fingerprint && data.len() == nrows => {
                         let vals = match &*data {
@@ -150,35 +145,22 @@ impl PipelineBuilder<'_> {
                     None => {
                         match cache.extend_values(&key, prev_fingerprint, from, tail, fingerprint) {
                             Some(full) => full,
+                            // The replica vanished between probe and splice
+                            // (concurrent eviction): re-read the whole column
+                            // from raw — correctness over speed on this rare
+                            // race; `sync_replicas` re-caches it.
                             None => {
-                                // The replica vanished between probe and splice
-                                // (concurrent eviction): re-read the whole
-                                // column from raw — correctness over speed on
-                                // this rare race.
                                 let vals = self.scan_columns(plugin, &[touched[i]], 0)?;
-                                let full = Arc::new(vals.into_iter().next().expect("one column"));
-                                if self.opts.cost_model.is_none() {
-                                    cache.put(
-                                        key,
-                                        CachedData::Values(Arc::clone(&full)),
-                                        fingerprint,
-                                    );
-                                }
-                                full
+                                Arc::new(vals.into_iter().next().expect("one column"))
                             }
                         }
                     }
-                    // Other layouts: stitch decoded prefix + scanned tail
-                    // and refresh the replica to the current generation
-                    // (with a cost model the refresh happens in
-                    // `sync_replicas` instead, in its chosen layout).
+                    // Other layouts: stitch decoded prefix + scanned tail;
+                    // `sync_replicas` refreshes the replica to the current
+                    // generation in the model's chosen layout.
                     Some(mut vals) => {
                         vals.extend(tail);
-                        let full = Arc::new(vals);
-                        if self.opts.cost_model.is_none() {
-                            cache.put(key, CachedData::Values(Arc::clone(&full)), fingerprint);
-                        }
-                        full
+                        Arc::new(vals)
                     }
                 };
                 out[i] = Some(full);
@@ -191,21 +173,7 @@ impl PipelineBuilder<'_> {
             let read = self.scan_columns(plugin, &cols, 0)?;
             self.stats.span_end();
             for (&i, col_vals) in missing.iter().zip(read) {
-                let field = &schema.fields()[touched[i]].name;
-                let full = Arc::new(col_vals);
-                // Without a model, keep the legacy eager-Values put — the
-                // replica shares storage with the served column. With a
-                // model, sync_replicas below writes the chosen layout.
-                if self.opts.cost_model.is_none() {
-                    if let Some(cache) = &self.opts.cache {
-                        cache.put(
-                            CacheKey::new(dataset, field.clone(), Layout::Values),
-                            CachedData::Values(Arc::clone(&full)),
-                            fingerprint,
-                        );
-                    }
-                }
-                out[i] = Some(full);
+                out[i] = Some(Arc::new(col_vals));
                 self.stats.raw_columns += 1;
             }
         }
@@ -257,8 +225,8 @@ impl PipelineBuilder<'_> {
     /// evidence into the model, then make the cache hold each touched
     /// field's replica in the layout the model now prefers — building it
     /// from the materialized column (or from raw-file field spans for
-    /// `Positions`) and retiring a superseded `Values` replica. No-op
-    /// without both a cache and a model.
+    /// `Positions`) and retiring its replicas in every other layout. The
+    /// only writer of replicas; no-op without a cache.
     fn sync_replicas(
         &mut self,
         dataset: &str,
@@ -267,9 +235,10 @@ impl PipelineBuilder<'_> {
         columns: &[Arc<Vec<Value>>],
         fingerprint: (u64, u64),
     ) -> Result<()> {
-        let (Some(cache), Some(model)) = (&self.opts.cache, &self.opts.cost_model) else {
+        let Some(cache) = &self.opts.cache else {
             return Ok(());
         };
+        let model = self.cache_model();
         self.stats.span_begin(stage::REPLICA_SYNC);
         let written_before = self.stats.replicas_written;
         model.set_budget_bytes(cache.budget_bytes() as u64);
@@ -324,11 +293,11 @@ impl PipelineBuilder<'_> {
                 }
             }
             // Once the chosen layout is in place, replicas of the field in
-            // every other storable layout are superseded dead weight: drop
+            // every other layout are superseded dead weight: drop
             // them to free budget (the re-shaping half of "re-using and
             // re-shaping results").
             if cache.contains(&key) {
-                for layout in vida_optimizer::STORABLE_LAYOUTS {
+                for layout in Layout::ALL {
                     if layout != chosen
                         && cache.remove(&CacheKey::new(dataset, field.clone(), layout))
                     {
@@ -461,6 +430,9 @@ mod tests {
         assert_eq!(v1, Value::Int(136));
         assert!(s1.raw_columns > 0);
         assert!(!s1.served_from_cache);
+        // No model in the options: the per-call fallback model steers the
+        // cache, and its sync is the one writer of the replicas.
+        assert!(s1.replicas_written > 0, "{s1:?}");
         let (v2, s2) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
         assert_eq!(v2, v1);
         assert_eq!(s2.raw_columns, 0);
@@ -551,17 +523,17 @@ mod tests {
 
         let cache = Arc::new(CacheManager::new(16 << 10));
         let plan = plan_of("for { n <- Notes, n.id >= 0 } yield count n.body");
-        // A model-less run leaves the legacy eager parsed-values replicas;
-        // additionally plant a stray binary-JSON replica of the same field
-        // (as if the model had chosen differently in the past).
-        let legacy = JitOptions::with_cache(Arc::clone(&cache));
-        run_jit(&plan, &cat, &legacy).unwrap();
+        // Plant stale replicas of the wide field in both non-positions
+        // layouts (as if the model had chosen differently in the past).
+        let fingerprint = vida_formats::InputPlugin::fingerprint(plugin.as_ref());
+        for layout in [Layout::Values, Layout::BinaryJson] {
+            cache.put(
+                CacheKey::new("Notes", "body", layout),
+                CachedData::from_values(&[Value::str("stale")], layout).unwrap(),
+                fingerprint,
+            );
+        }
         assert!(cache.contains(&CacheKey::new("Notes", "body", Layout::Values)));
-        cache.put(
-            CacheKey::new("Notes", "body", Layout::BinaryJson),
-            CachedData::from_values(&[Value::str("stale")], Layout::BinaryJson).unwrap(),
-            vida_formats::InputPlugin::fingerprint(plugin.as_ref()),
-        );
 
         // The first model-driven run re-shapes the wide column to positions
         // and retires every superseded replica, not just the values one.

@@ -7,7 +7,7 @@ use crate::stats::ExecStats;
 use std::ops::Range;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
-use vida_jit::{CompiledKernel, SharedInterner, SlotType};
+use vida_jit::{CompiledKernel, SlotType};
 use vida_lang::{eval, Bindings};
 use vida_parallel::{MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
@@ -603,7 +603,11 @@ impl Pipeline {
                     None => Some(item),
                     Some(f) => item.field(f),
                 };
-                match v.and_then(|v| encode_elem(*ty, v, &self.interner)) {
+                // `Str` elements intern through the shared interner — safe
+                // from parallel workers because the table is lock-guarded,
+                // and cheap because the build pre-interned every string
+                // reachable through the direct-column path.
+                match v.and_then(|v| ty.encode(v, |s| self.interner.intern(s))) {
                     Some(bits) => frame[*slot] = bits,
                     None => valid = false,
                 }
@@ -624,30 +628,6 @@ impl Pipeline {
             sink(stats, nt)?;
         }
         Ok(())
-    }
-}
-
-/// Encode one unnest element (or element field) into a non-string slot —
-/// the interner-free half of [`encode_elem`], shared by every non-`Str`
-/// element type.
-fn encode_scalar(ty: SlotType, v: &Value) -> Option<i64> {
-    match (ty, v) {
-        (SlotType::Int, Value::Int(x)) => Some(*x),
-        (SlotType::Float, Value::Float(x)) => Some(x.to_bits() as i64),
-        (SlotType::Float, Value::Int(x)) => Some((*x as f64).to_bits() as i64),
-        (SlotType::Bool, Value::Bool(b)) => Some(*b as i64),
-        _ => None,
-    }
-}
-
-/// Encode one unnest element (or element field) into a slot at runtime.
-/// `Str` elements intern through the shared interner — safe from parallel
-/// workers because the table is lock-guarded, and cheap because the build
-/// pre-interned every string reachable through the direct-column path.
-fn encode_elem(ty: SlotType, v: &Value, interner: &SharedInterner) -> Option<i64> {
-    match (ty, v) {
-        (SlotType::Str, Value::Str(s)) => Some(interner.intern(s)),
-        _ => encode_scalar(ty, v),
     }
 }
 

@@ -36,12 +36,13 @@
 //!   too;
 //! - **cost-model-driven cache replicas**: with a [`CacheManager`] attached,
 //!   touched columns are served from cached replicas and raw-file reads
-//!   populate the cache for the next query. With a
-//!   [`vida_optimizer::CostModel`] attached too, the pipeline records
-//!   per-field access statistics after every query and the model
-//!   decides each replica's layout — parsed `Values`, compact `BinaryJson`,
-//!   or `Positions` (raw byte spans rehydrated by exact-seek parses) — plus
-//!   the `get_any` probe order and a rebuild-cost eviction bonus (§5);
+//!   populate the cache for the next query. A cache is always steered by a
+//!   [`vida_optimizer::CostModel`] — the session's, else the engine's
+//!   shared one: the pipeline records per-field access statistics after
+//!   every query and the model decides each replica's layout — parsed
+//!   `Values`, compact `BinaryJson`, or `Positions` (raw byte spans
+//!   rehydrated by exact-seek parses) — plus the `get_any` probe order and
+//!   a rebuild-cost eviction bonus (§5);
 //! - **monoid folding**: results fold with the output monoid; collection
 //!   monoids accumulate and canonicalize once at the end, and `count` with a
 //!   total head skips head evaluation entirely.
@@ -99,6 +100,7 @@ use vida_algebra::Plan;
 use vida_cache::{CacheManager, FoldPartial};
 use vida_jit::{CompiledKernel, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{BinOp, Bindings, Expr};
+use vida_optimizer::CostModel;
 use vida_parallel::WorkerPool;
 use vida_trace::QueryTrace;
 use vida_types::{Monoid, Result, Value, VidaError};
@@ -110,10 +112,10 @@ pub fn run_jit(plan: &Plan, catalog: &dyn SourceProvider, opts: &JitOptions) -> 
 }
 
 /// Per-call compatibility wrapper over the path `Session::execute` runs:
-/// one query on a throwaway pool (its workers start once per call) and a
-/// private interner. Kept for the call sites that predate
-/// [`Engine`](crate::Engine) (the frozen `benchmark/` package, differential
-/// tests); new code opens a session.
+/// one query on a throwaway pool (its workers start once per call), a
+/// private interner and a private fallback cost model. Kept for the call
+/// sites that predate [`Engine`](crate::Engine) (the frozen `benchmark/`
+/// package, differential tests); new code opens a session.
 #[doc(hidden)]
 pub fn run_jit_with_stats(
     plan: &Plan,
@@ -124,6 +126,7 @@ pub fn run_jit_with_stats(
         pool: WorkerPool::new(opts.threads),
         interner: Arc::new(SharedInterner::new()),
         tenant: None,
+        cost_model: Arc::default(),
     };
     execute_with_context(plan, catalog, opts, &ctx)
 }
@@ -131,11 +134,13 @@ pub fn run_jit_with_stats(
 /// Cross-query execution state threaded from the resident engine (or
 /// synthesized per call by the `run_jit` wrapper): the worker pool every
 /// phase submits its morsels to, the interner string slots resolve through,
-/// and the tenant that cache replica writes are billed to.
+/// the tenant that cache replica writes are billed to, and the cost model
+/// that steers the cache when the session's options carry none.
 pub(crate) struct ExecContext {
     pub(crate) pool: WorkerPool,
     pub(crate) interner: Arc<SharedInterner>,
     pub(crate) tenant: Option<String>,
+    pub(crate) cost_model: Arc<CostModel>,
 }
 
 /// The one execution path: `Session::execute_with_stats` and the hidden
@@ -177,20 +182,22 @@ fn execute(
         trace: opts.trace.then(|| Box::new(QueryTrace::start())),
         ..Default::default()
     };
+    // The builder adds its lowering and kernel-compile stretches to
+    // `stats.codegen`; the rest of the query's wall time — cache probes,
+    // raw scans, replica sync, slot encoding, the drive — is execution.
     let t0 = Instant::now();
     let built = PipelineBuilder::new(catalog, opts, ctx, &mut stats).build(plan)?;
-    stats.codegen = t0.elapsed();
-    let t1 = Instant::now();
     let Some(pipeline) = built else {
         // Whole-query fallback: shape outside the generated pipelines. The
-        // declined build is the query's codegen time, Volcano its execution.
+        // declined lowering is the query's codegen time, Volcano its
+        // execution.
         stats.whole_query_fallbacks = 1;
         let v = run_volcano(plan, catalog)?;
-        stats.execution = t1.elapsed();
+        stats.execution = t0.elapsed().saturating_sub(stats.codegen);
         return Ok((v, stats));
     };
     let value = pipeline.execute(&mut stats)?;
-    stats.execution = t1.elapsed();
+    stats.execution = t0.elapsed().saturating_sub(stats.codegen);
     // Pair the optimizer's estimate with the observed pipeline output so
     // `cardinality_error` compares like with like after accumulation.
     if stats.estimated_rows > 0 {
@@ -511,6 +518,35 @@ mod tests {
         assert_eq!(stats.whole_query_fallbacks, 1);
         assert!(stats.codegen > std::time::Duration::ZERO, "{stats:?}");
         assert!(stats.execution > std::time::Duration::ZERO, "{stats:?}");
+    }
+
+    #[test]
+    fn codegen_excludes_the_raw_scan() {
+        // Regression: `codegen` was the wall time of the whole pipeline
+        // build, cache probes and raw scans included, so a cold scan read
+        // as mostly code generation.
+        use vida_formats::csv::CsvFile;
+        use vida_formats::plugin::CsvPlugin;
+        use vida_types::{Schema, Type};
+        let mut csv = String::from("id,age\n");
+        for i in 0..100_000 {
+            csv.push_str(&format!("{i},{}\n", i % 70));
+        }
+        let file = CsvFile::from_bytes(
+            "Big",
+            csv.into_bytes(),
+            b',',
+            true,
+            Schema::from_pairs([("id", Type::Int), ("age", Type::Int)]),
+        )
+        .unwrap();
+        let cat = crate::catalog::MemoryCatalog::new();
+        cat.register(Arc::new(CsvPlugin::new(file)));
+        let opts = JitOptions::with_cache(Arc::new(CacheManager::new(64 << 20)));
+        let plan = plan_of("for { b <- Big, b.age > 30 } yield count b.id");
+        let (_, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
+        assert!(stats.raw_columns > 0, "{stats:?}");
+        assert!(stats.codegen * 10 < stats.execution, "{stats:?}");
     }
 
     #[test]

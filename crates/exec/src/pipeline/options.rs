@@ -43,13 +43,14 @@ use vida_optimizer::CostModel;
 pub struct JitOptions {
     /// Cache consulted for column replicas and populated on raw reads.
     pub cache: Option<Arc<CacheManager>>,
-    /// Cost model deciding replica layouts (§5). With a model attached the
-    /// pipeline records per-field access statistics after every query,
-    /// writes replicas in the layout the model chooses (`Values`,
-    /// `BinaryJson`, or `Positions`), probes `get_any` in model order, and
-    /// weighs eviction by rebuild cost. Without one, raw reads always write
-    /// `Values` replicas (the pre-model behaviour). Ignored unless `cache`
-    /// is also set.
+    /// Cost model deciding replica layouts (§5). A cache is always steered
+    /// by a model: the pipeline records per-field access statistics after
+    /// every query, writes replicas in the layout the model chooses
+    /// (`Values`, `BinaryJson`, or `Positions`), probes `get_any` in model
+    /// order, and weighs eviction by rebuild cost. `None` next to a cache
+    /// selects the engine's shared model (a per-call one under the hidden
+    /// `run_jit` wrappers), not a second policy. Without a cache, a model
+    /// only lends its sketches to plan optimization.
     pub cost_model: Option<Arc<CostModel>>,
     /// Worker threads of the morsel driver, honoured as given (`0` means
     /// 1; callers that want a machine-sized pool pass

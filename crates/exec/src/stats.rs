@@ -16,9 +16,12 @@ use vida_trace::QueryTrace;
 /// Statistics for one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
-    /// Time spent generating the pipeline (analysis + kernel compilation).
+    /// Time spent generating the pipeline: plan lowering and analysis plus
+    /// kernel compilation (the `lower` and `codegen` trace stages).
     pub codegen: Duration,
-    /// Time spent executing the generated pipeline.
+    /// The rest of the query's wall time: cache probes, raw scans, replica
+    /// sync, slot encoding, join builds and the drive (or the whole
+    /// Volcano run of a fallback query).
     pub execution: Duration,
     /// Number of kernels compiled for this query.
     pub kernels_compiled: u32,

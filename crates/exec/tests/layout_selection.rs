@@ -23,7 +23,7 @@ use vida_formats::json::JsonFile;
 use vida_formats::plugin::{CsvPlugin, JsonPlugin};
 use vida_formats::InputPlugin;
 use vida_lang::parse;
-use vida_optimizer::{CostModel, STORABLE_LAYOUTS};
+use vida_optimizer::CostModel;
 use vida_types::{Schema, Type, Value};
 
 fn patients_csv() -> CsvPlugin {
@@ -115,7 +115,7 @@ const QUERIES: &[&str] = &[
 
 #[test]
 fn every_forced_layout_agrees_with_the_oracle() {
-    for layout in STORABLE_LAYOUTS {
+    for layout in Layout::ALL {
         // Fresh plugins per layout so positional structures never leak
         // state between sub-cases.
         let cat = MemoryCatalog::new();
@@ -148,7 +148,7 @@ fn every_forced_layout_agrees_with_the_oracle() {
 fn forced_layouts_agree_under_parallel_decode() {
     // The morselized warm-cache decode must produce identical columns: run
     // each forced layout at 1 and 4 workers and compare.
-    for layout in STORABLE_LAYOUTS {
+    for layout in Layout::ALL {
         let cat = MemoryCatalog::new();
         let patients = Arc::new(patients_csv());
         cat.register(Arc::clone(&patients) as Arc<dyn InputPlugin>);

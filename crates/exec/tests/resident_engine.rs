@@ -444,3 +444,23 @@ fn attached_runs_report_worker_idle_time() {
     assert!(delta.worker_busy_ns > 0);
     assert!(delta.worker_idle_ns > 0, "{delta:?}");
 }
+
+/// Regression: with a cache but no cost model, replicas were written by a
+/// second, model-less writer that ignored the session's tenant, so a
+/// tenant's cold query left its quota at 0 bytes and 0 insertions. A cache
+/// is always steered by a model now — the engine's own when the options
+/// carry none — and every replica is billed to the writing session.
+#[test]
+fn a_model_less_engine_bills_replicas_to_the_session_tenant() {
+    let cache = Arc::new(CacheManager::new(1 << 22));
+    cache.set_tenant_budget("acme", 1 << 20);
+    let engine = Engine::new(Arc::new(owned_catalog()), opts_for(1, Some(cache.clone())));
+    let (_, stats) = engine
+        .session_for("acme")
+        .execute_with_stats(&plans()[0])
+        .unwrap();
+    assert!(stats.replicas_written > 0, "{stats:?}");
+    let billed = cache.tenant_stats("acme");
+    assert!(billed.insertions > 0, "{billed:?}");
+    assert!(billed.used_bytes > 0, "{billed:?}");
+}

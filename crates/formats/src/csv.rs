@@ -123,7 +123,6 @@ pub struct CsvFile {
     rows: Vec<u32>,
     /// Per-column, per-row byte offsets of each column's first byte.
     posmap: PosMap,
-    posmap_enabled: bool,
     header: bool,
     stats: Arc<AccessStats>,
     /// (file length, mtime nanoseconds) — cache invalidation fingerprint.
@@ -220,7 +219,6 @@ impl CsvFile {
             schema,
             rows,
             posmap,
-            posmap_enabled: true,
             header,
             stats: Arc::new(AccessStats::new()),
             fingerprint,
@@ -262,7 +260,6 @@ impl CsvFile {
         )?;
         file.fingerprint = current;
         file.origin = self.origin.clone();
-        file.posmap_enabled = self.posmap_enabled;
         file.stats = Arc::clone(&self.stats);
         Ok(FileRefresh::Rebuilt { file })
     }
@@ -311,11 +308,7 @@ impl CsvFile {
         } else {
             n.saturating_sub(1)
         };
-        let posmap = if self.posmap_enabled {
-            self.posmap.extended(prefix_units, num_rows)
-        } else {
-            PosMap::new(self.schema.len())
-        };
+        let posmap = self.posmap.extended(prefix_units, num_rows);
         let file = CsvFile {
             name: self.name.clone(),
             data,
@@ -323,22 +316,12 @@ impl CsvFile {
             schema: self.schema.clone(),
             rows,
             posmap,
-            posmap_enabled: self.posmap_enabled,
             header: self.header,
             stats: Arc::clone(&self.stats),
             fingerprint,
             origin: self.origin.clone(),
         };
         (file, prefix_units)
-    }
-
-    /// Disable the positional map (ablation baseline: every field read
-    /// tokenizes from the row start, like a naive external-table scanner).
-    pub fn set_posmap_enabled(&mut self, enabled: bool) {
-        self.posmap_enabled = enabled;
-        if !enabled {
-            self.posmap = PosMap::new(self.schema.len());
-        }
     }
 
     pub fn name(&self) -> &str {
@@ -420,28 +403,24 @@ impl CsvFile {
         // Find the nearest tracked column <= col with a known offset. The
         // exact-hit probe is the hot path: two relaxed atomic loads, no
         // lock, no tree walk.
+        if let Some(off) = self.posmap.get(row, col) {
+            let off = off as usize;
+            self.stats.hit();
+            self.stats.add_bytes_skipped((off - row_start) as u64);
+            let end = self.field_end(off, row_end);
+            return Ok((off, end));
+        }
         let (mut cur_col, mut cur_off) = (0usize, row_start);
-        if self.posmap_enabled {
-            if let Some(off) = self.posmap.get(row, col) {
-                let off = off as usize;
-                self.stats.hit();
-                self.stats.add_bytes_skipped((off - row_start) as u64);
-                let end = self.field_end(off, row_end);
-                return Ok((off, end));
+        for c in (0..col).rev() {
+            if let Some(off) = self.posmap.get(row, c) {
+                cur_col = c;
+                cur_off = off as usize;
+                break;
             }
-            for c in (0..col).rev() {
-                if let Some(off) = self.posmap.get(row, c) {
-                    cur_col = c;
-                    cur_off = off as usize;
-                    break;
-                }
-            }
-            if cur_off != row_start {
-                self.stats.partial();
-                self.stats.add_bytes_skipped((cur_off - row_start) as u64);
-            } else {
-                self.stats.miss();
-            }
+        }
+        if cur_off != row_start {
+            self.stats.partial();
+            self.stats.add_bytes_skipped((cur_off - row_start) as u64);
         } else {
             self.stats.miss();
         }
@@ -466,9 +445,7 @@ impl CsvFile {
         };
         self.stats.add_bytes_parsed((off - cur_off) as u64);
 
-        if self.posmap_enabled {
-            self.posmap.set(row, col, off as u32, self.num_rows());
-        }
+        self.posmap.set(row, col, off as u32, self.num_rows());
         let end = self.field_end(off, row_end);
         Ok((off, end))
     }
@@ -826,18 +803,6 @@ mod tests {
         f.read_field(0, 3).unwrap(); // should start from col 1, partial
         let s = f.stats().snapshot();
         assert_eq!(s.posmap_partial, 1);
-    }
-
-    #[test]
-    fn posmap_disabled_always_misses() {
-        let mut f = sample();
-        f.set_posmap_enabled(false);
-        f.read_field(0, 3).unwrap();
-        f.read_field(0, 3).unwrap();
-        let s = f.stats().snapshot();
-        assert_eq!(s.posmap_hits, 0);
-        assert_eq!(s.posmap_misses, 2);
-        assert_eq!(f.posmap_columns(), 0);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub struct JsonFile {
     /// bytes). Scan workers therefore share one semi-index without
     /// serializing on it.
     semi_index: RwLock<BTreeMap<String, Arc<[AtomicU64]>>>,
-    semi_index_enabled: bool,
     schema: Schema,
     stats: Arc<AccessStats>,
     /// `(file length, mtime nanoseconds)` captured at open/revalidation
@@ -108,7 +107,6 @@ impl JsonFile {
             data,
             objects,
             semi_index: RwLock::new(BTreeMap::new()),
-            semi_index_enabled: true,
             schema,
             stats: Arc::new(AccessStats::new()),
             fingerprint,
@@ -141,7 +139,6 @@ impl JsonFile {
         let mut file = Self::from_raw(self.name.clone(), data, self.schema.clone())?;
         file.fingerprint = current;
         file.origin = self.origin.clone();
-        file.semi_index_enabled = self.semi_index_enabled;
         file.stats = Arc::clone(&self.stats);
         Ok(FileRefresh::Rebuilt { file })
     }
@@ -176,31 +173,28 @@ impl JsonFile {
         } else {
             n.saturating_sub(1)
         };
-        let semi_index = if self.semi_index_enabled {
-            let old = self.semi_index.read();
-            old.iter()
-                .map(|(field, spans)| {
-                    let fresh: Arc<[AtomicU64]> = (0..objects.len())
-                        .map(|i| {
-                            AtomicU64::new(if i < prefix_units {
-                                spans[i].load(Ordering::Relaxed)
-                            } else {
-                                NO_SPAN
-                            })
+        let semi_index = self
+            .semi_index
+            .read()
+            .iter()
+            .map(|(field, spans)| {
+                let fresh: Arc<[AtomicU64]> = (0..objects.len())
+                    .map(|i| {
+                        AtomicU64::new(if i < prefix_units {
+                            spans[i].load(Ordering::Relaxed)
+                        } else {
+                            NO_SPAN
                         })
-                        .collect();
-                    (field.clone(), fresh)
-                })
-                .collect()
-        } else {
-            BTreeMap::new()
-        };
+                    })
+                    .collect();
+                (field.clone(), fresh)
+            })
+            .collect();
         let file = JsonFile {
             name: self.name.clone(),
             data,
             objects,
             semi_index: RwLock::new(semi_index),
-            semi_index_enabled: self.semi_index_enabled,
             schema: self.schema.clone(),
             stats: Arc::clone(&self.stats),
             fingerprint,
@@ -237,14 +231,6 @@ impl JsonFile {
     /// owned copy).
     pub fn is_mapped(&self) -> bool {
         self.data.is_mapped()
-    }
-
-    /// Disable the structural index (ablation baseline).
-    pub fn set_semi_index_enabled(&mut self, enabled: bool) {
-        self.semi_index_enabled = enabled;
-        if !enabled {
-            self.semi_index.write().clear();
-        }
     }
 
     /// Byte span of object `row` including its trailing newline — the
@@ -287,18 +273,16 @@ impl JsonFile {
     /// Byte span of a top-level field's **value** within object `row`,
     /// using (and feeding) the structural index.
     pub fn field_span(&self, row: usize, field: &str) -> Result<Option<(usize, usize)>> {
-        if self.semi_index_enabled {
-            let idx = self.semi_index.read();
-            if let Some(spans) = idx.get(field) {
-                if let Some((s, e)) = unpack_span(spans[row].load(Ordering::Relaxed)) {
-                    self.stats.hit();
-                    let (os, _) = self.object_span(row)?;
-                    self.stats.add_bytes_skipped((s - os) as u64);
-                    return Ok(Some((s, e)));
-                }
+        let idx = self.semi_index.read();
+        if let Some(spans) = idx.get(field) {
+            if let Some((s, e)) = unpack_span(spans[row].load(Ordering::Relaxed)) {
+                self.stats.hit();
+                let (os, _) = self.object_span(row)?;
+                self.stats.add_bytes_skipped((s - os) as u64);
+                return Ok(Some((s, e)));
             }
-            drop(idx);
         }
+        drop(idx);
         self.stats.miss();
         let (os, oe) = self.object_span(row)?;
         let found = locate_top_level_field(&self.data[os..oe], field, &self.name)?;
@@ -307,24 +291,22 @@ impl JsonFile {
             None => (oe - os) as u64,
         });
         let abs = found.map(|(s, e)| (os + s, os + e));
-        if self.semi_index_enabled {
-            if let Some((s, e)) = abs {
-                // Common case: the span array exists — store under the
-                // shared read lock. The write lock is only for the first
-                // sighting of a field name.
-                let idx = self.semi_index.read();
-                if let Some(spans) = idx.get(field) {
-                    spans[row].store(pack_span(s, e), Ordering::Relaxed);
-                } else {
-                    drop(idx);
-                    let mut idx = self.semi_index.write();
-                    let spans = idx.entry(field.to_string()).or_insert_with(|| {
-                        (0..self.num_objects())
-                            .map(|_| AtomicU64::new(NO_SPAN))
-                            .collect()
-                    });
-                    spans[row].store(pack_span(s, e), Ordering::Relaxed);
-                }
+        if let Some((s, e)) = abs {
+            // Common case: the span array exists — store under the shared
+            // read lock. The write lock is only for the first sighting of
+            // a field name.
+            let idx = self.semi_index.read();
+            if let Some(spans) = idx.get(field) {
+                spans[row].store(pack_span(s, e), Ordering::Relaxed);
+            } else {
+                drop(idx);
+                let mut idx = self.semi_index.write();
+                let spans = idx.entry(field.to_string()).or_insert_with(|| {
+                    (0..self.num_objects())
+                        .map(|_| AtomicU64::new(NO_SPAN))
+                        .collect()
+                });
+                spans[row].store(pack_span(s, e), Ordering::Relaxed);
             }
         }
         Ok(abs)
@@ -797,16 +779,6 @@ mod tests {
         let s2 = f.stats().snapshot();
         assert_eq!(s2.posmap_hits, 1);
         assert_eq!(f.semi_index_fields(), 1);
-    }
-
-    #[test]
-    fn semi_index_disabled_never_hits() {
-        let mut f = sample();
-        f.set_semi_index_enabled(false);
-        f.read_field(0, "volume").unwrap();
-        f.read_field(0, "volume").unwrap();
-        assert_eq!(f.stats().snapshot().posmap_hits, 0);
-        assert_eq!(f.semi_index_fields(), 0);
     }
 
     #[test]

@@ -38,6 +38,23 @@ impl SlotType {
             _ => None,
         }
     }
+
+    /// The slot bits of `v` in a slot of this type — the one value-to-frame
+    /// encoding every frame filler uses. `None` when the value is null, a
+    /// different scalar than declared, or not a scalar at all (the tuple
+    /// then takes the interpreted fallback). `Str` values become the id
+    /// `intern` returns, so the caller picks the interner and its locking.
+    #[inline]
+    pub fn encode(self, v: &Value, intern: impl FnOnce(&str) -> i64) -> Option<i64> {
+        match (self, v) {
+            (SlotType::Int, Value::Int(x)) => Some(*x),
+            (SlotType::Float, Value::Float(x)) => Some(x.to_bits() as i64),
+            (SlotType::Float, Value::Int(x)) => Some((*x as f64).to_bits() as i64),
+            (SlotType::Bool, Value::Bool(b)) => Some(*b as i64),
+            (SlotType::Str, Value::Str(s)) => Some(intern(s)),
+            _ => None,
+        }
+    }
 }
 
 /// Maps scalar paths to slot indexes.
@@ -207,28 +224,12 @@ impl FrameBuilder {
     /// or not a scalar at all.
     pub fn fill_slot(&mut self, frame: &mut [i64], i: usize, v: &Value) -> bool {
         let (_, ty) = self.layout.slots[i];
-        match (ty, v) {
-            (SlotType::Int, Value::Int(x)) => {
-                frame[i] = *x;
+        match ty.encode(v, |s| self.interner.intern(s)) {
+            Some(bits) => {
+                frame[i] = bits;
                 true
             }
-            (SlotType::Float, Value::Float(x)) => {
-                frame[i] = x.to_bits() as i64;
-                true
-            }
-            (SlotType::Float, Value::Int(x)) => {
-                frame[i] = (*x as f64).to_bits() as i64;
-                true
-            }
-            (SlotType::Bool, Value::Bool(b)) => {
-                frame[i] = *b as i64;
-                true
-            }
-            (SlotType::Str, Value::Str(s)) => {
-                frame[i] = self.intern(s);
-                true
-            }
-            _ => false,
+            None => false,
         }
     }
 

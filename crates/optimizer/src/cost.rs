@@ -58,33 +58,21 @@ use vida_types::sync::RwLock;
 /// pair (`CachedData::Positions` stores `(u64, u64)`).
 const POSITIONS_BYTES_PER_ROW: f64 = 16.0;
 
-/// Tuning knobs for [`CostModel`]. The defaults reproduce the paper's
-/// qualitative regime: hot scalar fields cache as parsed values, fat nested
-/// fields as binary JSON, and wide text fields degrade to positions-only
-/// replicas once the cache budget is under pressure.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModelConfig {
-    /// Storage rent in fetch units charged per byte of replica footprint at
-    /// full cache pressure (scaled down when the cache is empty). Higher
-    /// values push the model toward compact layouts sooner.
-    pub byte_rent: f64,
-    /// Rent floor: even an empty cache charges `byte_rent * rent_floor` per
-    /// byte, so unbounded footprints never look free.
-    pub rent_floor: f64,
-    /// Expected future reuses are capped at this horizon so one hot streak
-    /// cannot make a replica look infinitely valuable.
-    pub reuse_horizon: f64,
-}
+// The three constants below reproduce the paper's qualitative regime: hot
+// scalar fields cache as parsed values, fat nested fields as binary JSON,
+// and wide text fields degrade to positions-only replicas once the cache
+// budget is under pressure.
 
-impl Default for CostModelConfig {
-    fn default() -> Self {
-        CostModelConfig {
-            byte_rent: 0.03,
-            rent_floor: 0.1,
-            reuse_horizon: 16.0,
-        }
-    }
-}
+/// Storage rent in fetch units charged per byte of replica footprint at
+/// full cache pressure (scaled down when the cache is empty). Higher values
+/// push the model toward compact layouts sooner.
+const BYTE_RENT: f64 = 0.03;
+/// Rent floor: even an empty cache charges `BYTE_RENT * RENT_FLOOR` per
+/// byte, so unbounded footprints never look free.
+const RENT_FLOOR: f64 = 0.1;
+/// Expected future reuses are capped at this horizon so one hot streak
+/// cannot make a replica look infinitely valuable.
+const REUSE_HORIZON: f64 = 16.0;
 
 /// One query's worth of access evidence for a single `(dataset, field)`,
 /// reported by the exec pipeline after it materialized the column.
@@ -153,7 +141,6 @@ impl FieldProfile {
 /// Cost-model-driven cache layout selection (see the module docs).
 #[derive(Default)]
 pub struct CostModel {
-    cfg: CostModelConfig,
     profiles: RwLock<HashMap<(String, String), FieldProfile>>,
     /// Cache budget in bytes (0 = unknown). When known, a candidate
     /// replica's rent includes the pressure the replica would *itself*
@@ -166,27 +153,10 @@ pub struct CostModel {
     sketch: crate::sketch::StatsSketch,
 }
 
-/// The layouts the engine will actually materialize replicas in. `Text` is
-/// excluded: it does not round-trip typed values (`"3"` rehydrates as a
-/// string, not an int), so it stays an output/debug layout only.
-pub const STORABLE_LAYOUTS: [Layout; 3] = [Layout::Values, Layout::BinaryJson, Layout::Positions];
-
 impl CostModel {
-    /// A model with the default configuration.
+    /// A model with no evidence yet.
     pub fn new() -> Self {
         CostModel::default()
-    }
-
-    /// A model with explicit tuning knobs.
-    pub fn with_config(cfg: CostModelConfig) -> Self {
-        CostModel {
-            cfg,
-            ..CostModel::default()
-        }
-    }
-
-    pub fn config(&self) -> CostModelConfig {
-        self.cfg
     }
 
     /// Fold one query's evidence for `(dataset, field)` into the model.
@@ -261,7 +231,6 @@ impl CostModel {
             Layout::Values => 0.2,
             Layout::BinaryJson => 0.5 + 0.002 * p.avg_binary_bytes,
             Layout::Positions => 0.8 + 0.003 * p.avg_value_bytes,
-            Layout::Text => 0.5 + 0.008 * p.avg_value_bytes,
         }
     }
 
@@ -272,7 +241,6 @@ impl CostModel {
             Layout::Values => 0.2,
             Layout::BinaryJson => 1.0,
             Layout::Positions => 0.05,
-            Layout::Text => 0.8,
         }
     }
 
@@ -282,8 +250,6 @@ impl CostModel {
             Layout::Values => p.avg_value_bytes,
             Layout::BinaryJson => p.avg_binary_bytes,
             Layout::Positions => POSITIONS_BYTES_PER_ROW,
-            // Text of a value is roughly the parsed footprint for scalars.
-            Layout::Text => p.avg_value_bytes,
         }
     }
 
@@ -294,7 +260,7 @@ impl CostModel {
     pub fn score(&self, p: &FieldProfile, layout: Layout, pressure: f64) -> f64 {
         // Expected future reuses ≈ observed touches (workload locality),
         // capped at the horizon.
-        let reuse = (p.touches as f64).min(self.cfg.reuse_horizon);
+        let reuse = (p.touches as f64).min(REUSE_HORIZON);
         let save = p.raw_cost_factor - Self::access_cost(layout, p);
         // Rent is charged at the pressure the cache would be under *with*
         // this replica in it: ambient pressure plus the replica's own
@@ -307,13 +273,13 @@ impl CostModel {
             b => p.rows as f64 * per_row / b as f64,
         };
         let effective = (pressure.clamp(0.0, 1.0) + self_fraction).min(1.0);
-        let rent = self.cfg.byte_rent * (self.cfg.rent_floor + effective) * per_row;
+        let rent = BYTE_RENT * (RENT_FLOOR + effective) * per_row;
         p.rows as f64 * (reuse * save - Self::build_cost(layout) - rent)
     }
 
-    /// Feasible storable layouts for a profile (`Positions` needs spans).
+    /// Feasible layouts for a profile (`Positions` needs spans).
     fn candidates(p: &FieldProfile) -> impl Iterator<Item = Layout> + '_ {
-        STORABLE_LAYOUTS
+        Layout::ALL
             .into_iter()
             .filter(|l| *l != Layout::Positions || p.has_spans)
     }
@@ -326,7 +292,7 @@ impl CostModel {
             return Layout::Values;
         };
         // Strict-greater fold: ties break toward the earlier
-        // (cheaper-to-serve) layout in STORABLE_LAYOUTS order.
+        // (cheaper-to-serve) layout in `Layout::ALL` order.
         let mut best = (Layout::Values, f64::NEG_INFINITY);
         for l in Self::candidates(&p) {
             let s = self.score(&p, l, pressure);
@@ -339,14 +305,14 @@ impl CostModel {
 
     /// Layout probe order for `CacheManager::get_any`: the chosen layout
     /// first (it is the replica the model is steering the cache toward),
-    /// then the remaining storable layouts by ascending serving cost, so any
-    /// replica that exists can still be used.
+    /// then the remaining layouts by ascending serving cost, so any replica
+    /// that exists can still be used.
     pub fn read_preference(&self, dataset: &str, field: &str, pressure: f64) -> Vec<Layout> {
         let chosen = self.choose_layout(dataset, field, pressure);
         let mut order = vec![chosen];
-        // STORABLE_LAYOUTS is already in ascending order of baseline serving
+        // `Layout::ALL` is already in ascending order of baseline serving
         // cost (values < binary JSON < positions).
-        order.extend(STORABLE_LAYOUTS.into_iter().filter(|l| *l != chosen));
+        order.extend(Layout::ALL.into_iter().filter(|l| *l != chosen));
         order
     }
 
@@ -444,10 +410,10 @@ mod tests {
         }
         let pref = m.read_preference("Regions", "payload", 0.3);
         assert_eq!(pref[0], Layout::BinaryJson);
-        for l in STORABLE_LAYOUTS {
+        for l in Layout::ALL {
             assert!(pref.contains(&l), "{l:?} missing from preference");
         }
-        assert_eq!(pref.len(), STORABLE_LAYOUTS.len());
+        assert_eq!(pref.len(), Layout::ALL.len());
     }
 
     #[test]

@@ -1,23 +1,21 @@
 //! # vida-optimizer
 //!
-//! A named rewrite-pass registry over algebra plans (ViDa §5).
+//! The engine's cost-based decision layer (ViDa §5).
 //!
 //! The paper's optimizer extends classical rule-based optimization with
-//! format- and cache-aware decisions. This crate is the engine's decision
-//! layer, in two halves:
+//! format- and cache-aware decisions. The rule-based half — selection
+//! pushdown, select merging, selection-into-join — is `vida_algebra::rewrite`,
+//! which callers apply directly. This crate holds the cost-based half:
 //!
-//! 1. **Plan rewrites** — each [`Pass`] is a pure `Plan -> Plan` function
-//!    with a name, and an [`Optimizer`] applies a configured sequence. The
-//!    default pipeline wraps the algebra rewrites (selection pushdown,
-//!    select merging, selection-into-join) from `vida-algebra`.
-//! 2. **Cache layout decisions** — the [`cost`] module's [`CostModel`]
+//! 1. **Cache layout decisions** — the [`cost`] module's [`CostModel`]
 //!    scores `(field, layout)` replica candidates from per-field access
 //!    statistics recorded by the exec pipeline, deciding which layout each
 //!    cached column replica should use (values, binary JSON, or
 //!    positions-only — the paper's §5 "re-using and re-shaping results"),
 //!    in which order `CacheManager::get_any` should probe layouts, and how
-//!    much eviction slack a replica's rebuild cost buys it.
-//! 3. **Plan-level cost-based optimization** — the [`sketch`] module's
+//!    much eviction slack a replica's rebuild cost buys it. Every cache the
+//!    engine attaches is steered by one.
+//! 2. **Plan-level cost-based optimization** — the [`sketch`] module's
 //!    fixed-size distinct-count/selectivity sketches (fed from the same
 //!    pipeline hooks as the cost model's `FieldObservation`s) and the
 //!    [`plan`] module's [`plan::reorder_joins`] join-order search: greedy
@@ -29,120 +27,6 @@ pub mod cost;
 pub mod plan;
 pub mod sketch;
 
-pub use cost::{CostModel, CostModelConfig, FieldObservation, FieldProfile, STORABLE_LAYOUTS};
+pub use cost::{CostModel, FieldObservation, FieldProfile};
 pub use plan::{reorder_joins, PlanOptReport, PlanStats, TableStats};
 pub use sketch::{DistinctSketch, PredicateStats, StatsSketch};
-
-use vida_algebra::{rewrite, Plan};
-
-/// One named, pure rewrite pass.
-pub struct Pass {
-    name: &'static str,
-    run: fn(&Plan) -> Plan,
-}
-
-impl Pass {
-    pub fn new(name: &'static str, run: fn(&Plan) -> Plan) -> Self {
-        Pass { name, run }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    pub fn apply(&self, plan: &Plan) -> Plan {
-        (self.run)(plan)
-    }
-}
-
-/// An ordered pass pipeline.
-#[derive(Default)]
-pub struct Optimizer {
-    passes: Vec<Pass>,
-}
-
-impl Optimizer {
-    /// An empty pipeline (identity optimizer).
-    pub fn empty() -> Self {
-        Optimizer::default()
-    }
-
-    /// The standard pipeline: the algebra rewrite rules to fixpoint.
-    pub fn standard() -> Self {
-        let mut o = Optimizer::empty();
-        o.register(Pass::new("algebra-rewrites", rewrite));
-        o
-    }
-
-    /// Append a pass to the pipeline.
-    pub fn register(&mut self, pass: Pass) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Registered pass names, in application order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(Pass::name).collect()
-    }
-
-    /// Run every pass in order.
-    pub fn optimize(&self, plan: &Plan) -> Plan {
-        let mut cur = plan.clone();
-        for pass in &self.passes {
-            cur = pass.apply(&cur);
-        }
-        cur
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vida_algebra::lower;
-    use vida_lang::parse;
-
-    fn plan() -> Plan {
-        lower(
-            &parse("for { e <- Employees, d <- Departments, e.deptNo = d.id } yield sum 1")
-                .unwrap(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn empty_optimizer_is_identity() {
-        let p = plan();
-        assert_eq!(Optimizer::empty().optimize(&p), p);
-    }
-
-    #[test]
-    fn standard_pipeline_applies_algebra_rewrites() {
-        let p = plan();
-        assert_eq!(Optimizer::standard().optimize(&p), rewrite(&p));
-        assert_eq!(Optimizer::standard().pass_names(), vec!["algebra-rewrites"]);
-    }
-
-    #[test]
-    fn custom_passes_run_in_order() {
-        fn strip_selects(p: &Plan) -> Plan {
-            match p {
-                Plan::Select { input, .. } => strip_selects(input),
-                Plan::Reduce {
-                    input,
-                    monoid,
-                    head,
-                } => Plan::Reduce {
-                    input: Box::new(strip_selects(input)),
-                    monoid: *monoid,
-                    head: head.clone(),
-                },
-                other => other.clone(),
-            }
-        }
-        let mut o = Optimizer::empty();
-        o.register(Pass::new("strip-selects", strip_selects))
-            .register(Pass::new("rewrites", rewrite));
-        let out = o.optimize(&plan());
-        assert!(!format!("{out}").contains("Select"));
-    }
-}
