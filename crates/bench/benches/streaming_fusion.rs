@@ -1,44 +1,53 @@
-//! Streaming push pipelines on a scan→select→join→fold chain: wall time
-//! and — through a counting global allocator — the **peak bytes live during
-//! execution**, which is where fusion shows up even when the operator work
-//! itself dominates time.
+//! Streaming push pipelines on warm scan→select→join→fold and
+//! scan→select→fold chains: wall time, and — through a counting global
+//! allocator — the **peak bytes live** and the **allocations per query**,
+//! which is where fusion shows up even when the operator work itself
+//! dominates time.
 //!
-//! Recorded baseline (frozen): until PR 12 this bench also ran the legacy
-//! pull-and-materialize executor, which handed a full `Vec<Tuple>` from
-//! every operator stage to the next. Its last measured numbers against the
-//! push loop (PR 5, 20k x 20k rows, single-core container) were
+//! The asserted contract: a warm (cache-served) query allocates per morsel,
+//! never per row. Each chain runs on a resident engine over `N` and over
+//! `2N` rows, and the extra rows may add fewer than `N / 100` allocations;
+//! a push loop that boxed one tuple per row would add `2N` and fail.
+//!
+//! Recorded baselines (frozen): the deleted pull-and-materialize executor,
+//! which handed a full tuple vector from every operator stage to the next,
+//! measured against the push loop on cold 20k x 20k runs:
 //!
 //! | chain | time, materializing / streaming | peak allocation drop |
 //! |---|---|---|
 //! | scan → select → hash-join probe → fold | 1.20x | 1.34x |
 //! | scan → select → fold | 1.14x | 1.72x |
 //!
-//! The executor and its `materialize_stages` switch are deleted; a change
-//! that makes the numbers below worse by those factors has given the
-//! fusion win back.
+//! Before scratch tuples, the push loop itself still allocated a frame and
+//! a provenance vector per scanned row — two allocations per row on the
+//! scan→select→fold chain, which the assert below rejects.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vida_algebra::{lower, rewrite, Plan};
 use vida_bench::{case, fixtures};
-use vida_exec::{run_jit_with_stats, JitOptions, MemoryCatalog};
+use vida_cache::CacheManager;
+use vida_exec::{Engine, JitOptions, MemoryCatalog};
 use vida_formats::csv::CsvFile;
 use vida_formats::json::JsonFile;
 use vida_formats::plugin::{CsvPlugin, JsonPlugin};
 use vida_lang::parse;
 
-/// Counting allocator: tracks live bytes and the high-water mark so the
-/// bench can report peak allocation per execution mode.
+/// Counting allocator: tracks live bytes, their high-water mark, and the
+/// number of allocations (`realloc` included — the default implementation
+/// allocates through `alloc`).
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
         }
@@ -54,12 +63,44 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak live bytes while running `f` (relative to the bytes live at entry).
-fn peak_during<F: FnMut()>(mut f: F) -> usize {
+/// Rows per input table of the smaller engine.
+const N: usize = 20_000;
+
+/// Peak live bytes (relative to the bytes live at entry) and allocations
+/// while running `f`.
+fn measure<F: FnMut()>(mut f: F) -> (usize, usize) {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     f();
-    PEAK.load(Ordering::Relaxed).saturating_sub(base)
+    (
+        PEAK.load(Ordering::Relaxed).saturating_sub(base),
+        ALLOCATIONS.load(Ordering::Relaxed) - allocations,
+    )
+}
+
+/// A resident engine with a replica cache over `n`-row `Patients` (CSV)
+/// and `Genetics` (JSON) tables.
+fn engine(n: usize) -> Engine {
+    let catalog = MemoryCatalog::new();
+    let patients = CsvFile::from_bytes(
+        "Patients",
+        fixtures::patients_csv(n, 7),
+        b',',
+        true,
+        fixtures::patients_schema(),
+    )
+    .expect("fixture parses");
+    catalog.register(Arc::new(CsvPlugin::new(patients)));
+    let genetics = JsonFile::from_bytes(
+        "Genetics",
+        fixtures::genetics_json(n, 13),
+        fixtures::genetics_schema(),
+    )
+    .expect("fixture parses");
+    catalog.register(Arc::new(JsonPlugin::new(genetics)));
+    let opts = JitOptions::with_cache(Arc::new(CacheManager::new(256 << 20)));
+    Engine::new(Arc::new(catalog), opts)
 }
 
 fn plan_of(q: &str) -> Plan {
@@ -71,33 +112,15 @@ fn kib(bytes: usize) -> f64 {
 }
 
 fn main() {
-    let catalog = MemoryCatalog::new();
-    let patients = CsvFile::from_bytes(
-        "Patients",
-        fixtures::patients_csv(20_000, 7),
-        b',',
-        true,
-        fixtures::patients_schema(),
-    )
-    .expect("fixture parses");
-    catalog.register(Arc::new(CsvPlugin::new(patients)));
-    let genetics = JsonFile::from_bytes(
-        "Genetics",
-        fixtures::genetics_json(20_000, 13),
-        fixtures::genetics_schema(),
-    )
-    .expect("fixture parses");
-    catalog.register(Arc::new(JsonPlugin::new(genetics)));
+    let (small, large) = (engine(N), engine(2 * N));
 
-    // The chain the issue names: scan → select → hash-join probe → fold.
+    // The headline chain: scan → select → hash-join probe → fold.
     let chain =
         plan_of("for { p <- Patients, g <- Genetics, p.id = g.id, p.age > 40 } yield sum g.snp");
-
-    let opts = JitOptions::default();
-    let (_, stats) = run_jit_with_stats(&chain, &catalog, &opts).expect("runs");
+    let (_, stats) = small.execute_with_stats(&chain).expect("runs");
     assert!(stats.fused_stage_depth >= 3, "the chain must fuse");
     println!(
-        "join+fold chain (20k x 20k rows): fused depth {}",
+        "join+fold chain ({N} x {N} rows): fused depth {}",
         stats.fused_stage_depth
     );
 
@@ -105,13 +128,36 @@ fn main() {
     // buffer every surviving tuple before folding.
     let fold = plan_of("for { p <- Patients, p.age > 30 } yield sum p.age");
     for (name, plan) in [("chain", &chain), ("scan+select+fold", &fold)] {
-        case(&format!("{name}: streaming push"), 3, 5, || {
-            run_jit_with_stats(plan, &catalog, &opts).expect("runs");
+        // Warm both engines: every later run is served from the cache.
+        for engine in [&small, &large] {
+            engine.execute(plan).expect("runs");
+            let (_, stats) = engine.execute_with_stats(plan).expect("runs");
+            assert!(
+                stats.served_from_cache,
+                "{name}: the warm run must hit the cache"
+            );
+        }
+        case(&format!("{name}: streaming push, warm"), 3, 5, || {
+            small.execute(plan).expect("runs");
         });
-        // One untimed run, post-warmup.
-        let peak = peak_during(|| {
-            run_jit_with_stats(plan, &catalog, &opts).expect("runs");
+        // One untimed run per engine, post-warmup.
+        let (peak, at_n) = measure(|| {
+            small.execute(plan).expect("runs");
         });
-        println!("{name}: peak allocation {:.1} KiB", kib(peak));
+        let (_, at_2n) = measure(|| {
+            large.execute(plan).expect("runs");
+        });
+        println!(
+            "{name}: peak allocation {:.1} KiB, {at_n} allocations per query \
+             ({at_2n} at {} rows)",
+            kib(peak),
+            2 * N
+        );
+        assert!(
+            at_2n.saturating_sub(at_n) < N / 100,
+            "{name}: {N} more rows cost {} more allocations — the push loop \
+             allocates per row again",
+            at_2n.saturating_sub(at_n)
+        );
     }
 }

@@ -13,7 +13,12 @@
 //!   applications that re-read results repeatedly;
 //! - **CSV rows** ([`OutputFormat::Csv`]): RFC-4180-style quoted rows for
 //!   flat record collections.
+//!
+//! Text and CSV encode from the borrowed rows straight into one buffer
+//! ([`EncodedRows`]), so a result of n rows costs O(1) allocations to
+//! encode, not a clone of every row plus a buffer per row and per cell.
 
+use std::fmt::Write;
 use vida_cache::bson;
 use vida_types::{Result, Value, VidaError};
 
@@ -39,23 +44,17 @@ impl OutputFormat {
     }
 }
 
-/// The result as a row list: collections yield their elements, a scalar
-/// result yields a single row.
-pub fn to_values(result: &Value) -> Vec<Value> {
-    match result.elements() {
-        Some(items) => items.to_vec(),
-        None => vec![result.clone()],
-    }
+/// The result as a row list, borrowed: a collection's elements, or a
+/// scalar result as its one row.
+pub fn rows(result: &Value) -> &[Value] {
+    result
+        .elements()
+        .unwrap_or_else(|| std::slice::from_ref(result))
 }
 
 /// One printed row per line (scalar results print as one line).
 pub fn to_text(result: &Value) -> String {
-    let mut out = String::new();
-    for row in to_values(result) {
-        out.push_str(&row.to_string());
-        out.push('\n');
-    }
-    out
+    text_rows(result).text
 }
 
 /// The whole result in the binary-JSON layout of Figure 4 (b).
@@ -67,19 +66,59 @@ pub fn to_binary_json(result: &Value) -> Vec<u8> {
 /// scalars sharing the first row's field set; scalar results become a
 /// single `value` column.
 pub fn to_csv(result: &Value) -> Result<String> {
-    let rows = to_values(result);
-    let mut out = String::new();
+    csv_rows(result).map(|rows| rows.text)
+}
+
+/// A result encoded as text lines in one buffer, one row per line (CSV's
+/// header line first), each ended by `\n`.
+#[derive(Debug, Default)]
+pub struct EncodedRows {
+    text: String,
+    /// Where each line ends, its `\n` excluded. A quoted CSV cell may hold
+    /// a newline of its own, so splitting `text` would not find the lines.
+    ends: Vec<usize>,
+}
+
+impl EncodedRows {
+    fn end_line(&mut self) {
+        self.ends.push(self.text.len());
+        self.text.push('\n');
+    }
+
+    /// The lines, without their `\n`.
+    pub fn lines(&self) -> impl Iterator<Item = &str> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|e| e + 1));
+        starts.zip(&self.ends).map(|(s, &e)| &self.text[s..e])
+    }
+}
+
+/// [`to_text`]'s lines, printed from the borrowed rows.
+pub fn text_rows(result: &Value) -> EncodedRows {
+    let mut out = EncodedRows::default();
+    for row in rows(result) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out.text, "{row}");
+        out.end_line();
+    }
+    out
+}
+
+/// [`to_csv`]'s lines, header first, encoded from the borrowed rows
+/// straight into one buffer: no row or cell gets a buffer of its own.
+pub fn csv_rows(result: &Value) -> Result<EncodedRows> {
+    let rows = rows(result);
+    let mut out = EncodedRows::default();
     let Some(first) = rows.first() else {
         return Ok(out);
     };
-    let header: Vec<String> = match first {
-        Value::Record(fields) => fields.iter().map(|(n, _)| n.clone()).collect(),
-        _ => vec!["value".to_string()],
+    let header: Vec<&str> = match first {
+        Value::Record(fields) => fields.iter().map(|(n, _)| n.as_str()).collect(),
+        _ => vec!["value"],
     };
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in &rows {
-        let cells: Vec<String> = match row {
+    out.text.push_str(&header.join(","));
+    out.end_line();
+    for row in rows {
+        match row {
             Value::Record(fields) => {
                 if fields.len() != header.len()
                     || fields.iter().zip(&header).any(|((n, _), h)| n != h)
@@ -88,42 +127,43 @@ pub fn to_csv(result: &Value) -> Result<String> {
                         "csv output requires uniform record rows, got {row}"
                     )));
                 }
-                fields
-                    .iter()
-                    .map(|(_, v)| csv_cell(v))
-                    .collect::<Result<_>>()?
+                for (i, (_, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.text.push(',');
+                    }
+                    push_csv_cell(&mut out.text, v)?;
+                }
             }
-            v if header.len() == 1 && header[0] == "value" => vec![csv_cell(v)?],
+            v if header == ["value"] => push_csv_cell(&mut out.text, v)?,
             v => {
                 return Err(VidaError::Exec(format!(
                     "csv output requires uniform record rows, got {v}"
                 )))
             }
-        };
-        out.push_str(&cells.join(","));
-        out.push('\n');
+        }
+        out.end_line();
     }
     Ok(out)
 }
 
-fn csv_cell(v: &Value) -> Result<String> {
-    let raw = match v {
-        Value::Null => String::new(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
-        Value::Str(s) => s.clone(),
+fn push_csv_cell(out: &mut String, v: &Value) -> Result<()> {
+    // Writing to a `String` cannot fail.
+    let _ = match v {
+        Value::Null => Ok(()),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(f) => write!(out, "{f}"),
+        Value::Str(s) if s.contains([',', '"', '\n', '\r']) => {
+            write!(out, "\"{}\"", s.replace('"', "\"\""))
+        }
+        Value::Str(s) => out.write_str(s),
         other => {
             return Err(VidaError::Exec(format!(
                 "csv output cannot encode nested value {other}"
             )))
         }
     };
-    if raw.contains([',', '"', '\n', '\r']) {
-        Ok(format!("\"{}\"", raw.replace('"', "\"\"")))
-    } else {
-        Ok(raw)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -139,8 +179,8 @@ mod tests {
 
     #[test]
     fn values_output_lists_rows() {
-        assert_eq!(to_values(&result_rows()).len(), 2);
-        assert_eq!(to_values(&Value::Int(7)), vec![Value::Int(7)]);
+        assert_eq!(rows(&result_rows()).len(), 2);
+        assert_eq!(rows(&Value::Int(7)), [Value::Int(7)]);
     }
 
     #[test]
@@ -167,6 +207,23 @@ mod tests {
         assert_eq!(lines.next(), Some("1,geneva"));
         assert_eq!(lines.next(), Some("2,\"a,\"\"b\"\"\""));
         assert_eq!(lines.next(), None);
+    }
+
+    #[test]
+    fn csv_lines_keep_a_quoted_newline_inside_its_row() {
+        let r = Value::bag(vec![
+            Value::record([("id", Value::Int(1)), ("note", Value::str("two\nlines"))]),
+            Value::record([("id", Value::Int(2)), ("note", Value::Null)]),
+        ]);
+        let rows = csv_rows(&r).unwrap();
+        let lines: Vec<&str> = rows.lines().collect();
+        assert_eq!(lines, ["id,note", "1,\"two\nlines\"", "2,"]);
+        assert_eq!(to_csv(&r).unwrap(), "id,note\n1,\"two\nlines\"\n2,\n");
+        let text: Vec<String> = text_rows(&Value::Int(7))
+            .lines()
+            .map(String::from)
+            .collect();
+        assert_eq!(text, ["7"]);
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! The morsel driver: join builds, the fused push loop over the morsel
 //! grid, the monoid fold, and the fold-partial cache seam.
 
-use super::join::{theta_candidates, BandIndex, JoinBuild};
+use super::join::{encode_key, BuildRows, JoinBuild};
 use super::{HeadPlan, Node, Pipeline, Step, Tuple, TupleSink};
 use crate::stats::ExecStats;
 use std::ops::Range;
+use std::sync::Arc;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
 use vida_jit::{CompiledKernel, SlotType};
-use vida_lang::{eval, Bindings};
+use vida_lang::eval;
 use vida_parallel::{MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
-use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Value, VidaError};
+use vida_types::{CollectionKind, Monoid, Partial, Result, Value, VidaError};
 
 // One morsel driver runs the fused push pipeline at every worker count:
 // join build sides materialize first (the pipeline breakers), then the
@@ -27,7 +28,7 @@ use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Value, VidaErr
 //    scan order and float folds associate the same way everywhere.
 // 3. The radix-partitioned build assigns partitions by key bits alone
 //    (partition count is a function of the build size, not the worker
-//    count), and bucket lists keep ascending build-tuple order, so every
+//    count), and CSR buckets list build rows in ascending order, so every
 //    probe sees the same candidate set in the same order.
 
 impl Pipeline {
@@ -38,14 +39,16 @@ impl Pipeline {
         if joins {
             stats.span_begin(stage::BUILD_SIDE);
         }
-        let builds = self.prepare_builds(stats)?;
+        let mut builds = Vec::new();
+        self.prepare_builds(&self.root, stats, &mut builds)?;
         if joins {
             stats.span_end();
         }
         let nrows = self.sources[leftmost_source(&self.root)].nrows;
         // A reusable cached prefix partial shrinks the morsel grid to the
         // appended rows (`from = 0` is the ordinary whole-source grid).
-        let from = self.fold_reuse_rows();
+        let reuse = self.fold_seam.as_ref().and_then(|s| s.reuse.as_ref());
+        let from = reuse.map_or(0, |p| p.rows);
         let plan = MorselPlan::fixed(nrows - from, self.morsel_rows).shifted(from);
 
         stats.span_begin(stage::FOLD);
@@ -73,50 +76,28 @@ impl Pipeline {
                     k => Value::Collection(k, items),
                 }
             }
-            Monoid::Primitive(PrimitiveMonoid::Count)
-                if matches!(self.head, HeadPlan::CountOnly) =>
-            {
-                // `count` with a total head just counts. A reused partial
-                // in this arm is always the plain count (the same plan hash
-                // always lands in the same arm).
-                let base = match self.fold_reuse_partial(stats) {
-                    Some(Value::Int(k)) => k,
-                    _ => 0,
-                };
-                let n = self.fold_drive(
-                    &plan,
-                    &builds,
-                    stats,
-                    || 0i64,
-                    |n, _, _| {
-                        *n += 1;
-                        Ok(())
-                    },
-                    base,
-                    |acc, n| Ok(acc + n),
-                )?;
-                self.store_fold_partial(&Value::Int(n));
-                Value::Int(n)
-            }
-            m => {
-                // Per-morsel partial folds (merging incrementally preserves
-                // overflow and type-error semantics), merged in morsel
-                // order via `Monoid::merge_partials`. A reused cached
-                // prefix partial goes in front — the prefix plus morsel
-                // order over the tail is exactly the whole-source order.
+            Monoid::Primitive(p) => {
+                // Per-morsel typed partials (`i64`/`f64`/`bool`, `avg`'s
+                // `(f64, i64)`) folded through `PrimitiveMonoid::step`,
+                // which keeps the overflow, promotion and type-error
+                // semantics of `Monoid::merge`. A `Value` appears only at
+                // the morsel boundary: partials merge in morsel order via
+                // `Monoid::merge_partials`, behind a reused cached prefix
+                // partial — the prefix plus morsel order over the tail is
+                // exactly the whole-source order.
+                let m = self.monoid;
                 let prefix = self.fold_reuse_partial(stats);
                 let merged = self.fold_drive(
                     &plan,
                     &builds,
                     stats,
-                    || m.zero(),
-                    |acc, t, ws| {
-                        let v = self.head_value(t, ws)?;
-                        *acc = m.merge(std::mem::replace(acc, Value::Null), m.unit(v))?;
-                        Ok(())
-                    },
+                    || p.zero(),
+                    |acc, t, ws| p.step(acc, self.head_value(t, ws)?.into()),
                     prefix,
-                    |acc: Option<Value>, p| m.merge_partials(acc.into_iter().chain([p])).map(Some),
+                    |acc: Option<Value>, part: Partial| {
+                        m.merge_partials(acc.into_iter().chain([part.into_value()]))
+                            .map(Some)
+                    },
                 )?;
                 let merged = merged.unwrap_or_else(|| m.zero());
                 self.store_fold_partial(&merged);
@@ -144,29 +125,22 @@ impl Pipeline {
         morsel_fold(
             &self.pool,
             plan,
-            drive_stage(&self.root),
+            match has_join(&self.root) {
+                true => stage::PROBE,
+                false => stage::SCAN,
+            },
             stats,
             |range, ws| {
                 let mut partial = new();
                 self.drive(&self.root, range, builds, ws, &mut |ws, t| {
                     ws.actual_rows += 1;
-                    push(&mut partial, &t, ws)
+                    push(&mut partial, t, ws)
                 })?;
                 Ok((partial, ws.actual_rows))
             },
             init,
             merge,
         )
-    }
-
-    /// Rows covered by a reusable cached prefix partial — the drive starts
-    /// there (0 = no reuse, fold everything).
-    fn fold_reuse_rows(&self) -> usize {
-        self.fold_seam
-            .as_ref()
-            .and_then(|s| s.reuse.as_ref())
-            .map(|p| p.rows)
-            .unwrap_or(0)
     }
 
     /// The cached prefix partial for this run, counting the reuse.
@@ -235,28 +209,6 @@ impl Pipeline {
         }
     }
 
-    /// Rebuild interpreter bindings for a tuple from its provenance: source
-    /// rows first, then unnest element values.
-    fn env_for(&self, t: &Tuple) -> Bindings {
-        let mut env = self.base_env.clone();
-        for &(src, row) in &t.rows {
-            let s = &self.sources[src];
-            env.insert(
-                s.binding.clone(),
-                Value::Record(
-                    s.env_fields
-                        .iter()
-                        .map(|(n, col)| (n.clone(), col[row].clone()))
-                        .collect(),
-                ),
-            );
-        }
-        for (stage, v) in &t.unnest_vals {
-            env.insert(self.unnests[*stage].binding.clone(), v.clone());
-        }
-        env
-    }
-
     /// Evaluate a boolean step: the kernel on valid frames, the interpreter
     /// otherwise (nulls route through exact null semantics).
     fn apply_step(
@@ -285,50 +237,43 @@ impl Pipeline {
     }
 
     /// Scan-side tuple production over a contiguous row range, pushed one
-    /// tuple at a time into `sink` — the head of every fused pipeline.
-    /// Valid frames run the fused [`SelectKernel`] chain; frames that could
-    /// not encode (nulls) walk the selects through the interpreter.
+    /// tuple at a time into `sink` — the head of every fused pipeline. Each
+    /// row overwrites the scratch tuple `t`: its slots fill, valid frames
+    /// run the fused [`SelectKernel`](vida_jit::SelectKernel) chain, and
+    /// only survivors reach the sink; frames that could not encode (nulls)
+    /// walk the selects through the interpreter.
     fn push_source(
         &self,
         idx: usize,
         rows: Range<usize>,
+        t: &mut Tuple,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
         let s = &self.sources[idx];
         'rows: for row in rows {
-            let mut frame = vec![0i64; self.frame_width];
-            let mut valid = true;
+            t.valid = true;
             for (slot, col) in &s.slot_cols {
                 match col[row] {
-                    Some(bits) => frame[*slot] = bits,
-                    None => valid = false,
+                    Some(bits) => t.frame[*slot] = bits,
+                    None => t.valid = false,
                 }
             }
-            let t = Tuple {
-                frame,
-                valid,
-                rows: vec![(idx, row)],
-                unnest_vals: Vec::new(),
-            };
-            if valid {
-                if let Some(fused) = &s.fused_selects {
-                    if stats.trace.is_some() {
-                        // Attribute one hit per chained kernel — admit()
-                        // short-circuits, so this over-counts rejected
-                        // tails slightly; close enough for a hotness rank.
-                        for id in fused.kernel_ids() {
-                            stats.kernel_hit(id);
-                        }
-                    }
-                    if fused.admit(&t.frame) {
-                        sink(stats, t)?;
-                    }
-                    continue;
+            t.rows[idx] = row;
+            if let (true, Some(fused)) = (t.valid, &s.fused_selects) {
+                // Tracing credits exactly the conjuncts that ran: `admit`
+                // short-circuits on the first rejection.
+                let admitted = match stats.trace.is_some() {
+                    true => fused.admit_reporting(&t.frame, |id| stats.kernel_hit(id)),
+                    false => fused.admit(&t.frame),
+                };
+                if admitted {
+                    sink(stats, t)?;
                 }
+                continue;
             }
             for sel in &s.selects {
-                if !self.apply_step(sel, &t, stats, "selection")? {
+                if !self.apply_step(sel, t, stats, "selection")? {
                     continue 'rows;
                 }
             }
@@ -339,10 +284,11 @@ impl Pipeline {
 
     /// Drive the push loop: stream `range` rows of the pipeline's leftmost
     /// scan through every fused stage, handing each surviving tuple to
-    /// `sink`. Each operator arm wraps `sink` in its own consumer closure,
-    /// so a select→unnest→probe→fold chain executes as one loop nest with
-    /// **no intermediate `Vec<Tuple>`**; the join build sides arrive
-    /// pre-materialized in `builds` (the only pipeline breakers).
+    /// `sink`. Each operator arm wraps `sink` in its own consumer closure
+    /// around one scratch tuple (and a probe's candidate list), so a
+    /// select→unnest→probe→fold chain executes as one loop nest with no
+    /// intermediate buffer and no per-row allocation; the join build sides
+    /// arrive pre-materialized in `builds` (the only pipeline breakers).
     fn drive(
         &self,
         node: &Node,
@@ -351,18 +297,18 @@ impl Pipeline {
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
+        let (mut out, mut scratch) = (self.scratch(), Vec::new());
         match node {
-            Node::Source(idx) => self.push_source(*idx, range, stats, sink),
+            Node::Source(idx) => self.push_source(*idx, range, &mut out, stats, sink),
             Node::Unnest {
                 input,
                 stage,
                 selects,
             } => self.drive(input, range, builds, stats, &mut |stats, t| {
-                self.unnest_tuple(*stage, selects, &t, stats, sink)
+                self.unnest_tuple(*stage, selects, t, &mut out, stats, sink)
             }),
             Node::HashJoin {
                 left,
-                right,
                 build,
                 left_key,
                 left_key_ty,
@@ -372,51 +318,30 @@ impl Pipeline {
                 ..
             } => {
                 let jb = &builds[*build];
-                let rslots = &self.sources[*right].slots;
                 self.drive(left, range, builds, stats, &mut |stats, lt| {
                     if lt.valid {
                         stats.kernel_hit(left_key.id());
                     }
-                    let candidates = jb.hash_candidates(&lt, left_key, *left_key_ty, *float_keys);
-                    self.probe_pairs(
-                        &lt,
-                        &candidates,
-                        &jb.right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        sink,
-                    )
+                    let c =
+                        jb.hash_candidates(lt, left_key, *left_key_ty, *float_keys, &mut scratch);
+                    self.probe_pairs(lt, c, jb, predicate, selects, &mut out, stats, sink)
                 })
             }
             Node::ThetaJoin {
                 left,
-                right,
                 build,
                 band,
                 predicate,
                 selects,
+                ..
             } => {
                 let jb = &builds[*build];
-                let rslots = &self.sources[*right].slots;
                 self.drive(left, range, builds, stats, &mut |stats, lt| {
-                    if let Some(b) = band {
-                        if lt.valid && jb.index.is_some() {
-                            stats.kernel_hit(b.left_key.id());
-                        }
+                    if let (Some(b), true, true) = (band, lt.valid, jb.index.is_some()) {
+                        stats.kernel_hit(b.left_key.id());
                     }
-                    let candidates = theta_candidates(&lt, band.as_ref(), jb.index.as_ref());
-                    self.probe_pairs(
-                        &lt,
-                        candidates.as_deref().unwrap_or(&jb.all),
-                        &jb.right_tuples,
-                        rslots,
-                        predicate,
-                        selects,
-                        stats,
-                        sink,
-                    )
+                    let c = jb.theta_candidates(lt, band.as_ref(), &mut scratch);
+                    self.probe_pairs(lt, c, jb, predicate, selects, &mut out, stats, sink)
                 })
             }
         }
@@ -424,26 +349,20 @@ impl Pipeline {
 
     /// Materialize the build side of every join in the tree, in the DFS
     /// order `assemble` assigned build slots. These are the pipeline
-    /// breakers of push execution: each right side scans into a tuple
-    /// buffer once, morsel by morsel, then hashes into radix-partitioned
-    /// tables or sorts into a band index. Partition counts and bucket order
-    /// depend only on the data, so every thread count probes identical
-    /// candidate sets.
-    fn prepare_builds(&self, stats: &mut ExecStats) -> Result<Vec<JoinBuild>> {
-        let mut builds = Vec::new();
-        self.prepare_builds_node(&self.root, stats, &mut builds)?;
-        Ok(builds)
-    }
-
-    fn prepare_builds_node(
-        &self,
+    /// breakers of push execution: each right side scans into flat build
+    /// rows once, morsel by morsel, then lays out radix-partitioned CSR
+    /// buckets or sorts into a band index. Partition counts and bucket
+    /// order depend only on the data, so every thread count probes
+    /// identical candidate sets.
+    fn prepare_builds<'p>(
+        &'p self,
         node: &Node,
         stats: &mut ExecStats,
-        builds: &mut Vec<JoinBuild>,
+        builds: &mut Vec<JoinBuild<'p>>,
     ) -> Result<()> {
-        match node {
-            Node::Source(_) => Ok(()),
-            Node::Unnest { input, .. } => self.prepare_builds_node(input, stats, builds),
+        let (build, jb) = match node {
+            Node::Source(_) => return Ok(()),
+            Node::Unnest { input, .. } => return self.prepare_builds(input, stats, builds),
             Node::HashJoin {
                 left,
                 right,
@@ -453,20 +372,13 @@ impl Pipeline {
                 float_keys,
                 ..
             } => {
-                self.prepare_builds_node(left, stats, builds)?;
-                let right_tuples = self.build_side_tuples(*right, stats)?;
-                let jb = JoinBuild::hash(
-                    right_tuples,
-                    right_key,
-                    *right_key_ty,
-                    *float_keys,
-                    &self.pool,
-                    self.morsel_rows,
-                    stats,
-                )?;
-                debug_assert_eq!(builds.len(), *build);
-                builds.push(jb);
-                Ok(())
+                self.prepare_builds(left, stats, builds)?;
+                let key = Some((right_key, *right_key_ty, *float_keys));
+                let rows = self.build_rows(*right, key, stats)?;
+                (
+                    build,
+                    JoinBuild::hash(rows, &self.pool, self.morsel_rows, stats)?,
+                )
             }
             Node::ThetaJoin {
                 left,
@@ -475,129 +387,126 @@ impl Pipeline {
                 band,
                 ..
             } => {
-                self.prepare_builds_node(left, stats, builds)?;
-                let right_tuples = self.build_side_tuples(*right, stats)?;
-                if let Some(b) = band {
-                    if stats.trace.is_some() {
-                        // BandIndex::build invokes the band key kernel once
-                        // per valid build tuple.
-                        let n = right_tuples.iter().filter(|t| t.valid).count() as u64;
-                        stats.kernel_hits(b.right_key.id(), n);
-                    }
-                }
-                let index = band.as_ref().map(|b| BandIndex::build(b, &right_tuples));
-                debug_assert_eq!(builds.len(), *build);
-                builds.push(JoinBuild::theta(right_tuples, index));
-                Ok(())
+                self.prepare_builds(left, stats, builds)?;
+                let key = band
+                    .as_ref()
+                    .map(|b| (&b.right_key, b.right_key_ty, b.float_keys));
+                let rows = self.build_rows(*right, key, stats)?;
+                (build, JoinBuild::theta(rows, band.as_ref()))
             }
-        }
+        };
+        debug_assert_eq!(builds.len(), *build, "builds follow the DFS order");
+        builds.push(jb);
+        Ok(())
     }
 
-    /// Build-side scan, morsel by morsel: chunks concatenate in morsel
-    /// order, so the buffer is the source's scan order at every worker
-    /// count.
-    fn build_side_tuples(&self, idx: usize, stats: &mut ExecStats) -> Result<Vec<Tuple>> {
-        let plan = MorselPlan::fixed(self.sources[idx].nrows, self.morsel_rows);
+    /// Build-side scan, morsel by morsel: each surviving right tuple
+    /// appends its slots, validity, source row and — when the join has a
+    /// build key kernel — its canonical key to the morsel's chunk; chunks
+    /// concatenate in morsel order, so the rows are the source's scan order
+    /// at every worker count.
+    fn build_rows(
+        &self,
+        idx: usize,
+        key: Option<(&CompiledKernel, SlotType, bool)>,
+        stats: &mut ExecStats,
+    ) -> Result<BuildRows<'_>> {
+        let s = &self.sources[idx];
+        u32::try_from(s.nrows).map_err(|_| VidaError::Exec("build side over 2^32 rows".into()))?;
+        let plan = MorselPlan::fixed(s.nrows, self.morsel_rows);
         morsel_fold(
             &self.pool,
             &plan,
             stage::BUILD_SIDE,
             stats,
             |range, ws| {
-                let mut out = Vec::new();
-                self.push_source(idx, range, ws, &mut |_, t| {
-                    out.push(t);
+                let mut out = BuildRows::new(idx, &s.slots, range.len());
+                self.push_source(idx, range, &mut self.scratch(), ws, &mut |ws, t| {
+                    let key = key.map(|(k, ty, float_keys)| match t.valid {
+                        true => {
+                            ws.kernel_hit(k.id());
+                            encode_key(k.call(&t.frame), ty, float_keys)
+                        }
+                        false => 0,
+                    });
+                    out.push(t, key);
                     Ok(())
                 })?;
                 let n = out.len() as u64;
                 Ok((out, n))
             },
-            Vec::new(),
+            BuildRows::new(idx, &s.slots, 0),
             |mut all, chunk| {
-                all.extend(chunk);
+                all.append(chunk);
                 Ok(all)
             },
         )
     }
 
     /// Emit the surviving join pairs of one probe tuple against its
-    /// candidate build tuples, pushing each straight into `sink`.
+    /// candidate build rows, pushing each straight into `sink`. The probe
+    /// copies the left tuple into its scratch tuple once; per candidate it
+    /// writes only the right slots, and the predicate runs before anything
+    /// is forwarded.
     #[allow(clippy::too_many_arguments)]
     fn probe_pairs(
         &self,
         lt: &Tuple,
-        candidates: &[usize],
-        right_tuples: &[Tuple],
-        rslots: &[usize],
+        candidates: &[u32],
+        jb: &JoinBuild,
         predicate: &Step,
         selects: &[Step],
+        out: &mut Tuple,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
+        out.copy_from(lt);
         'pairs: for &ri in candidates {
-            let rt = &right_tuples[ri];
-            let mut frame = lt.frame.clone();
-            for &slot in rslots {
-                frame[slot] = rt.frame[slot];
-            }
-            let merged = Tuple {
-                frame,
-                valid: lt.valid && rt.valid,
-                rows: lt.rows.iter().chain(rt.rows.iter()).copied().collect(),
-                unnest_vals: lt
-                    .unnest_vals
-                    .iter()
-                    .chain(rt.unnest_vals.iter())
-                    .cloned()
-                    .collect(),
-            };
-            if !self.apply_step(predicate, &merged, stats, "join")? {
+            jb.fill(ri as usize, lt.valid, out);
+            if !self.apply_step(predicate, out, stats, "join")? {
                 continue;
             }
             for sel in selects {
-                if !self.apply_step(sel, &merged, stats, "selection")? {
+                if !self.apply_step(sel, out, stats, "selection")? {
                     continue 'pairs;
                 }
             }
-            sink(stats, merged)?;
+            sink(stats, out)?;
         }
         Ok(())
     }
 
     /// Flatten one input tuple through an unnest stage: one output tuple
-    /// per collection element, frames extended with the element slots,
-    /// stage selects applied, survivors pushed into `sink`.
+    /// per collection element in the stage's scratch tuple `out` (input
+    /// copied once, then only the element slots and index written per
+    /// element), stage selects applied, survivors pushed into `sink`.
     fn unnest_tuple(
         &self,
         stage: usize,
         selects: &[Step],
         t: &Tuple,
+        out: &mut Tuple,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
         let u = &self.unnests[stage];
+        out.copy_from(t);
         let evaluated;
         let coll: &Value = match u.src_col {
-            Some((src, col)) => {
-                let (_, row) = t
-                    .rows
-                    .iter()
-                    .find(|(s, _)| *s == src)
-                    .copied()
-                    .expect("unnest source bound upstream");
-                &self.sources[src].env_fields[col].1[row]
-            }
+            Some((src, col)) => &self.sources[src].env_fields[col].1[t.rows[src]],
             None => {
-                evaluated = eval(&u.path, &self.env_for(t))?;
+                // Interpreted path: the stage keeps the collection, which
+                // downstream fallback bindings read their element from.
+                evaluated = Arc::new(eval(&u.path, &self.env_for(t))?);
+                out.elems[stage].1 = Some(Arc::clone(&evaluated));
                 &evaluated
             }
         };
         let items = coll.elements().ok_or_else(|| {
             VidaError::Exec(format!("unnest path {} produced non-collection", u.path))
         })?;
-        'items: for item in items {
-            let mut frame = t.frame.clone();
-            let mut valid = t.valid;
+        'items: for (i, item) in items.iter().enumerate() {
+            out.valid = t.valid;
             for (field, slot, ty) in &u.slots {
                 let v = match field {
                     None => Some(item),
@@ -608,24 +517,17 @@ impl Pipeline {
                 // and cheap because the build pre-interned every string
                 // reachable through the direct-column path.
                 match v.and_then(|v| ty.encode(v, |s| self.interner.intern(s))) {
-                    Some(bits) => frame[*slot] = bits,
-                    None => valid = false,
+                    Some(bits) => out.frame[*slot] = bits,
+                    None => out.valid = false,
                 }
             }
-            let mut unnest_vals = t.unnest_vals.clone();
-            unnest_vals.push((stage, item.clone()));
-            let nt = Tuple {
-                frame,
-                valid,
-                rows: t.rows.clone(),
-                unnest_vals,
-            };
+            out.elems[stage].0 = i;
             for sel in selects {
-                if !self.apply_step(sel, &nt, stats, "selection")? {
+                if !self.apply_step(sel, out, stats, "selection")? {
                     continue 'items;
                 }
             }
-            sink(stats, nt)?;
+            sink(stats, out)?;
         }
         Ok(())
     }
@@ -641,23 +543,14 @@ fn leftmost_source(node: &Node) -> usize {
     }
 }
 
-/// Whether the pipeline tree contains any join (and therefore a build
-/// side worth its own trace span).
+/// Whether the pipeline tree contains any join — and therefore a build
+/// side worth its own trace span, and a drive loop traced as a probe
+/// rather than a plain scan.
 fn has_join(node: &Node) -> bool {
     match node {
         Node::Source(_) => false,
         Node::HashJoin { .. } | Node::ThetaJoin { .. } => true,
         Node::Unnest { input, .. } => has_join(input),
-    }
-}
-
-/// Trace stage name of the drive loop: a probe when any join is fused into
-/// the push pipeline, otherwise a plain scan.
-fn drive_stage(node: &Node) -> &'static str {
-    if has_join(node) {
-        stage::PROBE
-    } else {
-        stage::SCAN
     }
 }
 

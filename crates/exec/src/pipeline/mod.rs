@@ -56,11 +56,15 @@
 //! Execution is a **streaming push loop** (HyPer-style data-centric
 //! pipelines): each compiled stage consumes one tuple at a time and pushes
 //! it into the next stage's consumer closure, so
-//! select→project→unnest→probe→fold chains fuse end to end with **no
-//! intermediate `Vec<Tuple>`** between operators. The only pipeline
-//! breakers are join build sides (hash tables / band indexes), which
-//! materialize once per join before the loop starts;
-//! `ExecStats::fused_stage_depth` reports the fused chain length.
+//! select→project→unnest→probe→fold chains fuse end to end with no
+//! intermediate buffer between operators and **no allocation per row**:
+//! each stage overwrites one scratch tuple per morsel and its sink borrows
+//! it, provenance is a fixed array of row and element indexes, and
+//! primitive folds keep unboxed [`Partial`](vida_types::Partial)
+//! accumulators until the morsel boundary. The only pipeline breakers are
+//! join build sides — a row-major slot matrix with CSR hash buckets or a
+//! sorted band index — which materialize once per join before the loop
+//! starts; `ExecStats::fused_stage_depth` reports the fused chain length.
 //!
 //! One **morsel driver** (`vida-parallel`) runs every phase at every
 //! worker count: raw scans split into aligned byte ranges, replica decodes
@@ -76,9 +80,9 @@
 //! ([`JitOptions`]), `shape` (which plans the pipelines accept, touched
 //! paths), `bind` (source binding, operator-tree assembly, head planning),
 //! `columns` (cache probe, raw scan, replica decode and sync, incremental
-//! tail), `join` (build sides: hash tables, band index), `drive` (the
-//! morsel driver: push loop, fold, fold-partial seam). This file holds the
-//! entry points and the pipeline IR those modules share.
+//! tail), `join` (build sides: slot matrix, CSR hash buckets, band index),
+//! `drive` (the morsel driver: push loop, fold, fold-partial seam). This file
+//! holds the entry points and the pipeline IR those modules share.
 
 mod bind;
 mod columns;
@@ -339,21 +343,42 @@ struct UnnestStage {
     slots: Vec<(Option<String>, usize, SlotType)>,
 }
 
-/// One in-flight tuple: its register frame, whether every slot encoded, and
-/// the provenance used to rebuild bindings on the fallback path — `(source,
-/// row)` pairs for scans plus `(unnest stage, element)` values for unnests.
+/// Provenance entry of a source or unnest stage not bound upstream.
+const UNBOUND: usize = usize::MAX;
+
+/// The in-flight tuple of one push stage: a scratch state the stage
+/// allocates once per morsel and overwrites in place for every tuple it
+/// emits, so rows, join pairs and unnest elements flow through the chain
+/// without a heap object each. It holds the register frame, whether every
+/// slot bound so far encoded, and the provenance `Pipeline::env_for`
+/// rebuilds bindings from on the fallback path, sized at bind time:
+/// `rows[source]` is each upstream source's row and `elems[stage]` each
+/// upstream unnest's element index (`UNBOUND` elsewhere), plus the
+/// collection itself when the interpreter evaluated the unnest path
+/// (direct-column unnests find it at `(column, rows[source])`).
 struct Tuple {
     frame: Vec<i64>,
     valid: bool,
-    rows: Vec<(usize, usize)>,
-    unnest_vals: Vec<(usize, Value)>,
+    rows: Vec<usize>,
+    elems: Vec<(usize, Option<Arc<Value>>)>,
 }
 
-/// The consumer side of one pipeline stage: receives each surviving tuple
+impl Tuple {
+    /// Overwrite this scratch tuple with `t` — once per input tuple of a
+    /// probe or unnest stage, without allocating.
+    fn copy_from(&mut self, t: &Tuple) {
+        self.frame.copy_from_slice(&t.frame);
+        self.valid = t.valid;
+        self.rows.copy_from_slice(&t.rows);
+        self.elems.clone_from_slice(&t.elems);
+    }
+}
+
+/// The consumer side of one pipeline stage: borrows each surviving tuple
 /// (plus the worker-local stats) and forwards it — into the next stage's
-/// closure, the fold, or a build buffer. Passing stats through the sink
+/// closure, the fold, or a build side. Passing stats through the sink
 /// keeps one mutable path through the whole recursive loop nest.
-type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, Tuple) -> Result<()>;
+type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, &Tuple) -> Result<()>;
 
 struct Pipeline {
     sources: Vec<Source>,
@@ -380,6 +405,48 @@ struct Pipeline {
     /// Fold-partial cache seam for single-source primitive folds (`None`
     /// for every other shape — they always run the plain full fold).
     fold_seam: Option<FoldSeam>,
+}
+
+impl Pipeline {
+    /// A scratch tuple sized for this pipeline: one per stage per morsel.
+    fn scratch(&self) -> Tuple {
+        Tuple {
+            frame: vec![0; self.frame_width],
+            valid: true,
+            rows: vec![UNBOUND; self.sources.len()],
+            elems: vec![(UNBOUND, None); self.unnests.len()],
+        }
+    }
+
+    /// Rebuild interpreter bindings from a tuple's provenance — its only
+    /// reader, called on the fallback path alone: a record per bound source
+    /// row, then each bound unnest's element, read back from its
+    /// collection.
+    fn env_for(&self, t: &Tuple) -> Bindings {
+        let mut env = self.base_env.clone();
+        for (s, &row) in self.sources.iter().zip(&t.rows) {
+            if row == UNBOUND {
+                continue;
+            }
+            let fields = s
+                .env_fields
+                .iter()
+                .map(|(n, c)| (n.clone(), c[row].clone()));
+            env.insert(s.binding.clone(), Value::Record(fields.collect()));
+        }
+        for (u, (i, evaluated)) in self.unnests.iter().zip(&t.elems) {
+            let coll = match (*i, evaluated, u.src_col) {
+                (UNBOUND, ..) => continue,
+                (_, Some(c), _) => c,
+                (_, None, Some((src, col))) => &self.sources[src].env_fields[col].1[t.rows[src]],
+                (_, None, None) => continue,
+            };
+            if let Some(item) = coll.elements().and_then(|e| e.get(*i)) {
+                env.insert(u.binding.clone(), item.clone());
+            }
+        }
+        env
+    }
 }
 
 /// Where cached pre-finalize fold partials are looked up and refreshed,

@@ -426,6 +426,7 @@ fn float_aggregates_are_bit_identical_at_every_thread_count() {
     let rows: Vec<Value> = (0..200)
         .map(|k| {
             Value::record([
+                ("id", Value::Int(k)),
                 ("x", Value::Float(k as f64 / 10.0)),
                 ("y", Value::Float(((k % 7) + 1) as f64 / 3.0)),
             ])
@@ -433,14 +434,33 @@ fn float_aggregates_are_bit_identical_at_every_thread_count() {
         .collect();
     cat.register_records(
         "F",
-        Schema::from_pairs([("x", Type::Float), ("y", Type::Float)]),
+        Schema::from_pairs([("id", Type::Int), ("x", Type::Float), ("y", Type::Float)]),
         &rows,
+    )
+    .unwrap();
+    // The build side of a join→fold chain: probe order decides the
+    // association order of the fold, so it must be the same everywhere.
+    let g: Vec<Value> = (0..300)
+        .map(|k| {
+            Value::record([
+                ("id", Value::Int(k % 150)),
+                ("w", Value::Float(k as f64 / 7.0)),
+            ])
+        })
+        .collect();
+    cat.register_records(
+        "G",
+        Schema::from_pairs([("id", Type::Int), ("w", Type::Float)]),
+        &g,
     )
     .unwrap();
     for q in [
         "for { f <- F } yield sum f.x",
         "for { f <- F, f.x > 1.5 } yield avg f.x",
+        "for { f <- F } yield avg f.y",
         "for { f <- F, f.x < 4.0 } yield prod f.y",
+        "for { f <- F, g <- G, f.id = g.id } yield sum g.w",
+        "for { f <- F, g <- G, f.id = g.id, f.x > 2.5 } yield avg (f.y * g.w)",
     ] {
         let plan = rewrite(&lower(&parse(q).unwrap()).expect("lowers"));
         let bits = |threads: usize| {
@@ -458,6 +478,78 @@ fn float_aggregates_are_bit_identical_at_every_thread_count() {
         for threads in [2, 8] {
             assert_eq!(bits(threads), one, "threads={threads} drifts for {q}");
         }
+    }
+}
+
+/// `q` over `cat` at 1/2/8 workers with 2-row morsels: every result —
+/// value or error — must equal the Volcano oracle's.
+fn sweep_against_volcano(cat: &MemoryCatalog, q: &str) -> vida_types::Result<Value> {
+    let plan = rewrite(&lower(&parse(q).unwrap()).expect("lowers"));
+    let oracle = run_volcano(&plan, cat);
+    for threads in [1usize, 2, 8] {
+        let opts = JitOptions {
+            threads,
+            morsel_rows: 2,
+            ..Default::default()
+        };
+        let got = run_jit(&plan, cat, &opts);
+        assert_eq!(
+            got.as_ref().map_err(ToString::to_string),
+            oracle.as_ref().map_err(ToString::to_string),
+            "threads={threads} deviates for {q}"
+        );
+    }
+    oracle
+}
+
+#[test]
+fn typed_sum_overflow_across_a_morsel_boundary_is_volcanos_error() {
+    // Two-row morsels: [MAX - 10, 1] and [20, 1] each fold without
+    // overflow; merging the partials overflows, where Volcano's flat fold
+    // overflows at the third element — with the same error.
+    let cat = MemoryCatalog::new();
+    let xs = [i64::MAX - 10, 1, 20, 1];
+    let rows: Vec<Value> = xs
+        .iter()
+        .map(|&x| Value::record([("x", Value::Int(x))]))
+        .collect();
+    cat.register_records("I", Schema::from_pairs([("x", Type::Int)]), &rows)
+        .unwrap();
+    let err = sweep_against_volcano(&cat, "for { i <- I } yield sum i.x").unwrap_err();
+    assert_eq!(err.to_string(), "execution error: integer overflow in sum");
+    // Without the overflowing tail the same fold is exact.
+    let v = sweep_against_volcano(&cat, "for { i <- I, i.x < 10 } yield sum i.x").unwrap();
+    assert_eq!(v, Value::Int(2));
+}
+
+#[test]
+fn typed_folds_over_no_rows_are_the_monoid_zero() {
+    // Empty and fully filtered inputs: `sum` is `Int(0)` (not `Float(0.0)`),
+    // `avg`/`max` are `Null`, exactly as Volcano folds them.
+    let cat = big_catalog(40);
+    cat.register_records("E", Schema::from_pairs([("x", Type::Float)]), &[])
+        .unwrap();
+    for (q, zero) in [
+        ("for { e <- E } yield sum e.x", Value::Int(0)),
+        ("for { e <- E } yield avg e.x", Value::Null),
+        (
+            "for { p <- Patients, p.age > 1000 } yield sum p.age",
+            Value::Int(0),
+        ),
+        (
+            "for { p <- Patients, p.age > 1000 } yield avg p.age",
+            Value::Null,
+        ),
+        (
+            "for { g <- Genetics, g.snp > 2.0 } yield max g.snp",
+            Value::Null,
+        ),
+        (
+            "for { p <- Patients, p.age > 1000 } yield count p",
+            Value::Int(0),
+        ),
+    ] {
+        assert_eq!(sweep_against_volcano(&cat, q).unwrap(), zero, "{q}");
     }
 }
 

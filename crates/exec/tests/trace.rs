@@ -158,6 +158,36 @@ fn kernel_invocations_are_recorded_per_kernel() {
 }
 
 #[test]
+fn fused_select_hits_count_only_the_conjuncts_that_ran() {
+    // Two compiled conjuncts fuse into one select stage, evaluated in
+    // syntactic order with the plan optimizer off: kernel 0 is `a.x > 5`,
+    // kernel 1 is `a.k < 12`. The fused chain short-circuits, so kernel 0
+    // runs on every valid row (null `x` rows take the interpreter) and
+    // kernel 1 only on kernel 0's survivors.
+    let q = "for { a <- A, a.x > 5, a.k < 12 } yield count a";
+    let x_of = |i: i64| (i % 5 != 3).then_some((i * 3) % 20);
+    let valid = (0..16).filter(|&i| x_of(i).is_some()).count() as u64;
+    let first_pass = (0..16).filter(|&i| x_of(i).is_some_and(|x| x > 5)).count() as u64;
+    assert!(
+        first_pass < valid,
+        "the first conjunct must reject some rows"
+    );
+    for threads in [1, 2, 8] {
+        let opts = JitOptions {
+            threads,
+            morsel_rows: 4,
+            plan_opt: false,
+            ..JitOptions::default()
+        }
+        .with_trace();
+        let cat = common::owned_catalog();
+        let (_, stats) = run_jit_with_stats(&plan_of(q), &cat, &opts).unwrap();
+        let hits = stats.query_trace().unwrap().kernel_invocations().to_vec();
+        assert_eq!(hits, vec![valid, first_pass], "threads={threads}");
+    }
+}
+
+#[test]
 fn explain_analyze_renders_the_stage_tree() {
     let (_, stats) = traced(JOIN_COUNT, 2);
     let text = stats.query_trace().unwrap().explain_analyze();

@@ -126,12 +126,18 @@ impl SelectKernel {
     /// failure, like the chained serial selects it replaces.
     #[inline]
     pub fn admit(&self, frame: &[i64]) -> bool {
-        self.preds.iter().all(|k| k.call_bool(frame))
+        self.admit_reporting(frame, |_| ())
     }
 
-    /// Ids of the fused predicate kernels, in evaluation order.
-    pub fn kernel_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.preds.iter().map(CompiledKernel::id)
+    /// [`SelectKernel::admit`] that reports the id of each predicate it
+    /// actually ran, in evaluation order — the conjuncts after a rejecting
+    /// one are not reported, because they did not run.
+    #[inline]
+    pub fn admit_reporting(&self, frame: &[i64], mut ran: impl FnMut(u32)) -> bool {
+        self.preds.iter().all(|k| {
+            ran(k.id());
+            k.call_bool(frame)
+        })
     }
 }
 
@@ -647,17 +653,25 @@ mod tests {
                 .unwrap()
         };
         let preds = vec![
-            compile("x > 2", &mut interner),
-            compile("y < 10", &mut interner),
-            compile("x != y", &mut interner),
+            compile("x > 2", &mut interner).with_id(0),
+            compile("y < 10", &mut interner).with_id(1),
+            compile("x != y", &mut interner).with_id(2),
         ];
         let syntactic = SelectKernel::new(preds.clone());
         let reordered = SelectKernel::with_order(preds, &[2, 0, 1]);
         assert_eq!(reordered.len(), 3);
-        // Evaluation order follows the permutation (observable via ids)...
-        let ids: Vec<u32> = syntactic.kernel_ids().collect();
-        let got: Vec<u32> = reordered.kernel_ids().collect();
-        assert_eq!(got, vec![ids[2], ids[0], ids[1]]);
+        // Evaluation order follows the permutation (observable via the ids
+        // reported as each predicate runs), and the short-circuit stops the
+        // report at the first rejecting predicate...
+        let ran = |stage: &SelectKernel, frame: &[i64]| {
+            let mut ids = Vec::new();
+            let admitted = stage.admit_reporting(frame, |id| ids.push(id));
+            assert_eq!(admitted, stage.admit(frame));
+            ids
+        };
+        assert_eq!(ran(&reordered, &[5, 3]), vec![2, 0, 1]);
+        assert_eq!(ran(&reordered, &[1, 3]), vec![2, 0]);
+        assert_eq!(ran(&syntactic, &[1, 3]), vec![0]);
         // ...but admission is identical on every frame: the kernels are
         // pure and total, so only the short-circuit point moves.
         for x in -2..12 {

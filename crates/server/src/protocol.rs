@@ -9,10 +9,9 @@
 //!    encoding is whatever [`vida_exec::OutputFormat`] the request named);
 //! 3. the **zero-length terminator frame**.
 //!
-//! Frames go through `Write::write_all` straight into the request's sink
-//! (a socket, pipe, or buffer), so a slow consumer applies backpressure to
-//! the executor thread serving it — the engine itself never buffers a
-//! whole result set per client beyond the row being framed.
+//! The server writes frames with `Write::write_all` into the request's
+//! sink (a socket, pipe, or buffer), several rows' frames per write, so a
+//! slow consumer applies backpressure to the executor thread serving it.
 
 use std::io::{self, Read, Write};
 

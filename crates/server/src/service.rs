@@ -14,9 +14,10 @@
 //! server adds no second pool: executor threads block in `attach_run`
 //! while the pool's workers multiplex their morsels.
 //!
-//! Results stream row-by-row through the output plugins into the
-//! request's sink using the [`protocol`](crate::protocol) frames; a slow
-//! sink blocks only its own executor (backpressure).
+//! The output plugins encode a result's text or CSV rows into one buffer,
+//! and its [`protocol`](crate::protocol) frames reach the request's sink
+//! in writes of about 64 KiB; a slow sink blocks only its own executor
+//! (backpressure).
 //!
 //! **Shutdown is drain-first**: `shutdown()` (and `Drop`) stop admission,
 //! let queued and in-flight queries finish, then join the executors.
@@ -420,14 +421,16 @@ fn serve(engine: &Engine, request: QueryRequest) -> bool {
     } = request;
     let rows = run_query(engine, &query, tenant.as_deref())
         .and_then(|result| encode_rows(&result, format));
-    match rows {
-        Ok(rows) => stream_rows(&mut *sink, &rows).is_ok(),
+    let streamed = match rows {
+        Ok(Encoded::Lines(rows)) => stream_rows(&mut *sink, rows.lines().map(str::as_bytes)),
+        Ok(Encoded::Binary(rows)) => stream_rows(&mut *sink, rows.iter().map(Vec::as_slice)),
         Err(e) => {
             let _ = write_frame(&mut *sink, format!("-{e}").as_bytes());
             let _ = finish_response(&mut *sink);
-            false
+            return false;
         }
-    }
+    };
+    streamed.is_ok()
 }
 
 fn run_query(engine: &Engine, query: &str, tenant: Option<&str>) -> Result<Value> {
@@ -439,31 +442,44 @@ fn run_query(engine: &Engine, query: &str, tenant: Option<&str>) -> Result<Value
     session.execute(&plan)
 }
 
-/// Encode a result into per-row frames through the output plugins. CSV
-/// sends its header line as the first row frame.
-fn encode_rows(result: &Value, format: OutputFormat) -> Result<Vec<Vec<u8>>> {
-    match format {
-        OutputFormat::Csv => Ok(output::to_csv(result)?
-            .lines()
-            .map(|line| line.as_bytes().to_vec())
-            .collect()),
-        OutputFormat::Text => Ok(output::to_values(result)
-            .iter()
-            .map(|row| row.to_string().into_bytes())
-            .collect()),
-        OutputFormat::Values | OutputFormat::BinaryJson => Ok(output::to_values(result)
-            .iter()
-            .map(output::to_binary_json)
-            .collect()),
-    }
+/// A result's row payloads, as the request's output plugin encoded them.
+enum Encoded {
+    /// Text and CSV: every row in one buffer, CSV's header line first.
+    Lines(output::EncodedRows),
+    /// Binary JSON: one buffer per row.
+    Binary(Vec<Vec<u8>>),
 }
 
-fn stream_rows(sink: &mut dyn Write, rows: &[Vec<u8>]) -> io::Result<()> {
-    write_frame(sink, b"+")?;
+fn encode_rows(result: &Value, format: OutputFormat) -> Result<Encoded> {
+    Ok(match format {
+        OutputFormat::Csv => Encoded::Lines(output::csv_rows(result)?),
+        OutputFormat::Text => Encoded::Lines(output::text_rows(result)),
+        OutputFormat::Values | OutputFormat::BinaryJson => Encoded::Binary(
+            output::rows(result)
+                .iter()
+                .map(output::to_binary_json)
+                .collect(),
+        ),
+    })
+}
+
+/// Frames reach the sink in writes of about this many bytes, not one
+/// write per length prefix and one per row.
+const STREAM_CHUNK: usize = 64 << 10;
+
+fn stream_rows<'a>(sink: &mut dyn Write, rows: impl Iterator<Item = &'a [u8]>) -> io::Result<()> {
+    let mut chunk = Vec::new();
+    write_frame(&mut chunk, b"+")?;
     for row in rows {
-        write_frame(sink, row)?;
+        if chunk.len() >= STREAM_CHUNK {
+            sink.write_all(&chunk)?;
+            chunk.clear();
+        }
+        write_frame(&mut chunk, row)?;
     }
-    finish_response(sink)
+    finish_response(&mut chunk)?;
+    sink.write_all(&chunk)?;
+    sink.flush()
 }
 
 /// A cloneable in-memory sink for in-process clients: every clone appends
@@ -605,6 +621,71 @@ mod tests {
             .map(|r| vida_cache::decode_value(r, 0).unwrap().0)
             .collect();
         assert_eq!(ids, vec![Value::Int(1), Value::Int(2)]);
+    }
+
+    /// Counts the writes that reach it.
+    #[derive(Clone, Default)]
+    struct CountingSink {
+        out: SharedBuffer,
+        writes: Arc<AtomicU64>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn csv_rows_arrive_one_frame_each_in_a_few_large_writes() {
+        let cat = MemoryCatalog::new();
+        let rows: Vec<Value> = (0..20_000)
+            .map(|i| {
+                let note = if i == 0 {
+                    "a\nb".to_string()
+                } else {
+                    format!("n{i}")
+                };
+                Value::record([("id", Value::Int(i)), ("note", Value::Str(note))])
+            })
+            .collect();
+        cat.register_records(
+            "Notes",
+            Schema::from_pairs([("id", Type::Int), ("note", Type::Str)]),
+            &rows,
+        )
+        .unwrap();
+        let engine = Arc::new(Engine::new(Arc::new(cat), JitOptions::default()));
+        let server = QueryServer::start(engine, ServerConfig::default());
+        let sink = CountingSink::default();
+        assert!(server.submit(
+            QueryRequest::new(
+                "for { n <- Notes } yield bag (id := n.id, note := n.note)",
+                Box::new(sink.clone()),
+            )
+            .with_format(OutputFormat::Csv),
+        ));
+        server.drain();
+        let bytes = sink.out.take();
+        let resp = read_response(&mut Cursor::new(&bytes)).unwrap();
+        assert!(resp.is_ok());
+        // The header, then one frame per row; the quoted newline stays
+        // inside its row's frame.
+        assert_eq!(resp.rows.len(), 20_001);
+        assert_eq!(resp.rows[0], b"id,note");
+        assert!(resp.rows.contains(&b"0,\"a\nb\"".to_vec()));
+        assert!(resp.rows.contains(&b"19999,n19999".to_vec()));
+        let writes = sink.writes.load(Ordering::Relaxed) as usize;
+        assert!(
+            writes <= bytes.len() / STREAM_CHUNK + 2,
+            "{writes} writes for {} bytes",
+            bytes.len()
+        );
     }
 
     #[cfg(unix)]

@@ -19,7 +19,7 @@ pub mod types;
 pub mod value;
 
 pub use error::{Result, VidaError};
-pub use monoid::{CollectionKind, Monoid, PrimitiveMonoid};
+pub use monoid::{CollectionKind, Monoid, Partial, PrimitiveMonoid};
 pub use schema::{AccessPath, Field, Schema};
 pub use types::Type;
 pub use value::Value;

@@ -9,6 +9,11 @@
 //! (tracked as a (sum,count) pair internally), `and` (∧), `or` (∨).
 //! Collection monoids: `set`, `bag`, `list`, `array`.
 //!
+//! Primitive folds run unboxed: a [`Partial`] carries the accumulator as an
+//! `i64`, `f64` or `bool` (`avg` as its `(sum, count)` pair), and
+//! [`PrimitiveMonoid::merge`] is the one copy of the primitive semantics —
+//! [`Monoid::merge`] on boxed [`Value`]s runs through it too.
+//!
 //! Properties (tested, incl. by proptest in this crate):
 //! - all monoids: associativity, left/right identity;
 //! - commutative monoids: `sum, prod, count, max, min, and, or, set, bag`;
@@ -20,6 +25,7 @@
 
 use crate::error::{Result, VidaError};
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Kinds of collection monoids.
@@ -109,6 +115,128 @@ impl PrimitiveMonoid {
                 | PrimitiveMonoid::Any
         )
     }
+
+    /// The zero element `Z⊕` as an unboxed accumulator.
+    pub fn zero(self) -> Partial {
+        match self {
+            PrimitiveMonoid::Sum | PrimitiveMonoid::Count => Partial::Int(0),
+            PrimitiveMonoid::Prod => Partial::Int(1),
+            PrimitiveMonoid::Max | PrimitiveMonoid::Min => Partial::Null,
+            PrimitiveMonoid::Avg => Partial::Avg(0.0, 0),
+            PrimitiveMonoid::All => Partial::Bool(true),
+            PrimitiveMonoid::Any => Partial::Bool(false),
+        }
+    }
+
+    /// The unit function `U⊕(x)` over unboxed elements.
+    pub fn unit(self, x: Partial) -> Partial {
+        match self {
+            PrimitiveMonoid::Count => Partial::Int(1),
+            PrimitiveMonoid::Avg => Partial::Avg(x.as_f64().unwrap_or(0.0), 1),
+            _ => x,
+        }
+    }
+
+    /// The merge function `a ⊕ b` — the one copy of the primitive
+    /// semantics: checked integer arithmetic, int→float promotion, `Null`
+    /// as the identity of `max`/`min`, and `avg`'s `(sum, count)` pair.
+    /// [`Monoid::merge`] runs its primitive arms through here.
+    pub fn merge(self, a: Partial, b: Partial) -> Result<Partial> {
+        use PrimitiveMonoid::*;
+        match self {
+            Sum => numeric_binop(a, b, "sum", |x, y| x + y, |x, y| x.checked_add(y)),
+            Prod => numeric_binop(a, b, "prod", |x, y| x * y, |x, y| x.checked_mul(y)),
+            Count => numeric_binop(a, b, "count", |x, y| x + y, |x, y| x.checked_add(y)),
+            Max | Min => Ok(match (a, b) {
+                (Partial::Null, x) | (x, Partial::Null) => x,
+                (x, y) => {
+                    let (x, y) = (x.into_value(), y.into_value());
+                    let keep = if self == Max {
+                        Ordering::Less
+                    } else {
+                        Ordering::Greater
+                    };
+                    Partial::from(if x.total_cmp(&y) == keep { y } else { x })
+                }
+            }),
+            Avg => {
+                let (s1, c1) = avg_parts(&a)?;
+                let (s2, c2) = avg_parts(&b)?;
+                Ok(Partial::Avg(s1 + s2, c1 + c2))
+            }
+            All => bool_binop(a, b, "all", |x, y| x && y),
+            Any => bool_binop(a, b, "any", |x, y| x || y),
+        }
+    }
+
+    /// One fold step `acc ← acc ⊕ U⊕(x)`, in place.
+    #[inline]
+    pub fn step(self, acc: &mut Partial, x: Partial) -> Result<()> {
+        *acc = self.merge(std::mem::take(acc), self.unit(x))?;
+        Ok(())
+    }
+}
+
+/// An unboxed primitive accumulator or element. A typed fold carries one per
+/// morsel, so no [`Value`] — and for `avg` no `__sum`/`__count` record — is
+/// built per element; [`Partial::into_value`] boxes it at the morsel
+/// boundary. `From<Value>` unboxes the scalars and keeps anything else
+/// (strings under `max`/`min`, bad inputs that must error) as `Boxed`.
+#[derive(Debug, Clone, Default)]
+pub enum Partial {
+    #[default]
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    /// `avg`'s running `(sum, count)`.
+    Avg(f64, i64),
+    Boxed(Value),
+}
+
+impl Partial {
+    /// The boxed accumulator `Monoid::merge` works on (`avg` becomes its
+    /// `__sum`/`__count` record).
+    pub fn into_value(self) -> Value {
+        match self {
+            Partial::Null => Value::Null,
+            Partial::Bool(b) => Value::Bool(b),
+            Partial::Int(i) => Value::Int(i),
+            Partial::Float(f) => Value::Float(f),
+            Partial::Avg(s, c) => {
+                Value::record([("__sum", Value::Float(s)), ("__count", Value::Int(c))])
+            }
+            Partial::Boxed(v) => v,
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Partial::Int(i) => Some(*i as f64),
+            Partial::Float(f) => Some(*f),
+            Partial::Boxed(v) => v.as_f64(),
+            _ => None,
+        }
+    }
+}
+
+impl From<Value> for Partial {
+    #[inline]
+    fn from(v: Value) -> Partial {
+        match v {
+            Value::Null => Partial::Null,
+            Value::Bool(b) => Partial::Bool(b),
+            Value::Int(i) => Partial::Int(i),
+            Value::Float(f) => Partial::Float(f),
+            other => Partial::Boxed(other),
+        }
+    }
+}
+
+impl fmt::Display for Partial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.clone().into_value())
+    }
 }
 
 /// A monoid: either primitive (scalar accumulator) or a collection kind.
@@ -160,16 +288,7 @@ impl Monoid {
     /// [`Monoid::finalize`] converts into a float.
     pub fn zero(&self) -> Value {
         match self {
-            Monoid::Primitive(PrimitiveMonoid::Sum) => Value::Int(0),
-            Monoid::Primitive(PrimitiveMonoid::Prod) => Value::Int(1),
-            Monoid::Primitive(PrimitiveMonoid::Count) => Value::Int(0),
-            Monoid::Primitive(PrimitiveMonoid::Max) => Value::Null,
-            Monoid::Primitive(PrimitiveMonoid::Min) => Value::Null,
-            Monoid::Primitive(PrimitiveMonoid::Avg) => {
-                Value::record([("__sum", Value::Float(0.0)), ("__count", Value::Int(0))])
-            }
-            Monoid::Primitive(PrimitiveMonoid::All) => Value::Bool(true),
-            Monoid::Primitive(PrimitiveMonoid::Any) => Value::Bool(false),
+            Monoid::Primitive(p) => p.zero().into_value(),
             Monoid::Collection(k) => Value::Collection(*k, Vec::new()),
         }
     }
@@ -177,12 +296,7 @@ impl Monoid {
     /// The unit function `U⊕(x)` lifting one element into the monoid carrier.
     pub fn unit(&self, v: Value) -> Value {
         match self {
-            Monoid::Primitive(PrimitiveMonoid::Count) => Value::Int(1),
-            Monoid::Primitive(PrimitiveMonoid::Avg) => {
-                let x = v.as_f64().unwrap_or(0.0);
-                Value::record([("__sum", Value::Float(x)), ("__count", Value::Int(1))])
-            }
-            Monoid::Primitive(_) => v,
+            Monoid::Primitive(p) => p.unit(Partial::from(v)).into_value(),
             Monoid::Collection(CollectionKind::Set) => Value::set(vec![v]),
             Monoid::Collection(k) => Value::Collection(*k, vec![v]),
         }
@@ -190,47 +304,8 @@ impl Monoid {
 
     /// The merge function `a ⊕ b`.
     pub fn merge(&self, a: Value, b: Value) -> Result<Value> {
-        use PrimitiveMonoid::*;
         match self {
-            Monoid::Primitive(Sum) => {
-                numeric_binop(a, b, "sum", |x, y| x + y, |x, y| x.checked_add(y))
-            }
-            Monoid::Primitive(Prod) => {
-                numeric_binop(a, b, "prod", |x, y| x * y, |x, y| x.checked_mul(y))
-            }
-            Monoid::Primitive(Count) => {
-                numeric_binop(a, b, "count", |x, y| x + y, |x, y| x.checked_add(y))
-            }
-            Monoid::Primitive(Max) => Ok(match (a, b) {
-                (Value::Null, x) | (x, Value::Null) => x,
-                (x, y) => {
-                    if x.total_cmp(&y) == std::cmp::Ordering::Less {
-                        y
-                    } else {
-                        x
-                    }
-                }
-            }),
-            Monoid::Primitive(Min) => Ok(match (a, b) {
-                (Value::Null, x) | (x, Value::Null) => x,
-                (x, y) => {
-                    if x.total_cmp(&y) == std::cmp::Ordering::Greater {
-                        y
-                    } else {
-                        x
-                    }
-                }
-            }),
-            Monoid::Primitive(Avg) => {
-                let (s1, c1) = avg_parts(&a)?;
-                let (s2, c2) = avg_parts(&b)?;
-                Ok(Value::record([
-                    ("__sum", Value::Float(s1 + s2)),
-                    ("__count", Value::Int(c1 + c2)),
-                ]))
-            }
-            Monoid::Primitive(All) => bool_binop(a, b, "all", |x, y| x && y),
-            Monoid::Primitive(Any) => bool_binop(a, b, "any", |x, y| x || y),
+            Monoid::Primitive(p) => Ok(p.merge(a.into(), b.into())?.into_value()),
             Monoid::Collection(kind) => {
                 let mut xs = into_elements(a, *kind)?;
                 let ys = into_elements(b, *kind)?;
@@ -248,7 +323,7 @@ impl Monoid {
     pub fn finalize(&self, acc: Value) -> Result<Value> {
         match self {
             Monoid::Primitive(PrimitiveMonoid::Avg) => {
-                let (s, c) = avg_parts(&acc)?;
+                let (s, c) = avg_parts(&acc.into())?;
                 if c == 0 {
                     Ok(Value::Null)
                 } else {
@@ -297,18 +372,18 @@ impl fmt::Display for Monoid {
     }
 }
 
-fn avg_parts(v: &Value) -> Result<(f64, i64)> {
+fn avg_parts(p: &Partial) -> Result<(f64, i64)> {
     // A bare numeric value may reach the accumulator when merges mix units
     // (e.g. during parallel partial aggregation); treat it as (x, 1).
-    if let Some(x) = v.as_f64() {
-        if !matches!(v, Value::Record(_)) {
-            return Ok((x, 1));
-        }
-    }
+    let v = match p {
+        Partial::Avg(s, c) => return Ok((*s, *c)),
+        Partial::Boxed(v) => v,
+        other => return other.as_f64().map(|x| (x, 1)).ok_or_else(missing_sum),
+    };
     let s = v
         .field("__sum")
         .and_then(Value::as_f64)
-        .ok_or_else(|| VidaError::Exec("avg accumulator missing __sum".into()))?;
+        .ok_or_else(missing_sum)?;
     let c = v
         .field("__count")
         .and_then(Value::as_i64)
@@ -316,16 +391,20 @@ fn avg_parts(v: &Value) -> Result<(f64, i64)> {
     Ok((s, c))
 }
 
+fn missing_sum() -> VidaError {
+    VidaError::Exec("avg accumulator missing __sum".into())
+}
+
 fn numeric_binop(
-    a: Value,
-    b: Value,
+    a: Partial,
+    b: Partial,
     name: &str,
     ff: fn(f64, f64) -> f64,
     fi: fn(i64, i64) -> Option<i64>,
-) -> Result<Value> {
+) -> Result<Partial> {
     match (&a, &b) {
-        (Value::Int(x), Value::Int(y)) => fi(*x, *y)
-            .map(Value::Int)
+        (Partial::Int(x), Partial::Int(y)) => fi(*x, *y)
+            .map(Partial::Int)
             .ok_or_else(|| VidaError::Exec(format!("integer overflow in {name}"))),
         _ => {
             let x = a
@@ -334,19 +413,17 @@ fn numeric_binop(
             let y = b
                 .as_f64()
                 .ok_or_else(|| VidaError::Exec(format!("{name}: non-numeric {b}")))?;
-            Ok(Value::Float(ff(x, y)))
+            Ok(Partial::Float(ff(x, y)))
         }
     }
 }
 
-fn bool_binop(a: Value, b: Value, name: &str, f: fn(bool, bool) -> bool) -> Result<Value> {
-    let x = a
-        .as_bool()
-        .ok_or_else(|| VidaError::Exec(format!("{name}: non-boolean {a}")))?;
-    let y = b
-        .as_bool()
-        .ok_or_else(|| VidaError::Exec(format!("{name}: non-boolean {b}")))?;
-    Ok(Value::Bool(f(x, y)))
+fn bool_binop(a: Partial, b: Partial, name: &str, f: fn(bool, bool) -> bool) -> Result<Partial> {
+    let as_bool = |p: &Partial| match p {
+        Partial::Bool(b) => Ok(*b),
+        other => Err(VidaError::Exec(format!("{name}: non-boolean {other}"))),
+    };
+    Ok(Partial::Bool(f(as_bool(&a)?, as_bool(&b)?)))
 }
 
 fn into_elements(v: Value, kind: CollectionKind) -> Result<Vec<Value>> {
@@ -524,6 +601,38 @@ mod tests {
                     "{m}: chunk {chunk} deviates ({merged} vs {sequential})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn typed_steps_agree_with_boxed_merges() {
+        // The unboxed fold must be bit-for-bit the boxed one, errors
+        // included: mixed ints and floats, a null, a string, and overflow.
+        let inputs = [
+            vec![Value::Int(3), Value::Float(0.1), Value::Int(2)],
+            vec![Value::Float(-0.0), Value::Float(0.3), Value::Float(0.7)],
+            vec![Value::Int(i64::MAX), Value::Int(1)],
+            vec![Value::Bool(true), Value::Bool(false)],
+            vec![Value::Null, Value::Int(4)],
+            vec![Value::str("b"), Value::str("a")],
+        ];
+        for m in all_monoids() {
+            let Monoid::Primitive(p) = m else { continue };
+            for xs in &inputs {
+                let mut acc = p.zero();
+                let typed = xs
+                    .iter()
+                    .try_for_each(|x| p.step(&mut acc, x.clone().into()))
+                    .map(|()| acc.into_value());
+                let boxed = xs
+                    .iter()
+                    .try_fold(m.zero(), |a, x| m.merge(a, m.unit(x.clone())));
+                // Debug renderings tell `-0.0` from `0.0`.
+                let shown =
+                    |r: Result<Value>| r.map(|v| format!("{v:?}")).map_err(|e| e.to_string());
+                assert_eq!(shown(typed), shown(boxed), "{m} over {xs:?}");
+            }
+            assert_eq!(p.zero().into_value(), m.zero(), "{m}: zero");
         }
     }
 
