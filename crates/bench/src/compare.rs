@@ -33,9 +33,8 @@ fn name_of(item: &Value) -> Result<&str, String> {
         .ok_or_else(|| "BENCHMARK.json entry without a name".to_string())
 }
 
-/// One artifact's reading of one metric: its value and the distance
-/// between its quartiles as a share of the value.
-fn reading(doc: &Value, workload: &str, metric: &str) -> Result<(f64, f64), String> {
+/// One artifact's reading of one metric: its value and its quartiles.
+fn reading(doc: &Value, workload: &str, metric: &str) -> Result<(f64, [f64; 2]), String> {
     let at = |leaf| {
         number(
             doc,
@@ -48,13 +47,17 @@ fn reading(doc: &Value, workload: &str, metric: &str) -> Result<(f64, f64), Stri
             "{workload}.{metric} is {value}, not a positive number"
         ));
     }
-    Ok((value, (q3 - q1) / value))
+    Ok((value, [q1, q3]))
 }
 
-/// One side's reading of one metric: the median of its runs' values, and
-/// its spread as a share of that median — a single run's quartile spread,
-/// or (max − min) across several runs.
-fn median_reading(docs: &[Value], workload: &str, metric: &str) -> Result<(f64, f64), String> {
+/// One side's reading of one metric: the median of its runs' values, its
+/// spread as a share of that median — a single run's quartile spread, or
+/// (max − min) across several runs — and a single run's `[q1, q3]`.
+fn median_reading(
+    docs: &[Value],
+    workload: &str,
+    metric: &str,
+) -> Result<(f64, f64, Option<[f64; 2]>), String> {
     let runs = docs
         .iter()
         .map(|doc| reading(doc, workload, metric))
@@ -64,8 +67,8 @@ fn median_reading(docs: &[Value], workload: &str, metric: &str) -> Result<(f64, 
     let n = values.len();
     let median = (values[(n - 1) / 2] + values[n / 2]) / 2.0;
     match runs[..] {
-        [(_, quartiles)] => Ok((median, quartiles)),
-        _ => Ok((median, (values[n - 1] - values[0]) / median)),
+        [(_, [q1, q3])] => Ok((median, (q3 - q1) / median, Some([q1, q3]))),
+        _ => Ok((median, (values[n - 1] - values[0]) / median, None)),
     }
 }
 
@@ -92,7 +95,9 @@ fn runs(texts: &[impl AsRef<str>], what: &str) -> Result<Vec<Value>, String> {
 /// whether `b` passes: no metric's median worse than `a`'s beyond its bound
 /// and no workload's `failed_share` risen. A metric inside its bound whose
 /// spread (on either side) exceeds the bound is `unresolved`, not `ok`: the
-/// runs are too wide to tell.
+/// runs are too wide to tell. So is a metric beyond its bound when each
+/// side is one artifact, the two `[q1, q3]` ranges overlap and either is
+/// wider than the bound.
 pub fn compare(
     contract: &str,
     a: &[impl AsRef<str>],
@@ -112,13 +117,18 @@ pub fn compare(
             let name = name_of(metric)?;
             let bound = number(metric, &["bound"])?;
             let higher = metric.field("better").and_then(Value::as_str) == Some("higher");
-            let (va, sa) = median_reading(&a, workload, name)?;
-            let (vb, sb) = median_reading(&b, workload, name)?;
+            let (va, sa, qa) = median_reading(&a, workload, name)?;
+            let (vb, sb, qb) = median_reading(&b, workload, name)?;
             let worse = if higher { va / vb } else { vb / va } - 1.0;
-            let verdict = if worse > bound {
+            let wide = sa.max(sb) > bound;
+            let overlap = match (qa, qb) {
+                (Some([a1, a3]), Some([b1, b3])) => a1 <= b3 && b1 <= a3,
+                _ => false,
+            };
+            let verdict = if worse > bound && !(wide && overlap) {
                 pass = false;
                 "WORSE"
-            } else if sa.max(sb) > bound {
+            } else if wide {
                 "unresolved"
             } else {
                 "ok"
@@ -186,6 +196,32 @@ mod tests {
                 .unwrap()
                 .1
         );
+    }
+
+    #[test]
+    fn single_runs_beyond_the_bound_inside_wide_overlapping_quartiles_are_unresolved() {
+        // `cache_pressure` `cache_bytes_per_raw_byte` takes three values
+        // across a run's slices, so one run's quartiles span them all.
+        let contract = r#"{"workloads":[{"name":"cache_pressure"}],"end_to_end":[
+            {"name":"cache_bytes_per_raw_byte","better":"lower","bound":0.05}]}"#;
+        let run = |value: f64, q1: f64, q3: f64| {
+            format!(
+                r#"{{"workloads":{{"cache_pressure":{{"end_to_end":{{"attempted":100,"failed":0,
+                "metrics":{{"cache_bytes_per_raw_byte":{{"value":{value},"q1":{q1},"q3":{q3}}}}}}}}}}}}}"#
+            )
+        };
+        let (a, b) = (run(0.2902, 0.290, 0.310), run(0.3102, 0.290, 0.310));
+        let (table, pass) = compare(contract, &[&a], &[&b]).unwrap();
+        assert!(pass && table.contains("unresolved"), "{table}");
+        // Disjoint quartiles, or overlapping ones inside the bound, fail.
+        let narrow = run(0.2902, 0.3000, 0.3012);
+        for (a, b) in [
+            (&a, run(0.3302, 0.320, 0.340)),
+            (&narrow, run(0.3102, 0.3005, 0.3015)),
+        ] {
+            let (table, pass) = compare(contract, &[a], &[&b]).unwrap();
+            assert!(!pass && table.contains("WORSE"), "{table}");
+        }
     }
 
     #[test]

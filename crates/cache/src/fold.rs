@@ -9,11 +9,12 @@
 //! textually different queries that lower to the same plan share partials,
 //! different plans never collide.
 //!
-//! Entries are small (one accumulator value each), so the table is bounded
-//! by count rather than bytes.
+//! The partials live in the [`crate::CacheManager`]'s state, under its one
+//! lock ([`crate::CacheManager::fold_partial`],
+//! [`crate::CacheManager::put_fold_partial`]). Entries are small (one
+//! accumulator value each), so the table is bounded by count rather than
+//! bytes.
 
-use std::collections::HashMap;
-use vida_types::sync::RwLock;
 use vida_types::Value;
 
 /// Upper bound on resident partials; inserting past it evicts an
@@ -35,69 +36,10 @@ pub struct FoldPartial {
     pub fingerprint: (u64, u64),
 }
 
-/// Bounded map of fold partials keyed by `(dataset, query fingerprint)`.
-#[derive(Default)]
-pub struct FoldCache {
-    entries: RwLock<HashMap<(String, u64), FoldPartial>>,
-}
-
-impl FoldCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Look up the cached partial for one `(dataset, query)` pair.
-    pub fn get(&self, dataset: &str, query: u64) -> Option<FoldPartial> {
-        self.entries
-            .read()
-            .get(&(dataset.to_string(), query))
-            .cloned()
-    }
-
-    /// Insert or replace the partial for one `(dataset, query)` pair.
-    pub fn put(&self, dataset: &str, query: u64, partial: FoldPartial) {
-        let mut entries = self.entries.write();
-        let key = (dataset.to_string(), query);
-        if entries.len() >= MAX_FOLD_ENTRIES && !entries.contains_key(&key) {
-            if let Some(victim) = entries.keys().next().cloned() {
-                entries.remove(&victim);
-            }
-        }
-        entries.insert(key, partial);
-    }
-
-    /// Drop every partial of a dataset (the file shrank or was edited in
-    /// place — nothing folded over the old bytes can be reused). Returns
-    /// the number dropped.
-    pub fn invalidate_dataset(&self, dataset: &str) -> usize {
-        let mut entries = self.entries.write();
-        let keys: Vec<(String, u64)> = entries
-            .keys()
-            .filter(|(d, _)| d == dataset)
-            .cloned()
-            .collect();
-        for k in &keys {
-            entries.remove(k);
-        }
-        keys.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn clear(&self) {
-        self.entries.write().clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheManager;
 
     fn partial(rows: usize) -> FoldPartial {
         FoldPartial {
@@ -109,40 +51,49 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let c = FoldCache::new();
-        assert!(c.get("d", 1).is_none());
-        c.put("d", 1, partial(10));
-        let got = c.get("d", 1).unwrap();
+        let c = CacheManager::new(1 << 20);
+        assert!(c.fold_partial("d", 1).is_none());
+        c.put_fold_partial("d", 1, partial(10));
+        let got = c.fold_partial("d", 1).unwrap();
         assert_eq!(got.rows, 10);
         assert_eq!(got.partial, Value::Int(10));
         assert_eq!(got.fingerprint, (10, 7));
         // Same dataset, different query fingerprint: distinct slot.
-        c.put("d", 2, partial(20));
-        assert_eq!(c.get("d", 1).unwrap().rows, 10);
-        assert_eq!(c.get("d", 2).unwrap().rows, 20);
+        c.put_fold_partial("d", 2, partial(20));
+        assert_eq!(c.fold_partial("d", 1).unwrap().rows, 10);
+        assert_eq!(c.fold_partial("d", 2).unwrap().rows, 20);
         // Replace in place.
-        c.put("d", 1, partial(30));
-        assert_eq!(c.get("d", 1).unwrap().rows, 30);
-        assert_eq!(c.len(), 2);
+        c.put_fold_partial("d", 1, partial(30));
+        assert_eq!(c.fold_partial("d", 1).unwrap().rows, 30);
+        // Partials are not replicas: they take no budget.
+        assert_eq!((c.len(), c.used_bytes()), (0, 0));
     }
 
     #[test]
     fn invalidation_is_per_dataset() {
-        let c = FoldCache::new();
-        c.put("d", 1, partial(1));
-        c.put("d", 2, partial(2));
-        c.put("e", 1, partial(3));
-        assert_eq!(c.invalidate_dataset("d"), 2);
-        assert!(c.get("d", 1).is_none());
-        assert_eq!(c.get("e", 1).unwrap().rows, 3);
+        let c = CacheManager::new(1 << 20);
+        c.put_fold_partial("d", 1, partial(1));
+        c.put_fold_partial("d", 2, partial(2));
+        c.put_fold_partial("e", 1, partial(3));
+        // Only a rebuilt file (no generation kept) drops partials.
+        c.retain_fingerprints("d", &[(1, 7)]);
+        assert!(c.fold_partial("d", 1).is_some());
+        c.retain_fingerprints("d", &[]);
+        assert!(c.fold_partial("d", 1).is_none());
+        assert!(c.fold_partial("d", 2).is_none());
+        assert_eq!(c.fold_partial("e", 1).unwrap().rows, 3);
     }
 
     #[test]
     fn capacity_is_bounded() {
-        let c = FoldCache::new();
-        for q in 0..(MAX_FOLD_ENTRIES as u64 + 10) {
-            c.put("d", q, partial(1));
+        let c = CacheManager::new(1 << 20);
+        let n = MAX_FOLD_ENTRIES as u64 + 10;
+        for q in 0..n {
+            c.put_fold_partial("d", q, partial(1));
         }
-        assert!(c.len() <= MAX_FOLD_ENTRIES);
+        let resident = (0..n).filter(|&q| c.fold_partial("d", q).is_some()).count();
+        assert_eq!(resident, MAX_FOLD_ENTRIES);
+        // The newest partial always lands.
+        assert!(c.fold_partial("d", n - 1).is_some());
     }
 }

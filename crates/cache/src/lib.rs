@@ -6,15 +6,21 @@
 //! (~80% in the paper's HBP workload) turns repeated raw-file accesses into
 //! memory reads. Three ideas from the paper shape the design:
 //!
-//! 1. **Layout-aware replicas** — a field may be cached in any of
+//! 1. **Layout-aware replicas** — a field is cached in one of
 //!    [`Layout::ALL`] (parsed values, binary JSON, positions-only; Figure 4)
-//!    and the optimizer's cost model picks the one that fits the workload.
+//!    and the optimizer's cost model picks the one that fits the workload;
+//!    the [`CacheManager`] holds one replica per field, so writing another
+//!    layout re-shapes it.
 //! 2. **Cache-pollution avoidance** — large nested objects can be cached as
 //!    `(start, end)` byte positions into the raw file rather than eagerly
 //!    materialized (§5).
-//! 3. **Invalidation, not synchronization** — in-place updates to a raw
-//!    file simply drop the affected entries (§2.1): the raw file stays the
+//! 3. **Invalidation, not synchronization** — when a raw file changes, one
+//!    call ([`CacheManager::retain_fingerprints`]) drops the entries of the
+//!    generations it no longer vouches for (§2.1): the raw file stays the
 //!    golden copy.
+//!
+//! Replicas, tenant accounts and fold partials share one lock in the
+//! manager.
 
 pub mod bson;
 pub mod fold;
@@ -22,6 +28,6 @@ pub mod layout;
 pub mod manager;
 
 pub use bson::{decode_value, encode_value};
-pub use fold::{FoldCache, FoldPartial};
+pub use fold::FoldPartial;
 pub use layout::{CachedData, Layout};
 pub use manager::{CacheKey, CacheManager, CacheStats, TenantStats};

@@ -1,18 +1,21 @@
 //! The cache manager: budgeted, layout-aware, invalidation-driven.
 //!
-//! Entries are keyed by `(dataset, field, layout)` so replicas of the same
-//! field in different layouts coexist (§5 "Re-using and re-shaping
-//! results"). A logical-clock LRU keeps the total footprint under a
-//! configurable budget. When a raw file changes (fingerprint mismatch),
-//! every entry of that dataset is dropped — the paper's §2.1 update story.
+//! A field of a dataset holds at most **one replica**, in one layout
+//! (§5 "Re-using and re-shaping results"): inserting a field's replica in a
+//! new layout retires the old one in the same step. A logical-clock LRU,
+//! weighted by rebuild cost, keeps the total footprint under a configurable
+//! budget and every budgeted tenant under its quota. When a raw file
+//! changes, the entries of the generations it no longer vouches for are
+//! dropped — the paper's §2.1 update story.
 //!
-//! Concurrency: lookups take only a **read** lock — LRU stamps, the logical
-//! clock, byte accounting, and hit/miss counters are all atomics — so any
-//! number of pipeline workers can read replicas while one worker briefly
-//! holds the write lock to insert a replica it just parsed. The previous
-//! whole-`Mutex` design serialized every worker on every column fetch.
+//! Concurrency: one `RwLock` guards the whole cache state — replicas,
+//! tenant accounts and fold partials — so every change to them happens in
+//! one critical section and there is no lock order to keep. Lookups take
+//! only the **read** lock: LRU stamps, the logical clock, byte usage and
+//! hit/miss counters are atomics, so any number of pipeline workers read
+//! replicas while one writer briefly holds the write lock.
 
-use crate::fold::FoldCache;
+use crate::fold::{FoldPartial, MAX_FOLD_ENTRIES};
 use crate::layout::{CachedData, Layout};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -104,6 +107,33 @@ impl Entry {
     }
 }
 
+/// Everything the lock guards. Replicas are keyed dataset → field, so a
+/// field cannot hold two replicas: its layout is the stored data's.
+#[derive(Default)]
+struct State {
+    entries: HashMap<String, HashMap<String, Entry>>,
+    tenants: HashMap<String, TenantState>,
+    /// Fold partials for incremental re-aggregation, keyed by `(dataset,
+    /// query fingerprint)` and bounded by count (see [`crate::fold`]).
+    folds: HashMap<(String, u64), FoldPartial>,
+}
+
+impl State {
+    fn entry(&self, dataset: &str, field: &str) -> Option<&Entry> {
+        self.entries.get(dataset)?.get(field)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &str, &Entry)> {
+        self.entries
+            .iter()
+            .flat_map(|(d, fields)| fields.iter().map(move |(f, e)| (d.as_str(), f.as_str(), e)))
+    }
+
+    fn quota(&self, tenant: &str) -> Option<usize> {
+        self.tenants.get(tenant).and_then(|s| s.budget)
+    }
+}
+
 #[derive(Default)]
 struct AtomicStats {
     hits: AtomicU64,
@@ -117,9 +147,8 @@ struct AtomicStats {
 ///
 /// # Example
 ///
-/// Replicas of the same field coexist in several layouts; `get_any` probes
-/// them in the caller's preference order (the optimizer's cost model
-/// supplies that order in the engine):
+/// A field holds one replica: writing it in another layout re-shapes it,
+/// and lookups report the layout and the file generation it was built for:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -129,38 +158,30 @@ struct AtomicStats {
 /// let cache = CacheManager::new(1 << 20); // 1 MiB budget
 /// let fingerprint = (42, 0); // (file length, mtime)
 /// cache.put(
-///     CacheKey::new("Patients", "age", Layout::Values),
-///     CachedData::Values(Arc::new(vec![Value::Int(71), Value::Int(34)])),
-///     fingerprint,
-/// );
-/// cache.put(
 ///     CacheKey::new("Patients", "age", Layout::Positions),
 ///     CachedData::Positions(vec![(12, 14), (20, 22)]),
 ///     fingerprint,
 /// );
-/// let (layout, data) = cache
-///     .get_any("Patients", "age", &[Layout::Values, Layout::Positions])
-///     .unwrap();
-/// assert_eq!(layout, Layout::Values);
+/// cache.put(
+///     CacheKey::new("Patients", "age", Layout::Values),
+///     CachedData::Values(Arc::new(vec![Value::Int(71), Value::Int(34)])),
+///     fingerprint,
+/// );
+/// assert_eq!(cache.len(), 1); // the positions replica was retired
+/// let (layout, data, stored) = cache.get_any("Patients", "age", &Layout::ALL).unwrap();
+/// assert_eq!((layout, stored), (Layout::Values, fingerprint));
 /// assert_eq!(data.get(0).unwrap(), Value::Int(71));
-/// // The raw file changed: every replica of the dataset is dropped.
-/// assert_eq!(cache.invalidate_stale("Patients", (43, 0)), 2);
+/// // The raw file changed: keep only replicas of the new generation.
+/// assert_eq!(cache.retain_fingerprints("Patients", &[(43, 0)]), 1);
 /// ```
 pub struct CacheManager {
     budget_bytes: usize,
-    entries: RwLock<HashMap<CacheKey, Entry>>,
+    state: RwLock<State>,
     clock: AtomicU64,
     /// Mutated only under the write lock; atomic so usage reads are
     /// lock-free.
     used_bytes: AtomicUsize,
     stats: AtomicStats,
-    /// Per-tenant budgets and usage. Always locked *after* `entries` when
-    /// both are held, and only mutated while holding the `entries` write
-    /// lock, so usage never drifts from the entries it accounts for.
-    tenants: RwLock<HashMap<String, TenantState>>,
-    /// Side table of fold partials for incremental re-aggregation (small,
-    /// count-bounded — see [`crate::fold`]).
-    folds: FoldCache,
 }
 
 impl CacheManager {
@@ -168,18 +189,11 @@ impl CacheManager {
     pub fn new(budget_bytes: usize) -> Self {
         CacheManager {
             budget_bytes,
-            entries: RwLock::new(HashMap::new()),
+            state: RwLock::new(State::default()),
             clock: AtomicU64::new(0),
             used_bytes: AtomicUsize::new(0),
             stats: AtomicStats::default(),
-            tenants: RwLock::new(HashMap::new()),
-            folds: FoldCache::new(),
         }
-    }
-
-    /// The fold-partial side table (incremental re-aggregation).
-    pub fn folds(&self) -> &FoldCache {
-        &self.folds
     }
 
     pub fn budget_bytes(&self) -> usize {
@@ -191,7 +205,7 @@ impl CacheManager {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.state.read().entries.values().map(HashMap::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -219,14 +233,13 @@ impl CacheManager {
     /// insert can victimize its entries. Untenanted entries and quota-less
     /// tenants keep the original pure global-budget behavior.
     pub fn set_tenant_budget(&self, tenant: &str, bytes: usize) {
-        let mut tenants = self.tenants.write();
-        tenants.entry(tenant.to_string()).or_default().budget = Some(bytes);
+        let mut state = self.state.write();
+        state.tenants.entry(tenant.to_string()).or_default().budget = Some(bytes);
     }
 
     /// Budget/usage/eviction counters for one tenant (zeros if unknown).
     pub fn tenant_stats(&self, tenant: &str) -> TenantStats {
-        let tenants = self.tenants.read();
-        match tenants.get(tenant) {
+        match self.state.read().tenants.get(tenant) {
             Some(s) => TenantStats {
                 budget_bytes: s.budget,
                 used_bytes: s.used,
@@ -239,169 +252,71 @@ impl CacheManager {
 
     /// Every tenant the cache has seen (budgeted or not), sorted.
     pub fn tenant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tenants.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.state.read().tenants.keys().cloned().collect();
         names.sort();
         names
     }
 
-    fn tenant_quota(&self, tenant: &str) -> Option<usize> {
-        self.tenants.read().get(tenant).and_then(|s| s.budget)
-    }
-
-    fn tenant_used(&self, tenant: &str) -> usize {
-        self.tenants.read().get(tenant).map_or(0, |s| s.used)
-    }
-
-    fn credit_tenant(&self, tenant: &str, bytes: usize) {
-        let mut tenants = self.tenants.write();
-        let state = tenants.entry(tenant.to_string()).or_default();
-        state.used += bytes;
-        state.insertions += 1;
-    }
-
-    fn debit_tenant(&self, tenant: &Option<String>, bytes: usize, evicted: bool) {
-        let Some(t) = tenant else { return };
-        let mut tenants = self.tenants.write();
-        if let Some(state) = tenants.get_mut(t) {
-            state.used = state.used.saturating_sub(bytes);
-            if evicted {
-                state.evictions += 1;
-            }
-        }
-    }
-
-    /// May an insert on behalf of `inserting` victimize `e`? A tenant at or
-    /// under its quota is protected from everyone but itself; untenanted
-    /// entries and quota-less tenants are always fair game.
-    fn entry_evictable(&self, inserting: Option<&str>, e: &Entry) -> bool {
-        let Some(owner) = e.tenant.as_deref() else {
-            return true;
-        };
-        if Some(owner) == inserting {
-            return true;
-        }
-        let tenants = self.tenants.read();
-        match tenants.get(owner) {
-            Some(s) => match s.budget {
-                Some(quota) => s.used > quota,
-                None => true,
-            },
-            None => true,
-        }
-    }
-
-    /// Remove `k`, updating global usage, eviction counters, and the owning
-    /// tenant's account.
-    fn evict_entry(&self, entries: &mut HashMap<CacheKey, Entry>, k: &CacheKey) {
-        let e = entries.remove(k).expect("victim exists");
-        self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        global_metrics().cache_evictions.inc();
-        self.debit_tenant(&e.tenant, e.bytes, true);
-    }
-
-    /// Look up an entry; bumps LRU clock and hit/miss counters. Takes only
-    /// the read lock, so concurrent lookups never serialize.
+    /// Look up an entry; bumps LRU clock and hit/miss counters.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedData>> {
-        let entries = self.entries.read();
-        match entries.get(key) {
+        self.get_any(&key.dataset, &key.field, &[key.layout])
+            .map(|(_, data, _)| data)
+    }
+
+    /// Look up the replica of `(dataset, field)` if it is in one of
+    /// `layouts`, with the layout and the fingerprint it was stored under.
+    /// The incremental re-query path needs the fingerprint: after a pure
+    /// append, a replica stored under the *pre-append* fingerprint is not
+    /// stale — it is valid for the unchanged prefix rows and only the tail
+    /// needs scanning. Takes only the read lock, so concurrent lookups
+    /// never serialize.
+    pub fn get_any(
+        &self,
+        dataset: &str,
+        field: &str,
+        layouts: &[Layout],
+    ) -> Option<(Layout, Arc<CachedData>, (u64, u64))> {
+        let state = self.state.read();
+        let metrics = global_metrics();
+        match state
+            .entry(dataset, field)
+            .filter(|e| layouts.contains(&e.data.layout()))
+        {
             Some(e) => {
                 e.last_used.store(self.tick(), Ordering::Relaxed);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                global_metrics().cache_hits.inc();
-                Some(Arc::clone(&e.data))
+                metrics.cache_hits.inc();
+                Some((e.data.layout(), Arc::clone(&e.data), e.fingerprint))
             }
             None => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                global_metrics().cache_misses.inc();
+                metrics.cache_misses.inc();
                 None
             }
         }
     }
 
-    /// Look up any layout of `(dataset, field)`, preferring the order given.
-    pub fn get_any(
-        &self,
-        dataset: &str,
-        field: &str,
-        preference: &[Layout],
-    ) -> Option<(Layout, Arc<CachedData>)> {
-        let entries = self.entries.read();
-        for &layout in preference {
-            let key = CacheKey::new(dataset, field, layout);
-            // Peek without counting misses for non-preferred layouts.
-            if let Some(e) = entries.get(&key) {
-                e.last_used.store(self.tick(), Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                global_metrics().cache_hits.inc();
-                return Some((layout, Arc::clone(&e.data)));
-            }
-        }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        global_metrics().cache_misses.inc();
-        None
-    }
-
-    /// [`CacheManager::get_any`], also reporting the fingerprint the entry
-    /// was stored under. The incremental re-query path needs it: after a
-    /// pure append, a replica stored under the *pre-append* fingerprint is
-    /// not stale — it is valid for the unchanged prefix rows and only the
-    /// tail needs scanning.
-    pub fn get_any_versioned(
-        &self,
-        dataset: &str,
-        field: &str,
-        preference: &[Layout],
-    ) -> Option<(Layout, Arc<CachedData>, (u64, u64))> {
-        let entries = self.entries.read();
-        for &layout in preference {
-            let key = CacheKey::new(dataset, field, layout);
-            if let Some(e) = entries.get(&key) {
-                e.last_used.store(self.tick(), Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                global_metrics().cache_hits.inc();
-                return Some((layout, Arc::clone(&e.data), e.fingerprint));
-            }
-        }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        global_metrics().cache_misses.inc();
-        None
-    }
-
-    /// Insert (or replace) an entry, evicting entries to stay within budget.
-    /// Entries larger than the whole budget are refused (returns false) —
-    /// caching them would evict everything for a single query.
-    ///
-    /// Eviction is LRU; see [`CacheManager::put_with_cost`] for the
-    /// rebuild-cost-weighted variant.
+    /// Insert (or replace) an untenanted entry with no rebuild cost — see
+    /// [`CacheManager::put_with_cost_for`]. Returns whether it was stored.
     pub fn put(&self, key: CacheKey, data: CachedData, fingerprint: (u64, u64)) -> bool {
-        self.put_with_cost(key, data, fingerprint, 0.0)
+        self.put_with_cost_for(None, key, data, fingerprint, 0.0)
+            .is_some()
     }
 
-    /// [`CacheManager::put`] with an explicit **rebuild cost** expressed in
-    /// LRU clock ticks: when eviction runs, the victim is the entry with the
-    /// lowest `last_used + rebuild_cost`, so replicas that would be
-    /// expensive to recreate (a fresh raw-file parse plus the layout build)
-    /// outlive equally-recent cheap ones. A cost of `0.0` is pure LRU; the
-    /// optimizer's `CostModel::eviction_bonus` supplies bounded costs.
-    pub fn put_with_cost(
-        &self,
-        key: CacheKey,
-        data: CachedData,
-        fingerprint: (u64, u64),
-        rebuild_cost: f64,
-    ) -> bool {
-        self.put_with_cost_for(None, key, data, fingerprint, rebuild_cost)
-    }
-
-    /// [`CacheManager::put_with_cost`] on behalf of a tenant. The insert is
-    /// charged against the tenant's quota (see
-    /// [`CacheManager::set_tenant_budget`]): first the tenant's own
-    /// lowest-priority entries are evicted until the new entry fits within
-    /// its quota, then the global budget is enforced by evicting
-    /// lowest-priority *unprotected* entries — never another tenant's while
-    /// that tenant is at or under its own quota. Returns false when the
-    /// entry cannot fit without breaking a protection.
+    /// Insert the field's replica on behalf of `tenant`, replacing the
+    /// field's replica in any layout. Returns how many replicas in *other*
+    /// layouts it retired (0 or 1), or `None` when the entry does not fit;
+    /// a refused insert changes nothing.
+    ///
+    /// Eviction takes the entries with the lowest `last_used +
+    /// rebuild_cost` first (`rebuild_cost` is in LRU clock ticks; `0.0` is
+    /// pure LRU, and the optimizer's `CostModel::eviction_bonus` supplies
+    /// bounded costs), so replicas that would be expensive to recreate
+    /// outlive equally-recent cheap ones. A budgeted tenant (see
+    /// [`CacheManager::set_tenant_budget`]) first sheds its own entries
+    /// until the new one fits its quota; then the global budget is
+    /// enforced by evicting *unprotected* entries — never another tenant's
+    /// while that tenant is at or under its own quota.
     pub fn put_with_cost_for(
         &self,
         tenant: Option<&str>,
@@ -409,77 +324,31 @@ impl CacheManager {
         data: CachedData,
         fingerprint: (u64, u64),
         rebuild_cost: f64,
-    ) -> bool {
+    ) -> Option<usize> {
         let bytes = data.approx_bytes();
-        if bytes > self.budget_bytes {
-            return false;
-        }
-        let quota = tenant.and_then(|t| self.tenant_quota(t));
-        if quota.is_some_and(|q| bytes > q) {
-            return false;
-        }
-        let mut entries = self.entries.write();
-        let clock = self.tick();
-        if let Some(old) = entries.remove(&key) {
-            self.used_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-            self.debit_tenant(&old.tenant, old.bytes, false);
-        }
-        // Quota enforcement: this tenant stays within its own budget by
-        // shedding its own coldest entries first.
-        if let (Some(t), Some(q)) = (tenant, quota) {
-            while self.tenant_used(t) + bytes > q {
-                let victim = entries
-                    .iter()
-                    .filter(|(_, e)| e.tenant.as_deref() == Some(t))
-                    .min_by(|(_, a), (_, b)| {
-                        a.priority()
-                            .partial_cmp(&b.priority())
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(k) => self.evict_entry(&mut entries, &k),
-                    None => return false,
-                }
-            }
-        }
-        // Global budget: evict lowest-priority unprotected entries until
-        // the new entry fits.
-        while self.used_bytes.load(Ordering::Relaxed) + bytes > self.budget_bytes {
-            let victim = entries
-                .iter()
-                .filter(|(_, e)| self.entry_evictable(tenant, e))
-                .min_by(|(_, a), (_, b)| {
-                    a.priority()
-                        .partial_cmp(&b.priority())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => self.evict_entry(&mut entries, &k),
-                None => return false,
-            }
-        }
-        self.used_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let mut state = self.state.write();
+        let victims = self.plan_evictions(&state, tenant, (&key.dataset, &key.field), bytes)?;
+        self.evict(&mut state, victims);
+        let retired = self
+            .take(&mut state, &key.dataset, &key.field)
+            .is_some_and(|old| old.data.layout() != key.layout);
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = tenant {
-            self.credit_tenant(t, bytes);
-        }
         let metrics = global_metrics();
         metrics.cache_insertions.inc();
         metrics.cache_replica_bytes.record(bytes as u64);
-        entries.insert(
-            key,
-            Entry {
-                data: Arc::new(data),
-                bytes,
-                tenant: tenant.map(str::to_string),
-                last_used: AtomicU64::new(clock),
-                rebuild_bonus: rebuild_cost.max(0.0),
-                fingerprint,
-            },
-        );
-        true
+        if let Some(t) = tenant {
+            state.tenants.entry(t.to_string()).or_default().insertions += 1;
+        }
+        let entry = Entry {
+            data: Arc::new(data),
+            bytes,
+            tenant: tenant.map(str::to_string),
+            last_used: AtomicU64::new(self.tick()),
+            rebuild_bonus: rebuild_cost.max(0.0),
+            fingerprint,
+        };
+        self.place(&mut state, key.dataset, key.field, entry);
+        Some(usize::from(retired))
     }
 
     /// Extend a resident `Values` replica in place with appended tail rows
@@ -492,6 +361,11 @@ impl CacheManager {
     /// entry, or `None` when no qualifying entry exists (the caller then
     /// stitches prefix and tail by hand).
     ///
+    /// The growth is charged like an insert by the entry's owner: other
+    /// entries are evicted to keep the owner within its quota and the
+    /// cache within budget, never the extended entry itself. When no set
+    /// of victims makes room, nothing is evicted and the grown entry stays.
+    ///
     /// The splice normally mutates the resident vector directly; a
     /// concurrent query still holding the column forces one copy-on-write.
     pub fn extend_values(
@@ -503,69 +377,172 @@ impl CacheManager {
         fingerprint: (u64, u64),
     ) -> Option<Arc<Vec<Value>>> {
         let added: usize = tail.iter().map(Value::approx_bytes).sum();
-        let mut entries = self.entries.write();
-        let clock = self.tick();
-        let (full, owner) = {
-            let entry = entries.get_mut(key)?;
-            if entry.fingerprint != expect_fingerprint
-                || entry.data.layout() != Layout::Values
-                || entry.data.len() < keep_rows
-            {
-                return None;
-            }
-            let CachedData::Values(vec) = Arc::make_mut(&mut entry.data) else {
-                unreachable!("layout checked above");
-            };
-            let vec = Arc::make_mut(vec);
-            let removed: usize = vec[keep_rows..].iter().map(Value::approx_bytes).sum();
-            vec.truncate(keep_rows);
-            vec.extend(tail);
-            entry.bytes = (entry.bytes + added).saturating_sub(removed);
-            entry.fingerprint = fingerprint;
-            entry.last_used.store(clock, Ordering::Relaxed);
-            if added >= removed {
-                self.used_bytes
-                    .fetch_add(added - removed, Ordering::Relaxed);
-            } else {
-                self.used_bytes
-                    .fetch_sub(removed - added, Ordering::Relaxed);
-            }
-            if let Some(t) = &entry.tenant {
-                let mut tenants = self.tenants.write();
-                if let Some(state) = tenants.get_mut(t) {
-                    state.used = (state.used + added).saturating_sub(removed);
-                }
-            }
-            let CachedData::Values(vec) = &*entry.data else {
-                unreachable!("layout checked above");
-            };
-            (Arc::clone(vec), entry.tenant.clone())
+        let mut state = self.state.write();
+        let extendable = state.entry(&key.dataset, &key.field).is_some_and(|e| {
+            e.fingerprint == expect_fingerprint
+                && e.data.layout() == Layout::Values
+                && key.layout == Layout::Values
+                && e.data.len() >= keep_rows
+        });
+        if !extendable {
+            return None;
+        }
+        let mut entry = self
+            .take(&mut state, &key.dataset, &key.field)
+            .expect("checked above");
+        let CachedData::Values(vec) = Arc::make_mut(&mut entry.data) else {
+            unreachable!("layout checked above");
         };
-        // The growth may push usage over budget: evict other *unprotected*
-        // entries (same rule as an insert on the owner's behalf), never the
-        // one just extended (an oversized survivor is the next put's
-        // problem, exactly as with a fresh oversized insert).
-        while self.used_bytes.load(Ordering::Relaxed) > self.budget_bytes {
-            let victim = entries
-                .iter()
-                .filter(|(k, e)| *k != key && self.entry_evictable(owner.as_deref(), e))
-                .min_by(|(_, a), (_, b)| {
-                    a.priority()
-                        .partial_cmp(&b.priority())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => self.evict_entry(&mut entries, &k),
-                None => break,
+        let vec = Arc::make_mut(vec);
+        let removed: usize = vec[keep_rows..].iter().map(Value::approx_bytes).sum();
+        vec.truncate(keep_rows);
+        vec.extend(tail);
+        entry.bytes = (entry.bytes + added).saturating_sub(removed);
+        entry.fingerprint = fingerprint;
+        entry.last_used.store(self.tick(), Ordering::Relaxed);
+        let CachedData::Values(full) = &*entry.data else {
+            unreachable!("layout checked above");
+        };
+        let full = Arc::clone(full);
+        let owner = entry.tenant.clone();
+        let slot = (key.dataset.as_str(), key.field.as_str());
+        if let Some(victims) = self.plan_evictions(&state, owner.as_deref(), slot, entry.bytes) {
+            self.evict(&mut state, victims);
+        }
+        self.place(&mut state, key.dataset.clone(), key.field.clone(), entry);
+        Some(full)
+    }
+
+    /// The eviction planner shared by inserts and
+    /// [`CacheManager::extend_values`]: which entries must go so that the
+    /// field `slot` can hold `bytes` on behalf of `owner`. The slot's
+    /// current replica is replaced by the change and is never a victim.
+    /// Victims are taken lowest priority first — the owner's own entries
+    /// while the owner is over its quota, then any unprotected entry while
+    /// the cache is over budget. `None` when no set of victims makes
+    /// everything fit.
+    fn plan_evictions(
+        &self,
+        state: &State,
+        owner: Option<&str>,
+        slot: (&str, &str),
+        bytes: usize,
+    ) -> Option<Vec<(String, String)>> {
+        let shed = |e: &Entry, used: &mut HashMap<&str, usize>, global: &mut usize| {
+            *global -= e.bytes;
+            if let Some(u) = e.tenant.as_deref().and_then(|t| used.get_mut(t)) {
+                *u -= e.bytes;
+            }
+        };
+        // Usage once the slot holds `bytes`, globally and per tenant.
+        let mut global = self.used_bytes() + bytes;
+        let mut used: HashMap<&str, usize> = state
+            .tenants
+            .iter()
+            .map(|(t, s)| (t.as_str(), s.used))
+            .collect();
+        if let Some(t) = owner {
+            *used.entry(t).or_default() += bytes;
+        }
+        if let Some(replaced) = state.entry(slot.0, slot.1) {
+            shed(replaced, &mut used, &mut global);
+        }
+        let over_quota = |used: &HashMap<&str, usize>, t: &str| {
+            state
+                .quota(t)
+                .is_some_and(|q| used.get(t).copied().unwrap_or(0) > q)
+        };
+        let owner_over = |used: &HashMap<&str, usize>| owner.is_some_and(|t| over_quota(used, t));
+        if global <= self.budget_bytes && !owner_over(&used) {
+            return Some(Vec::new());
+        }
+        let mut candidates: Vec<(&str, &str, &Entry)> =
+            state.iter().filter(|&(d, f, _)| (d, f) != slot).collect();
+        candidates.sort_by(|a, b| a.2.priority().total_cmp(&b.2.priority()));
+        let mut taken = vec![false; candidates.len()];
+        // Quota: the owner sheds its own coldest entries.
+        for (i, &(_, _, e)) in candidates.iter().enumerate() {
+            if !owner_over(&used) {
+                break;
+            }
+            if e.tenant.as_deref() == owner {
+                taken[i] = true;
+                shed(e, &mut used, &mut global);
             }
         }
-        Some(full)
+        if owner_over(&used) {
+            return None;
+        }
+        // Budget: a tenant at or under its quota is protected from everyone
+        // but itself. Shedding only lowers usage, so an entry skipped as
+        // protected stays protected: one pass in priority order picks what
+        // repeated lowest-priority scans would.
+        for (i, &(_, _, e)) in candidates.iter().enumerate() {
+            if global <= self.budget_bytes {
+                break;
+            }
+            let protected =
+                |t: &str| Some(t) != owner && state.quota(t).is_some() && !over_quota(&used, t);
+            if !taken[i] && !e.tenant.as_deref().is_some_and(protected) {
+                taken[i] = true;
+                shed(e, &mut used, &mut global);
+            }
+        }
+        (global <= self.budget_bytes).then(|| {
+            candidates
+                .iter()
+                .zip(taken)
+                .filter(|(_, taken)| *taken)
+                .map(|(&(d, f, _), _)| (d.to_string(), f.to_string()))
+                .collect()
+        })
+    }
+
+    /// Remove planned victims, counting the evictions.
+    fn evict(&self, state: &mut State, victims: Vec<(String, String)>) {
+        for (dataset, field) in victims {
+            let e = self
+                .take(state, &dataset, &field)
+                .expect("planned victim is resident");
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            global_metrics().cache_evictions.inc();
+            if let Some(s) = e.tenant.and_then(|t| state.tenants.get_mut(&t)) {
+                s.evictions += 1;
+            }
+        }
+    }
+
+    /// Take one replica out of the map, releasing its bytes from the
+    /// global and the owning tenant's usage.
+    fn take(&self, state: &mut State, dataset: &str, field: &str) -> Option<Entry> {
+        let fields = state.entries.get_mut(dataset)?;
+        let e = fields.remove(field)?;
+        if fields.is_empty() {
+            state.entries.remove(dataset);
+        }
+        self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
+        if let Some(s) = e.tenant.as_ref().and_then(|t| state.tenants.get_mut(t)) {
+            s.used = s.used.saturating_sub(e.bytes);
+        }
+        Some(e)
+    }
+
+    /// Put one replica into the empty slot of its field, charging its
+    /// bytes to the global and the owning tenant's usage.
+    fn place(&self, state: &mut State, dataset: String, field: String, e: Entry) {
+        self.used_bytes.fetch_add(e.bytes, Ordering::Relaxed);
+        if let Some(t) = &e.tenant {
+            state.tenants.entry(t.clone()).or_default().used += e.bytes;
+        }
+        state.entries.entry(dataset).or_default().insert(field, e);
     }
 
     /// Whether an entry exists, without touching LRU stamps or counters.
     pub fn contains(&self, key: &CacheKey) -> bool {
-        self.entries.read().contains_key(key)
+        self.state
+            .read()
+            .entry(&key.dataset, &key.field)
+            .is_some_and(|e| e.data.layout() == key.layout)
     }
 
     /// Whether an entry exists **and** was written for `fingerprint`. The
@@ -574,126 +551,81 @@ impl CacheManager {
     /// (their prefix still serves), but they still need refreshing to the
     /// current generation or the next query would invalidate them.
     pub fn contains_fresh(&self, key: &CacheKey, fingerprint: (u64, u64)) -> bool {
-        self.entries
+        self.state
             .read()
-            .get(key)
-            .is_some_and(|e| e.fingerprint == fingerprint)
+            .entry(&key.dataset, &key.field)
+            .is_some_and(|e| e.data.layout() == key.layout && e.fingerprint == fingerprint)
     }
 
-    /// Drop one entry (the optimizer re-shaping a replica supersedes the old
-    /// layout). Returns whether it existed.
-    pub fn remove(&self, key: &CacheKey) -> bool {
-        let mut entries = self.entries.write();
-        match entries.remove(key) {
-            Some(e) => {
-                self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-                self.debit_tenant(&e.tenant, e.bytes, false);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drop all entries of a dataset whose fingerprint differs from
-    /// `current` — called when the engine notices a raw file changed
-    /// (ViDa §2.1: updates drop the affected auxiliary structures).
-    /// Returns the number of dropped entries.
-    pub fn invalidate_stale(&self, dataset: &str, current: (u64, u64)) -> usize {
+    /// Drop every replica of `dataset` whose fingerprint is not in `keep`
+    /// — the engine's one invalidation call (ViDa §2.1: updates drop the
+    /// affected auxiliary structures). An unchanged file keeps its current
+    /// fingerprint; a file grown by a pure append keeps two generations,
+    /// since replicas under the pre-append fingerprint stay prefix-valid;
+    /// a rebuilt file keeps nothing, and an empty `keep` also drops the
+    /// dataset's fold partials. Returns the number of dropped replicas.
+    pub fn retain_fingerprints(&self, dataset: &str, keep: &[(u64, u64)]) -> usize {
+        let stale = |e: &Entry| !keep.contains(&e.fingerprint);
         // Every query re-validates fingerprints on its way in; stay on the
         // shared read lock for the common nothing-is-stale case.
-        {
-            let entries = self.entries.read();
-            if !entries
-                .iter()
-                .any(|(k, e)| k.dataset == dataset && e.fingerprint != current)
-            {
+        if !keep.is_empty() {
+            let state = self.state.read();
+            let fields = state.entries.get(dataset);
+            if !fields.is_some_and(|fields| fields.values().any(stale)) {
                 return 0;
             }
         }
-        let mut entries = self.entries.write();
-        let stale: Vec<CacheKey> = entries
-            .iter()
-            .filter(|(k, e)| k.dataset == dataset && e.fingerprint != current)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &stale {
-            let e = entries.remove(k).expect("stale key exists");
-            self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-            self.debit_tenant(&e.tenant, e.bytes, false);
+        let mut state = self.state.write();
+        if keep.is_empty() {
+            state.folds.retain(|(d, _), _| d != dataset);
         }
-        self.stats
-            .invalidations
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        global_metrics().cache_invalidations.add(stale.len() as u64);
-        stale.len()
+        let dropped: Vec<String> = state.entries.get(dataset).map_or_else(Vec::new, |fields| {
+            fields
+                .iter()
+                .filter(|(_, e)| stale(e))
+                .map(|(f, _)| f.clone())
+                .collect()
+        });
+        for field in &dropped {
+            self.take(&mut state, dataset, field);
+        }
+        let n = dropped.len() as u64;
+        self.stats.invalidations.fetch_add(n, Ordering::Relaxed);
+        global_metrics().cache_invalidations.add(n);
+        dropped.len()
     }
 
-    /// Drop all entries of a dataset whose fingerprint is in neither of
-    /// the two accepted generations — the extension analogue of
-    /// [`CacheManager::invalidate_stale`]. After a pure append, replicas
-    /// under the pre-append fingerprint stay prefix-valid and replicas
-    /// under the current fingerprint are fully valid; everything older is
-    /// stale. Returns the number of dropped entries.
-    pub fn retain_fingerprints(&self, dataset: &str, keep: &[(u64, u64)]) -> usize {
-        {
-            let entries = self.entries.read();
-            if !entries
-                .iter()
-                .any(|(k, e)| k.dataset == dataset && !keep.contains(&e.fingerprint))
-            {
-                return 0;
+    /// The cached fold partial of one `(dataset, query fingerprint)` pair.
+    pub fn fold_partial(&self, dataset: &str, query: u64) -> Option<FoldPartial> {
+        let state = self.state.read();
+        state.folds.get(&(dataset.to_string(), query)).cloned()
+    }
+
+    /// Insert or replace the fold partial of one `(dataset, query
+    /// fingerprint)` pair. Past [`MAX_FOLD_ENTRIES`] an arbitrary partial
+    /// makes room: the table is a performance hint, never a correctness
+    /// dependency.
+    pub fn put_fold_partial(&self, dataset: &str, query: u64, partial: FoldPartial) {
+        let mut state = self.state.write();
+        let key = (dataset.to_string(), query);
+        if state.folds.len() >= MAX_FOLD_ENTRIES && !state.folds.contains_key(&key) {
+            if let Some(victim) = state.folds.keys().next().cloned() {
+                state.folds.remove(&victim);
             }
         }
-        let mut entries = self.entries.write();
-        let stale: Vec<CacheKey> = entries
-            .iter()
-            .filter(|(k, e)| k.dataset == dataset && !keep.contains(&e.fingerprint))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &stale {
-            let e = entries.remove(k).expect("stale key exists");
-            self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-            self.debit_tenant(&e.tenant, e.bytes, false);
-        }
-        self.stats
-            .invalidations
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        global_metrics().cache_invalidations.add(stale.len() as u64);
-        stale.len()
-    }
-
-    /// Drop every entry of a dataset unconditionally, fold partials
-    /// included.
-    pub fn invalidate_dataset(&self, dataset: &str) -> usize {
-        self.folds.invalidate_dataset(dataset);
-        let mut entries = self.entries.write();
-        let keys: Vec<CacheKey> = entries
-            .keys()
-            .filter(|k| k.dataset == dataset)
-            .cloned()
-            .collect();
-        for k in &keys {
-            let e = entries.remove(k).expect("key exists");
-            self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-            self.debit_tenant(&e.tenant, e.bytes, false);
-        }
-        self.stats
-            .invalidations
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        global_metrics().cache_invalidations.add(keys.len() as u64);
-        keys.len()
+        state.folds.insert(key, partial);
     }
 
     /// Clear everything (benchmark phase boundaries).
     pub fn clear(&self) {
-        self.folds.clear();
-        let mut entries = self.entries.write();
-        entries.clear();
+        let mut state = self.state.write();
+        state.entries.clear();
+        state.folds.clear();
         self.used_bytes.store(0, Ordering::Relaxed);
         // Budgets and cumulative counters survive; usage resets with the
         // entries it accounted for.
-        for state in self.tenants.write().values_mut() {
-            state.used = 0;
+        for s in state.tenants.values_mut() {
+            s.used = 0;
         }
     }
 
@@ -702,46 +634,37 @@ impl CacheManager {
     /// `reproduce` driver reports this to show which layouts the cost model
     /// actually picked.
     pub fn layout_counts(&self) -> Vec<(Layout, usize)> {
-        let entries = self.entries.read();
-        let mut counts: Vec<(Layout, usize)> = Vec::new();
-        for k in entries.keys() {
-            match counts.iter_mut().find(|(l, _)| *l == k.layout) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((k.layout, 1)),
-            }
-        }
-        counts.sort_by_key(|(l, _)| l.name());
-        counts
+        self.count_layouts(|_| true)
     }
 
     /// [`CacheManager::layout_counts`] restricted to one tenant's entries —
     /// the per-tenant split the server's stats endpoint reports.
     pub fn layout_counts_for(&self, tenant: &str) -> Vec<(Layout, usize)> {
-        let entries = self.entries.read();
+        self.count_layouts(|e| e.tenant.as_deref() == Some(tenant))
+    }
+
+    fn count_layouts(&self, include: impl Fn(&Entry) -> bool) -> Vec<(Layout, usize)> {
+        let state = self.state.read();
         let mut counts: Vec<(Layout, usize)> = Vec::new();
-        for (k, e) in entries.iter() {
-            if e.tenant.as_deref() != Some(tenant) {
-                continue;
-            }
-            match counts.iter_mut().find(|(l, _)| *l == k.layout) {
+        for (_, _, e) in state.iter().filter(|(_, _, e)| include(e)) {
+            let layout = e.data.layout();
+            match counts.iter_mut().find(|(l, _)| *l == layout) {
                 Some((_, n)) => *n += 1,
-                None => counts.push((k.layout, 1)),
+                None => counts.push((layout, 1)),
             }
         }
         counts.sort_by_key(|(l, _)| l.name());
         counts
     }
 
-    /// Which fields of a dataset are cached (any layout)?
+    /// Which fields of a dataset are cached?
     pub fn cached_fields(&self, dataset: &str) -> Vec<String> {
-        let entries = self.entries.read();
-        let mut fields: Vec<String> = entries
-            .keys()
-            .filter(|k| k.dataset == dataset)
-            .map(|k| k.field.clone())
-            .collect();
+        let state = self.state.read();
+        let mut fields: Vec<String> = state
+            .entries
+            .get(dataset)
+            .map_or_else(Vec::new, |fields| fields.keys().cloned().collect());
         fields.sort();
-        fields.dedup();
         fields
     }
 }
@@ -753,6 +676,21 @@ mod tests {
 
     fn col(n: usize) -> CachedData {
         CachedData::Values(Arc::new((0..n).map(|i| Value::Int(i as i64)).collect()))
+    }
+
+    fn positions(n: usize) -> CachedData {
+        CachedData::Positions(vec![(0, 5); n])
+    }
+
+    /// A zero-cost insert of field `f` of dataset `d` on behalf of `tenant`.
+    fn put_for(m: &CacheManager, tenant: &str, f: &str, data: CachedData) -> bool {
+        let key = CacheKey::new("d", f, data.layout());
+        m.put_with_cost_for(Some(tenant), key, data, (1, 1), 0.0)
+            .is_some()
+    }
+
+    fn values(f: &str) -> CacheKey {
+        CacheKey::new("d", f, Layout::Values)
     }
 
     #[test]
@@ -779,7 +717,7 @@ mod tests {
         assert!(m.get(&key).is_none());
         assert!(m.put(key.clone(), col(10), (1, 1)));
         assert!(m.get(&key).is_some());
-        m.invalidate_dataset("MetricsWiring");
+        m.retain_fingerprints("MetricsWiring", &[]);
         let delta = global_metrics().snapshot().since(&before);
         assert!(delta.cache_hits >= 1);
         assert!(delta.cache_misses >= 1);
@@ -794,14 +732,14 @@ mod tests {
         // Budget fits roughly two of the three columns.
         let one = col(100).approx_bytes();
         let m = CacheManager::new(one * 2 + 10);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(100), (1, 1));
-        m.put(CacheKey::new("d", "b", Layout::Values), col(100), (1, 1));
+        m.put(values("a"), col(100), (1, 1));
+        m.put(values("b"), col(100), (1, 1));
         // Touch "a" so "b" becomes LRU.
-        m.get(&CacheKey::new("d", "a", Layout::Values)).unwrap();
-        m.put(CacheKey::new("d", "c", Layout::Values), col(100), (1, 1));
-        assert!(m.get(&CacheKey::new("d", "a", Layout::Values)).is_some());
-        assert!(m.get(&CacheKey::new("d", "b", Layout::Values)).is_none());
-        assert!(m.get(&CacheKey::new("d", "c", Layout::Values)).is_some());
+        m.get(&values("a")).unwrap();
+        m.put(values("c"), col(100), (1, 1));
+        assert!(m.get(&values("a")).is_some());
+        assert!(m.get(&values("b")).is_none());
+        assert!(m.get(&values("c")).is_some());
         assert_eq!(m.stats().evictions, 1);
         assert!(m.used_bytes() <= m.budget_bytes());
     }
@@ -809,60 +747,146 @@ mod tests {
     #[test]
     fn oversized_entry_refused() {
         let m = CacheManager::new(64);
-        assert!(!m.put(CacheKey::new("d", "big", Layout::Values), col(1000), (1, 1)));
+        assert!(!m.put(values("big"), col(1000), (1, 1)));
         assert_eq!(m.len(), 0);
     }
 
     #[test]
-    fn invalidate_stale_by_fingerprint() {
+    fn refused_insert_evicts_nothing() {
+        // Two columns of tenant "a" (at its quota, so protected) and one
+        // small untenanted entry fill the budget: freeing the small entry
+        // cannot make room for a full column, so it must survive.
+        let one = col(100).approx_bytes();
+        let small = col(10).approx_bytes();
+        let m = CacheManager::new(one * 2 + small + 10);
+        m.set_tenant_budget("a", one * 2 + 10);
+        assert!(put_for(&m, "a", "x", col(100)));
+        assert!(put_for(&m, "a", "y", col(100)));
+        assert!(m.put(values("small"), col(10), (1, 1)));
+        assert!(!m.put(values("anon"), col(100), (1, 1)));
+        assert!(m.contains(&values("small")));
+        assert_eq!(m.stats().evictions, 0);
+        assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn refused_replace_keeps_the_old_replica() {
+        let one = col(100).approx_bytes();
+        let small = col(10).approx_bytes();
+        let m = CacheManager::new(one * 2 + small + 10);
+        m.set_tenant_budget("a", one * 2 + 10);
+        assert!(put_for(&m, "a", "x", col(100)));
+        assert!(put_for(&m, "a", "y", col(100)));
+        assert!(m.put(values("small"), col(10), (1, 1)));
+        let used = m.used_bytes();
+        // Re-putting the small entry's key with a full column cannot fit.
+        assert!(!m.put(values("small"), col(100), (1, 1)));
+        assert_eq!(m.get(&values("small")).unwrap().len(), 10);
+        assert_eq!(m.used_bytes(), used);
+    }
+
+    #[test]
+    fn retain_current_fingerprint_drops_strangers() {
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(5), (1, 1));
-        m.put(CacheKey::new("d", "b", Layout::Values), col(5), (1, 1));
+        m.put(values("a"), col(5), (1, 1));
+        m.put(values("b"), col(5), (1, 1));
         m.put(CacheKey::new("e", "a", Layout::Values), col(5), (1, 1));
         // File "d" changed: fingerprint now (2, 2).
-        let dropped = m.invalidate_stale("d", (2, 2));
-        assert_eq!(dropped, 2);
-        assert!(m.get(&CacheKey::new("d", "a", Layout::Values)).is_none());
+        assert_eq!(m.retain_fingerprints("d", &[(2, 2)]), 2);
+        assert!(m.get(&values("a")).is_none());
         assert!(m.get(&CacheKey::new("e", "a", Layout::Values)).is_some());
         // Same fingerprint: nothing dropped.
-        assert_eq!(m.invalidate_stale("e", (1, 1)), 0);
+        assert_eq!(m.retain_fingerprints("e", &[(1, 1)]), 0);
+        assert_eq!(m.stats().invalidations, 2);
     }
 
     #[test]
     fn retain_fingerprints_keeps_two_generations() {
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "old", Layout::Values), col(5), (1, 1));
-        m.put(CacheKey::new("d", "prev", Layout::Values), col(5), (2, 2));
-        m.put(CacheKey::new("d", "cur", Layout::Values), col(5), (3, 3));
+        m.put(values("old"), col(5), (1, 1));
+        m.put(values("prev"), col(5), (2, 2));
+        m.put(values("cur"), col(5), (3, 3));
         m.put(CacheKey::new("e", "old", Layout::Values), col(5), (1, 1));
         // Append happened: (2,2) is the prefix-valid generation, (3,3) the
         // current one; only the (1,1) relic of dataset "d" drops.
         assert_eq!(m.retain_fingerprints("d", &[(2, 2), (3, 3)]), 1);
-        assert!(m.get(&CacheKey::new("d", "old", Layout::Values)).is_none());
-        assert!(m.get(&CacheKey::new("d", "prev", Layout::Values)).is_some());
-        assert!(m.get(&CacheKey::new("d", "cur", Layout::Values)).is_some());
+        assert!(m.get(&values("old")).is_none());
+        assert!(m.get(&values("prev")).is_some());
+        assert!(m.get(&values("cur")).is_some());
         assert!(m.get(&CacheKey::new("e", "old", Layout::Values)).is_some());
         // Nothing stale: read-lock fast path returns 0.
         assert_eq!(m.retain_fingerprints("d", &[(2, 2), (3, 3)]), 0);
     }
 
     #[test]
-    fn get_any_versioned_reports_stored_fingerprint() {
+    fn invalidate_dataset_unconditional() {
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(5), (10, 20));
+        m.put(values("a"), col(5), (1, 1));
+        m.put(
+            CacheKey::new("d", "b", Layout::BinaryJson),
+            CachedData::from_values(&[Value::Int(1)], Layout::BinaryJson).unwrap(),
+            (2, 2),
+        );
+        m.put(CacheKey::new("e", "a", Layout::Values), col(5), (1, 1));
+        // A rebuilt file vouches for no generation at all: every replica of
+        // the dataset drops, whatever its layout or fingerprint.
+        assert_eq!(m.retain_fingerprints("d", &[]), 2);
+        assert_eq!(m.cached_fields("d"), Vec::<String>::new());
+        assert!(m.get(&CacheKey::new("e", "a", Layout::Values)).is_some());
+        assert_eq!(m.used_bytes(), col(5).approx_bytes());
+        assert_eq!(m.stats().invalidations, 2);
+    }
+
+    #[test]
+    fn invalidate_dataset_drops_fold_partials_too() {
+        let m = CacheManager::new(1 << 20);
+        m.put(values("a"), col(5), (1, 1));
+        let partial = FoldPartial {
+            partial: Value::Int(9),
+            rows: 5,
+            fingerprint: (1, 1),
+        };
+        m.put_fold_partial("d", 42, partial.clone());
+        m.put_fold_partial("e", 42, partial);
+        assert_eq!(m.retain_fingerprints("d", &[]), 1);
+        assert!(m.fold_partial("d", 42).is_none());
+        assert!(m.fold_partial("e", 42).is_some());
+        // Fold partials go even when no replica is left to drop.
+        m.put_fold_partial(
+            "e",
+            7,
+            FoldPartial {
+                partial: Value::Int(1),
+                rows: 1,
+                fingerprint: (1, 1),
+            },
+        );
+        m.retain_fingerprints("e", &[]);
+        assert_eq!(m.retain_fingerprints("e", &[]), 0);
+        assert!(m.fold_partial("e", 7).is_none());
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn get_any_reports_stored_fingerprint() {
+        let m = CacheManager::new(1 << 20);
+        m.put(values("a"), col(5), (10, 20));
         let (layout, data, fp) = m
-            .get_any_versioned("d", "a", &[Layout::Values, Layout::Positions])
+            .get_any("d", "a", &[Layout::Values, Layout::Positions])
             .unwrap();
         assert_eq!(layout, Layout::Values);
         assert_eq!(data.len(), 5);
         assert_eq!(fp, (10, 20));
-        assert!(m.get_any_versioned("d", "b", &[Layout::Values]).is_none());
+        assert!(m.get_any("d", "b", &[Layout::Values]).is_none());
+        // A replica outside the accepted layouts is a miss.
+        assert!(m.get_any("d", "a", &[Layout::Positions]).is_none());
+        assert_eq!(m.stats().misses, 2);
     }
 
     #[test]
     fn extend_values_splices_tail_in_place() {
         let m = CacheManager::new(1 << 20);
-        let key = CacheKey::new("d", "a", Layout::Values);
+        let key = values("a");
         m.put(key.clone(), col(5), (1, 1));
         let before = m.used_bytes();
         let full = m
@@ -870,7 +894,7 @@ mod tests {
             .unwrap();
         assert_eq!(full.len(), 7);
         assert_eq!(full[6], Value::Int(6));
-        assert!(m.used_bytes() > before);
+        assert_eq!(m.used_bytes(), before + 16);
         // Promoted to the new generation, sharing storage with the caller.
         assert!(m.contains_fresh(&key, (2, 2)));
         let got = m.get(&key).unwrap();
@@ -885,7 +909,7 @@ mod tests {
         // The last resident row re-parsed an unterminated unit: keep_rows
         // trims it before the tail (which re-reads it whole) goes on.
         let m = CacheManager::new(1 << 20);
-        let key = CacheKey::new("d", "a", Layout::Values);
+        let key = values("a");
         m.put(key.clone(), col(5), (1, 1));
         let full = m
             .extend_values(
@@ -902,7 +926,7 @@ mod tests {
     #[test]
     fn extend_values_refuses_mismatches() {
         let m = CacheManager::new(1 << 20);
-        let key = CacheKey::new("d", "a", Layout::Values);
+        let key = values("a");
         assert!(m.extend_values(&key, (1, 1), 0, vec![], (2, 2)).is_none());
         m.put(key.clone(), col(5), (1, 1));
         // Wrong stored generation.
@@ -914,10 +938,13 @@ mod tests {
             .extend_values(&key, (1, 1), 6, vec![Value::Int(5)], (2, 2))
             .is_none());
         // Not a values replica.
-        let pos = CacheKey::new("d", "a", Layout::Positions);
-        m.put(pos.clone(), CachedData::Positions(vec![(0, 4); 5]), (1, 1));
+        let pos = CacheKey::new("d", "b", Layout::Positions);
+        m.put(pos.clone(), positions(5), (1, 1));
         assert!(m
             .extend_values(&pos, (1, 1), 5, vec![Value::Int(5)], (2, 2))
+            .is_none());
+        assert!(m
+            .extend_values(&values("b"), (1, 1), 5, vec![Value::Int(5)], (2, 2))
             .is_none());
         // The untouched entry still serves under its old generation.
         assert!(m.contains_fresh(&key, (1, 1)));
@@ -927,61 +954,53 @@ mod tests {
     fn extend_values_evicts_others_when_growth_exceeds_budget() {
         let one = col(100).approx_bytes();
         let m = CacheManager::new(one * 2 + 64);
-        let hot = CacheKey::new("d", "hot", Layout::Values);
+        let hot = values("hot");
         m.put(hot.clone(), col(100), (1, 1));
-        m.put(CacheKey::new("d", "cold", Layout::Values), col(100), (1, 1));
+        m.put(values("cold"), col(100), (1, 1));
         let tail: Vec<Value> = (100..120).map(|i| Value::Int(i as i64)).collect();
         assert!(m.extend_values(&hot, (1, 1), 100, tail, (2, 2)).is_some());
         assert!(m.contains(&hot), "the extended entry is never the victim");
-        assert!(!m.contains(&CacheKey::new("d", "cold", Layout::Values)));
+        assert!(!m.contains(&values("cold")));
         assert!(m.used_bytes() <= m.budget_bytes());
     }
 
     #[test]
-    fn invalidate_dataset_drops_fold_partials_too() {
+    fn extend_values_keeps_the_owner_within_its_quota() {
+        let one = col(100).approx_bytes();
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(5), (1, 1));
-        m.folds().put(
-            "d",
-            42,
-            crate::fold::FoldPartial {
-                partial: Value::Int(9),
-                rows: 5,
-                fingerprint: (1, 1),
-            },
-        );
-        m.invalidate_dataset("d");
-        assert!(m.folds().get("d", 42).is_none());
-        assert!(m.is_empty());
+        m.set_tenant_budget("a", one * 2 + 10);
+        assert!(put_for(&m, "a", "x", col(100)));
+        assert!(put_for(&m, "a", "hot", col(100)));
+        let tail: Vec<Value> = (100..150).map(|i| Value::Int(i as i64)).collect();
+        let full = m.extend_values(&values("hot"), (1, 1), 100, tail, (2, 2));
+        assert_eq!(full.unwrap().len(), 150);
+        let stats = m.tenant_stats("a");
+        assert!(stats.used_bytes <= stats.budget_bytes.unwrap(), "{stats:?}");
+        assert!(m.contains(&values("hot")), "the extended entry stays");
+        assert!(!m.contains(&values("x")));
+        assert_eq!(stats.evictions, 1);
+        assert_eq!(stats.used_bytes, m.used_bytes());
     }
 
     #[test]
-    fn invalidate_dataset_unconditional() {
+    fn insert_retires_the_fields_other_layouts() {
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(5), (1, 1));
-        m.put(
-            CacheKey::new("d", "a", Layout::BinaryJson),
-            CachedData::from_values(&[Value::Int(1)], Layout::BinaryJson).unwrap(),
-            (1, 1),
-        );
-        assert_eq!(m.invalidate_dataset("d"), 2);
-        assert_eq!(m.used_bytes(), 0);
-    }
-
-    #[test]
-    fn layout_replicas_coexist() {
-        let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(3), (1, 1));
-        m.put(
-            CacheKey::new("d", "a", Layout::Positions),
-            CachedData::Positions(vec![(0, 5); 3]),
-            (1, 1),
-        );
-        assert_eq!(m.len(), 2);
-        let (layout, _) = m
-            .get_any("d", "a", &[Layout::Positions, Layout::Values])
-            .unwrap();
+        let insert = |data: CachedData| {
+            let key = CacheKey::new("d", "a", data.layout());
+            m.put_with_cost_for(None, key, data, (1, 1), 0.0)
+        };
+        assert_eq!(insert(col(3)), Some(0));
+        // Same layout again: a replacement, not a retirement.
+        assert_eq!(insert(col(3)), Some(0));
+        assert_eq!(insert(positions(3)), Some(1));
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.used_bytes(), positions(3).approx_bytes());
+        assert!(!m.contains(&values("a")));
+        let (layout, _, _) = m.get_any("d", "a", &Layout::ALL).unwrap();
         assert_eq!(layout, Layout::Positions);
+        let bson = CachedData::from_values(&[Value::Int(1)], Layout::BinaryJson).unwrap();
+        assert_eq!(insert(bson), Some(1));
+        assert_eq!(m.layout_counts(), vec![(Layout::BinaryJson, 1)]);
         assert_eq!(m.cached_fields("d"), vec!["a".to_string()]);
     }
 
@@ -995,7 +1014,7 @@ mod tests {
     #[test]
     fn replacing_entry_updates_bytes() {
         let m = CacheManager::new(1 << 20);
-        let key = CacheKey::new("d", "a", Layout::Values);
+        let key = values("a");
         m.put(key.clone(), col(100), (1, 1));
         let big = m.used_bytes();
         m.put(key.clone(), col(10), (1, 1));
@@ -1006,7 +1025,7 @@ mod tests {
     #[test]
     fn clear_resets_usage() {
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(5), (1, 1));
+        m.put(values("a"), col(5), (1, 1));
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.used_bytes(), 0);
@@ -1019,64 +1038,34 @@ mod tests {
         // "cheap" even though pure LRU would keep it.
         let one = col(100).approx_bytes();
         let m = CacheManager::new(one * 2 + 10);
-        m.put_with_cost(
-            CacheKey::new("d", "dear", Layout::Values),
-            col(100),
-            (1, 1),
-            50.0,
-        );
-        m.put(
-            CacheKey::new("d", "cheap", Layout::Values),
-            col(100),
-            (1, 1),
-        );
-        m.get(&CacheKey::new("d", "cheap", Layout::Values)).unwrap();
-        m.put(CacheKey::new("d", "new", Layout::Values), col(100), (1, 1));
-        assert!(m.contains(&CacheKey::new("d", "dear", Layout::Values)));
-        assert!(!m.contains(&CacheKey::new("d", "cheap", Layout::Values)));
-        assert!(m.contains(&CacheKey::new("d", "new", Layout::Values)));
+        m.put_with_cost_for(None, values("dear"), col(100), (1, 1), 50.0);
+        m.put(values("cheap"), col(100), (1, 1));
+        m.get(&values("cheap")).unwrap();
+        m.put(values("new"), col(100), (1, 1));
+        assert!(m.contains(&values("dear")));
+        assert!(!m.contains(&values("cheap")));
+        assert!(m.contains(&values("new")));
     }
 
     #[test]
     fn zero_cost_put_is_pure_lru() {
         let one = col(100).approx_bytes();
         let m = CacheManager::new(one * 2 + 10);
-        m.put_with_cost(
-            CacheKey::new("d", "a", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        );
-        m.put_with_cost(
-            CacheKey::new("d", "b", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        );
-        m.get(&CacheKey::new("d", "a", Layout::Values)).unwrap();
-        m.put(CacheKey::new("d", "c", Layout::Values), col(100), (1, 1));
-        assert!(!m.contains(&CacheKey::new("d", "b", Layout::Values)));
-    }
-
-    #[test]
-    fn remove_drops_entry_and_bytes() {
-        let m = CacheManager::new(1 << 20);
-        let key = CacheKey::new("d", "a", Layout::Values);
-        m.put(key.clone(), col(10), (1, 1));
-        assert!(m.used_bytes() > 0);
-        assert!(m.remove(&key));
-        assert!(!m.remove(&key));
-        assert_eq!(m.used_bytes(), 0);
-        assert!(!m.contains(&key));
+        m.put(values("a"), col(100), (1, 1));
+        m.put(values("b"), col(100), (1, 1));
+        m.get(&values("a")).unwrap();
+        m.put(values("c"), col(100), (1, 1));
+        assert!(!m.contains(&values("b")));
     }
 
     #[test]
     fn contains_does_not_touch_counters() {
         let m = CacheManager::new(1 << 20);
-        let key = CacheKey::new("d", "a", Layout::Values);
+        let key = values("a");
         m.put(key.clone(), col(3), (1, 1));
         assert!(m.contains(&key));
-        assert!(!m.contains(&CacheKey::new("d", "b", Layout::Values)));
+        assert!(!m.contains(&values("b")));
+        assert!(!m.contains(&CacheKey::new("d", "a", Layout::Positions)));
         let s = m.stats();
         assert_eq!((s.hits, s.misses), (0, 0));
     }
@@ -1084,11 +1073,11 @@ mod tests {
     #[test]
     fn layout_counts_report_replica_mix() {
         let m = CacheManager::new(1 << 20);
-        m.put(CacheKey::new("d", "a", Layout::Values), col(3), (1, 1));
-        m.put(CacheKey::new("d", "b", Layout::Values), col(3), (1, 1));
+        m.put(values("a"), col(3), (1, 1));
+        m.put(values("b"), col(3), (1, 1));
         m.put(
             CacheKey::new("d", "c", Layout::Positions),
-            CachedData::Positions(vec![(0, 5); 3]),
+            positions(3),
             (1, 1),
         );
         let counts = m.layout_counts();
@@ -1101,27 +1090,14 @@ mod tests {
         // Global budget is roomy; tenant "a" may hold only two columns.
         let m = CacheManager::new(one * 10);
         m.set_tenant_budget("a", one * 2 + 10);
-        for f in ["x", "y"] {
-            assert!(m.put_with_cost_for(
-                Some("a"),
-                CacheKey::new("d", f, Layout::Values),
-                col(100),
-                (1, 1),
-                0.0,
-            ));
-        }
-        m.get(&CacheKey::new("d", "x", Layout::Values)).unwrap();
-        assert!(m.put_with_cost_for(
-            Some("a"),
-            CacheKey::new("d", "z", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        ));
+        assert!(put_for(&m, "a", "x", col(100)));
+        assert!(put_for(&m, "a", "y", col(100)));
+        m.get(&values("x")).unwrap();
+        assert!(put_for(&m, "a", "z", col(100)));
         // "y" was a's LRU entry and pays for a's own growth.
-        assert!(m.contains(&CacheKey::new("d", "x", Layout::Values)));
-        assert!(!m.contains(&CacheKey::new("d", "y", Layout::Values)));
-        assert!(m.contains(&CacheKey::new("d", "z", Layout::Values)));
+        assert!(m.contains(&values("x")));
+        assert!(!m.contains(&values("y")));
+        assert!(m.contains(&values("z")));
         let stats = m.tenant_stats("a");
         assert_eq!(stats.evictions, 1);
         assert!(stats.used_bytes <= stats.budget_bytes.unwrap());
@@ -1135,45 +1111,21 @@ mod tests {
         m.set_tenant_budget("big", one * 3 + 15);
         m.set_tenant_budget("small", one + 5);
         for f in ["b1", "b2", "b3"] {
-            assert!(m.put_with_cost_for(
-                Some("big"),
-                CacheKey::new("d", f, Layout::Values),
-                col(100),
-                (1, 1),
-                0.0,
-            ));
+            assert!(put_for(&m, "big", f, col(100)));
         }
-        assert!(m.put_with_cost_for(
-            Some("small"),
-            CacheKey::new("d", "s1", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        ));
+        assert!(put_for(&m, "small", "s1", col(100)));
         // The cache is globally full and both tenants are at quota. Either
         // tenant churning stays inside its own allotment:
-        assert!(m.put_with_cost_for(
-            Some("small"),
-            CacheKey::new("d", "s2", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        ));
-        assert!(!m.contains(&CacheKey::new("d", "s1", Layout::Values)));
+        assert!(put_for(&m, "small", "s2", col(100)));
+        assert!(!m.contains(&values("s1")));
         for f in ["b1", "b2", "b3"] {
             assert!(
-                m.contains(&CacheKey::new("d", f, Layout::Values)),
+                m.contains(&values(f)),
                 "small's churn evicted big's {f} despite big being under quota"
             );
         }
-        assert!(m.put_with_cost_for(
-            Some("big"),
-            CacheKey::new("d", "b4", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        ));
-        assert!(m.contains(&CacheKey::new("d", "s2", Layout::Values)));
+        assert!(put_for(&m, "big", "b4", col(100)));
+        assert!(m.contains(&values("s2")));
         // Eviction counters split per tenant.
         assert_eq!(m.tenant_stats("small").evictions, 1);
         assert_eq!(m.tenant_stats("big").evictions, 1);
@@ -1186,60 +1138,29 @@ mod tests {
         let one = col(100).approx_bytes();
         let m = CacheManager::new(one * 2 + 10);
         m.set_tenant_budget("a", one * 2 + 10);
-        for f in ["x", "y"] {
-            assert!(m.put_with_cost_for(
-                Some("a"),
-                CacheKey::new("d", f, Layout::Values),
-                col(100),
-                (1, 1),
-                0.0,
-            ));
-        }
+        assert!(put_for(&m, "a", "x", col(100)));
+        assert!(put_for(&m, "a", "y", col(100)));
         // Globally full, every entry protected: the untenanted put must be
         // refused rather than break a's quota.
-        assert!(!m.put(CacheKey::new("d", "anon", Layout::Values), col(100), (1, 1)));
-        assert!(m.contains(&CacheKey::new("d", "x", Layout::Values)));
-        assert!(m.contains(&CacheKey::new("d", "y", Layout::Values)));
+        assert!(!m.put(values("anon"), col(100), (1, 1)));
+        assert!(m.contains(&values("x")));
+        assert!(m.contains(&values("y")));
     }
 
     #[test]
     fn entry_larger_than_tenant_quota_refused() {
         let m = CacheManager::new(1 << 20);
         m.set_tenant_budget("tiny", 16);
-        assert!(!m.put_with_cost_for(
-            Some("tiny"),
-            CacheKey::new("d", "a", Layout::Values),
-            col(100),
-            (1, 1),
-            0.0,
-        ));
+        assert!(!put_for(&m, "tiny", "a", col(100)));
         assert_eq!(m.tenant_stats("tiny").used_bytes, 0);
     }
 
     #[test]
     fn layout_counts_split_per_tenant() {
         let m = CacheManager::new(1 << 20);
-        m.put_with_cost_for(
-            Some("a"),
-            CacheKey::new("d", "x", Layout::Values),
-            col(3),
-            (1, 1),
-            0.0,
-        );
-        m.put_with_cost_for(
-            Some("a"),
-            CacheKey::new("d", "y", Layout::Positions),
-            CachedData::Positions(vec![(0, 5); 3]),
-            (1, 1),
-            0.0,
-        );
-        m.put_with_cost_for(
-            Some("b"),
-            CacheKey::new("d", "z", Layout::Values),
-            col(3),
-            (1, 1),
-            0.0,
-        );
+        put_for(&m, "a", "x", col(3));
+        put_for(&m, "a", "y", positions(3));
+        put_for(&m, "b", "z", col(3));
         assert_eq!(
             m.layout_counts_for("a"),
             vec![(Layout::Positions, 1), (Layout::Values, 1)]
@@ -1257,14 +1178,19 @@ mod tests {
     fn removal_paths_debit_tenant_usage() {
         let m = CacheManager::new(1 << 20);
         m.set_tenant_budget("a", 1 << 20);
-        let key = CacheKey::new("d", "x", Layout::Values);
-        m.put_with_cost_for(Some("a"), key.clone(), col(10), (1, 1), 0.0);
+        let key = values("x");
+        put_for(&m, "a", "x", col(10));
         assert!(m.tenant_stats("a").used_bytes > 0);
-        m.remove(&key);
+        // Re-shaping the field by an untenanted insert debits "a".
+        m.put(
+            CacheKey::new("d", "x", Layout::Positions),
+            positions(10),
+            (1, 1),
+        );
         assert_eq!(m.tenant_stats("a").used_bytes, 0);
 
         m.put_with_cost_for(Some("a"), key.clone(), col(10), (2, 2), 0.0);
-        assert_eq!(m.invalidate_stale("d", (3, 3)), 1);
+        assert_eq!(m.retain_fingerprints("d", &[(3, 3)]), 1);
         assert_eq!(m.tenant_stats("a").used_bytes, 0);
 
         m.put_with_cost_for(Some("a"), key.clone(), col(10), (3, 3), 0.0);
@@ -1279,7 +1205,7 @@ mod tests {
         // Pipeline workers hammer lookups while another worker inserts
         // replicas; counters and byte accounting must stay consistent.
         let m = std::sync::Arc::new(CacheManager::new(1 << 20));
-        let hot = CacheKey::new("d", "hot", Layout::Values);
+        let hot = values("hot");
         m.put(hot.clone(), col(64), (1, 1));
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -1294,11 +1220,7 @@ mod tests {
             let m = std::sync::Arc::clone(&m);
             s.spawn(move || {
                 for i in 0..50 {
-                    m.put(
-                        CacheKey::new("d", format!("c{i}"), Layout::Values),
-                        col(8),
-                        (1, 1),
-                    );
+                    m.put(values(&format!("c{i}")), col(8), (1, 1));
                 }
             });
         });
@@ -1307,5 +1229,56 @@ mod tests {
         assert_eq!(s.insertions, 51);
         assert_eq!(m.len(), 51);
         assert!(m.used_bytes() <= m.budget_bytes());
+    }
+
+    #[test]
+    fn tenant_usage_matches_resident_entries_under_concurrency() {
+        // Six threads of two tenants (and one untenanted) insert, re-shape,
+        // extend, invalidate and look up the same fields under a budget and
+        // quotas tight enough to evict constantly.
+        let one = col(100).approx_bytes();
+        let m = CacheManager::new(one * 6);
+        m.set_tenant_budget("t0", one * 3);
+        m.set_tenant_budget("t1", one * 2);
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|s| {
+            for w in 0..6usize {
+                let (m, start) = (&m, &start);
+                s.spawn(move || {
+                    let tenant = ["t0", "t1", "t0", "t1", "t0", ""][w];
+                    let tenant = (!tenant.is_empty()).then_some(tenant);
+                    start.wait();
+                    for i in 0..400usize {
+                        let field = format!("f{}", (i * 7 + w) % 9);
+                        let gen = (i % 3) as u64;
+                        let data = if (i + w) % 4 == 0 {
+                            positions(60)
+                        } else {
+                            col(60 + i % 50)
+                        };
+                        let key = CacheKey::new("d", field.as_str(), data.layout());
+                        m.put_with_cost_for(tenant, key, data, (gen, gen), (i % 5) as f64);
+                        let tail = vec![Value::Int(1); i % 30];
+                        m.extend_values(&values(&field), (gen, gen), 40, tail, (gen + 1, gen + 1));
+                        if i % 25 == 0 {
+                            m.retain_fingerprints("d", &[(gen, gen), (gen + 1, gen + 1)]);
+                        }
+                        m.get_any("d", &field, &Layout::ALL);
+                    }
+                });
+            }
+        });
+        let state = m.state.read();
+        let total: usize = state.iter().map(|(_, _, e)| e.bytes).sum();
+        assert_eq!(m.used_bytes(), total);
+        for t in ["t0", "t1"] {
+            let owned: usize = state
+                .iter()
+                .filter(|(_, _, e)| e.tenant.as_deref() == Some(t))
+                .map(|(_, _, e)| e.bytes)
+                .sum();
+            assert_eq!(state.tenants[t].used, owned, "tenant {t}");
+        }
+        assert!(m.stats().evictions > 0 && m.stats().invalidations > 0);
     }
 }

@@ -443,7 +443,7 @@ impl<'a> PipelineBuilder<'a> {
                         prev_fingerprint,
                         prefix_units,
                         ..
-                    }) => cache.folds().get(&dataset, query_hash).filter(|p| {
+                    }) => cache.fold_partial(&dataset, query_hash).filter(|p| {
                         p.fingerprint == prev_fingerprint
                             && p.rows == prefix_units
                             && p.rows <= nrows

@@ -15,10 +15,9 @@ impl PipelineBuilder<'_> {
     /// Touched columns, cache-first: replicas in any layout are rehydrated
     /// (parsed values directly, binary JSON by decoding, positions by
     /// exact-seek raw parses), anything missing is read from the raw file
-    /// in one projected scan. The probe order comes from
-    /// [`vida_optimizer::CostModel::read_preference`], and the post-query
-    /// [`PipelineBuilder::sync_replicas`] step is the only writer of
-    /// replicas, in the layout the model chooses.
+    /// in one projected scan. The cache holds one replica per field, and
+    /// the post-query [`PipelineBuilder::sync_replicas`] step is its only
+    /// writer, in the layout the model chooses.
     pub(super) fn materialize_columns(
         &mut self,
         dataset: &str,
@@ -57,29 +56,21 @@ impl PipelineBuilder<'_> {
             self.stats.span_begin(stage::CACHE_PROBE);
             let mut shared = 0u64;
             let mut shared_rows = 0u64;
-            // Revalidation verdict → invalidation protocol. Unchanged
-            // files drop stale strangers as before; grown files retain the
-            // previous generation (its prefix still serves); shrunk or
-            // edited files lose everything, fold partials included.
-            match freshness {
-                None => {
-                    cache.invalidate_stale(dataset, fingerprint);
-                }
+            // Revalidation verdict → the generations the cache may keep.
+            // Unchanged files keep the current one; grown files also the
+            // previous one (its prefix still serves); shrunk or edited
+            // files keep nothing, fold partials included.
+            let keep: &[(u64, u64)] = match freshness {
+                None => &[fingerprint],
                 Some(Freshness::Extended {
                     prev_fingerprint, ..
-                }) => {
-                    cache.retain_fingerprints(dataset, &[prev_fingerprint, fingerprint]);
-                }
-                Some(Freshness::Rebuilt) => {
-                    cache.invalidate_dataset(dataset);
-                }
-            }
-            let model = self.cache_model();
-            let pressure = cache_pressure(cache);
+                }) => &[prev_fingerprint, fingerprint],
+                Some(Freshness::Rebuilt) => &[],
+            };
+            cache.retain_fingerprints(dataset, keep);
             for (i, &col) in touched.iter().enumerate() {
                 let field = &schema.fields()[col].name;
-                let preference = model.read_preference(dataset, field, pressure);
-                match cache.get_any_versioned(dataset, field, &preference) {
+                match cache.get_any(dataset, field, &Layout::ALL) {
                     Some((_, data, fp)) if fp == fingerprint && data.len() == nrows => {
                         let vals = match &*data {
                             // Parsed replicas serve by pointer share — no
@@ -225,8 +216,9 @@ impl PipelineBuilder<'_> {
     /// evidence into the model, then make the cache hold each touched
     /// field's replica in the layout the model now prefers — building it
     /// from the materialized column (or from raw-file field spans for
-    /// `Positions`) and retiring its replicas in every other layout. The
-    /// only writer of replicas; no-op without a cache.
+    /// `Positions`); the insert retires the field's replica in any other
+    /// layout. The only writer of replicas; no-op without a cache, and no
+    /// cache write at all for a field whose chosen replica is fresh.
     fn sync_replicas(
         &mut self,
         dataset: &str,
@@ -280,28 +272,19 @@ impl PipelineBuilder<'_> {
                         .unwrap_or(0.0);
                     // Replica storage is billed to the session's tenant:
                     // its budget sheds its own coldest entries first, and
-                    // in-quota strangers are never victimized.
-                    if cache.put_with_cost_for(
+                    // in-quota strangers are never victimized. The insert
+                    // retires the field's replica in a superseded layout
+                    // (the re-shaping half of "re-using and re-shaping
+                    // results").
+                    if let Some(retired) = cache.put_with_cost_for(
                         self.ctx.tenant.as_deref(),
-                        key.clone(),
+                        key,
                         replica,
                         fingerprint,
                         bonus,
                     ) {
                         self.stats.replicas_written += 1;
-                    }
-                }
-            }
-            // Once the chosen layout is in place, replicas of the field in
-            // every other layout are superseded dead weight: drop
-            // them to free budget (the re-shaping half of "re-using and
-            // re-shaping results").
-            if cache.contains(&key) {
-                for layout in Layout::ALL {
-                    if layout != chosen
-                        && cache.remove(&CacheKey::new(dataset, field.clone(), layout))
-                    {
-                        self.stats.replicas_dropped += 1;
+                        self.stats.replicas_dropped += retired as u32;
                     }
                 }
             }
@@ -488,9 +471,8 @@ mod tests {
         );
         assert!(!cache.contains(&CacheKey::new("Notes", "body", Layout::Values)));
         assert!(cache.contains(&CacheKey::new("Notes", "id", Layout::Values)));
-        // get_any in model order serves the positions replica.
-        let model_pref = model.read_preference("Notes", "body", 0.0);
-        let (layout, _) = cache.get_any("Notes", "body", &model_pref).unwrap();
+        // The field's one replica is the positions replica.
+        let (layout, _, _) = cache.get_any("Notes", "body", &Layout::ALL).unwrap();
         assert_eq!(layout, Layout::Positions);
         // A third run rehydrates through the positions replica and still
         // counts as fully cache-served.
@@ -524,7 +506,8 @@ mod tests {
         let cache = Arc::new(CacheManager::new(16 << 10));
         let plan = plan_of("for { n <- Notes, n.id >= 0 } yield count n.body");
         // Plant stale replicas of the wide field in both non-positions
-        // layouts (as if the model had chosen differently in the past).
+        // layouts (as if the model had chosen differently in the past): the
+        // second retires the first, since a field holds one replica.
         let fingerprint = vida_formats::InputPlugin::fingerprint(plugin.as_ref());
         for layout in [Layout::Values, Layout::BinaryJson] {
             cache.put(
@@ -533,13 +516,14 @@ mod tests {
                 fingerprint,
             );
         }
-        assert!(cache.contains(&CacheKey::new("Notes", "body", Layout::Values)));
+        assert!(!cache.contains(&CacheKey::new("Notes", "body", Layout::Values)));
+        assert!(cache.contains(&CacheKey::new("Notes", "body", Layout::BinaryJson)));
 
         // The first model-driven run re-shapes the wide column to positions
-        // and retires every superseded replica, not just the values one.
+        // and retires the superseded replica.
         let opts = JitOptions::with_cost_model(Arc::clone(&cache), Arc::new(CostModel::new()));
         let (_, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert!(stats.replicas_dropped >= 2, "{stats:?}");
+        assert_eq!(stats.replicas_dropped, 1, "{stats:?}");
         assert!(cache.contains(&CacheKey::new("Notes", "body", Layout::Positions)));
         assert!(!cache.contains(&CacheKey::new("Notes", "body", Layout::Values)));
         assert!(!cache.contains(&CacheKey::new("Notes", "body", Layout::BinaryJson)));

@@ -154,7 +154,7 @@ impl Pipeline {
     /// the whole source at its current fingerprint.
     fn store_fold_partial(&self, partial: &Value) {
         if let Some(seam) = &self.fold_seam {
-            seam.cache.folds().put(
+            seam.cache.put_fold_partial(
                 &seam.dataset,
                 seam.query_hash,
                 FoldPartial {

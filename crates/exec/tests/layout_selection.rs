@@ -226,10 +226,9 @@ fn adaptive_selection_is_stable_and_reshapes_at_least_one_field() {
         "expected a non-Values replica, cache holds {:?}",
         cache.layout_counts()
     );
-    // …and get_any in model preference order serves it.
-    let pref = model.read_preference("Visits", "notes", 0.0);
-    let (served, _) = cache
-        .get_any("Visits", "notes", &pref)
+    // …and it is the notes field's one replica.
+    let (served, _, _) = cache
+        .get_any("Visits", "notes", &Layout::ALL)
         .expect("notes replica exists");
     assert_ne!(served, Layout::Values, "model should have re-shaped notes");
 

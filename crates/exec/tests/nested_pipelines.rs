@@ -140,8 +140,9 @@ fn unnest_is_served_from_cached_binary_json_replica() {
     assert!(s1.raw_columns > 0 && s1.unnest_pipelines == 1, "{s1:?}");
 
     // Re-shape the nested column's replica to binary JSON by hand (as the
-    // cost model does for fat nested fields) and drop the parsed one: the
-    // warm unnest must rehydrate through the BinaryJson decode path.
+    // cost model does for fat nested fields; the insert retires the parsed
+    // one): the warm unnest must rehydrate through the BinaryJson decode
+    // path.
     let plugin = vida_exec::SourceProvider::plugin(&cat, "Regions").unwrap();
     let nested_col: Vec<Value> = (0..plugin.num_units())
         .map(|r| plugin.read_field(r, 1).unwrap())
@@ -150,12 +151,12 @@ fn unnest_is_served_from_cached_binary_json_replica() {
     // Nested values round-trip through the binary codec.
     let (decoded, _) = bson::decode_value(&bson::to_bytes(&nested_col[1]), 0).unwrap();
     assert_eq!(decoded, nested_col[1]);
-    cache.put(
+    assert!(cache.put(
         CacheKey::new("Regions", "voxels", Layout::BinaryJson),
         replica,
         plugin.fingerprint(),
-    );
-    cache.remove(&CacheKey::new("Regions", "voxels", Layout::Values));
+    ));
+    assert!(!cache.contains(&CacheKey::new("Regions", "voxels", Layout::Values)));
 
     let (v2, s2) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
     assert_eq!(v2, oracle);

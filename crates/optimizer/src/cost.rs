@@ -10,12 +10,11 @@
 //!
 //! [`CostModel`] is that decision procedure. The exec pipeline records one
 //! [`FieldObservation`] per touched field per query; the model folds them
-//! into per-field [`FieldProfile`]s and answers three questions:
+//! into per-field [`FieldProfile`]s and answers two questions:
 //!
-//! - [`CostModel::choose_layout`] — which layout should this field's replica
-//!   use *now*, given the observed reuse and the cache's byte pressure?
-//! - [`CostModel::read_preference`] — in which order should
-//!   `CacheManager::get_any` probe layouts when serving a warm read?
+//! - [`CostModel::choose_layout`] — which layout should this field's one
+//!   replica use *now*, given the observed reuse and the cache's byte
+//!   pressure?
 //! - [`CostModel::eviction_bonus`] — how much longer should this replica
 //!   survive eviction than pure LRU would allow, given what rebuilding it
 //!   would cost?
@@ -303,19 +302,6 @@ impl CostModel {
         best.0
     }
 
-    /// Layout probe order for `CacheManager::get_any`: the chosen layout
-    /// first (it is the replica the model is steering the cache toward),
-    /// then the remaining layouts by ascending serving cost, so any replica
-    /// that exists can still be used.
-    pub fn read_preference(&self, dataset: &str, field: &str, pressure: f64) -> Vec<Layout> {
-        let chosen = self.choose_layout(dataset, field, pressure);
-        let mut order = vec![chosen];
-        // `Layout::ALL` is already in ascending order of baseline serving
-        // cost (values < binary JSON < positions).
-        order.extend(Layout::ALL.into_iter().filter(|l| *l != chosen));
-        order
-    }
-
     /// Eviction bonus, in LRU clock ticks, for a replica of this field in
     /// `layout`: replicas that are expensive to rebuild (a fresh raw parse
     /// plus the build step) survive as if they had been touched more
@@ -356,7 +342,6 @@ mod tests {
     fn unknown_fields_default_to_values() {
         let m = CostModel::new();
         assert_eq!(m.choose_layout("d", "f", 0.0), Layout::Values);
-        assert_eq!(m.read_preference("d", "f", 0.0)[0], Layout::Values);
     }
 
     #[test]
@@ -400,20 +385,6 @@ mod tests {
         m.observe("Mem", "body", obs(1_000, 180.0, 190.0, 3.0, false));
         let l = m.choose_layout("Mem", "body", 1.0);
         assert_ne!(l, Layout::Positions, "no spans -> positions infeasible");
-    }
-
-    #[test]
-    fn read_preference_leads_with_chosen_layout_and_covers_storable() {
-        let m = CostModel::new();
-        for _ in 0..4 {
-            m.observe("Regions", "payload", obs(1_000, 700.0, 220.0, 4.0, true));
-        }
-        let pref = m.read_preference("Regions", "payload", 0.3);
-        assert_eq!(pref[0], Layout::BinaryJson);
-        for l in Layout::ALL {
-            assert!(pref.contains(&l), "{l:?} missing from preference");
-        }
-        assert_eq!(pref.len(), Layout::ALL.len());
     }
 
     #[test]
