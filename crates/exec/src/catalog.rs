@@ -2,13 +2,15 @@
 //!
 //! Executors see datasets through [`SourceProvider`] — the runtime face of
 //! the catalog. `vida` (the engine facade) implements it over registered
-//! source descriptions; tests and benchmarks use [`MemoryCatalog`].
+//! source descriptions; tests and benchmarks use [`MemoryCatalog`]. Each
+//! query reads the catalog through a `QueryBinding`, which fixes one file
+//! generation per dataset for the whole query.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use vida_formats::plugin::MemPlugin;
-use vida_formats::InputPlugin;
-use vida_types::sync::RwLock;
+use vida_formats::{Generation, InputPlugin, Revalidation};
+use vida_types::sync::{Mutex, RwLock};
 use vida_types::{Result, Schema, Value, VidaError};
 
 /// Resolves dataset names to bound input plugins.
@@ -18,10 +20,10 @@ pub trait SourceProvider: Send + Sync {
     /// All registered dataset names (diagnostics).
     fn dataset_names(&self) -> Vec<String>;
 
-    /// Swap in a replacement plugin for `dataset` — called by the executor
-    /// after revalidation notices the backing file changed, so later
-    /// queries bind the fresh reader instead of re-running revalidation.
-    /// The default is a no-op for catalogs without resident plugin state.
+    /// Swap in a replacement plugin for `dataset` — called by a query's
+    /// `QueryBinding` when revalidation found the backing file changed,
+    /// so later queries start from the fresh reader. The default is a no-op
+    /// for catalogs without resident plugin state.
     fn install(&self, _dataset: &str, _plugin: Arc<dyn InputPlugin>) {}
 
     /// Materialize a whole dataset as a bag value (used for datasets
@@ -85,6 +87,68 @@ impl SourceProvider for MemoryCatalog {
 
     fn install(&self, dataset: &str, plugin: Arc<dyn InputPlugin>) {
         self.plugins.write().insert(dataset.to_string(), plugin);
+    }
+}
+
+/// One query's view of a catalog: the first read of a dataset re-stats it
+/// ([`InputPlugin::revalidate`]), installs any replacement plugin in the
+/// catalog and records the verdict; every later read in the query gets
+/// that same plugin. Scans, cardinality estimates, nested-comprehension
+/// datasets and the Volcano engine all read through it, so a query sees
+/// each dataset at exactly one file generation.
+pub(crate) struct QueryBinding<'a> {
+    catalog: &'a dyn SourceProvider,
+    bound: Mutex<HashMap<String, Bound>>,
+}
+
+/// A dataset as one query reads it: its plugin, and the generation the
+/// file grew from when revalidation extended it.
+type Bound = (Arc<dyn InputPlugin>, Option<Generation>);
+
+impl<'a> QueryBinding<'a> {
+    pub(crate) fn new(catalog: &'a dyn SourceProvider) -> Self {
+        QueryBinding {
+            catalog,
+            bound: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The generation `dataset` grew from in this query: replicas and fold
+    /// partials written under it serve the unchanged prefix. `None` when
+    /// the file was unchanged or rebuilt (or not read yet).
+    pub(crate) fn grown_from(&self, dataset: &str) -> Option<Generation> {
+        self.bound.lock().get(dataset).and_then(|b| b.1)
+    }
+}
+
+impl SourceProvider for QueryBinding<'_> {
+    fn plugin(&self, dataset: &str) -> Result<Arc<dyn InputPlugin>> {
+        // The lock spans the re-stat, so a dataset is revalidated at most
+        // once per query.
+        let mut bound = self.bound.lock();
+        if let Some((plugin, _)) = bound.get(dataset) {
+            return Ok(Arc::clone(plugin));
+        }
+        let plugin = self.catalog.plugin(dataset)?;
+        let (fresh, grown_from) = match plugin.revalidate()? {
+            Revalidation::Unchanged => (None, None),
+            Revalidation::Extended { plugin, prev } => (Some(plugin), Some(prev)),
+            Revalidation::Rebuilt { plugin } => (Some(plugin), None),
+        };
+        let plugin = match fresh {
+            Some(fresh) => {
+                let fresh: Arc<dyn InputPlugin> = Arc::from(fresh);
+                self.catalog.install(dataset, Arc::clone(&fresh));
+                fresh
+            }
+            None => plugin,
+        };
+        bound.insert(dataset.to_string(), (Arc::clone(&plugin), grown_from));
+        Ok(plugin)
+    }
+
+    fn dataset_names(&self) -> Vec<String> {
+        self.catalog.dataset_names()
     }
 }
 

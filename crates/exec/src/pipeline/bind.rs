@@ -6,41 +6,19 @@ use super::shape::{collect_paths, Shape};
 use super::{
     Band, ExecContext, FoldSeam, HeadPlan, JitOptions, Node, Pipeline, Source, Step, UnnestStage,
 };
-use crate::catalog::SourceProvider;
+use crate::catalog::{QueryBinding, SourceProvider};
 use crate::stats::ExecStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use vida_algebra::lower::left_deepen;
 use vida_algebra::Plan;
-use vida_formats::Revalidation;
 use vida_jit::compile::path_of;
 use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr};
 use vida_optimizer::CostModel;
 use vida_trace::stage;
 use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Type, Value, VidaError};
-
-/// Per-dataset revalidation verdict for one query, recorded when the
-/// builder binds the scan and consumed by the cache protocol in
-/// `materialize_columns`. Unchanged datasets have no entry.
-#[derive(Clone, Copy)]
-pub(super) enum Freshness {
-    /// The file grew in place: replicas and fold partials written under
-    /// `prev_fingerprint` are still valid for the unchanged prefix.
-    Extended {
-        prev_fingerprint: (u64, u64),
-        /// Unit count of the previous generation (validates that a retained
-        /// replica really is the old column, not some other length).
-        prev_units: usize,
-        /// Leading units of the previous index the re-scan reproduced
-        /// verbatim (one less than the old count when the old file ended
-        /// mid-record and the append glued onto its last unit).
-        prefix_units: usize,
-    },
-    /// Shrunk or edited in place: full invalidation, full re-scan.
-    Rebuilt,
-}
 
 /// Static element type of an unnest path, plus the direct-column fast path
 /// when the path is a single projection off a scanned source. Paths the
@@ -146,18 +124,18 @@ impl vida_optimizer::PlanStats for CatalogEstimates<'_> {
 }
 
 pub(super) struct PipelineBuilder<'a> {
-    catalog: &'a dyn SourceProvider,
+    /// The query's binding: every dataset read (scans, estimates, nested
+    /// comprehensions) at one generation, with the revalidation verdict the
+    /// cache protocol reads.
+    pub(super) catalog: &'a QueryBinding<'a>,
     pub(super) opts: &'a JitOptions,
     pub(super) ctx: &'a ExecContext,
     pub(super) stats: &'a mut ExecStats,
-    /// Revalidation verdicts of the datasets this query binds (absent =
-    /// unchanged on disk, serve caches as usual).
-    pub(super) freshness: HashMap<String, Freshness>,
 }
 
 impl<'a> PipelineBuilder<'a> {
     pub(super) fn new(
-        catalog: &'a dyn SourceProvider,
+        catalog: &'a QueryBinding<'a>,
         opts: &'a JitOptions,
         ctx: &'a ExecContext,
         stats: &'a mut ExecStats,
@@ -167,7 +145,6 @@ impl<'a> PipelineBuilder<'a> {
             opts,
             ctx,
             stats,
-            freshness: HashMap::new(),
         }
     }
 
@@ -438,18 +415,13 @@ impl<'a> PipelineBuilder<'a> {
                     && base_env.is_empty() =>
             {
                 let query_hash = fnv1a(&format!("{plan:?}"));
-                let reuse = match self.freshness.get(&dataset) {
-                    Some(&Freshness::Extended {
-                        prev_fingerprint,
-                        prefix_units,
-                        ..
-                    }) => cache.fold_partial(&dataset, query_hash).filter(|p| {
-                        p.fingerprint == prev_fingerprint
-                            && p.rows == prefix_units
+                let reuse = self.catalog.grown_from(&dataset).and_then(|prev| {
+                    cache.fold_partial(&dataset, query_hash).filter(|p| {
+                        p.fingerprint == prev.fingerprint
+                            && p.rows == prev.prefix_units
                             && p.rows <= nrows
-                    }),
-                    _ => None,
-                };
+                    })
+                });
                 Some(FoldSeam {
                     cache: Arc::clone(cache),
                     dataset,
@@ -495,42 +467,9 @@ impl<'a> PipelineBuilder<'a> {
             Shape::Scan {
                 dataset, binding, ..
             } => {
-                // Re-stat the backing file before trusting the resident
-                // plugin (fingerprints used to be captured once at open and
-                // never checked again, so a mutated file served stale
-                // replicas forever). A changed file swaps a fresh reader
-                // into the catalog; the verdict steers the cache protocol
-                // in `materialize_columns`.
-                let mut plugin = self.catalog.plugin(dataset)?;
-                if !self.freshness.contains_key(dataset) {
-                    match plugin.revalidate()? {
-                        Revalidation::Unchanged => {}
-                        Revalidation::Extended {
-                            plugin: fresh,
-                            prev_fingerprint,
-                            prev_units,
-                            prefix_units,
-                        } => {
-                            let fresh: Arc<dyn vida_formats::InputPlugin> = Arc::from(fresh);
-                            self.catalog.install(dataset, Arc::clone(&fresh));
-                            plugin = fresh;
-                            self.freshness.insert(
-                                dataset.clone(),
-                                Freshness::Extended {
-                                    prev_fingerprint,
-                                    prev_units,
-                                    prefix_units,
-                                },
-                            );
-                        }
-                        Revalidation::Rebuilt { plugin: fresh } => {
-                            let fresh: Arc<dyn vida_formats::InputPlugin> = Arc::from(fresh);
-                            self.catalog.install(dataset, Arc::clone(&fresh));
-                            plugin = fresh;
-                            self.freshness.insert(dataset.clone(), Freshness::Rebuilt);
-                        }
-                    }
-                }
+                // The binding re-stats the file on the query's first read
+                // of the dataset and hands every later read the same plugin.
+                let plugin = self.catalog.plugin(dataset)?;
                 let schema = plugin.schema().clone();
                 let nrows = plugin.num_units();
 

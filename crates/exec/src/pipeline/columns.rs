@@ -2,7 +2,7 @@
 //! replica decode, the incremental tail of grown files, and the post-query
 //! replica sync that keeps each field in the cost model's chosen layout.
 
-use super::bind::{Freshness, PipelineBuilder};
+use super::bind::PipelineBuilder;
 use super::drive::morsel_fold;
 use std::sync::Arc;
 use vida_cache::{bson, CacheKey, CacheManager, CachedData, Layout};
@@ -27,18 +27,11 @@ impl PipelineBuilder<'_> {
     ) -> Result<Vec<Arc<Vec<Value>>>> {
         let schema = plugin.schema();
         let fingerprint = plugin.fingerprint();
-        let freshness = self.freshness.get(dataset).copied();
+        let grown_from = self.catalog.grown_from(dataset);
         // Prefix-validity window when the file grew in place: replicas of
-        // `prev_fingerprint` with exactly `prev_units` rows still serve
+        // the previous generation with exactly its unit count still serve
         // their first `prefix_units` rows.
-        let grown_info = match freshness {
-            Some(Freshness::Extended {
-                prev_fingerprint,
-                prev_units,
-                prefix_units,
-            }) if prefix_units > 0 => Some((prev_fingerprint, prev_units, prefix_units)),
-            _ => None,
-        };
+        let prefix = grown_from.filter(|prev| prev.prefix_units > 0);
         let mut out: Vec<Option<Arc<Vec<Value>>>> = vec![None; touched.len()];
         // Positions into `touched` that need a full raw scan.
         let mut missing: Vec<usize> = Vec::new();
@@ -56,16 +49,13 @@ impl PipelineBuilder<'_> {
             self.stats.span_begin(stage::CACHE_PROBE);
             let mut shared = 0u64;
             let mut shared_rows = 0u64;
-            // Revalidation verdict → the generations the cache may keep.
-            // Unchanged files keep the current one; grown files also the
-            // previous one (its prefix still serves); shrunk or edited
-            // files keep nothing, fold partials included.
-            let keep: &[(u64, u64)] = match freshness {
+            // Revalidation verdict → the generations the cache may keep:
+            // the current one, plus the previous one when the file grew
+            // (its prefix still serves). A rebuilt file's older generations
+            // all go.
+            let keep: &[(u64, u64)] = match grown_from {
                 None => &[fingerprint],
-                Some(Freshness::Extended {
-                    prev_fingerprint, ..
-                }) => &[prev_fingerprint, fingerprint],
-                Some(Freshness::Rebuilt) => &[],
+                Some(prev) => &[prev.fingerprint, fingerprint],
             };
             cache.retain_fingerprints(dataset, keep);
             for (i, &col) in touched.iter().enumerate() {
@@ -86,7 +76,7 @@ impl PipelineBuilder<'_> {
                         self.stats.cached_columns += 1;
                     }
                     Some((_, data, fp))
-                        if grown_info.is_some_and(|(pf, pu, _)| fp == pf && data.len() == pu) =>
+                        if prefix.is_some_and(|p| fp == p.fingerprint && data.len() == p.units) =>
                     {
                         // Old-generation replica over a grown file: the
                         // appended rows come from one shared tail scan
@@ -95,7 +85,7 @@ impl PipelineBuilder<'_> {
                         // other layouts decode only the proven prefix (byte
                         // spans of `Positions` replicas still point at
                         // unchanged bytes).
-                        let (_, _, prefix_units) = grown_info.expect("guard");
+                        let prefix_units = prefix.expect("guard").prefix_units;
                         let prefix = match &*data {
                             CachedData::Values(_) => {
                                 shared += 1;
@@ -116,14 +106,13 @@ impl PipelineBuilder<'_> {
         }
 
         if !grown.is_empty() {
-            let (_, _, prefix_units) = grown_info.expect("grown implies Extended");
-            let from = prefix_units;
+            let prev = prefix.expect("grown implies a prefix");
+            let from = prev.prefix_units;
             self.stats.span_begin(stage::SCAN);
             let cols: Vec<usize> = grown.iter().map(|&(i, _)| touched[i]).collect();
             let tails = self.scan_columns(plugin, &cols, from)?;
             self.stats.tail_rows_scanned += (nrows - from) as u64;
             self.stats.span_end();
-            let (prev_fingerprint, _, _) = grown_info.expect("grown implies Extended");
             for ((i, prefix), tail) in grown.into_iter().zip(tails) {
                 let cache = self.opts.cache.as_ref().expect("grown implies cache");
                 let field = &schema.fields()[touched[i]].name;
@@ -134,7 +123,7 @@ impl PipelineBuilder<'_> {
                     // is promoted to the current generation in the same
                     // step, so the next query is a plain full hit.
                     None => {
-                        match cache.extend_values(&key, prev_fingerprint, from, tail, fingerprint) {
+                        match cache.extend_values(&key, prev.fingerprint, from, tail, fingerprint) {
                             Some(full) => full,
                             // The replica vanished between probe and splice
                             // (concurrent eviction): re-read the whole column

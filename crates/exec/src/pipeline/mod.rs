@@ -93,9 +93,9 @@ mod shape;
 
 pub use options::JitOptions;
 
-use crate::catalog::SourceProvider;
+use crate::catalog::{QueryBinding, SourceProvider};
 use crate::stats::ExecStats;
-use crate::volcano::run_volcano;
+use crate::volcano::run_bound;
 use bind::PipelineBuilder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -190,13 +190,14 @@ fn execute(
     // `stats.codegen`; the rest of the query's wall time — cache probes,
     // raw scans, replica sync, slot encoding, the drive — is execution.
     let t0 = Instant::now();
-    let built = PipelineBuilder::new(catalog, opts, ctx, &mut stats).build(plan)?;
+    let binding = QueryBinding::new(catalog);
+    let built = PipelineBuilder::new(&binding, opts, ctx, &mut stats).build(plan)?;
     let Some(pipeline) = built else {
         // Whole-query fallback: shape outside the generated pipelines. The
         // declined lowering is the query's codegen time, Volcano its
-        // execution.
+        // execution, over the datasets this query already bound.
         stats.whole_query_fallbacks = 1;
-        let v = run_volcano(plan, catalog)?;
+        let v = run_bound(plan, &binding)?;
         stats.execution = t0.elapsed().saturating_sub(stats.codegen);
         return Ok((v, stats));
     };

@@ -10,17 +10,26 @@
 //! pipelines beyond the plugins, so agreement between the two is strong
 //! evidence for both.
 
-use crate::catalog::SourceProvider;
+use crate::catalog::{QueryBinding, SourceProvider};
 use vida_algebra::lower::UNIT_DATASET;
 use vida_algebra::Plan;
 use vida_lang::{eval, Bindings, Expr};
 use vida_types::{Result, Value, VidaError};
 
-/// Execute a plan with the interpreted engine.
+/// Execute a plan with the interpreted engine, reading each dataset at one
+/// file generation (re-stat'd once, through a per-query `QueryBinding`).
 pub fn run_volcano(plan: &Plan, catalog: &dyn SourceProvider) -> Result<Value> {
+    run_bound(plan, &QueryBinding::new(catalog))
+}
+
+/// [`run_volcano`] over a query's existing binding — the JIT executor's
+/// whole-query fallback, which must not re-stat what it already bound.
+pub(crate) fn run_bound(plan: &Plan, catalog: &QueryBinding) -> Result<Value> {
     // Datasets referenced by head/predicate sub-comprehensions need to be
     // available to the interpreter as whole values.
-    let env = materialize_referenced_datasets(plan, catalog)?;
+    let mut exprs: Vec<&Expr> = Vec::new();
+    collect_exprs(plan, &mut exprs);
+    let env = materialize_free_datasets(&exprs, &plan.bound_vars(), catalog)?;
     match plan {
         Plan::Reduce {
             input,
@@ -41,14 +50,6 @@ pub fn run_volcano(plan: &Plan, catalog: &dyn SourceProvider) -> Result<Value> {
     }
 }
 
-/// Collect free dataset names referenced in scalar expressions (nested
-/// comprehensions in heads/predicates) and materialize them.
-fn materialize_referenced_datasets(plan: &Plan, catalog: &dyn SourceProvider) -> Result<Bindings> {
-    let mut exprs: Vec<&Expr> = Vec::new();
-    collect_exprs(plan, &mut exprs);
-    materialize_free_datasets(&exprs, &plan.bound_vars(), catalog)
-}
-
 /// Materialize every free variable of `exprs` that is not plan-bound and
 /// resolves as a catalog dataset. Shared by both engines so their
 /// nested-comprehension semantics cannot drift.
@@ -61,11 +62,14 @@ pub(crate) fn materialize_free_datasets(
     for e in exprs {
         for name in e.free_vars() {
             if !bound.contains(&name) && !env.contains_key(&name) {
-                if let Ok(v) = catalog
-                    .plugin(&name)
-                    .and_then(|_| catalog.materialize(&name))
-                {
-                    env.insert(name, v);
+                match catalog.plugin(&name) {
+                    Ok(_) => {
+                        let v = catalog.materialize(&name)?;
+                        env.insert(name, v);
+                    }
+                    // Not a dataset: a name local to the comprehension.
+                    Err(VidaError::Catalog(_)) => {}
+                    Err(e) => return Err(e),
                 }
             }
         }

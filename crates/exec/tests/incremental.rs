@@ -22,23 +22,30 @@
 //! - **shrink safety** — truncating a file while its pages are mmap'd
 //!   must not let a later scan touch the defunct mapping (SIGBUS); the
 //!   re-stat at query description time reopens before any scan runs, and
-//!   the `--no-mmap` backing takes the identical protocol path.
+//!   the `--no-mmap` backing takes the identical protocol path;
+//! - **one generation per query** — a dataset read twice in one query (a
+//!   self-join) is re-stat'd once and read at one generation even when the
+//!   file grows mid-build, and a dataset read only by a nested
+//!   comprehension is re-stat'd like a scanned one, on both engines.
 
 mod common;
 
 use common::fixture_path;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vida_algebra::{rewrite, Plan};
+use vida_algebra::{lower, rewrite, Plan};
 use vida_cache::CacheManager;
-use vida_exec::{run_jit_with_stats, run_volcano, JitOptions, MemoryCatalog, SourceProvider};
+use vida_exec::{
+    run_jit, run_jit_with_stats, run_volcano, JitOptions, MemoryCatalog, SourceProvider,
+};
 use vida_formats::csv::CsvFile;
 use vida_formats::json::JsonFile;
 use vida_formats::plugin::{CsvPlugin, JsonPlugin};
-use vida_formats::MapMode;
-use vida_lang::Expr;
-use vida_types::{Monoid, PrimitiveMonoid, Schema, Type, Value};
+use vida_formats::{AccessStats, InputPlugin, MapMode, Revalidation};
+use vida_lang::{parse, Expr};
+use vida_types::{Monoid, PrimitiveMonoid, Result, Schema, Type, Value};
 
 // ---------------------------------------------------------------------------
 // Fixture: one table T(id, v) in either format. `v` is always two digits
@@ -382,5 +389,129 @@ fn truncation_while_resident_is_safe_on_both_backings() {
             "{mode_tag}: shrunk file from cache"
         );
         assert_eq!(cat.plugin("T").unwrap().num_units(), 3, "{mode_tag}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One generation per query
+// ---------------------------------------------------------------------------
+
+fn plan_of(q: &str) -> Plan {
+    rewrite(&lower(&parse(q).unwrap()).unwrap())
+}
+
+/// A CSV plugin over `path` that appends rows 3..5 to its file right after
+/// its first `revalidate` returns — a writer racing one query's build.
+struct AppendsAfterRevalidate {
+    inner: Arc<dyn InputPlugin>,
+    path: PathBuf,
+    calls: AtomicUsize,
+}
+
+impl InputPlugin for AppendsAfterRevalidate {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn num_units(&self) -> usize {
+        self.inner.num_units()
+    }
+
+    fn read_field(&self, row: usize, col: usize) -> Result<Value> {
+        self.inner.read_field(row, col)
+    }
+
+    fn scan_project_range(
+        &self,
+        cols: &[usize],
+        rows: std::ops::Range<usize>,
+        f: &mut dyn FnMut(usize, Vec<Value>) -> Result<()>,
+    ) -> Result<()> {
+        self.inner.scan_project_range(cols, rows, f)
+    }
+
+    fn stats(&self) -> Arc<AccessStats> {
+        self.inner.stats()
+    }
+
+    fn fingerprint(&self) -> (u64, u64) {
+        self.inner.fingerprint()
+    }
+
+    fn revalidate(&self) -> Result<Revalidation> {
+        let verdict = self.inner.revalidate();
+        if self.calls.fetch_add(1, Ordering::SeqCst) == 0 {
+            append(&self.path, &csv_rows(3, 5, false));
+        }
+        verdict
+    }
+
+    fn field_cost_factor(&self, col: usize) -> f64 {
+        self.inner.field_cost_factor(col)
+    }
+
+    fn raw_bytes(&self) -> usize {
+        self.inner.raw_bytes()
+    }
+}
+
+/// A self-join reads its dataset twice while the query is built. The file
+/// grows between the two reads, and both must still see the 3-row
+/// generation the first re-stat fixed: 3 × 3 pairs, one re-stat, 6 tuples.
+/// Before the per-query binding, the second read re-stat'd and joined 3
+/// rows against 5 (`Int(15)`, 2 re-stats, 8 tuples).
+#[test]
+fn each_dataset_is_read_at_one_generation_per_query() {
+    let path = fixture_path("one_generation", "T.csv");
+    std::fs::write(&path, csv_rows(0, 3, false)).unwrap();
+    let plugin = Arc::new(AppendsAfterRevalidate {
+        inner: open_plugin("csv", &path, MapMode::Auto),
+        path: path.clone(),
+        calls: AtomicUsize::new(0),
+    });
+    let cat = MemoryCatalog::new();
+    cat.register(Arc::clone(&plugin) as Arc<dyn InputPlugin>);
+    let plan = plan_of("for { p <- T, q <- T } yield count p");
+    let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
+    assert_eq!(v, Value::Int(9));
+    assert_eq!(
+        plugin.calls.load(Ordering::SeqCst),
+        1,
+        "one re-stat per query"
+    );
+    assert_eq!(stats.tuples_scanned, 6, "{stats:?}");
+}
+
+/// A dataset read only by a nested comprehension is re-stat'd like a
+/// scanned one: after an append to `P`, both engines count the new rows,
+/// on both backings. Before the per-query binding only scans re-stat'd,
+/// so both returned the stale `Int(3)`.
+#[test]
+fn nested_comprehension_datasets_see_appends() {
+    let plan = plan_of("for { g <- G } yield sum (for { p <- P } yield count p)");
+    for (mode, mode_tag) in [(MapMode::Auto, "mmap"), (MapMode::Never, "nommap")] {
+        for engine in ["jit", "volcano"] {
+            let tag = format!("nested_{mode_tag}_{engine}");
+            let open = |name: &str, rows: i64| -> Arc<dyn InputPlugin> {
+                let path = fixture_path(&tag, &format!("{name}.csv"));
+                std::fs::write(&path, csv_rows(0, rows, false)).unwrap();
+                let file = CsvFile::open_with(name, &path, b',', true, schema(), mode).unwrap();
+                Arc::new(CsvPlugin::new(file))
+            };
+            let cat = MemoryCatalog::new();
+            cat.register(open("G", 1));
+            cat.register(open("P", 3));
+            let run = |cat: &MemoryCatalog| match engine {
+                "jit" => run_jit(&plan, cat, &JitOptions::default()).unwrap(),
+                _ => run_volcano(&plan, cat).unwrap(),
+            };
+            assert_eq!(run(&cat), Value::Int(3), "{engine} [{mode_tag}]");
+            append(&fixture_path(&tag, "P.csv"), &csv_rows(3, 5, false));
+            assert_eq!(run(&cat), Value::Int(5), "{engine} [{mode_tag}]: stale P");
+        }
     }
 }

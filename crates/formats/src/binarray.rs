@@ -13,11 +13,11 @@
 //!
 //! All multi-byte values are little-endian; data is row-major.
 
-use crate::csv::FileRefresh;
+use crate::plugin::FileIndex;
 use crate::stats::AccessStats;
 use std::path::Path;
 use std::sync::Arc;
-use vida_io::{MapMode, RawData};
+use vida_io::{MapMode, RawFile};
 use vida_types::{Result, Schema, Type, Value, VidaError};
 
 const MAGIC: &[u8; 8] = b"VIDARR01";
@@ -94,20 +94,15 @@ pub fn encode_array(elem: ElemType, dims: &[usize], data: &[Value]) -> Result<Ve
 /// A binary array file opened for querying.
 pub struct ArrayFile {
     name: String,
-    /// Raw bytes, memory-mapped when opened from disk with an owned-buffer
-    /// fallback. Binary formats benefit doubly: elements decode straight
-    /// from the mapped pages with no copy at all.
-    data: RawData,
+    /// Raw bytes with their fingerprint and origin, memory-mapped when
+    /// opened from disk with an owned-buffer fallback. Binary formats
+    /// benefit doubly: elements decode straight from the mapped pages with
+    /// no copy at all.
+    raw: RawFile,
     elem: ElemType,
     dims: Vec<usize>,
     data_offset: usize,
     stats: Arc<AccessStats>,
-    /// `(file length, mtime nanoseconds)` captured at open/revalidation
-    /// time — the staleness token the cache compares replicas against.
-    fingerprint: (u64, u64),
-    /// Where the bytes came from, kept so [`ArrayFile::revalidate`] can
-    /// re-stat and reopen. `None` for in-memory constructions.
-    origin: Option<(std::path::PathBuf, MapMode)>,
 }
 
 impl ArrayFile {
@@ -118,40 +113,14 @@ impl ArrayFile {
     /// [`ArrayFile::open`] with an explicit backing policy
     /// ([`MapMode::Never`] is the `--no-mmap` escape hatch).
     pub fn open_with(name: impl Into<String>, path: &Path, mode: MapMode) -> Result<Self> {
-        let data = RawData::open_with(path, mode)?;
-        let fingerprint = vida_io::file_fingerprint(path)?;
-        let mut f = Self::from_raw(name.into(), data)?;
-        f.fingerprint = fingerprint;
-        f.origin = Some((path.to_path_buf(), mode));
-        Ok(f)
-    }
-
-    /// Re-stat the backing file and rebuild on any change. Arrays fix their
-    /// dims in the header, so there is no append-extension fast path: a
-    /// grown file means a rewritten header and a fresh index is as cheap as
-    /// an extension would be (the header parse is O(rank)). In-memory files
-    /// are always `Unchanged`.
-    pub fn revalidate(&self) -> Result<FileRefresh<ArrayFile>> {
-        let Some((path, mode)) = &self.origin else {
-            return Ok(FileRefresh::Unchanged);
-        };
-        let current = vida_io::file_fingerprint(path)?;
-        if current == self.fingerprint {
-            return Ok(FileRefresh::Unchanged);
-        }
-        let data = RawData::open_with(path, *mode)?;
-        let mut file = Self::from_raw(self.name.clone(), data)?;
-        file.fingerprint = current;
-        file.origin = self.origin.clone();
-        file.stats = Arc::clone(&self.stats);
-        Ok(FileRefresh::Rebuilt { file })
+        Self::from_raw(name.into(), RawFile::open(path, mode)?)
     }
 
     pub fn from_bytes(name: impl Into<String>, data: Vec<u8>) -> Result<Self> {
-        Self::from_raw(name.into(), RawData::from_vec(data))
+        Self::from_raw(name.into(), RawFile::from_vec(data))
     }
 
-    fn from_raw(name: String, data: RawData) -> Result<Self> {
+    fn from_raw(name: String, data: RawFile) -> Result<Self> {
         if data.len() < 16 || &data[0..8] != MAGIC {
             return Err(VidaError::format(&name, "bad magic (not a VIDARR01 file)"));
         }
@@ -178,16 +147,13 @@ impl ArrayFile {
                 ),
             ));
         }
-        let fingerprint = (data.len() as u64, 0);
         Ok(ArrayFile {
             name,
-            data,
+            raw: data,
             elem,
             dims,
             data_offset,
             stats: Arc::new(AccessStats::new()),
-            fingerprint,
-            origin: None,
         })
     }
 
@@ -215,18 +181,14 @@ impl ArrayFile {
         Arc::clone(&self.stats)
     }
 
-    pub fn fingerprint(&self) -> (u64, u64) {
-        self.fingerprint
-    }
-
     pub fn raw_bytes(&self) -> usize {
-        self.data.len()
+        self.raw.len()
     }
 
     /// Whether the raw bytes are backed by a shared file mapping (vs an
     /// owned copy).
     pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
+        self.raw.is_mapped()
     }
 
     /// The dataset schema when the array is viewed as a relation: one `int`
@@ -241,7 +203,7 @@ impl ArrayFile {
 
     fn decode_at(&self, flat: usize) -> Value {
         let off = self.data_offset + flat * 8;
-        let bytes: [u8; 8] = self.data[off..off + 8].try_into().unwrap();
+        let bytes: [u8; 8] = self.raw[off..off + 8].try_into().unwrap();
         match self.elem {
             ElemType::I64 => Value::Int(i64::from_le_bytes(bytes)),
             ElemType::F64 => Value::Float(f64::from_le_bytes(bytes)),
@@ -350,6 +312,21 @@ impl ArrayFile {
             dims: self.dims.clone(),
             data,
         }
+    }
+}
+
+/// Arrays fix their dims in the header, so growth takes the default
+/// re-index: a grown file means a rewritten header, and a fresh index is as
+/// cheap as an extension would be (the header parse is O(rank)).
+impl FileIndex for ArrayFile {
+    fn raw(&self) -> &RawFile {
+        &self.raw
+    }
+
+    fn reindex(&self, raw: RawFile) -> Result<Self> {
+        let mut file = Self::from_raw(self.name.clone(), raw)?;
+        file.stats = Arc::clone(&self.stats);
+        Ok(file)
     }
 }
 

@@ -12,12 +12,13 @@
 //! adaptive, query-driven behaviour the paper advocates — never as an
 //! up-front pass.
 
+use crate::plugin::FileIndex;
 use crate::stats::AccessStats;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use vida_io::{bom_len, CsvTokenizer, MapMode, RawData};
+use vida_io::{bom_len, CsvTokenizer, MapMode, RawFile};
 use vida_types::{Result, Schema, Type, Value, VidaError};
 
 /// Sentinel for "offset unknown" inside positional map columns.
@@ -86,33 +87,13 @@ impl PosMap {
     }
 }
 
-/// Outcome of re-statting a disk-backed input at query description time.
-///
-/// `T` is the refreshed reader (`CsvFile`, `JsonFile`, `ArrayFile`). The
-/// original reader is never mutated — in-flight queries keep their `Arc`s —
-/// the caller swaps the replacement into its catalog.
-#[derive(Debug)]
-pub enum FileRefresh<T> {
-    /// Fingerprint unchanged (or the reader is not file-backed): keep
-    /// serving the existing reader and its caches.
-    Unchanged,
-    /// The file grew and the old bytes are a byte-prefix of the new
-    /// mapping: `file` was built incrementally (positional structures
-    /// extended over the appended tail only), and cached structures
-    /// covering the first `prefix_units` retrieval units of the *old*
-    /// fingerprint remain valid.
-    Extended { file: T, prefix_units: usize },
-    /// The file shrank or was edited in place: `file` is a full rebuild
-    /// and everything cached under the old fingerprint is stale.
-    Rebuilt { file: T },
-}
-
 /// A CSV file opened for in-situ querying.
 pub struct CsvFile {
     name: String,
-    /// Raw bytes, memory-mapped when opened from disk (scan workers then
-    /// share one set of pages) with an owned-buffer fallback.
-    data: RawData,
+    /// Raw bytes with their fingerprint and origin, memory-mapped when
+    /// opened from disk (scan workers then share one set of pages) with an
+    /// owned-buffer fallback.
+    raw: RawFile,
     /// The shared quote-aware tokenizer: record/field structure has exactly
     /// one implementation (`vida_io::CsvTokenizer`), used by the row index
     /// build, field location, and schema inference alike.
@@ -125,11 +106,6 @@ pub struct CsvFile {
     posmap: PosMap,
     header: bool,
     stats: Arc<AccessStats>,
-    /// (file length, mtime nanoseconds) — cache invalidation fingerprint.
-    fingerprint: (u64, u64),
-    /// Where the bytes came from, when disk-backed: what
-    /// [`CsvFile::revalidate`] re-stats and reopens.
-    origin: Option<(std::path::PathBuf, MapMode)>,
 }
 
 impl CsvFile {
@@ -154,12 +130,8 @@ impl CsvFile {
         schema: Schema,
         mode: MapMode,
     ) -> Result<Self> {
-        let data = RawData::open_with(path, mode)?;
-        let fingerprint = vida_io::file_fingerprint(path)?;
-        let mut f = Self::from_raw(name.into(), data, delimiter, header, schema)?;
-        f.fingerprint = fingerprint;
-        f.origin = Some((path.to_path_buf(), mode));
-        Ok(f)
+        let raw = RawFile::open(path, mode)?;
+        Self::from_raw(name.into(), raw, delimiter, header, schema)
     }
 
     /// Open from an in-memory byte buffer (tests, generated workloads).
@@ -172,7 +144,7 @@ impl CsvFile {
     ) -> Result<Self> {
         Self::from_raw(
             name.into(),
-            RawData::from_vec(data),
+            RawFile::from_vec(data),
             delimiter,
             header,
             schema,
@@ -181,7 +153,7 @@ impl CsvFile {
 
     fn from_raw(
         name: String,
-        data: RawData,
+        data: RawFile,
         delimiter: u8,
         header: bool,
         schema: Schema,
@@ -210,118 +182,17 @@ impl CsvFile {
             });
         }
         rows.push(data.len() as u32);
-        let fingerprint = (data.len() as u64, 0);
         let posmap = PosMap::new(schema.len());
         Ok(CsvFile {
             name,
-            data,
+            raw: data,
             tok,
             schema,
             rows,
             posmap,
             header,
             stats: Arc::new(AccessStats::new()),
-            fingerprint,
-            origin: None,
         })
-    }
-
-    /// Re-stat the backing file (when disk-backed) and build a refreshed
-    /// reader if it changed — the query-description-time revalidation hook.
-    ///
-    /// Growth with the old bytes still a prefix of the new mapping (checked
-    /// cheaply via [`vida_io::prefix_matches`]) re-tokenizes **only** from
-    /// the start of the last old row: the row index and the learned
-    /// positional-map offsets for every earlier row are carried over
-    /// verbatim. Anything else — shrink, in-place edit, prefix mismatch —
-    /// reopens and re-indexes from scratch; the old mapping is never
-    /// dereferenced past the newly-statted length, so a truncated file
-    /// cannot SIGBUS the revalidation itself.
-    pub fn revalidate(&self) -> Result<FileRefresh<CsvFile>> {
-        let Some((path, mode)) = &self.origin else {
-            return Ok(FileRefresh::Unchanged);
-        };
-        let current = vida_io::file_fingerprint(path)?;
-        if current == self.fingerprint {
-            return Ok(FileRefresh::Unchanged);
-        }
-        let data = RawData::open_with(path, *mode)?;
-        let grown = data.len() as u64 == current.0 && current.0 > self.fingerprint.0;
-        if grown && vida_io::prefix_matches(&self.data, &data) {
-            let (file, prefix_units) = self.extend_from(data, current);
-            return Ok(FileRefresh::Extended { file, prefix_units });
-        }
-        let mut file = Self::from_raw(
-            self.name.clone(),
-            data,
-            self.tok.delimiter(),
-            self.header,
-            self.schema.clone(),
-        )?;
-        file.fingerprint = current;
-        file.origin = self.origin.clone();
-        file.stats = Arc::clone(&self.stats);
-        Ok(FileRefresh::Rebuilt { file })
-    }
-
-    /// Build the incrementally-extended reader over `data` (the grown
-    /// mapping whose prefix equals the old bytes). Returns the reader and
-    /// the number of leading retrieval units whose byte spans are unchanged.
-    ///
-    /// Only the last old row is re-tokenized: it may have lacked a trailing
-    /// newline or carried an unterminated quote, in which case appended
-    /// bytes extend *it* rather than starting a new row. Rows before it can
-    /// never be affected by appended bytes (an unterminated quote always
-    /// belongs to the final row by construction).
-    fn extend_from(&self, data: RawData, fingerprint: (u64, u64)) -> (CsvFile, usize) {
-        let n = self.num_rows();
-        let old_len = self.data.len();
-        let mut rows: Vec<u32>;
-        let rescan_from = if n == 0 {
-            // No old data rows (empty or header-only file): index from the
-            // top, exactly like a cold build.
-            rows = Vec::new();
-            let mut pos = bom_len(&data);
-            if self.header {
-                pos = self.tok.record_end(&data, pos);
-            }
-            pos
-        } else {
-            rows = self.rows[..n - 1].to_vec();
-            self.rows[n - 1] as usize
-        };
-        if rescan_from < data.len() {
-            rows.push(rescan_from as u32);
-            self.tok.scan_record_ends(&data, rescan_from, &mut |end| {
-                if end < data.len() {
-                    rows.push(end as u32);
-                }
-            });
-        }
-        rows.push(data.len() as u32);
-        let num_rows = rows.len() - 1;
-        // The last old row survives intact iff the re-tokenization still
-        // ends it exactly at the old end-of-data (i.e. the appended bytes
-        // started a fresh row rather than extending it).
-        let prefix_units = if n > 0 && rows.get(n) == Some(&(old_len as u32)) {
-            n
-        } else {
-            n.saturating_sub(1)
-        };
-        let posmap = self.posmap.extended(prefix_units, num_rows);
-        let file = CsvFile {
-            name: self.name.clone(),
-            data,
-            tok: self.tok,
-            schema: self.schema.clone(),
-            rows,
-            posmap,
-            header: self.header,
-            stats: Arc::clone(&self.stats),
-            fingerprint,
-            origin: self.origin.clone(),
-        };
-        (file, prefix_units)
     }
 
     pub fn name(&self) -> &str {
@@ -340,19 +211,15 @@ impl CsvFile {
         Arc::clone(&self.stats)
     }
 
-    pub fn fingerprint(&self) -> (u64, u64) {
-        self.fingerprint
-    }
-
     /// Approximate raw size in bytes (the whole file).
     pub fn raw_bytes(&self) -> usize {
-        self.data.len()
+        self.raw.len()
     }
 
     /// Whether the raw bytes are backed by a shared file mapping (vs an
     /// owned copy).
     pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
+        self.raw.is_mapped()
     }
 
     /// Start offsets of every data row plus a final end-of-data entry —
@@ -386,7 +253,7 @@ impl CsvFile {
         let start = self.rows[row] as usize;
         let mut end = self.rows[row + 1] as usize;
         // Trim the trailing newline (and CR) of this row.
-        while end > start && (self.data[end - 1] == b'\n' || self.data[end - 1] == b'\r') {
+        while end > start && (self.raw[end - 1] == b'\n' || self.raw[end - 1] == b'\r') {
             end -= 1;
         }
         Ok((start, end))
@@ -429,7 +296,7 @@ impl CsvFile {
         // via the shared tokenizer.
         let off = match self
             .tok
-            .skip_fields(&self.data, cur_off, row_end, col - cur_col)
+            .skip_fields(&self.raw, cur_off, row_end, col - cur_col)
         {
             Ok(off) => off,
             Err(found) => {
@@ -454,7 +321,7 @@ impl CsvFile {
     /// `""` inside a quoted field is an escaped literal quote, not the
     /// closing one).
     fn field_end(&self, start: usize, row_end: usize) -> usize {
-        self.tok.field_end(&self.data, start, row_end)
+        self.tok.field_end(&self.raw, start, row_end)
     }
 
     /// Byte span of the raw text of `(row, col)` — the positions-only cache
@@ -475,7 +342,7 @@ impl CsvFile {
     /// tokenizing), then one field parse.
     pub fn parse_field_span(&self, col: usize, span: (usize, usize)) -> Result<Value> {
         let (start, end) = span;
-        if col >= self.schema.len() || start > end || end > self.data.len() {
+        if col >= self.schema.len() || start > end || end > self.raw.len() {
             return Err(VidaError::format(
                 &self.name,
                 format!("bad span ({start}, {end}) for column {col}"),
@@ -485,7 +352,7 @@ impl CsvFile {
         self.stats.add_bytes_parsed((end - start) as u64);
         self.stats.add_fields_parsed(1);
         parse_field(
-            &self.data[start..end],
+            &self.raw[start..end],
             &self.schema.fields()[col].ty,
             &self.name,
         )
@@ -502,7 +369,7 @@ impl CsvFile {
         let (start, end) = self.locate_field(row, col)?;
         self.stats.add_bytes_parsed((end - start) as u64);
         self.stats.add_fields_parsed(1);
-        let text = &self.data[start..end];
+        let text = &self.raw[start..end];
         parse_field(text, &self.schema.fields()[col].ty, &self.name)
     }
 
@@ -565,6 +432,79 @@ impl CsvFile {
             f(row, delivered)?;
         }
         Ok(())
+    }
+}
+
+impl FileIndex for CsvFile {
+    fn raw(&self) -> &RawFile {
+        &self.raw
+    }
+
+    fn reindex(&self, raw: RawFile) -> Result<Self> {
+        let mut file = Self::from_raw(
+            self.name.clone(),
+            raw,
+            self.tok.delimiter(),
+            self.header,
+            self.schema.clone(),
+        )?;
+        file.stats = Arc::clone(&self.stats);
+        Ok(file)
+    }
+
+    /// Re-tokenize only from the start of the last old row: the row index
+    /// and the learned positional-map offsets of every earlier row carry
+    /// over verbatim. The last old row may have lacked a trailing newline
+    /// or carried an unterminated quote, in which case appended bytes
+    /// extend *it* rather than starting a new row; rows before it can never
+    /// be affected (an unterminated quote always belongs to the final row).
+    fn extend(&self, data: RawFile) -> Result<(Self, Option<usize>)> {
+        let n = self.num_rows();
+        let old_len = self.raw.len();
+        let mut rows: Vec<u32>;
+        let rescan_from = if n == 0 {
+            // No old data rows (empty or header-only file): index from the
+            // top, exactly like a cold build.
+            rows = Vec::new();
+            let mut pos = bom_len(&data);
+            if self.header {
+                pos = self.tok.record_end(&data, pos);
+            }
+            pos
+        } else {
+            rows = self.rows[..n - 1].to_vec();
+            self.rows[n - 1] as usize
+        };
+        if rescan_from < data.len() {
+            rows.push(rescan_from as u32);
+            self.tok.scan_record_ends(&data, rescan_from, &mut |end| {
+                if end < data.len() {
+                    rows.push(end as u32);
+                }
+            });
+        }
+        rows.push(data.len() as u32);
+        let num_rows = rows.len() - 1;
+        // The last old row survives intact iff the re-tokenization still
+        // ends it exactly at the old end-of-data (i.e. the appended bytes
+        // started a fresh row rather than extending it).
+        let prefix_units = if n > 0 && rows.get(n) == Some(&(old_len as u32)) {
+            n
+        } else {
+            n.saturating_sub(1)
+        };
+        let posmap = self.posmap.extended(prefix_units, num_rows);
+        let file = CsvFile {
+            name: self.name.clone(),
+            raw: data,
+            tok: self.tok,
+            schema: self.schema.clone(),
+            rows,
+            posmap,
+            header: self.header,
+            stats: Arc::clone(&self.stats),
+        };
+        Ok((file, Some(prefix_units)))
     }
 }
 
@@ -745,6 +685,7 @@ fn infer_one(field: &[u8]) -> InferredTy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plugin::{CsvPlugin, InputPlugin, Revalidation};
 
     fn sample() -> CsvFile {
         let data =
@@ -824,8 +765,8 @@ mod tests {
         let (s0, e0) = f.unit_byte_span(0).unwrap();
         let (s1, _) = f.unit_byte_span(1).unwrap();
         assert_eq!(e0, s1);
-        assert_eq!(f.data[e0 - 1], b'\n');
-        assert_eq!(&f.data[s0..s0 + 2], b"1,");
+        assert_eq!(f.raw[e0 - 1], b'\n');
+        assert_eq!(&f.raw[s0..s0 + 2], b"1,");
         assert!(f.unit_byte_span(99).is_none());
     }
 
@@ -927,7 +868,7 @@ mod tests {
         )
         .unwrap();
         let span = f.field_byte_span(0, 1).unwrap();
-        assert_eq!(&f.data[span.0..span.1], b"\"a\"\"b\"");
+        assert_eq!(&f.raw[span.0..span.1], b"\"a\"\"b\"");
         assert_eq!(f.parse_field_span(1, span).unwrap(), Value::str("a\"b"));
         let span = f.field_byte_span(1, 1).unwrap();
         assert_eq!(f.parse_field_span(1, span).unwrap(), Value::str("plain"));
@@ -1158,26 +1099,28 @@ mod tests {
         fh.write_all(bytes).unwrap();
     }
 
+    /// A disk-backed CSV plugin over `path` (revalidation is a plugin
+    /// verdict).
+    fn open_plugin(path: &std::path::Path, schema: &Schema) -> CsvPlugin {
+        CsvPlugin::new(CsvFile::open("T", path, b',', true, schema.clone()).unwrap())
+    }
+
     #[test]
     fn revalidate_extends_on_append_and_rebuilds_on_edit() {
         let path = temp_csv("grow.csv", b"id,age\n1,64\n2,31\n");
         let schema = Schema::from_pairs([("id", Type::Int), ("age", Type::Int)]);
-        let f = CsvFile::open("T", &path, b',', true, schema.clone()).unwrap();
-        assert_eq!(f.num_rows(), 2);
+        let f = open_plugin(&path, &schema);
+        assert_eq!(f.num_units(), 2);
         f.read_field(1, 1).unwrap(); // teach the positional map an offset
-        assert!(matches!(f.revalidate().unwrap(), FileRefresh::Unchanged));
+        assert!(matches!(f.revalidate().unwrap(), Revalidation::Unchanged));
 
         append(&path, b"3,77\n4,12\n");
-        let FileRefresh::Extended {
-            file: g,
-            prefix_units,
-        } = f.revalidate().unwrap()
-        else {
+        let Revalidation::Extended { plugin: g, prev } = f.revalidate().unwrap() else {
             panic!("append must extend");
         };
         // Old file ended in a newline, so every old row survives.
-        assert_eq!(prefix_units, 2);
-        assert_eq!(g.num_rows(), 4);
+        assert_eq!(prev.prefix_units, 2);
+        assert_eq!(g.num_units(), 4);
         assert_eq!(g.read_field(0, 0).unwrap(), Value::Int(1));
         assert_eq!(g.read_field(3, 1).unwrap(), Value::Int(12));
         // The learned offset rode along: re-reading (1, 1) is an exact hit.
@@ -1186,23 +1129,23 @@ mod tests {
         assert!(g.stats().snapshot().posmap_hits > before);
         // The extended index matches a cold build of the same bytes.
         let cold = CsvFile::open("T", &path, b',', true, schema.clone()).unwrap();
-        assert_eq!(g.unit_offsets(), cold.unit_offsets());
+        assert_eq!(g.unit_offsets(), Some(cold.unit_offsets()));
 
         // An in-place edit (same length as the original prefix region, new
         // content) must trigger a full rebuild, not an extension.
         std::fs::write(&path, b"id,age\n9,99\n8,88\n7,77\n").unwrap();
-        let FileRefresh::Rebuilt { file: h } = g.revalidate().unwrap() else {
+        let Revalidation::Rebuilt { plugin: h } = g.revalidate().unwrap() else {
             panic!("edit must rebuild");
         };
-        assert_eq!(h.num_rows(), 3);
+        assert_eq!(h.num_units(), 3);
         assert_eq!(h.read_field(0, 1).unwrap(), Value::Int(99));
 
         // A truncation must also rebuild — without touching old pages.
         std::fs::write(&path, b"id,age\n5,50\n").unwrap();
-        let FileRefresh::Rebuilt { file: t } = h.revalidate().unwrap() else {
+        let Revalidation::Rebuilt { plugin: t } = h.revalidate().unwrap() else {
             panic!("shrink must rebuild");
         };
-        assert_eq!(t.num_rows(), 1);
+        assert_eq!(t.num_units(), 1);
         assert_eq!(t.read_field(0, 0).unwrap(), Value::Int(5));
         let _ = std::fs::remove_file(&path);
     }
@@ -1214,22 +1157,18 @@ mod tests {
         // prefix.
         let path = temp_csv("ragged.csv", b"a,b\n1,2\n3,4");
         let schema = Schema::from_pairs([("a", Type::Int), ("b", Type::Int)]);
-        let f = CsvFile::open("T", &path, b',', true, schema.clone()).unwrap();
-        assert_eq!(f.num_rows(), 2);
+        let f = open_plugin(&path, &schema);
+        assert_eq!(f.num_units(), 2);
         append(&path, b"5\n6,7\n");
-        let FileRefresh::Extended {
-            file: g,
-            prefix_units,
-        } = f.revalidate().unwrap()
-        else {
+        let Revalidation::Extended { plugin: g, prev } = f.revalidate().unwrap() else {
             panic!("append must extend");
         };
-        assert_eq!(prefix_units, 1, "glued-onto row is not prefix-valid");
-        assert_eq!(g.num_rows(), 3);
+        assert_eq!(prev.prefix_units, 1, "glued-onto row is not prefix-valid");
+        assert_eq!(g.num_units(), 3);
         assert_eq!(g.read_field(1, 1).unwrap(), Value::Int(45));
         assert_eq!(g.read_field(2, 1).unwrap(), Value::Int(7));
         let cold = CsvFile::open("T", &path, b',', true, schema).unwrap();
-        assert_eq!(g.unit_offsets(), cold.unit_offsets());
+        assert_eq!(g.unit_offsets(), Some(cold.unit_offsets()));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1238,18 +1177,14 @@ mod tests {
         let schema = Schema::from_pairs([("a", Type::Int), ("b", Type::Int)]);
         // Header-only: zero old rows, append creates the first ones.
         let path = temp_csv("headeronly.csv", b"a,b\n");
-        let f = CsvFile::open("T", &path, b',', true, schema.clone()).unwrap();
-        assert_eq!(f.num_rows(), 0);
+        let f = open_plugin(&path, &schema);
+        assert_eq!(f.num_units(), 0);
         append(&path, b"1,2\n3,4\n");
-        let FileRefresh::Extended {
-            file: g,
-            prefix_units,
-        } = f.revalidate().unwrap()
-        else {
+        let Revalidation::Extended { plugin: g, prev } = f.revalidate().unwrap() else {
             panic!("append must extend");
         };
-        assert_eq!(prefix_units, 0);
-        assert_eq!(g.num_rows(), 2);
+        assert_eq!(prev.prefix_units, 0);
+        assert_eq!(g.num_units(), 2);
         assert_eq!(g.read_field(1, 0).unwrap(), Value::Int(3));
         let _ = std::fs::remove_file(&path);
     }

@@ -14,7 +14,7 @@
 //! avoidance strategy (§5, Figure 4 layout (d)); [`JsonFile::field_span`]
 //! provides exactly those positions.
 
-use crate::csv::FileRefresh;
+use crate::plugin::FileIndex;
 use crate::stats::AccessStats;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -22,16 +22,17 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vida_io::json::{next_composite_special, next_record_boundary, next_string_special};
-use vida_io::{bom_len, MapMode, RawData};
+use vida_io::{bom_len, MapMode, RawFile};
 use vida_types::sync::RwLock;
 use vida_types::{CollectionKind, Result, Schema, Value, VidaError};
 
 /// A newline-delimited JSON file opened for in-situ querying.
 pub struct JsonFile {
     name: String,
-    /// Raw bytes, memory-mapped when opened from disk (scan workers then
-    /// share one set of pages) with an owned-buffer fallback.
-    data: RawData,
+    /// Raw bytes with their fingerprint and origin, memory-mapped when
+    /// opened from disk (scan workers then share one set of pages) with an
+    /// owned-buffer fallback.
+    raw: RawFile,
     /// Byte span (start, end-exclusive) of each top-level object.
     objects: Vec<(u32, u32)>,
     /// field name -> per-object value spans. Spans are packed `(start <<
@@ -43,12 +44,6 @@ pub struct JsonFile {
     semi_index: RwLock<BTreeMap<String, Arc<[AtomicU64]>>>,
     schema: Schema,
     stats: Arc<AccessStats>,
-    /// `(file length, mtime nanoseconds)` captured at open/revalidation
-    /// time — the staleness token the cache compares replicas against.
-    fingerprint: (u64, u64),
-    /// Where the bytes came from, kept so [`JsonFile::revalidate`] can
-    /// re-stat and reopen. `None` for in-memory constructions.
-    origin: Option<(std::path::PathBuf, MapMode)>,
 }
 
 /// Packed "span unknown" sentinel.
@@ -64,6 +59,18 @@ fn unpack_span(packed: u64) -> Option<(usize, usize)> {
     (packed != NO_SPAN).then_some(((packed >> 32) as usize, (packed & 0xFFFF_FFFF) as usize))
 }
 
+/// Append the span of every non-blank NDJSON line of `data` from `pos` on.
+fn index_objects(data: &[u8], mut pos: usize, objects: &mut Vec<(u32, u32)>) {
+    while pos < data.len() {
+        let end = next_record_boundary(data, pos).unwrap_or(data.len());
+        let line = &data[pos..end];
+        if !line.iter().all(|b| b.is_ascii_whitespace()) {
+            objects.push((pos as u32, end as u32));
+        }
+        pos = end + 1;
+    }
+}
+
 impl JsonFile {
     pub fn open(name: impl Into<String>, path: &Path, schema: Schema) -> Result<Self> {
         Self::open_with(name, path, schema, MapMode::Auto)
@@ -77,130 +84,25 @@ impl JsonFile {
         schema: Schema,
         mode: MapMode,
     ) -> Result<Self> {
-        let data = RawData::open_with(path, mode)?;
-        let fingerprint = vida_io::file_fingerprint(path)?;
-        let mut f = Self::from_raw(name.into(), data, schema)?;
-        f.fingerprint = fingerprint;
-        f.origin = Some((path.to_path_buf(), mode));
-        Ok(f)
+        Self::from_raw(name.into(), RawFile::open(path, mode)?, schema)
     }
 
     pub fn from_bytes(name: impl Into<String>, data: Vec<u8>, schema: Schema) -> Result<Self> {
-        Self::from_raw(name.into(), RawData::from_vec(data), schema)
+        Self::from_raw(name.into(), RawFile::from_vec(data), schema)
     }
 
-    fn from_raw(name: String, data: RawData, schema: Schema) -> Result<Self> {
-        let mut objects = Vec::new();
+    fn from_raw(name: String, raw: RawFile, schema: Schema) -> Result<Self> {
         // Skip a UTF-8 BOM so it never becomes part of the first record.
-        let mut pos = bom_len(&data);
-        while pos < data.len() {
-            let end = next_record_boundary(&data, pos).unwrap_or(data.len());
-            let line = &data[pos..end];
-            if !line.iter().all(|b| b.is_ascii_whitespace()) {
-                objects.push((pos as u32, end as u32));
-            }
-            pos = end + 1;
-        }
-        let fingerprint = (data.len() as u64, 0);
+        let mut objects = Vec::new();
+        index_objects(&raw, bom_len(&raw), &mut objects);
         Ok(JsonFile {
             name,
-            data,
+            raw,
             objects,
             semi_index: RwLock::new(BTreeMap::new()),
             schema,
             stats: Arc::new(AccessStats::new()),
-            fingerprint,
-            origin: None,
         })
-    }
-
-    /// Re-stat the backing file and report how it changed since this
-    /// reader was built. Pure appends come back as
-    /// [`FileRefresh::Extended`] with a replacement reader whose object
-    /// index and semi-index were extended over only the appended tail;
-    /// any other change rebuilds from scratch. In-memory files are always
-    /// `Unchanged`.
-    pub fn revalidate(&self) -> Result<FileRefresh<JsonFile>> {
-        let Some((path, mode)) = &self.origin else {
-            return Ok(FileRefresh::Unchanged);
-        };
-        let current = vida_io::file_fingerprint(path)?;
-        if current == self.fingerprint {
-            return Ok(FileRefresh::Unchanged);
-        }
-        // Reopen first: a shrunk file must never be probed through the old
-        // mapping (pages past the new EOF raise SIGBUS).
-        let data = RawData::open_with(path, *mode)?;
-        let grown = data.len() as u64 == current.0 && current.0 > self.fingerprint.0;
-        if grown && vida_io::prefix_matches(&self.data, &data) {
-            let (file, prefix_units) = self.extend_from(data, current);
-            return Ok(FileRefresh::Extended { file, prefix_units });
-        }
-        let mut file = Self::from_raw(self.name.clone(), data, self.schema.clone())?;
-        file.fingerprint = current;
-        file.origin = self.origin.clone();
-        file.stats = Arc::clone(&self.stats);
-        Ok(FileRefresh::Rebuilt { file })
-    }
-
-    /// Build the extended reader for a pure append: reuse every old object
-    /// span except the last (appended bytes may glue onto an unterminated
-    /// final line), rescan only from the start of that last object, and
-    /// copy semi-index span arrays for the prefix objects — absolute byte
-    /// offsets stay valid because the old bytes are a prefix of the new.
-    fn extend_from(&self, data: RawData, fingerprint: (u64, u64)) -> (JsonFile, usize) {
-        let n = self.num_objects();
-        let mut objects: Vec<(u32, u32)>;
-        let mut pos = if n == 0 {
-            objects = Vec::new();
-            bom_len(&data)
-        } else {
-            objects = self.objects[..n - 1].to_vec();
-            self.objects[n - 1].0 as usize
-        };
-        while pos < data.len() {
-            let end = next_record_boundary(&data, pos).unwrap_or(data.len());
-            let line = &data[pos..end];
-            if !line.iter().all(|b| b.is_ascii_whitespace()) {
-                objects.push((pos as u32, end as u32));
-            }
-            pos = end + 1;
-        }
-        // The last old object stays prefix-valid only if the rescan
-        // reproduced it exactly (i.e. the old file ended in a newline).
-        let prefix_units = if n > 0 && objects.get(n - 1) == Some(&self.objects[n - 1]) {
-            n
-        } else {
-            n.saturating_sub(1)
-        };
-        let semi_index = self
-            .semi_index
-            .read()
-            .iter()
-            .map(|(field, spans)| {
-                let fresh: Arc<[AtomicU64]> = (0..objects.len())
-                    .map(|i| {
-                        AtomicU64::new(if i < prefix_units {
-                            spans[i].load(Ordering::Relaxed)
-                        } else {
-                            NO_SPAN
-                        })
-                    })
-                    .collect();
-                (field.clone(), fresh)
-            })
-            .collect();
-        let file = JsonFile {
-            name: self.name.clone(),
-            data,
-            objects,
-            semi_index: RwLock::new(semi_index),
-            schema: self.schema.clone(),
-            stats: Arc::clone(&self.stats),
-            fingerprint,
-            origin: self.origin.clone(),
-        };
-        (file, prefix_units)
     }
 
     pub fn name(&self) -> &str {
@@ -219,25 +121,21 @@ impl JsonFile {
         Arc::clone(&self.stats)
     }
 
-    pub fn fingerprint(&self) -> (u64, u64) {
-        self.fingerprint
-    }
-
     pub fn raw_bytes(&self) -> usize {
-        self.data.len()
+        self.raw.len()
     }
 
     /// Whether the raw bytes are backed by a shared file mapping (vs an
     /// owned copy).
     pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
+        self.raw.is_mapped()
     }
 
     /// Byte span of object `row` including its trailing newline — the
     /// record-aligned unit parallel scans split on.
     pub fn unit_byte_span(&self, row: usize) -> Option<(usize, usize)> {
         let &(s, e) = self.objects.get(row)?;
-        Some((s as usize, (e as usize + 1).min(self.data.len())))
+        Some((s as usize, (e as usize + 1).min(self.raw.len())))
     }
 
     /// Byte span of object `row` (Figure 4 layout (d): carry positions, not
@@ -257,7 +155,7 @@ impl JsonFile {
     /// Raw text of object `row` (Figure 4 layout (a)).
     pub fn object_text(&self, row: usize) -> Result<&str> {
         let (s, e) = self.object_span(row)?;
-        std::str::from_utf8(&self.data[s..e])
+        std::str::from_utf8(&self.raw[s..e])
             .map_err(|_| VidaError::format(&self.name, "invalid UTF-8 in object"))
     }
 
@@ -266,7 +164,7 @@ impl JsonFile {
         let (s, e) = self.object_span(row)?;
         self.stats.add_bytes_parsed((e - s) as u64);
         self.stats.add_units(1);
-        let (v, _) = parse_json(&self.data[s..e], 0, &self.name)?;
+        let (v, _) = parse_json(&self.raw[s..e], 0, &self.name)?;
         Ok(v)
     }
 
@@ -285,7 +183,7 @@ impl JsonFile {
         drop(idx);
         self.stats.miss();
         let (os, oe) = self.object_span(row)?;
-        let found = locate_top_level_field(&self.data[os..oe], field, &self.name)?;
+        let found = locate_top_level_field(&self.raw[os..oe], field, &self.name)?;
         self.stats.add_bytes_parsed(match found {
             Some((_, e)) => e as u64,
             None => (oe - os) as u64,
@@ -317,7 +215,7 @@ impl JsonFile {
     /// parse, no object navigation).
     pub fn parse_value_span(&self, span: (usize, usize)) -> Result<Value> {
         let (start, end) = span;
-        if start > end || end > self.data.len() {
+        if start > end || end > self.raw.len() {
             return Err(VidaError::format(
                 &self.name,
                 format!("bad span ({start}, {end})"),
@@ -326,7 +224,7 @@ impl JsonFile {
         self.stats.hit();
         self.stats.add_bytes_parsed((end - start) as u64);
         self.stats.add_fields_parsed(1);
-        let (v, _) = parse_json(&self.data[start..end], 0, &self.name)?;
+        let (v, _) = parse_json(&self.raw[start..end], 0, &self.name)?;
         Ok(v)
     }
 
@@ -338,7 +236,7 @@ impl JsonFile {
             Some((s, e)) => {
                 self.stats.add_bytes_parsed((e - s) as u64);
                 self.stats.add_fields_parsed(1);
-                let (v, _) = parse_json(&self.data[s..e], 0, &self.name)?;
+                let (v, _) = parse_json(&self.raw[s..e], 0, &self.name)?;
                 Ok(v)
             }
         }
@@ -377,6 +275,68 @@ impl JsonFile {
             f(row, vals)?;
         }
         Ok(())
+    }
+}
+
+impl FileIndex for JsonFile {
+    fn raw(&self) -> &RawFile {
+        &self.raw
+    }
+
+    fn reindex(&self, raw: RawFile) -> Result<Self> {
+        let mut file = Self::from_raw(self.name.clone(), raw, self.schema.clone())?;
+        file.stats = Arc::clone(&self.stats);
+        Ok(file)
+    }
+
+    /// Reuse every old object span except the last (appended bytes may glue
+    /// onto an unterminated final line), rescan only from the start of that
+    /// last object, and copy semi-index span arrays for the prefix objects
+    /// — absolute byte offsets stay valid because the old bytes are a
+    /// prefix of the new.
+    fn extend(&self, raw: RawFile) -> Result<(Self, Option<usize>)> {
+        let n = self.num_objects();
+        let (mut objects, pos) = match n {
+            0 => (Vec::new(), bom_len(&raw)),
+            _ => (
+                self.objects[..n - 1].to_vec(),
+                self.objects[n - 1].0 as usize,
+            ),
+        };
+        index_objects(&raw, pos, &mut objects);
+        // The last old object stays prefix-valid only if the rescan
+        // reproduced it exactly (i.e. the old file ended in a newline).
+        let prefix_units = if n > 0 && objects.get(n - 1) == Some(&self.objects[n - 1]) {
+            n
+        } else {
+            n.saturating_sub(1)
+        };
+        let semi_index = self
+            .semi_index
+            .read()
+            .iter()
+            .map(|(field, spans)| {
+                let fresh: Arc<[AtomicU64]> = (0..objects.len())
+                    .map(|i| {
+                        AtomicU64::new(if i < prefix_units {
+                            spans[i].load(Ordering::Relaxed)
+                        } else {
+                            NO_SPAN
+                        })
+                    })
+                    .collect();
+                (field.clone(), fresh)
+            })
+            .collect();
+        let file = JsonFile {
+            name: self.name.clone(),
+            raw,
+            objects,
+            semi_index: RwLock::new(semi_index),
+            schema: self.schema.clone(),
+            stats: Arc::clone(&self.stats),
+        };
+        Ok((file, Some(prefix_units)))
     }
 }
 
@@ -716,6 +676,7 @@ fn write_json(v: &Value, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plugin::{InputPlugin, JsonPlugin, Revalidation};
     use vida_types::Type;
 
     fn sample() -> JsonFile {
@@ -786,7 +747,7 @@ mod tests {
         let f = sample();
         let (s, e) = f.unit_byte_span(0).unwrap();
         assert_eq!(s, 0);
-        assert_eq!(f.data[e - 1], b'\n');
+        assert_eq!(f.raw[e - 1], b'\n');
         let (s1, _) = f.unit_byte_span(1).unwrap();
         assert_eq!(s1, e);
     }
@@ -962,6 +923,11 @@ mod tests {
         assert_eq!(f.read_field(1, "a").unwrap(), Value::Int(2));
     }
 
+    /// Every unit's byte span — the object index as a plugin exposes it.
+    fn unit_spans(p: &dyn InputPlugin) -> Vec<Option<(usize, usize)>> {
+        (0..p.num_units()).map(|i| p.unit_byte_span(i)).collect()
+    }
+
     #[test]
     fn revalidate_extends_on_append_and_rebuilds_on_edit() {
         let dir = std::env::temp_dir().join(format!("vida-json-inc-{}", std::process::id()));
@@ -969,10 +935,10 @@ mod tests {
         let path = dir.join("grow.ndjson");
         std::fs::write(&path, b"{\"id\":1,\"v\":10}\n{\"id\":2,\"v\":20}\n").unwrap();
         let schema = Schema::from_pairs([("id", Type::Int), ("v", Type::Int)]);
-        let f = JsonFile::open("T", &path, schema.clone()).unwrap();
-        assert_eq!(f.num_objects(), 2);
-        f.read_field(1, "v").unwrap(); // seed the semi-index
-        assert!(matches!(f.revalidate().unwrap(), FileRefresh::Unchanged));
+        let f = JsonPlugin::new(JsonFile::open("T", &path, schema.clone()).unwrap());
+        assert_eq!(f.num_units(), 2);
+        f.read_field(1, 1).unwrap(); // seed the semi-index
+        assert!(matches!(f.revalidate().unwrap(), Revalidation::Unchanged));
 
         use std::io::Write;
         let mut fh = std::fs::OpenOptions::new()
@@ -981,31 +947,27 @@ mod tests {
             .unwrap();
         fh.write_all(b"{\"id\":3,\"v\":30}\n").unwrap();
         drop(fh);
-        let FileRefresh::Extended {
-            file: g,
-            prefix_units,
-        } = f.revalidate().unwrap()
-        else {
+        let Revalidation::Extended { plugin: g, prev } = f.revalidate().unwrap() else {
             panic!("append must extend");
         };
-        assert_eq!(prefix_units, 2);
-        assert_eq!(g.num_objects(), 3);
-        assert_eq!(g.read_field(2, "v").unwrap(), Value::Int(30));
+        assert_eq!(prev.prefix_units, 2);
+        assert_eq!(g.num_units(), 3);
+        assert_eq!(g.read_field(2, 1).unwrap(), Value::Int(30));
         // The seeded span rode along into the extended semi-index.
         let before = g.stats().snapshot().posmap_hits;
-        g.read_field(1, "v").unwrap();
+        g.read_field(1, 1).unwrap();
         assert!(g.stats().snapshot().posmap_hits > before);
         // Extended object index matches a cold build of the same bytes.
-        let cold = JsonFile::open("T", &path, schema.clone()).unwrap();
-        assert_eq!(g.objects, cold.objects);
+        let cold = JsonPlugin::new(JsonFile::open("T", &path, schema.clone()).unwrap());
+        assert_eq!(unit_spans(g.as_ref()), unit_spans(&cold));
 
         // In-place edit → full rebuild.
         std::fs::write(&path, b"{\"id\":9,\"v\":90}\n{\"id\":8,\"v\":80}\n").unwrap();
-        let FileRefresh::Rebuilt { file: h } = g.revalidate().unwrap() else {
+        let Revalidation::Rebuilt { plugin: h } = g.revalidate().unwrap() else {
             panic!("edit must rebuild");
         };
-        assert_eq!(h.num_objects(), 2);
-        assert_eq!(h.read_field(0, "v").unwrap(), Value::Int(90));
+        assert_eq!(h.num_units(), 2);
+        assert_eq!(h.read_field(0, 1).unwrap(), Value::Int(90));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1017,8 +979,9 @@ mod tests {
         // Last line lacks its newline; the append completes it and adds one
         // more object, so the glued row drops out of the valid prefix.
         std::fs::write(&path, b"{\"id\":1}\n{\"id\":2").unwrap();
-        let f = JsonFile::open("T", &path, Schema::default()).unwrap();
-        assert_eq!(f.num_objects(), 2);
+        let schema = Schema::from_pairs([("id", Type::Int)]);
+        let f = JsonPlugin::new(JsonFile::open("T", &path, schema.clone()).unwrap());
+        assert_eq!(f.num_units(), 2);
         use std::io::Write;
         let mut fh = std::fs::OpenOptions::new()
             .append(true)
@@ -1026,19 +989,15 @@ mod tests {
             .unwrap();
         fh.write_all(b"2}\n{\"id\":3}\n").unwrap();
         drop(fh);
-        let FileRefresh::Extended {
-            file: g,
-            prefix_units,
-        } = f.revalidate().unwrap()
-        else {
+        let Revalidation::Extended { plugin: g, prev } = f.revalidate().unwrap() else {
             panic!("append must extend");
         };
-        assert_eq!(prefix_units, 1);
-        assert_eq!(g.num_objects(), 3);
-        assert_eq!(g.read_field(1, "id").unwrap(), Value::Int(22));
-        assert_eq!(g.read_field(2, "id").unwrap(), Value::Int(3));
-        let cold = JsonFile::open("T", &path, Schema::default()).unwrap();
-        assert_eq!(g.objects, cold.objects);
+        assert_eq!(prev.prefix_units, 1);
+        assert_eq!(g.num_units(), 3);
+        assert_eq!(g.read_field(1, 0).unwrap(), Value::Int(22));
+        assert_eq!(g.read_field(2, 0).unwrap(), Value::Int(3));
+        let cold = JsonPlugin::new(JsonFile::open("T", &path, schema).unwrap());
+        assert_eq!(unit_spans(g.as_ref()), unit_spans(&cold));
         let _ = std::fs::remove_file(&path);
     }
 

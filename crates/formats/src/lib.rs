@@ -23,9 +23,8 @@ pub mod json;
 pub mod plugin;
 pub mod stats;
 
-pub use csv::FileRefresh;
 pub use description::{DataFormat, RetrievalUnit, SourceDescription};
-pub use plugin::{open_plugin, open_plugin_with, InputPlugin, Revalidation};
+pub use plugin::{open_plugin, open_plugin_with, Generation, InputPlugin, Revalidation};
 pub use stats::AccessStats;
 // Re-exported so downstream crates pick a raw-data backing without
 // depending on vida-io directly.

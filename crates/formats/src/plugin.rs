@@ -12,15 +12,17 @@
 //! constant.
 
 use crate::binarray::ArrayFile;
-use crate::csv::{CsvFile, FileRefresh};
+use crate::csv::CsvFile;
 use crate::description::{DataFormat, SourceDescription};
 use crate::json::JsonFile;
 use crate::stats::AccessStats;
 use std::sync::Arc;
+use vida_io::{RawFile, Refresh};
 use vida_types::{Result, Schema, Value, VidaError};
 
-/// Outcome of re-statting a plugin's backing file at query description
-/// time — the revalidation step every query runs before trusting caches.
+/// Outcome of re-statting a plugin's backing file — the one verdict on a
+/// file generation, which the executor asks for once per dataset per
+/// query before trusting any cache.
 ///
 /// Plugins are immutable once bound (scan workers share them through
 /// `Arc`s), so a changed file produces a *replacement* plugin rather than
@@ -32,23 +34,76 @@ pub enum Revalidation {
     Unchanged,
     /// The file grew by a pure append. `plugin` is a replacement reader
     /// whose positional structures were extended over only the appended
-    /// tail; units `0..prefix_units` are byte-identical to the old file,
-    /// so replicas covering exactly `prev_units` rows under
-    /// `prev_fingerprint` remain valid for that prefix.
+    /// tail; `prev` is the generation it grew from.
     Extended {
         plugin: Box<dyn InputPlugin>,
-        /// Fingerprint the now-extended plugin was opened under —
-        /// replicas keyed to it are prefix-valid, not stale.
-        prev_fingerprint: (u64, u64),
-        /// Unit count before the append (length of prefix replicas).
-        prev_units: usize,
-        /// Units whose byte spans survived unchanged (`prev_units`, or
-        /// one less when the append glued onto an unterminated last row).
-        prefix_units: usize,
+        prev: Generation,
     },
     /// The file shrank or changed in place: `plugin` is a fresh reader and
     /// every cache entry for the dataset is stale.
     Rebuilt { plugin: Box<dyn InputPlugin> },
+}
+
+/// The generation a grown file extends: replicas and fold partials
+/// written under `fingerprint` over exactly `units` units still serve
+/// their first `prefix_units` units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Generation {
+    /// Fingerprint the previous plugin was opened under.
+    pub fingerprint: (u64, u64),
+    /// Unit count before the append (the length of prefix replicas).
+    pub units: usize,
+    /// Units whose byte spans survived unchanged (`units`, or one less when
+    /// the append glued onto an unterminated last row).
+    pub prefix_units: usize,
+}
+
+/// The two steps a file-backed format contributes to revalidation;
+/// the re-stat, the reopen and the verdict are [`revalidate_file`]'s.
+pub(crate) trait FileIndex: Sized {
+    /// The file generation this index was built over.
+    fn raw(&self) -> &RawFile;
+
+    /// Index `raw` from scratch, keeping this reader's name, schema and
+    /// access statistics.
+    fn reindex(&self, raw: RawFile) -> Result<Self>;
+
+    /// Extend the index over `raw`, a grown generation whose leading bytes
+    /// are this reader's. Returns the reader and how many leading units
+    /// kept their byte spans, or `None` when the format indexes growth from
+    /// scratch (the default).
+    fn extend(&self, raw: RawFile) -> Result<(Self, Option<usize>)> {
+        Ok((self.reindex(raw)?, None))
+    }
+}
+
+/// The one `InputPlugin::revalidate` body of every file-backed plugin:
+/// refresh `current`'s raw file, then extend or re-index the format's
+/// structures and wrap the replacement reader with `plugin`.
+fn revalidate_file<F: FileIndex>(
+    current: &dyn InputPlugin,
+    file: &F,
+    plugin: fn(F) -> Box<dyn InputPlugin>,
+) -> Result<Revalidation> {
+    Ok(match file.raw().refresh()? {
+        Refresh::Unchanged => Revalidation::Unchanged,
+        Refresh::Grown(raw) => match file.extend(raw)? {
+            (next, Some(prefix_units)) => Revalidation::Extended {
+                plugin: plugin(next),
+                prev: Generation {
+                    fingerprint: current.fingerprint(),
+                    units: current.num_units(),
+                    prefix_units,
+                },
+            },
+            (next, None) => Revalidation::Rebuilt {
+                plugin: plugin(next),
+            },
+        },
+        Refresh::Changed(raw) => Revalidation::Rebuilt {
+            plugin: plugin(file.reindex(raw)?),
+        },
+    })
 }
 
 /// A bound, format-specific reader for one raw dataset.
@@ -263,22 +318,11 @@ impl InputPlugin for CsvPlugin {
     }
 
     fn fingerprint(&self) -> (u64, u64) {
-        self.file.fingerprint()
+        self.file.raw().fingerprint()
     }
 
     fn revalidate(&self) -> Result<Revalidation> {
-        Ok(match self.file.revalidate()? {
-            FileRefresh::Unchanged => Revalidation::Unchanged,
-            FileRefresh::Extended { file, prefix_units } => Revalidation::Extended {
-                prev_fingerprint: self.file.fingerprint(),
-                prev_units: self.file.num_rows(),
-                prefix_units,
-                plugin: Box::new(CsvPlugin::new(file)),
-            },
-            FileRefresh::Rebuilt { file } => Revalidation::Rebuilt {
-                plugin: Box::new(CsvPlugin::new(file)),
-            },
-        })
+        revalidate_file(self, &self.file, |f| Box::new(CsvPlugin::new(f)))
     }
 
     fn field_cost_factor(&self, col: usize) -> f64 {
@@ -396,22 +440,11 @@ impl InputPlugin for JsonPlugin {
     }
 
     fn fingerprint(&self) -> (u64, u64) {
-        self.file.fingerprint()
+        self.file.raw().fingerprint()
     }
 
     fn revalidate(&self) -> Result<Revalidation> {
-        Ok(match self.file.revalidate()? {
-            FileRefresh::Unchanged => Revalidation::Unchanged,
-            FileRefresh::Extended { file, prefix_units } => Revalidation::Extended {
-                prev_fingerprint: self.file.fingerprint(),
-                prev_units: self.file.num_objects(),
-                prefix_units,
-                plugin: Box::new(JsonPlugin::new(file)),
-            },
-            FileRefresh::Rebuilt { file } => Revalidation::Rebuilt {
-                plugin: Box::new(JsonPlugin::new(file)),
-            },
-        })
+        revalidate_file(self, &self.file, |f| Box::new(JsonPlugin::new(f)))
     }
 
     fn field_cost_factor(&self, _col: usize) -> f64 {
@@ -491,20 +524,11 @@ impl InputPlugin for ArrayPlugin {
     }
 
     fn fingerprint(&self) -> (u64, u64) {
-        self.file.fingerprint()
+        self.file.raw().fingerprint()
     }
 
     fn revalidate(&self) -> Result<Revalidation> {
-        Ok(match self.file.revalidate()? {
-            FileRefresh::Unchanged => Revalidation::Unchanged,
-            // Arrays fix their dims in the header, so any change — even a
-            // growth — is a rebuild.
-            FileRefresh::Extended { file, .. } | FileRefresh::Rebuilt { file } => {
-                Revalidation::Rebuilt {
-                    plugin: Box::new(ArrayPlugin::new(file)),
-                }
-            }
-        })
+        revalidate_file(self, &self.file, |f| Box::new(ArrayPlugin::new(f)))
     }
 
     fn field_cost_factor(&self, _col: usize) -> f64 {
@@ -796,7 +820,9 @@ mod tests {
         let mut current = opened;
         while current == opened && std::time::Instant::now() < deadline {
             std::fs::write(&path, b"id,x\n1,10\n2,99\n").unwrap();
-            current = vida_io::file_fingerprint(&path).unwrap();
+            current = vida_io::RawFile::open(&path, vida_io::MapMode::Never)
+                .unwrap()
+                .fingerprint();
         }
         assert_ne!(current, opened, "ns-mtime must distinguish the rewrite");
         assert_eq!(
@@ -820,16 +846,14 @@ mod tests {
         drop(fh);
         let Revalidation::Extended {
             plugin: grown,
-            prev_fingerprint,
-            prev_units,
-            prefix_units,
+            prev,
         } = plugin.revalidate().unwrap()
         else {
             panic!("append must extend");
         };
-        assert_eq!(prev_fingerprint, plugin.fingerprint());
-        assert_eq!(prev_units, 2);
-        assert_eq!(prefix_units, 2);
+        assert_eq!(prev.fingerprint, plugin.fingerprint());
+        assert_eq!(prev.units, 2);
+        assert_eq!(prev.prefix_units, 2);
         assert_eq!(grown.num_units(), 3);
         assert_eq!(grown.read_field(2, 1).unwrap(), Value::Int(30));
         let _ = std::fs::remove_file(&path);

@@ -13,6 +13,10 @@
 //!   opens pay no up-front copy. An owned-buffer backing remains both the
 //!   non-unix fallback and an explicit escape hatch ([`MapMode::Never`],
 //!   surfaced as `--no-mmap` in the tooling).
+//! - [`RawFile`]: one generation of an input — its bytes, the `(len,
+//!   ns-mtime)` fingerprint they were read under, and their origin.
+//!   [`RawFile::refresh`] is the one re-stat in the tree: it answers
+//!   `Unchanged`, `Grown` (old bytes a prefix of the new) or `Changed`.
 //! - **SWAR scanners** ([`swar`]): word-at-a-time byte search built on
 //!   `u64` broadcast-compare — no SIMD intrinsics, no dependencies, and
 //!   exact per-byte match masks (not just first-match) so tokenizers can
@@ -32,7 +36,7 @@ pub mod raw;
 pub mod swar;
 
 pub use csv::CsvTokenizer;
-pub use raw::{file_fingerprint, prefix_matches, MapMode, RawData, PREFIX_CHECK_BYTES};
+pub use raw::{MapMode, RawData, RawFile, Refresh};
 
 /// The UTF-8 byte-order mark some writers put at the start of text files.
 pub const UTF8_BOM: [u8; 3] = [0xEF, 0xBB, 0xBF];

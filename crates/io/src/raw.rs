@@ -8,13 +8,17 @@
 //! owned `Vec<u8>`, so callers never observe a difference beyond
 //! [`RawData::is_mapped`].
 //!
+//! [`RawFile`] pairs those bytes with the fingerprint they were read under
+//! and their origin; [`RawFile::refresh`] is the one place a file change
+//! is detected and classified.
+//!
 //! The syscalls are declared directly via `extern "C"`: libc is already
 //! linked by `std` on unix, so this adds no dependency.
 
 use std::fmt;
 use std::io;
 use std::ops::Deref;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// How [`RawData::open_with`] should back the bytes of a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,6 +77,110 @@ impl RawData {
     }
 }
 
+/// One generation of a raw input: its bytes, the `(byte length, mtime in
+/// nanoseconds)` fingerprint they were read under, and where they came
+/// from. Every file-backed reader holds one, and [`RawFile::refresh`] is
+/// the one place that decides whether the file on disk is still that
+/// generation. Derefs to its [`RawData`].
+pub struct RawFile {
+    data: RawData,
+    fingerprint: (u64, u64),
+    /// Path, backing policy, and the [`edges`] of the bytes, copied at open:
+    /// a mapping follows in-place writes to its file, so the mapped bytes
+    /// cannot witness what this generation held. `None` for in-memory
+    /// bytes, which never change.
+    origin: Option<(PathBuf, MapMode, Vec<u8>)>,
+}
+
+/// What [`RawFile::refresh`] found on disk.
+pub enum Refresh {
+    /// Same fingerprint (or in-memory bytes): keep the current generation.
+    Unchanged,
+    /// The file grew and the old bytes are its prefix (a sampled check of
+    /// the first and last 4 KiB): indexes over the old bytes extend.
+    Grown(RawFile),
+    /// Shrunk, edited in place, or grown under a different prefix: indexes
+    /// over the old bytes are void.
+    Changed(RawFile),
+}
+
+impl RawFile {
+    /// Open `path` under `mode`. The stat comes before the map, so an
+    /// append that lands in between is newer than the fingerprint and the
+    /// next [`RawFile::refresh`] reads it.
+    pub fn open(path: &Path, mode: MapMode) -> io::Result<Self> {
+        let fingerprint = file_fingerprint(path)?;
+        let data = RawData::open_with(path, mode)?;
+        let origin = Some((path.to_path_buf(), mode, edges(&data)));
+        Ok(RawFile {
+            data,
+            fingerprint,
+            origin,
+        })
+    }
+
+    /// Wrap an in-memory buffer: fingerprint `(len, 0)`, never refreshed.
+    pub fn from_vec(data: Vec<u8>) -> Self {
+        RawFile {
+            fingerprint: (data.len() as u64, 0),
+            data: RawData::from_vec(data),
+            origin: None,
+        }
+    }
+
+    /// The `(byte length, mtime nanoseconds)` this generation was read
+    /// under — the staleness token cache replicas are stamped with.
+    pub fn fingerprint(&self) -> (u64, u64) {
+        self.fingerprint
+    }
+
+    /// Re-stat the backing file and, if its fingerprint moved, reopen it
+    /// and classify the change: the only stat → compare → reopen → prefix
+    /// check in the tree. The old bytes are never read, so a truncated file
+    /// cannot fault the check. A missing file is an `Err`.
+    pub fn refresh(&self) -> io::Result<Refresh> {
+        let Some((path, mode, old_edges)) = &self.origin else {
+            return Ok(Refresh::Unchanged);
+        };
+        if file_fingerprint(path)? == self.fingerprint {
+            return Ok(Refresh::Unchanged);
+        }
+        let next = RawFile::open(path, *mode)?;
+        Ok(
+            if next.len() > self.len() && edges(&next[..self.len()]) == *old_edges {
+                Refresh::Grown(next)
+            } else {
+                Refresh::Changed(next)
+            },
+        )
+    }
+}
+
+impl Deref for RawFile {
+    type Target = RawData;
+
+    #[inline]
+    fn deref(&self) -> &RawData {
+        &self.data
+    }
+}
+
+/// Bytes [`edges`] keeps from each end of a generation — enough to catch
+/// truncate-and-rewrite cycles that happen to land on a larger size, cheap
+/// enough to copy at every open.
+const PREFIX_CHECK_BYTES: usize = 4096;
+
+/// The first and last [`PREFIX_CHECK_BYTES`] of `data`: the sampled
+/// witness [`RawFile::refresh`] compares a grown file's prefix against.
+/// Exact for files up to twice the window; for larger files it is the
+/// growth heuristic the incremental re-query path accepts — an in-place
+/// edit confined to the uncompared middle *and* accompanied by an append
+/// is indistinguishable from a pure append.
+fn edges(data: &[u8]) -> Vec<u8> {
+    let k = PREFIX_CHECK_BYTES.min(data.len());
+    [&data[..k], &data[data.len() - k..]].concat()
+}
+
 /// Stat-based change fingerprint of a file: `(byte length, mtime in
 /// nanoseconds since the unix epoch)`.
 ///
@@ -82,7 +190,7 @@ impl RawData {
 /// engine would keep serving replicas of the old bytes. Filesystems that
 /// only store coarser mtimes degrade gracefully (the fingerprint is only
 /// ever compared for equality).
-pub fn file_fingerprint(path: &Path) -> io::Result<(u64, u64)> {
+fn file_fingerprint(path: &Path) -> io::Result<(u64, u64)> {
     let meta = std::fs::metadata(path)?;
     let mtime = meta
         .modified()
@@ -91,27 +199,6 @@ pub fn file_fingerprint(path: &Path) -> io::Result<(u64, u64)> {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
     Ok((meta.len(), mtime))
-}
-
-/// Number of boundary bytes [`prefix_matches`] compares on each side of
-/// the old data (start and end) — enough to catch truncate-and-rewrite
-/// cycles that happen to land on a larger size, cheap enough to run on
-/// every revalidation.
-pub const PREFIX_CHECK_BYTES: usize = 4096;
-
-/// Cheap structural check that `old` is a byte-prefix of `new`: compares
-/// the first and last [`PREFIX_CHECK_BYTES`] of `old` against `new` at the
-/// same offsets instead of all `old.len()` bytes. Exact for files up to
-/// twice the window; for larger files it is the growth heuristic the
-/// incremental re-query path accepts — an in-place edit confined to the
-/// uncompared middle *and* accompanied by an append is indistinguishable
-/// from a pure append, exactly as with any sampled prefix check.
-pub fn prefix_matches(old: &[u8], new: &[u8]) -> bool {
-    if old.len() > new.len() {
-        return false;
-    }
-    let k = PREFIX_CHECK_BYTES.min(old.len());
-    old[..k] == new[..k] && old[old.len() - k..] == new[old.len() - k..old.len()]
 }
 
 impl Deref for RawData {
@@ -185,13 +272,14 @@ mod unix {
     ///
     /// Touching a mapped page past the file's current EOF raises `SIGBUS`
     /// — the contract every mmap'd reader accepts. The engine handles it
-    /// at the *revalidation* layer: every query description re-stats its
-    /// inputs first ([`super::file_fingerprint`]), and a shrunk file makes
-    /// the format plugin drop this mapping and reopen the file fresh
-    /// (owned read fallback included) **before** any scan dereferences the
-    /// old pages. A truncation racing the stat-then-scan window remains
-    /// fatal, as it is for every mmap consumer; `MapMode::Never`
-    /// (`--no-mmap`) removes the hazard entirely for hostile filesystems.
+    /// at the *revalidation* layer: each query re-stats every input it
+    /// reads once, before any scan ([`super::RawFile::refresh`]), and a
+    /// shrunk file makes the format plugin drop this mapping and reopen the
+    /// file fresh (owned read fallback included) **before** any scan
+    /// dereferences the old pages. A truncation racing the stat-then-scan
+    /// window remains fatal, as it is for every mmap consumer;
+    /// `MapMode::Never` (`--no-mmap`) removes the hazard entirely for
+    /// hostile filesystems.
     pub struct Mmap {
         ptr: *mut c_void,
         len: usize,
@@ -272,13 +360,20 @@ mod unix {
 mod tests {
     use super::*;
 
+    /// `refresh`'s growth test over two in-memory generations.
+    fn prefix_matches(old: &[u8], new: &[u8]) -> bool {
+        new.len() > old.len() && edges(&new[..old.len()]) == edges(old)
+    }
+
     #[test]
     fn prefix_matches_accepts_pure_appends() {
         let old = b"id,age\n1,70\n2,31\n".to_vec();
         let mut new = old.clone();
         new.extend_from_slice(b"3,45\n");
         assert!(prefix_matches(&old, &new));
-        assert!(prefix_matches(&old, &old), "equal data is its own prefix");
+        // Growth is what the check witnesses: an equal-length file whose
+        // fingerprint moved was rewritten, whatever its sampled edges say.
+        assert!(!prefix_matches(&old, &old), "equal length is not growth");
         assert!(prefix_matches(b"", &old), "empty is a prefix of anything");
     }
 
@@ -322,5 +417,77 @@ mod tests {
         assert_eq!(fp2.0, 8);
         assert_ne!(fp1, fp2, "nanosecond mtime must distinguish rewrites");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Overwrite `path` until its fingerprint moves off `prev` (the file
+    /// clock ticks coarsely; a same-length rewrite is only visible there).
+    fn rewrite(path: &Path, bytes: &[u8], prev: (u64, u64)) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        loop {
+            std::fs::write(path, bytes).unwrap();
+            if file_fingerprint(path).unwrap() != prev {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "file clock stuck");
+        }
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        use std::io::Write;
+        let mut fh = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        fh.write_all(bytes).unwrap();
+    }
+
+    #[test]
+    fn refresh_classifies_every_change_on_both_backings() {
+        assert!(matches!(
+            RawFile::from_vec(b"a\n".to_vec()).refresh().unwrap(),
+            Refresh::Unchanged
+        ));
+        for mode in [MapMode::Auto, MapMode::Never] {
+            let dir = std::env::temp_dir()
+                .join(format!("vida-io-refresh-{}-{mode:?}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("f.csv");
+            std::fs::write(&path, b"id\n1\n2\n").unwrap();
+            let f = RawFile::open(&path, mode).unwrap();
+            assert_eq!(&f[..], b"id\n1\n2\n");
+            assert!(
+                matches!(f.refresh().unwrap(), Refresh::Unchanged),
+                "{mode:?}"
+            );
+
+            append(&path, b"3\n");
+            let Refresh::Grown(g) = f.refresh().unwrap() else {
+                panic!("{mode:?}: append must grow");
+            };
+            assert_eq!(&g[..], b"id\n1\n2\n3\n");
+            assert_eq!(g.fingerprint(), file_fingerprint(&path).unwrap());
+            assert!(matches!(g.refresh().unwrap(), Refresh::Unchanged));
+
+            // Same length, new bytes: only the ns-mtime tells them apart.
+            rewrite(&path, b"id\n9\n2\n3\n", g.fingerprint());
+            let Refresh::Changed(e) = g.refresh().unwrap() else {
+                panic!("{mode:?}: same-length rewrite must change");
+            };
+            assert_eq!(&e[..], b"id\n9\n2\n3\n");
+
+            rewrite(&path, b"id\n9\n", e.fingerprint());
+            let Refresh::Changed(t) = e.refresh().unwrap() else {
+                panic!("{mode:?}: truncate must change");
+            };
+            assert_eq!(&t[..], b"id\n9\n");
+
+            // Longer, but the old head no longer matches.
+            rewrite(&path, b"ix\n9\n4\n", t.fingerprint());
+            assert!(
+                matches!(t.refresh().unwrap(), Refresh::Changed(_)),
+                "{mode:?}: head edit plus append must change"
+            );
+
+            std::fs::remove_file(&path).unwrap();
+            assert!(t.refresh().is_err(), "{mode:?}: deleted file is an error");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
