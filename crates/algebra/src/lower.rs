@@ -504,12 +504,12 @@ mod tests {
 
     #[test]
     fn left_deepen_never_reorders_bindings() {
-        // Regression pin for the `--no-plan-opt` baseline: `left_deepen`
-        // rotates bushy trees but NEVER reorders relations or picks a
-        // cheaper build side, no matter how misordered the plan is (a huge
-        // relation on the build side stays there). Cost-based reordering is
-        // vida-optimizer's `reorder_joins`, layered on top by the exec
-        // pipeline when `plan_opt` is enabled.
+        // Regression pin: `left_deepen` rotates bushy trees but NEVER
+        // reorders relations or picks a cheaper build side, no matter how
+        // misordered the plan is (a huge relation on the build side stays
+        // there). Cost-based reordering is vida-optimizer's
+        // `reorder_joins`, which the exec pipeline layers on top for
+        // order-insensitive monoids.
         let scan = |d: &str, b: &str| Plan::Scan {
             dataset: d.into(),
             binding: b.into(),

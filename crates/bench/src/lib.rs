@@ -35,7 +35,7 @@ pub mod fixtures {
     /// Rows `lo..hi` of the `Patients` fixture (header only when `lo` is
     /// 0). The generator burns the same RNG draws as rows `0..lo`, so
     /// appending `rows(lo, hi)` to a file holding `rows(0, lo)` produces
-    /// exactly `rows(0, hi)` — the append-replay drivers grow files with
+    /// exactly `rows(0, hi)` — the `incremental` bench grows its file with
     /// suffixes the cold oracle can regenerate.
     pub fn patients_csv_rows(lo: usize, hi: usize, seed: u64) -> Vec<u8> {
         let mut rng = Rng::new(seed);
@@ -57,19 +57,11 @@ pub mod fixtures {
 
     /// A `Genetics` newline-delimited JSON file with `n` objects.
     pub fn genetics_json(n: usize, seed: u64) -> Vec<u8> {
-        genetics_json_rows(0, n, seed)
-    }
-
-    /// Objects `lo..hi` of the `Genetics` fixture (see
-    /// [`patients_csv_rows`] for the suffix contract).
-    pub fn genetics_json_rows(lo: usize, hi: usize, seed: u64) -> Vec<u8> {
         let mut rng = Rng::new(seed);
         let mut out = String::new();
-        for id in 0..hi {
+        for id in 0..n {
             let snp = (rng.below(1000) as f64) / 1000.0;
-            if id >= lo {
-                out.push_str(&format!("{{\"id\":{id},\"snp\":{snp:.3}}}\n"));
-            }
+            out.push_str(&format!("{{\"id\":{id},\"snp\":{snp:.3}}}\n"));
         }
         out.into_bytes()
     }
@@ -89,23 +81,15 @@ pub mod fixtures {
     /// A nested `Regions` newline-delimited JSON file: `n` objects with
     /// ragged integer `voxels` arrays (0–7 elements, some rows empty).
     pub fn regions_json(n: usize, seed: u64) -> Vec<u8> {
-        regions_json_rows(0, n, seed)
-    }
-
-    /// Objects `lo..hi` of the `Regions` fixture (see
-    /// [`patients_csv_rows`] for the suffix contract).
-    pub fn regions_json_rows(lo: usize, hi: usize, seed: u64) -> Vec<u8> {
         let mut rng = Rng::new(seed);
         let mut out = String::new();
-        for id in 0..hi {
+        for id in 0..n {
             let len = rng.below(8);
             let voxels: Vec<String> = (0..len).map(|_| format!("{}", rng.below(100))).collect();
-            if id >= lo {
-                out.push_str(&format!(
-                    "{{\"id\":{id},\"voxels\":[{}]}}\n",
-                    voxels.join(",")
-                ));
-            }
+            out.push_str(&format!(
+                "{{\"id\":{id},\"voxels\":[{}]}}\n",
+                voxels.join(",")
+            ));
         }
         out.into_bytes()
     }
@@ -163,19 +147,11 @@ mod tests {
 
     #[test]
     fn row_range_generators_compose_by_append() {
-        // The suffix contract the append-replay drivers rely on: gluing
+        // The suffix contract the `incremental` bench relies on: gluing
         // rows(lo, hi) after rows(0, lo) is byte-identical to rows(0, hi).
         let mut glued = fixtures::patients_csv_rows(0, 12, 3);
         glued.extend(fixtures::patients_csv_rows(12, 20, 3));
         assert_eq!(glued, fixtures::patients_csv(20, 3));
-
-        let mut glued = fixtures::genetics_json_rows(0, 7, 5);
-        glued.extend(fixtures::genetics_json_rows(7, 18, 5));
-        assert_eq!(glued, fixtures::genetics_json(18, 5));
-
-        let mut glued = fixtures::regions_json_rows(0, 9, 17);
-        glued.extend(fixtures::regions_json_rows(9, 14, 17));
-        assert_eq!(glued, fixtures::regions_json(14, 17));
     }
 
     #[test]

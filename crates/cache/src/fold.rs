@@ -39,7 +39,7 @@ pub struct FoldPartial {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheManager;
+    use crate::{CacheKey, CacheManager, CachedData, Layout};
 
     fn partial(rows: usize) -> FoldPartial {
         FoldPartial {
@@ -75,10 +75,15 @@ mod tests {
         c.put_fold_partial("d", 1, partial(1));
         c.put_fold_partial("d", 2, partial(2));
         c.put_fold_partial("e", 1, partial(3));
-        // Only a rebuilt file (no generation kept) drops partials.
+        let col = CachedData::from_values(&[Value::Int(1)], Layout::Values).unwrap();
+        c.put(CacheKey::new("d", "x", Layout::Values), col, (1, 7));
+        // Nothing stale among the replicas: partials stay.
         c.retain_fingerprints("d", &[(1, 7)]);
         assert!(c.fold_partial("d", 1).is_some());
-        c.retain_fingerprints("d", &[]);
+        assert!(c.fold_partial("d", 2).is_some());
+        // A rebuilt file drops the replica and every partial of its
+        // dataset that predates the new generation, and nothing else.
+        c.retain_fingerprints("d", &[(5, 7)]);
         assert!(c.fold_partial("d", 1).is_none());
         assert!(c.fold_partial("d", 2).is_none());
         assert_eq!(c.fold_partial("e", 1).unwrap().rows, 3);

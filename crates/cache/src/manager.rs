@@ -562,13 +562,16 @@ impl CacheManager {
     /// affected auxiliary structures). An unchanged file keeps its current
     /// fingerprint; a file grown by a pure append keeps two generations,
     /// since replicas under the pre-append fingerprint stay prefix-valid;
-    /// a rebuilt file keeps nothing, and an empty `keep` also drops the
-    /// dataset's fold partials. Returns the number of dropped replicas.
+    /// a rebuilt file keeps only its new one. When a replica drops, the
+    /// dataset's fold partials under other fingerprints drop with it.
+    /// Returns the number of dropped replicas.
     pub fn retain_fingerprints(&self, dataset: &str, keep: &[(u64, u64)]) -> usize {
         let stale = |e: &Entry| !keep.contains(&e.fingerprint);
         // Every query re-validates fingerprints on its way in; stay on the
-        // shared read lock for the common nothing-is-stale case.
-        if !keep.is_empty() {
+        // shared read lock for the common nothing-is-stale case. Partials
+        // are not checked here: reuse matches their fingerprint anyway, so
+        // a stale one only waits for the next replica invalidation.
+        {
             let state = self.state.read();
             let fields = state.entries.get(dataset);
             if !fields.is_some_and(|fields| fields.values().any(stale)) {
@@ -576,9 +579,9 @@ impl CacheManager {
             }
         }
         let mut state = self.state.write();
-        if keep.is_empty() {
-            state.folds.retain(|(d, _), _| d != dataset);
-        }
+        state
+            .folds
+            .retain(|(d, _), p| d != dataset || keep.contains(&p.fingerprint));
         let dropped: Vec<String> = state.entries.get(dataset).map_or_else(Vec::new, |fields| {
             fields
                 .iter()
@@ -630,8 +633,8 @@ impl CacheManager {
     }
 
     /// How many replicas exist per layout, across all datasets (sorted by
-    /// layout name; layouts with zero replicas are omitted). The
-    /// `reproduce` driver reports this to show which layouts the cost model
+    /// layout name; layouts with zero replicas are omitted). The server's
+    /// stats endpoint reports this to show which layouts the cost model
     /// actually picked.
     pub fn layout_counts(&self) -> Vec<(Layout, usize)> {
         self.count_layouts(|_| true)
@@ -828,9 +831,9 @@ mod tests {
             (2, 2),
         );
         m.put(CacheKey::new("e", "a", Layout::Values), col(5), (1, 1));
-        // A rebuilt file vouches for no generation at all: every replica of
-        // the dataset drops, whatever its layout or fingerprint.
-        assert_eq!(m.retain_fingerprints("d", &[]), 2);
+        // A rebuilt file vouches only for its new generation: every replica
+        // of the dataset drops, whatever its layout or fingerprint.
+        assert_eq!(m.retain_fingerprints("d", &[(3, 3)]), 2);
         assert_eq!(m.cached_fields("d"), Vec::<String>::new());
         assert!(m.get(&CacheKey::new("e", "a", Layout::Values)).is_some());
         assert_eq!(m.used_bytes(), col(5).approx_bytes());
@@ -840,30 +843,26 @@ mod tests {
     #[test]
     fn invalidate_dataset_drops_fold_partials_too() {
         let m = CacheManager::new(1 << 20);
-        m.put(values("a"), col(5), (1, 1));
-        let partial = FoldPartial {
+        let partial = |fingerprint| FoldPartial {
             partial: Value::Int(9),
             rows: 5,
-            fingerprint: (1, 1),
+            fingerprint,
         };
-        m.put_fold_partial("d", 42, partial.clone());
-        m.put_fold_partial("e", 42, partial);
-        assert_eq!(m.retain_fingerprints("d", &[]), 1);
-        assert!(m.fold_partial("d", 42).is_none());
-        assert!(m.fold_partial("e", 42).is_some());
-        // Fold partials go even when no replica is left to drop.
-        m.put_fold_partial(
-            "e",
-            7,
-            FoldPartial {
-                partial: Value::Int(1),
-                rows: 1,
-                fingerprint: (1, 1),
-            },
-        );
-        m.retain_fingerprints("e", &[]);
-        assert_eq!(m.retain_fingerprints("e", &[]), 0);
-        assert!(m.fold_partial("e", 7).is_none());
+        m.put(values("a"), col(5), (1, 1));
+        m.put_fold_partial("d", 1, partial((1, 1)));
+        m.put_fold_partial("d", 2, partial((2, 2)));
+        m.put_fold_partial("e", 1, partial((1, 1)));
+        // Partials follow the replicas' rule: the (1,1) generation goes,
+        // the kept (2,2) one stays, and other datasets are untouched.
+        assert_eq!(m.retain_fingerprints("d", &[(2, 2)]), 1);
+        assert!(m.get(&values("a")).is_none());
+        assert!(m.fold_partial("d", 1).is_none());
+        assert!(m.fold_partial("d", 2).is_some());
+        assert!(m.fold_partial("e", 1).is_some());
+        // With no stale replica the read-lock fast path returns at once
+        // and leaves partials alone: reuse checks their fingerprint.
+        assert_eq!(m.retain_fingerprints("e", &[(3, 3)]), 0);
+        assert!(m.fold_partial("e", 1).is_some());
         assert!(m.is_empty());
     }
 

@@ -205,12 +205,10 @@ impl<'a> PipelineBuilder<'a> {
         // optimizer itself declines anything it cannot prove
         // result-invariant (see `vida_optimizer::plan`).
         let mut reorder_report = None;
-        if self.opts.plan_opt
-            && matches!(
-                monoid,
-                Monoid::Primitive(_) | Monoid::Collection(CollectionKind::Set)
-            )
-        {
+        if matches!(
+            monoid,
+            Monoid::Primitive(_) | Monoid::Collection(CollectionKind::Set)
+        ) {
             let est = CatalogEstimates {
                 catalog: self.catalog,
                 model: self.sketch_model(),
@@ -758,11 +756,11 @@ impl<'a> PipelineBuilder<'a> {
                     if kernels.len() == src.selects.len() {
                         // Compiled kernels are pure and total, so any
                         // evaluation order admits the same frames — rank
-                        // cheapest-and-most-selective first when the plan
-                        // optimizer is on. The interpreted `src.selects`
-                        // path keeps syntactic order: interpreted conjuncts
-                        // can error, and error order is observable.
-                        let order = if self.opts.plan_opt && kernels.len() > 1 {
+                        // cheapest-and-most-selective first. The
+                        // interpreted `src.selects` path keeps syntactic
+                        // order: interpreted conjuncts can error, and error
+                        // order is observable.
+                        let order = if kernels.len() > 1 {
                             let order = rank_conjuncts(selects, dataset, self.sketch_model());
                             self.stats.conjuncts_reordered += order
                                 .iter()
@@ -798,9 +796,6 @@ impl<'a> PipelineBuilder<'a> {
     fn observe_select_stats(&mut self, sources: &[Source], shape: &Shape) {
         /// Sampled rows per scan — matches `observe_column`'s budget.
         const SAMPLE_ROWS: usize = 64;
-        if !self.opts.plan_opt {
-            return;
-        }
         let Some(model) = self.sketch_model() else {
             return;
         };

@@ -39,7 +39,7 @@ use vida_optimizer::CostModel;
 /// assert_eq!(v, Value::Int(41));
 /// assert!(!cold.served_from_cache && warm.served_from_cache);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct JitOptions {
     /// Cache consulted for column replicas and populated on raw reads.
     pub cache: Option<Arc<CacheManager>>,
@@ -73,28 +73,6 @@ pub struct JitOptions {
     /// render with `QueryTrace::explain_analyze`. Off (the default) the
     /// tracing hooks compile to single `Option` checks.
     pub trace: bool,
-    /// Cost-based plan optimization (default `true`; `--no-plan-opt` is the
-    /// escape hatch): join reordering + build-side choice by estimated
-    /// cardinality via `vida_optimizer::reorder_joins`, and selectivity-
-    /// ordered conjunct evaluation inside fused select kernels. Applied
-    /// only where provably result-invariant (order-insensitive monoids,
-    /// total-safe conjuncts — see the optimizer's `plan` module docs);
-    /// estimates come from catalog row counts plus the cost model's
-    /// distinct/selectivity sketches when one is attached.
-    pub plan_opt: bool,
-}
-
-impl Default for JitOptions {
-    fn default() -> Self {
-        JitOptions {
-            cache: None,
-            cost_model: None,
-            threads: 0,
-            morsel_rows: 0,
-            trace: false,
-            plan_opt: true,
-        }
-    }
 }
 
 impl JitOptions {

@@ -78,8 +78,9 @@ pub struct ExecStats {
     pub fused_stage_depth: u32,
     /// Scan leaves the cost-based plan optimizer moved away from their
     /// syntactic position (join reordering / build-side swaps). 0 when the
-    /// original order was already optimal, reordering was ineligible, or
-    /// `JitOptions::plan_opt` is off.
+    /// original order was already optimal or reordering was ineligible
+    /// (an order-sensitive monoid, or a plan the optimizer cannot prove
+    /// result-invariant).
     pub joins_reordered: u32,
     /// Fused select-kernel conjuncts moved away from syntactic order by
     /// selectivity-based ranking.

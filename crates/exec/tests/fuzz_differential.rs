@@ -20,11 +20,10 @@
 //! generator built over a path that is not a collection — the JIT engine
 //! must error too). The JIT sweep runs on **both raw-data backings**: the
 //! owned in-memory fixture bytes and the same bytes as mmap'd files — the
-//! backing must be unobservable — and with the cost-based plan optimizer
-//! **on and off** (`JitOptions::plan_opt`): join reordering, build-side
-//! swaps, and conjunct reordering must never change a result, and the
-//! matrix asserts the optimizer-on leg actually reorders plans (a sweep
-//! that never triggers the optimizer would pin nothing). Because every
+//! backing must be unobservable. The cost-based plan optimizer always
+//! runs: join reordering, build-side swaps, and conjunct reordering must
+//! never change a result, and the matrix asserts it actually reorders
+//! plans (a sweep that never triggers the optimizer would pin nothing). Because every
 //! generated shape is inside the pipeline coverage, the fuzzer also
 //! asserts that **no plan takes the whole-query Volcano fallback**
 //! (unnests, theta joins, bushy trees, and *reordered* joins all compile)
@@ -500,8 +499,8 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
         })
         .collect();
 
-    // Across the whole matrix the optimizer-on leg must reorder *some*
-    // plans — a sweep where `plan_opt` never fires would pin nothing.
+    // Across the whole matrix the optimizer must reorder *some* plans — a
+    // sweep where it never fires would pin nothing.
     let mut total_reordered = 0u64;
     for seed in SEEDS {
         let mut g = Gen::new(Rng::new(seed));
@@ -518,56 +517,36 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
                     let got = algebra.unwrap_or_else(|e| panic!("{}: {e}", ctx("algebra")));
                     assert_eq!(&got, expected, "{}", ctx("algebra deviates"));
                     for threads in [1usize, 2, 8] {
-                        for plan_opt in [true, false] {
-                            let opts = JitOptions {
-                                threads,
-                                morsel_rows: 4,
-                                plan_opt,
-                                ..Default::default()
-                            };
-                            for (backing, provider) in [("owned", &*cat), ("mmap", &*mapped)] {
-                                let tag = format!("jit x{threads} {backing} plan_opt={plan_opt}");
-                                let (v, stats) = run_jit_with_stats(&plan, provider, &opts)
-                                    .unwrap_or_else(|e| panic!("{}: {e}", ctx(&tag)));
-                                assert_eq!(&v, expected, "{}", ctx(&format!("{tag} deviates")));
-                                fallbacks += stats.whole_query_fallbacks;
-                                if plan_opt {
-                                    total_reordered += stats.joins_reordered as u64;
-                                    // Reordered plans stay inside the
-                                    // pipelines: a reorder that forced the
-                                    // Volcano fallback would be a shape bug.
-                                    if stats.joins_reordered > 0 {
-                                        assert_eq!(
-                                            stats.whole_query_fallbacks,
-                                            0,
-                                            "{}",
-                                            ctx(&format!("{tag} reordered then fell back"))
-                                        );
-                                    }
-                                } else {
-                                    // The escape hatch is a real baseline:
-                                    // nothing may be reordered with it off.
-                                    assert_eq!(
-                                        stats.joins_reordered,
-                                        0,
-                                        "{}",
-                                        ctx(&format!("{tag} reordered joins"))
-                                    );
-                                    assert_eq!(
-                                        stats.conjuncts_reordered,
-                                        0,
-                                        "{}",
-                                        ctx(&format!("{tag} reordered conjuncts"))
-                                    );
-                                }
-                                // Streaming execution: every covered shape fuses
-                                // end to end into the push loop.
-                                assert!(
-                                    stats.fused_stage_depth >= 2,
+                        let opts = JitOptions {
+                            threads,
+                            morsel_rows: 4,
+                            ..Default::default()
+                        };
+                        for (backing, provider) in [("owned", &*cat), ("mmap", &*mapped)] {
+                            let tag = format!("jit x{threads} {backing}");
+                            let (v, stats) = run_jit_with_stats(&plan, provider, &opts)
+                                .unwrap_or_else(|e| panic!("{}: {e}", ctx(&tag)));
+                            assert_eq!(&v, expected, "{}", ctx(&format!("{tag} deviates")));
+                            fallbacks += stats.whole_query_fallbacks;
+                            total_reordered += stats.joins_reordered as u64;
+                            // Reordered plans stay inside the pipelines: a
+                            // reorder that forced the Volcano fallback would
+                            // be a shape bug.
+                            if stats.joins_reordered > 0 {
+                                assert_eq!(
+                                    stats.whole_query_fallbacks,
+                                    0,
                                     "{}",
-                                    ctx(&format!("{tag} reported no fused chain"))
+                                    ctx(&format!("{tag} reordered then fell back"))
                                 );
                             }
+                            // Streaming execution: every covered shape fuses
+                            // end to end into the push loop.
+                            assert!(
+                                stats.fused_stage_depth >= 2,
+                                "{}",
+                                ctx(&format!("{tag} reported no fused chain"))
+                            );
                         }
                     }
                     // Resident-engine mode: the same plan through every
@@ -585,22 +564,17 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
                     // it too — silently succeeding would be a bug.
                     assert!(algebra.is_err(), "{}", ctx("algebra accepted"));
                     for threads in [1usize, 2, 8] {
-                        for plan_opt in [true, false] {
-                            let opts = JitOptions {
-                                threads,
-                                morsel_rows: 4,
-                                plan_opt,
-                                ..Default::default()
-                            };
-                            for (backing, provider) in [("owned", &*cat), ("mmap", &*mapped)] {
-                                assert!(
-                                    run_jit_with_stats(&plan, provider, &opts).is_err(),
-                                    "{}",
-                                    ctx(&format!(
-                                        "jit x{threads} {backing} plan_opt={plan_opt} accepted"
-                                    ))
-                                );
-                            }
+                        let opts = JitOptions {
+                            threads,
+                            morsel_rows: 4,
+                            ..Default::default()
+                        };
+                        for (backing, provider) in [("owned", &*cat), ("mmap", &*mapped)] {
+                            assert!(
+                                run_jit_with_stats(&plan, provider, &opts).is_err(),
+                                "{}",
+                                ctx(&format!("jit x{threads} {backing} accepted"))
+                            );
                         }
                     }
                     for (tag, engine) in &residents {
@@ -620,7 +594,7 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
     }
     assert!(
         total_reordered > 0,
-        "the plan_opt=true sweep never reordered a join — the optimizer leg is dead"
+        "the sweep never reordered a join — the optimizer is dead"
     );
 }
 

@@ -22,7 +22,7 @@
 //! - **shrink safety** — truncating a file while its pages are mmap'd
 //!   must not let a later scan touch the defunct mapping (SIGBUS); the
 //!   re-stat at query description time reopens before any scan runs, and
-//!   the `--no-mmap` backing takes the identical protocol path;
+//!   the owned `MapMode::Never` backing takes the identical protocol path;
 //! - **one generation per query** — a dataset read twice in one query (a
 //!   self-join) is re-stat'd once and read at one generation even when the
 //!   file grows mid-build, and a dataset read only by a nested
@@ -310,14 +310,21 @@ fn resident_catalog_serves_fresh_data_after_disk_edit() {
 
 /// After an append, the warm re-query resumes the cached fold partial and
 /// scans exactly the appended rows; once the replicas are refreshed, the
-/// next unchanged run is a plain full cache hit again.
+/// next unchanged run is a plain full cache hit again. Both backings: growth
+/// detection and tail-only scanning must not depend on mmap.
 #[test]
 fn append_requery_scans_only_the_tail() {
-    for threads in [1usize, 8] {
-        let path = fixture_path(&format!("odelta_{threads}"), "T.csv");
+    for (mode, threads) in [
+        (MapMode::Auto, 1usize),
+        (MapMode::Auto, 8),
+        (MapMode::Never, 1),
+        (MapMode::Never, 8),
+    ] {
+        let path = fixture_path(&format!("odelta_{mode:?}_{threads}"), "T.csv");
         std::fs::write(&path, csv_rows(0, 64, false)).unwrap();
         let cat = MemoryCatalog::new();
-        cat.register(open_plugin("csv", &path, MapMode::Auto));
+        cat.register(open_plugin("csv", &path, mode));
+        let tag = format!("{mode:?} x{threads}");
         let opts = JitOptions {
             cache: Some(Arc::new(CacheManager::new(1 << 20))),
             threads,
@@ -330,25 +337,25 @@ fn append_requery_scans_only_the_tail() {
 
         // Cold: full raw scan, nothing incremental yet.
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert_eq!(v, Value::Int(expected_cold));
-        assert_eq!(stats.tail_rows_scanned, 0, "x{threads}");
-        assert_eq!(stats.partials_reused, 0, "x{threads}");
-        assert!(stats.raw_columns > 0, "x{threads}");
+        assert_eq!(v, Value::Int(expected_cold), "{tag}");
+        assert_eq!(stats.tail_rows_scanned, 0, "{tag}");
+        assert_eq!(stats.partials_reused, 0, "{tag}");
+        assert!(stats.raw_columns > 0, "{tag}");
 
         // Append 4 rows; the warm run pays for 4 rows, not 68.
         append(&path, &csv_rows(64, 68, false));
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert_eq!(v, Value::Int(expected_warm), "x{threads}");
-        assert_eq!(stats.tail_rows_scanned, 4, "x{threads}: tail width");
-        assert_eq!(stats.partials_reused, 1, "x{threads}: fold not resumed");
-        assert_eq!(stats.raw_columns, 0, "x{threads}: prefix re-read raw");
+        assert_eq!(v, Value::Int(expected_warm), "{tag}");
+        assert_eq!(stats.tail_rows_scanned, 4, "{tag}: tail width");
+        assert_eq!(stats.partials_reused, 1, "{tag}: fold not resumed");
+        assert_eq!(stats.raw_columns, 0, "{tag}: prefix re-read raw");
 
         // Unchanged third run: ordinary full cache service.
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
-        assert_eq!(v, Value::Int(expected_warm), "x{threads}");
-        assert!(stats.served_from_cache, "x{threads}");
-        assert_eq!(stats.tail_rows_scanned, 0, "x{threads}");
-        assert_eq!(stats.partials_reused, 0, "x{threads}");
+        assert_eq!(v, Value::Int(expected_warm), "{tag}");
+        assert!(stats.served_from_cache, "{tag}");
+        assert_eq!(stats.tail_rows_scanned, 0, "{tag}");
+        assert_eq!(stats.partials_reused, 0, "{tag}");
     }
 }
 
@@ -359,7 +366,7 @@ fn append_requery_scans_only_the_tail() {
 /// Truncating a file while a resident plugin holds its mmap must not let
 /// any later scan touch pages past the new EOF (SIGBUS on unix). The
 /// description-time re-stat reopens the file before scans run; the
-/// `--no-mmap` backing runs the same protocol over owned buffers.
+/// `MapMode::Never` backing runs the same protocol over owned buffers.
 #[test]
 fn truncation_while_resident_is_safe_on_both_backings() {
     for (mode, mode_tag) in [(MapMode::Auto, "mmap"), (MapMode::Never, "nommap")] {

@@ -3,7 +3,7 @@
 //! The ingest refactor made every raw reader generic over its
 //! [`vida_formats::MapMode`] backing: `RawData::Mapped` (shared read-only
 //! file mapping) or `RawData::Owned` (a heap buffer, from `from_bytes` or
-//! the `--no-mmap` escape hatch). The backing must be *unobservable* above
+//! the `MapMode::Never` escape hatch). The backing must be *unobservable* above
 //! the byte layer. These tests pin that down on the PR-5 fuzzer fixtures —
 //! RFC 4180 escapes, quoted newlines, surrogate pairs, nested lists:
 //!

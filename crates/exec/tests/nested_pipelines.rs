@@ -4,7 +4,8 @@
 //!
 //! Three proofs:
 //! 1. every `generate_nested_heavy` query compiles to a pipeline
-//!    (`whole_query_fallbacks == 0`) and the stats counters show which new
+//!    (`whole_query_fallbacks == 0`) fused into one push chain
+//!    (`fused_stage_depth >= 2`), and the stats counters show which new
 //!    stage ran (`unnest_pipelines`, `theta_pipelines`);
 //! 2. an unnest is served from a cached `BinaryJson` replica of the nested
 //!    column (the ROADMAP's "unnest over cached nested columns first");
@@ -101,6 +102,13 @@ fn nested_heavy_workload_hits_the_new_pipelines() {
         assert_eq!(
             stats.whole_query_fallbacks, 0,
             "{} took the fallback: {stats:?}",
+            q.text
+        );
+        // Streaming execution: every pipeline-covered query runs as one
+        // fused push chain (at least the scan and the fold).
+        assert!(
+            stats.fused_stage_depth >= 2,
+            "{} did not fuse: {stats:?}",
             q.text
         );
         // Each template exercises the stage it was built for.

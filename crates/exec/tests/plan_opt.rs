@@ -3,6 +3,8 @@
 //! side, already-optimal plans must pass through untouched, ordered
 //! monoids must never be reordered, and selectivity-ordered conjuncts
 //! must kick in once the cost model has observed predicate hit rates.
+//! On the workload scale, the join-heavy mix on one resident engine must
+//! reorder joins and keep every answer equal to the oracle.
 //!
 //! The "snapshot" surface is deliberately behavioral rather than a plan
 //! pretty-print: `ExecStats::{joins_reordered, conjuncts_reordered}`
@@ -13,11 +15,16 @@
 
 use std::sync::Arc;
 use vida_algebra::{lower, rewrite, Plan};
-use vida_exec::{run_jit_with_stats, run_volcano, ExecStats, JitOptions, MemoryCatalog};
+use vida_cache::CacheManager;
+use vida_exec::{run_jit_with_stats, run_volcano, Engine, ExecStats, JitOptions, MemoryCatalog};
+use vida_formats::csv::CsvFile;
+use vida_formats::json::JsonFile;
+use vida_formats::plugin::{CsvPlugin, JsonPlugin};
 use vida_lang::parse;
 use vida_optimizer::CostModel;
 use vida_trace::stage;
 use vida_types::{Schema, Type, Value};
+use vida_workload::{generate_join_heavy, WorkloadConfig};
 
 /// Dim: 4 rows, Fact: 600 rows (fid = i % 4, every row matches), Fact2:
 /// 300 rows (gid = i % 4). A join that builds on Fact instead of Dim is
@@ -66,13 +73,8 @@ fn plan_of(q: &str) -> Plan {
 
 /// Serial traced run so the one counted `BUILD_SIDE` span per join is
 /// exactly the build-side materialization (`build_side_tuples`).
-fn run(q: &str, cat: &MemoryCatalog, plan_opt: bool) -> (Value, ExecStats) {
-    let opts = JitOptions {
-        threads: 1,
-        plan_opt,
-        ..JitOptions::default()
-    }
-    .with_trace();
+fn run(q: &str, cat: &MemoryCatalog) -> (Value, ExecStats) {
+    let opts = JitOptions::with_threads(1).with_trace();
     run_jit_with_stats(&plan_of(q), cat, &opts).expect("query runs")
 }
 
@@ -95,14 +97,8 @@ fn misordered_two_way_join_builds_on_the_small_side() {
     let cat = catalog();
     let oracle = run_volcano(&plan_of(q), &cat).unwrap();
 
-    let (off_val, off) = run(q, &cat, false);
-    assert_eq!(off_val, oracle, "plan_opt=false diverged from volcano");
-    assert_eq!(off.joins_reordered, 0, "--no-plan-opt must never reorder");
-    assert_eq!(off.whole_query_fallbacks, 0);
-    assert_eq!(build_tuples(&off), 600, "blind plan builds on Fact");
-
-    let (on_val, on) = run(q, &cat, true);
-    assert_eq!(on_val, oracle, "plan_opt=true diverged from volcano");
+    let (on_val, on) = run(q, &cat);
+    assert_eq!(on_val, oracle, "reordered join diverged from volcano");
     assert_eq!(on.whole_query_fallbacks, 0);
     assert_eq!(
         on.joins_reordered, 2,
@@ -115,18 +111,15 @@ fn misordered_two_way_join_builds_on_the_small_side() {
 #[test]
 fn misordered_three_way_join_is_reordered() {
     // Worst syntactic order: the blind left-deep plan builds on Fact
-    // (600 rows) and then Dim; greedy joins Fact⋈Dim first, shrinking
+    // (600 rows) and then Dim (4); greedy joins Fact⋈Dim first, shrinking
     // the build footprint to Dim (4) + Fact2 (300).
+    const BLIND_BUILD_TUPLES: u64 = 600 + 4;
     let q = "for { g <- Fact2, f <- Fact, d <- Dim, f.fid = g.gid, f.fid = d.id } \
              yield sum f.v";
     let cat = catalog();
     let oracle = run_volcano(&plan_of(q), &cat).unwrap();
 
-    let (off_val, off) = run(q, &cat, false);
-    assert_eq!(off_val, oracle);
-    assert_eq!(off.joins_reordered, 0);
-
-    let (on_val, on) = run(q, &cat, true);
+    let (on_val, on) = run(q, &cat);
     assert_eq!(on_val, oracle, "reordered 3-way join diverged from volcano");
     assert_eq!(on.whole_query_fallbacks, 0);
     assert!(
@@ -134,11 +127,10 @@ fn misordered_three_way_join_is_reordered() {
         "3-way misordered join was left alone"
     );
     assert!(
-        build_tuples(&on) < build_tuples(&off),
+        build_tuples(&on) < BLIND_BUILD_TUPLES,
         "reordering must shrink the total build-side footprint \
-         (got {} vs blind {})",
-        build_tuples(&on),
-        build_tuples(&off)
+         (got {} vs blind {BLIND_BUILD_TUPLES})",
+        build_tuples(&on)
     );
 }
 
@@ -149,31 +141,28 @@ fn already_optimal_join_is_left_untouched() {
     let q = "for { f <- Fact, d <- Dim, f.fid = d.id } yield sum f.v";
     let cat = catalog();
     let oracle = run_volcano(&plan_of(q), &cat).unwrap();
-    for plan_opt in [true, false] {
-        let (val, stats) = run(q, &cat, plan_opt);
-        assert_eq!(val, oracle, "plan_opt={plan_opt}");
-        assert_eq!(stats.joins_reordered, 0, "plan_opt={plan_opt}");
-        assert_eq!(stats.whole_query_fallbacks, 0, "plan_opt={plan_opt}");
-        assert_eq!(build_tuples(&stats), 4, "plan_opt={plan_opt}");
-    }
+    let (val, stats) = run(q, &cat);
+    assert_eq!(val, oracle);
+    assert_eq!(stats.joins_reordered, 0);
+    assert_eq!(stats.whole_query_fallbacks, 0);
+    assert_eq!(build_tuples(&stats), 4);
 }
 
 #[test]
 fn ordered_monoids_keep_the_syntactic_join_order() {
     // Bag output observes tuple order, so even a badly misordered join
-    // must keep Fact on the build side with the optimizer enabled.
+    // must keep Fact on the build side.
     let q = "for { d <- Dim, f <- Fact, d.id = f.fid } \
              yield bag (id := d.id, v := f.v)";
     let cat = catalog();
-    let (on_val, on) = run(q, &cat, true);
-    let (off_val, off) = run(q, &cat, false);
-    assert_eq!(on_val, off_val, "ordered output diverged under plan_opt");
-    assert_eq!(on.joins_reordered, 0, "bag monoid must not be reordered");
-    assert_eq!(off.joins_reordered, 0);
+    let oracle = run_volcano(&plan_of(q), &cat).unwrap();
+    let (val, stats) = run(q, &cat);
+    assert_eq!(val, oracle, "ordered output diverged from volcano");
+    assert_eq!(stats.joins_reordered, 0, "bag monoid must not be reordered");
     assert_eq!(
-        build_tuples(&on),
-        build_tuples(&off),
-        "plan_opt changed the build side of an ordered query"
+        build_tuples(&stats),
+        600,
+        "the optimizer changed the build side of an ordered query"
     );
 }
 
@@ -211,15 +200,77 @@ fn observed_selectivities_reorder_fused_conjuncts() {
         second.conjuncts_reordered, 2,
         "observed selectivities must move the range test first"
     );
+}
 
-    // The escape hatch wins over observations.
-    let off = JitOptions {
-        threads: 1,
-        cost_model: Some(Arc::clone(&model)),
-        plan_opt: false,
-        ..JitOptions::default()
-    };
-    let (off_val, off_stats) = run_jit_with_stats(&plan_of(q), &cat, &off).unwrap();
-    assert_eq!(off_val, oracle);
-    assert_eq!(off_stats.conjuncts_reordered, 0);
+/// HBP-shaped raw inputs for the join-heavy mix: `Patients` CSV (500
+/// rows), `Genetics` (500) and `Regions` (250) newline-delimited JSON.
+fn hbp_catalog() -> MemoryCatalog {
+    let cat = MemoryCatalog::new();
+    let cities = ["geneva", "bern", "zurich", "basel"];
+    let mut csv = String::from("id,age,city\n");
+    for i in 0..500 {
+        csv.push_str(&format!("{i},{},{}\n", 18 + (i * 7) % 70, cities[i % 4]));
+    }
+    let patients = CsvFile::from_bytes(
+        "Patients",
+        csv.into_bytes(),
+        b',',
+        true,
+        Schema::from_pairs([("id", Type::Int), ("age", Type::Int), ("city", Type::Str)]),
+    )
+    .unwrap();
+    cat.register(Arc::new(CsvPlugin::new(patients)));
+    let genetics: String = (0..500)
+        .map(|i| format!("{{\"id\":{i},\"snp\":{}}}\n", (i % 64) as f64 / 64.0))
+        .collect();
+    let genetics = JsonFile::from_bytes(
+        "Genetics",
+        genetics.into_bytes(),
+        Schema::from_pairs([("id", Type::Int), ("snp", Type::Float)]),
+    )
+    .unwrap();
+    cat.register(Arc::new(JsonPlugin::new(genetics)));
+    let regions: String = (0..250).map(|i| format!("{{\"id\":{i}}}\n")).collect();
+    let regions = JsonFile::from_bytes(
+        "Regions",
+        regions.into_bytes(),
+        Schema::from_pairs([("id", Type::Int)]),
+    )
+    .unwrap();
+    cat.register(Arc::new(JsonPlugin::new(regions)));
+    cat
+}
+
+#[test]
+fn join_heavy_mix_is_reordered_on_a_resident_engine() {
+    // The mix writes its equi-join chains in deliberately bad syntactic
+    // order. One resident engine with a cache runs all of it: every answer
+    // matches the oracle, some joins move, and the optimizer's estimates
+    // stay comparable with what ran.
+    let cat = Arc::new(hbp_catalog());
+    let queries = generate_join_heavy(&WorkloadConfig {
+        queries: 40,
+        ..Default::default()
+    });
+    let engine = Engine::new(
+        cat.clone(),
+        JitOptions::with_cache(Arc::new(CacheManager::new(8 << 20))),
+    );
+    let mut session = engine.session();
+    for q in &queries {
+        let plan = plan_of(&q.text);
+        let oracle = run_volcano(&plan, &*cat).unwrap_or_else(|e| panic!("{}: {e}", q.text));
+        let (v, stats) = session
+            .execute_with_stats(&plan)
+            .unwrap_or_else(|e| panic!("{}: {e}", q.text));
+        assert_eq!(v, oracle, "jit deviates for {}", q.text);
+        assert_eq!(stats.whole_query_fallbacks, 0, "{}", q.text);
+    }
+    let total = session.stats();
+    assert!(total.joins_reordered >= 1, "no join reordered: {total:?}");
+    assert!(
+        total.cardinality_error().is_finite(),
+        "cardinality error {} over {total:?}",
+        total.cardinality_error()
+    );
 }

@@ -1,7 +1,8 @@
 //! Trace-layer integration tests (PR 7): span nesting invariants, the
 //! thread-count invariance of aggregated trace counters, consistency of
-//! the per-stage tuple counts with `ExecStats`, and a Chrome-trace JSON
-//! round-trip through the repo's own JSON reader.
+//! the per-stage tuple counts with `ExecStats`, and round-trips of the
+//! engine's JSON documents (Chrome trace, `ExecStats`, metrics snapshot)
+//! through the repo's own JSON reader.
 //!
 //! Counts attach to the span that did the work: every scan, build-side
 //! and drive morsel runs inside a worker-track span reporting its own
@@ -16,7 +17,7 @@ use vida_algebra::{lower, rewrite, Plan};
 use vida_exec::{run_jit_with_stats, ExecStats, JitOptions, QueryTrace};
 use vida_formats::json::parse_json;
 use vida_lang::parse;
-use vida_trace::{stage, Span};
+use vida_trace::{global_metrics, stage, Span};
 use vida_types::Value;
 
 const JOIN_COUNT: &str = "for { a <- A, b <- B, a.k = b.k } yield count a";
@@ -159,11 +160,11 @@ fn kernel_invocations_are_recorded_per_kernel() {
 
 #[test]
 fn fused_select_hits_count_only_the_conjuncts_that_ran() {
-    // Two compiled conjuncts fuse into one select stage, evaluated in
-    // syntactic order with the plan optimizer off: kernel 0 is `a.x > 5`,
-    // kernel 1 is `a.k < 12`. The fused chain short-circuits, so kernel 0
-    // runs on every valid row (null `x` rows take the interpreter) and
-    // kernel 1 only on kernel 0's survivors.
+    // Two compiled conjuncts fuse into one select stage. Without a cost
+    // model's observations the ranking keeps syntactic order: kernel 0 is
+    // `a.x > 5`, kernel 1 is `a.k < 12`. The fused chain short-circuits,
+    // so kernel 0 runs on every valid row (null `x` rows take the
+    // interpreter) and kernel 1 only on kernel 0's survivors.
     let q = "for { a <- A, a.x > 5, a.k < 12 } yield count a";
     let x_of = |i: i64| (i % 5 != 3).then_some((i * 3) % 20);
     let valid = (0..16).filter(|&i| x_of(i).is_some()).count() as u64;
@@ -176,12 +177,12 @@ fn fused_select_hits_count_only_the_conjuncts_that_ran() {
         let opts = JitOptions {
             threads,
             morsel_rows: 4,
-            plan_opt: false,
             ..JitOptions::default()
         }
         .with_trace();
         let cat = common::owned_catalog();
         let (_, stats) = run_jit_with_stats(&plan_of(q), &cat, &opts).unwrap();
+        assert_eq!(stats.conjuncts_reordered, 0, "threads={threads}");
         let hits = stats.query_trace().unwrap().kernel_invocations().to_vec();
         assert_eq!(hits, vec![valid, first_pass], "threads={threads}");
     }
@@ -198,26 +199,54 @@ fn explain_analyze_renders_the_stage_tree() {
     assert!(text.contains("kernels:"));
 }
 
-#[test]
-fn chrome_json_round_trips_through_the_json_reader() {
-    let (_, stats) = traced(JOIN_COUNT, 4);
-    let trace = stats.query_trace().unwrap();
-    let json = trace.to_chrome_json();
-    let (value, end) = parse_json(json.as_bytes(), 0, "chrome-trace").expect("valid JSON");
+/// Parse `json` as one whole document with the engine's own JSON reader;
+/// the top level must be an object.
+fn parse_document(json: &str, what: &str) -> Value {
+    let (value, end) = parse_json(json.as_bytes(), 0, what)
+        .unwrap_or_else(|e| panic!("{what} is not valid JSON ({e}):\n{json}"));
     assert!(
         json.as_bytes()[end..]
             .iter()
             .all(|b| b.is_ascii_whitespace()),
-        "trailing bytes after the JSON document"
+        "trailing bytes after the {what} document"
     );
-    let Value::Record(fields) = value else {
-        panic!("top level must be an object");
-    };
-    let events = fields
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .expect("traceEvents present");
+    assert!(
+        matches!(value, Value::Record(_)),
+        "{what}: top level must be an object"
+    );
+    value
+}
+
+#[test]
+fn stats_and_metrics_json_round_trip_through_the_json_reader() {
+    // The accumulated stats of a traced workload: a join, a bag, an
+    // unnest, at several worker counts.
+    let before = global_metrics().snapshot();
+    let mut total = ExecStats::default();
+    for (q, threads) in [(JOIN_COUNT, 1), (SCAN_BAG, 2), (UNNEST_SUM, 4)] {
+        total.accumulate(&traced(q, threads).1);
+    }
+    let doc = parse_document(&total.to_json(), "ExecStats");
+    for (key, want) in [
+        ("queries", total.queries as i64),
+        ("morsels", total.morsels as i64),
+        ("unnest_pipelines", total.unnest_pipelines as i64),
+    ] {
+        assert_eq!(doc.field(key), Some(&Value::Int(want)), "{key}");
+    }
+
+    let snapshot = global_metrics().snapshot();
+    let doc = parse_document(&snapshot.to_json(), "metrics snapshot");
+    assert!(doc.field("pool_runs").is_some());
+    parse_document(&snapshot.since(&before).to_json(), "metrics delta");
+}
+
+#[test]
+fn chrome_json_round_trips_through_the_json_reader() {
+    let (_, stats) = traced(JOIN_COUNT, 4);
+    let trace = stats.query_trace().unwrap();
+    let doc = parse_document(&trace.to_chrome_json(), "chrome-trace");
+    let events = doc.field("traceEvents").expect("traceEvents present");
     let events = events.elements().expect("traceEvents is an array");
     // One complete event per span plus per-track metadata events.
     assert!(events.len() >= trace.spans().len());

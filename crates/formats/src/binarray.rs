@@ -111,7 +111,7 @@ impl ArrayFile {
     }
 
     /// [`ArrayFile::open`] with an explicit backing policy
-    /// ([`MapMode::Never`] is the `--no-mmap` escape hatch).
+    /// ([`MapMode::Never`] is the owned-buffer escape hatch).
     pub fn open_with(name: impl Into<String>, path: &Path, mode: MapMode) -> Result<Self> {
         Self::from_raw(name.into(), RawFile::open(path, mode)?)
     }

@@ -121,7 +121,7 @@ impl CsvFile {
     }
 
     /// [`CsvFile::open`] with an explicit backing policy ([`MapMode::Never`]
-    /// is the `--no-mmap` escape hatch).
+    /// is the owned-buffer escape hatch).
     pub fn open_with(
         name: impl Into<String>,
         path: &Path,

@@ -77,7 +77,7 @@ impl JsonFile {
     }
 
     /// [`JsonFile::open`] with an explicit backing policy ([`MapMode::Never`]
-    /// is the `--no-mmap` escape hatch).
+    /// is the owned-buffer escape hatch).
     pub fn open_with(
         name: impl Into<String>,
         path: &Path,

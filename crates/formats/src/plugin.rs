@@ -621,7 +621,7 @@ pub fn open_plugin(desc: &SourceDescription) -> Result<Box<dyn InputPlugin>> {
 }
 
 /// [`open_plugin`] with an explicit raw-data backing policy
-/// ([`vida_io::MapMode::Never`] is the `--no-mmap` escape hatch).
+/// ([`vida_io::MapMode::Never`] is the owned-buffer escape hatch).
 pub fn open_plugin_with(
     desc: &SourceDescription,
     mode: vida_io::MapMode,

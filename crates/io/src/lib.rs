@@ -11,8 +11,7 @@
 //!   shared mapping instead of copying files into private `Vec<u8>`
 //!   buffers, so concurrent scan workers read the same pages and cold
 //!   opens pay no up-front copy. An owned-buffer backing remains both the
-//!   non-unix fallback and an explicit escape hatch ([`MapMode::Never`],
-//!   surfaced as `--no-mmap` in the tooling).
+//!   non-unix fallback and an explicit escape hatch ([`MapMode::Never`]).
 //! - [`RawFile`]: one generation of an input — its bytes, the `(len,
 //!   ns-mtime)` fingerprint they were read under, and their origin.
 //!   [`RawFile::refresh`] is the one re-stat in the tree: it answers

@@ -27,7 +27,8 @@ pub enum MapMode {
     /// read on any failure. The default.
     #[default]
     Auto,
-    /// Always read into an owned buffer (the `--no-mmap` escape hatch).
+    /// Always read into an owned buffer (the escape hatch for
+    /// filesystems where mmap misbehaves).
     Never,
 }
 
@@ -278,7 +279,7 @@ mod unix {
     /// file fresh (owned read fallback included) **before** any scan
     /// dereferences the old pages. A truncation racing the stat-then-scan
     /// window remains fatal, as it is for every mmap consumer;
-    /// `MapMode::Never` (`--no-mmap`) removes the hazard entirely for
+    /// `MapMode::Never` removes the hazard entirely for
     /// hostile filesystems.
     pub struct Mmap {
         ptr: *mut c_void,

@@ -33,6 +33,7 @@ use std::thread::JoinHandle;
 use vida_algebra::{lower, rewrite};
 use vida_exec::{output, Engine, OutputFormat};
 use vida_lang::parse;
+use vida_trace::chrome::escape_json;
 use vida_trace::global_metrics;
 use vida_types::sync::Mutex;
 use vida_types::{Result, Value};
@@ -323,7 +324,7 @@ impl QueryServer {
                     out.push_str(&format!(
                         "\"{}\":{{\"budget_bytes\":{},\"used_bytes\":{},\"insertions\":{},\
                          \"evictions\":{},\"layouts\":{}}}",
-                        json_escape(name),
+                        escape_json(name),
                         budget,
                         ts.used_bytes,
                         ts.insertions,
@@ -369,10 +370,6 @@ fn layouts_json(counts: &[(vida_cache::Layout, usize)]) -> String {
     }
     out.push('}');
     out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn executor_loop(shared: &Shared) {
@@ -514,6 +511,9 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
     use vida_exec::{JitOptions, MemoryCatalog, SourceProvider};
+    use vida_formats::csv::CsvFile;
+    use vida_formats::json::parse_json;
+    use vida_formats::plugin::CsvPlugin;
     use vida_formats::{AccessStats, InputPlugin};
     use vida_types::{Schema, Type};
 
@@ -828,20 +828,47 @@ mod tests {
 
     #[test]
     fn stats_json_reports_cache_and_tenants_when_attached() {
+        // A raw CSV dataset, so queries write replicas into the cache. One
+        // tenant name carries control bytes, which must come out escaped.
+        let odd = "a\tb\u{1}";
         let cache = Arc::new(vida_cache::CacheManager::new(1 << 20));
         cache.set_tenant_budget("acme", 1 << 16);
+        cache.set_tenant_budget(odd, 1 << 16);
         let cat = MemoryCatalog::new();
-        cat.register_records("T", Schema::from_pairs([("x", Type::Int)]), &[])
-            .unwrap();
+        let csv = CsvFile::from_bytes(
+            "T",
+            b"x\n1\n2\n3\n".to_vec(),
+            b',',
+            true,
+            Schema::from_pairs([("x", Type::Int)]),
+        )
+        .unwrap();
+        cat.register(Arc::new(CsvPlugin::new(csv)));
         let opts = JitOptions {
-            cache: Some(cache),
+            cache: Some(Arc::clone(&cache)),
             ..Default::default()
         };
         let engine = Arc::new(Engine::new(Arc::new(cat), opts));
         let server = QueryServer::start(engine, ServerConfig::default());
+        let buf = SharedBuffer::default();
+        server.submit(
+            QueryRequest::new("for { t <- T } yield sum t.x", Box::new(buf.clone()))
+                .with_tenant(odd),
+        );
+        server.drain();
+        assert!(read_response(&mut Cursor::new(buf.take())).unwrap().is_ok());
+        assert!(!cache.layout_counts().is_empty(), "no replica written");
+
         let json = server.stats_json();
         assert!(json.contains("\"cache\":{"));
         assert!(json.contains("\"acme\":{\"budget_bytes\":65536"));
+        assert!(json.contains("\"a\\tb\\u0001\":{"), "{json}");
+        assert!(json.bytes().all(|b| b >= 0x20), "raw control byte: {json}");
+        // The whole document round-trips through the engine's JSON reader.
+        let (doc, end) = parse_json(json.as_bytes(), 0, "stats").unwrap();
+        assert!(json.as_bytes()[end..].iter().all(u8::is_ascii_whitespace));
+        let tenants = doc.field("cache").and_then(|c| c.field("tenants"));
+        assert!(tenants.and_then(|t| t.field(odd)).is_some(), "{doc:?}");
     }
 
     /// A test-only `Boom` dataset: `Patients` behind a plugin that panics

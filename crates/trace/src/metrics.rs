@@ -357,8 +357,9 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"cache_hits\":7"));
         assert!(json.contains("\"buckets\":[[2,1]]"));
-        // Balanced braces/brackets (the real parse round-trip lives in
-        // vida-exec's integration tests, next to the JSON reader).
+        // Balanced braces/brackets (the real parse round-trip is
+        // `stats_and_metrics_json_round_trip_through_the_json_reader` in
+        // vida-exec's `tests/trace.rs`, next to the JSON reader).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
