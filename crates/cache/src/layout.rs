@@ -2,12 +2,15 @@
 //!
 //! A tuple carrying a JSON object can be materialized as (b) a binary-JSON
 //! serialization, (c) a fully parsed in-memory object, or (d) just the
-//! `(start, end)` byte positions into the raw file. The figure's (a), the
-//! object's raw text, is not a replica layout: it does not round-trip typed
-//! values (`"3"` rehydrates as a string, not an int), and the raw file
-//! already holds it. The optimizer's cost model picks one layout per cached
-//! field (§5); this module gives each choice a concrete representation and
-//! the conversion from parsed values.
+//! `(start, end)` byte positions into the raw file. The cache stores (b) and
+//! (c). The figure's (d) is kept by the format layer, not here: the CSV
+//! positional map and the JSON semi-index already hold every field's byte
+//! span, and a read through them is the exact-seek parse a positions replica
+//! would do. The figure's (a), the object's raw text, is not a replica
+//! layout either: it does not round-trip typed values (`"3"` rehydrates as a
+//! string, not an int), and the raw file already holds it. The optimizer's
+//! cost model picks one layout per cached field (§5); this module gives each
+//! choice a concrete representation and the conversion from parsed values.
 
 use crate::bson;
 use std::sync::Arc;
@@ -20,21 +23,17 @@ pub enum Layout {
     Values,
     /// Binary-JSON serialization of each value (Figure 4 (b)).
     BinaryJson,
-    /// `(start, end)` byte positions into the raw file (Figure 4 (d)).
-    Positions,
 }
 
 impl Layout {
     /// Every layout, in ascending order of baseline serving cost (a
-    /// pointer-shared values hit < a binary-JSON decode < an exact-seek raw
-    /// parse).
-    pub const ALL: [Layout; 3] = [Layout::Values, Layout::BinaryJson, Layout::Positions];
+    /// pointer-shared values hit < a binary-JSON decode).
+    pub const ALL: [Layout; 2] = [Layout::Values, Layout::BinaryJson];
 
     pub fn name(&self) -> &'static str {
         match self {
             Layout::Values => "values",
             Layout::BinaryJson => "binary-json",
-            Layout::Positions => "positions",
         }
     }
 }
@@ -51,7 +50,6 @@ impl Layout {
 pub enum CachedData {
     Values(Arc<Vec<Value>>),
     BinaryJson(Vec<Vec<u8>>),
-    Positions(Vec<(u64, u64)>),
 }
 
 impl CachedData {
@@ -59,7 +57,6 @@ impl CachedData {
         match self {
             CachedData::Values(_) => Layout::Values,
             CachedData::BinaryJson(_) => Layout::BinaryJson,
-            CachedData::Positions(_) => Layout::Positions,
         }
     }
 
@@ -67,7 +64,6 @@ impl CachedData {
         match self {
             CachedData::Values(v) => v.len(),
             CachedData::BinaryJson(v) => v.len(),
-            CachedData::Positions(v) => v.len(),
         }
     }
 
@@ -80,15 +76,10 @@ impl CachedData {
         match self {
             CachedData::Values(v) => v.iter().map(Value::approx_bytes).sum::<usize>() + 24,
             CachedData::BinaryJson(v) => v.iter().map(|b| b.len() + 24).sum::<usize>() + 24,
-            CachedData::Positions(v) => v.len() * 16 + 24,
         }
     }
 
     /// Fetch one row as a [`Value`].
-    ///
-    /// `Positions` entries cannot rehydrate without the raw file, so they
-    /// return an error here; callers holding the file use the positions
-    /// directly (that is the point of the layout).
     pub fn get(&self, row: usize) -> Result<Value> {
         let oob = || VidaError::Exec(format!("cache row {row} out of range"));
         match self {
@@ -97,26 +88,18 @@ impl CachedData {
                 let bytes = v.get(row).ok_or_else(oob)?;
                 bson::decode_value(bytes, 0).map(|(val, _)| val)
             }
-            CachedData::Positions(_) => Err(VidaError::Exec(
-                "positions-only cache entry cannot materialize values without the raw file".into(),
-            )),
         }
     }
 
-    /// Convert a parsed-values column into another layout.
-    ///
-    /// `Positions` cannot be derived from values (it needs raw-file byte
-    /// offsets), so that conversion is an error.
+    /// Convert a parsed-values column into another layout. Every layout
+    /// converts; the `Result` is kept for callers that already handle one.
     pub fn from_values(values: &[Value], target: Layout) -> Result<CachedData> {
-        match target {
-            Layout::Values => Ok(CachedData::Values(Arc::new(values.to_vec()))),
-            Layout::BinaryJson => Ok(CachedData::BinaryJson(
-                values.iter().map(bson::to_bytes).collect(),
-            )),
-            Layout::Positions => Err(VidaError::Plan(
-                "positions layout requires raw-file offsets, not values".into(),
-            )),
-        }
+        Ok(match target {
+            Layout::Values => CachedData::Values(Arc::new(values.to_vec())),
+            Layout::BinaryJson => {
+                CachedData::BinaryJson(values.iter().map(bson::to_bytes).collect())
+            }
+        })
     }
 }
 
@@ -148,21 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn positions_layout_cannot_materialize() {
-        let c = CachedData::Positions(vec![(0, 10), (10, 25)]);
-        assert!(c.get(0).is_err());
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn positions_cannot_come_from_values() {
-        assert!(CachedData::from_values(&vals(), Layout::Positions).is_err());
-    }
-
-    #[test]
     fn footprints_rank_as_figure4_expects() {
-        // Positions are the smallest; parsed values the largest for nested
-        // records — the cache-pollution argument of §5.
+        // Binary JSON is smaller than parsed values for nested records —
+        // the cache-pollution argument of §5.
         let big_objects: Vec<Value> = (0..50)
             .map(|i| {
                 Value::record(
@@ -178,11 +149,6 @@ mod tests {
         let binary = CachedData::from_values(&big_objects, Layout::BinaryJson)
             .unwrap()
             .approx_bytes();
-        let positions = CachedData::Positions(vec![(0, 100); 50]).approx_bytes();
-        assert!(
-            positions < binary,
-            "positions {positions} < binary {binary}"
-        );
         assert!(binary < values, "binary {binary} < values {values}");
     }
 

@@ -7,13 +7,14 @@
 //! memory reads. Three ideas from the paper shape the design:
 //!
 //! 1. **Layout-aware replicas** — a field is cached in one of
-//!    [`Layout::ALL`] (parsed values, binary JSON, positions-only; Figure 4)
+//!    [`Layout::ALL`] (parsed values or binary JSON; Figure 4 (c) and (b))
 //!    and the optimizer's cost model picks the one that fits the workload;
 //!    the [`CacheManager`] holds one replica per field, so writing another
 //!    layout re-shapes it.
 //! 2. **Cache-pollution avoidance** — large nested objects can be cached as
-//!    `(start, end)` byte positions into the raw file rather than eagerly
-//!    materialized (§5).
+//!    compact binary JSON rather than fully parsed objects (§5). Their raw
+//!    byte positions (Figure 4 (d)) are not a replica: the format layer's
+//!    positional map and semi-index already hold them.
 //! 3. **Invalidation, not synchronization** — when a raw file changes, one
 //!    call ([`CacheManager::retain_fingerprints`]) drops the entries of the
 //!    generations it no longer vouches for (§2.1): the raw file stays the

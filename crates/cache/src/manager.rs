@@ -157,17 +157,18 @@ struct AtomicStats {
 ///
 /// let cache = CacheManager::new(1 << 20); // 1 MiB budget
 /// let fingerprint = (42, 0); // (file length, mtime)
+/// let ages = [Value::Int(71), Value::Int(34)];
 /// cache.put(
-///     CacheKey::new("Patients", "age", Layout::Positions),
-///     CachedData::Positions(vec![(12, 14), (20, 22)]),
+///     CacheKey::new("Patients", "age", Layout::BinaryJson),
+///     CachedData::from_values(&ages, Layout::BinaryJson).unwrap(),
 ///     fingerprint,
 /// );
 /// cache.put(
 ///     CacheKey::new("Patients", "age", Layout::Values),
-///     CachedData::Values(Arc::new(vec![Value::Int(71), Value::Int(34)])),
+///     CachedData::Values(Arc::new(ages.to_vec())),
 ///     fingerprint,
 /// );
-/// assert_eq!(cache.len(), 1); // the positions replica was retired
+/// assert_eq!(cache.len(), 1); // the binary-JSON replica was retired
 /// let (layout, data, stored) = cache.get_any("Patients", "age", &Layout::ALL).unwrap();
 /// assert_eq!((layout, stored), (Layout::Values, fingerprint));
 /// assert_eq!(data.get(0).unwrap(), Value::Int(71));
@@ -681,8 +682,9 @@ mod tests {
         CachedData::Values(Arc::new((0..n).map(|i| Value::Int(i as i64)).collect()))
     }
 
-    fn positions(n: usize) -> CachedData {
-        CachedData::Positions(vec![(0, 5); n])
+    fn binary(n: usize) -> CachedData {
+        let vals: Vec<Value> = (0..n).map(|i| Value::Int(i as i64)).collect();
+        CachedData::from_values(&vals, Layout::BinaryJson).unwrap()
     }
 
     /// A zero-cost insert of field `f` of dataset `d` on behalf of `tenant`.
@@ -871,14 +873,14 @@ mod tests {
         let m = CacheManager::new(1 << 20);
         m.put(values("a"), col(5), (10, 20));
         let (layout, data, fp) = m
-            .get_any("d", "a", &[Layout::Values, Layout::Positions])
+            .get_any("d", "a", &[Layout::Values, Layout::BinaryJson])
             .unwrap();
         assert_eq!(layout, Layout::Values);
         assert_eq!(data.len(), 5);
         assert_eq!(fp, (10, 20));
         assert!(m.get_any("d", "b", &[Layout::Values]).is_none());
         // A replica outside the accepted layouts is a miss.
-        assert!(m.get_any("d", "a", &[Layout::Positions]).is_none());
+        assert!(m.get_any("d", "a", &[Layout::BinaryJson]).is_none());
         assert_eq!(m.stats().misses, 2);
     }
 
@@ -937,10 +939,10 @@ mod tests {
             .extend_values(&key, (1, 1), 6, vec![Value::Int(5)], (2, 2))
             .is_none());
         // Not a values replica.
-        let pos = CacheKey::new("d", "b", Layout::Positions);
-        m.put(pos.clone(), positions(5), (1, 1));
+        let bin = CacheKey::new("d", "b", Layout::BinaryJson);
+        m.put(bin.clone(), binary(5), (1, 1));
         assert!(m
-            .extend_values(&pos, (1, 1), 5, vec![Value::Int(5)], (2, 2))
+            .extend_values(&bin, (1, 1), 5, vec![Value::Int(5)], (2, 2))
             .is_none());
         assert!(m
             .extend_values(&values("b"), (1, 1), 5, vec![Value::Int(5)], (2, 2))
@@ -991,15 +993,14 @@ mod tests {
         assert_eq!(insert(col(3)), Some(0));
         // Same layout again: a replacement, not a retirement.
         assert_eq!(insert(col(3)), Some(0));
-        assert_eq!(insert(positions(3)), Some(1));
+        assert_eq!(insert(binary(3)), Some(1));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.used_bytes(), positions(3).approx_bytes());
+        assert_eq!(m.used_bytes(), binary(3).approx_bytes());
         assert!(!m.contains(&values("a")));
         let (layout, _, _) = m.get_any("d", "a", &Layout::ALL).unwrap();
-        assert_eq!(layout, Layout::Positions);
-        let bson = CachedData::from_values(&[Value::Int(1)], Layout::BinaryJson).unwrap();
-        assert_eq!(insert(bson), Some(1));
-        assert_eq!(m.layout_counts(), vec![(Layout::BinaryJson, 1)]);
+        assert_eq!(layout, Layout::BinaryJson);
+        assert_eq!(insert(col(1)), Some(1));
+        assert_eq!(m.layout_counts(), vec![(Layout::Values, 1)]);
         assert_eq!(m.cached_fields("d"), vec!["a".to_string()]);
     }
 
@@ -1064,7 +1065,7 @@ mod tests {
         m.put(key.clone(), col(3), (1, 1));
         assert!(m.contains(&key));
         assert!(!m.contains(&values("b")));
-        assert!(!m.contains(&CacheKey::new("d", "a", Layout::Positions)));
+        assert!(!m.contains(&CacheKey::new("d", "a", Layout::BinaryJson)));
         let s = m.stats();
         assert_eq!((s.hits, s.misses), (0, 0));
     }
@@ -1075,12 +1076,12 @@ mod tests {
         m.put(values("a"), col(3), (1, 1));
         m.put(values("b"), col(3), (1, 1));
         m.put(
-            CacheKey::new("d", "c", Layout::Positions),
-            positions(3),
+            CacheKey::new("d", "c", Layout::BinaryJson),
+            binary(3),
             (1, 1),
         );
         let counts = m.layout_counts();
-        assert_eq!(counts, vec![(Layout::Positions, 1), (Layout::Values, 2)]);
+        assert_eq!(counts, vec![(Layout::BinaryJson, 1), (Layout::Values, 2)]);
     }
 
     #[test]
@@ -1158,18 +1159,18 @@ mod tests {
     fn layout_counts_split_per_tenant() {
         let m = CacheManager::new(1 << 20);
         put_for(&m, "a", "x", col(3));
-        put_for(&m, "a", "y", positions(3));
+        put_for(&m, "a", "y", binary(3));
         put_for(&m, "b", "z", col(3));
         assert_eq!(
             m.layout_counts_for("a"),
-            vec![(Layout::Positions, 1), (Layout::Values, 1)]
+            vec![(Layout::BinaryJson, 1), (Layout::Values, 1)]
         );
         assert_eq!(m.layout_counts_for("b"), vec![(Layout::Values, 1)]);
         assert!(m.layout_counts_for("nobody").is_empty());
         // The global view still sees everything.
         assert_eq!(
             m.layout_counts(),
-            vec![(Layout::Positions, 1), (Layout::Values, 2)]
+            vec![(Layout::BinaryJson, 1), (Layout::Values, 2)]
         );
     }
 
@@ -1182,8 +1183,8 @@ mod tests {
         assert!(m.tenant_stats("a").used_bytes > 0);
         // Re-shaping the field by an untenanted insert debits "a".
         m.put(
-            CacheKey::new("d", "x", Layout::Positions),
-            positions(10),
+            CacheKey::new("d", "x", Layout::BinaryJson),
+            binary(10),
             (1, 1),
         );
         assert_eq!(m.tenant_stats("a").used_bytes, 0);
@@ -1251,7 +1252,7 @@ mod tests {
                         let field = format!("f{}", (i * 7 + w) % 9);
                         let gen = (i % 3) as u64;
                         let data = if (i + w) % 4 == 0 {
-                            positions(60)
+                            binary(60)
                         } else {
                             col(60 + i % 50)
                         };

@@ -1,10 +1,11 @@
 //! Data-source resolution for the executors.
 //!
 //! Executors see datasets through [`SourceProvider`] — the runtime face of
-//! the catalog. `vida` (the engine facade) implements it over registered
-//! source descriptions; tests and benchmarks use [`MemoryCatalog`]. Each
-//! query reads the catalog through a `QueryBinding`, which fixes one file
-//! generation per dataset for the whole query.
+//! the catalog. [`MemoryCatalog`] implements it over registered plugins
+//! (engines, tests and benchmarks all use it). The one other implementation
+//! is the crate-private `QueryBinding` each query reads the catalog
+//! through, which fixes one file generation per dataset for the whole
+//! query.
 
 use std::collections::HashMap;
 use std::sync::Arc;

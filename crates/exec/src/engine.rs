@@ -21,9 +21,9 @@
 //!   into an engine-wide tally ([`Engine::stats`]).
 //!
 //! Per-query state lives in a [`Session`]: its own `JitOptions` overrides
-//! (tracing, plan-opt, morsel size — anything except the worker count,
-//! which the pool fixes), its own accumulated stats, and an optional
-//! **tenant id** that cache replica writes are billed to
+//! (tracing, morsel size, cache and cost model — anything except the
+//! worker count, which the pool fixes), its own accumulated stats, and an
+//! optional **tenant id** that cache replica writes are billed to
 //! (`CacheManager::put_with_cost_for`), so one tenant's working set cannot
 //! evict another in-quota tenant's.
 //!
@@ -183,7 +183,7 @@ pub struct Session<'e> {
 }
 
 impl Session<'_> {
-    /// Per-session option overrides (tracing, plan-opt, morsel size, …).
+    /// Per-session option overrides (tracing, morsel size, cache, …).
     /// The worker count is the engine pool's and cannot be changed here —
     /// `threads` edits are ignored at execution.
     pub fn options_mut(&mut self) -> &mut JitOptions {

@@ -40,9 +40,9 @@
 //!   [`vida_optimizer::CostModel`] — the session's, else the engine's
 //!   shared one: the pipeline records per-field access statistics after
 //!   every query and the model decides each replica's layout — parsed
-//!   `Values`, compact `BinaryJson`, or `Positions` (raw byte spans
-//!   rehydrated by exact-seek parses) — plus the `get_any` probe order and
-//!   a rebuild-cost eviction bonus (§5);
+//!   `Values` or compact `BinaryJson` — plus a rebuild-cost eviction bonus
+//!   (§5); raw byte positions stay in the format layer's positional map and
+//!   semi-index;
 //! - **monoid folding**: results fold with the output monoid; collection
 //!   monoids accumulate and canonicalize once at the end, and `count` with a
 //!   total head skips head evaluation entirely.

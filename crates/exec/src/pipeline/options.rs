@@ -46,8 +46,8 @@ pub struct JitOptions {
     /// Cost model deciding replica layouts (§5). A cache is always steered
     /// by a model: the pipeline records per-field access statistics after
     /// every query, writes replicas in the layout the model chooses
-    /// (`Values`, `BinaryJson`, or `Positions`), probes `get_any` in model
-    /// order, and weighs eviction by rebuild cost. `None` next to a cache
+    /// (`Values` or `BinaryJson`), serves whichever one the field holds,
+    /// and weighs eviction by rebuild cost. `None` next to a cache
     /// selects the engine's shared model (a per-call one under the hidden
     /// `run_jit` wrappers), not a second policy. Without a cache, a model
     /// only lends its sketches to plan optimization.

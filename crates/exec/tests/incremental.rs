@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vida_algebra::{lower, rewrite, Plan};
-use vida_cache::CacheManager;
+use vida_cache::{CacheManager, CachedData, Layout};
 use vida_exec::{
     run_jit, run_jit_with_stats, run_volcano, JitOptions, MemoryCatalog, SourceProvider,
 };
@@ -311,22 +311,30 @@ fn resident_catalog_serves_fresh_data_after_disk_edit() {
 /// After an append, the warm re-query resumes the cached fold partial and
 /// scans exactly the appended rows; once the replicas are refreshed, the
 /// next unchanged run is a plain full cache hit again. Both backings: growth
-/// detection and tail-only scanning must not depend on mmap.
+/// detection and tail-only scanning must not depend on mmap. The prefix
+/// replica comes in both layouts: a `Values` replica takes the tail in
+/// place, a `BinaryJson` one decodes its prefix and stitches on the tail.
 #[test]
 fn append_requery_scans_only_the_tail() {
-    for (mode, threads) in [
-        (MapMode::Auto, 1usize),
-        (MapMode::Auto, 8),
-        (MapMode::Never, 1),
-        (MapMode::Never, 8),
+    for (mode, threads, layout) in [
+        (MapMode::Auto, 1usize, Layout::Values),
+        (MapMode::Auto, 8, Layout::Values),
+        (MapMode::Never, 1, Layout::Values),
+        (MapMode::Never, 8, Layout::Values),
+        (MapMode::Auto, 1, Layout::BinaryJson),
+        (MapMode::Never, 8, Layout::BinaryJson),
     ] {
-        let path = fixture_path(&format!("odelta_{mode:?}_{threads}"), "T.csv");
+        let path = fixture_path(
+            &format!("odelta_{mode:?}_{threads}_{}", layout.name()),
+            "T.csv",
+        );
         std::fs::write(&path, csv_rows(0, 64, false)).unwrap();
         let cat = MemoryCatalog::new();
         cat.register(open_plugin("csv", &path, mode));
-        let tag = format!("{mode:?} x{threads}");
+        let tag = format!("{mode:?} x{threads} {layout:?}");
+        let cache = Arc::new(CacheManager::new(1 << 20));
         let opts = JitOptions {
-            cache: Some(Arc::new(CacheManager::new(1 << 20))),
+            cache: Some(Arc::clone(&cache)),
             threads,
             morsel_rows: 4,
             ..Default::default()
@@ -341,14 +349,30 @@ fn append_requery_scans_only_the_tail() {
         assert_eq!(stats.tail_rows_scanned, 0, "{tag}");
         assert_eq!(stats.partials_reused, 0, "{tag}");
         assert!(stats.raw_columns > 0, "{tag}");
+        let old = cat.plugin("T").unwrap().fingerprint();
+        if layout == Layout::BinaryJson {
+            // Re-shape the touched column's replica at the old generation.
+            let vals: Vec<Value> = (0..64).map(|i| Value::Int(v_of(i))).collect();
+            let replica = CachedData::from_values(&vals, layout).unwrap();
+            cache.put(vida_cache::CacheKey::new("T", "v", layout), replica, old);
+        }
+        assert_eq!(cache.get_any("T", "v", &Layout::ALL).unwrap().0, layout);
 
         // Append 4 rows; the warm run pays for 4 rows, not 68.
         append(&path, &csv_rows(64, 68, false));
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
         assert_eq!(v, Value::Int(expected_warm), "{tag}");
+        assert_eq!(v, cold_rescan(&plan, "csv", &path), "{tag}");
         assert_eq!(stats.tail_rows_scanned, 4, "{tag}: tail width");
         assert_eq!(stats.partials_reused, 1, "{tag}: fold not resumed");
         assert_eq!(stats.raw_columns, 0, "{tag}: prefix re-read raw");
+        assert_eq!(stats.cached_columns, 1, "{tag}: prefix not served");
+        // The field's one replica now vouches for the grown file.
+        let current = cat.plugin("T").unwrap().fingerprint();
+        assert_ne!(current, old, "{tag}");
+        let (_, data, stored) = cache.get_any("T", "v", &Layout::ALL).unwrap();
+        assert_eq!((stored, data.len()), (current, 68), "{tag}");
+        assert_eq!(cache.cached_fields("T"), vec!["v".to_string()], "{tag}");
 
         // Unchanged third run: ordinary full cache service.
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();

@@ -4,10 +4,10 @@
 //! Two angles:
 //!
 //! 1. **Forced layouts** — replicas of every touched field are pre-seeded
-//!    in one specific layout (`Values`, `BinaryJson`, or `Positions`) and
-//!    the warm run must agree with the Volcano oracle. This pins the
-//!    rehydration paths (in-memory decode, exact-seek span parses)
-//!    independently of what the cost model would pick.
+//!    in one specific layout (`Values` or `BinaryJson`) and the warm run
+//!    must agree with the Volcano oracle. This pins the rehydration paths
+//!    (pointer share, in-memory decode) independently of what the cost
+//!    model would pick.
 //! 2. **Adaptive selection** — a query mix runs repeatedly with the
 //!    [`CostModel`] steering replica layouts; results must be identical
 //!    run over run, and the acceptance property of the §5 reproduction
@@ -67,34 +67,17 @@ fn plan_of(q: &str) -> vida_algebra::Plan {
 }
 
 /// Seed `cache` with a replica of every column of `plugin` in `layout`.
-/// Positions replicas are built from the plugin's field byte spans.
 fn seed_replicas(cache: &CacheManager, plugin: &dyn InputPlugin, layout: Layout) {
     let schema = plugin.schema().clone();
-    let nrows = plugin.num_units();
     for (col, field) in schema.fields().iter().enumerate() {
-        let data = match layout {
-            Layout::Positions => {
-                let spans = (0..nrows)
-                    .map(|row| {
-                        plugin
-                            .field_byte_span(row, col)
-                            .expect("span lookup")
-                            .expect("text formats report spans")
-                    })
-                    .collect();
-                CachedData::Positions(spans)
-            }
-            layout => {
-                let mut vals = Vec::with_capacity(nrows);
-                plugin
-                    .scan_project(&[col], &mut |_, mut v| {
-                        vals.push(v.pop().expect("one value"));
-                        Ok(())
-                    })
-                    .expect("scan");
-                CachedData::from_values(&vals, layout).expect("converts")
-            }
-        };
+        let mut vals = Vec::with_capacity(plugin.num_units());
+        plugin
+            .scan_project(&[col], &mut |_, mut v| {
+                vals.push(v.pop().expect("one value"));
+                Ok(())
+            })
+            .expect("scan");
+        let data = CachedData::from_values(&vals, layout).expect("converts");
         cache.put(
             CacheKey::new(plugin.name(), field.name.clone(), layout),
             data,
@@ -179,24 +162,31 @@ fn adaptive_selection_is_stable_and_reshapes_at_least_one_field() {
     // The §5 acceptance property: run the same query mix twice with the
     // cost model under a tight budget; results are identical, and the cache
     // ends up holding a model-chosen non-Values replica that get_any
-    // serves. A wide text column makes parsed values unaffordable.
-    let mut csv = String::from("id,age,notes\n");
+    // serves. A fat nested record column (12 string fields per row) makes
+    // parsed values unaffordable.
+    let mut json = String::new();
     for i in 0..64 {
-        csv.push_str(&format!("{i},{},{}\n", 20 + i % 60, "n".repeat(150)));
+        let notes: Vec<String> = (0..12)
+            .map(|j| format!("\"n{j}\":\"visit-{i:02}-note-{j:02}\""))
+            .collect();
+        json.push_str(&format!(
+            "{{\"id\":{i},\"age\":{},\"notes\":{{{}}}}}\n",
+            20 + i % 60,
+            notes.join(",")
+        ));
     }
+    let notes = Type::record((0..12).map(|j| (format!("n{j}"), Type::Str)));
     let cat = MemoryCatalog::new();
-    cat.register(Arc::new(CsvPlugin::new(
-        CsvFile::from_bytes(
+    cat.register(Arc::new(JsonPlugin::new(
+        JsonFile::from_bytes(
             "Visits",
-            csv.into_bytes(),
-            b',',
-            true,
-            Schema::from_pairs([("id", Type::Int), ("age", Type::Int), ("notes", Type::Str)]),
+            json.into_bytes(),
+            Schema::from_pairs([("id", Type::Int), ("age", Type::Int), ("notes", notes)]),
         )
-        .expect("csv fixture parses"),
+        .expect("json fixture parses"),
     )));
 
-    let cache = Arc::new(CacheManager::new(16 << 10));
+    let cache = Arc::new(CacheManager::new(64 << 10));
     let model = Arc::new(CostModel::new());
     let opts = JitOptions::with_cost_model(Arc::clone(&cache), Arc::clone(&model));
     let mix = [

@@ -324,9 +324,9 @@ impl CsvFile {
         self.tok.field_end(&self.raw, start, row_end)
     }
 
-    /// Byte span of the raw text of `(row, col)` — the positions-only cache
-    /// layout (Figure 4 (d)) carries these instead of parsed values.
-    /// Locating the span feeds the positional map exactly like a read.
+    /// Byte span of the raw text of `(row, col)`, as the positional map
+    /// records it (Figure 4 (d): positions, not values). Locating the span
+    /// feeds the positional map exactly like a read.
     pub fn field_byte_span(&self, row: usize, col: usize) -> Result<(usize, usize)> {
         if col >= self.schema.len() {
             return Err(VidaError::format(
@@ -335,27 +335,6 @@ impl CsvFile {
             ));
         }
         self.locate_field(row, col)
-    }
-
-    /// Parse the raw bytes of `span` as a value of column `col`'s type —
-    /// rehydration of a positions-only replica: an exact seek (no
-    /// tokenizing), then one field parse.
-    pub fn parse_field_span(&self, col: usize, span: (usize, usize)) -> Result<Value> {
-        let (start, end) = span;
-        if col >= self.schema.len() || start > end || end > self.raw.len() {
-            return Err(VidaError::format(
-                &self.name,
-                format!("bad span ({start}, {end}) for column {col}"),
-            ));
-        }
-        self.stats.hit();
-        self.stats.add_bytes_parsed((end - start) as u64);
-        self.stats.add_fields_parsed(1);
-        parse_field(
-            &self.raw[start..end],
-            &self.schema.fields()[col].ty,
-            &self.name,
-        )
     }
 
     /// Read one field as a typed value.
@@ -855,9 +834,9 @@ mod tests {
 
     #[test]
     fn escaped_field_spans_round_trip_through_span_parse() {
-        // Positions-layout spans of escaped fields must cover the full
-        // quoted text (escapes included) and rehydrate to the unescaped
-        // value.
+        // Positional-map spans of escaped fields must cover the full quoted
+        // text (escapes included), and the read through them yields the
+        // unescaped value.
         let data = b"id,name\n1,\"a\"\"b\"\n2,\"plain\"\n".to_vec();
         let f = CsvFile::from_bytes(
             "T",
@@ -869,9 +848,10 @@ mod tests {
         .unwrap();
         let span = f.field_byte_span(0, 1).unwrap();
         assert_eq!(&f.raw[span.0..span.1], b"\"a\"\"b\"");
-        assert_eq!(f.parse_field_span(1, span).unwrap(), Value::str("a\"b"));
+        assert_eq!(f.read_field(0, 1).unwrap(), Value::str("a\"b"));
         let span = f.field_byte_span(1, 1).unwrap();
-        assert_eq!(f.parse_field_span(1, span).unwrap(), Value::str("plain"));
+        assert_eq!(&f.raw[span.0..span.1], b"\"plain\"");
+        assert_eq!(f.read_field(1, 1).unwrap(), Value::str("plain"));
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! `b.volume` seeks straight to the recorded span instead of re-parsing the
 //! whole (potentially deeply nested) object.
 //!
-//! Carrying only `(start, end)` positions through query execution — rather
-//! than eagerly materializing large objects — is ViDa's cache-pollution
-//! avoidance strategy (§5, Figure 4 layout (d)); [`JsonFile::field_span`]
-//! provides exactly those positions.
+//! Carrying only `(start, end)` positions — rather than eagerly
+//! materializing large objects — is ViDa's cache-pollution avoidance
+//! strategy (§5, Figure 4 layout (d)). The semi-index is where the engine
+//! keeps those positions: [`JsonFile::field_span`] reads and feeds it, and
+//! no cache replica duplicates it.
 
 use crate::plugin::FileIndex;
 use crate::stats::AccessStats;
@@ -171,18 +172,18 @@ impl JsonFile {
     /// Byte span of a top-level field's **value** within object `row`,
     /// using (and feeding) the structural index.
     pub fn field_span(&self, row: usize, field: &str) -> Result<Option<(usize, usize)>> {
+        // The one range check: every span array has one slot per object.
+        let (os, oe) = self.object_span(row)?;
         let idx = self.semi_index.read();
         if let Some(spans) = idx.get(field) {
             if let Some((s, e)) = unpack_span(spans[row].load(Ordering::Relaxed)) {
                 self.stats.hit();
-                let (os, _) = self.object_span(row)?;
                 self.stats.add_bytes_skipped((s - os) as u64);
                 return Ok(Some((s, e)));
             }
         }
         drop(idx);
         self.stats.miss();
-        let (os, oe) = self.object_span(row)?;
         let found = locate_top_level_field(&self.raw[os..oe], field, &self.name)?;
         self.stats.add_bytes_parsed(match found {
             Some((_, e)) => e as u64,
@@ -208,24 +209,6 @@ impl JsonFile {
             }
         }
         Ok(abs)
-    }
-
-    /// Parse the raw JSON text in `span` as a value — rehydration of a
-    /// positions-only replica (an exact seek into the file, one value
-    /// parse, no object navigation).
-    pub fn parse_value_span(&self, span: (usize, usize)) -> Result<Value> {
-        let (start, end) = span;
-        if start > end || end > self.raw.len() {
-            return Err(VidaError::format(
-                &self.name,
-                format!("bad span ({start}, {end})"),
-            ));
-        }
-        self.stats.hit();
-        self.stats.add_bytes_parsed((end - start) as u64);
-        self.stats.add_fields_parsed(1);
-        let (v, _) = parse_json(&self.raw[start..end], 0, &self.name)?;
-        Ok(v)
     }
 
     /// Read one top-level field of object `row` as a typed value.
@@ -740,6 +723,24 @@ mod tests {
         let s2 = f.stats().snapshot();
         assert_eq!(s2.posmap_hits, 1);
         assert_eq!(f.semi_index_fields(), 1);
+    }
+
+    #[test]
+    fn out_of_range_rows_fail_once_the_field_is_indexed() {
+        let f = JsonFile::from_bytes(
+            "T",
+            b"{\"a\":1}\n{\"a\":2}\n".to_vec(),
+            Schema::from_pairs([("a", Type::Int)]),
+        )
+        .unwrap();
+        assert!(f.read_field(5, "a").is_err());
+        // Indexing `a` creates its span array; a later out-of-range read
+        // must still be a format error, not an index panic.
+        assert_eq!(f.read_field(0, "a").unwrap(), Value::Int(1));
+        assert_eq!(f.semi_index_fields(), 1);
+        let err = f.read_field(5, "a").unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+        assert!(f.field_span(2, "a").is_err());
     }
 
     #[test]

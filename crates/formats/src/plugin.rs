@@ -183,34 +183,6 @@ pub trait InputPlugin: Send + Sync {
         false
     }
 
-    /// Whether this format can report raw byte spans of individual fields —
-    /// the prerequisite for positions-only cache replicas (Figure 4 (d)).
-    fn supports_field_spans(&self) -> bool {
-        false
-    }
-
-    /// Raw byte span of one field's text, when the format can report one
-    /// (`None` for formats without field spans, and for JSON objects
-    /// missing the field). Locating a span feeds the format's positional
-    /// structures exactly like a read.
-    fn field_byte_span(&self, _row: usize, _col: usize) -> Result<Option<(u64, u64)>> {
-        Ok(None)
-    }
-
-    /// Parse the raw bytes of `span` as a value of column `col` — the
-    /// rehydration path of a positions-only cache replica. Only meaningful
-    /// for spans previously returned by
-    /// [`InputPlugin::field_byte_span`] on an unchanged file.
-    fn parse_field_span(&self, _col: usize, span: (u64, u64)) -> Result<Value> {
-        Err(VidaError::format(
-            self.name(),
-            format!(
-                "format cannot parse raw spans (span ({}, {}))",
-                span.0, span.1
-            ),
-        ))
-    }
-
     /// Shared access-statistics counters.
     fn stats(&self) -> Arc<AccessStats>;
 
@@ -297,20 +269,6 @@ impl InputPlugin for CsvPlugin {
 
     fn is_mapped(&self) -> bool {
         self.file.is_mapped()
-    }
-
-    fn supports_field_spans(&self) -> bool {
-        true
-    }
-
-    fn field_byte_span(&self, row: usize, col: usize) -> Result<Option<(u64, u64)>> {
-        let (s, e) = self.file.field_byte_span(row, col)?;
-        Ok(Some((s as u64, e as u64)))
-    }
-
-    fn parse_field_span(&self, col: usize, span: (u64, u64)) -> Result<Value> {
-        self.file
-            .parse_field_span(col, (span.0 as usize, span.1 as usize))
     }
 
     fn stats(&self) -> Arc<AccessStats> {
@@ -416,25 +374,6 @@ impl InputPlugin for JsonPlugin {
         self.file.is_mapped()
     }
 
-    fn supports_field_spans(&self) -> bool {
-        true
-    }
-
-    fn field_byte_span(&self, row: usize, col: usize) -> Result<Option<(u64, u64)>> {
-        let field = self.columns.get(col).ok_or_else(|| {
-            VidaError::format(self.file.name(), format!("column {col} out of range"))
-        })?;
-        Ok(self
-            .file
-            .field_span(row, field)?
-            .map(|(s, e)| (s as u64, e as u64)))
-    }
-
-    fn parse_field_span(&self, _col: usize, span: (u64, u64)) -> Result<Value> {
-        self.file
-            .parse_value_span((span.0 as usize, span.1 as usize))
-    }
-
     fn stats(&self) -> Arc<AccessStats> {
         self.file.stats()
     }
@@ -493,29 +432,30 @@ impl InputPlugin for ArrayPlugin {
     }
 
     fn read_field(&self, row: usize, col: usize) -> Result<Value> {
-        let rank = self.file.dims().len();
-        if col < rank {
-            // Reconstruct the multi-index component for dimension `col`.
-            let mut rem = row;
-            let mut idx = vec![0usize; rank];
-            for d in (0..rank).rev() {
-                idx[d] = rem % self.file.dims()[d];
-                rem /= self.file.dims()[d];
-            }
-            Ok(Value::Int(idx[col] as i64))
-        } else if col == rank {
-            let mut rem = row;
-            let mut idx = vec![0usize; rank];
-            for d in (0..rank).rev() {
-                idx[d] = rem % self.file.dims()[d];
-                rem /= self.file.dims()[d];
-            }
-            self.file.read_element(&idx)
-        } else {
-            Err(VidaError::format(
+        let dims = self.file.dims();
+        let rank = dims.len();
+        if col > rank {
+            return Err(VidaError::format(
                 self.file.name(),
                 format!("column {col} out of range"),
-            ))
+            ));
+        }
+        if row >= self.file.len() {
+            return Err(VidaError::format(
+                self.file.name(),
+                format!("row {row} out of range ({} elements)", self.file.len()),
+            ));
+        }
+        // Row-major multi-index of element `row`.
+        let mut rem = row;
+        let mut idx = vec![0usize; rank];
+        for d in (0..rank).rev() {
+            idx[d] = rem % dims[d];
+            rem /= dims[d];
+        }
+        match idx.get(col) {
+            Some(&i) => Ok(Value::Int(i as i64)),
+            None => self.file.read_element(&idx),
         }
     }
 
@@ -720,6 +660,28 @@ mod tests {
     }
 
     #[test]
+    fn array_plugin_rejects_rows_past_the_end() {
+        let vals: Vec<Value> = (1..=4).map(Value::Int).collect();
+        let bytes = encode_array(ElemType::I64, &[2, 2], &vals).unwrap();
+        let p = ArrayPlugin::new(ArrayFile::from_bytes("A", bytes).unwrap());
+        // Index and value columns alike: rows past the 4 elements are
+        // format errors, not reads reduced modulo the dims.
+        for row in [4, 5, 100] {
+            for col in 0..3 {
+                assert!(p.read_field(row, col).is_err(), "row {row} col {col}");
+            }
+        }
+        assert!(p.read_field(0, 3).is_err());
+        // In-range reads are unchanged: unit 3 -> (i0=1, i1=1, val=4).
+        assert_eq!(p.read_field(3, 0).unwrap(), Value::Int(1));
+        assert_eq!(p.read_field(3, 1).unwrap(), Value::Int(1));
+        assert_eq!(p.read_field(3, 2).unwrap(), Value::Int(4));
+        assert_eq!(p.read_field(2, 0).unwrap(), Value::Int(1));
+        assert_eq!(p.read_field(2, 1).unwrap(), Value::Int(0));
+        assert_eq!(p.read_field(0, 2).unwrap(), Value::Int(1));
+    }
+
+    #[test]
     fn mem_plugin_round_trip() {
         let schema = Schema::from_pairs([("id", Type::Int)]);
         let recs = vec![
@@ -768,36 +730,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(j, vec![(0, vec![Value::Int(1)]), (1, vec![Value::Int(2)])]);
-    }
-
-    #[test]
-    fn field_spans_round_trip_through_span_parse() {
-        // CSV: span of (row 1, col "x") parses back to the same value.
-        let p = csv_plugin();
-        assert!(p.supports_field_spans());
-        let span = p.field_byte_span(1, 1).unwrap().unwrap();
-        assert_eq!(p.parse_field_span(1, span).unwrap(), Value::Float(20.0));
-        // JSON: same round trip; a missing field has no span.
-        let data = b"{\"a\":1,\"b\":\"x\"}\n{\"a\":2}\n".to_vec();
-        let jp = JsonPlugin::new(
-            JsonFile::from_bytes(
-                "J",
-                data,
-                Schema::from_pairs([("a", Type::Int), ("b", Type::Str)]),
-            )
-            .unwrap(),
-        );
-        assert!(jp.supports_field_spans());
-        let span = jp.field_byte_span(0, 1).unwrap().unwrap();
-        assert_eq!(jp.parse_field_span(1, span).unwrap(), Value::str("x"));
-        assert!(jp.field_byte_span(1, 1).unwrap().is_none());
-        // In-memory plugin: no spans, and span parses are format errors.
-        let schema = Schema::from_pairs([("id", Type::Int)]);
-        let mem = MemPlugin::from_records("M", schema, &[Value::record([("id", Value::Int(1))])])
-            .unwrap();
-        assert!(!mem.supports_field_spans());
-        assert!(mem.field_byte_span(0, 0).unwrap().is_none());
-        assert!(mem.parse_field_span(0, (0, 1)).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The cache-layout cost model (ViDa §5, "Re-using and re-shaping results").
 //!
 //! The paper argues that a just-in-time engine should materialize *per-layout*
-//! replicas of accessed fields — fully parsed values, binary-JSON
-//! serializations, or positions-only maps — chosen by weighing **build cost**
+//! replicas of accessed fields — fully parsed values or binary-JSON
+//! serializations — chosen by weighing **build cost**
 //! (what it takes to create the replica on top of the raw parse the query
 //! performs anyway), **storage footprint** (cache budget is the scarce
 //! resource; eagerly caching fat nested objects pollutes it), and **expected
@@ -18,6 +18,12 @@
 //! - [`CostModel::eviction_bonus`] — how much longer should this replica
 //!   survive eviction than pure LRU would allow, given what rebuilding it
 //!   would cost?
+//!
+//! The paper's third layout, raw byte positions (Figure 4 (d)), is not a
+//! replica here: the format layer keeps every field's positions (the CSV
+//! positional map, the JSON semi-index), and `InputPlugin::field_cost_factor`
+//! already prices a read through them — the `raw_cost_factor` each score
+//! compares a replica against.
 //!
 //! All scores are expressed in the paper's *fetch units*: `1.0` is one
 //! buffer-pool-resident attribute fetch in a loaded DBMS (the same unit as
@@ -38,7 +44,7 @@
 //!     avg_value_bytes: 700.0,
 //!     avg_binary_bytes: 220.0,
 //!     raw_cost_factor: 4.0,
-//!     has_spans: true,
+//!     has_spans: false,
 //! };
 //! for _ in 0..4 {
 //!     model.observe("Regions", "payload", obs); // four queries touch it
@@ -53,14 +59,9 @@ use std::collections::HashMap;
 use vida_cache::Layout;
 use vida_types::sync::RwLock;
 
-/// Per-row byte footprint of a positions-only replica: one `(start, end)`
-/// pair (`CachedData::Positions` stores `(u64, u64)`).
-const POSITIONS_BYTES_PER_ROW: f64 = 16.0;
-
 // The three constants below reproduce the paper's qualitative regime: hot
-// scalar fields cache as parsed values, fat nested fields as binary JSON,
-// and wide text fields degrade to positions-only replicas once the cache
-// budget is under pressure.
+// scalar fields cache as parsed values, and fat nested fields, once reused,
+// as binary JSON when the cache budget is under pressure.
 
 /// Storage rent in fetch units charged per byte of replica footprint at
 /// full cache pressure (scaled down when the cache is empty). Higher values
@@ -88,8 +89,9 @@ pub struct FieldObservation {
     /// The input plugin's relative cost of fetching this field fresh from
     /// the raw file (`InputPlugin::field_cost_factor`; 1.0 = loaded DBMS).
     pub raw_cost_factor: f64,
-    /// Whether the format can report raw byte spans for this field — the
-    /// prerequisite for a positions-only replica.
+    /// Ignored: no layout needs raw byte spans any more. Kept because the
+    /// benchmark package builds observations with it.
+    #[doc(hidden)]
     pub has_spans: bool,
 }
 
@@ -106,8 +108,6 @@ pub struct FieldProfile {
     pub avg_binary_bytes: f64,
     /// Latest observed raw fetch cost factor.
     pub raw_cost_factor: f64,
-    /// Whether positions-only replicas are feasible for this field.
-    pub has_spans: bool,
 }
 
 impl FieldProfile {
@@ -118,7 +118,6 @@ impl FieldProfile {
             avg_value_bytes: obs.avg_value_bytes,
             avg_binary_bytes: obs.avg_binary_bytes,
             raw_cost_factor: obs.raw_cost_factor,
-            has_spans: obs.has_spans,
         }
     }
 
@@ -130,10 +129,6 @@ impl FieldProfile {
         self.avg_value_bytes = 0.5 * self.avg_value_bytes + 0.5 * obs.avg_value_bytes;
         self.avg_binary_bytes = 0.5 * self.avg_binary_bytes + 0.5 * obs.avg_binary_bytes;
         self.raw_cost_factor = 0.5 * self.raw_cost_factor + 0.5 * obs.raw_cost_factor;
-        // Sticky once false: span support is reported per plugin, but a
-        // field can be infeasible anyway (optional JSON fields have no
-        // span in rows that omit them) — see `mark_spans_infeasible`.
-        self.has_spans = self.has_spans && obs.has_spans;
     }
 }
 
@@ -165,20 +160,6 @@ impl CostModel {
             .entry((dataset.to_string(), field.to_string()))
             .and_modify(|p| p.absorb(&obs))
             .or_insert_with(|| FieldProfile::from_observation(&obs));
-    }
-
-    /// Record that positions-only replicas cannot represent this field
-    /// (some rows have no byte span — e.g. optional JSON fields). The flag
-    /// is sticky: later observations never resurrect `Positions` as a
-    /// candidate, so the engine does not retry a doomed build every query.
-    pub fn mark_spans_infeasible(&self, dataset: &str, field: &str) {
-        if let Some(p) = self
-            .profiles
-            .write()
-            .get_mut(&(dataset.to_string(), field.to_string()))
-        {
-            p.has_spans = false;
-        }
     }
 
     /// Snapshot of the accumulated profile, if the field was ever observed.
@@ -220,16 +201,12 @@ impl CostModel {
     }
 
     /// Per-row cost of serving one warm read from a replica in `layout`
-    /// (clone for values, decode for binary JSON, an exact-seek raw-file
-    /// parse for positions). Decode and re-parse costs scale with the
-    /// observed field width: positions-only replicas of fat nested objects
-    /// pay the full text parse on every reuse, which is exactly why the
-    /// paper prefers binary JSON for them.
+    /// (clone for values, decode for binary JSON). The decode cost scales
+    /// with the observed binary width.
     pub fn access_cost(layout: Layout, p: &FieldProfile) -> f64 {
         match layout {
             Layout::Values => 0.2,
             Layout::BinaryJson => 0.5 + 0.002 * p.avg_binary_bytes,
-            Layout::Positions => 0.8 + 0.003 * p.avg_value_bytes,
         }
     }
 
@@ -239,7 +216,6 @@ impl CostModel {
         match layout {
             Layout::Values => 0.2,
             Layout::BinaryJson => 1.0,
-            Layout::Positions => 0.05,
         }
     }
 
@@ -248,7 +224,6 @@ impl CostModel {
         match layout {
             Layout::Values => p.avg_value_bytes,
             Layout::BinaryJson => p.avg_binary_bytes,
-            Layout::Positions => POSITIONS_BYTES_PER_ROW,
         }
     }
 
@@ -276,16 +251,10 @@ impl CostModel {
         p.rows as f64 * (reuse * save - Self::build_cost(layout) - rent)
     }
 
-    /// Feasible layouts for a profile (`Positions` needs spans).
-    fn candidates(p: &FieldProfile) -> impl Iterator<Item = Layout> + '_ {
-        Layout::ALL
-            .into_iter()
-            .filter(|l| *l != Layout::Positions || p.has_spans)
-    }
-
     /// The layout the field's replica should use, given current evidence and
-    /// cache pressure. Unknown fields default to `Values` (the legacy
-    /// behaviour before the model existed).
+    /// cache pressure. Unknown fields default to `Values`: with no evidence
+    /// of width or reuse, the pointer-shared parsed column is the cheapest
+    /// replica to build and to serve.
     pub fn choose_layout(&self, dataset: &str, field: &str, pressure: f64) -> Layout {
         let Some(p) = self.profile(dataset, field) else {
             return Layout::Values;
@@ -293,7 +262,7 @@ impl CostModel {
         // Strict-greater fold: ties break toward the earlier
         // (cheaper-to-serve) layout in `Layout::ALL` order.
         let mut best = (Layout::Values, f64::NEG_INFINITY);
-        for l in Self::candidates(&p) {
+        for l in Layout::ALL {
             let s = self.score(&p, l, pressure);
             if s > best.1 {
                 best = (l, s);
@@ -322,19 +291,13 @@ const MAX_EVICTION_BONUS: f64 = 64.0;
 mod tests {
     use super::*;
 
-    fn obs(
-        rows: u64,
-        avg_value_bytes: f64,
-        avg_binary_bytes: f64,
-        raw: f64,
-        spans: bool,
-    ) -> FieldObservation {
+    fn obs(rows: u64, avg_value_bytes: f64, avg_binary_bytes: f64, raw: f64) -> FieldObservation {
         FieldObservation {
             rows,
             avg_value_bytes,
             avg_binary_bytes,
             raw_cost_factor: raw,
-            has_spans: spans,
+            has_spans: false,
         }
     }
 
@@ -348,7 +311,7 @@ mod tests {
     fn hot_scalar_fields_cache_as_values() {
         let m = CostModel::new();
         for _ in 0..4 {
-            m.observe("Patients", "age", obs(1_000, 8.0, 33.0, 3.0, true));
+            m.observe("Patients", "age", obs(1_000, 8.0, 33.0, 3.0));
         }
         assert_eq!(m.choose_layout("Patients", "age", 0.0), Layout::Values);
         assert_eq!(m.choose_layout("Patients", "age", 0.9), Layout::Values);
@@ -358,7 +321,7 @@ mod tests {
     fn fat_nested_fields_cache_as_binary_json() {
         let m = CostModel::new();
         for _ in 0..4 {
-            m.observe("Regions", "payload", obs(1_000, 700.0, 220.0, 4.0, true));
+            m.observe("Regions", "payload", obs(1_000, 700.0, 220.0, 4.0));
         }
         assert_eq!(
             m.choose_layout("Regions", "payload", 0.3),
@@ -367,60 +330,23 @@ mod tests {
     }
 
     #[test]
-    fn wide_text_fields_degrade_to_positions_under_pressure() {
-        let m = CostModel::new();
-        // A wide string column, touched twice, on a span-capable format.
-        m.observe("Notes", "body", obs(1_000, 180.0, 190.0, 3.0, true));
-        m.observe("Notes", "body", obs(1_000, 180.0, 190.0, 3.0, true));
-        // Empty cache: parsed values still win.
-        assert_eq!(m.choose_layout("Notes", "body", 0.0), Layout::Values);
-        // Full cache: footprint rent dominates; carry positions only.
-        assert_eq!(m.choose_layout("Notes", "body", 1.0), Layout::Positions);
-    }
-
-    #[test]
-    fn positions_require_spans() {
-        let m = CostModel::new();
-        m.observe("Mem", "body", obs(1_000, 180.0, 190.0, 3.0, false));
-        m.observe("Mem", "body", obs(1_000, 180.0, 190.0, 3.0, false));
-        let l = m.choose_layout("Mem", "body", 1.0);
-        assert_ne!(l, Layout::Positions, "no spans -> positions infeasible");
-    }
-
-    #[test]
-    fn spans_infeasibility_is_sticky() {
-        let m = CostModel::new();
-        m.observe("J", "opt", obs(1_000, 180.0, 190.0, 3.0, true));
-        m.observe("J", "opt", obs(1_000, 180.0, 190.0, 3.0, true));
-        assert_eq!(m.choose_layout("J", "opt", 1.0), Layout::Positions);
-        // The engine discovered a row without a span: positions are out,
-        // and later (plugin-level `has_spans=true`) observations must not
-        // resurrect them.
-        m.mark_spans_infeasible("J", "opt");
-        assert_ne!(m.choose_layout("J", "opt", 1.0), Layout::Positions);
-        m.observe("J", "opt", obs(1_000, 180.0, 190.0, 3.0, true));
-        assert!(!m.profile("J", "opt").unwrap().has_spans);
-        assert_ne!(m.choose_layout("J", "opt", 1.0), Layout::Positions);
-    }
-
-    #[test]
     fn known_budget_charges_replicas_their_own_pressure() {
-        // A column whose parsed-values replica would fill ~80% of the
-        // budget: with the budget known, the model avoids it even when the
-        // cache is currently empty (ambient pressure 0).
+        // A fat nested column whose parsed-values replica would fill ~75%
+        // of the budget: with the budget known, the model avoids it even
+        // when the cache is currently empty (ambient pressure 0).
         let m = CostModel::new();
-        m.observe("Notes", "body", obs(64, 184.0, 194.0, 1.7, true));
-        assert_eq!(m.choose_layout("Notes", "body", 0.0), Layout::Values);
-        m.set_budget_bytes(16 << 10);
-        assert_eq!(m.budget_bytes(), 16 << 10);
-        assert_eq!(m.choose_layout("Notes", "body", 0.0), Layout::Positions);
+        m.observe("Docs", "rec", obs(64, 782.0, 319.0, 1.5));
+        assert_eq!(m.choose_layout("Docs", "rec", 0.0), Layout::Values);
+        m.set_budget_bytes(64 << 10);
+        assert_eq!(m.budget_bytes(), 64 << 10);
+        assert_eq!(m.choose_layout("Docs", "rec", 0.0), Layout::BinaryJson);
     }
 
     #[test]
     fn profiles_accumulate_touches() {
         let m = CostModel::new();
-        m.observe("d", "f", obs(10, 8.0, 33.0, 3.0, true));
-        m.observe("d", "f", obs(10, 8.0, 33.0, 3.0, true));
+        m.observe("d", "f", obs(10, 8.0, 33.0, 3.0));
+        m.observe("d", "f", obs(10, 8.0, 33.0, 3.0));
         let p = m.profile("d", "f").unwrap();
         assert_eq!(p.touches, 2);
         assert_eq!(m.fields_tracked(), 1);
@@ -431,11 +357,11 @@ mod tests {
     #[test]
     fn scores_are_deterministic_and_reuse_monotone() {
         let m = CostModel::new();
-        m.observe("d", "f", obs(100, 8.0, 33.0, 3.0, true));
+        m.observe("d", "f", obs(100, 8.0, 33.0, 3.0));
         let p1 = m.profile("d", "f").unwrap();
         let s1 = m.score(&p1, Layout::Values, 0.0);
         assert_eq!(s1, m.score(&p1, Layout::Values, 0.0));
-        m.observe("d", "f", obs(100, 8.0, 33.0, 3.0, true));
+        m.observe("d", "f", obs(100, 8.0, 33.0, 3.0));
         let p2 = m.profile("d", "f").unwrap();
         assert!(
             m.score(&p2, Layout::Values, 0.0) > s1,
@@ -446,8 +372,8 @@ mod tests {
     #[test]
     fn eviction_bonus_scales_with_rebuild_cost_and_is_bounded() {
         let m = CostModel::new();
-        m.observe("d", "cheap", obs(100, 8.0, 33.0, 1.0, true));
-        m.observe("d", "dear", obs(1_000_000, 8.0, 33.0, 4.0, true));
+        m.observe("d", "cheap", obs(100, 8.0, 33.0, 1.0));
+        m.observe("d", "dear", obs(1_000_000, 8.0, 33.0, 4.0));
         let cheap = m.profile("d", "cheap").unwrap();
         let dear = m.profile("d", "dear").unwrap();
         let b_cheap = m.eviction_bonus(&cheap, Layout::Values);

@@ -10,10 +10,9 @@
 //! 1. **Cache layout decisions** — the [`cost`] module's [`CostModel`]
 //!    scores `(field, layout)` replica candidates from per-field access
 //!    statistics recorded by the exec pipeline, deciding which layout each
-//!    cached column replica should use (values, binary JSON, or
-//!    positions-only — the paper's §5 "re-using and re-shaping results"),
-//!    in which order `CacheManager::get_any` should probe layouts, and how
-//!    much eviction slack a replica's rebuild cost buys it. Every cache the
+//!    cached column replica should use (values or binary JSON — the
+//!    paper's §5 "re-using and re-shaping results") and how much eviction
+//!    slack a replica's rebuild cost buys it. Every cache the
 //!    engine attaches is steered by one.
 //! 2. **Plan-level cost-based optimization** — the [`sketch`] module's
 //!    fixed-size distinct-count/selectivity sketches (fed from the same
