@@ -12,11 +12,12 @@ use vida_trace::stage;
 use vida_types::{Result, Value};
 
 impl PipelineBuilder<'_> {
-    /// Touched columns, cache-first: replicas in either layout are rehydrated
-    /// (parsed values directly, binary JSON by decoding), anything missing
-    /// is read from the raw file in one projected scan. The cache holds one replica per field, and
-    /// the post-query [`PipelineBuilder::sync_replicas`] step is its only
-    /// writer, in the layout the model chooses.
+    /// Touched columns, cache-first: replicas in either layout are
+    /// rehydrated (parsed values directly, binary JSON by decoding),
+    /// anything missing is read from the raw file in one projected scan.
+    /// The cache holds one replica per field, and the post-query
+    /// [`PipelineBuilder::sync_replicas`] step is its only writer, in the
+    /// layout the model chooses.
     pub(super) fn materialize_columns(
         &mut self,
         dataset: &str,
