@@ -386,4 +386,44 @@ mod tests {
         assert_eq!(stats.morsels, estats.morsels);
         assert_eq!(stats.fused_stage_depth, estats.fused_stage_depth);
     }
+
+    #[test]
+    fn re_registered_in_memory_datasets_are_never_served_stale() {
+        // In-memory generations of one size used to share a fingerprint,
+        // so a same-size replacement passed the cache's staleness check
+        // and the replaced data's replica answered.
+        use vida_formats::{csv::CsvFile, plugin::CsvPlugin};
+        fn schema() -> Schema {
+            Schema::from_pairs([("x", Type::Int)])
+        }
+        let inputs: [fn(&MemoryCatalog, i64); 2] = [
+            |cat, x| {
+                let records = [Value::record([("x", Value::Int(x))])];
+                cat.register_records("T", schema(), &records).unwrap();
+            },
+            |cat, x| {
+                let body = format!("x\n{x}\n").into_bytes();
+                let file = CsvFile::from_bytes("T", body, b',', true, schema()).unwrap();
+                cat.register(Arc::new(CsvPlugin::new(file)));
+            },
+        ];
+        let plan = plan_of("for { t <- T } yield sum t.x");
+        for (input, register) in inputs.iter().enumerate() {
+            let cat = Arc::new(MemoryCatalog::new());
+            register(&cat, 1);
+            let cache = Arc::new(CacheManager::new(1 << 20));
+            let engine = Engine::new(cat.clone(), JitOptions::with_cache(cache));
+            assert_eq!(
+                engine.execute(&plan).unwrap(),
+                Value::Int(1),
+                "input {input}"
+            );
+            register(&cat, 9);
+            assert_eq!(
+                engine.execute(&plan).unwrap(),
+                Value::Int(9),
+                "input {input}"
+            );
+        }
+    }
 }

@@ -1,20 +1,23 @@
-//! Pipeline generation: bind one source per scan, claim frame slots,
-//! assemble the operator tree (join strategies, kernels, fused selects),
-//! and plan the reduce head.
+//! Pipeline generation: one post-order walk over the plan binds a source
+//! per scan, claims frame slots, compiles selects onto the node below them,
+//! picks each join's strategy and claims unnest slots; then the touched
+//! columns are materialized, each scan's select chain fused, and the reduce
+//! head planned.
 
-use super::shape::{collect_paths, Shape};
+use super::shape::{collect_paths, pipelinable};
 use super::{
     Band, ExecContext, FoldSeam, HeadPlan, JitOptions, Node, Pipeline, Source, Step, UnnestStage,
 };
 use crate::catalog::{QueryBinding, SourceProvider};
 use crate::stats::ExecStats;
-use std::collections::HashMap;
+use crate::volcano::collect_exprs;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-use vida_algebra::lower::left_deepen;
+use vida_algebra::lower::{left_deepen, split_conjuncts};
 use vida_algebra::Plan;
 use vida_jit::compile::path_of;
-use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SharedInterner, SlotType};
+use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr};
 use vida_optimizer::CostModel;
 use vida_trace::stage;
@@ -28,7 +31,7 @@ use vida_types::{CollectionKind, Monoid, PrimitiveMonoid, Result, Type, Value, V
 fn unnest_elem_type(
     path: &Expr,
     specs: &[SourceSpec],
-    unnests: &[UnnestSpec],
+    unnests: &[UnnestStage],
 ) -> (Type, Option<(usize, usize)>) {
     let Some(p) = path_of(path) else {
         return (Type::Unknown, None);
@@ -36,21 +39,17 @@ fn unnest_elem_type(
     let mut segs = p.split('.');
     let root = segs.next().expect("paths are non-empty");
     let segs: Vec<&str> = segs.collect();
-    let (mut ty, src) =
-        if let Some((i, spec)) = specs.iter().enumerate().find(|(_, s)| s.binding == root) {
-            let schema = spec.plugin.schema();
-            let record = Type::record(
-                schema
-                    .fields()
-                    .iter()
-                    .map(|f| (f.name.clone(), f.ty.clone())),
-            );
+    let (mut ty, src) = match specs.iter().position(|s| s.binding == root) {
+        Some(i) => {
+            let fields = specs[i].plugin.schema().fields().iter();
+            let record = Type::record(fields.map(|f| (f.name.clone(), f.ty.clone())));
             (record, Some(i))
-        } else if let Some(u) = unnests.iter().find(|u| u.binding == root) {
-            (u.elem_ty.clone(), None)
-        } else {
-            return (Type::Unknown, None);
-        };
+        }
+        None => match unnests.iter().find(|u| u.binding == root) {
+            Some(u) => (u.elem_ty.clone(), None),
+            None => return (Type::Unknown, None),
+        },
+    };
     for s in &segs {
         match ty.field(s) {
             Some(t) => ty = t.clone(),
@@ -72,20 +71,9 @@ fn unnest_elem_type(
     (elem, src_col)
 }
 
-/// One unnest stage bound during analysis: the element type steers slot
-/// claiming, and later stages resolve paths rooted at this binding.
-struct UnnestSpec {
-    binding: String,
-    path: Expr,
-    elem_ty: Type,
-    src_col: Option<(usize, usize)>,
-    slots: Vec<(Option<String>, usize, SlotType)>,
-}
-
-/// One scan bound during analysis: plugin, touched columns, and claimed
-/// slots. No column data is read until the whole plan is known to be
-/// JIT-able — fallback queries must not pay for a scan the Volcano engine
-/// will redo.
+/// One scan bound by the walk: plugin, touched columns, claimed slots, and
+/// the compiled steps of the selects directly above it. No column data is
+/// read until the whole plan is lowered.
 struct SourceSpec {
     binding: String,
     dataset: String,
@@ -95,6 +83,22 @@ struct SourceSpec {
     touched: Vec<usize>,
     /// `(position into touched, global slot, slot type)` for scalar fields.
     slot_meta: Vec<(usize, usize, SlotType)>,
+    /// Selection steps in syntactic order; ranked and fused once the
+    /// source's columns exist.
+    selects: Vec<Step>,
+}
+
+/// What the lowering walk accumulates: the query-wide frame layout, and
+/// the sources, unnest stages and join builds in walk order. It reads
+/// `touched`: every plan-bound variable the query uses whole (`p`) and
+/// every field it reaches into (`p.age`), named like their frame slots.
+#[derive(Default)]
+struct Lowering {
+    touched: HashSet<String>,
+    layout: FrameLayout,
+    specs: Vec<SourceSpec>,
+    unnests: Vec<UnnestStage>,
+    joins: usize,
 }
 
 /// Adapts the catalog + cost-model sketches to the optimizer's `PlanStats`:
@@ -118,8 +122,10 @@ impl vida_optimizer::PlanStats for CatalogEstimates<'_> {
         self.model?.sketch().distinct(dataset, field)
     }
 
-    fn predicate_selectivity(&self, predicate: &str) -> Option<f64> {
-        self.model?.sketch().predicate_selectivity(predicate)
+    fn predicate_selectivity(&self, dataset: &str, predicate: &str) -> Option<f64> {
+        self.model?
+            .sketch()
+            .predicate_selectivity(dataset, predicate)
     }
 }
 
@@ -193,9 +199,9 @@ impl<'a> PipelineBuilder<'a> {
                 "jit executor expects a Reduce-rooted plan".into(),
             ));
         };
-        // Bushy join trees rotate into left-deep chains before shape
-        // analysis (inner join predicates fuse into the outer join, result
-        // and tuple order preserved).
+        // Bushy join trees rotate into left-deep chains before the walk
+        // (inner join predicates fuse into the outer join, result and tuple
+        // order preserved).
         let lower = self.compile_begin(stage::LOWER);
         let (mut input, rotations) = left_deepen(input);
         // Cost-based join reordering (build-side choice rides along: the
@@ -219,91 +225,47 @@ impl<'a> PipelineBuilder<'a> {
                 reorder_report = Some(report);
             }
         }
-        let shape = Shape::of(&input);
+        let accepted = pipelinable(&input);
         self.compile_end(lower);
-        let Some(shape) = shape else {
+        if !accepted {
             return Ok(None);
-        };
+        }
 
-        // Touched paths, grouped per scanned binding.
+        // Touched paths: the plan-bound variables used whole, and the
+        // fields reached into.
         let codegen = self.compile_begin(stage::CODEGEN);
         let mut exprs: Vec<&Expr> = Vec::new();
-        shape.exprs(&mut exprs);
+        collect_exprs(&input, &mut exprs);
         exprs.push(head);
         let mut paths: Vec<String> = Vec::new();
         for e in &exprs {
             collect_paths(e, &mut paths);
         }
-        let bindings = shape.bound_vars();
-        let mut fields_of: HashMap<String, Vec<String>> = HashMap::new();
-        let mut whole_record: HashMap<String, bool> = HashMap::new();
+        let bindings = input.bound_vars();
+        let mut walk = Lowering::default();
         for p in &paths {
-            let (first, rest) = match p.split_once('.') {
-                Some((f, r)) => (f, Some(r)),
-                None => (p.as_str(), None),
-            };
-            if !bindings.iter().any(|b| b == first) {
-                continue; // dataset reference or nested-comprehension local
-            }
-            match rest {
-                None => {
-                    whole_record.insert(first.to_string(), true);
-                }
-                Some(rest) => {
-                    let field = rest.split('.').next().expect("non-empty rest");
-                    let fs = fields_of.entry(first.to_string()).or_default();
-                    if !fs.iter().any(|f| f == field) {
-                        fs.push(field.to_string());
-                    }
-                }
+            let mut segs = p.split('.');
+            let first = segs.next().expect("paths are non-empty");
+            // Skip dataset references and nested-comprehension locals.
+            if bindings.iter().any(|b| b == first) {
+                let used = segs.next().map_or(first.into(), |f| format!("{first}.{f}"));
+                walk.touched.insert(used);
             }
         }
-
-        // Bind plugins and claim frame slots (no column reads yet). Unnest
-        // stages claim element slots in the same walk, typed from the
-        // source schemas.
-        let mut layout = FrameLayout::new();
-        let mut specs: Vec<SourceSpec> = Vec::new();
-        let mut unnests: Vec<UnnestSpec> = Vec::new();
-        self.bind_layout(
-            &shape,
-            &fields_of,
-            &whole_record,
-            &mut layout,
-            &mut specs,
-            &mut unnests,
-        )?;
-        let order: Vec<String> = specs.iter().map(|s| s.binding.clone()).collect();
-
-        // Compile the operator tree (keys, predicates, selects). Bails
-        // before any column is materialized, so fallback queries are not
-        // scanned twice. String constants intern into the context's shared
-        // table — per-call and private under `run_jit`, engine-wide (ids
-        // stable across sessions) on the resident path.
-        let interner = Arc::clone(&self.ctx.interner);
-        let mut unnest_cursor = 0usize;
-        let mut join_cursor = 0usize;
-        let root = self.assemble(
-            &shape,
-            &order,
-            &layout,
-            &interner,
-            &mut unnest_cursor,
-            &mut join_cursor,
-        )?;
+        let root = self.lower(&input, &mut walk)?;
         self.compile_end(codegen);
         self.stats.bushy_lowered += rotations;
         if let Some(r) = reorder_report {
             self.stats.joins_reordered += r.joins_reordered;
             self.stats.estimated_rows += r.estimated_rows.round().max(1.0) as u64;
         }
-        count_stages(&root, self.stats);
 
         // The plan is JIT-able: materialize touched columns (cache-first)
         // and encode them into slot representation.
         //
         // Fold-partial cache identity of a single-source plan, captured
         // before the specs are consumed below.
+        let specs = walk.specs;
         let seam_src = (specs.len() == 1).then(|| {
             (
                 specs[0].dataset.clone(),
@@ -311,6 +273,7 @@ impl<'a> PipelineBuilder<'a> {
                 specs[0].nrows,
             )
         });
+        let interner = Arc::clone(&self.ctx.interner);
         let mut sources: Vec<Source> = Vec::with_capacity(specs.len());
         for spec in specs {
             self.stats.tuples_scanned += spec.nrows as u64;
@@ -340,11 +303,12 @@ impl<'a> PipelineBuilder<'a> {
             let slots = spec.slot_meta.iter().map(|&(_, s, _)| s).collect();
             sources.push(Source {
                 binding: spec.binding,
+                dataset: spec.dataset,
                 nrows: spec.nrows,
                 env_fields,
                 slot_cols,
                 slots,
-                selects: Vec::new(),
+                selects: spec.selects,
                 fused_selects: None,
             });
         }
@@ -352,64 +316,51 @@ impl<'a> PipelineBuilder<'a> {
         // direct-column fast path: the per-element intern in the (possibly
         // parallel) hot loop then almost always hits the read-locked
         // lookup instead of contending on the write lock.
-        for u in &unnests {
-            if u.src_col.is_none() || !u.slots.iter().any(|&(_, _, t)| t == SlotType::Str) {
+        for u in &walk.unnests {
+            let strs: Vec<&Option<String>> = u
+                .slots
+                .iter()
+                .filter(|s| s.2 == SlotType::Str)
+                .map(|s| &s.0)
+                .collect();
+            let Some((src, col)) = u.src_col.filter(|_| !strs.is_empty()) else {
                 continue;
-            }
-            let (src, col) = u.src_col.expect("checked above");
+            };
             interner.with_mut(|int| {
-                for coll in sources[src].env_fields[col].1.iter() {
-                    let Some(items) = coll.elements() else {
-                        continue;
-                    };
-                    for item in items {
-                        for (field, _, ty) in &u.slots {
-                            if *ty != SlotType::Str {
-                                continue;
-                            }
-                            let v = match field {
-                                None => Some(item),
-                                Some(f) => item.field(f),
-                            };
-                            if let Some(Value::Str(s)) = v {
-                                int.intern(s);
-                            }
+                let colls = sources[src].env_fields[col].1.iter();
+                for item in colls.filter_map(Value::elements).flatten() {
+                    for field in &strs {
+                        if let Some(Value::Str(s)) =
+                            field.as_ref().map_or(Some(item), |f| item.field(f))
+                        {
+                            int.intern(s);
                         }
                     }
                 }
             });
         }
         let codegen = self.compile_begin(stage::CODEGEN);
-        self.attach_selects(&mut sources, &shape, &layout, &interner)?;
-        self.observe_select_stats(&sources, &shape);
-
-        let head_plan = self.plan_head(*monoid, head, &layout, &interner);
+        for src in &mut sources {
+            src.fused_selects = self.fuse_selects(&src.selects, &src.dataset);
+        }
+        self.observe_select_stats(&sources);
+        let head_plan = self.plan_head(*monoid, head, &walk.layout);
         self.compile_end(codegen);
 
         // Base environment: datasets referenced by nested comprehensions
         // (shared helper with the Volcano engine).
         let base_env = crate::volcano::materialize_free_datasets(&exprs, &bindings, self.catalog)?;
 
-        let unnests: Vec<UnnestStage> = unnests
-            .into_iter()
-            .map(|u| UnnestStage {
-                binding: u.binding,
-                path: u.path,
-                src_col: u.src_col,
-                slots: u.slots,
-            })
-            .collect();
-
         // Aggregate partial reuse (the warm half of O(delta) re-query):
         // qualifying folds cache their pre-finalize accumulator, and when
         // revalidation proved the source grew in place with the cached
         // partial covering exactly the unchanged prefix, this run seeds
-        // from it and folds only the appended rows.
+        // from it and folds only the appended rows. A `Source` root has no
+        // join and no unnest above it.
         let fold_seam = match (&self.opts.cache, seam_src) {
             (Some(cache), Some((dataset, fingerprint, nrows)))
                 if matches!(*monoid, Monoid::Primitive(_))
                     && matches!(root, Node::Source(_))
-                    && unnests.is_empty()
                     && base_env.is_empty() =>
             {
                 let query_hash = fnv1a(&format!("{plan:?}"));
@@ -434,11 +385,11 @@ impl<'a> PipelineBuilder<'a> {
 
         Ok(Some(Pipeline {
             sources,
-            unnests,
+            unnests: walk.unnests,
             root,
             monoid: *monoid,
             head: head_plan,
-            frame_width: layout.len(),
+            frame_width: walk.layout.len(),
             interner,
             base_env,
             pool: self.ctx.pool.clone(),
@@ -447,24 +398,21 @@ impl<'a> PipelineBuilder<'a> {
         }))
     }
 
-    /// Walk the shape and bind one source per scan: resolve the plugin,
-    /// work out the touched columns, and claim frame slots. Unnest stages
-    /// claim element slots in the same walk (typed from the schemas of the
-    /// bindings their paths root at). Column data is deliberately not read
-    /// here — see [`SourceSpec`].
-    fn bind_layout(
-        &mut self,
-        shape: &Shape,
-        fields_of: &HashMap<String, Vec<String>>,
-        whole_record: &HashMap<String, bool>,
-        layout: &mut FrameLayout,
-        specs: &mut Vec<SourceSpec>,
-        unnests: &mut Vec<UnnestSpec>,
-    ) -> Result<()> {
-        match shape {
-            Shape::Scan {
-                dataset, binding, ..
-            } => {
+    /// Lower an accepted plan (see [`pipelinable`]) into the operator tree
+    /// in one post-order walk. A scan binds its plugin, works out its
+    /// touched columns and claims their frame slots — column data is not
+    /// read here. A select compiles its conjuncts onto the node below it: a
+    /// scan keeps them on its [`SourceSpec`], a join or unnest on its node.
+    /// A join picks its strategy: hash join on compilable equi-keys, band
+    /// sort-probe on a compilable range predicate, block-nested-loop
+    /// otherwise (with the predicate compiled into one fused kernel when
+    /// possible). An unnest claims element slots, typed from the schemas of
+    /// the bindings its path roots at. Every join's right side is a scan,
+    /// so the walk meets the leftmost scan first and every join and unnest
+    /// sits on the left spine.
+    fn lower(&mut self, plan: &Plan, walk: &mut Lowering) -> Result<Node> {
+        match plan {
+            Plan::Scan { dataset, binding } => {
                 // The binding re-stats the file on the query's first read
                 // of the dataset and hands every later read the same plugin.
                 let plugin = self.catalog.plugin(dataset)?;
@@ -473,15 +421,13 @@ impl<'a> PipelineBuilder<'a> {
 
                 // Touched fields in schema order; whole-record usage touches
                 // everything.
+                let whole = walk.touched.contains(binding);
                 let touched: Vec<usize> = schema
                     .fields()
                     .iter()
                     .enumerate()
                     .filter(|(_, f)| {
-                        whole_record.get(binding).copied().unwrap_or(false)
-                            || fields_of
-                                .get(binding)
-                                .is_some_and(|fs| fs.contains(&f.name))
+                        whole || walk.touched.contains(&format!("{binding}.{}", f.name))
                     })
                     .map(|(i, _)| i)
                     .collect();
@@ -490,163 +436,59 @@ impl<'a> PipelineBuilder<'a> {
                 for (ti, &col) in touched.iter().enumerate() {
                     let field = &schema.fields()[col];
                     if let Some(st) = SlotType::of_type(&field.ty) {
-                        let slot = layout.slot(format!("{binding}.{}", field.name), st);
+                        let slot = walk.layout.slot(format!("{binding}.{}", field.name), st);
                         slot_meta.push((ti, slot, st));
                     }
                 }
-                specs.push(SourceSpec {
+                walk.specs.push(SourceSpec {
                     binding: binding.clone(),
                     dataset: dataset.clone(),
                     nrows,
                     plugin,
                     touched,
                     slot_meta,
+                    selects: Vec::new(),
                 });
-                Ok(())
+                Ok(Node::Source(walk.specs.len() - 1))
             }
-            Shape::Join { left, right, .. } => {
-                self.bind_layout(left, fields_of, whole_record, layout, specs, unnests)?;
-                self.bind_layout(right, fields_of, whole_record, layout, specs, unnests)
-            }
-            Shape::Unnest {
-                input,
-                binding,
-                path,
-                ..
-            } => {
-                self.bind_layout(input, fields_of, whole_record, layout, specs, unnests)?;
-                let (elem_ty, src_col) = unnest_elem_type(path, specs, unnests);
-                // Every slot type frames — including `Str`, whose elements
-                // intern at runtime through the lock-guarded shared
-                // interner (pre-populated at build time, so the hot loop
-                // mostly takes the read-locked lookup).
-                let frameable = |t: &Type| SlotType::of_type(t).is_some();
-                let mut slots = Vec::new();
-                match &elem_ty {
-                    t if frameable(t) && whole_record.get(binding).copied().unwrap_or(false) => {
-                        let st = SlotType::of_type(t).expect("frameable");
-                        slots.push((None, layout.slot(binding.clone(), st), st));
-                    }
-                    Type::Record(fields) => {
-                        if let Some(fs) = fields_of.get(binding) {
-                            for (name, fty) in fields {
-                                if fs.contains(name) && frameable(fty) {
-                                    let st = SlotType::of_type(fty).expect("frameable");
-                                    let slot = layout.slot(format!("{binding}.{name}"), st);
-                                    slots.push((Some(name.clone()), slot, st));
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                unnests.push(UnnestSpec {
-                    binding: binding.clone(),
-                    path: path.clone(),
-                    elem_ty,
-                    src_col,
-                    slots,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Compile a boolean step (kernel when possible).
-    fn step(
-        &mut self,
-        predicate: &Expr,
-        layout: &FrameLayout,
-        interner: &SharedInterner,
-    ) -> Result<Step> {
-        if JitCompiler::try_prepare(predicate, layout) == Some(SlotType::Bool) {
-            let k = self.compile(predicate, layout, interner)?;
-            return Ok(Step::Kernel(k, predicate.clone()));
-        }
-        Ok(Step::Interp(predicate.clone()))
-    }
-
-    /// Compile one kernel under the interner lock (string constants intern
-    /// into the shared table) and tag it with the query's next dense id —
-    /// kernel ids are the compile order, the trace layer's per-kernel
-    /// invocation index.
-    fn compile(
-        &mut self,
-        e: &Expr,
-        layout: &FrameLayout,
-        interner: &SharedInterner,
-    ) -> Result<CompiledKernel> {
-        let k = interner
-            .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(e, layout, i)))?
-            .with_id(self.stats.kernels_compiled);
-        self.stats.kernels_compiled += 1;
-        Ok(k)
-    }
-
-    /// Build the operator tree. Joins pick their strategy here: hash join
-    /// on compilable equi-keys, band sort-probe on a compilable range
-    /// predicate, block-nested-loop otherwise (with the predicate compiled
-    /// into one fused kernel when possible).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        &mut self,
-        shape: &Shape,
-        order: &[String],
-        layout: &FrameLayout,
-        interner: &SharedInterner,
-        unnest_cursor: &mut usize,
-        join_cursor: &mut usize,
-    ) -> Result<Node> {
-        match shape {
-            Shape::Scan { binding, .. } => {
-                let idx = order.iter().position(|b| b == binding).expect("bound");
-                Ok(Node::Source(idx))
-            }
-            Shape::Unnest { input, selects, .. } => {
-                let inner =
-                    self.assemble(input, order, layout, interner, unnest_cursor, join_cursor)?;
-                // Specs were pushed in the same DFS order bind_layout used.
-                let stage = *unnest_cursor;
-                *unnest_cursor += 1;
-                let selects = selects
+            Plan::Select { input, predicate } => {
+                let mut node = self.lower(input, walk)?;
+                // Split `p1 and p2` into separate select steps: kernels
+                // compile per conjunct (so the plan optimizer can rank
+                // them) and the step chain short-circuits left-to-right
+                // exactly like the interpreter's `and`.
+                let mut conjuncts = Vec::new();
+                split_conjuncts(predicate, &mut conjuncts);
+                let steps = conjuncts
                     .iter()
-                    .map(|s| self.step(s, layout, interner))
+                    .map(|c| self.step(c, &walk.layout))
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Node::Unnest {
-                    input: Box::new(inner),
-                    stage,
-                    selects,
-                })
+                match &mut node {
+                    Node::Source(i) => walk.specs[*i].selects.extend(steps),
+                    Node::HashJoin { selects, .. }
+                    | Node::ThetaJoin { selects, .. }
+                    | Node::Unnest { selects, .. } => selects.extend(steps),
+                }
+                Ok(node)
             }
-            Shape::Join {
+            Plan::Join {
                 left,
                 right,
                 predicate,
-                selects,
             } => {
-                let lnode =
-                    self.assemble(left, order, layout, interner, unnest_cursor, join_cursor)?;
-                let Shape::Scan {
-                    binding: rbinding, ..
-                } = right.as_ref()
-                else {
-                    unreachable!("Shape::of enforces scan right sides");
+                let lnode = self.lower(left, walk)?;
+                let Node::Source(ridx) = self.lower(right, walk)? else {
+                    unreachable!("`pipelinable` admits only scans as join right sides");
                 };
-                let ridx = order.iter().position(|b| b == rbinding).expect("bound");
-
-                // Claim this join's build slot (same DFS order
-                // `Pipeline::prepare_builds` walks).
-                let build = *join_cursor;
-                *join_cursor += 1;
+                // The build list follows walk order (`prepare_builds`
+                // walks the same way).
+                let build = walk.joins;
+                walk.joins += 1;
                 let lvars = left.bound_vars();
-                let rvars = vec![rbinding.clone()];
+                let rvars = right.bound_vars();
                 let numeric = |t: SlotType| matches!(t, SlotType::Int | SlotType::Float);
-
-                let predicate_step = self.step(predicate, layout, interner)?;
-                let selects = selects
-                    .iter()
-                    .map(|s| self.step(s, layout, interner))
-                    .collect::<Result<Vec<_>>>()?;
+                let layout = &walk.layout;
+                let predicate_step = self.step(predicate, layout)?;
 
                 // Strategy 1: hash join on compilable equi-keys.
                 if let Some((lk_expr, rk_expr)) = Plan::equi_join_keys(predicate, &lvars, &rvars) {
@@ -660,8 +502,8 @@ impl<'a> PipelineBuilder<'a> {
                             _ => None, // incomparable key types
                         };
                         if let Some(float_keys) = float_keys {
-                            let left_key = self.compile(&lk_expr, layout, interner)?;
-                            let right_key = self.compile(&rk_expr, layout, interner)?;
+                            let left_key = self.compile(&lk_expr, layout)?;
+                            let right_key = self.compile(&rk_expr, layout)?;
                             return Ok(Node::HashJoin {
                                 left: Box::new(lnode),
                                 right: ridx,
@@ -672,7 +514,7 @@ impl<'a> PipelineBuilder<'a> {
                                 right_key_ty: rt,
                                 float_keys,
                                 predicate: predicate_step,
-                                selects,
+                                selects: Vec::new(),
                             });
                         }
                     }
@@ -690,8 +532,8 @@ impl<'a> PipelineBuilder<'a> {
                     ) {
                         if numeric(lt) && numeric(rt) {
                             let float_keys = lt == SlotType::Float || rt == SlotType::Float;
-                            let left_key = self.compile(&lk_expr, layout, interner)?;
-                            let right_key = self.compile(&rk_expr, layout, interner)?;
+                            let left_key = self.compile(&lk_expr, layout)?;
+                            let right_key = self.compile(&rk_expr, layout)?;
                             band = Some(Band {
                                 left_key,
                                 right_key,
@@ -706,85 +548,111 @@ impl<'a> PipelineBuilder<'a> {
 
                 // Strategy 3 (band = None): block-nested-loop over morsels
                 // with the fused predicate kernel.
+                self.stats.theta_pipelines += 1;
                 Ok(Node::ThetaJoin {
                     left: Box::new(lnode),
                     right: ridx,
                     build,
                     band,
                     predicate: predicate_step,
-                    selects,
+                    selects: Vec::new(),
                 })
             }
+            Plan::Unnest {
+                input,
+                binding,
+                path,
+            } => {
+                let inner = self.lower(input, walk)?;
+                let (elem_ty, src_col) = unnest_elem_type(path, &walk.specs, &walk.unnests);
+                // Every slot type frames — including `Str`, whose elements
+                // intern at runtime through the lock-guarded shared
+                // interner (pre-populated at build time, so the hot loop
+                // mostly takes the read-locked lookup).
+                let mut slots = Vec::new();
+                match (SlotType::of_type(&elem_ty), &elem_ty) {
+                    (Some(st), _) if walk.touched.contains(binding) => {
+                        slots.push((None, walk.layout.slot(binding.clone(), st), st));
+                    }
+                    (_, Type::Record(fields)) => {
+                        for (name, fty) in fields {
+                            let path = format!("{binding}.{name}");
+                            if let (Some(st), true) =
+                                (SlotType::of_type(fty), walk.touched.contains(&path))
+                            {
+                                slots.push((Some(name.clone()), walk.layout.slot(path, st), st));
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                walk.unnests.push(UnnestStage {
+                    binding: binding.clone(),
+                    path: path.clone(),
+                    elem_ty,
+                    src_col,
+                    slots,
+                });
+                self.stats.unnest_pipelines += 1;
+                Ok(Node::Unnest {
+                    input: Box::new(inner),
+                    stage: walk.unnests.len() - 1,
+                    selects: Vec::new(),
+                })
+            }
+            Plan::Reduce { .. } => unreachable!("`pipelinable` declines nested reduces"),
         }
     }
 
-    /// Attach per-scan selection steps to their sources.
-    fn attach_selects(
-        &mut self,
-        sources: &mut [Source],
-        shape: &Shape,
-        layout: &FrameLayout,
-        interner: &SharedInterner,
-    ) -> Result<()> {
-        match shape {
-            Shape::Scan {
-                binding,
-                dataset,
-                selects,
-            } => {
-                let src = sources
-                    .iter_mut()
-                    .find(|s| &s.binding == binding)
-                    .expect("source bound");
-                for sel in selects {
-                    let step = self.step(sel, layout, interner)?;
-                    src.selects.push(step);
-                }
-                // When the whole chain compiled, fuse it into one
-                // short-circuit select stage for valid frames; tuples whose
-                // frame could not encode still walk `selects` through the
-                // interpreter.
-                if !src.selects.is_empty() {
-                    let kernels: Vec<CompiledKernel> = src
-                        .selects
-                        .iter()
-                        .filter_map(|s| match s {
-                            Step::Kernel(k, _) => Some(k.clone()),
-                            Step::Interp(_) => None,
-                        })
-                        .collect();
-                    if kernels.len() == src.selects.len() {
-                        // Compiled kernels are pure and total, so any
-                        // evaluation order admits the same frames — rank
-                        // cheapest-and-most-selective first. The
-                        // interpreted `src.selects` path keeps syntactic
-                        // order: interpreted conjuncts can error, and error
-                        // order is observable.
-                        let order = if kernels.len() > 1 {
-                            let order = rank_conjuncts(selects, dataset, self.sketch_model());
-                            self.stats.conjuncts_reordered += order
-                                .iter()
-                                .enumerate()
-                                .filter(|&(pos, &i)| pos != i)
-                                .count()
-                                as u32;
-                            order
-                        } else {
-                            (0..kernels.len()).collect()
-                        };
-                        src.fused_selects = Some(SelectKernel::with_order(kernels, &order));
-                    }
-                }
-                Ok(())
-            }
-            Shape::Join { left, right, .. } => {
-                self.attach_selects(sources, left, layout, interner)?;
-                self.attach_selects(sources, right, layout, interner)
-            }
-            // Unnest selects were compiled onto the node in `assemble`
-            // (they may reference the element binding).
-            Shape::Unnest { input, .. } => self.attach_selects(sources, input, layout, interner),
+    /// Compile a boolean step (kernel when possible).
+    fn step(&mut self, predicate: &Expr, layout: &FrameLayout) -> Result<Step> {
+        if JitCompiler::try_prepare(predicate, layout) == Some(SlotType::Bool) {
+            let k = self.compile(predicate, layout)?;
+            return Ok(Step::Kernel(k, predicate.clone()));
         }
+        Ok(Step::Interp(predicate.clone()))
+    }
+
+    /// Compile one kernel under the interner lock (string constants intern
+    /// into the context's shared table — per-call and private under
+    /// `run_jit`, engine-wide and stable across sessions on the resident
+    /// path) and tag it with the query's next dense id — kernel ids are the
+    /// compile order, the trace layer's per-kernel invocation index.
+    fn compile(&mut self, e: &Expr, layout: &FrameLayout) -> Result<CompiledKernel> {
+        let k = self
+            .ctx
+            .interner
+            .with_mut(|i| JitCompiler::new().and_then(|c| c.compile(e, layout, i)))?
+            .with_id(self.stats.kernels_compiled);
+        self.stats.kernels_compiled += 1;
+        Ok(k)
+    }
+
+    /// Fuse a scan's select chain into one short-circuit select stage for
+    /// valid frames when every step compiled; tuples whose frame could not
+    /// encode still walk the steps through the interpreter. Compiled
+    /// kernels are pure and total, so any evaluation order admits the same
+    /// frames — rank cheapest-and-most-selective first. The interpreted
+    /// chain keeps syntactic order: interpreted conjuncts can error, and
+    /// error order is observable.
+    fn fuse_selects(&mut self, selects: &[Step], dataset: &str) -> Option<SelectKernel> {
+        let kernels = selects
+            .iter()
+            .map(|s| match s {
+                Step::Kernel(k, _) => Some(k.clone()),
+                Step::Interp(_) => None,
+            })
+            .collect::<Option<Vec<CompiledKernel>>>()?;
+        if kernels.is_empty() {
+            return None;
+        }
+        let order = rank_conjuncts(selects, dataset, self.sketch_model());
+        self.stats.conjuncts_reordered += order
+            .iter()
+            .enumerate()
+            .filter(|&(pos, &i)| pos != i)
+            .count() as u32;
+        Some(SelectKernel::with_order(kernels, &order))
     }
 
     /// Replay each scan-level conjunct over a small row sample and fold the
@@ -793,68 +661,37 @@ impl<'a> PipelineBuilder<'a> {
     /// queries. Uses the reference interpreter, so the counters reflect the
     /// engine's real predicate semantics (including null behavior); errors
     /// and non-boolean results count as evaluations that did not pass.
-    fn observe_select_stats(&mut self, sources: &[Source], shape: &Shape) {
+    fn observe_select_stats(&mut self, sources: &[Source]) {
         /// Sampled rows per scan — matches `observe_column`'s budget.
         const SAMPLE_ROWS: usize = 64;
         let Some(model) = self.sketch_model() else {
             return;
         };
-        let mut scans: Vec<(&String, &Vec<Expr>)> = Vec::new();
-        fn collect<'s>(shape: &'s Shape, out: &mut Vec<(&'s String, &'s Vec<Expr>)>) {
-            match shape {
-                Shape::Scan {
-                    binding, selects, ..
-                } => {
-                    if !selects.is_empty() {
-                        out.push((binding, selects));
-                    }
-                }
-                Shape::Join { left, right, .. } => {
-                    collect(left, out);
-                    collect(right, out);
-                }
-                Shape::Unnest { input, .. } => collect(input, out),
-            }
-        }
-        collect(shape, &mut scans);
-        for (binding, selects) in scans {
-            let Some(src) = sources.iter().find(|s| &s.binding == binding) else {
-                continue;
-            };
+        for src in sources {
             let sample = src.nrows.min(SAMPLE_ROWS);
-            if sample == 0 {
+            if src.selects.is_empty() || sample == 0 {
                 continue;
             }
-            let mut hits = vec![0u64; selects.len()];
-            let mut env = Bindings::new();
-            for row in 0..sample {
-                let rec: Vec<(String, Value)> = src
-                    .env_fields
-                    .iter()
-                    .map(|(name, col)| (name.clone(), col[row].clone()))
-                    .collect();
-                env.insert(binding.clone(), Value::Record(rec));
-                for (i, sel) in selects.iter().enumerate() {
-                    if matches!(eval(sel, &env), Ok(Value::Bool(true))) {
-                        hits[i] += 1;
-                    }
-                }
-            }
-            for (sel, &h) in selects.iter().zip(&hits) {
+            let envs: Vec<Bindings> = (0..sample)
+                .map(|row| {
+                    let fields = src.env_fields.iter();
+                    let rec = fields.map(|(name, col)| (name.clone(), col[row].clone()));
+                    Bindings::from([(src.binding.clone(), Value::Record(rec.collect()))])
+                })
+                .collect();
+            for sel in &src.selects {
+                let passes =
+                    |env: &&Bindings| matches!(eval(sel.expr(), env), Ok(Value::Bool(true)));
+                let hits = envs.iter().filter(passes).count() as u64;
+                let predicate = sel.expr().to_string();
                 model
                     .sketch()
-                    .record_predicate(&sel.to_string(), h, sample as u64);
+                    .record_predicate(&src.dataset, &predicate, hits, sample as u64);
             }
         }
     }
 
-    fn plan_head(
-        &mut self,
-        monoid: Monoid,
-        head: &Expr,
-        layout: &FrameLayout,
-        interner: &SharedInterner,
-    ) -> HeadPlan {
+    fn plan_head(&mut self, monoid: Monoid, head: &Expr, layout: &FrameLayout) -> HeadPlan {
         // `count` ignores head values entirely when the head is total.
         if monoid == Monoid::Primitive(PrimitiveMonoid::Count)
             && (matches!(head, Expr::Const(_)) || path_of(head).is_some())
@@ -862,7 +699,7 @@ impl<'a> PipelineBuilder<'a> {
             return HeadPlan::CountOnly;
         }
         if JitCompiler::try_prepare(head, layout).is_some() {
-            if let Ok(k) = self.compile(head, layout, interner) {
+            if let Ok(k) = self.compile(head, layout) {
                 return HeadPlan::Kernel(k, head.clone());
             }
         }
@@ -877,7 +714,7 @@ impl<'a> PipelineBuilder<'a> {
                 let compiled = self.stats.kernels_compiled;
                 let ks = fields
                     .iter()
-                    .map(|(n, e)| Ok((n.clone(), self.compile(e, layout, interner)?)))
+                    .map(|(n, e)| Ok((n.clone(), self.compile(e, layout)?)))
                     .collect::<Result<Vec<_>>>();
                 match ks {
                     Ok(ks) => return HeadPlan::RecordKernels(ks, head.clone()),
@@ -886,23 +723,6 @@ impl<'a> PipelineBuilder<'a> {
             }
         }
         HeadPlan::Interp(head.clone())
-    }
-}
-
-/// Record the pipeline stages a fully-assembled operator tree will execute
-/// (`unnest_pipelines` / `theta_pipelines`).
-fn count_stages(node: &Node, stats: &mut ExecStats) {
-    match node {
-        Node::Source(_) => {}
-        Node::HashJoin { left, .. } => count_stages(left, stats),
-        Node::ThetaJoin { left, .. } => {
-            stats.theta_pipelines += 1;
-            count_stages(left, stats);
-        }
-        Node::Unnest { input, .. } => {
-            stats.unnest_pipelines += 1;
-            count_stages(input, stats);
-        }
     }
 }
 
@@ -943,7 +763,7 @@ fn expr_size(e: &Expr) -> usize {
 /// join optimizer's defaults).
 fn conjunct_selectivity(e: &Expr, dataset: &str, model: Option<&CostModel>) -> f64 {
     if let Some(m) = model {
-        if let Some(s) = m.sketch().predicate_selectivity(&e.to_string()) {
+        if let Some(s) = m.sketch().predicate_selectivity(dataset, &e.to_string()) {
             return s.clamp(0.0, 1.0);
         }
     }
@@ -972,10 +792,11 @@ fn conjunct_selectivity(e: &Expr, dataset: &str, model: Option<&CostModel>) -> f
 /// `cost / (1 - selectivity)` — the classic rank that puts cheap, highly
 /// selective predicates first so later (costlier) ones run on fewer tuples.
 /// Stable on ties, so unranked chains keep syntactic order.
-fn rank_conjuncts(selects: &[Expr], dataset: &str, model: Option<&CostModel>) -> Vec<usize> {
+fn rank_conjuncts(selects: &[Step], dataset: &str, model: Option<&CostModel>) -> Vec<usize> {
     let ranks: Vec<f64> = selects
         .iter()
-        .map(|e| {
+        .map(|s| {
+            let e = s.expr();
             let sel = conjunct_selectivity(e, dataset, model);
             expr_size(e) as f64 / (1.0 - sel).max(1e-3)
         })

@@ -34,17 +34,21 @@ use vida_types::{CollectionKind, Monoid, Partial, Result, Value, VidaError};
 impl Pipeline {
     pub(super) fn execute(self, stats: &mut ExecStats) -> Result<Value> {
         stats.threads = self.pool.threads() as u32;
-        stats.fused_stage_depth = fused_depth(&self.root) + 1; // + the fold
-        let joins = has_join(&self.root);
-        if joins {
+        // Every join builds a scan of its own, so the sources past the
+        // leftmost are the joins, and every join and unnest is a stage on
+        // the left spine: scan + probes + unnests + the fold.
+        let joins = self.sources.len() - 1;
+        stats.fused_stage_depth = (joins + self.unnests.len() + 2) as u32;
+        if joins > 0 {
             stats.span_begin(stage::BUILD_SIDE);
         }
         let mut builds = Vec::new();
         self.prepare_builds(&self.root, stats, &mut builds)?;
-        if joins {
+        if joins > 0 {
             stats.span_end();
         }
-        let nrows = self.sources[leftmost_source(&self.root)].nrows;
+        // The walk met the leftmost scan first.
+        let nrows = self.sources[0].nrows;
         // A reusable cached prefix partial shrinks the morsel grid to the
         // appended rows (`from = 0` is the ordinary whole-source grid).
         let reuse = self.fold_seam.as_ref().and_then(|s| s.reuse.as_ref());
@@ -125,9 +129,9 @@ impl Pipeline {
         morsel_fold(
             &self.pool,
             plan,
-            match has_join(&self.root) {
-                true => stage::PROBE,
-                false => stage::SCAN,
+            match builds.is_empty() {
+                true => stage::SCAN,
+                false => stage::PROBE,
             },
             stats,
             |range, ws| {
@@ -224,11 +228,8 @@ impl Pipeline {
                 return Ok(k.call_bool(&t.frame));
             }
         }
-        let expr = match step {
-            Step::Kernel(_, e) | Step::Interp(e) => e,
-        };
         stats.fallback_tuples += 1;
-        match eval(expr, &self.env_for(t))? {
+        match eval(step.expr(), &self.env_for(t))? {
             Value::Bool(b) => Ok(b),
             other => Err(VidaError::Exec(format!(
                 "{context} predicate not boolean: {other}"
@@ -347,8 +348,8 @@ impl Pipeline {
         }
     }
 
-    /// Materialize the build side of every join in the tree, in the DFS
-    /// order `assemble` assigned build slots. These are the pipeline
+    /// Materialize the build side of every join in the tree, in the walk
+    /// order the builder assigned build slots. These are the pipeline
     /// breakers of push execution: each right side scans into flat build
     /// rows once, morsel by morsel, then lays out radix-partitioned CSR
     /// buckets or sorts into a band index. Partition counts and bucket
@@ -395,7 +396,7 @@ impl Pipeline {
                 (build, JoinBuild::theta(rows, band.as_ref()))
             }
         };
-        debug_assert_eq!(builds.len(), *build, "builds follow the DFS order");
+        debug_assert_eq!(builds.len(), *build, "builds follow the walk order");
         builds.push(jb);
         Ok(())
     }
@@ -533,27 +534,6 @@ impl Pipeline {
     }
 }
 
-/// Leftmost scan of the pipeline tree — the source whose rows the push
-/// loop (and its morsel grid) ranges over.
-fn leftmost_source(node: &Node) -> usize {
-    match node {
-        Node::Source(idx) => *idx,
-        Node::HashJoin { left, .. } | Node::ThetaJoin { left, .. } => leftmost_source(left),
-        Node::Unnest { input, .. } => leftmost_source(input),
-    }
-}
-
-/// Whether the pipeline tree contains any join — and therefore a build
-/// side worth its own trace span, and a drive loop traced as a probe
-/// rather than a plain scan.
-fn has_join(node: &Node) -> bool {
-    match node {
-        Node::Source(_) => false,
-        Node::HashJoin { .. } | Node::ThetaJoin { .. } => true,
-        Node::Unnest { input, .. } => has_join(input),
-    }
-}
-
 /// The one way a phase runs on the pool: `work` processes each morsel of
 /// `plan` on scratch stats of its own, inside a `stage` span on the
 /// worker's track (`worker + 1`; track 0 is the coordinator) that carries
@@ -592,21 +572,11 @@ pub(super) fn morsel_fold<P: Send, A>(
     )
 }
 
-/// Operator stages fused into the push loop (scan = 1, +1 per join probe
-/// and unnest stage; the caller adds 1 for the fold).
-fn fused_depth(node: &Node) -> u32 {
-    match node {
-        Node::Source(_) => 1,
-        Node::HashJoin { left, .. } | Node::ThetaJoin { left, .. } => 1 + fused_depth(left),
-        Node::Unnest { input, .. } => 1 + fused_depth(input),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{catalog, jit, nested_catalog, plan_of};
     use super::*;
-    use crate::catalog::MemoryCatalog;
+    use crate::catalog::{MemoryCatalog, SourceProvider};
     use crate::pipeline::{run_jit, run_jit_with_stats, JitOptions};
     use vida_types::{Schema, Type};
 
@@ -759,6 +729,7 @@ mod tests {
         // every monoid.
         let cat = catalog();
         let nested = nested_catalog();
+        nested.register(cat.plugin("Patients").unwrap());
         let cases: Vec<(&MemoryCatalog, &str, u32)> = vec![
             // (catalog, query, expected fused depth incl. the fold)
             (&cat, "for { p <- Patients, p.age > 60 } yield sum p.age", 2),
@@ -776,6 +747,17 @@ mod tests {
                 &nested,
                 "for { r <- Regions, v <- r.voxels, v > 10 } yield sum v",
                 3,
+            ),
+            (
+                &nested,
+                "for { r <- Regions, v <- r.voxels, p <- Patients, p.id = r.id } yield sum v",
+                4,
+            ),
+            (
+                &cat,
+                "for { p <- Patients, g <- Genetics, q <- Patients, p.id = g.id, g.id = q.id } \
+                 yield count p",
+                4,
             ),
         ];
         for (cat, q, depth) in cases {

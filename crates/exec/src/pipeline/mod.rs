@@ -32,7 +32,7 @@
 //!   interpreted fallback;
 //! - **bushy joins lowered**: `vida_algebra::lower::left_deepen` rotates
 //!   bushy join trees into the left-deep chains the pipelines execute
-//!   before shape analysis, so directly-constructed bushy plans compile
+//!   before the lowering walk, so directly-constructed bushy plans compile
 //!   too;
 //! - **cost-model-driven cache replicas**: with a [`CacheManager`] attached,
 //!   touched columns are served from cached replicas and raw-file reads
@@ -78,11 +78,13 @@
 //!
 //! Module map, in the order a query passes through: `options`
 //! ([`JitOptions`]), `shape` (which plans the pipelines accept, touched
-//! paths), `bind` (source binding, operator-tree assembly, head planning),
-//! `columns` (cache probe, raw scan, replica decode and sync, incremental
-//! tail), `join` (build sides: slot matrix, CSR hash buckets, band index),
-//! `drive` (the morsel driver: push loop, fold, fold-partial seam). This file
-//! holds the entry points and the pipeline IR those modules share.
+//! paths), `bind` (one post-order walk from the plan to the operator tree
+//! — sources, slots, selects, join strategies, unnest stages — then select
+//! fusion and head planning), `columns` (cache probe, raw scan, replica
+//! decode and sync, incremental tail), `join` (build sides: slot matrix,
+//! CSR hash buckets, band index), `drive` (the morsel driver: push loop,
+//! fold, fold-partial seam). This file holds the entry points and the
+//! pipeline IR those modules share.
 
 mod bind;
 mod columns;
@@ -107,7 +109,7 @@ use vida_lang::{BinOp, Bindings, Expr};
 use vida_optimizer::CostModel;
 use vida_parallel::WorkerPool;
 use vida_trace::QueryTrace;
-use vida_types::{Monoid, Result, Value, VidaError};
+use vida_types::{Monoid, Result, Type, Value, VidaError};
 
 /// Per-call compatibility wrapper (see [`run_jit_with_stats`]).
 #[doc(hidden)]
@@ -224,6 +226,15 @@ enum Step {
     Interp(Expr),
 }
 
+impl Step {
+    /// The step's source expression (what the interpreter evaluates).
+    fn expr(&self) -> &Expr {
+        match self {
+            Step::Kernel(_, e) | Step::Interp(e) => e,
+        }
+    }
+}
+
 /// How the reduce head is evaluated per surviving tuple. Compiled variants
 /// carry the source expression for tuples on the fallback path.
 enum HeadPlan {
@@ -249,6 +260,7 @@ impl HeadPlan {
 /// A bound input: one scanned dataset with its materialized touched columns.
 struct Source {
     binding: String,
+    dataset: String,
     nrows: usize,
     /// Fields materialized for binding-record reconstruction, schema order.
     env_fields: Vec<(String, Arc<Vec<Value>>)>,
@@ -257,7 +269,7 @@ struct Source {
     slot_cols: Vec<(usize, Vec<Option<i64>>)>,
     /// All global slot indexes owned by this source (for frame merging).
     slots: Vec<usize>,
-    /// Selection steps applied as tuples leave the scan.
+    /// Selection steps applied as tuples leave the scan, syntactic order.
     selects: Vec<Step>,
     /// Fast path: when every select compiled, the chain is fused into one
     /// [`SelectKernel`] evaluated short-circuit per valid frame (invalid
@@ -265,18 +277,20 @@ struct Source {
     fused_selects: Option<SelectKernel>,
 }
 
-/// Pipeline tree: left-deep joins and unnest stages over bound sources.
+/// Pipeline tree: left-deep joins and unnest stages over bound sources,
+/// built by the builder's one lowering walk.
 ///
 /// The tree's left spine is one fused push pipeline: tuples stream from the
-/// leftmost scan through every stage's sink without intermediate buffers.
-/// Join right sides are the pipeline breakers — each is materialized once
-/// into [`JoinBuild`] slot `build` before the push loop starts.
+/// leftmost scan (source 0) through every stage's sink without intermediate
+/// buffers. Join right sides are always scans and the pipeline breakers —
+/// each is materialized once into [`JoinBuild`] slot `build` before the
+/// push loop starts.
 enum Node {
     Source(usize),
     HashJoin {
         left: Box<Node>,
         right: usize,
-        /// Index into the prepared [`JoinBuild`] list (DFS order).
+        /// Index into the prepared [`JoinBuild`] list (walk order).
         build: usize,
         left_key: CompiledKernel,
         right_key: CompiledKernel,
@@ -296,7 +310,7 @@ enum Node {
     ThetaJoin {
         left: Box<Node>,
         right: usize,
-        /// Index into the prepared [`JoinBuild`] list (DFS order).
+        /// Index into the prepared [`JoinBuild`] list (walk order).
         build: usize,
         band: Option<Band>,
         /// Full join predicate, checked per candidate pair.
@@ -334,6 +348,9 @@ struct Band {
 struct UnnestStage {
     binding: String,
     path: Expr,
+    /// Static element type; later stages resolve paths rooted at this
+    /// binding through it.
+    elem_ty: Type,
     /// Fast path: `(source index, touched-column position)` when the path
     /// is a single projection off a scanned source — the collection is read
     /// straight from the materialized column, no interpreter environment.
@@ -382,8 +399,10 @@ impl Tuple {
 type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, &Tuple) -> Result<()>;
 
 struct Pipeline {
+    /// Sources in walk order: the leftmost scan first, then each join's
+    /// right side, bottom-up.
     sources: Vec<Source>,
-    /// Unnest stages in plan DFS order (indexed by `Node::Unnest::stage`).
+    /// Unnest stages in walk order (indexed by `Node::Unnest::stage`).
     unnests: Vec<UnnestStage>,
     root: Node,
     monoid: Monoid,

@@ -1,138 +1,30 @@
-//! Shape analysis: which plans the generated pipelines accept, and which
-//! attribute paths a query touches.
+//! Which plans the generated pipelines accept, and which attribute paths a
+//! query touches.
 
-use vida_algebra::lower::{split_conjuncts, UNIT_DATASET};
+use vida_algebra::lower::UNIT_DATASET;
 use vida_algebra::Plan;
 use vida_jit::compile::path_of;
 use vida_lang::{Expr, Qualifier};
 
-/// Plan shape accepted by the generated pipelines.
-pub(super) enum Shape {
-    Scan {
-        binding: String,
-        dataset: String,
-        selects: Vec<Expr>,
-    },
-    Join {
-        left: Box<Shape>,
-        right: Box<Shape>, // always a Scan (Shape::of enforces it)
-        predicate: Expr,
-        selects: Vec<Expr>,
-    },
-    Unnest {
-        input: Box<Shape>,
-        binding: String,
-        path: Expr,
-        selects: Vec<Expr>,
-    },
-}
-
-impl Shape {
-    pub(super) fn of(plan: &Plan) -> Option<Shape> {
-        match plan {
-            Plan::Scan { dataset, binding } => {
-                if dataset == UNIT_DATASET {
-                    return None;
-                }
-                Some(Shape::Scan {
-                    dataset: dataset.clone(),
-                    binding: binding.clone(),
-                    selects: Vec::new(),
-                })
+/// Whether the generated pipelines accept `plan` (the `Reduce`'s input,
+/// after `left_deepen` and join reordering): no scan of the unit dataset
+/// (constant queries, literal collections), no nested `Reduce`, and every
+/// join's right side is one scan under any selects. Bushy trees were
+/// already rotated left-deep; what remains with another right side (an
+/// unnest) stays interpreted. Decided before the lowering walk, so a
+/// declined plan binds no column, compiles no kernel and reads no byte.
+pub(super) fn pipelinable(plan: &Plan) -> bool {
+    match plan {
+        Plan::Scan { dataset, .. } => dataset != UNIT_DATASET,
+        Plan::Select { input, .. } | Plan::Unnest { input, .. } => pipelinable(input),
+        Plan::Join { left, right, .. } => {
+            let mut scan = right.as_ref();
+            while let Plan::Select { input, .. } = scan {
+                scan = input;
             }
-            Plan::Select { input, predicate } => {
-                let mut inner = Shape::of(input)?;
-                // Split `p1 and p2` into separate select steps: kernels
-                // compile per conjunct (so the plan optimizer can rank
-                // them) and the step chain short-circuits left-to-right
-                // exactly like the interpreter's `and`.
-                let mut conjuncts = Vec::new();
-                split_conjuncts(predicate, &mut conjuncts);
-                match &mut inner {
-                    Shape::Scan { selects, .. }
-                    | Shape::Join { selects, .. }
-                    | Shape::Unnest { selects, .. } => selects.extend(conjuncts),
-                }
-                Some(inner)
-            }
-            Plan::Join {
-                left,
-                right,
-                predicate,
-            } => {
-                let l = Shape::of(left)?;
-                let r = Shape::of(right)?;
-                if !matches!(r, Shape::Scan { .. }) {
-                    // Bushy trees were already rotated left-deep by
-                    // `left_deepen`; what remains here is a right side that
-                    // is itself an unnest — stay interpreted.
-                    return None;
-                }
-                Some(Shape::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    predicate: predicate.clone(),
-                    selects: Vec::new(),
-                })
-            }
-            Plan::Unnest {
-                input,
-                binding,
-                path,
-            } => {
-                let inner = Shape::of(input)?;
-                Some(Shape::Unnest {
-                    input: Box::new(inner),
-                    binding: binding.clone(),
-                    path: path.clone(),
-                    selects: Vec::new(),
-                })
-            }
-            Plan::Reduce { .. } => None,
+            matches!(scan, Plan::Scan { .. }) && pipelinable(scan) && pipelinable(left)
         }
-    }
-
-    pub(super) fn exprs<'s>(&'s self, out: &mut Vec<&'s Expr>) {
-        match self {
-            Shape::Scan { selects, .. } => out.extend(selects.iter()),
-            Shape::Join {
-                left,
-                right,
-                predicate,
-                selects,
-            } => {
-                left.exprs(out);
-                right.exprs(out);
-                out.push(predicate);
-                out.extend(selects.iter());
-            }
-            Shape::Unnest {
-                input,
-                path,
-                selects,
-                ..
-            } => {
-                input.exprs(out);
-                out.push(path);
-                out.extend(selects.iter());
-            }
-        }
-    }
-
-    pub(super) fn bound_vars(&self) -> Vec<String> {
-        match self {
-            Shape::Scan { binding, .. } => vec![binding.clone()],
-            Shape::Join { left, right, .. } => {
-                let mut v = left.bound_vars();
-                v.extend(right.bound_vars());
-                v
-            }
-            Shape::Unnest { input, binding, .. } => {
-                let mut v = input.bound_vars();
-                v.push(binding.clone());
-                v
-            }
-        }
+        Plan::Reduce { .. } => false,
     }
 }
 
@@ -184,22 +76,51 @@ pub(super) fn collect_paths(e: &Expr, out: &mut Vec<String>) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{nested_catalog, plan_of};
+    use super::super::testutil::{catalog, nested_catalog, plan_of};
     use crate::pipeline::{run_jit_with_stats, JitOptions};
-    use vida_types::Value;
+    use crate::SourceProvider;
+    use vida_algebra::Plan;
+    use vida_types::{Monoid, PrimitiveMonoid, Value};
 
     #[test]
     fn constant_queries_still_fall_back() {
         let cat = nested_catalog();
-        let plan = plan_of("1 + 2");
-        let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
-        assert_eq!(v, Value::Int(3));
-        assert_eq!(stats.whole_query_fallbacks, 1);
-        // Literal-collection generators unnest over the unit row: also
-        // degenerate, also the fallback engine.
-        let plan = plan_of("for { x <- [1, 2, 3] } yield sum x");
-        let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
-        assert_eq!(v, Value::Int(6));
-        assert_eq!(stats.whole_query_fallbacks, 1);
+        cat.register(catalog().plugin("Patients").unwrap());
+        let scan = |d: &str, b: &str| Plan::Scan {
+            dataset: d.into(),
+            binding: b.into(),
+        };
+        // A join whose right side is an unnest, built directly.
+        let unnest_right = Plan::Reduce {
+            input: Box::new(Plan::Join {
+                left: Box::new(Plan::Select {
+                    input: Box::new(scan("Patients", "p")),
+                    predicate: vida_lang::parse("p.age > 40").unwrap(),
+                }),
+                right: Box::new(Plan::Unnest {
+                    input: Box::new(scan("Regions", "r")),
+                    binding: "v".into(),
+                    path: vida_lang::parse("r.voxels").unwrap(),
+                }),
+                predicate: vida_lang::parse("p.id = r.id").unwrap(),
+            }),
+            monoid: Monoid::Primitive(PrimitiveMonoid::Sum),
+            head: vida_lang::parse("v").unwrap(),
+        };
+        for (plan, want) in [
+            (plan_of("1 + 2"), Value::Int(3)),
+            // Literal-collection generators unnest over the unit row: also
+            // degenerate, also the fallback engine.
+            (plan_of("for { x <- [1, 2, 3] } yield sum x"), Value::Int(6)),
+            (unnest_right, Value::Int(5 + 15)),
+        ] {
+            let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();
+            assert_eq!(v, want, "{plan}");
+            // Declined before the walk: nothing bound, compiled or read.
+            assert_eq!(stats.whole_query_fallbacks, 1, "{plan}: {stats:?}");
+            assert_eq!(stats.kernels_compiled, 0, "{plan}: {stats:?}");
+            assert_eq!(stats.raw_columns, 0, "{plan}: {stats:?}");
+            assert_eq!(stats.tuples_scanned, 0, "{plan}: {stats:?}");
+        }
     }
 }

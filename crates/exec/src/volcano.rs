@@ -77,7 +77,7 @@ pub(crate) fn materialize_free_datasets(
     Ok(env)
 }
 
-fn collect_exprs<'a>(plan: &'a Plan, out: &mut Vec<&'a Expr>) {
+pub(crate) fn collect_exprs<'a>(plan: &'a Plan, out: &mut Vec<&'a Expr>) {
     match plan {
         Plan::Scan { .. } => {}
         Plan::Select { input, predicate } => {

@@ -202,6 +202,45 @@ fn observed_selectivities_reorder_fused_conjuncts() {
     );
 }
 
+#[test]
+fn predicate_history_is_kept_per_dataset() {
+    // `A` and `B` share the predicate text but not its pass rates: `t.x > 5`
+    // passes every row of `A` and no row of `B`. A's history must not steer
+    // B's conjunct order: B's second run ranks from B's own counters, as it
+    // would under a model that never saw `A`.
+    let cat = MemoryCatalog::new();
+    for (name, x) in [("A", 10), ("B", 0)] {
+        let rows: Vec<Value> = (0..64)
+            .map(|i| Value::record([("x", Value::Int(x)), ("y", Value::Int(3 + i % 2))]))
+            .collect();
+        cat.register_records(
+            name,
+            Schema::from_pairs([("x", Type::Int), ("y", Type::Int)]),
+            &rows,
+        )
+        .unwrap();
+    }
+    let q = |d: &str| {
+        plan_of(&format!(
+            "for {{ t <- {d}, t.y = 3, t.x > 5 }} yield count t"
+        ))
+    };
+    for saw_a in [false, true] {
+        let opts = JitOptions {
+            threads: 1,
+            cost_model: Some(Arc::new(CostModel::new())),
+            ..JitOptions::default()
+        };
+        if saw_a {
+            run_jit_with_stats(&q("A"), &cat, &opts).unwrap();
+        }
+        run_jit_with_stats(&q("B"), &cat, &opts).unwrap();
+        let (v, stats) = run_jit_with_stats(&q("B"), &cat, &opts).unwrap();
+        assert_eq!(v, Value::Int(0));
+        assert_eq!(stats.conjuncts_reordered, 2, "saw A: {saw_a}");
+    }
+}
+
 /// HBP-shaped raw inputs for the join-heavy mix: `Patients` CSV (500
 /// rows), `Genetics` (500) and `Regions` (250) newline-delimited JSON.
 fn hbp_catalog() -> MemoryCatalog {

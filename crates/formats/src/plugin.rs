@@ -486,6 +486,8 @@ pub struct MemPlugin {
     schema: Schema,
     rows: Vec<Vec<Value>>,
     stats: Arc<AccessStats>,
+    /// This generation's [`vida_io::memory_generation`] stamp.
+    generation: u64,
 }
 
 impl MemPlugin {
@@ -495,6 +497,7 @@ impl MemPlugin {
             schema,
             rows,
             stats: Arc::new(AccessStats::new()),
+            generation: vida_io::memory_generation(),
         }
     }
 
@@ -542,7 +545,7 @@ impl InputPlugin for MemPlugin {
     }
 
     fn fingerprint(&self) -> (u64, u64) {
-        (self.rows.len() as u64, 1)
+        (self.rows.len() as u64, self.generation)
     }
 
     fn field_cost_factor(&self, _col: usize) -> f64 {

@@ -35,7 +35,7 @@ pub mod raw;
 pub mod swar;
 
 pub use csv::CsvTokenizer;
-pub use raw::{MapMode, RawData, RawFile, Refresh};
+pub use raw::{memory_generation, MapMode, RawData, RawFile, Refresh};
 
 /// The UTF-8 byte-order mark some writers put at the start of text files.
 pub const UTF8_BOM: [u8; 3] = [0xEF, 0xBB, 0xBF];

@@ -19,6 +19,7 @@ use std::fmt;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How [`RawData::open_with`] should back the bytes of a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,6 +94,15 @@ pub struct RawFile {
     origin: Option<(PathBuf, MapMode, Vec<u8>)>,
 }
 
+/// A process-unique stamp for data that has no file behind it: the second
+/// half of an in-memory fingerprint, where a file has its mtime. Every
+/// in-memory generation gets its own, so a replacement of the same size
+/// never passes for the data it replaced.
+pub fn memory_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// What [`RawFile::refresh`] found on disk.
 pub enum Refresh {
     /// Same fingerprint (or in-memory bytes): keep the current generation.
@@ -120,10 +130,11 @@ impl RawFile {
         })
     }
 
-    /// Wrap an in-memory buffer: fingerprint `(len, 0)`, never refreshed.
+    /// Wrap an in-memory buffer: fingerprint `(len, memory_generation())`,
+    /// never refreshed.
     pub fn from_vec(data: Vec<u8>) -> Self {
         RawFile {
-            fingerprint: (data.len() as u64, 0),
+            fingerprint: (data.len() as u64, memory_generation()),
             data: RawData::from_vec(data),
             origin: None,
         }

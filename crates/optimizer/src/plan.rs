@@ -55,8 +55,9 @@ pub trait PlanStats {
     fn base_rows(&self, dataset: &str) -> Option<f64>;
     /// Estimated distinct count of a field (`None` = no sketch yet).
     fn distinct(&self, dataset: &str, field: &str) -> Option<f64>;
-    /// Observed pass rate of a predicate, keyed by display string.
-    fn predicate_selectivity(&self, predicate: &str) -> Option<f64>;
+    /// Observed pass rate of a predicate over `dataset`, keyed by the
+    /// dataset and the predicate's display string.
+    fn predicate_selectivity(&self, dataset: &str, predicate: &str) -> Option<f64>;
 }
 
 /// Map-backed [`PlanStats`] for tests and offline experiments.
@@ -64,7 +65,8 @@ pub trait PlanStats {
 pub struct TableStats {
     pub rows: HashMap<String, f64>,
     pub distincts: HashMap<(String, String), f64>,
-    pub selectivities: HashMap<String, f64>,
+    /// Keyed by `(dataset, predicate display string)`.
+    pub selectivities: HashMap<(String, String), f64>,
 }
 
 impl TableStats {
@@ -85,8 +87,10 @@ impl PlanStats for TableStats {
             .get(&(dataset.to_string(), field.to_string()))
             .copied()
     }
-    fn predicate_selectivity(&self, predicate: &str) -> Option<f64> {
-        self.selectivities.get(predicate).copied()
+    fn predicate_selectivity(&self, dataset: &str, predicate: &str) -> Option<f64> {
+        self.selectivities
+            .get(&(dataset.to_string(), predicate.to_string()))
+            .copied()
     }
 }
 
@@ -286,7 +290,7 @@ fn total_safe(e: &Expr) -> bool {
 /// Estimated pass rate of a single-leaf conjunct: observed counters first,
 /// then a distinct-sketch / shape heuristic.
 fn local_selectivity(c: &Expr, leaf: &Leaf, stats: &dyn PlanStats) -> f64 {
-    if let Some(s) = stats.predicate_selectivity(&c.to_string()) {
+    if let Some(s) = stats.predicate_selectivity(&leaf.dataset, &c.to_string()) {
         return s.clamp(0.0, 1.0).max(1.0 / leaf.card.max(1.0));
     }
     match c {
@@ -558,7 +562,9 @@ mod tests {
             predicate: parse("b.x = 1").unwrap(),
         };
         let mut stats = TableStats::with_rows(&[("A", 1_000.0), ("B", 1_000.0)]);
-        stats.selectivities.insert("(b.x = 1)".to_string(), 0.001);
+        stats
+            .selectivities
+            .insert(("B".to_string(), "(b.x = 1)".to_string()), 0.001);
         let (out, report) = reorder_joins(&plan, &stats);
         assert!(report.eligible);
         assert_eq!(report.joins_reordered, 2);

@@ -200,7 +200,7 @@ struct FieldSketch {
 #[derive(Default)]
 pub struct StatsSketch {
     fields: RwLock<HashMap<(String, String), FieldSketch>>,
-    predicates: RwLock<HashMap<String, PredicateStats>>,
+    predicates: RwLock<HashMap<(String, String), PredicateStats>>,
 }
 
 impl StatsSketch {
@@ -245,24 +245,26 @@ impl StatsSketch {
             .map(|fs| fs.rows)
     }
 
-    /// Fold a batch of evaluation outcomes for a predicate (keyed by its
-    /// canonical display string).
-    pub fn record_predicate(&self, predicate: &str, hits: u64, evals: u64) {
+    /// Fold a batch of evaluation outcomes for a predicate over `dataset`
+    /// (keyed by the dataset and the predicate's canonical display string:
+    /// the same text over another dataset is another predicate).
+    pub fn record_predicate(&self, dataset: &str, predicate: &str, hits: u64, evals: u64) {
         if evals == 0 {
             return;
         }
         self.predicates
             .write()
-            .entry(predicate.to_string())
+            .entry((dataset.to_string(), predicate.to_string()))
             .or_default()
             .observe(hits, evals);
     }
 
-    /// Observed pass rate of a predicate, `None` until it was ever replayed.
-    pub fn predicate_selectivity(&self, predicate: &str) -> Option<f64> {
+    /// Observed pass rate of a predicate over `dataset`, `None` until it
+    /// was ever replayed there.
+    pub fn predicate_selectivity(&self, dataset: &str, predicate: &str) -> Option<f64> {
         self.predicates
             .read()
-            .get(predicate)
+            .get(&(dataset.to_string(), predicate.to_string()))
             .and_then(PredicateStats::selectivity)
     }
 
@@ -457,21 +459,23 @@ mod tests {
         assert_eq!(p.selectivity(), Some(truth_hits as f64 / 10_000.0));
 
         let s = StatsSketch::new();
-        assert_eq!(s.predicate_selectivity("(p.age > 40)"), None);
+        assert_eq!(s.predicate_selectivity("P", "(p.age > 40)"), None);
         // Batched in uneven chunks — totals must match the per-outcome replay.
         let mut i = 0usize;
         let mut chunk = 1usize;
         while i < outcomes.len() {
             let end = (i + chunk).min(outcomes.len());
             let hits = outcomes[i..end].iter().filter(|&&b| b).count() as u64;
-            s.record_predicate("(p.age > 40)", hits, (end - i) as u64);
+            s.record_predicate("P", "(p.age > 40)", hits, (end - i) as u64);
             i = end;
             chunk = chunk * 2 + 1;
         }
         assert_eq!(
-            s.predicate_selectivity("(p.age > 40)"),
+            s.predicate_selectivity("P", "(p.age > 40)"),
             Some(truth_hits as f64 / 10_000.0)
         );
+        // The same text over another dataset has no history.
+        assert_eq!(s.predicate_selectivity("Q", "(p.age > 40)"), None);
         assert_eq!(s.predicates_tracked(), 1);
         s.clear();
         assert_eq!(s.predicates_tracked(), 0);

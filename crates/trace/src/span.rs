@@ -19,7 +19,7 @@ use std::time::Instant;
 /// The static stage taxonomy. Every span names one of these phases; see
 /// ARCHITECTURE.md ("Observability") for what each covers.
 pub mod stage {
-    /// Algebra lowering: left-deepening, shape analysis, layout binding.
+    /// Algebra lowering: left-deepening, join reordering, the decline check.
     pub const LOWER: &str = "lower";
     /// Kernel compilation: expression → closure kernels, fusion, head plan.
     pub const CODEGEN: &str = "codegen";
