@@ -672,17 +672,19 @@ impl<'a> PipelineBuilder<'a> {
             if src.selects.is_empty() || sample == 0 {
                 continue;
             }
-            let envs: Vec<Bindings> = (0..sample)
-                .map(|row| {
-                    let fields = src.env_fields.iter();
-                    let rec = fields.map(|(name, col)| (name.clone(), col[row].clone()));
-                    Bindings::from([(src.binding.clone(), Value::Record(rec.collect()))])
-                })
-                .collect();
-            for sel in &src.selects {
-                let passes =
-                    |env: &&Bindings| matches!(eval(sel.expr(), env), Ok(Value::Bool(true)));
-                let hits = envs.iter().filter(passes).count() as u64;
+            let mut hits = vec![0u64; src.selects.len()];
+            let mut env = Bindings::new();
+            for row in 0..sample {
+                let rec = src
+                    .env_fields
+                    .iter()
+                    .map(|(name, col)| (name.clone(), col[row].clone()));
+                env.insert(src.binding.clone(), Value::Record(rec.collect()));
+                for (hit, sel) in hits.iter_mut().zip(&src.selects) {
+                    *hit += matches!(eval(sel.expr(), &env), Ok(Value::Bool(true))) as u64;
+                }
+            }
+            for (sel, hits) in src.selects.iter().zip(hits) {
                 let predicate = sel.expr().to_string();
                 model
                     .sketch()
