@@ -89,7 +89,7 @@ struct SourceSpec {
 }
 
 /// What the lowering walk accumulates: the query-wide frame layout, and
-/// the sources, unnest stages and join builds in walk order. It reads
+/// the sources and unnest stages in walk order. It reads
 /// `touched`: every plan-bound variable the query uses whole (`p`) and
 /// every field it reaches into (`p.age`), named like their frame slots.
 #[derive(Default)]
@@ -98,7 +98,6 @@ struct Lowering {
     layout: FrameLayout,
     specs: Vec<SourceSpec>,
     unnests: Vec<UnnestStage>,
-    joins: usize,
 }
 
 /// Adapts the catalog + cost-model sketches to the optimizer's `PlanStats`:
@@ -480,10 +479,6 @@ impl<'a> PipelineBuilder<'a> {
                 let Node::Source(ridx) = self.lower(right, walk)? else {
                     unreachable!("`pipelinable` admits only scans as join right sides");
                 };
-                // The build list follows walk order (`prepare_builds`
-                // walks the same way).
-                let build = walk.joins;
-                walk.joins += 1;
                 let lvars = left.bound_vars();
                 let rvars = right.bound_vars();
                 let numeric = |t: SlotType| matches!(t, SlotType::Int | SlotType::Float);
@@ -507,7 +502,6 @@ impl<'a> PipelineBuilder<'a> {
                             return Ok(Node::HashJoin {
                                 left: Box::new(lnode),
                                 right: ridx,
-                                build,
                                 left_key,
                                 right_key,
                                 left_key_ty: lt,
@@ -552,7 +546,6 @@ impl<'a> PipelineBuilder<'a> {
                 Ok(Node::ThetaJoin {
                     left: Box::new(lnode),
                     right: ridx,
-                    build,
                     band,
                     predicate: predicate_step,
                     selects: Vec::new(),
@@ -643,10 +636,11 @@ impl<'a> PipelineBuilder<'a> {
                 Step::Interp(_) => None,
             })
             .collect::<Option<Vec<CompiledKernel>>>()?;
-        if kernels.is_empty() {
-            return None;
-        }
-        let order = rank_conjuncts(selects, dataset, self.sketch_model());
+        let order = match kernels.len() {
+            0 => return None,
+            1 => vec![0],
+            _ => rank_conjuncts(selects, dataset, self.sketch_model()),
+        };
         self.stats.conjuncts_reordered += order
             .iter()
             .enumerate()

@@ -310,7 +310,7 @@ impl Pipeline {
             }),
             Node::HashJoin {
                 left,
-                build,
+                right,
                 left_key,
                 left_key_ty,
                 float_keys,
@@ -318,7 +318,7 @@ impl Pipeline {
                 selects,
                 ..
             } => {
-                let jb = &builds[*build];
+                let jb = &builds[*right - 1];
                 self.drive(left, range, builds, stats, &mut |stats, lt| {
                     if lt.valid {
                         stats.kernel_hit(left_key.id());
@@ -330,13 +330,12 @@ impl Pipeline {
             }
             Node::ThetaJoin {
                 left,
-                build,
+                right,
                 band,
                 predicate,
                 selects,
-                ..
             } => {
-                let jb = &builds[*build];
+                let jb = &builds[*right - 1];
                 self.drive(left, range, builds, stats, &mut |stats, lt| {
                     if let (Some(b), true, true) = (band, lt.valid, jb.index.is_some()) {
                         stats.kernel_hit(b.left_key.id());
@@ -348,8 +347,8 @@ impl Pipeline {
         }
     }
 
-    /// Materialize the build side of every join in the tree, in the walk
-    /// order the builder assigned build slots. These are the pipeline
+    /// Materialize the build side of every join in the tree, bottom-up: the
+    /// build of source `right` lands at `right - 1`. These are the pipeline
     /// breakers of push execution: each right side scans into flat build
     /// rows once, morsel by morsel, then lays out radix-partitioned CSR
     /// buckets or sorts into a band index. Partition counts and bucket
@@ -361,13 +360,12 @@ impl Pipeline {
         stats: &mut ExecStats,
         builds: &mut Vec<JoinBuild<'p>>,
     ) -> Result<()> {
-        let (build, jb) = match node {
+        let (right, jb) = match node {
             Node::Source(_) => return Ok(()),
             Node::Unnest { input, .. } => return self.prepare_builds(input, stats, builds),
             Node::HashJoin {
                 left,
                 right,
-                build,
                 right_key,
                 right_key_ty,
                 float_keys,
@@ -377,26 +375,22 @@ impl Pipeline {
                 let key = Some((right_key, *right_key_ty, *float_keys));
                 let rows = self.build_rows(*right, key, stats)?;
                 (
-                    build,
+                    right,
                     JoinBuild::hash(rows, &self.pool, self.morsel_rows, stats)?,
                 )
             }
             Node::ThetaJoin {
-                left,
-                right,
-                build,
-                band,
-                ..
+                left, right, band, ..
             } => {
                 self.prepare_builds(left, stats, builds)?;
                 let key = band
                     .as_ref()
                     .map(|b| (&b.right_key, b.right_key_ty, b.float_keys));
                 let rows = self.build_rows(*right, key, stats)?;
-                (build, JoinBuild::theta(rows, band.as_ref()))
+                (right, JoinBuild::theta(rows, band.as_ref()))
             }
         };
-        debug_assert_eq!(builds.len(), *build, "builds follow the walk order");
+        debug_assert_eq!(builds.len(), *right - 1, "builds follow the walk order");
         builds.push(jb);
         Ok(())
     }

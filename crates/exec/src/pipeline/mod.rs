@@ -282,16 +282,15 @@ struct Source {
 ///
 /// The tree's left spine is one fused push pipeline: tuples stream from the
 /// leftmost scan (source 0) through every stage's sink without intermediate
-/// buffers. Join right sides are always scans and the pipeline breakers —
-/// each is materialized once into [`JoinBuild`] slot `build` before the
-/// push loop starts.
+/// buffers. Join right sides are always scans and the pipeline breakers:
+/// source `right` is materialized once into the prepared [`JoinBuild`] at
+/// `right - 1` before the push loop starts (the sources after the leftmost
+/// are exactly the join right sides, bottom-up).
 enum Node {
     Source(usize),
     HashJoin {
         left: Box<Node>,
         right: usize,
-        /// Index into the prepared [`JoinBuild`] list (walk order).
-        build: usize,
         left_key: CompiledKernel,
         right_key: CompiledKernel,
         left_key_ty: SlotType,
@@ -310,8 +309,6 @@ enum Node {
     ThetaJoin {
         left: Box<Node>,
         right: usize,
-        /// Index into the prepared [`JoinBuild`] list (walk order).
-        build: usize,
         band: Option<Band>,
         /// Full join predicate, checked per candidate pair.
         predicate: Step,
