@@ -1,112 +1,127 @@
-//! Naive plan interpreter — the semantic oracle.
+//! The plan interpreter — the "pre-cooked static operators" engine of §4
+//! and the semantic oracle of the generated pipelines.
 //!
-//! Executes a [`Plan`] tuple-at-a-time against in-memory datasets, using the
-//! calculus interpreter for every scalar expression. Deliberately simple
-//! (nested-loop joins, full materialization between operators); used to
-//! differentially test the production engines in `vida-exec`.
+//! Executes a `Reduce`-rooted [`Plan`] tuple at a time: generic operators
+//! over name→value binding maps, every predicate, path and head through the
+//! calculus interpreter, nested-loop joins — exactly the interpretation
+//! overheads code generation removes. Rows are pushed from the leftmost
+//! scan into the fold; the right side of each join is the only thing
+//! buffered.
+//!
+//! Scans read their units through a [`Source`]: [`execute_plan`] reads
+//! in-memory datasets bound in a [`Bindings`] map, and `vida-exec`'s
+//! `run_volcano` reads a query's input plugins one unit at a time.
 
 use crate::lower::UNIT_DATASET;
 use crate::plan::Plan;
 use vida_lang::{eval, Bindings};
 use vida_types::{Result, Value, VidaError};
 
-/// Execute a plan against datasets bound in `env` (dataset name → collection
-/// value). Returns the reduced result.
-pub fn execute_plan(plan: &Plan, env: &Bindings) -> Result<Value> {
-    match plan {
-        Plan::Reduce {
-            input,
-            monoid,
-            head,
-        } => {
-            let rows = rows_of(input, env)?;
-            let mut acc = monoid.zero();
-            for row in rows {
-                let v = eval(head, &row)?;
-                acc = monoid.merge(acc, monoid.unit(v))?;
-            }
-            monoid.finalize(acc)
-        }
-        // A plan without a terminal reduce returns its bindings as a bag of
-        // records (diagnostics / EXPLAIN ANALYZE paths).
-        _ => {
-            let rows = rows_of(plan, env)?;
-            let vars = plan.bound_vars();
-            let out = rows
-                .into_iter()
-                .map(|row| {
-                    Value::Record(
-                        vars.iter()
-                            .map(|v| (v.clone(), row.get(v).cloned().unwrap_or(Value::Null)))
-                            .collect(),
-                    )
-                })
-                .collect();
-            Ok(Value::bag(out))
-        }
+/// Where a scan's units come from.
+pub trait Source {
+    /// Feed every unit of `dataset` to `emit`, in order.
+    fn scan(&self, dataset: &str, emit: &mut dyn FnMut(Value) -> Result<()>) -> Result<()>;
+}
+
+/// Datasets as values: dataset name → collection.
+impl Source for Bindings {
+    fn scan(&self, dataset: &str, emit: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
+        let coll = self
+            .get(dataset)
+            .ok_or_else(|| VidaError::Unresolved(dataset.to_string()))?;
+        let items = coll
+            .elements()
+            .ok_or_else(|| VidaError::Exec(format!("dataset '{dataset}' is not a collection")))?;
+        items.iter().try_for_each(|item| emit(item.clone()))
     }
 }
 
-/// Materialize the bindings produced by a plan node.
-fn rows_of(plan: &Plan, env: &Bindings) -> Result<Vec<Bindings>> {
+/// Execute a plan against datasets bound in `env` (dataset name → collection
+/// value). Returns the reduced result.
+pub fn execute_plan(plan: &Plan, env: &Bindings) -> Result<Value> {
+    interpret(plan, env, env)
+}
+
+/// Execute a `Reduce`-rooted plan whose scans read `source`; `env` binds
+/// the free names of its expressions (the datasets nested comprehensions
+/// range over). Any other root, or a `Reduce` as an operator input, is a
+/// `plan` error: nested reductions are evaluated through expression heads.
+pub fn interpret(plan: &Plan, source: &dyn Source, env: &Bindings) -> Result<Value> {
+    let Plan::Reduce {
+        input,
+        monoid,
+        head,
+    } = plan
+    else {
+        return Err(VidaError::Plan(
+            "the plan interpreter expects a Reduce-rooted plan".into(),
+        ));
+    };
+    let mut acc = monoid.zero();
+    push_rows(input, source, env, &mut |row| {
+        let v = eval(head, row)?;
+        acc = monoid.merge(std::mem::replace(&mut acc, Value::Null), monoid.unit(v))?;
+        Ok(())
+    })?;
+    monoid.finalize(acc)
+}
+
+/// Push every binding row `plan` produces into `emit`.
+fn push_rows(
+    plan: &Plan,
+    source: &dyn Source,
+    env: &Bindings,
+    emit: &mut dyn FnMut(&Bindings) -> Result<()>,
+) -> Result<()> {
     match plan {
         Plan::Scan { dataset, binding } => {
+            let mut row = env.clone();
+            let mut emit_unit = |unit: Value| {
+                bind(&mut row, binding, unit);
+                emit(&row)
+            };
             if dataset == UNIT_DATASET {
                 // The synthetic one-row relation for constant queries.
-                let mut row = env.clone();
-                row.insert(binding.clone(), Value::Null);
-                return Ok(vec![row]);
+                emit_unit(Value::Null)
+            } else {
+                source.scan(dataset, &mut emit_unit)
             }
-            let coll = env
-                .get(dataset)
-                .ok_or_else(|| VidaError::Unresolved(dataset.clone()))?;
-            let items = coll.elements().ok_or_else(|| {
-                VidaError::Exec(format!("dataset '{dataset}' is not a collection"))
-            })?;
-            Ok(items
-                .iter()
-                .map(|item| {
-                    let mut row = env.clone();
-                    row.insert(binding.clone(), item.clone());
-                    row
-                })
-                .collect())
         }
         Plan::Select { input, predicate } => {
-            let rows = rows_of(input, env)?;
-            let mut out = Vec::new();
-            for row in rows {
-                match eval(predicate, &row)? {
-                    Value::Bool(true) => out.push(row),
-                    Value::Bool(false) => {}
-                    other => {
-                        return Err(VidaError::Exec(format!(
-                            "selection predicate not boolean: {other}"
-                        )))
-                    }
-                }
-            }
-            Ok(out)
+            push_rows(input, source, env, &mut |row| match eval(predicate, row)? {
+                Value::Bool(true) => emit(row),
+                Value::Bool(false) => Ok(()),
+                other => Err(VidaError::Exec(format!(
+                    "selection predicate not boolean: {other}"
+                ))),
+            })
         }
         Plan::Join {
             left,
             right,
             predicate,
         } => {
-            let lrows = rows_of(left, env)?;
-            let rrows = rows_of(right, env)?;
-            let rvars = right.bound_vars();
-            let mut out = Vec::new();
-            for l in &lrows {
-                for r in &rrows {
-                    let mut row = l.clone();
-                    for v in &rvars {
-                        if let Some(val) = r.get(v) {
-                            row.insert(v.clone(), val.clone());
-                        }
+            // Nested loops over a buffered right side: the static engine has
+            // no per-query key extraction.
+            let right_vars = right.bound_vars();
+            let mut right_rows: Vec<Vec<Value>> = Vec::new();
+            push_rows(right, source, env, &mut |row| {
+                right_rows.push(
+                    right_vars
+                        .iter()
+                        .map(|v| row.get(v).cloned().unwrap_or(Value::Null))
+                        .collect(),
+                );
+                Ok(())
+            })?;
+            push_rows(left, source, env, &mut |l| {
+                let mut row = l.clone();
+                for r in &right_rows {
+                    for (var, val) in right_vars.iter().zip(r) {
+                        bind(&mut row, var, val.clone());
                     }
                     match eval(predicate, &row)? {
-                        Value::Bool(true) => out.push(row),
+                        Value::Bool(true) => emit(&row)?,
                         Value::Bool(false) => {}
                         other => {
                             return Err(VidaError::Exec(format!(
@@ -115,37 +130,37 @@ fn rows_of(plan: &Plan, env: &Bindings) -> Result<Vec<Bindings>> {
                         }
                     }
                 }
-            }
-            Ok(out)
+                Ok(())
+            })
         }
         Plan::Unnest {
             input,
             binding,
             path,
-        } => {
-            let rows = rows_of(input, env)?;
-            let mut out = Vec::new();
-            for row in rows {
-                let coll = eval(path, &row)?;
-                let items = coll.elements().ok_or_else(|| {
-                    VidaError::Exec(format!("unnest path {path} produced non-collection"))
-                })?;
-                for item in items {
-                    let mut new_row = row.clone();
-                    new_row.insert(binding.clone(), item.clone());
-                    out.push(new_row);
-                }
+        } => push_rows(input, source, env, &mut |row| {
+            let coll = eval(path, row)?;
+            let items = coll.elements().ok_or_else(|| {
+                VidaError::Exec(format!("unnest path {path} produced non-collection"))
+            })?;
+            let mut row = row.clone();
+            for item in items {
+                bind(&mut row, binding, item.clone());
+                emit(&row)?;
             }
-            Ok(out)
-        }
-        Plan::Reduce { .. } => {
-            // Nested reduce as a row source: evaluate it and unnest if it is
-            // a collection; otherwise a single row binding nothing.
-            let v = execute_plan(plan, env)?;
-            match v.elements() {
-                Some(items) => Ok(items.iter().map(|_| env.clone()).collect()),
-                None => Ok(vec![env.clone()]),
-            }
+            Ok(())
+        }),
+        Plan::Reduce { .. } => Err(VidaError::Plan(
+            "nested Reduce operators are evaluated through expression heads".into(),
+        )),
+    }
+}
+
+/// Bind `name` to `value` in `row`, reusing the key once it is there.
+fn bind(row: &mut Bindings, name: &str, value: Value) {
+    match row.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            row.insert(name.to_string(), value);
         }
     }
 }

@@ -22,8 +22,10 @@
 //!
 //! [`lower()`] translates a normalized comprehension into a plan; [`rewrite()`]
 //! applies algebra-level rules (selection pushdown, select-merging);
-//! [`interp`] is a naive tuple-at-a-time evaluator used as the semantic
-//! oracle — the production engines live in `vida-exec`.
+//! [`interp`] is the one plan interpreter — tuple at a time, pushing rows
+//! from the scans into the fold — which `vida-exec` runs over raw sources as
+//! its interpreted engine and semantic oracle beside the generated
+//! pipelines.
 
 pub mod interp;
 pub mod lower;

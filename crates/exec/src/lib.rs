@@ -15,10 +15,12 @@
 //!    equi-keys exist, fused monoid accumulators, and layout-aware cache
 //!    reads/writes. No general-purpose checks survive into the inner loop.
 //!
-//! 2. **The interpreted Volcano engine** ([`volcano`]) — the "static,
-//!    pre-cooked operators" comparator (§4): generic operators over tagged
-//!    values with dynamic dispatch and per-tuple interpretation overhead.
-//!    It doubles as a semantic oracle in differential tests.
+//! 2. **The interpreted engine** ([`volcano`]) — the "static, pre-cooked
+//!    operators" comparator (§4): [`run_volcano`] runs the one plan
+//!    interpreter, `vida_algebra::interp`, over the query's input plugins —
+//!    generic operators over tagged values with per-tuple interpretation
+//!    overhead. It is the whole-query fallback for degenerate shapes and
+//!    doubles as a semantic oracle in differential tests.
 //!
 //! [`output`] implements the output plugins of Figure 3/Figure 4: results
 //! materialize as parsed values, text, binary JSON, or CSV rows.

@@ -112,6 +112,11 @@ mod tests {
             // Literal-collection generators unnest over the unit row: also
             // degenerate, also the fallback engine.
             (plan_of("for { x <- [1, 2, 3] } yield sum x"), Value::Int(6)),
+            // A join whose right side is a literal collection.
+            (
+                plan_of("for { p <- Patients, x <- [1, 2] } yield sum p.age"),
+                Value::Int(340),
+            ),
             (unnest_right, Value::Int(5 + 15)),
         ] {
             let (v, stats) = run_jit_with_stats(&plan, &cat, &JitOptions::default()).unwrap();

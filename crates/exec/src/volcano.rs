@@ -1,19 +1,17 @@
-//! The interpreted Volcano engine — the "pre-cooked static operators"
-//! comparator (§4).
+//! The interpreted engine over raw sources — the "pre-cooked static
+//! operators" comparator of §4 and the pipelines' correctness oracle.
 //!
-//! Generic operators, tagged values, dynamic dispatch, per-tuple expression
-//! interpretation: exactly the interpretation overheads code generation
-//! removes. Every operator materializes `Bindings` (a name→value map) per
-//! tuple; predicates run through the calculus interpreter.
-//!
-//! This engine is also a correctness oracle: it shares no code with the JIT
-//! pipelines beyond the plugins, so agreement between the two is strong
-//! evidence for both.
+//! [`run_volcano`] runs the one plan interpreter, [`vida_algebra::interp`],
+//! with its scans reading whole units from the query's input plugins
+//! (`InputPlugin::read_unit`, no query-specific projection — that is the
+//! point of the comparison). It shares nothing with the generated
+//! pipelines beyond the plugins and the calculus interpreter, so agreement
+//! between the two is strong evidence for both.
 
 use crate::catalog::{QueryBinding, SourceProvider};
-use vida_algebra::lower::UNIT_DATASET;
+use vida_algebra::interp::{interpret, Source};
 use vida_algebra::Plan;
-use vida_lang::{eval, Bindings, Expr};
+use vida_lang::{Bindings, Expr};
 use vida_types::{Result, Value, VidaError};
 
 /// Execute a plan with the interpreted engine, reading each dataset at one
@@ -30,23 +28,18 @@ pub(crate) fn run_bound(plan: &Plan, catalog: &QueryBinding) -> Result<Value> {
     let mut exprs: Vec<&Expr> = Vec::new();
     collect_exprs(plan, &mut exprs);
     let env = materialize_free_datasets(&exprs, &plan.bound_vars(), catalog)?;
-    match plan {
-        Plan::Reduce {
-            input,
-            monoid,
-            head,
-        } => {
-            let mut acc = monoid.zero();
-            let mut iter = build_operator(input, catalog, &env)?;
-            while let Some(row) = iter.next()? {
-                let v = eval(head, &row)?;
-                acc = monoid.merge(acc, monoid.unit(v))?;
-            }
-            monoid.finalize(acc)
+    interpret(plan, catalog, &env)
+}
+
+/// A query's datasets as the interpreter scans them: one
+/// `InputPlugin::read_unit` at a time.
+impl Source for QueryBinding<'_> {
+    fn scan(&self, dataset: &str, emit: &mut dyn FnMut(Value) -> Result<()>) -> Result<()> {
+        let plugin = self.plugin(dataset)?;
+        for row in 0..plugin.num_units() {
+            emit(plugin.read_unit(row)?)?;
         }
-        _ => Err(VidaError::Plan(
-            "volcano executor expects a Reduce-rooted plan".into(),
-        )),
+        Ok(())
     }
 }
 
@@ -104,223 +97,13 @@ pub(crate) fn collect_exprs<'a>(plan: &'a Plan, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// A pull-based operator: `next` yields one binding map per tuple.
-trait Operator {
-    fn next(&mut self) -> Result<Option<Bindings>>;
-}
-
-fn build_operator(
-    plan: &Plan,
-    catalog: &dyn SourceProvider,
-    env: &Bindings,
-) -> Result<Box<dyn Operator>> {
-    match plan {
-        Plan::Scan { dataset, binding } => {
-            if dataset == UNIT_DATASET {
-                return Ok(Box::new(UnitScan {
-                    binding: binding.clone(),
-                    env: env.clone(),
-                    done: false,
-                }));
-            }
-            let plugin = catalog.plugin(dataset)?;
-            Ok(Box::new(ScanOp {
-                plugin,
-                binding: binding.clone(),
-                env: env.clone(),
-                row: 0,
-            }))
-        }
-        Plan::Select { input, predicate } => Ok(Box::new(SelectOp {
-            input: build_operator(input, catalog, env)?,
-            predicate: predicate.clone(),
-        })),
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            // Generic nested-loop join with a materialized right side — the
-            // static engine has no per-query key extraction.
-            let mut right_rows = Vec::new();
-            let mut r = build_operator(right, catalog, env)?;
-            while let Some(row) = r.next()? {
-                right_rows.push(row);
-            }
-            Ok(Box::new(NlJoinOp {
-                left: build_operator(left, catalog, env)?,
-                right_rows,
-                right_vars: right.bound_vars(),
-                predicate: predicate.clone(),
-                current_left: None,
-                right_pos: 0,
-            }))
-        }
-        Plan::Unnest {
-            input,
-            binding,
-            path,
-        } => Ok(Box::new(UnnestOp {
-            input: build_operator(input, catalog, env)?,
-            binding: binding.clone(),
-            path: path.clone(),
-            pending: Vec::new(),
-            current: None,
-        })),
-        Plan::Reduce { .. } => Err(VidaError::Plan(
-            "nested Reduce operators are evaluated through expression heads".into(),
-        )),
-    }
-}
-
-struct UnitScan {
-    binding: String,
-    env: Bindings,
-    done: bool,
-}
-
-impl Operator for UnitScan {
-    fn next(&mut self) -> Result<Option<Bindings>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let mut row = self.env.clone();
-        row.insert(self.binding.clone(), Value::Null);
-        Ok(Some(row))
-    }
-}
-
-struct ScanOp {
-    plugin: std::sync::Arc<dyn vida_formats::InputPlugin>,
-    binding: String,
-    env: Bindings,
-    row: usize,
-}
-
-impl Operator for ScanOp {
-    fn next(&mut self) -> Result<Option<Bindings>> {
-        if self.row >= self.plugin.num_units() {
-            return Ok(None);
-        }
-        // The generic engine always materializes the whole unit — it has no
-        // query-specific projection (that is the point of the comparison).
-        let unit = self.plugin.read_unit(self.row)?;
-        self.row += 1;
-        let mut row = self.env.clone();
-        row.insert(self.binding.clone(), unit);
-        Ok(Some(row))
-    }
-}
-
-struct SelectOp {
-    input: Box<dyn Operator>,
-    predicate: Expr,
-}
-
-impl Operator for SelectOp {
-    fn next(&mut self) -> Result<Option<Bindings>> {
-        while let Some(row) = self.input.next()? {
-            match eval(&self.predicate, &row)? {
-                Value::Bool(true) => return Ok(Some(row)),
-                Value::Bool(false) => {}
-                other => {
-                    return Err(VidaError::Exec(format!(
-                        "selection predicate not boolean: {other}"
-                    )))
-                }
-            }
-        }
-        Ok(None)
-    }
-}
-
-struct NlJoinOp {
-    left: Box<dyn Operator>,
-    right_rows: Vec<Bindings>,
-    right_vars: Vec<String>,
-    predicate: Expr,
-    current_left: Option<Bindings>,
-    right_pos: usize,
-}
-
-impl Operator for NlJoinOp {
-    fn next(&mut self) -> Result<Option<Bindings>> {
-        loop {
-            if self.current_left.is_none() {
-                self.current_left = self.left.next()?;
-                self.right_pos = 0;
-                if self.current_left.is_none() {
-                    return Ok(None);
-                }
-            }
-            let l = self.current_left.as_ref().expect("set above");
-            while self.right_pos < self.right_rows.len() {
-                let r = &self.right_rows[self.right_pos];
-                self.right_pos += 1;
-                let mut row = l.clone();
-                for v in &self.right_vars {
-                    if let Some(val) = r.get(v) {
-                        row.insert(v.clone(), val.clone());
-                    }
-                }
-                match eval(&self.predicate, &row)? {
-                    Value::Bool(true) => return Ok(Some(row)),
-                    Value::Bool(false) => {}
-                    other => {
-                        return Err(VidaError::Exec(format!(
-                            "join predicate not boolean: {other}"
-                        )))
-                    }
-                }
-            }
-            self.current_left = None;
-        }
-    }
-}
-
-struct UnnestOp {
-    input: Box<dyn Operator>,
-    binding: String,
-    path: Expr,
-    pending: Vec<Value>,
-    current: Option<Bindings>,
-}
-
-impl Operator for UnnestOp {
-    fn next(&mut self) -> Result<Option<Bindings>> {
-        loop {
-            if let Some(item) = self.pending.pop() {
-                let mut row = self.current.clone().expect("current row set");
-                row.insert(self.binding.clone(), item);
-                return Ok(Some(row));
-            }
-            match self.input.next()? {
-                None => return Ok(None),
-                Some(row) => {
-                    let coll = eval(&self.path, &row)?;
-                    let items = coll.elements().ok_or_else(|| {
-                        VidaError::Exec(format!(
-                            "unnest path {} produced non-collection",
-                            self.path
-                        ))
-                    })?;
-                    // Reverse so pop() yields original order.
-                    self.pending = items.iter().rev().cloned().collect();
-                    self.current = Some(row);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::MemoryCatalog;
     use vida_algebra::{lower, rewrite};
-    use vida_lang::parse;
-    use vida_types::{Schema, Type};
+    use vida_lang::{eval, parse};
+    use vida_types::{Monoid, PrimitiveMonoid, Schema, Type};
 
     fn catalog() -> MemoryCatalog {
         let cat = MemoryCatalog::new();
@@ -431,6 +214,37 @@ mod tests {
             items[0].field("meta").unwrap().elements().unwrap(),
             &[Value::str("geneva")]
         );
+    }
+
+    #[test]
+    fn every_executor_rejects_a_non_reduce_root_and_a_nested_reduce() {
+        let cat = catalog();
+        let mut env = Bindings::new();
+        env.insert("Patients".into(), cat.materialize("Patients").unwrap());
+        let reduce =
+            rewrite(&lower(&parse("for { p <- Patients } yield count p").unwrap()).unwrap());
+        let Plan::Reduce { input, .. } = &reduce else {
+            panic!("lowering yields a Reduce root: {reduce}");
+        };
+        let nested = Plan::Reduce {
+            input: Box::new(Plan::Select {
+                input: Box::new(reduce.clone()),
+                predicate: parse("true").unwrap(),
+            }),
+            monoid: Monoid::Primitive(PrimitiveMonoid::Count),
+            head: parse("1").unwrap(),
+        };
+        for plan in [input.as_ref(), &nested] {
+            let jit = crate::run_jit_with_stats(plan, &cat, &Default::default()).map(|(v, _)| v);
+            for (engine, result) in [
+                ("algebra", vida_algebra::execute_plan(plan, &env)),
+                ("volcano", run_volcano(plan, &cat)),
+                ("jit", jit),
+            ] {
+                let err = result.unwrap_err();
+                assert_eq!(err.kind(), "plan", "{engine} {plan}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Four-engine differential tests over raw CSV and JSON fixtures.
+//! Three-evaluator differential tests over raw CSV and JSON fixtures.
 //!
 //! The same comprehension is evaluated by:
-//! 1. the calculus reference interpreter (`vida_lang::eval`),
-//! 2. the naive algebra interpreter (`vida_algebra::execute_plan`),
-//! 3. the interpreted Volcano engine (`run_volcano`),
-//! 4. the JIT pipeline engine (`run_jit`, with and without a cache),
+//! 1. the calculus reference interpreter (`vida_lang::eval`), straight from
+//!    the comprehension, with no plan;
+//! 2. the plan interpreter (`vida_algebra::interp`), over the datasets
+//!    materialized (`execute_plan`) and over the raw plugins one unit at a
+//!    time (`run_volcano`) — one algorithm, two sources;
+//! 3. the JIT pipeline engine (`run_jit`, cold and through a cache),
 //!
-//! and all five results must agree. The engines share only the input
-//! plugins, so agreement is strong evidence that lowering, rewriting,
-//! kernel compilation, hash/theta joins, unnest stages, and cache reads all
-//! preserve the calculus semantics. (The seeded random-plan sweep lives in
-//! `fuzz_differential.rs`; this file holds the curated fixtures.)
+//! and all five results must agree. The JIT pipelines share only the input
+//! plugins with the interpreter, so agreement is strong evidence that
+//! lowering, rewriting, kernel compilation, hash/theta joins, unnest
+//! stages, and cache reads all preserve the calculus semantics. (The
+//! seeded random-plan sweep lives in `fuzz_differential.rs`; this file
+//! holds the curated fixtures.)
 
 use std::sync::Arc;
 use vida_algebra::{execute_plan, lower, rewrite};
@@ -94,20 +97,20 @@ fn differential(q: &str) -> Value {
 
     let plan = rewrite(&lower(&expr).expect("lowers"));
 
-    // Oracle 2: naive algebra interpreter.
+    // Oracle 2: the plan interpreter over materialized datasets.
     let algebra = execute_plan(&plan, &env).unwrap_or_else(|e| panic!("algebra {q}: {e}"));
     assert_eq!(algebra, direct, "algebra deviates for {q}");
 
-    // Engine 3: interpreted Volcano over the plugins.
+    // Oracle 2 again over the plugins, one unit at a time.
     let volcano = run_volcano(&plan, &cat).unwrap_or_else(|e| panic!("volcano {q}: {e}"));
     assert_eq!(volcano, direct, "volcano deviates for {q}");
 
-    // Engine 4: JIT pipelines, cold.
+    // Engine 3: JIT pipelines, cold.
     let jit =
         run_jit(&plan, &cat, &JitOptions::default()).unwrap_or_else(|e| panic!("jit {q}: {e}"));
     assert_eq!(jit, direct, "jit deviates for {q}");
 
-    // Engine 4 again through a cache: first run populates, second is served
+    // Engine 3 again through a cache: first run populates, second is served
     // from cached column replicas — the result must not change.
     let opts = JitOptions::with_cache(Arc::new(CacheManager::new(1 << 20)));
     let warm1 = run_jit(&plan, &cat, &opts).unwrap_or_else(|e| panic!("jit+cache {q}: {e}"));
@@ -635,4 +638,53 @@ fn parallel_warm_cache_run_is_identical() {
     }
     assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
     assert_eq!(results[0], run_volcano(&plan, &cat).unwrap());
+}
+
+#[test]
+fn integer_overflow_is_an_exec_error_everywhere() {
+    // `i64::MIN / -1` and `i64::MIN % -1` overflow: every engine must
+    // return an ordinary `exec` error, none may panic.
+    let cat = MemoryCatalog::new();
+    cat.register_records(
+        "T",
+        Schema::from_pairs([("x", Type::Int), ("y", Type::Int)]),
+        &[Value::record([
+            ("x", Value::Int(i64::MIN)),
+            ("y", Value::Int(-1)),
+        ])],
+    )
+    .unwrap();
+    let cat = Arc::new(cat);
+    let mut env = Bindings::new();
+    env.insert("T".into(), cat.materialize("T").unwrap());
+    for q in [
+        "for { t <- T } yield sum t.x / t.y",
+        "for { t <- T } yield sum t.x % t.y",
+    ] {
+        let plan = rewrite(&lower(&parse(q).unwrap()).expect("lowers"));
+        let mut errors = vec![
+            ("volcano".to_string(), run_volcano(&plan, &*cat)),
+            ("algebra".to_string(), execute_plan(&plan, &env)),
+        ];
+        for threads in [1usize, 2, 8] {
+            let opts = JitOptions {
+                threads,
+                ..Default::default()
+            };
+            let engine = vida_exec::Engine::new(cat.clone(), opts);
+            errors.push((format!("engine x{threads}"), engine.execute(&plan)));
+        }
+        for (engine, result) in errors {
+            let err = result.expect_err(&format!("{engine} {q}: overflow must error"));
+            assert_eq!(err.kind(), "exec", "{engine} {q}: {err}");
+            assert!(
+                err.to_string().contains("integer overflow"),
+                "{engine} {q}: {err}"
+            );
+            assert!(
+                !err.to_string().contains("query panicked"),
+                "{engine} {q}: {err}"
+            );
+        }
+    }
 }

@@ -9,11 +9,14 @@
 //! RFC 4180 doubled-quote escapes, embedded delimiters, quoted newlines
 //! (morsel alignment must be quote-aware), and astral-plane `\uXXXX`
 //! surrogate pairs.
-//! Every plan runs through three independent evaluators:
+//! Every plan runs through two independent evaluators, one of them over
+//! two sources:
 //!
-//! 1. the interpreted Volcano engine (`run_volcano`) — the oracle,
-//! 2. the naive algebra interpreter (`execute_plan`),
-//! 3. the JIT pipelines (`run_jit`) at 1, 2, and 8 worker threads with
+//! 1. the plan interpreter (`vida_algebra::interp`) over the raw plugins
+//!    (`run_volcano`) — the oracle — and over the same datasets
+//!    materialized as values (`execute_plan`), which pins the plugins'
+//!    `read_unit` path;
+//! 2. the JIT pipelines (`run_jit`) at 1, 2, and 8 worker threads with
 //!    shrunken morsels,
 //!
 //! and all results must agree (when the oracle errors — e.g. a plan the

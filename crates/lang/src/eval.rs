@@ -85,7 +85,10 @@ pub fn eval(expr: &Expr, env: &Bindings) -> Result<Value> {
             other => Err(VidaError::Exec(format!("'not' on non-boolean {other}"))),
         },
         Expr::UnOp(UnOp::Neg, e) => match eval(e, env)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => i
+                .checked_neg()
+                .map(Value::Int)
+                .ok_or_else(|| VidaError::Exec("integer overflow in -".into())),
             Value::Float(f) => Ok(Value::Float(-f)),
             Value::Null => Ok(Value::Null),
             other => Err(VidaError::Exec(format!("negation of non-number {other}"))),
@@ -212,14 +215,18 @@ pub fn apply_binop(op: BinOp, l: Value, r: Value) -> Result<Value> {
                         if *b == 0 {
                             Err(VidaError::Exec("division by zero".into()))
                         } else {
-                            Ok(Value::Int(a / b))
+                            a.checked_div(*b)
+                                .map(Value::Int)
+                                .ok_or_else(|| VidaError::Exec("integer overflow in /".into()))
                         }
                     }
                     Mod => {
                         if *b == 0 {
                             Err(VidaError::Exec("modulo by zero".into()))
                         } else {
-                            Ok(Value::Int(a % b))
+                            a.checked_rem(*b)
+                                .map(Value::Int)
+                                .ok_or_else(|| VidaError::Exec("integer overflow in %".into()))
                         }
                     }
                     _ => unreachable!(),
@@ -463,6 +470,22 @@ mod tests {
         assert_eq!(run_err("if 3 then 1 else 2"), "exec");
         assert_eq!(run_err("for { x <- 42 } yield sum x"), "exec");
         assert_eq!(run_err("for { e <- Employees, e.age } yield sum 1"), "exec");
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error_not_a_panic() {
+        let mut e = Bindings::new();
+        e.insert("x".into(), Value::Int(i64::MIN));
+        e.insert("y".into(), Value::Int(-1));
+        for (q, msg) in [
+            ("x / y", "integer overflow in /"),
+            ("x % y", "integer overflow in %"),
+            ("-x", "integer overflow in -"),
+        ] {
+            let err = eval(&parse(q).unwrap(), &e).unwrap_err();
+            assert_eq!(err.kind(), "exec", "{q}");
+            assert!(err.to_string().contains(msg), "{q}: {err}");
+        }
     }
 
     fn run_err(q: &str) -> &'static str {

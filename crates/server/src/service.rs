@@ -922,42 +922,50 @@ mod tests {
 
     #[test]
     fn a_panicking_query_fails_and_the_server_keeps_serving() {
+        // A plugin panic mid-scan, and a query that overflows `i64` in the
+        // normalizer's constant folder, which runs outside the executor's
+        // unwind guard: both must fail alone, as an error response.
+        let failing = [
+            ("for { b <- Boom } yield sum b.age", "panicked"),
+            (
+                "(0 - 9223372036854775807 - 1) / (0 - 1)",
+                "integer overflow in /",
+            ),
+        ];
         for threads in [1, 2] {
-            let cat = catalog();
-            cat.register(Arc::new(Boom(cat.plugin("Patients").unwrap())));
-            let opts = JitOptions {
-                threads,
-                ..Default::default()
-            };
-            let engine = Arc::new(Engine::new(Arc::new(cat), opts));
-            let server = Arc::new(QueryServer::start(engine, ServerConfig::default()));
-            let boom = SharedBuffer::default();
-            assert!(server.submit(QueryRequest::new(
-                "for { b <- Boom } yield sum b.age",
-                Box::new(boom.clone()),
-            )));
-            // Drain on a thread of its own, so a hung executor fails the
-            // test by timeout instead of hanging it.
-            let (drained, done) = mpsc::channel();
-            let drainer = Arc::clone(&server);
-            std::thread::spawn(move || {
-                drainer.drain();
-                let _ = drained.send(());
-            });
-            wait_until("drain after a panicking query", || done.try_recv().is_ok());
-            let resp = read_response(&mut Cursor::new(boom.take())).unwrap();
-            let error = resp.error.expect("an error frame");
-            assert!(error.contains("panicked"), "threads={threads}: {error}");
-            assert_eq!(server.stats().failed, 1, "threads={threads}");
-            // The same server answers the next query correctly.
-            let next = SharedBuffer::default();
-            assert!(server.submit(QueryRequest::new(
-                "for { p <- Patients } yield sum p.age",
-                Box::new(next.clone()),
-            )));
-            server.drain();
-            let resp = read_response(&mut Cursor::new(next.take())).unwrap();
-            assert_eq!(resp.rows, vec![b"105".to_vec()], "threads={threads}");
+            for (query, want) in failing {
+                let cat = catalog();
+                cat.register(Arc::new(Boom(cat.plugin("Patients").unwrap())));
+                let opts = JitOptions {
+                    threads,
+                    ..Default::default()
+                };
+                let engine = Arc::new(Engine::new(Arc::new(cat), opts));
+                let server = QueryServer::start(engine, ServerConfig::default());
+                let failed = SharedBuffer::default();
+                assert!(server.submit(QueryRequest::new(query, Box::new(failed.clone()))));
+                // A dead executor never counts the failure: the wait times
+                // out instead of hanging the test.
+                wait_until("the failing query's response", || {
+                    server.stats().failed == 1
+                });
+                let resp = read_response(&mut Cursor::new(failed.take())).unwrap();
+                let error = resp.error.expect("an error frame");
+                assert!(error.contains(want), "threads={threads} {query}: {error}");
+                // The same server answers the next query correctly.
+                let next = SharedBuffer::default();
+                assert!(server.submit(QueryRequest::new(
+                    "for { p <- Patients } yield sum p.age",
+                    Box::new(next.clone()),
+                )));
+                server.drain();
+                let resp = read_response(&mut Cursor::new(next.take())).unwrap();
+                assert_eq!(
+                    resp.rows,
+                    vec![b"105".to_vec()],
+                    "threads={threads} {query}"
+                );
+            }
         }
     }
 }
