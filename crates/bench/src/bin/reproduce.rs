@@ -10,7 +10,8 @@ const USAGE: &str = "\
 reproduce — compare ViDa (CIDR'15) benchmark artifacts
 
 USAGE:
-    reproduce bench-compare <A.json[,A2.json..]> <B.json[,B2.json..]>
+    reproduce bench-compare [--claim <workload>/<metric>]
+                            <A.json[,A2.json..]> <B.json[,B2.json..]>
 
     bench-compare     compare two `bash benchmark/run.sh` set artifacts
                       (BENCH_<pr>.json) under BENCHMARK.json's bounds: one
@@ -21,6 +22,11 @@ USAGE:
                       several runs, comma-separated: medians are compared
                       and the spread between runs decides whether a metric
                       is resolved
+
+    --claim W/M       also check a claimed gain on workload W's metric M:
+                      exits 1 unless that row's verdict is `ok` (resolved,
+                      not `unresolved`) and B is better than A; a W/M that
+                      names no row exits 2
 
     The experiments themselves are the repo benchmark's workloads:
     `bash benchmark/run.sh --workload fig5_cold` replays the paper's
@@ -41,9 +47,14 @@ fn main() {
 }
 
 /// Print the comparison table of two sides of benchmark artifacts (each a
-/// comma-separated list of runs); exit 1 when the second regressed, 2 when
-/// the arguments or files are unusable.
-fn bench_compare(paths: &[String]) {
+/// comma-separated list of runs); exit 1 when the second regressed or a
+/// `--claim`ed gain does not hold, 2 when the arguments or files are
+/// unusable.
+fn bench_compare(args: &[String]) {
+    let (claim, paths) = match args {
+        [flag, claim, rest @ ..] if flag == "--claim" => (Some(claim), rest),
+        _ => (None, args),
+    };
     let [a, b] = paths else {
         eprintln!("bench-compare expects exactly two paths\n\n{USAGE}");
         std::process::exit(2);
@@ -60,11 +71,23 @@ fn bench_compare(paths: &[String]) {
     };
     // The contract is the one this binary was built beside.
     let contract = include_str!("../../../../BENCHMARK.json");
-    match vida_bench::compare::compare(contract, &read(a), &read(b)) {
-        Ok((table, pass)) => {
+    let (a_runs, b_runs) = (read(a), read(b));
+    let judged = match claim {
+        None => vida_bench::compare::compare(contract, &a_runs, &b_runs)
+            .map(|(table, pass)| (table, pass, true)),
+        Some(claim) => vida_bench::compare::compare_claim(contract, &a_runs, &b_runs, claim),
+    };
+    match judged {
+        Ok((table, pass, holds)) => {
             print!("{table}");
             if !pass {
                 eprintln!("FAIL: {b} is worse than {a} beyond a BENCHMARK.json bound");
+            }
+            if !holds {
+                let claim = claim.expect("only a claim can fail to hold");
+                eprintln!("FAIL: the claimed gain {claim} is not a resolved improvement");
+            }
+            if !(pass && holds) {
                 std::process::exit(1);
             }
         }

@@ -2,7 +2,9 @@
 //! `bash benchmark/run.sh` set artifacts (the `BENCH_<pr>.json` files at
 //! the repo root), judged by the bounds and directions of `BENCHMARK.json`.
 //! Either side may be several runs (`A1.json,A2.json`): each metric is then
-//! judged on the median of the runs and on the spread between them.
+//! judged on the median of the runs and on the spread between them. With
+//! `--claim <workload>/<metric>` it also checks a claimed gain: that row
+//! must be `ok` — resolved, not `unresolved` — and B better than A.
 
 use vida_formats::json::parse_json;
 use vida_types::Value;
@@ -103,6 +105,54 @@ pub fn compare(
     a: &[impl AsRef<str>],
     b: &[impl AsRef<str>],
 ) -> Result<(String, bool), String> {
+    judge(contract, a, b).map(|(table, pass, _)| (table, pass))
+}
+
+/// [`compare`], plus the verdict on one claimed gain, `claim` naming a row
+/// as `<workload>/<metric>`: the claim holds when that row's verdict is
+/// `ok` and B's median is better than A's. Returns the table with a closing
+/// claim line, whether `b` passes the gate, and whether the claim holds; a
+/// claim that names no row of the contract is an error.
+pub fn compare_claim(
+    contract: &str,
+    a: &[impl AsRef<str>],
+    b: &[impl AsRef<str>],
+    claim: &str,
+) -> Result<(String, bool, bool), String> {
+    let (mut table, pass, rows) = judge(contract, a, b)?;
+    let row = claim
+        .split_once('/')
+        .and_then(|(w, m)| rows.iter().find(|r| r.workload == w && r.metric == m))
+        .ok_or_else(|| format!("claim {claim} names no <workload>/<metric> of BENCHMARK.json"))?;
+    let holds = row.verdict == "ok" && row.improved;
+    table.push_str(&format!(
+        "claim {claim}: {:.4} -> {:.4} ({:+.1}%), verdict {}: {}\n",
+        row.a,
+        row.b,
+        (row.b / row.a - 1.0) * 100.0,
+        row.verdict,
+        if holds { "holds" } else { "does not hold" }
+    ));
+    Ok((table, pass, holds))
+}
+
+/// One workload × end-to-end metric row of the table.
+struct Row {
+    workload: String,
+    metric: String,
+    a: f64,
+    b: f64,
+    verdict: &'static str,
+    /// B's median is better than A's in the metric's direction.
+    improved: bool,
+}
+
+/// The table, the gate, and the metric rows behind them.
+fn judge(
+    contract: &str,
+    a: &[impl AsRef<str>],
+    b: &[impl AsRef<str>],
+) -> Result<(String, bool, Vec<Row>), String> {
     let contract = parse(contract, "BENCHMARK.json")?;
     let (a, b) = (runs(a, "first artifact")?, runs(b, "second artifact")?);
     let mut table = format!(
@@ -110,6 +160,7 @@ pub fn compare(
         "workload", "metric", "A", "B", "B/A", "bound"
     );
     let mut pass = true;
+    let mut rows = Vec::new();
     let metrics = list(&contract, "end_to_end")?;
     for workload in list(&contract, "workloads")? {
         let workload = name_of(workload)?;
@@ -137,6 +188,14 @@ pub fn compare(
                 "{workload:<18} {name:<26} {va:>12.4} {vb:>12.4} {:>7.3} {bound:>6.2}  {verdict}\n",
                 vb / va
             ));
+            rows.push(Row {
+                workload: workload.to_string(),
+                metric: name.to_string(),
+                a: va,
+                b: vb,
+                verdict,
+                improved: if higher { vb > va } else { vb < va },
+            });
         }
         let (fa, fb) = (failed_share(&a, workload)?, failed_share(&b, workload)?);
         let rose = fb > fa;
@@ -147,12 +206,12 @@ pub fn compare(
             "failed_share", "-", "-"
         ));
     }
-    Ok((table, pass))
+    Ok((table, pass, rows))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::compare;
+    use super::{compare, compare_claim};
 
     const CONTRACT: &str = r#"{"workloads":[{"name":"w"}],"end_to_end":[
         {"name":"lat_ms","better":"lower","bound":0.25},
@@ -249,5 +308,51 @@ mod tests {
         let far = [runs[0].clone(), artifact((13.0, 13.0), 100.0, 0)];
         let (table, _) = compare(CONTRACT, &runs, &far).unwrap();
         assert!(table.contains("unresolved"), "{table}");
+    }
+
+    #[test]
+    fn a_claim_holds_only_on_a_resolved_gain() {
+        let a = [
+            artifact((10.0, 10.5), 100.0, 0),
+            artifact((10.2, 10.6), 100.0, 0),
+        ];
+        let faster = [
+            artifact((7.0, 7.5), 100.0, 0),
+            artifact((7.1, 7.4), 100.0, 0),
+        ];
+        let (table, pass, holds) = compare_claim(CONTRACT, &a, &faster, "w/lat_ms").unwrap();
+        assert!(pass && holds, "{table}");
+        assert!(
+            table.contains("claim w/lat_ms: 10.1000 -> 7.0500"),
+            "{table}"
+        );
+        // Unchanged is no gain; slower is none either, and fails the gate.
+        let (_, pass, holds) = compare_claim(CONTRACT, &a, &a, "w/lat_ms").unwrap();
+        assert!(pass && !holds);
+        let (_, pass, holds) = compare_claim(CONTRACT, &faster, &a, "w/lat_ms").unwrap();
+        assert!(!pass && !holds);
+        // Better in the median, but runs that disagree beyond the bound
+        // leave the row unresolved: the claim does not hold.
+        let wide = [
+            artifact((5.0, 5.0), 100.0, 0),
+            artifact((9.0, 9.0), 100.0, 0),
+        ];
+        let (table, pass, holds) = compare_claim(CONTRACT, &a, &wide, "w/lat_ms").unwrap();
+        assert!(pass && !holds && table.contains("unresolved"), "{table}");
+        // A higher-is-better metric claims a rise.
+        let more = [artifact((10.0, 10.5), 120.0, 0)];
+        let (table, _, holds) = compare_claim(CONTRACT, &a[..1], &more, "w/qps").unwrap();
+        assert!(holds, "{table}");
+    }
+
+    #[test]
+    fn a_claim_must_name_a_row() {
+        let a = artifact((10.0, 10.5), 100.0, 0);
+        for claim in ["w/nope", "nope/lat_ms", "lat_ms", "w/failed_share"] {
+            assert!(
+                compare_claim(CONTRACT, &[&a], &[&a], claim).is_err(),
+                "{claim}"
+            );
+        }
     }
 }

@@ -173,8 +173,8 @@ impl<'a> PipelineBuilder<'a> {
 
     /// Open one of the build's compile stretches (`LOWER`/`CODEGEN`): its
     /// trace span, and the clock `ExecStats::codegen` sums. Everything else
-    /// the build does — cache probes, raw scans, replica sync, slot
-    /// encoding — is execution.
+    /// the build does — cache probes, raw scans, replica sync — is
+    /// execution, as is the slot encoding the morsel loop does per cell.
     fn compile_begin(&mut self, stage: &'static str) -> Instant {
         self.stats.span_begin(stage);
         Instant::now()
@@ -259,8 +259,8 @@ impl<'a> PipelineBuilder<'a> {
             self.stats.estimated_rows += r.estimated_rows.round().max(1.0) as u64;
         }
 
-        // The plan is JIT-able: materialize touched columns (cache-first)
-        // and encode them into slot representation.
+        // The plan is JIT-able: materialize touched columns (cache-first);
+        // the morsel loop encodes their cells into the frame slots.
         //
         // Fold-partial cache identity of a single-source plan, captured
         // before the specs are consumed below.
@@ -272,7 +272,6 @@ impl<'a> PipelineBuilder<'a> {
                 specs[0].nrows,
             )
         });
-        let interner = Arc::clone(&self.ctx.interner);
         let mut sources: Vec<Source> = Vec::with_capacity(specs.len());
         for spec in specs {
             self.stats.tuples_scanned += spec.nrows as u64;
@@ -285,20 +284,11 @@ impl<'a> PipelineBuilder<'a> {
                 .zip(&columns)
                 .map(|(&c, data)| (schema.fields()[c].name.clone(), Arc::clone(data)))
                 .collect();
-            let slot_cols = interner.with_mut(|int| {
-                spec.slot_meta
-                    .iter()
-                    .map(|&(ti, slot, ty)| {
-                        (
-                            slot,
-                            columns[ti]
-                                .iter()
-                                .map(|v| ty.encode(v, |s| int.intern(s)))
-                                .collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect()
-            });
+            let slot_cols = spec
+                .slot_meta
+                .iter()
+                .map(|&(ti, slot, ty)| (slot, Arc::clone(&columns[ti]), ty))
+                .collect();
             let slots = spec.slot_meta.iter().map(|&(_, s, _)| s).collect();
             sources.push(Source {
                 binding: spec.binding,
@@ -309,33 +299,6 @@ impl<'a> PipelineBuilder<'a> {
                 slots,
                 selects: spec.selects,
                 fused_selects: None,
-            });
-        }
-        // Pre-intern string unnest elements reachable through the
-        // direct-column fast path: the per-element intern in the (possibly
-        // parallel) hot loop then almost always hits the read-locked
-        // lookup instead of contending on the write lock.
-        for u in &walk.unnests {
-            let strs: Vec<&Option<String>> = u
-                .slots
-                .iter()
-                .filter(|s| s.2 == SlotType::Str)
-                .map(|s| &s.0)
-                .collect();
-            let Some((src, col)) = u.src_col.filter(|_| !strs.is_empty()) else {
-                continue;
-            };
-            interner.with_mut(|int| {
-                let colls = sources[src].env_fields[col].1.iter();
-                for item in colls.filter_map(Value::elements).flatten() {
-                    for field in &strs {
-                        if let Some(Value::Str(s)) =
-                            field.as_ref().map_or(Some(item), |f| item.field(f))
-                        {
-                            int.intern(s);
-                        }
-                    }
-                }
             });
         }
         let codegen = self.compile_begin(stage::CODEGEN);
@@ -389,7 +352,7 @@ impl<'a> PipelineBuilder<'a> {
             monoid: *monoid,
             head: head_plan,
             frame_width: walk.layout.len(),
-            interner,
+            interner: Arc::clone(&self.ctx.interner),
             base_env,
             pool: self.ctx.pool.clone(),
             morsel_rows: self.opts.morsel_rows,

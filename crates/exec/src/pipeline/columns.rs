@@ -206,6 +206,7 @@ impl PipelineBuilder<'_> {
             return;
         };
         let model = self.cache_model();
+        let grown_from = self.catalog.grown_from(dataset);
         self.stats.span_begin(stage::REPLICA_SYNC);
         let written_before = self.stats.replicas_written;
         model.set_budget_bytes(cache.budget_bytes() as u64);
@@ -213,9 +214,12 @@ impl PipelineBuilder<'_> {
         for (i, &col) in touched.iter().enumerate() {
             let field = &schema.fields()[col].name;
             model.observe(dataset, field, observe_column(plugin, col, &columns[i]));
-            // Same hook feeds the plan optimizer's distinct sketch (inserts
-            // are idempotent, so re-scans don't drift the estimate).
-            model.sketch().observe_values(dataset, field, &columns[i]);
+            // Same hook feeds the plan optimizer's distinct sketch, which
+            // folds in each file generation once: a warm query over an
+            // unchanged file skips it, an append inserts only the tail.
+            model
+                .sketch()
+                .observe_values(dataset, field, fingerprint, grown_from, &columns[i]);
             let chosen = model.choose_layout(dataset, field, cache_pressure(cache));
             let key = CacheKey::new(dataset, field.clone(), chosen);
             // Fingerprint-aware guard: a retained prior-generation replica

@@ -200,6 +200,16 @@ impl Pipeline {
         }
     }
 
+    /// Encode one cell into its slot's bits, `None` when it cannot (null,
+    /// type mismatch). `Str` cells intern through the shared interner: safe
+    /// from parallel workers because the table is lock-guarded, and a
+    /// read-locked lookup once a dataset's strings were seen by an earlier
+    /// query.
+    #[inline]
+    fn encode(&self, ty: SlotType, v: &Value) -> Option<i64> {
+        ty.encode(v, |s| self.interner.intern(s))
+    }
+
     /// Decode a kernel result, resolving interned string ids.
     fn decode(&self, k: &CompiledKernel, frame: &[i64]) -> Value {
         let bits = k.call(frame);
@@ -239,10 +249,11 @@ impl Pipeline {
 
     /// Scan-side tuple production over a contiguous row range, pushed one
     /// tuple at a time into `sink` — the head of every fused pipeline. Each
-    /// row overwrites the scratch tuple `t`: its slots fill, valid frames
-    /// run the fused [`SelectKernel`](vida_jit::SelectKernel) chain, and
-    /// only survivors reach the sink; frames that could not encode (nulls)
-    /// walk the selects through the interpreter.
+    /// row overwrites the scratch tuple `t`: every slot encodes its cell
+    /// straight from the materialized column, valid frames run the fused
+    /// [`SelectKernel`](vida_jit::SelectKernel) chain, and only survivors
+    /// reach the sink; frames that could not encode (nulls) walk the
+    /// selects through the interpreter.
     fn push_source(
         &self,
         idx: usize,
@@ -254,8 +265,8 @@ impl Pipeline {
         let s = &self.sources[idx];
         'rows: for row in rows {
             t.valid = true;
-            for (slot, col) in &s.slot_cols {
-                match col[row] {
+            for (slot, col, ty) in &s.slot_cols {
+                match self.encode(*ty, &col[row]) {
                     Some(bits) => t.frame[*slot] = bits,
                     None => t.valid = false,
                 }
@@ -507,11 +518,7 @@ impl Pipeline {
                     None => Some(item),
                     Some(f) => item.field(f),
                 };
-                // `Str` elements intern through the shared interner — safe
-                // from parallel workers because the table is lock-guarded,
-                // and cheap because the build pre-interned every string
-                // reachable through the direct-column path.
-                match v.and_then(|v| ty.encode(v, |s| self.interner.intern(s))) {
+                match v.and_then(|v| self.encode(*ty, v)) {
                     Some(bits) => out.frame[*slot] = bits,
                     None => out.valid = false,
                 }
@@ -714,6 +721,68 @@ mod tests {
         let (v, stats) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
         assert_eq!(v, Value::Int(2));
         assert!(stats.fallback_tuples >= 1);
+    }
+
+    /// `Str` slot columns encode inside the morsel grid, where workers
+    /// intern strings the engine has not seen yet. On a fresh engine the
+    /// first run (strings interned by the workers) and the second (all
+    /// hits) must both equal the interpreter at every thread count, and
+    /// exactly the null cells must take the fallback.
+    #[test]
+    fn str_slots_encode_inside_the_grid() {
+        const NULLS: u64 = 2;
+        let cat = MemoryCatalog::new();
+        let cities = ["geneva", "bern", "lausanne", "geneva", "bern"];
+        let p: Vec<Value> = (0..12i64)
+            .map(|i| {
+                let city = match i {
+                    4 | 9 => Value::Null,
+                    _ => Value::str(cities[i as usize % cities.len()]),
+                };
+                Value::record([("id", Value::Int(i)), ("city", city)])
+            })
+            .collect();
+        let p_schema = [("id", Type::Int), ("city", Type::Str)];
+        cat.register_records("P", Schema::from_pairs(p_schema), &p)
+            .unwrap();
+        let c: Vec<Value> = [("bern", 1), ("geneva", 2), ("zurich", 3)]
+            .into_iter()
+            .map(|(city, zone)| {
+                Value::record([("city", Value::str(city)), ("zone", Value::Int(zone))])
+            })
+            .collect();
+        let c_schema = [("city", Type::Str), ("zone", Type::Int)];
+        cat.register_records("C", Schema::from_pairs(c_schema), &c)
+            .unwrap();
+        let cat = Arc::new(cat);
+        // (query, fallback tuples): a null city fails to encode once per
+        // row in a select or head, and a null probe row meets each of the
+        // three build rows in the interpreter.
+        let queries = [
+            ("for { p <- P, p.city = \"geneva\" } yield count p", NULLS),
+            ("for { p <- P } yield set p.city", NULLS),
+            (
+                "for { p <- P, c <- C, p.city = c.city } yield sum c.zone",
+                NULLS * 3,
+            ),
+        ];
+        for (q, fallbacks) in queries {
+            let plan = plan_of(q);
+            let oracle = crate::volcano::run_volcano(&plan, cat.as_ref()).unwrap();
+            for threads in [1usize, 2, 8] {
+                let opts = JitOptions {
+                    threads,
+                    morsel_rows: 1,
+                    ..Default::default()
+                };
+                let engine = crate::Engine::new(Arc::clone(&cat) as _, opts);
+                for run in ["first", "second"] {
+                    let (v, stats) = engine.execute_with_stats(&plan).unwrap();
+                    assert_eq!(v, oracle, "{q}: {run} run at {threads} threads");
+                    assert_eq!(stats.fallback_tuples, fallbacks, "{q}: {run} run");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!   generated scans read only those columns — no "database page" of unused
 //!   attributes is ever built;
 //! - **register frames**: each touched scalar attribute gets one 64-bit slot
-//!   in a query-wide [`vida_jit::FrameLayout`]; columns are pre-encoded to
-//!   their slot representation at pipeline-generation time, so per-tuple
-//!   work in the hot loop is a flat `i64` copy plus kernel calls;
+//!   in a query-wide [`vida_jit::FrameLayout`]; the morsel loop encodes
+//!   each touched cell straight from the materialized column into its slot
+//!   (`SlotType::encode`, strings through the shared interner), so
+//!   per-tuple work in the hot loop is one encode per slot plus kernel
+//!   calls, and a warm query builds no encoded copy of a cached column;
 //! - **compiled kernels**: filter predicates, join keys, and head
 //!   expressions inside the compilable subset become fused
 //!   [`CompiledKernel`]s (type dispatch resolved at generation time);
@@ -190,7 +192,8 @@ fn execute(
     };
     // The builder adds its lowering and kernel-compile stretches to
     // `stats.codegen`; the rest of the query's wall time — cache probes,
-    // raw scans, replica sync, slot encoding, the drive — is execution.
+    // raw scans, replica sync, the drive (slot encoding included) — is
+    // execution.
     let t0 = Instant::now();
     let binding = QueryBinding::new(catalog);
     let built = PipelineBuilder::new(&binding, opts, ctx, &mut stats).build(plan)?;
@@ -264,9 +267,11 @@ struct Source {
     nrows: usize,
     /// Fields materialized for binding-record reconstruction, schema order.
     env_fields: Vec<(String, Arc<Vec<Value>>)>,
-    /// `(global slot, encoded column)`; `None` cells mark tuples that must
-    /// take the interpreted fallback (nulls, type mismatches).
-    slot_cols: Vec<(usize, Vec<Option<i64>>)>,
+    /// `(global slot, materialized column, slot type)`: the columns shared
+    /// with `env_fields`, encoded cell by cell in the morsel loop. A cell
+    /// that cannot encode (null, type mismatch) sends its tuple down the
+    /// interpreted fallback.
+    slot_cols: Vec<(usize, Arc<Vec<Value>>, SlotType)>,
     /// All global slot indexes owned by this source (for frame merging).
     slots: Vec<usize>,
     /// Selection steps applied as tuples leave the scan, syntactic order.

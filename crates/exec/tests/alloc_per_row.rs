@@ -9,6 +9,12 @@
 //! their `Value`s are the result — so every shape here folds a primitive
 //! monoid.
 //!
+//! The allocator also tracks live and peak bytes, because one allocation
+//! can still grow with the rows: a warm scan-only query must not build a
+//! per-row buffer (say, an encoded copy of a cached column) at all, so its
+//! peak at `2N` rows may exceed its peak at `N` by less than `N` bytes —
+//! under one byte per extra row.
+//!
 //! This binary holds a single test so no concurrent test pollutes the
 //! process-wide count.
 
@@ -21,19 +27,25 @@ use vida_exec::{Engine, JitOptions, MemoryCatalog};
 use vida_lang::parse;
 use vida_types::{Schema, Type, Value};
 
-/// Counts every allocation (`realloc` included: the default implementation
-/// allocates through `alloc`).
+/// Counts every allocation and the bytes live, and keeps the peak of the
+/// latter (`realloc` included: the default implementation allocates
+/// through `alloc` and frees through `dealloc`).
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -98,43 +110,70 @@ fn plan_of(q: &str) -> Plan {
     rewrite(&lower(&parse(q).expect("parses")).expect("lowers"))
 }
 
-/// Allocations made by the warm run of `plan` (one warm-up run first), and
-/// its result.
-fn warm_allocations(engine: &Engine, plan: &Plan) -> (usize, Value) {
+/// What the warm run of a plan allocated.
+struct Warm {
+    allocations: usize,
+    /// Peak bytes live during the run beyond those live when it started.
+    peak_bytes: usize,
+    value: Value,
+}
+
+/// Measure the warm run of `plan` (one warm-up run first).
+fn warm_run(engine: &Engine, plan: &Plan) -> Warm {
     engine.execute(plan).expect("warm-up runs");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live, Ordering::Relaxed);
     let value = engine.execute(plan).expect("warm run");
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+    Warm {
+        allocations: ALLOCATIONS.load(Ordering::Relaxed) - before,
+        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed) - live,
+        value,
+    }
 }
 
 #[test]
 fn warm_allocations_grow_with_morsels_not_rows() {
+    // (query, scan-only: held to the peak-bytes bound too)
     let shapes = [
-        "for { p <- P, p.age > 40 } yield count p",
-        "for { p <- P, p.age > 40 } yield sum p.age",
-        "for { p <- P, p.age > 40 } yield avg p.f",
-        "for { p <- P, p.age > 40 } yield any p.f > 7.5",
-        "for { p <- P, g <- G, p.id = g.id, p.age > 30 } yield sum g.snp",
-        "for { p <- P, t <- T, p.age < t.lim } yield count p",
-        "for { r <- R, v <- r.xs, v > 2 } yield sum v",
+        ("for { p <- P, p.age > 40 } yield count p", true),
+        ("for { p <- P, p.age > 40 } yield sum p.age", true),
+        ("for { p <- P, p.age > 40 } yield avg p.f", true),
+        ("for { p <- P, p.age > 40 } yield any p.f > 7.5", true),
+        (
+            "for { p <- P, g <- G, p.id = g.id, p.age > 30 } yield sum g.snp",
+            false,
+        ),
+        ("for { p <- P, t <- T, p.age < t.lim } yield count p", false),
+        ("for { r <- R, v <- r.xs, v > 2 } yield sum v", false),
     ];
     let (small, large) = (engine(N), engine(2 * N));
-    for q in shapes {
+    for (q, scan_only) in shapes {
         let plan = plan_of(q);
-        let (at_n, _) = warm_allocations(&small, &plan);
-        let (at_2n, value) = warm_allocations(&large, &plan);
+        let at_n = warm_run(&small, &plan);
+        let at_2n = warm_run(&large, &plan);
         assert!(
-            !matches!(value, Value::Collection(..)),
+            !matches!(at_2n.value, Value::Collection(..)),
             "{q}: collection outputs are exempt from this contract"
         );
-        let extra = at_2n.saturating_sub(at_n);
+        let (a_n, a_2n) = (at_n.allocations, at_2n.allocations);
+        let (p_n, p_2n) = (at_n.peak_bytes, at_2n.peak_bytes);
         println!(
-            "{q}: {at_n} allocations at {N} rows, {at_2n} at {} rows",
+            "{q}: {a_n} allocations / {p_n} peak bytes at {N} rows, \
+             {a_2n} / {p_2n} at {} rows",
             2 * N
         );
+        let extra = a_2n.saturating_sub(a_n);
         assert!(
             extra < N / 100,
-            "{q}: {N} more rows cost {extra} more allocations ({at_n} -> {at_2n})"
+            "{q}: {N} more rows cost {extra} more allocations ({a_n} -> {a_2n})"
         );
+        if scan_only {
+            let extra = p_2n.saturating_sub(p_n);
+            assert!(
+                extra < N,
+                "{q}: {N} more rows raised the peak by {extra} bytes ({p_n} -> {p_2n})"
+            );
+        }
     }
 }

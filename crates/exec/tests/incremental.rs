@@ -26,7 +26,10 @@
 //! - **one generation per query** — a dataset read twice in one query (a
 //!   self-join) is re-stat'd once and read at one generation even when the
 //!   file grows mid-build, and a dataset read only by a nested
-//!   comprehension is re-stat'd like a scanned one, on both engines.
+//!   comprehension is re-stat'd like a scanned one, on both engines;
+//! - **distinct sketches follow the file** — after every append or rewrite
+//!   the resident cost model's distinct counts equal a fresh model's after
+//!   one query over the file as it stands.
 
 mod common;
 
@@ -38,13 +41,14 @@ use std::time::{Duration, Instant};
 use vida_algebra::{lower, rewrite, Plan};
 use vida_cache::{CacheManager, CachedData, Layout};
 use vida_exec::{
-    run_jit, run_jit_with_stats, run_volcano, JitOptions, MemoryCatalog, SourceProvider,
+    run_jit, run_jit_with_stats, run_volcano, Engine, JitOptions, MemoryCatalog, SourceProvider,
 };
 use vida_formats::csv::CsvFile;
 use vida_formats::json::JsonFile;
 use vida_formats::plugin::{CsvPlugin, JsonPlugin};
 use vida_formats::{AccessStats, InputPlugin, MapMode, Revalidation};
 use vida_lang::{parse, Expr};
+use vida_optimizer::CostModel;
 use vida_types::{Monoid, PrimitiveMonoid, Result, Schema, Type, Value};
 
 // ---------------------------------------------------------------------------
@@ -543,6 +547,115 @@ fn nested_comprehension_datasets_see_appends() {
             assert_eq!(run(&cat), Value::Int(3), "{engine} [{mode_tag}]");
             append(&fixture_path(&tag, "P.csv"), &csv_rows(3, 5, false));
             assert_eq!(run(&cat), Value::Int(5), "{engine} [{mode_tag}]: stale P");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Distinct sketches across file generations
+// ---------------------------------------------------------------------------
+
+/// Rows `lo..hi` of `T(id, v)` with `v = v_at(id)`, in either format (a
+/// CSV header only when `lo == 0`).
+fn table_rows(format: &str, lo: i64, hi: i64, v_at: impl Fn(i64) -> i64) -> Vec<u8> {
+    let mut s = match (format, lo) {
+        ("csv", 0) => String::from("id,v\n"),
+        _ => String::new(),
+    };
+    for i in lo..hi {
+        s.push_str(&match format {
+            "csv" => format!("{i},{}\n", v_at(i)),
+            _ => format!("{{\"id\":{i},\"v\":{}}}\n", v_at(i)),
+        });
+    }
+    s.into_bytes()
+}
+
+/// A resident engine over `T` at `path`, its cache steered by `model`.
+fn sketched_engine(format: &str, path: &Path, model: &Arc<CostModel>, threads: usize) -> Engine {
+    let cat = MemoryCatalog::new();
+    cat.register(open_plugin(format, path, MapMode::Auto));
+    let cache = Arc::new(CacheManager::new(64 << 20));
+    let opts = JitOptions {
+        threads,
+        morsel_rows: 64,
+        ..JitOptions::with_cost_model(cache, Arc::clone(model))
+    };
+    Engine::new(Arc::new(cat), opts)
+}
+
+/// A file rewritten under a resident engine must not leave its old values
+/// in the field's distinct sketch: 2000 distinct `v`s rewritten as 1500
+/// rows of `v = 7` count 1 distinct value. Before sketches tracked the
+/// file generation they only ever unioned, and reported 1500 (the union,
+/// clamped to the row count).
+#[test]
+fn a_rewritten_file_resets_its_distinct_sketch() {
+    let path = fixture_path("sketch_rewrite", "T.csv");
+    std::fs::write(&path, table_rows("csv", 0, 2_000, |i| i)).unwrap();
+    let model = Arc::new(CostModel::new());
+    let engine = sketched_engine("csv", &path, &model, 1);
+    let plan = plan_of("for { t <- T } yield sum t.v");
+    engine.execute(&plan).unwrap();
+    let before = model.sketch().distinct("T", "v").unwrap();
+    assert!(before > 1_800.0, "2000 distinct values estimate {before}");
+
+    rewrite_until_fingerprint_moves(&path, &table_rows("csv", 0, 1_500, |_| 7));
+    assert_eq!(engine.execute(&plan).unwrap(), Value::Int(7 * 1_500));
+    let after = model.sketch().distinct("T", "v").unwrap();
+    assert!(
+        (after - 1.0).abs() < 0.5,
+        "one distinct value estimates {after}"
+    );
+    assert_eq!(model.sketch().rows("T", "v"), Some(1_500));
+}
+
+/// Append, rewrite, append — on CSV and JSON, at 1 and 8 threads: after
+/// every step the resident model's distinct counts are exactly those of a
+/// fresh model after one query over the current file (the sketch
+/// registers are bit-identical, so the estimates are equal as floats).
+#[test]
+fn distinct_sketches_match_a_fresh_model_after_every_file_change() {
+    let plan = plan_of("for { t <- T, t.id >= 0 } yield sum t.v");
+    for format in ["csv", "json"] {
+        for threads in [1usize, 8] {
+            let tag = format!("sketch_steps_{format}_{threads}");
+            let path = fixture_path(&tag, &format!("T.{format}"));
+            std::fs::write(&path, table_rows(format, 0, 1_000, |i| i % 300)).unwrap();
+            let model = Arc::new(CostModel::new());
+            let engine = sketched_engine(format, &path, &model, threads);
+            for step in ["open", "append", "rewrite", "append again"] {
+                match step {
+                    "append" => append(&path, &table_rows(format, 1_000, 1_400, |i| i)),
+                    "rewrite" => {
+                        let bytes = table_rows(format, 0, 600, |_| 7);
+                        rewrite_until_fingerprint_moves(&path, &bytes);
+                    }
+                    "append again" => append(&path, &table_rows(format, 600, 900, |i| i % 50)),
+                    _ => {}
+                }
+                let (value, stats) = engine.execute_with_stats(&plan).unwrap();
+                // Appends take the incremental path, whose sketch update
+                // inserts only the tail.
+                let grown = stats.tail_rows_scanned > 0;
+                assert_eq!(grown, step.starts_with("append"), "{tag} after {step}");
+                let fresh_model = Arc::new(CostModel::new());
+                let cat = MemoryCatalog::new();
+                cat.register(open_plugin(format, &path, MapMode::Never));
+                let cache = Arc::new(CacheManager::new(64 << 20));
+                let opts = JitOptions::with_cost_model(cache, Arc::clone(&fresh_model));
+                let (fresh_value, _) = run_jit_with_stats(&plan, &cat, &opts).unwrap();
+                assert_eq!(value, fresh_value, "{tag} after {step}");
+                for field in ["id", "v"] {
+                    let (resident, fresh) = (model.sketch(), fresh_model.sketch());
+                    assert_eq!(
+                        resident.distinct("T", field),
+                        fresh.distinct("T", field),
+                        "{tag} after {step}: distinct({field})"
+                    );
+                    assert_eq!(resident.rows("T", field), fresh.rows("T", field));
+                }
+            }
         }
     }
 }

@@ -157,8 +157,8 @@ impl StringInterner {
 /// Ids are dense and stable for the life of the dictionary, so equal
 /// strings always compare equal by id across every query that shares it.
 /// The read-optimistic fast path makes re-interning an already-seen string
-/// (the common case once a session pre-interns its columns) a read-lock
-/// probe.
+/// (the common case once an earlier query saw a dataset's strings) a
+/// read-lock probe.
 #[derive(Debug, Default)]
 pub struct SharedInterner {
     inner: vida_types::sync::RwLock<StringInterner>,

@@ -7,9 +7,9 @@
 //! - [`DistinctSketch`] — a probabilistic distinct counter in the
 //!   HyperLogLog family: 256 one-byte registers indexed by the low bits of
 //!   a 64-bit hash, each holding the maximum leading-zero rank seen. The
-//!   estimate's relative standard error is ~`1.04/sqrt(256)` ≈ 6.5%, and
-//!   inserts are idempotent, so re-observing the same column across queries
-//!   never inflates the count.
+//!   estimate's relative standard error is ~`1.04/sqrt(256)` ≈ 6.5%. Its
+//!   inserts commute and are idempotent, so a sketch over a column's
+//!   prefix plus its appended tail equals a sketch over the whole column.
 //! - [`PredicateStats`] — exact hit/eval counters for one predicate,
 //!   replayed from sampled scan rows. `selectivity()` is the observed pass
 //!   rate.
@@ -19,8 +19,22 @@
 //! model's `FieldObservation`s) and predicate counters keyed by the
 //! predicate's canonical display string. All methods take `&self` —
 //! interior locking mirrors [`crate::CostModel`].
+//!
+//! A field's distinct sketch summarizes exactly one file generation of its
+//! column — the `(fingerprint, rows)` it last observed — and
+//! [`StatsSketch::observe_values`] keeps it that way at the least cost:
+//!
+//! - the same generation again is skipped under the read lock;
+//! - a column grown in place from that generation by a clean append
+//!   (`prefix_units == units`) inserts only the appended tail;
+//! - anything else (a rewrite, a glued append, a skipped generation)
+//!   resets the registers and inserts the whole column.
+//!
+//! Each case leaves the registers bit-identical to a fresh sketch over the
+//! current column, so estimates never depend on the observation history.
 
 use std::collections::HashMap;
+use vida_formats::Generation;
 use vida_types::sync::RwLock;
 use vida_types::Value;
 
@@ -188,10 +202,13 @@ impl PredicateStats {
     }
 }
 
-/// One field's distinct sketch plus the latest observed row count.
+/// One field's distinct sketch and the column generation it summarizes.
+#[derive(Default)]
 struct FieldSketch {
     sketch: DistinctSketch,
-    rows: u64,
+    /// `(fingerprint, rows)` of the observed column; `None` until the
+    /// first observation.
+    seen: Option<((u64, u64), u64)>,
 }
 
 /// The registry the exec pipeline feeds (see the module docs). Lives inside
@@ -208,21 +225,46 @@ impl StatsSketch {
         StatsSketch::default()
     }
 
-    /// Fold one materialized column into the field's distinct sketch.
-    /// Idempotent per distinct value, so repeated queries over the same
-    /// data don't drift the estimate.
-    pub fn observe_values(&self, dataset: &str, field: &str, vals: &[Value]) {
-        let mut fields = self.fields.write();
-        let entry = fields
-            .entry((dataset.to_string(), field.to_string()))
-            .or_insert_with(|| FieldSketch {
-                sketch: DistinctSketch::new(),
-                rows: 0,
-            });
-        for v in vals {
-            entry.sketch.insert(v);
+    /// Observe one materialized column: `vals` as read at the file
+    /// generation `fingerprint`, which grew in place from `grown_from` when
+    /// revalidation says so. Afterwards the field's sketch equals a fresh
+    /// sketch of `vals` (see the module docs for the three cases).
+    pub fn observe_values(
+        &self,
+        dataset: &str,
+        field: &str,
+        fingerprint: (u64, u64),
+        grown_from: Option<Generation>,
+        vals: &[Value],
+    ) {
+        let current = Some((fingerprint, vals.len() as u64));
+        let key = (dataset.to_string(), field.to_string());
+        if self.fields.read().get(&key).map(|fs| fs.seen) == Some(current) {
+            return;
         }
-        entry.rows = vals.len() as u64;
+        let mut fields = self.fields.write();
+        let fs = fields.entry(key).or_default();
+        if fs.seen == current {
+            // Another query observed this generation in between.
+            return;
+        }
+        let new_rows = match grown_from {
+            Some(prev)
+                if prev.prefix_units == prev.units
+                    && prev.units <= vals.len()
+                    && fs.seen == Some((prev.fingerprint, prev.units as u64)) =>
+            {
+                &vals[prev.units..]
+            }
+            _ => {
+                fs.sketch = DistinctSketch::new();
+                vals
+            }
+        };
+        for v in new_rows {
+            fs.sketch.insert(v);
+        }
+        fs.seen = current;
     }
 
     /// Estimated distinct count for `(dataset, field)`, clamped to the
@@ -234,7 +276,8 @@ impl StatsSketch {
         if fs.sketch.is_empty() {
             return None;
         }
-        Some(fs.sketch.estimate().min(fs.rows as f64).max(1.0))
+        let rows = fs.seen.map_or(0, |(_, rows)| rows);
+        Some(fs.sketch.estimate().min(rows as f64).max(1.0))
     }
 
     /// Latest observed row count for `(dataset, field)`.
@@ -242,7 +285,8 @@ impl StatsSketch {
         self.fields
             .read()
             .get(&(dataset.to_string(), field.to_string()))
-            .map(|fs| fs.rows)
+            .and_then(|fs| fs.seen)
+            .map(|(_, rows)| rows)
     }
 
     /// Fold a batch of evaluation outcomes for a predicate over `dataset`
@@ -399,17 +443,103 @@ mod tests {
         assert!(rel_err(est, truth) < REL_ERR, "est {est} vs {truth}");
     }
 
+    const GEN_A: (u64, u64) = (4_000, 1);
+    const GEN_B: (u64, u64) = (6_000, 2);
+
+    fn ints(range: std::ops::Range<i64>) -> Vec<Value> {
+        range.map(Value::Int).collect()
+    }
+
+    /// The registers of `(dataset, field)`'s sketch.
+    fn registers(s: &StatsSketch, dataset: &str, field: &str) -> [u8; REGISTERS] {
+        let key = (dataset.to_string(), field.to_string());
+        s.fields.read()[&key].sketch.registers
+    }
+
+    /// The registers of a fresh registry after one observation of `vals`.
+    fn fresh_registers(fingerprint: (u64, u64), vals: &[Value]) -> [u8; REGISTERS] {
+        let s = StatsSketch::new();
+        s.observe_values("D", "k", fingerprint, None, vals);
+        registers(&s, "D", "k")
+    }
+
     #[test]
     fn inserts_are_idempotent_across_queries() {
         let vals: Vec<Value> = (0..1_000).map(|i| Value::Int(i % 37)).collect();
         let s = StatsSketch::new();
-        s.observe_values("D", "k", &vals);
-        let first = s.distinct("D", "k").unwrap();
-        for _ in 0..5 {
-            s.observe_values("D", "k", &vals);
-        }
-        assert_eq!(s.distinct("D", "k").unwrap(), first);
+        s.observe_values("D", "k", GEN_A, None, &vals);
+        let (first, estimate) = (registers(&s, "D", "k"), s.distinct("D", "k"));
+        // A second sight of the generation is skipped outright: even a
+        // different column under the same `(fingerprint, rows)` leaves the
+        // registers alone.
+        s.observe_values("D", "k", GEN_A, None, &vals);
+        s.observe_values("D", "k", GEN_A, None, &ints(5_000..6_000));
+        assert_eq!(registers(&s, "D", "k"), first);
+        assert_eq!(s.distinct("D", "k"), estimate);
         assert_eq!(s.rows("D", "k"), Some(1_000));
+    }
+
+    #[test]
+    fn a_clean_append_inserts_only_the_tail() {
+        let grown = ints(0..1_500);
+        let s = StatsSketch::new();
+        s.observe_values("D", "k", GEN_A, None, &grown[..1_000]);
+        let prev = Generation {
+            fingerprint: GEN_A,
+            units: 1_000,
+            prefix_units: 1_000,
+        };
+        s.observe_values("D", "k", GEN_B, Some(prev), &grown);
+        assert_eq!(registers(&s, "D", "k"), fresh_registers(GEN_B, &grown));
+        assert_eq!(s.rows("D", "k"), Some(1_500));
+        // Only the tail was read: a prefix the sketch never saw does not
+        // reach the registers.
+        let s = StatsSketch::new();
+        s.observe_values("D", "k", GEN_A, None, &grown[..1_000]);
+        let mut lying = ints(90_000..91_000);
+        lying.extend_from_slice(&grown[1_000..]);
+        s.observe_values("D", "k", GEN_B, Some(prev), &lying);
+        assert_eq!(registers(&s, "D", "k"), fresh_registers(GEN_B, &grown));
+    }
+
+    #[test]
+    fn a_glued_append_resets_the_sketch() {
+        // The append glued onto an unterminated last row, so only the first
+        // row's bytes survived: the old registers must not leak through.
+        let old = ints(0..1_000);
+        let mut grown = vec![Value::Int(0)];
+        grown.extend((1..1_500).map(|_| Value::Int(7)));
+        let s = StatsSketch::new();
+        s.observe_values("D", "k", GEN_A, None, &old);
+        let prev = Generation {
+            fingerprint: GEN_A,
+            units: 1_000,
+            prefix_units: 1,
+        };
+        s.observe_values("D", "k", GEN_B, Some(prev), &grown);
+        assert_eq!(registers(&s, "D", "k"), fresh_registers(GEN_B, &grown));
+        assert!(s.distinct("D", "k").unwrap() < 3.0);
+    }
+
+    #[test]
+    fn an_unrelated_generation_resets_the_sketch() {
+        let old = ints(0..2_000);
+        let new: Vec<Value> = (0..1_500).map(|_| Value::Int(7)).collect();
+        // A rewrite (no growth), and an append onto a generation this
+        // sketch never saw (the field went untouched in between).
+        let skipped = Generation {
+            fingerprint: (1, 1),
+            units: 1_000,
+            prefix_units: 1_000,
+        };
+        for grown_from in [None, Some(skipped)] {
+            let s = StatsSketch::new();
+            s.observe_values("D", "k", GEN_A, None, &old);
+            s.observe_values("D", "k", GEN_B, grown_from, &new);
+            assert_eq!(registers(&s, "D", "k"), fresh_registers(GEN_B, &new));
+            assert_eq!(s.rows("D", "k"), Some(1_500));
+            assert!((s.distinct("D", "k").unwrap() - 1.0).abs() < 0.5);
+        }
     }
 
     #[test]
@@ -485,7 +615,7 @@ mod tests {
     #[test]
     fn distinct_is_clamped_to_rows_and_floored_at_one() {
         let s = StatsSketch::new();
-        s.observe_values("D", "k", &[Value::Int(1), Value::Int(2)]);
+        s.observe_values("D", "k", GEN_A, None, &[Value::Int(1), Value::Int(2)]);
         let d = s.distinct("D", "k").unwrap();
         assert!((1.0..=2.0).contains(&d), "{d}");
         assert_eq!(s.distinct("D", "missing"), None);
