@@ -23,9 +23,30 @@ pub trait SourceProvider: Send + Sync {
 
     /// Swap in a replacement plugin for `dataset` — called by a query's
     /// `QueryBinding` when revalidation found the backing file changed,
-    /// so later queries start from the fresh reader. The default is a no-op
-    /// for catalogs without resident plugin state.
-    fn install(&self, _dataset: &str, _plugin: Arc<dyn InputPlugin>) {}
+    /// so later queries start from the fresh reader. `grown_from` is the
+    /// generation the file grew from when the change was an append. The
+    /// default is a no-op for catalogs without resident plugin state.
+    fn install(
+        &self,
+        _dataset: &str,
+        _plugin: Arc<dyn InputPlugin>,
+        _grown_from: Option<Generation>,
+    ) {
+    }
+
+    /// The generation `plugin`, installed for `dataset` after an append,
+    /// grew from — `None` for any other plugin. Until the file changes
+    /// again, replicas and fold partials of that generation still serve
+    /// their unchanged prefix, so a column the first query after the
+    /// append did not read is extended by the tail when a later query
+    /// reads it, not re-read whole.
+    fn installed_growth(
+        &self,
+        _dataset: &str,
+        _plugin: &Arc<dyn InputPlugin>,
+    ) -> Option<Generation> {
+        None
+    }
 
     /// Materialize a whole dataset as a bag value (used for datasets
     /// referenced inside nested head comprehensions).
@@ -39,10 +60,11 @@ pub trait SourceProvider: Send + Sync {
     }
 }
 
-/// A simple in-memory catalog of plugins.
+/// A simple in-memory catalog of plugins, each with the generation it grew
+/// from when a query installed it for an append.
 #[derive(Default)]
 pub struct MemoryCatalog {
-    plugins: RwLock<HashMap<String, Arc<dyn InputPlugin>>>,
+    plugins: RwLock<HashMap<String, Bound>>,
 }
 
 impl MemoryCatalog {
@@ -54,7 +76,7 @@ impl MemoryCatalog {
     pub fn register(&self, plugin: Arc<dyn InputPlugin>) {
         self.plugins
             .write()
-            .insert(plugin.name().to_string(), plugin);
+            .insert(plugin.name().to_string(), (plugin, None));
     }
 
     /// Convenience: register an in-memory dataset from record values.
@@ -76,7 +98,7 @@ impl SourceProvider for MemoryCatalog {
         self.plugins
             .read()
             .get(dataset)
-            .cloned()
+            .map(|(plugin, _)| Arc::clone(plugin))
             .ok_or_else(|| VidaError::Catalog(format!("unknown dataset '{dataset}'")))
     }
 
@@ -86,8 +108,17 @@ impl SourceProvider for MemoryCatalog {
         names
     }
 
-    fn install(&self, dataset: &str, plugin: Arc<dyn InputPlugin>) {
-        self.plugins.write().insert(dataset.to_string(), plugin);
+    fn install(&self, dataset: &str, plugin: Arc<dyn InputPlugin>, grown_from: Option<Generation>) {
+        self.plugins
+            .write()
+            .insert(dataset.to_string(), (plugin, grown_from));
+    }
+
+    fn installed_growth(&self, dataset: &str, plugin: &Arc<dyn InputPlugin>) -> Option<Generation> {
+        match self.plugins.read().get(dataset) {
+            Some((installed, grown_from)) if Arc::ptr_eq(installed, plugin) => *grown_from,
+            _ => None,
+        }
     }
 }
 
@@ -102,8 +133,8 @@ pub(crate) struct QueryBinding<'a> {
     bound: Mutex<HashMap<String, Bound>>,
 }
 
-/// A dataset as one query reads it: its plugin, and the generation the
-/// file grew from when revalidation extended it.
+/// A dataset's plugin, and the generation its file grew from when the
+/// plugin came from an append.
 type Bound = (Arc<dyn InputPlugin>, Option<Generation>);
 
 impl<'a> QueryBinding<'a> {
@@ -114,9 +145,11 @@ impl<'a> QueryBinding<'a> {
         }
     }
 
-    /// The generation `dataset` grew from in this query: replicas and fold
-    /// partials written under it serve the unchanged prefix. `None` when
-    /// the file was unchanged or rebuilt (or not read yet).
+    /// The generation `dataset` grew from by the append behind its
+    /// plugin — revalidated in this query, or by an earlier query that
+    /// installed the plugin: replicas and fold partials written under it
+    /// serve the unchanged prefix. `None` when the plugin was not
+    /// installed for an append (or the dataset is not read yet).
     pub(crate) fn grown_from(&self, dataset: &str) -> Option<Generation> {
         self.bound.lock().get(dataset).and_then(|b| b.1)
     }
@@ -132,14 +165,15 @@ impl SourceProvider for QueryBinding<'_> {
         }
         let plugin = self.catalog.plugin(dataset)?;
         let (fresh, grown_from) = match plugin.revalidate()? {
-            Revalidation::Unchanged => (None, None),
+            Revalidation::Unchanged => (None, self.catalog.installed_growth(dataset, &plugin)),
             Revalidation::Extended { plugin, prev } => (Some(plugin), Some(prev)),
             Revalidation::Rebuilt { plugin } => (Some(plugin), None),
         };
         let plugin = match fresh {
             Some(fresh) => {
                 let fresh: Arc<dyn InputPlugin> = Arc::from(fresh);
-                self.catalog.install(dataset, Arc::clone(&fresh));
+                self.catalog
+                    .install(dataset, Arc::clone(&fresh), grown_from);
                 fresh
             }
             None => plugin,
@@ -191,10 +225,24 @@ mod tests {
             ],
         )
         .unwrap();
-        cat.install("T", Arc::new(replacement));
-        // Later resolutions bind the fresh reader, not the stale one.
-        assert_eq!(cat.plugin("T").unwrap().num_units(), 2);
+        let grown_from = Generation {
+            fingerprint: (7, 7),
+            units: 1,
+            prefix_units: 1,
+        };
+        cat.install("T", Arc::new(replacement), Some(grown_from));
+        // Later resolutions bind the fresh reader, not the stale one, and
+        // the growth belongs to that reader alone.
+        let fresh = cat.plugin("T").unwrap();
+        assert_eq!(fresh.num_units(), 2);
         assert_eq!(cat.dataset_names(), vec!["T"]);
+        assert_eq!(cat.installed_growth("T", &fresh), Some(grown_from));
+        let other: Arc<dyn InputPlugin> = Arc::new(
+            MemPlugin::from_records("T", Schema::from_pairs([("id", Type::Int)]), &[]).unwrap(),
+        );
+        assert_eq!(cat.installed_growth("T", &other), None);
+        cat.register(other);
+        assert_eq!(cat.installed_growth("T", &cat.plugin("T").unwrap()), None);
     }
 
     #[test]

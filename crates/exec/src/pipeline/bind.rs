@@ -440,7 +440,7 @@ impl<'a> PipelineBuilder<'a> {
             } => {
                 let lnode = self.lower(left, walk)?;
                 let Node::Source(ridx) = self.lower(right, walk)? else {
-                    unreachable!("`pipelinable` admits only scans as join right sides");
+                    unreachable!("`pipelinable` accepts only scans as join right sides");
                 };
                 let lvars = left.bound_vars();
                 let rvars = right.bound_vars();
@@ -584,13 +584,13 @@ impl<'a> PipelineBuilder<'a> {
         Ok(k)
     }
 
-    /// Fuse a scan's select chain into one short-circuit select stage for
-    /// valid frames when every step compiled; tuples whose frame could not
-    /// encode still walk the steps through the interpreter. Compiled
-    /// kernels are pure and total, so any evaluation order admits the same
-    /// frames — rank cheapest-and-most-selective first. The interpreted
-    /// chain keeps syntactic order: interpreted conjuncts can error, and
-    /// error order is observable.
+    /// Fuse a scan's select chain into one select stage, which refines each
+    /// chunk's selection vector of valid rows, when every step compiled;
+    /// rows that could not encode still walk the steps through the
+    /// interpreter. Compiled kernels are pure and total, so any evaluation
+    /// order keeps the same rows — rank cheapest-and-most-selective first.
+    /// The interpreted chain keeps syntactic order: interpreted conjuncts
+    /// can error, and error order is observable.
     fn fuse_selects(&mut self, selects: &[Step], dataset: &str) -> Option<SelectKernel> {
         let kernels = selects
             .iter()

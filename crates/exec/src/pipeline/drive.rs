@@ -2,17 +2,17 @@
 //! grid, the monoid fold, and the fold-partial cache seam.
 
 use super::join::{encode_key, BuildRows, JoinBuild};
-use super::{HeadPlan, Node, Pipeline, Step, Tuple, TupleSink};
+use super::{HeadPlan, Node, Pipeline, Source, Step, Tuple, TupleSink};
 use crate::stats::ExecStats;
 use std::ops::Range;
 use std::sync::Arc;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
-use vida_jit::{CompiledKernel, SlotType};
+use vida_jit::{BatchScratch, CompiledKernel, SlotType};
 use vida_lang::eval;
 use vida_parallel::{MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
-use vida_types::{CollectionKind, Monoid, Partial, Result, Value, VidaError};
+use vida_types::{CollectionKind, Monoid, Partial, PrimitiveMonoid, Result, Value, VidaError};
 
 // One morsel driver runs the fused push pipeline at every worker count:
 // join build sides materialize first (the pipeline breakers), then the
@@ -64,10 +64,11 @@ impl Pipeline {
                     &plan,
                     &builds,
                     stats,
-                    Vec::new,
-                    |items, t, ws| {
-                        items.push(self.head_value(t, ws)?);
-                        Ok(())
+                    |range, ws| {
+                        self.drive_rows(range, &builds, ws, Vec::new(), |items, t, ws| {
+                            items.push(self.head_value(t, ws)?);
+                            Ok(())
+                        })
                     },
                     Vec::new(),
                     |mut all: Vec<Value>, chunk| {
@@ -91,12 +92,17 @@ impl Pipeline {
                 // exactly the whole-source order.
                 let m = self.monoid;
                 let prefix = self.fold_reuse_partial(stats);
+                let vector_source = self.vector_fold_source();
                 let merged = self.fold_drive(
                     &plan,
                     &builds,
                     stats,
-                    || p.zero(),
-                    |acc, t, ws| p.step(acc, self.head_value(t, ws)?.into()),
+                    |range, ws| match vector_source {
+                        Some(idx) => self.fold_source(idx, p, range, ws),
+                        None => self.drive_rows(range, &builds, ws, p.zero(), |acc, t, ws| {
+                            p.step(acc, self.head_value(t, ws)?.into())
+                        }),
+                    },
                     prefix,
                     |acc: Option<Value>, part: Partial| {
                         m.merge_partials(acc.into_iter().chain([part.into_value()]))
@@ -112,17 +118,15 @@ impl Pipeline {
         Ok(value)
     }
 
-    /// Drive every morsel of `plan` through the fused stage chain: each
-    /// morsel folds its surviving tuples into a private partial (`new` +
-    /// `push`), and `merge` folds the partials into `init` in morsel order.
-    #[allow(clippy::too_many_arguments)]
+    /// Run `work` over every morsel of `plan` — the morsel's private
+    /// partial, with the tuples it folded counted in `actual_rows` — and
+    /// fold the partials into `init` in morsel order with `merge`.
     fn fold_drive<P: Send, A>(
         &self,
         plan: &MorselPlan,
         builds: &[JoinBuild],
         stats: &mut ExecStats,
-        new: impl Fn() -> P + Sync,
-        push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()> + Sync,
+        work: impl Fn(Range<usize>, &mut ExecStats) -> Result<P> + Sync,
         init: A,
         merge: impl FnMut(A, P) -> Result<A>,
     ) -> Result<A> {
@@ -134,17 +138,103 @@ impl Pipeline {
                 false => stage::PROBE,
             },
             stats,
-            |range, ws| {
-                let mut partial = new();
-                self.drive(&self.root, range, builds, ws, &mut |ws, t| {
-                    ws.actual_rows += 1;
-                    push(&mut partial, t, ws)
-                })?;
-                Ok((partial, ws.actual_rows))
-            },
+            |range, ws| Ok((work(range, ws)?, ws.actual_rows)),
             init,
             merge,
         )
+    }
+
+    /// Drive `range` through the fused stage chain a tuple at a time,
+    /// pushing every tuple that reaches the fold into `partial`.
+    fn drive_rows<P>(
+        &self,
+        range: Range<usize>,
+        builds: &[JoinBuild],
+        stats: &mut ExecStats,
+        mut partial: P,
+        push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()>,
+    ) -> Result<P> {
+        self.drive(&self.root, range, builds, stats, &mut |ws, t| {
+            ws.actual_rows += 1;
+            push(&mut partial, t, ws)
+        })?;
+        Ok(partial)
+    }
+
+    /// The source a primitive fold reads a vector at a time: a scan with
+    /// no join or unnest above it, whose selects are fused (or absent) and
+    /// whose head is one kernel or no head at all. Anything else folds row
+    /// by row: an interpreted select or head may error, and its error
+    /// must surface in row order relative to the fold's own.
+    fn vector_fold_source(&self) -> Option<usize> {
+        let Node::Source(idx) = self.root else {
+            return None;
+        };
+        let s = &self.sources[idx];
+        let selects_fused = s.fused_selects.is_some() || s.selects.is_empty();
+        let head = matches!(self.head, HeadPlan::Kernel(..) | HeadPlan::CountOnly);
+        (selects_fused && head).then_some(idx)
+    }
+
+    /// A scan-rooted primitive fold over `rows` of source `idx`, a chunk
+    /// at a time: the head kernel runs once over the chunk's selected rows,
+    /// and the fold steps through its outputs in a typed loop, in ascending
+    /// row order, interleaved with the rows that could not encode, which
+    /// take the interpreted selects and head exactly as on the row path.
+    /// Row order is the row path's, so float association, overflow and
+    /// error order are unchanged.
+    fn fold_source(
+        &self,
+        idx: usize,
+        p: PrimitiveMonoid,
+        rows: Range<usize>,
+        stats: &mut ExecStats,
+    ) -> Result<Partial> {
+        let s = &self.sources[idx];
+        let (mut acc, mut t) = (p.zero(), self.scratch());
+        t.valid = false;
+        self.scan_chunks(s, rows, stats, |c, base, stats| {
+            let head_ty = match &self.head {
+                HeadPlan::Kernel(k, _) => {
+                    k.call_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch);
+                    stats.kernel_hits(k.id(), c.sel.len() as u64);
+                    Some(k.output())
+                }
+                _ => None,
+            };
+            stats.actual_rows += c.sel.len() as u64;
+            in_row_order(&c.sel, &c.rest, |run| match run {
+                Run::Selected(i) => {
+                    let heads = || c.heads[i.clone()].iter();
+                    match head_ty {
+                        Some(SlotType::Int) => {
+                            fold_run(p, &mut acc, heads().map(|&b| Partial::Int(b)))
+                        }
+                        Some(SlotType::Float) => fold_run(
+                            p,
+                            &mut acc,
+                            heads().map(|&b| Partial::Float(f64::from_bits(b as u64))),
+                        ),
+                        Some(ty) => fold_run(
+                            p,
+                            &mut acc,
+                            heads().map(|&b| self.decode_bits(b, ty).into()),
+                        ),
+                        None => fold_run(p, &mut acc, i.clone().map(|_| Partial::Int(1))),
+                    }
+                }
+                Run::Rest(row) => {
+                    t.rows[idx] = base + row as usize;
+                    if !self.pass_steps(&s.selects, &t, stats)? {
+                        return Ok(());
+                    }
+                    let x = self.head_value(&t, stats)?;
+                    stats.actual_rows += 1;
+                    p.step(&mut acc, x.into())
+                }
+            })
+        })?;
+        Ok(acc)
     }
 
     /// The cached prefix partial for this run, counting the reuse.
@@ -212,8 +302,11 @@ impl Pipeline {
 
     /// Decode a kernel result, resolving interned string ids.
     fn decode(&self, k: &CompiledKernel, frame: &[i64]) -> Value {
-        let bits = k.call(frame);
-        match k.output() {
+        self.decode_bits(k.call(frame), k.output())
+    }
+
+    fn decode_bits(&self, bits: i64, ty: SlotType) -> Value {
+        match ty {
             SlotType::Str => self
                 .interner
                 .resolve(bits)
@@ -247,13 +340,73 @@ impl Pipeline {
         }
     }
 
+    /// Does `t` pass every select step, in order? Stops at the first
+    /// rejection, like the interpreter's `and`.
+    fn pass_steps(&self, steps: &[Step], t: &Tuple, stats: &mut ExecStats) -> Result<bool> {
+        for step in steps {
+            if !self.apply_step(step, t, stats, "selection")? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The scan stage over `rows` of source `s`, a chunk of at most
+    /// [`CHUNK_ROWS`] rows at a time: each slot column of the chunk encodes
+    /// into a vector (`Str` cells under one interner read guard), the rows
+    /// whose every slot encoded form the selection vector, and the fused
+    /// select stage refines it, crediting each conjunct with the rows it
+    /// received. `each` then consumes the chunk starting at row `base`:
+    /// `sel` holds the rows that passed, `rest` the rows that could not
+    /// encode (nulls), which must take the interpreted path.
+    fn scan_chunks(
+        &self,
+        s: &Source,
+        rows: Range<usize>,
+        stats: &mut ExecStats,
+        mut each: impl FnMut(&mut ScanChunk, usize, &mut ExecStats) -> Result<()>,
+    ) -> Result<()> {
+        let mut c = ScanChunk::new(self.frame_width, s, rows.len().min(CHUNK_ROWS));
+        for base in rows.clone().step_by(CHUNK_ROWS) {
+            let end = (base + CHUNK_ROWS).min(rows.end);
+            let n = end - base;
+            c.valid.clear();
+            c.valid.resize(n, true);
+            for (slot, col, ty) in &s.slot_cols {
+                let out = &mut c.cols[*slot][..n];
+                ty.encode_cells(&col[base..end], &self.interner, out, &mut c.valid);
+            }
+            c.sel.clear();
+            c.rest.clear();
+            match c.valid.contains(&false) {
+                false => c.sel.extend(0..n as u32),
+                true => {
+                    for (row, &ok) in c.valid.iter().enumerate() {
+                        match ok {
+                            true => c.sel.push(row as u32),
+                            false => c.rest.push(row as u32),
+                        }
+                    }
+                }
+            }
+            if let Some(fused) = &s.fused_selects {
+                fused.refine(&c.cols, &mut c.sel, &mut c.scratch, |id, n| {
+                    stats.kernel_hits(id, n)
+                });
+            }
+            each(&mut c, base, stats)?;
+        }
+        Ok(())
+    }
+
     /// Scan-side tuple production over a contiguous row range, pushed one
-    /// tuple at a time into `sink` — the head of every fused pipeline. Each
-    /// row overwrites the scratch tuple `t`: every slot encodes its cell
-    /// straight from the materialized column, valid frames run the fused
-    /// [`SelectKernel`](vida_jit::SelectKernel) chain, and only survivors
-    /// reach the sink; frames that could not encode (nulls) walk the
-    /// selects through the interpreter.
+    /// tuple at a time into `sink` — the head of every fused pipeline that
+    /// is not a vector fold. The scan stage ([`Pipeline::scan_chunks`])
+    /// encodes and selects a chunk at a time; then, in row order, each
+    /// selected row fills the scratch tuple `t` from the chunk's vectors
+    /// and goes to the sink, and each row that could not encode walks the
+    /// selects through the interpreter first. A scan whose selects did not
+    /// all compile walks them per row on valid frames too.
     fn push_source(
         &self,
         idx: usize,
@@ -263,35 +416,24 @@ impl Pipeline {
         sink: TupleSink<'_>,
     ) -> Result<()> {
         let s = &self.sources[idx];
-        'rows: for row in rows {
-            t.valid = true;
-            for (slot, col, ty) in &s.slot_cols {
-                match self.encode(*ty, &col[row]) {
-                    Some(bits) => t.frame[*slot] = bits,
-                    None => t.valid = false,
+        let fused = s.fused_selects.is_some();
+        self.scan_chunks(s, rows, stats, |c, base, stats| {
+            let mut push = |row: u32, valid: bool, stats: &mut ExecStats| {
+                for (slot, _, _) in &s.slot_cols {
+                    t.frame[*slot] = c.cols[*slot][row as usize];
                 }
-            }
-            t.rows[idx] = row;
-            if let (true, Some(fused)) = (t.valid, &s.fused_selects) {
-                // Tracing credits exactly the conjuncts that ran: `admit`
-                // short-circuits on the first rejection.
-                let admitted = match stats.trace.is_some() {
-                    true => fused.admit_reporting(&t.frame, |id| stats.kernel_hit(id)),
-                    false => fused.admit(&t.frame),
-                };
-                if admitted {
+                t.valid = valid;
+                t.rows[idx] = base + row as usize;
+                if (valid && fused) || self.pass_steps(&s.selects, t, stats)? {
                     sink(stats, t)?;
                 }
-                continue;
-            }
-            for sel in &s.selects {
-                if !self.apply_step(sel, t, stats, "selection")? {
-                    continue 'rows;
-                }
-            }
-            sink(stats, t)?;
-        }
-        Ok(())
+                Ok(())
+            };
+            in_row_order(&c.sel, &c.rest, |run| match run {
+                Run::Selected(i) => c.sel[i].iter().try_for_each(|&row| push(row, true, stats)),
+                Run::Rest(row) => push(row, false, stats),
+            })
+        })
     }
 
     /// Drive the push loop: stream `range` rows of the pipeline's leftmost
@@ -532,6 +674,87 @@ impl Pipeline {
             sink(stats, out)?;
         }
         Ok(())
+    }
+}
+
+/// Rows per vector of the scan stage. A morsel's rows are encoded,
+/// selected and folded this many at a time, so the vectors stay in cache
+/// whatever the morsel size.
+const CHUNK_ROWS: usize = 1024;
+
+/// The vectors of one scan chunk, allocated once per morsel and
+/// overwritten chunk after chunk.
+struct ScanChunk {
+    /// Encoded slot columns indexed by frame slot: `CHUNK_ROWS` long for
+    /// the scanned source's slots, empty for every other slot.
+    cols: Vec<Vec<i64>>,
+    /// Per chunk row: did every slot encode?
+    valid: Vec<bool>,
+    /// Chunk rows that encoded and passed the fused selects, ascending.
+    sel: Vec<u32>,
+    /// Chunk rows that could not encode, ascending.
+    rest: Vec<u32>,
+    /// Head kernel outputs, one per `sel` row.
+    heads: Vec<i64>,
+    scratch: BatchScratch,
+}
+
+impl ScanChunk {
+    fn new(frame_width: usize, s: &Source, rows: usize) -> Self {
+        let mut cols = vec![Vec::new(); frame_width];
+        for (slot, _, _) in &s.slot_cols {
+            cols[*slot] = vec![0; rows];
+        }
+        ScanChunk {
+            cols,
+            valid: Vec::with_capacity(rows),
+            sel: Vec::with_capacity(rows),
+            rest: Vec::new(),
+            heads: Vec::new(),
+            scratch: BatchScratch::default(),
+        }
+    }
+}
+
+/// Step `acc` through `xs` in order — a typed loop over one run of head
+/// outputs. The accumulator is held in a local for the run's length, so
+/// it can stay in registers instead of going through `acc` every step.
+#[inline]
+fn fold_run(
+    p: PrimitiveMonoid,
+    acc: &mut Partial,
+    xs: impl Iterator<Item = Partial>,
+) -> Result<()> {
+    let mut local = std::mem::take(acc);
+    for x in xs {
+        p.step(&mut local, x)?;
+    }
+    *acc = local;
+    Ok(())
+}
+
+/// A stretch of one chunk's rows in ascending order: a run of selected
+/// rows (`sel[i]` for `i` in the range), or one row that could not encode.
+enum Run {
+    Selected(Range<usize>),
+    Rest(u32),
+}
+
+/// Visit the rows of `sel` and `rest` (both ascending, disjoint) in one
+/// ascending sequence, as runs of selected rows between the rows of `rest`.
+fn in_row_order(sel: &[u32], rest: &[u32], mut f: impl FnMut(Run) -> Result<()>) -> Result<()> {
+    let mut from = 0;
+    for &row in rest {
+        let to = from + sel[from..].partition_point(|&r| r < row);
+        if from < to {
+            f(Run::Selected(from..to))?;
+        }
+        f(Run::Rest(row))?;
+        from = to;
+    }
+    match from < sel.len() {
+        true => f(Run::Selected(from..sel.len())),
+        false => Ok(()),
     }
 }
 

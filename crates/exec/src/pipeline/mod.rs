@@ -8,11 +8,11 @@
 //!   generated scans read only those columns — no "database page" of unused
 //!   attributes is ever built;
 //! - **register frames**: each touched scalar attribute gets one 64-bit slot
-//!   in a query-wide [`vida_jit::FrameLayout`]; the morsel loop encodes
-//!   each touched cell straight from the materialized column into its slot
-//!   (`SlotType::encode`, strings through the shared interner), so
-//!   per-tuple work in the hot loop is one encode per slot plus kernel
-//!   calls, and a warm query builds no encoded copy of a cached column;
+//!   in a query-wide [`vida_jit::FrameLayout`]; the scan stage encodes each
+//!   touched cell straight from the materialized column into a slot vector
+//!   of at most 1024 rows (`SlotType::encode_cells`, strings through the
+//!   shared interner under one read guard per vector), so a warm query
+//!   builds no encoded copy of a cached column;
 //! - **compiled kernels**: filter predicates, join keys, and head
 //!   expressions inside the compilable subset become fused
 //!   [`CompiledKernel`]s (type dispatch resolved at generation time);
@@ -55,9 +55,16 @@
 //! is not a scan — so execution is total over all valid plans and
 //! `ExecStats::whole_query_fallbacks` records when the fallback engine ran.
 //!
-//! Execution is a **streaming push loop** (HyPer-style data-centric
-//! pipelines): each compiled stage consumes one tuple at a time and pushes
-//! it into the next stage's consumer closure, so
+//! The leftmost scan runs **a vector at a time** (MonetDB/X100-style):
+//! per chunk of at most 1024 rows, the fused selects refine a selection
+//! vector with batch kernels, and a primitive fold straight over the scan
+//! runs its head kernel over the selection and folds the outputs in a
+//! typed loop. Every other pipeline takes the selected rows one at a time
+//! from there.
+//!
+//! Execution above the scan is a **streaming push loop** (HyPer-style
+//! data-centric pipelines): each compiled stage consumes one tuple at a
+//! time and pushes it into the next stage's consumer closure, so
 //! select→project→unnest→probe→fold chains fuse end to end with no
 //! intermediate buffer between operators and **no allocation per row**:
 //! each stage overwrites one scratch tuple per morsel and its sink borrows
@@ -276,9 +283,10 @@ struct Source {
     slots: Vec<usize>,
     /// Selection steps applied as tuples leave the scan, syntactic order.
     selects: Vec<Step>,
-    /// Fast path: when every select compiled, the chain is fused into one
-    /// [`SelectKernel`] evaluated short-circuit per valid frame (invalid
-    /// frames still walk `selects` through the interpreter).
+    /// When every select compiled, the chain fused into one
+    /// [`SelectKernel`], which refines each scan chunk's selection vector
+    /// of valid rows (rows that could not encode still walk `selects`
+    /// through the interpreter).
     fused_selects: Option<SelectKernel>,
 }
 

@@ -387,6 +387,43 @@ fn append_requery_scans_only_the_tail() {
     }
 }
 
+/// After an append, the first query may touch only some columns. The
+/// others keep their previous-generation replicas, and a later query
+/// extends each one by the appended tail instead of re-reading it raw.
+#[test]
+fn columns_untouched_by_the_first_query_after_an_append_still_extend() {
+    for threads in [1usize, 8] {
+        let path = fixture_path(&format!("late_extend_{threads}"), "T.csv");
+        std::fs::write(&path, csv_rows(0, 64, false)).unwrap();
+        let cat = MemoryCatalog::new();
+        cat.register(open_plugin("csv", &path, MapMode::Auto));
+        let opts = JitOptions {
+            cache: Some(Arc::new(CacheManager::new(1 << 20))),
+            threads,
+            morsel_rows: 4,
+            ..Default::default()
+        };
+        let run = |q: &str| run_jit_with_stats(&plan_of(q), &cat, &opts).unwrap();
+        let sum_v = "for { t <- T } yield sum t.v";
+        let sum_id = "for { t <- T } yield sum t.id";
+        for q in [sum_v, sum_id] {
+            assert!(run(q).1.raw_columns > 0, "{q}: cold");
+        }
+        append(&path, &csv_rows(64, 68, false));
+        for (q, expected) in [(sum_v, (0..68).map(v_of).sum()), (sum_id, (0..68).sum())] {
+            let (v, stats) = run(q);
+            assert_eq!(v, Value::Int(expected), "{q} x{threads}");
+            assert_eq!(v, cold_rescan(&plan_of(q), "csv", &path), "{q} x{threads}");
+            assert_eq!(stats.raw_columns, 0, "{q} x{threads}: re-read raw");
+            assert_eq!(stats.tail_rows_scanned, 4, "{q} x{threads}: tail width");
+        }
+        // Both columns now hold the grown generation: a full hit.
+        let (_, stats) = run(sum_id);
+        assert!(stats.served_from_cache, "x{threads}");
+        assert_eq!(stats.tail_rows_scanned, 0, "x{threads}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shrink safety
 // ---------------------------------------------------------------------------

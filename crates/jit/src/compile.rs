@@ -8,6 +8,15 @@
 //! lookups, and allocates nothing, which is the §4.1 property the paper's
 //! LLVM backend provides.
 //!
+//! Every kernel comes in two forms built from the same expression tree and
+//! the same per-node operations: a row form over one register frame
+//! ([`CompiledKernel::call`]) and a batch form over a vector of rows of
+//! slot columns ([`CompiledKernel::call_batch`]), which pays one closure
+//! call per node per vector instead of per row (vectorized interpretation,
+//! MonetDB/X100). A `slot ⊙ const` or `slot ⊙ slot` node reads its columns
+//! in the same pass that applies the operator. Both forms give the same
+//! bits on every row.
+//!
 //! The compilable subset is pure and total (no division, no collection
 //! operations). Expressions outside it return `None` from
 //! [`JitCompiler::try_prepare`] and stay interpreted. Kernel semantics match
@@ -23,14 +32,46 @@ use vida_types::{Result, Value, VidaError};
 /// Declared output encoding of a compiled kernel.
 pub type KernelOutput = SlotType;
 
-/// One fused scalar kernel: `fn(&[i64]) -> i64` over a frame laid out
+/// Row form of a kernel node: `fn(&[i64]) -> i64` over a frame laid out
 /// according to the [`FrameLayout`] it was compiled against.
 type Kern = Box<dyn Fn(&[i64]) -> i64 + Send + Sync>;
+
+/// Batch form of a kernel node: evaluates the node on the rows `sel` of
+/// the slot columns `cols` (indexed by frame slot), writing the result for
+/// `sel[i]` to `out[i]`; `out.len() == sel.len()`.
+type BatchKern = Box<dyn Fn(&[Vec<i64>], &[u32], &mut [i64], &mut BatchScratch) + Send + Sync>;
+
+/// Intermediate vectors of batch kernels, owned by the caller and reused
+/// across calls, so a batch evaluation allocates only until the scratch
+/// holds a vector per live intermediate of the widest batch.
+#[derive(Debug, Default)]
+pub struct BatchScratch {
+    free: Vec<Vec<i64>>,
+}
+
+impl BatchScratch {
+    /// A vector of length `n` with unspecified contents.
+    fn take(&mut self, n: usize) -> Vec<i64> {
+        let mut v = self.free.pop().unwrap_or_default();
+        v.resize(n, 0);
+        v
+    }
+
+    fn give(&mut self, v: Vec<i64>) {
+        self.free.push(v);
+    }
+}
+
+/// The two forms of one compiled expression.
+struct Forms {
+    row: Kern,
+    batch: BatchKern,
+}
 
 /// A finalized kernel. Cheap to clone and safe to call from any thread.
 #[derive(Clone)]
 pub struct CompiledKernel {
-    func: Arc<Kern>,
+    forms: Arc<Forms>,
     output: KernelOutput,
     id: u32,
 }
@@ -57,7 +98,23 @@ impl CompiledKernel {
     /// kernel was compiled against.
     #[inline]
     pub fn call(&self, frame: &[i64]) -> i64 {
-        (self.func)(frame)
+        (self.forms.row)(frame)
+    }
+
+    /// Run the kernel over the rows `sel` of `cols` — column `s` holds frame
+    /// slot `s` of consecutive rows, and a slot the kernel does not read may
+    /// be empty. `out` becomes one result per selected row, in `sel` order:
+    /// `out[i]` has the bits [`CompiledKernel::call`] returns on the frame
+    /// of row `sel[i]`. Intermediates come from `scratch`.
+    pub fn call_batch(
+        &self,
+        cols: &[Vec<i64>],
+        sel: &[u32],
+        out: &mut Vec<i64>,
+        scratch: &mut BatchScratch,
+    ) {
+        out.resize(sel.len(), 0);
+        (self.forms.batch)(cols, sel, out, scratch)
     }
 
     /// Run a boolean kernel over a frame (`0` = false, anything else true).
@@ -76,21 +133,22 @@ impl CompiledKernel {
     }
 }
 
-/// A fused select stage for push pipelines: the conjunction of compiled
-/// boolean kernels, evaluated short-circuit over one frame.
+/// A fused select stage: the conjunction of compiled boolean kernels in a
+/// ranked order, evaluated a vector at a time.
 ///
-/// This is the kernel-level form of a filter chain in streaming execution:
-/// instead of producing a boolean column (or a filtered tuple vector) per
-/// predicate, the stage decides per frame and the caller forwards
-/// survivors straight into the next stage's sink — no intermediate
-/// materialization.
+/// [`SelectKernel::refine`] narrows a selection vector conjunct by
+/// conjunct, so each predicate runs only on the rows every earlier one
+/// kept — the batch form of a short-circuit filter chain, producing no
+/// boolean column or filtered tuple vector per predicate.
 #[derive(Clone)]
 pub struct SelectKernel {
     preds: Vec<CompiledKernel>,
 }
 
 impl SelectKernel {
-    /// Fuse `preds` (each a boolean kernel) into one select stage.
+    /// Fuse `preds` (each a boolean kernel) in the order given. Pipelines
+    /// build stages with [`SelectKernel::with_order`].
+    #[doc(hidden)]
     pub fn new(preds: Vec<CompiledKernel>) -> Self {
         debug_assert!(preds.iter().all(|k| k.output() == SlotType::Bool));
         SelectKernel { preds }
@@ -99,8 +157,8 @@ impl SelectKernel {
     /// Fuse `preds` evaluating in `order` (a permutation of `0..preds.len()`
     /// ranked by the plan optimizer: cheapest-and-most-selective first).
     /// Compiled predicate kernels are pure and total, so any evaluation
-    /// order admits exactly the same frames; only the short-circuit point
-    /// moves.
+    /// order keeps exactly the same rows; only the rows each predicate
+    /// sees change.
     pub fn with_order(preds: Vec<CompiledKernel>, order: &[usize]) -> Self {
         debug_assert_eq!(order.len(), preds.len());
         debug_assert!({
@@ -122,22 +180,43 @@ impl SelectKernel {
         self.preds.is_empty()
     }
 
-    /// Does `frame` satisfy every predicate? Short-circuits on the first
-    /// failure, like the chained serial selects it replaces.
+    /// Does one frame satisfy every predicate? Short-circuits on the first
+    /// failure. Pipelines run [`SelectKernel::refine`]; this row form is
+    /// kept for callers outside the workspace.
+    #[doc(hidden)]
     #[inline]
     pub fn admit(&self, frame: &[i64]) -> bool {
-        self.admit_reporting(frame, |_| ())
+        self.preds.iter().all(|k| k.call_bool(frame))
     }
 
-    /// [`SelectKernel::admit`] that reports the id of each predicate it
-    /// actually ran, in evaluation order — the conjuncts after a rejecting
-    /// one are not reported, because they did not run.
-    #[inline]
-    pub fn admit_reporting(&self, frame: &[i64], mut ran: impl FnMut(u32)) -> bool {
-        self.preds.iter().all(|k| {
-            ran(k.id());
-            k.call_bool(frame)
-        })
+    /// Narrow `sel` (rows of `cols`, see [`CompiledKernel::call_batch`]) to
+    /// the rows every predicate accepts, keeping their order. Predicates run
+    /// in evaluation order, each over the rows the ones before it kept, and
+    /// `ran(id, rows)` reports each predicate that ran with the number of
+    /// rows it received — per row, exactly the predicates a short-circuit
+    /// conjunction evaluates.
+    pub fn refine(
+        &self,
+        cols: &[Vec<i64>],
+        sel: &mut Vec<u32>,
+        scratch: &mut BatchScratch,
+        mut ran: impl FnMut(u32, u64),
+    ) {
+        let mut pass = scratch.take(0);
+        for k in &self.preds {
+            if sel.is_empty() {
+                break;
+            }
+            ran(k.id(), sel.len() as u64);
+            k.call_batch(cols, sel, &mut pass, scratch);
+            let mut kept = 0;
+            for i in 0..sel.len() {
+                sel[kept] = sel[i];
+                kept += (pass[i] != 0) as usize;
+            }
+            sel.truncate(kept);
+        }
+        scratch.give(pass);
     }
 }
 
@@ -159,8 +238,9 @@ impl JitCompiler {
         infer(expr, layout)
     }
 
-    /// Compile `expr`. String constants are interned through `interner` —
-    /// the same interner the frame builder uses at runtime.
+    /// Compile `expr` into both kernel forms. String constants are interned
+    /// through `interner` — the same interner the frame builder uses at
+    /// runtime.
     pub fn compile(
         self,
         expr: &Expr,
@@ -169,10 +249,13 @@ impl JitCompiler {
     ) -> Result<CompiledKernel> {
         let output = infer(expr, layout)
             .ok_or_else(|| VidaError::Codegen(format!("expression not compilable: {expr}")))?;
-        let (func, ty) = emit(expr, layout, interner)?;
-        debug_assert_eq!(ty, output);
+        let node = emit(expr, layout, interner)?;
+        debug_assert_eq!(node.ty, output);
         Ok(CompiledKernel {
-            func: Arc::new(func),
+            forms: Arc::new(Forms {
+                row: node.row,
+                batch: node.batch,
+            }),
             output,
             id: CompiledKernel::UNASSIGNED,
         })
@@ -270,151 +353,273 @@ fn fval(b: i64) -> f64 {
     f64::from_bits(b as u64)
 }
 
-/// Widen a kernel to produce float bits regardless of its numeric type.
-fn as_float(k: Kern, ty: SlotType) -> Kern {
-    match ty {
-        SlotType::Int => Box::new(move |f| bits(k(f) as f64)),
-        _ => k,
+/// What a node reads, which picks its batch specialisation: a slot column
+/// or a constant is read inside its parent's pass, not gathered first.
+#[derive(Clone, Copy)]
+enum Leaf {
+    Slot(usize),
+    Const(i64),
+    Tree,
+}
+
+/// One emitted node: both forms, its shape, and its slot type.
+struct Node {
+    row: Kern,
+    batch: BatchKern,
+    leaf: Leaf,
+    ty: SlotType,
+}
+
+fn slot_node(slot: usize, ty: SlotType) -> Node {
+    Node {
+        row: Box::new(move |f| f[slot]),
+        batch: Box::new(move |cols, sel, out, _| {
+            let col = &cols[slot];
+            for (o, &r) in out.iter_mut().zip(sel) {
+                *o = col[r as usize];
+            }
+        }),
+        leaf: Leaf::Slot(slot),
+        ty,
     }
 }
 
-fn emit(
-    expr: &Expr,
-    layout: &FrameLayout,
-    interner: &mut StringInterner,
-) -> Result<(Kern, SlotType)> {
+fn const_node(c: i64, ty: SlotType) -> Node {
+    Node {
+        row: Box::new(move |_| c),
+        batch: Box::new(move |_, _, out, _| out.fill(c)),
+        leaf: Leaf::Const(c),
+        ty,
+    }
+}
+
+/// `f(e)`, both forms from the one operation `f`.
+fn unary<F>(e: Node, ty: SlotType, f: F) -> Node
+where
+    F: Fn(i64) -> i64 + Copy + Send + Sync + 'static,
+{
+    let (k, b) = (e.row, e.batch);
+    let batch: BatchKern = match e.leaf {
+        Leaf::Const(c) => return const_node(f(c), ty),
+        Leaf::Slot(s) => Box::new(move |cols, sel, out, _| {
+            let col = &cols[s];
+            for (o, &r) in out.iter_mut().zip(sel) {
+                *o = f(col[r as usize]);
+            }
+        }),
+        Leaf::Tree => Box::new(move |cols, sel, out, scratch| {
+            b(cols, sel, out, scratch);
+            for o in out.iter_mut() {
+                *o = f(*o);
+            }
+        }),
+    };
+    Node {
+        row: Box::new(move |fr| f(k(fr))),
+        batch,
+        leaf: Leaf::Tree,
+        ty,
+    }
+}
+
+/// `f(l, r)`, both forms from the one operation `f`. The batch form reads
+/// slot and constant operands in the pass that applies `f`.
+fn binary<F>(l: Node, r: Node, ty: SlotType, f: F) -> Node
+where
+    F: Fn(i64, i64) -> i64 + Copy + Send + Sync + 'static,
+{
+    let (lk, rk) = (l.row, r.row);
+    let (lb, rb) = (l.batch, r.batch);
+    let batch: BatchKern = match (l.leaf, r.leaf) {
+        (Leaf::Slot(a), Leaf::Const(c)) => Box::new(move |cols, sel, out, _| {
+            let col = &cols[a];
+            for (o, &i) in out.iter_mut().zip(sel) {
+                *o = f(col[i as usize], c);
+            }
+        }),
+        (Leaf::Const(c), Leaf::Slot(b)) => Box::new(move |cols, sel, out, _| {
+            let col = &cols[b];
+            for (o, &i) in out.iter_mut().zip(sel) {
+                *o = f(c, col[i as usize]);
+            }
+        }),
+        (Leaf::Slot(a), Leaf::Slot(b)) => Box::new(move |cols, sel, out, _| {
+            let (ca, cb) = (&cols[a], &cols[b]);
+            for (o, &i) in out.iter_mut().zip(sel) {
+                *o = f(ca[i as usize], cb[i as usize]);
+            }
+        }),
+        (Leaf::Slot(a), _) => Box::new(move |cols, sel, out, scratch| {
+            rb(cols, sel, out, scratch);
+            let col = &cols[a];
+            for (o, &i) in out.iter_mut().zip(sel) {
+                *o = f(col[i as usize], *o);
+            }
+        }),
+        (_, Leaf::Slot(b)) => Box::new(move |cols, sel, out, scratch| {
+            lb(cols, sel, out, scratch);
+            let col = &cols[b];
+            for (o, &i) in out.iter_mut().zip(sel) {
+                *o = f(*o, col[i as usize]);
+            }
+        }),
+        (Leaf::Const(c), _) => Box::new(move |cols, sel, out, scratch| {
+            rb(cols, sel, out, scratch);
+            for o in out.iter_mut() {
+                *o = f(c, *o);
+            }
+        }),
+        (_, Leaf::Const(c)) => Box::new(move |cols, sel, out, scratch| {
+            lb(cols, sel, out, scratch);
+            for o in out.iter_mut() {
+                *o = f(*o, c);
+            }
+        }),
+        (Leaf::Tree, Leaf::Tree) => Box::new(move |cols, sel, out, scratch| {
+            lb(cols, sel, out, scratch);
+            let mut rv = scratch.take(out.len());
+            rb(cols, sel, &mut rv, scratch);
+            for (o, &y) in out.iter_mut().zip(&rv) {
+                *o = f(*o, y);
+            }
+            scratch.give(rv);
+        }),
+    };
+    Node {
+        row: Box::new(move |fr| f(lk(fr), rk(fr))),
+        batch,
+        leaf: Leaf::Tree,
+        ty,
+    }
+}
+
+/// `if c then t else f`. The row form runs one branch; the batch form runs
+/// both over the whole vector and picks per row — the same bits, because
+/// kernels are pure and total.
+fn choose(c: Node, t: Node, f: Node, ty: SlotType) -> Node {
+    let (ck, tk, fk) = (c.row, t.row, f.row);
+    let (cb, tb, fb) = (c.batch, t.batch, f.batch);
+    Node {
+        row: Box::new(move |fr| if ck(fr) != 0 { tk(fr) } else { fk(fr) }),
+        batch: Box::new(move |cols, sel, out, scratch| {
+            cb(cols, sel, out, scratch);
+            let mut tv = scratch.take(out.len());
+            tb(cols, sel, &mut tv, scratch);
+            let mut fv = scratch.take(out.len());
+            fb(cols, sel, &mut fv, scratch);
+            for ((o, &t), &f) in out.iter_mut().zip(&tv).zip(&fv) {
+                *o = if *o != 0 { t } else { f };
+            }
+            scratch.give(tv);
+            scratch.give(fv);
+        }),
+        leaf: Leaf::Tree,
+        ty,
+    }
+}
+
+/// Widen a node to produce float bits regardless of its numeric type.
+fn as_float(e: Node) -> Node {
+    match e.ty {
+        SlotType::Int => unary(e, SlotType::Float, |x| bits(x as f64)),
+        _ => e,
+    }
+}
+
+fn emit(expr: &Expr, layout: &FrameLayout, interner: &mut StringInterner) -> Result<Node> {
     match expr {
-        Expr::Const(Value::Int(i)) => {
-            let i = *i;
-            Ok((Box::new(move |_| i), SlotType::Int))
-        }
-        Expr::Const(Value::Float(x)) => {
-            let b = bits(*x);
-            Ok((Box::new(move |_| b), SlotType::Float))
-        }
-        Expr::Const(Value::Bool(b)) => {
-            let b = *b as i64;
-            Ok((Box::new(move |_| b), SlotType::Bool))
-        }
-        Expr::Const(Value::Str(s)) => {
-            let id = interner.intern(s);
-            Ok((Box::new(move |_| id), SlotType::Str))
-        }
+        Expr::Const(Value::Int(i)) => Ok(const_node(*i, SlotType::Int)),
+        Expr::Const(Value::Float(x)) => Ok(const_node(bits(*x), SlotType::Float)),
+        Expr::Const(Value::Bool(b)) => Ok(const_node(*b as i64, SlotType::Bool)),
+        Expr::Const(Value::Str(s)) => Ok(const_node(interner.intern(s), SlotType::Str)),
         Expr::Var(_) | Expr::Proj(..) => {
             let path =
                 path_of(expr).ok_or_else(|| VidaError::Codegen(format!("bad path {expr}")))?;
             let (slot, ty) = layout
                 .lookup(&path)
                 .ok_or_else(|| VidaError::Codegen(format!("path '{path}' not in frame layout")))?;
-            Ok((Box::new(move |f: &[i64]| f[slot]), ty))
+            Ok(slot_node(slot, ty))
         }
         Expr::BinOp(op, l, r) => {
-            let (lk, lt) = emit(l, layout, interner)?;
-            let (rk, rt) = emit(r, layout, interner)?;
-            emit_binop(*op, lk, lt, rk, rt)
+            let l = emit(l, layout, interner)?;
+            let r = emit(r, layout, interner)?;
+            emit_binop(*op, l, r)
         }
         Expr::UnOp(UnOp::Not, e) => {
-            let (k, _) = emit(e, layout, interner)?;
-            Ok((Box::new(move |f| k(f) ^ 1), SlotType::Bool))
+            let e = emit(e, layout, interner)?;
+            Ok(unary(e, SlotType::Bool, |x| x ^ 1))
         }
         Expr::UnOp(UnOp::Neg, e) => {
-            let (k, t) = emit(e, layout, interner)?;
-            Ok(match t {
-                SlotType::Float => (
-                    Box::new(move |f: &[i64]| bits(-fval(k(f)))) as Kern,
-                    SlotType::Float,
-                ),
-                _ => (Box::new(move |f| k(f).wrapping_neg()), SlotType::Int),
+            let e = emit(e, layout, interner)?;
+            Ok(match e.ty {
+                SlotType::Float => unary(e, SlotType::Float, |x| bits(-fval(x))),
+                _ => unary(e, SlotType::Int, i64::wrapping_neg),
             })
         }
         Expr::If(c, t, f) => {
-            let (ck, _) = emit(c, layout, interner)?;
-            let (tk, tt) = emit(t, layout, interner)?;
-            let (fk, ft) = emit(f, layout, interner)?;
+            let c = emit(c, layout, interner)?;
+            let t = emit(t, layout, interner)?;
+            let f = emit(f, layout, interner)?;
             // Unify numeric branches.
-            let (tk, fk, ty) = match (tt, ft) {
-                (a, b) if a == b => (tk, fk, a),
-                (SlotType::Int, SlotType::Float) => {
-                    (as_float(tk, SlotType::Int), fk, SlotType::Float)
+            match (t.ty, f.ty) {
+                (a, b) if a == b => Ok(choose(c, t, f, a)),
+                (SlotType::Int, SlotType::Float) | (SlotType::Float, SlotType::Int) => {
+                    Ok(choose(c, as_float(t), as_float(f), SlotType::Float))
                 }
-                (SlotType::Float, SlotType::Int) => {
-                    (tk, as_float(fk, SlotType::Int), SlotType::Float)
-                }
-                _ => {
-                    return Err(VidaError::Codegen(
-                        "if branches with incompatible slot types".into(),
-                    ))
-                }
-            };
-            Ok((
-                Box::new(move |f| if ck(f) != 0 { tk(f) } else { fk(f) }),
-                ty,
-            ))
+                _ => Err(VidaError::Codegen(
+                    "if branches with incompatible slot types".into(),
+                )),
+            }
         }
         other => Err(VidaError::Codegen(format!("not compilable: {other}"))),
     }
 }
 
-fn emit_binop(
-    op: BinOp,
-    lk: Kern,
-    lt: SlotType,
-    rk: Kern,
-    rt: SlotType,
-) -> Result<(Kern, SlotType)> {
-    let both_int = lt == SlotType::Int && rt == SlotType::Int;
+fn emit_binop(op: BinOp, l: Node, r: Node) -> Result<Node> {
+    let both_int = l.ty == SlotType::Int && r.ty == SlotType::Int;
     let numeric = |t: SlotType| matches!(t, SlotType::Int | SlotType::Float);
-    match op {
+    let float_domain = numeric(l.ty) && numeric(r.ty) && !both_int;
+    use SlotType::{Bool, Float, Int};
+    Ok(match op {
+        BinOp::Add | BinOp::Sub | BinOp::Mul if both_int => match op {
+            BinOp::Add => binary(l, r, Int, i64::wrapping_add),
+            BinOp::Sub => binary(l, r, Int, i64::wrapping_sub),
+            _ => binary(l, r, Int, i64::wrapping_mul),
+        },
         BinOp::Add | BinOp::Sub | BinOp::Mul => {
-            if both_int {
-                let k: Kern = match op {
-                    BinOp::Add => Box::new(move |f| lk(f).wrapping_add(rk(f))),
-                    BinOp::Sub => Box::new(move |f| lk(f).wrapping_sub(rk(f))),
-                    _ => Box::new(move |f| lk(f).wrapping_mul(rk(f))),
-                };
-                Ok((k, SlotType::Int))
-            } else {
-                let a = as_float(lk, lt);
-                let b = as_float(rk, rt);
-                let k: Kern = match op {
-                    BinOp::Add => Box::new(move |f| bits(fval(a(f)) + fval(b(f)))),
-                    BinOp::Sub => Box::new(move |f| bits(fval(a(f)) - fval(b(f)))),
-                    _ => Box::new(move |f| bits(fval(a(f)) * fval(b(f)))),
-                };
-                Ok((k, SlotType::Float))
+            let (l, r) = (as_float(l), as_float(r));
+            match op {
+                BinOp::Add => binary(l, r, Float, |x, y| bits(fval(x) + fval(y))),
+                BinOp::Sub => binary(l, r, Float, |x, y| bits(fval(x) - fval(y))),
+                _ => binary(l, r, Float, |x, y| bits(fval(x) * fval(y))),
             }
         }
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let k: Kern = if numeric(lt) && numeric(rt) && !both_int {
-                let a = as_float(lk, lt);
-                let b = as_float(rk, rt);
-                match op {
-                    BinOp::Eq => Box::new(move |f| (fval(a(f)) == fval(b(f))) as i64),
-                    BinOp::Ne => Box::new(move |f| (fval(a(f)) != fval(b(f))) as i64),
-                    BinOp::Lt => Box::new(move |f| (fval(a(f)) < fval(b(f))) as i64),
-                    BinOp::Le => Box::new(move |f| (fval(a(f)) <= fval(b(f))) as i64),
-                    BinOp::Gt => Box::new(move |f| (fval(a(f)) > fval(b(f))) as i64),
-                    _ => Box::new(move |f| (fval(a(f)) >= fval(b(f))) as i64),
-                }
-            } else {
-                // Ints, interned strings (eq/ne only), bools.
-                match op {
-                    BinOp::Eq => Box::new(move |f| (lk(f) == rk(f)) as i64),
-                    BinOp::Ne => Box::new(move |f| (lk(f) != rk(f)) as i64),
-                    BinOp::Lt => Box::new(move |f| (lk(f) < rk(f)) as i64),
-                    BinOp::Le => Box::new(move |f| (lk(f) <= rk(f)) as i64),
-                    BinOp::Gt => Box::new(move |f| (lk(f) > rk(f)) as i64),
-                    _ => Box::new(move |f| (lk(f) >= rk(f)) as i64),
-                }
-            };
-            Ok((k, SlotType::Bool))
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge if float_domain => {
+            let (l, r) = (as_float(l), as_float(r));
+            match op {
+                BinOp::Eq => binary(l, r, Bool, |x, y| (fval(x) == fval(y)) as i64),
+                BinOp::Ne => binary(l, r, Bool, |x, y| (fval(x) != fval(y)) as i64),
+                BinOp::Lt => binary(l, r, Bool, |x, y| (fval(x) < fval(y)) as i64),
+                BinOp::Le => binary(l, r, Bool, |x, y| (fval(x) <= fval(y)) as i64),
+                BinOp::Gt => binary(l, r, Bool, |x, y| (fval(x) > fval(y)) as i64),
+                _ => binary(l, r, Bool, |x, y| (fval(x) >= fval(y)) as i64),
+            }
         }
-        BinOp::And => Ok((Box::new(move |f| lk(f) & rk(f)), SlotType::Bool)),
-        BinOp::Or => Ok((Box::new(move |f| lk(f) | rk(f)), SlotType::Bool)),
-        BinOp::Div | BinOp::Mod => Err(VidaError::Codegen(
-            "division stays on the interpreted path".into(),
-        )),
-    }
+        // Ints, interned strings (eq/ne only), bools.
+        BinOp::Eq => binary(l, r, Bool, |x, y| (x == y) as i64),
+        BinOp::Ne => binary(l, r, Bool, |x, y| (x != y) as i64),
+        BinOp::Lt => binary(l, r, Bool, |x, y| (x < y) as i64),
+        BinOp::Le => binary(l, r, Bool, |x, y| (x <= y) as i64),
+        BinOp::Gt => binary(l, r, Bool, |x, y| (x > y) as i64),
+        BinOp::Ge => binary(l, r, Bool, |x, y| (x >= y) as i64),
+        BinOp::And => binary(l, r, Bool, |x, y| x & y),
+        BinOp::Or => binary(l, r, Bool, |x, y| x | y),
+        BinOp::Div | BinOp::Mod => {
+            return Err(VidaError::Codegen(
+                "division stays on the interpreted path".into(),
+            ))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -663,15 +868,18 @@ mod tests {
         // Evaluation order follows the permutation (observable via the ids
         // reported as each predicate runs), and the short-circuit stops the
         // report at the first rejecting predicate...
-        let ran = |stage: &SelectKernel, frame: &[i64]| {
-            let mut ids = Vec::new();
-            let admitted = stage.admit_reporting(frame, |id| ids.push(id));
-            assert_eq!(admitted, stage.admit(frame));
+        let ran = |stage: &SelectKernel, frame: [i64; 2]| {
+            let (cols, mut sel, mut ids) = (frame.map(|v| vec![v]), vec![0], Vec::new());
+            stage.refine(&cols, &mut sel, &mut BatchScratch::default(), |id, n| {
+                assert_eq!(n, 1);
+                ids.push(id)
+            });
+            assert_eq!(sel.len() == 1, stage.admit(&frame));
             ids
         };
-        assert_eq!(ran(&reordered, &[5, 3]), vec![2, 0, 1]);
-        assert_eq!(ran(&reordered, &[1, 3]), vec![2, 0]);
-        assert_eq!(ran(&syntactic, &[1, 3]), vec![0]);
+        assert_eq!(ran(&reordered, [5, 3]), vec![2, 0, 1]);
+        assert_eq!(ran(&reordered, [1, 3]), vec![2, 0]);
+        assert_eq!(ran(&syntactic, [1, 3]), vec![0]);
         // ...but admission is identical on every frame: the kernels are
         // pure and total, so only the short-circuit point moves.
         for x in -2..12 {
@@ -686,6 +894,212 @@ mod tests {
         // Identity permutation is a no-op.
         let same = SelectKernel::with_order(vec![compile("x > 2", &mut interner)], &[0]);
         assert!(same.admit(&[3, 0]) && !same.admit(&[2, 0]));
+    }
+
+    /// Slot columns over every slot type, with the values where the two
+    /// kernel forms could part: the `i64` edges (wrapping), NaN, ±0.0 and
+    /// ±inf, and interned strings. Row `r` is frame `cols[..][r]`.
+    fn edge_columns(interner: &mut StringInterner) -> (FrameLayout, Vec<Vec<i64>>) {
+        let mut layout = FrameLayout::new();
+        for (p, t) in [
+            ("i", SlotType::Int),
+            ("j", SlotType::Int),
+            ("f", SlotType::Float),
+            ("g", SlotType::Float),
+            ("b", SlotType::Bool),
+            ("c", SlotType::Bool),
+            ("s", SlotType::Str),
+            ("t", SlotType::Str),
+        ] {
+            layout.slot(p, t);
+        }
+        let ints = [i64::MAX, i64::MIN, -1, 0, 1, 7, i64::MAX - 1, -(1 << 40)];
+        let floats = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            7.0,
+            1e300,
+        ]
+        .map(bits);
+        let strs = ["a", "b", "c"].map(|s| interner.intern(s));
+        const ROWS: usize = 97;
+        // Co-prime strides walk every pairing of the small value sets.
+        let col = |vals: &[i64], stride: usize| {
+            (0..ROWS)
+                .map(|r| vals[(r * stride + r / vals.len()) % vals.len()])
+                .collect::<Vec<_>>()
+        };
+        let cols = vec![
+            col(&ints, 1),
+            col(&ints, 3),
+            col(&floats, 1),
+            col(&floats, 2),
+            col(&[0, 1], 1),
+            col(&[0, 1], 3),
+            col(&strs, 1),
+            col(&strs, 2),
+        ];
+        (layout, cols)
+    }
+
+    /// Empty, full, and sparse non-contiguous selection vectors over
+    /// `rows` rows.
+    fn selections(rows: usize) -> Vec<Vec<u32>> {
+        let sparse = (0..rows as u32)
+            .filter(|r| r % 7 == 1 || r % 11 == 4)
+            .collect();
+        vec![
+            Vec::new(),
+            (0..rows as u32).collect(),
+            sparse,
+            vec![rows as u32 - 1],
+        ]
+    }
+
+    fn frame_of(cols: &[Vec<i64>], row: u32) -> Vec<i64> {
+        cols.iter().map(|c| c[row as usize]).collect()
+    }
+
+    #[test]
+    fn batch_and_row_kernels_agree_bit_for_bit() {
+        let mut interner = StringInterner::new();
+        let (layout, cols) = edge_columns(&mut interner);
+        let exprs = [
+            // Leaves of every slot type.
+            "i",
+            "f",
+            "b",
+            "s",
+            "42",
+            "0.5",
+            // Integer arithmetic at the edges (wrapping), slot ⊙ const and
+            // slot ⊙ slot, const ⊙ slot, and trees on either side.
+            "i + j",
+            "i - j",
+            "i * j",
+            "i + 1",
+            "1 - i",
+            "i * 3 - j",
+            "3 * (i + j)",
+            "(i + j) * (i - j)",
+            "-i",
+            "-(i - j)",
+            "-(-(1))",
+            // Mixed-type widening and float arithmetic.
+            "f + g",
+            "f * i",
+            "i - f",
+            "2 * f",
+            "f - 0.5",
+            "i + 0.5",
+            "-f",
+            "-(f * g)",
+            "(i + 1) * f",
+            "f * (j - 2)",
+            // Comparisons: ints, floats (NaN, ±0.0), mixed, bools, strings.
+            "i < j",
+            "i <= 7",
+            "7 > i",
+            "i = j",
+            "i != 3",
+            "i >= j + 1",
+            "j + 1 > i",
+            "f < g",
+            "f = g",
+            "f != g",
+            "f >= 0.0",
+            "0.0 = f",
+            "i < f",
+            "f > i",
+            "i = f",
+            "1.5 <= f",
+            "(f + g) < (f * g)",
+            "b = c",
+            "b != true",
+            "s = t",
+            "s = \"a\"",
+            "\"b\" != s",
+            "s != \"zz\"",
+            // Connectives and negation.
+            "b and c",
+            "b or i < j",
+            "not b",
+            "not (f < g) and c",
+            "(i > 0) = b",
+            "not (s = t) or (b and not c)",
+            // `if` with same-type and mixed branches.
+            "if b then i else j",
+            "if i > j then f else 1",
+            "if c then 2 else f * 2.0",
+            "if not b then s else t",
+            "if f = g then b else not c",
+            "if i < 0 then -i else i * 2",
+        ];
+        let mut scratch = BatchScratch::default();
+        let mut out = Vec::new();
+        for src in exprs {
+            let expr = parse(src).unwrap();
+            let kernel = JitCompiler::new()
+                .unwrap()
+                .compile(&expr, &layout, &mut interner)
+                .unwrap_or_else(|e| panic!("{src}: {e}"));
+            for sel in selections(cols[0].len()) {
+                kernel.call_batch(&cols, &sel, &mut out, &mut scratch);
+                assert_eq!(out.len(), sel.len(), "{src}");
+                for (&bits, &row) in out.iter().zip(&sel) {
+                    let want = kernel.call(&frame_of(&cols, row));
+                    assert_eq!(bits, want, "{src} at row {row}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refine_credits_what_a_short_circuit_conjunction_runs() {
+        let mut interner = StringInterner::new();
+        let (layout, cols) = edge_columns(&mut interner);
+        let preds: Vec<CompiledKernel> = ["i > 0", "f < g", "s != t", "b or c", "i + j < 5"]
+            .iter()
+            .enumerate()
+            .map(|(id, src)| {
+                JitCompiler::new()
+                    .unwrap()
+                    .compile(&parse(src).unwrap(), &layout, &mut interner)
+                    .unwrap()
+                    .with_id(id as u32)
+            })
+            .collect();
+        let mut scratch = BatchScratch::default();
+        for order in [[0, 1, 2, 3, 4], [3, 4, 1, 0, 2], [2, 0, 4, 3, 1]] {
+            let stage = SelectKernel::with_order(preds.clone(), &order);
+            for sel in selections(cols[0].len()) {
+                // What a frame-at-a-time short-circuit conjunction runs.
+                let mut want_hits = [0u64; 5];
+                let mut want_rows = Vec::new();
+                for &row in &sel {
+                    let frame = frame_of(&cols, row);
+                    let kept = stage.preds.iter().all(|k| {
+                        want_hits[k.id() as usize] += 1;
+                        k.call_bool(&frame)
+                    });
+                    if kept {
+                        want_rows.push(row);
+                    }
+                }
+                let mut hits = [0u64; 5];
+                let mut rows = sel.clone();
+                stage.refine(&cols, &mut rows, &mut scratch, |id, n| {
+                    hits[id as usize] += n
+                });
+                assert_eq!(rows, want_rows, "order {order:?}");
+                assert_eq!(hits, want_hits, "order {order:?}");
+            }
+        }
     }
 
     #[test]

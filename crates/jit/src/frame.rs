@@ -55,6 +55,46 @@ impl SlotType {
             _ => None,
         }
     }
+
+    /// [`SlotType::encode`] over a run of cells: `out[i]` gets the bits of
+    /// `cells[i]`, and `valid[i]` is cleared where the cell cannot encode
+    /// (its `out[i]` is then unspecified). `Str` cells intern through
+    /// `interner` under one read guard for the whole run, taking the write
+    /// lock only for a string the dictionary has not seen.
+    pub fn encode_cells(
+        self,
+        cells: &[Value],
+        interner: &SharedInterner,
+        out: &mut [i64],
+        valid: &mut [bool],
+    ) {
+        let cells = cells.iter().zip(out).zip(valid);
+        if self != SlotType::Str {
+            for ((v, o), ok) in cells {
+                match self.encode(v, |_| unreachable!("only `Str` slots intern")) {
+                    Some(bits) => *o = bits,
+                    None => *ok = false,
+                }
+            }
+            return;
+        }
+        let mut dict = interner.inner.read();
+        for ((v, o), ok) in cells {
+            let Value::Str(s) = v else {
+                *ok = false;
+                continue;
+            };
+            *o = match dict.lookup(s) {
+                Some(id) => id,
+                None => {
+                    drop(dict);
+                    let id = interner.inner.write().intern(s);
+                    dict = interner.inner.read();
+                    id
+                }
+            };
+        }
+    }
 }
 
 /// Maps scalar paths to slot indexes.
@@ -362,6 +402,44 @@ mod tests {
         shared.with_mut(|si| {
             assert_eq!(si.lookup("s7"), Some(ids[0][7]));
         });
+    }
+
+    #[test]
+    fn encode_cells_matches_encode_per_cell() {
+        let shared = SharedInterner::new();
+        let seen = shared.intern("seen");
+        let cells = [
+            Value::str("seen"),
+            Value::Null,
+            Value::str("new"),
+            Value::Int(3),
+            Value::str("new"),
+        ];
+        let mut out = [0i64; 5];
+        let mut valid = [true; 5];
+        SlotType::Str.encode_cells(&cells, &shared, &mut out, &mut valid);
+        assert_eq!(valid, [true, false, true, false, true]);
+        assert_eq!(out[0], seen);
+        assert_eq!(
+            (out[2], out[4]),
+            (shared.intern("new"), shared.intern("new"))
+        );
+        assert_eq!(shared.len(), 2);
+        let cells = [
+            Value::Int(7),
+            Value::Float(0.5),
+            Value::Null,
+            Value::Int(-2),
+        ];
+        for ty in [SlotType::Int, SlotType::Float, SlotType::Bool] {
+            let (mut out, mut valid) = ([0i64; 4], [true; 4]);
+            ty.encode_cells(&cells, &shared, &mut out, &mut valid);
+            for (i, v) in cells.iter().enumerate() {
+                let one = ty.encode(v, |_| unreachable!());
+                assert_eq!(one.is_some(), valid[i], "{ty:?} {v}");
+                assert_eq!(one.unwrap_or(out[i]), out[i], "{ty:?} {v}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! [`frame::FrameLayout`] of the attributes a query actually touches. The
 //! generated code contains no type tags, no branches on layout, no hash
 //! lookups: exactly the "stripped from general-purpose checks" property §4.1
-//! describes. Operator *fusion* (pipelining data in registers across
+//! describes. Each kernel also has a batch form over a selection vector of
+//! slot columns ([`CompiledKernel::call_batch`], [`SelectKernel::refine`])
+//! that pays its closure calls per vector instead of per row. Operator *fusion* (pipelining data in registers across
 //! operators) happens one level up, in `vida-exec`, which chains these
 //! kernels into per-query pipelines.
 //!
@@ -26,5 +28,5 @@
 pub mod compile;
 pub mod frame;
 
-pub use compile::{CompiledKernel, JitCompiler, KernelOutput, SelectKernel};
+pub use compile::{BatchScratch, CompiledKernel, JitCompiler, KernelOutput, SelectKernel};
 pub use frame::{FrameBuilder, FrameLayout, SharedInterner, SlotType, StringInterner};

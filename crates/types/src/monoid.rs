@@ -169,9 +169,87 @@ impl PrimitiveMonoid {
         }
     }
 
-    /// One fold step `acc ← acc ⊕ U⊕(x)`, in place.
-    #[inline]
+    /// One fold step `acc ← acc ⊕ U⊕(x)`, in place. The unboxed cases
+    /// update the accumulator directly; every other case — promotion,
+    /// overflow, type errors, boxed values — falls through to
+    /// [`PrimitiveMonoid::merge`], so both routes give the same result.
+    #[inline(always)]
     pub fn step(self, acc: &mut Partial, x: Partial) -> Result<()> {
+        match self.step_in_place(acc, &x) {
+            true => Ok(()),
+            false => self.step_by_merge(acc, x),
+        }
+    }
+
+    /// The unboxed arms of [`PrimitiveMonoid::step`]: `false` (accumulator
+    /// untouched) for every case they do not cover.
+    #[inline(always)]
+    fn step_in_place(self, acc: &mut Partial, x: &Partial) -> bool {
+        use PrimitiveMonoid::*;
+        match (self, acc, x) {
+            (Sum, Partial::Int(a), Partial::Int(b)) => checked_in_place(a, a.checked_add(*b)),
+            (Sum, Partial::Float(a), Partial::Float(b)) => {
+                *a += b;
+                true
+            }
+            (Sum, Partial::Float(a), Partial::Int(b)) => {
+                *a += *b as f64;
+                true
+            }
+            (Prod, Partial::Int(a), Partial::Int(b)) => checked_in_place(a, a.checked_mul(*b)),
+            (Prod, Partial::Float(a), Partial::Float(b)) => {
+                *a *= b;
+                true
+            }
+            (Prod, Partial::Float(a), Partial::Int(b)) => {
+                *a *= *b as f64;
+                true
+            }
+            (Count, Partial::Int(a), _) => checked_in_place(a, a.checked_add(1)),
+            (Avg, Partial::Avg(s, c), Partial::Int(b)) => {
+                *s += *b as f64;
+                *c += 1;
+                true
+            }
+            (Avg, Partial::Avg(s, c), Partial::Float(b)) => {
+                *s += b;
+                *c += 1;
+                true
+            }
+            (Max, Partial::Int(a), Partial::Int(b)) => {
+                *a = (*a).max(*b);
+                true
+            }
+            (Min, Partial::Int(a), Partial::Int(b)) => {
+                *a = (*a).min(*b);
+                true
+            }
+            (Max, Partial::Float(a), Partial::Float(b)) => {
+                if a.total_cmp(b) == Ordering::Less {
+                    *a = *b;
+                }
+                true
+            }
+            (Min, Partial::Float(a), Partial::Float(b)) => {
+                if a.total_cmp(b) == Ordering::Greater {
+                    *a = *b;
+                }
+                true
+            }
+            (All, Partial::Bool(a), Partial::Bool(b)) => {
+                *a &= b;
+                true
+            }
+            (Any, Partial::Bool(a), Partial::Bool(b)) => {
+                *a |= b;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    #[inline(never)]
+    fn step_by_merge(self, acc: &mut Partial, x: Partial) -> Result<()> {
         *acc = self.merge(std::mem::take(acc), self.unit(x))?;
         Ok(())
     }
@@ -369,6 +447,19 @@ impl Monoid {
 impl fmt::Display for Monoid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())
+    }
+}
+
+/// Store a checked result in place; `false` (accumulator untouched) on
+/// overflow, which the caller leaves to `merge` to report.
+#[inline]
+fn checked_in_place(acc: &mut i64, result: Option<i64>) -> bool {
+    match result {
+        Some(v) => {
+            *acc = v;
+            true
+        }
+        None => false,
     }
 }
 
@@ -615,6 +706,30 @@ mod tests {
             vec![Value::Bool(true), Value::Bool(false)],
             vec![Value::Null, Value::Int(4)],
             vec![Value::str("b"), Value::str("a")],
+            // The in-place arms: long unboxed runs, the `i64` edges, NaN
+            // and ±0.0 under max/min, and int↔float promotion mid-run.
+            vec![Value::Int(i64::MIN), Value::Int(-1)],
+            vec![Value::Int(i64::MAX / 2), Value::Int(3), Value::Int(-7)],
+            vec![Value::Int(-3), Value::Int(9), Value::Int(9), Value::Int(-3)],
+            vec![
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(f64::NAN),
+            ],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(-0.0),
+                Value::Float(0.0),
+            ],
+            vec![
+                Value::Float(0.1),
+                Value::Float(0.2),
+                Value::Int(3),
+                Value::Float(0.3),
+            ],
+            vec![Value::Float(2.5), Value::Int(i64::MAX), Value::Int(-4)],
+            vec![Value::Bool(false), Value::Bool(true), Value::Bool(false)],
+            vec![Value::Int(1), Value::Bool(true)],
         ];
         for m in all_monoids() {
             let Monoid::Primitive(p) = m else { continue };
