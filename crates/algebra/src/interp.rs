@@ -60,7 +60,7 @@ pub fn interpret(plan: &Plan, source: &dyn Source, env: &Bindings) -> Result<Val
     let mut acc = monoid.zero();
     push_rows(input, source, env, &mut |row| {
         let v = eval(head, row)?;
-        acc = monoid.merge(std::mem::replace(&mut acc, Value::Null), monoid.unit(v))?;
+        acc = monoid.merge(std::mem::replace(&mut acc, Value::Null), monoid.unit(v)?)?;
         Ok(())
     })?;
     monoid.finalize(acc)

@@ -389,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_reshapes_wide_text_column_to_positions() {
+    fn cost_model_reshapes_wide_nested_column_to_binary_json() {
         use vida_optimizer::CostModel;
 
         // Under byte pressure the model re-shapes the fat nested column to

@@ -26,10 +26,10 @@ use vida_types::{CollectionKind, Monoid, Partial, PrimitiveMonoid, Result, Value
 // 2. Per-morsel partials merge — and collection chunks concatenate — in
 //    morsel order (`WorkerPool::fold_morsels`), so element order is the
 //    scan order and float folds associate the same way everywhere.
-// 3. The radix-partitioned build assigns partitions by key bits alone
-//    (partition count is a function of the build size, not the worker
-//    count), and CSR buckets list build rows in ascending order, so every
-//    probe sees the same candidate set in the same order.
+// 3. Hash joins preserve candidate order: the build rows are the right
+//    scan's order (invariant 2), and the one CSR table is laid out
+//    serially in that order, so every bucket lists its rows ascending and
+//    every probe sees the same candidate set in the same order.
 
 impl Pipeline {
     pub(super) fn execute(self, stats: &mut ExecStats) -> Result<Value> {
@@ -503,10 +503,9 @@ impl Pipeline {
     /// Materialize the build side of every join in the tree, bottom-up: the
     /// build of source `right` lands at `right - 1`. These are the pipeline
     /// breakers of push execution: each right side scans into flat build
-    /// rows once, morsel by morsel, then lays out radix-partitioned CSR
-    /// buckets or sorts into a band index. Partition counts and bucket
-    /// order depend only on the data, so every thread count probes
-    /// identical candidate sets.
+    /// rows once, morsel by morsel, then lays out one CSR bucket table or
+    /// sorts into a band index on the coordinator. Bucket order is build
+    /// order, so every thread count probes identical candidate sets.
     fn prepare_builds<'p>(
         &'p self,
         node: &Node,
@@ -527,10 +526,7 @@ impl Pipeline {
                 self.prepare_builds(left, stats, builds)?;
                 let key = Some((right_key, *right_key_ty, *float_keys));
                 let rows = self.build_rows(*right, key, stats)?;
-                (
-                    right,
-                    JoinBuild::hash(rows, &self.pool, self.morsel_rows, stats)?,
-                )
+                (right, JoinBuild::hash(rows))
             }
             Node::ThetaJoin {
                 left, right, band, ..

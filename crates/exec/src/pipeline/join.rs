@@ -1,14 +1,11 @@
 //! Join build sides — the pipeline breakers: the right side's flat slot
-//! matrix, radix-partitioned CSR hash buckets, the sorted band index, and
+//! matrix, the CSR hash buckets, the sorted band index, and
 //! candidate selection for probes.
 
 use super::{Band, Tuple};
-use crate::stats::ExecStats;
 use std::collections::HashMap;
 use vida_jit::{CompiledKernel, SlotType};
 use vida_lang::BinOp;
-use vida_parallel::{partition_of, radix, MorselPlan, WorkerPool};
-use vida_types::{Result, VidaError};
 
 /// The scanned right side of one join, flat: the right source `src`'s
 /// frame slots `rslots` as one row-major matrix, a validity bitmap, each
@@ -79,12 +76,10 @@ impl<'p> BuildRows<'p> {
 /// shared (read-only) by every probe morsel.
 pub(super) struct JoinBuild<'p> {
     rows: BuildRows<'p>,
-    /// Hash strategy: one CSR bucket table per radix partition
-    /// (`partition_count` depends only on the build size, so the build is
-    /// the same at every worker count) plus the invalid-frame stragglers
-    /// every probe checks through the interpreter, in build order.
-    tables: Vec<Buckets>,
-    partitions: usize,
+    /// Hash strategy: one CSR bucket table over the valid rows plus the
+    /// invalid-frame stragglers every probe checks through the
+    /// interpreter, in build order.
+    table: Buckets,
     loose: Vec<u32>,
     /// Band strategy: the sorted key index.
     pub(super) index: Option<BandIndex>,
@@ -93,8 +88,8 @@ pub(super) struct JoinBuild<'p> {
     all: Vec<u32>,
 }
 
-/// One radix partition's hash buckets in CSR form: bucket `ids[key]` holds
-/// the build rows `items[offsets[b]..offsets[b + 1]]`, ascending.
+/// Hash buckets in CSR form: bucket `b = ids[key]` holds the build rows
+/// `items[offsets[b]..offsets[b + 1]]`, ascending.
 #[derive(Default)]
 struct Buckets {
     ids: HashMap<i64, u32>,
@@ -103,85 +98,50 @@ struct Buckets {
 }
 
 impl<'p> JoinBuild<'p> {
-    /// Hash-join build, as two counting sorts: each morsel of build rows
-    /// sorts its valid rows by radix partition, then one pool morsel per
-    /// partition lays out its buckets as CSR — count, prefix-sum, scatter —
-    /// visiting the morsels in order, so every bucket lists its rows in
-    /// ascending build order (the right scan's order) and no bucket owns a
-    /// `Vec`.
-    pub(super) fn hash(
-        mut rows: BuildRows<'p>,
-        pool: &WorkerPool,
-        morsel_rows: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Self> {
-        let keys = std::mem::take(&mut rows.keys);
-        let partitions = radix::partition_count(rows.len());
-        let part = |i: usize| partition_of(keys[i], partitions);
-        let rplan = MorselPlan::fixed(rows.len(), morsel_rows);
-        stats.morsels += rplan.len() as u64;
-        // `order[split[p]..split[p + 1]]`: the morsel's rows of partition p.
-        let pre = pool.run_morsels(
-            rplan.len(),
-            |_| (),
-            |_, m| {
-                let valid = || rplan.range(m).filter(|&i| rows.is_valid(i));
-                let mut split = vec![0u32; partitions + 1];
-                valid().for_each(|i| split[part(i) + 1] += 1);
-                (0..partitions).for_each(|p| split[p + 1] += split[p]);
-                let (mut at, mut order) = (split.clone(), vec![0; split[partitions] as usize]);
-                for i in valid() {
-                    let p = part(i);
-                    order[at[p] as usize] = i as u32;
-                    at[p] += 1;
-                }
-                let loose = rplan.range(m).filter(|&i| !rows.is_valid(i));
-                Ok::<_, VidaError>((split, order, loose.map(|i| i as u32).collect::<Vec<_>>()))
+    /// Hash-join build, as one counting sort on the coordinator: count
+    /// each key's valid rows, prefix-sum the counts into CSR offsets, then
+    /// scatter the rows — both passes in build order, so every bucket
+    /// lists its rows ascending (the right scan's order) and no bucket
+    /// owns a `Vec`. Invalid rows go to `loose`, also in build order.
+    pub(super) fn hash(mut rows: BuildRows<'p>) -> Self {
+        // The count pass overwrites each valid row's key with its bucket
+        // id, so the scatter pass probes no map.
+        let mut keys = std::mem::take(&mut rows.keys);
+        let mut ids = HashMap::with_capacity(rows.len());
+        let (mut counts, mut loose) = (Vec::<u32>::new(), Vec::new());
+        for (i, key) in keys.iter_mut().enumerate() {
+            if !rows.is_valid(i) {
+                loose.push(i as u32);
+                continue;
+            }
+            let id = *ids.entry(*key).or_insert(counts.len() as u32);
+            match counts.get_mut(id as usize) {
+                Some(c) => *c += 1,
+                None => counts.push(1),
+            }
+            *key = id as i64;
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        offsets.push(0);
+        for c in counts {
+            offsets.push(offsets[offsets.len() - 1] + c);
+        }
+        let mut cursor = offsets.clone();
+        let mut items = vec![0; rows.len() - loose.len()];
+        for (i, &id) in keys.iter().enumerate().filter(|&(i, _)| rows.is_valid(i)) {
+            let at = &mut cursor[id as usize];
+            items[*at as usize] = i as u32;
+            *at += 1;
+        }
+        JoinBuild {
+            table: Buckets {
+                ids,
+                offsets,
+                items,
             },
-        )?;
-        let tables = pool.run_morsels(
-            partitions,
-            |_| (),
-            |_, p| {
-                let visit = || {
-                    let runs = pre
-                        .iter()
-                        .map(|(s, o, _)| &o[s[p] as usize..s[p + 1] as usize]);
-                    runs.flatten().copied()
-                };
-                let mut b = Buckets::default();
-                let n = pre.iter().map(|(s, ..)| s[p + 1] - s[p]).sum::<u32>() as usize;
-                let mut counts: Vec<u32> = Vec::with_capacity(n);
-                b.ids.reserve(n);
-                for i in visit() {
-                    let id = *b.ids.entry(keys[i as usize]).or_insert(counts.len() as u32);
-                    match counts.get_mut(id as usize) {
-                        Some(c) => *c += 1,
-                        None => counts.push(1),
-                    }
-                }
-                b.offsets = Vec::with_capacity(counts.len() + 1);
-                b.offsets.push(0);
-                for c in counts {
-                    b.offsets.push(b.offsets[b.offsets.len() - 1] + c);
-                }
-                let mut cursor = b.offsets.clone();
-                b.items = vec![0; n];
-                for i in visit() {
-                    let at = &mut cursor[b.ids[&keys[i as usize]] as usize];
-                    b.items[*at as usize] = i;
-                    *at += 1;
-                }
-                Ok::<_, VidaError>(b)
-            },
-        )?;
-        let loose = pre.iter().flat_map(|(.., l)| l.iter().copied()).collect();
-        Ok(JoinBuild {
-            tables,
-            partitions,
             loose,
             ..JoinBuild::over(rows)
-        })
+        }
     }
 
     /// Theta-join build: the rows plus (for band joins) the sorted key index.
@@ -199,8 +159,7 @@ impl<'p> JoinBuild<'p> {
         JoinBuild {
             all: (0..rows.len() as u32).collect(),
             rows,
-            tables: Vec::new(),
-            partitions: 0,
+            table: Buckets::default(),
             loose: Vec::new(),
             index: None,
         }
@@ -237,7 +196,7 @@ impl<'p> JoinBuild<'p> {
             return &self.all;
         }
         let k = encode_key(left_key.call(&lt.frame), left_key_ty, float_keys);
-        let t = &self.tables[partition_of(k, self.partitions)];
+        let t = &self.table;
         let bucket = match t.ids.get(&k) {
             Some(&b) => {
                 &t.items[t.offsets[b as usize] as usize..t.offsets[b as usize + 1] as usize]

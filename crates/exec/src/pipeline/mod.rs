@@ -75,9 +75,10 @@
 //! sorted band index — which materialize once per join before the loop
 //! starts; `ExecStats::fused_stage_depth` reports the fused chain length.
 //!
-//! One **morsel driver** (`vida-parallel`) runs every phase at every
+//! One **morsel driver** (`vida-parallel`) runs every scan at every
 //! worker count: raw scans split into aligned byte ranges, replica decodes
-//! and join builds (radix-partitioned) into unit morsels, and the leftmost
+//! and build-side scans into unit morsels (the join's bucket table or band
+//! index is then laid out serially), and the leftmost
 //! scan's rows into morsels that each drive through the whole stage chain
 //! into a private partial fold; partials merge in morsel order. Morsel
 //! boundaries depend only on the data — never the worker count — so every

@@ -688,3 +688,34 @@ fn integer_overflow_is_an_exec_error_everywhere() {
         }
     }
 }
+
+#[test]
+fn avg_over_a_null_row_is_sums_error_everywhere() {
+    // A null element is not a number: `avg` fails the way `sum` does
+    // instead of counting the null as a zero.
+    let cat = MemoryCatalog::new();
+    let rows = [Value::Null, Value::Int(4)].map(|x| Value::record([("x", x)]));
+    cat.register_records("N", Schema::from_pairs([("x", Type::Int)]), &rows)
+        .unwrap();
+    let cat = Arc::new(cat);
+    for (q, want) in [
+        ("for { n <- N } yield avg n.x", "avg: non-numeric null"),
+        ("for { n <- N } yield sum n.x", "sum: non-numeric null"),
+    ] {
+        let plan = rewrite(&lower(&parse(q).unwrap()).expect("lowers"));
+        let mut results = vec![("volcano".to_string(), run_volcano(&plan, &*cat))];
+        for threads in [1usize, 2, 8] {
+            let opts = JitOptions {
+                threads,
+                ..Default::default()
+            };
+            let engine = vida_exec::Engine::new(cat.clone(), opts);
+            results.push((format!("engine x{threads}"), engine.execute(&plan)));
+        }
+        for (engine, result) in results {
+            let err = result.expect_err(&format!("{engine} {q}: a null row must error"));
+            assert_eq!(err.kind(), "exec", "{engine} {q}: {err}");
+            assert!(err.to_string().contains(want), "{engine} {q}: {err}");
+        }
+    }
+}

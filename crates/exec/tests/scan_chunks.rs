@@ -97,7 +97,7 @@ fn nulls_across_chunk_and_morsel_edges_match_the_interpreter() {
     let queries = [
         "for { t <- T } yield list t.x",
         "for { t <- T, t.x > 5 } yield sum t.f",
-        "for { t <- T } yield avg t.x",
+        "for { t <- T, t.x > 5 } yield avg t.x",
         "for { t <- T } yield any t.x > 98",
         "for { t <- T, t.s = \"b\", t.x > 5 } yield count t",
         "for { t <- T, t.x > 5, t.s != \"c\" } yield max t.y",

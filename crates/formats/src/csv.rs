@@ -833,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn escaped_field_spans_round_trip_through_span_parse() {
+    fn escaped_field_spans_cover_the_quoted_text_and_read_unescaped() {
         // Positional-map spans of escaped fields must cover the full quoted
         // text (escapes included), and the read through them yields the
         // unescaped value.

@@ -110,7 +110,7 @@ pub fn eval(expr: &Expr, env: &Bindings) -> Result<Value> {
         Expr::Zero(m) => Ok(m.zero()),
         Expr::Singleton(m, e) => {
             let v = eval(e, env)?;
-            Ok(m.unit(v))
+            m.unit(v)
         }
         Expr::Merge(m, l, r) => {
             let lv = eval(l, env)?;
@@ -148,7 +148,7 @@ fn eval_qualifiers(
 ) -> Result<()> {
     if idx == qualifiers.len() {
         let v = eval(head, env)?;
-        let merged = monoid.merge(std::mem::replace(acc, Value::Null), monoid.unit(v))?;
+        let merged = monoid.merge(std::mem::replace(acc, Value::Null), monoid.unit(v)?)?;
         *acc = merged;
         return Ok(());
     }

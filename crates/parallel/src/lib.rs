@@ -22,7 +22,6 @@
 //! - [`dispatcher`]: aligned splitting of raw inputs — newline-aligned CSV
 //!   byte ranges and record-aligned JSON spans — via the byte-span hooks on
 //!   [`vida_formats::InputPlugin`].
-//! - [`radix`]: hash partitioning for parallel hash-join build and probe.
 //!
 //! Folding partial results uses [`vida_types::Monoid::merge_partials`]: the
 //! per-morsel accumulators merge in morsel order, so non-commutative
@@ -34,9 +33,7 @@
 pub mod dispatcher;
 pub mod morsel;
 pub mod pool;
-pub mod radix;
 
 pub use dispatcher::{plan_scan, plan_scan_tail};
 pub use morsel::MorselPlan;
 pub use pool::WorkerPool;
-pub use radix::{partition_count, partition_of};

@@ -9,10 +9,10 @@
 //! the NUMA placement `std` cannot express.
 //!
 //! A [`WorkerPool`] starts its workers once and parks them between runs;
-//! each `run_morsels` call *attaches* a run to the shared pool and
-//! *detaches* when its morsels drain. Workers rotate round-robin across
-//! every attached run, claiming one morsel at a time, so concurrent queries
-//! time-slice the same workers at morsel granularity instead of
+//! each [`WorkerPool::fold_morsels`] call *attaches* a run to the shared
+//! pool and *detaches* when its morsels drain. Workers rotate round-robin
+//! across every attached run, claiming one morsel at a time, so concurrent
+//! queries time-slice the same workers at morsel granularity instead of
 //! oversubscribing the machine with per-query threads. A 1-worker pool
 //! starts no thread and runs every grid inline on the caller.
 //!
@@ -79,6 +79,11 @@ impl WorkerPool {
     /// payload. A one-worker run executes inline on the caller with zero
     /// synchronization; a multi-worker run always attaches to the pool so
     /// concurrent callers share the workers fairly.
+    ///
+    /// [`WorkerPool::fold_morsels`] is the pool's entry; this collecting
+    /// form stays public only because the benchmark package's pool probes
+    /// (`parallel.morsel_claim_ns`, `parallel.attach_run_us`) call it.
+    #[doc(hidden)]
     pub fn run_morsels<S, R, E, I, W>(
         &self,
         morsels: usize,

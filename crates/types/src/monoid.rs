@@ -128,13 +128,17 @@ impl PrimitiveMonoid {
         }
     }
 
-    /// The unit function `U⊕(x)` over unboxed elements.
-    pub fn unit(self, x: Partial) -> Partial {
-        match self {
+    /// The unit function `U⊕(x)` over unboxed elements. An `avg` element
+    /// must be a number: a null or non-numeric one fails as under `sum`.
+    pub fn unit(self, x: Partial) -> Result<Partial> {
+        Ok(match self {
             PrimitiveMonoid::Count => Partial::Int(1),
-            PrimitiveMonoid::Avg => Partial::Avg(x.as_f64().unwrap_or(0.0), 1),
+            PrimitiveMonoid::Avg => match x.as_f64() {
+                Some(f) => Partial::Avg(f, 1),
+                None => return Err(VidaError::Exec(format!("avg: non-numeric {x}"))),
+            },
             _ => x,
-        }
+        })
     }
 
     /// The merge function `a ⊕ b` — the one copy of the primitive
@@ -250,7 +254,7 @@ impl PrimitiveMonoid {
 
     #[inline(never)]
     fn step_by_merge(self, acc: &mut Partial, x: Partial) -> Result<()> {
-        *acc = self.merge(std::mem::take(acc), self.unit(x))?;
+        *acc = self.merge(std::mem::take(acc), self.unit(x)?)?;
         Ok(())
     }
 }
@@ -371,13 +375,14 @@ impl Monoid {
         }
     }
 
-    /// The unit function `U⊕(x)` lifting one element into the monoid carrier.
-    pub fn unit(&self, v: Value) -> Value {
-        match self {
-            Monoid::Primitive(p) => p.unit(Partial::from(v)).into_value(),
+    /// The unit function `U⊕(x)` lifting one element into the monoid
+    /// carrier; fails only on a non-numeric `avg` element.
+    pub fn unit(&self, v: Value) -> Result<Value> {
+        Ok(match self {
+            Monoid::Primitive(p) => p.unit(Partial::from(v))?.into_value(),
             Monoid::Collection(CollectionKind::Set) => Value::set(vec![v]),
             Monoid::Collection(k) => Value::Collection(*k, vec![v]),
-        }
+        })
     }
 
     /// The merge function `a ⊕ b`.
@@ -416,7 +421,7 @@ impl Monoid {
     pub fn fold<I: IntoIterator<Item = Value>>(&self, items: I) -> Result<Value> {
         let mut acc = self.zero();
         for item in items {
-            acc = self.merge(acc, self.unit(item))?;
+            acc = self.merge(acc, self.unit(item)?)?;
         }
         self.finalize(acc)
     }
@@ -562,7 +567,7 @@ mod tests {
     fn left_right_identity() {
         for m in all_monoids() {
             for x in sample_for(&m) {
-                let u = m.unit(x);
+                let u = m.unit(x).unwrap();
                 let l = m.merge(m.zero(), u.clone()).unwrap();
                 let r = m.merge(u.clone(), m.zero()).unwrap();
                 assert!(l.sem_eq(&u), "{m}: left identity failed");
@@ -576,9 +581,9 @@ mod tests {
         for m in all_monoids() {
             let xs = sample_for(&m);
             let (a, b, c) = (
-                m.unit(xs[0].clone()),
-                m.unit(xs[1].clone()),
-                m.unit(xs[2].clone()),
+                m.unit(xs[0].clone()).unwrap(),
+                m.unit(xs[1].clone()).unwrap(),
+                m.unit(xs[2].clone()).unwrap(),
             );
             let ab_c = m
                 .merge(m.merge(a.clone(), b.clone()).unwrap(), c.clone())
@@ -681,7 +686,7 @@ mod tests {
                     .map(|c| {
                         let mut acc = m.zero();
                         for x in c {
-                            acc = m.merge(acc, m.unit(x.clone())).unwrap();
+                            acc = m.merge(acc, m.unit(x.clone()).unwrap()).unwrap();
                         }
                         acc
                     })
@@ -741,13 +746,32 @@ mod tests {
                     .map(|()| acc.into_value());
                 let boxed = xs
                     .iter()
-                    .try_fold(m.zero(), |a, x| m.merge(a, m.unit(x.clone())));
+                    .try_fold(m.zero(), |a, x| m.merge(a, m.unit(x.clone())?));
                 // Debug renderings tell `-0.0` from `0.0`.
                 let shown =
                     |r: Result<Value>| r.map(|v| format!("{v:?}")).map_err(|e| e.to_string());
                 assert_eq!(shown(typed), shown(boxed), "{m} over {xs:?}");
             }
             assert_eq!(p.zero().into_value(), m.zero(), "{m}: zero");
+        }
+    }
+
+    #[test]
+    fn avg_rejects_a_null_element_like_sum() {
+        // Through `unit` + `merge` (`Monoid::fold`) and through the typed
+        // `step`, whose null element falls through to `step_by_merge`.
+        let xs = [Value::Null, Value::Int(4)];
+        for p in [PrimitiveMonoid::Sum, PrimitiveMonoid::Avg] {
+            let want = format!("{}: non-numeric null", p.name());
+            let folded = Monoid::Primitive(p).fold(xs.clone());
+            let mut acc = p.zero();
+            let stepped = xs
+                .iter()
+                .try_for_each(|x| p.step(&mut acc, x.clone().into()));
+            for err in [folded.map(|_| ()), stepped] {
+                let err = err.expect_err("a null element is not a number").to_string();
+                assert!(err.contains(&want), "{want}: {err}");
+            }
         }
     }
 
