@@ -57,14 +57,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
                 encode_value(v, out);
             }
         }
-        Value::Array { dims, data } => {
+        Value::Array(a) => {
             out.push(0x0A);
-            out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-            for &d in dims {
+            out.extend_from_slice(&(a.dims.len() as u32).to_le_bytes());
+            for &d in &a.dims {
                 out.extend_from_slice(&(d as u64).to_le_bytes());
             }
-            out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            for v in data {
+            out.extend_from_slice(&(a.data.len() as u32).to_le_bytes());
+            for v in &a.data {
                 encode_value(v, out);
             }
         }
@@ -146,7 +146,7 @@ pub fn decode_value(buf: &[u8], pos: usize) -> Result<(Value, usize)> {
                 p = np;
                 data.push(v);
             }
-            Ok((Value::Array { dims, data }, p))
+            Ok((Value::array(dims, data), p))
         }
         t => Err(VidaError::Exec(format!("unknown binary value tag {t:#x}"))),
     }
@@ -189,15 +189,15 @@ mod tests {
             ),
             ("s", Value::set(vec![Value::Int(2), Value::Int(1)])),
         ]));
-        round_trip(Value::Array {
-            dims: vec![2, 2],
-            data: vec![
+        round_trip(Value::array(
+            vec![2, 2],
+            vec![
                 Value::Float(1.0),
                 Value::Float(2.0),
                 Value::Float(3.0),
                 Value::Float(4.0),
             ],
-        });
+        ));
     }
 
     #[test]

@@ -289,14 +289,12 @@ impl<'a> PipelineBuilder<'a> {
                 .iter()
                 .map(|&(ti, slot, ty)| (slot, Arc::clone(&columns[ti]), ty))
                 .collect();
-            let slots = spec.slot_meta.iter().map(|&(_, s, _)| s).collect();
             sources.push(Source {
                 binding: spec.binding,
                 dataset: spec.dataset,
                 nrows: spec.nrows,
                 env_fields,
                 slot_cols,
-                slots,
                 selects: spec.selects,
                 fused_selects: None,
             });

@@ -174,7 +174,8 @@ impl PipelineBuilder<'_> {
             &plan,
             stage::CACHE_PROBE,
             self.stats,
-            |range, _| {
+            || (),
+            |_, range, _| {
                 let rows = range.len() as u64;
                 let chunk = range.map(|r| data.get(r)).collect::<Result<Vec<Value>>>()?;
                 Ok((chunk, rows))
@@ -278,7 +279,8 @@ impl PipelineBuilder<'_> {
             &plan,
             stage::SCAN,
             self.stats,
-            |range, _| {
+            || (),
+            |_, range, _| {
                 let rows = range.len() as u64;
                 let mut chunk: Vec<Vec<Value>> = vec![Vec::with_capacity(range.len()); cols.len()];
                 plugin.scan_project_range(cols, range, &mut |_, vals| {

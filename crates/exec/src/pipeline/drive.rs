@@ -1,14 +1,14 @@
 //! The morsel driver: join builds, the fused push loop over the morsel
 //! grid, the monoid fold, and the fold-partial cache seam.
 
-use super::join::{encode_key, BuildRows, JoinBuild};
+use super::join::{encode_key, merge_ascending, BuildCols, JoinBuild};
 use super::{HeadPlan, Node, Pipeline, Source, Step, Tuple, TupleSink};
 use crate::stats::ExecStats;
 use std::ops::Range;
 use std::sync::Arc;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
-use vida_jit::{BatchScratch, CompiledKernel, SlotType};
+use vida_jit::{BatchScratch, CompiledKernel, SelectKernel, SlotType};
 use vida_lang::eval;
 use vida_parallel::{MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
@@ -64,11 +64,12 @@ impl Pipeline {
                     &plan,
                     &builds,
                     stats,
-                    |range, ws| {
-                        self.drive_rows(range, &builds, ws, Vec::new(), |items, t, ws| {
+                    |w, range, ws| {
+                        let sink = |items: &mut Vec<Value>, t: &Tuple, ws: &mut ExecStats| {
                             items.push(self.head_value(t, ws)?);
                             Ok(())
-                        })
+                        };
+                        self.drive_rows(range, &builds, w, ws, Vec::new(), sink)
                     },
                     Vec::new(),
                     |mut all: Vec<Value>, chunk| {
@@ -92,16 +93,23 @@ impl Pipeline {
                 // exactly the whole-source order.
                 let m = self.monoid;
                 let prefix = self.fold_reuse_partial(stats);
-                let vector_source = self.vector_fold_source();
+                let vector = self.vector_fold(&builds);
+                if let Some(VectorFold::Probe(_)) = vector {
+                    stats.vector_probe_pipelines = 1;
+                }
                 let merged = self.fold_drive(
                     &plan,
                     &builds,
                     stats,
-                    |range, ws| match vector_source {
-                        Some(idx) => self.fold_source(idx, p, range, ws),
-                        None => self.drive_rows(range, &builds, ws, p.zero(), |acc, t, ws| {
-                            p.step(acc, self.head_value(t, ws)?.into())
-                        }),
+                    |w, range, ws| match &vector {
+                        Some(VectorFold::Scan(idx)) => self.fold_source(*idx, p, range, w, ws),
+                        Some(VectorFold::Probe(vp)) => self.fold_probe(vp, p, range, w, ws),
+                        None => {
+                            let sink = |acc: &mut Partial, t: &Tuple, ws: &mut ExecStats| {
+                                p.step(acc, self.head_value(t, ws)?.into())
+                            };
+                            self.drive_rows(range, &builds, w, ws, p.zero(), sink)
+                        }
                     },
                     prefix,
                     |acc: Option<Value>, part: Partial| {
@@ -119,14 +127,15 @@ impl Pipeline {
     }
 
     /// Run `work` over every morsel of `plan` — the morsel's private
-    /// partial, with the tuples it folded counted in `actual_rows` — and
-    /// fold the partials into `init` in morsel order with `merge`.
+    /// partial, with the tuples it folded counted in `actual_rows` — on
+    /// the executing worker's vectors for the leftmost scan, and fold the
+    /// partials into `init` in morsel order with `merge`.
     fn fold_drive<P: Send, A>(
         &self,
         plan: &MorselPlan,
         builds: &[JoinBuild],
         stats: &mut ExecStats,
-        work: impl Fn(Range<usize>, &mut ExecStats) -> Result<P> + Sync,
+        work: impl Fn(&mut WorkerScratch, Range<usize>, &mut ExecStats) -> Result<P> + Sync,
         init: A,
         merge: impl FnMut(A, P) -> Result<A>,
     ) -> Result<A> {
@@ -138,10 +147,22 @@ impl Pipeline {
                 false => stage::PROBE,
             },
             stats,
-            |range, ws| Ok((work(range, ws)?, ws.actual_rows)),
+            || self.worker_scratch(&self.sources[0]),
+            |w, range, ws| Ok((work(w, range, ws)?, ws.actual_rows)),
             init,
             merge,
         )
+    }
+
+    /// One worker's vectors for a phase that scans `s`.
+    fn worker_scratch(&self, s: &Source) -> WorkerScratch {
+        WorkerScratch {
+            chunk: ScanChunk::new(self.frame_width, s, s.nrows.min(CHUNK_ROWS)),
+            pairs: PairChunk::default(),
+            kept: Vec::new(),
+            row: self.scratch(),
+            pair: self.scratch(),
+        }
     }
 
     /// Drive `range` through the fused stage chain a tuple at a time,
@@ -150,30 +171,75 @@ impl Pipeline {
         &self,
         range: Range<usize>,
         builds: &[JoinBuild],
+        w: &mut WorkerScratch,
         stats: &mut ExecStats,
         mut partial: P,
         push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()>,
     ) -> Result<P> {
-        self.drive(&self.root, range, builds, stats, &mut |ws, t| {
-            ws.actual_rows += 1;
-            push(&mut partial, t, ws)
-        })?;
+        self.drive(
+            &self.root,
+            range,
+            builds,
+            &mut w.chunk,
+            stats,
+            &mut |ws, t| {
+                ws.actual_rows += 1;
+                push(&mut partial, t, ws)
+            },
+        )?;
         Ok(partial)
     }
 
-    /// The source a primitive fold reads a vector at a time: a scan with
-    /// no join or unnest above it, whose selects are fused (or absent) and
-    /// whose head is one kernel or no head at all. Anything else folds row
-    /// by row: an interpreted select or head may error, and its error
-    /// must surface in row order relative to the fold's own.
-    fn vector_fold_source(&self) -> Option<usize> {
-        let Node::Source(idx) = self.root else {
+    /// What a primitive fold reads a vector at a time: a scan whose
+    /// selects are fused (or absent), either on its own or as the left
+    /// input of a hash join whose predicate and selects all compiled, under
+    /// a head of one kernel or none. Anything else folds row by row: an
+    /// interpreted select or head may error, and its error must surface in
+    /// row order relative to the fold's own.
+    fn vector_fold<'a>(&'a self, builds: &'a [JoinBuild]) -> Option<VectorFold<'a>> {
+        if !matches!(self.head, HeadPlan::Kernel(..) | HeadPlan::CountOnly) {
             return None;
+        }
+        let scan = |node: &Node| match *node {
+            Node::Source(idx) => {
+                let s = &self.sources[idx];
+                (s.fused_selects.is_some() || s.selects.is_empty()).then_some(idx)
+            }
+            _ => None,
         };
-        let s = &self.sources[idx];
-        let selects_fused = s.fused_selects.is_some() || s.selects.is_empty();
-        let head = matches!(self.head, HeadPlan::Kernel(..) | HeadPlan::CountOnly);
-        (selects_fused && head).then_some(idx)
+        match &self.root {
+            root @ Node::Source(_) => scan(root).map(VectorFold::Scan),
+            Node::HashJoin {
+                left,
+                right,
+                left_key,
+                left_key_ty,
+                float_keys,
+                predicate,
+                selects,
+                ..
+            } => {
+                let idx = scan(left)?;
+                let steps = std::iter::once(predicate)
+                    .chain(selects)
+                    .map(|step| match step {
+                        Step::Kernel(k, _) => Some(k.clone()),
+                        Step::Interp(_) => None,
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                Some(VectorFold::Probe(VectorProbe {
+                    idx,
+                    build: &builds[*right - 1],
+                    key: left_key,
+                    key_ty: *left_key_ty,
+                    float_keys: *float_keys,
+                    steps: SelectKernel::new(steps),
+                    predicate,
+                    selects,
+                }))
+            }
+            _ => None,
+        }
     }
 
     /// A scan-rooted primitive fold over `rows` of source `idx`, a chunk
@@ -188,53 +254,243 @@ impl Pipeline {
         idx: usize,
         p: PrimitiveMonoid,
         rows: Range<usize>,
+        w: &mut WorkerScratch,
         stats: &mut ExecStats,
     ) -> Result<Partial> {
         let s = &self.sources[idx];
-        let (mut acc, mut t) = (p.zero(), self.scratch());
-        t.valid = false;
-        self.scan_chunks(s, rows, stats, |c, base, stats| {
-            let head_ty = match &self.head {
-                HeadPlan::Kernel(k, _) => {
-                    k.call_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch);
-                    stats.kernel_hits(k.id(), c.sel.len() as u64);
-                    Some(k.output())
-                }
-                _ => None,
-            };
+        let (mut acc, t) = (p.zero(), &mut w.row);
+        self.scan_chunks(s, rows, &mut w.chunk, stats, |c, base, stats| {
+            let head_ty = self.head_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch, stats);
             stats.actual_rows += c.sel.len() as u64;
-            in_row_order(&c.sel, &c.rest, |run| match run {
-                Run::Selected(i) => {
-                    let heads = || c.heads[i.clone()].iter();
-                    match head_ty {
-                        Some(SlotType::Int) => {
-                            fold_run(p, &mut acc, heads().map(|&b| Partial::Int(b)))
+            in_row_order(
+                &c.sel,
+                &c.rest,
+                |&r| r,
+                |run| match run {
+                    Run::Selected(i) => self.fold_heads(p, &mut acc, head_ty, &c.heads, i),
+                    Run::Rest(&row) => {
+                        self.load_row(idx, c, base, row, false, t);
+                        if !self.pass_steps(&s.selects, t, stats)? {
+                            return Ok(());
                         }
-                        Some(SlotType::Float) => fold_run(
-                            p,
-                            &mut acc,
-                            heads().map(|&b| Partial::Float(f64::from_bits(b as u64))),
-                        ),
-                        Some(ty) => fold_run(
-                            p,
-                            &mut acc,
-                            heads().map(|&b| self.decode_bits(b, ty).into()),
-                        ),
-                        None => fold_run(p, &mut acc, i.clone().map(|_| Partial::Int(1))),
+                        let x = self.head_value(t, stats)?;
+                        stats.actual_rows += 1;
+                        p.step(&mut acc, x.into())
                     }
-                }
-                Run::Rest(row) => {
-                    t.rows[idx] = base + row as usize;
-                    if !self.pass_steps(&s.selects, &t, stats)? {
-                        return Ok(());
-                    }
-                    let x = self.head_value(&t, stats)?;
-                    stats.actual_rows += 1;
-                    p.step(&mut acc, x.into())
-                }
-            })
+                },
+            )
         })?;
         Ok(acc)
+    }
+
+    /// A primitive fold over a hash join whose left input is source
+    /// `vp.idx`, a left chunk at a time: the key kernel runs over the
+    /// chunk's selection, each key looks up its bucket, and the matches
+    /// expand into (left row, build row) pair vectors in left-row order,
+    /// then ascending build order — the row probe's pair order. The pairs
+    /// are flushed (see [`Pipeline::flush_pairs`]) at the end of every
+    /// chunk, and sooner when a left row with several matches brings them
+    /// to [`CHUNK_ROWS`]. Left rows that could not encode, and pairs that
+    /// meet a loose build row, become detours: they take the row probe
+    /// where they fall in that order.
+    fn fold_probe(
+        &self,
+        vp: &VectorProbe,
+        p: PrimitiveMonoid,
+        rows: Range<usize>,
+        w: &mut WorkerScratch,
+        stats: &mut ExecStats,
+    ) -> Result<Partial> {
+        let (s, jb) = (&self.sources[vp.idx], vp.build);
+        let mut acc = p.zero();
+        let WorkerScratch {
+            chunk,
+            pairs,
+            row: lt,
+            pair: out,
+            ..
+        } = w;
+        self.scan_chunks(s, rows, chunk, stats, |c, base, stats| {
+            vp.key
+                .call_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch);
+            stats.kernel_hits(vp.key.id(), c.sel.len() as u64);
+            for key in &mut c.heads {
+                *key = encode_key(*key, vp.key_ty, vp.float_keys);
+            }
+            let (ids, pending, at) = (&mut pairs.ids, &mut pairs.pending, &mut pairs.at);
+            jb.lookup_batch(&c.heads, ids, pending, at);
+            let c = &*c;
+            let mut flush = |pairs: &mut PairChunk, acc: &mut Partial, stats: &mut ExecStats| {
+                self.flush_pairs(vp, p, acc, c, base, pairs, (&mut *lt, &mut *out), stats)
+            };
+            in_row_order(
+                &c.sel,
+                &c.rest,
+                |&r| r,
+                |run| {
+                    let i = match run {
+                        Run::Selected(i) => i,
+                        Run::Rest(&row) => {
+                            pairs.detour(row, None);
+                            return Ok(());
+                        }
+                    };
+                    let loose = jb.loose();
+                    for (row, j) in c.sel[i.clone()].iter().copied().zip(i) {
+                        let (at, n) = jb.bucket_span(pairs.ids[j]);
+                        if n <= 1 && loose.is_empty() {
+                            // At most one match: append the pair and keep it
+                            // only if there is a match, with no branch on that.
+                            pairs.push_first(row, jb.item(at), n);
+                            continue;
+                        }
+                        let bucket = jb.items(at, n);
+                        match loose {
+                            [] => pairs.extend(row, bucket),
+                            loose => merge_ascending(bucket, loose, |b, is_loose| match is_loose {
+                                false => pairs.extend(row, &[b]),
+                                true => pairs.detour(row, Some(b)),
+                            }),
+                        }
+                        if pairs.left.len() >= CHUNK_ROWS {
+                            flush(pairs, &mut acc, stats)?;
+                        }
+                    }
+                    Ok(())
+                },
+            )?;
+            flush(pairs, &mut acc, stats)
+        })?;
+        Ok(acc)
+    }
+
+    /// Fold the pairs buffered in `pairs`, then clear it: gather their
+    /// slot columns from the left chunk `c` and the build columns, refine
+    /// the pair selection with the join predicate and the selects above
+    /// the join (each kernel credited with the pairs it received, as
+    /// [`SelectKernel::refine`] does), run the head kernel over the
+    /// survivors, and fold its outputs in pair order, interleaved with the
+    /// detours, which run the row probe on the scratch tuples `lt`/`out`.
+    #[allow(clippy::too_many_arguments)]
+    fn flush_pairs(
+        &self,
+        vp: &VectorProbe,
+        p: PrimitiveMonoid,
+        acc: &mut Partial,
+        c: &ScanChunk,
+        base: usize,
+        pairs: &mut PairChunk,
+        (lt, out): (&mut Tuple, &mut Tuple),
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        let (s, jb) = (&self.sources[vp.idx], vp.build);
+        let n = pairs.left.len();
+        if n == 0 && pairs.detours.is_empty() {
+            return Ok(());
+        }
+        pairs.cols.resize_with(self.frame_width, Vec::new);
+        let left = s
+            .slot_cols
+            .iter()
+            .map(|(slot, ..)| (*slot, &c.cols[*slot], &pairs.left));
+        let right = jb
+            .columns()
+            .iter()
+            .map(|(slot, col)| (*slot, col, &pairs.right));
+        for (slot, from, at) in left.chain(right) {
+            let to = &mut pairs.cols[slot];
+            to.clear();
+            to.extend(at.iter().map(|&r| from[r as usize]));
+        }
+        pairs.sel.clear();
+        pairs.sel.extend(0..n as u32);
+        vp.steps
+            .refine(&pairs.cols, &mut pairs.sel, &mut pairs.scratch, |id, n| {
+                stats.kernel_hits(id, n)
+            });
+        let head_ty = self.head_batch(
+            &pairs.cols,
+            &pairs.sel,
+            &mut pairs.heads,
+            &mut pairs.scratch,
+            stats,
+        );
+        stats.actual_rows += pairs.sel.len() as u64;
+        in_row_order(
+            &pairs.sel,
+            &pairs.detours,
+            |d| d.at,
+            |run| match run {
+                Run::Selected(i) => self.fold_heads(p, acc, head_ty, &pairs.heads, i),
+                Run::Rest(d) => {
+                    self.load_row(vp.idx, c, base, d.row, d.build.is_some(), lt);
+                    let candidates = match &d.build {
+                        Some(b) => std::slice::from_ref(b),
+                        None if self.pass_steps(&s.selects, lt, stats)? => jb.all(),
+                        None => return Ok(()),
+                    };
+                    self.probe_pairs(
+                        lt,
+                        candidates,
+                        jb,
+                        vp.predicate,
+                        vp.selects,
+                        out,
+                        stats,
+                        &mut |stats, t| {
+                            stats.actual_rows += 1;
+                            p.step(acc, self.head_value(t, stats)?.into())
+                        },
+                    )
+                }
+            },
+        )?;
+        pairs.left.clear();
+        pairs.right.clear();
+        pairs.detours.clear();
+        Ok(())
+    }
+
+    /// Run the head kernel, if the head is one, over the rows `sel` of
+    /// `cols` into `heads`, crediting it with those rows; its output type.
+    fn head_batch(
+        &self,
+        cols: &[Vec<i64>],
+        sel: &[u32],
+        heads: &mut Vec<i64>,
+        scratch: &mut BatchScratch,
+        stats: &mut ExecStats,
+    ) -> Option<SlotType> {
+        let HeadPlan::Kernel(k, _) = &self.head else {
+            return None;
+        };
+        k.call_batch(cols, sel, heads, scratch);
+        stats.kernel_hits(k.id(), sel.len() as u64);
+        Some(k.output())
+    }
+
+    /// Step `acc` through the head outputs `heads[run]` of a head kernel
+    /// with output type `ty` — or, for `count` (`ty` is `None`), through
+    /// one `1` per row of the run — in a typed loop.
+    fn fold_heads(
+        &self,
+        p: PrimitiveMonoid,
+        acc: &mut Partial,
+        ty: Option<SlotType>,
+        heads: &[i64],
+        run: Range<usize>,
+    ) -> Result<()> {
+        let heads = || heads[run.clone()].iter();
+        match ty {
+            Some(SlotType::Int) => fold_run(p, acc, heads().map(|&b| Partial::Int(b))),
+            Some(SlotType::Float) => fold_run(
+                p,
+                acc,
+                heads().map(|&b| Partial::Float(f64::from_bits(b as u64))),
+            ),
+            Some(ty) => fold_run(p, acc, heads().map(|&b| self.decode_bits(b, ty).into())),
+            None => fold_run(p, acc, run.clone().map(|_| Partial::Int(1))),
+        }
     }
 
     /// The cached prefix partial for this run, counting the reuse.
@@ -363,10 +619,10 @@ impl Pipeline {
         &self,
         s: &Source,
         rows: Range<usize>,
+        c: &mut ScanChunk,
         stats: &mut ExecStats,
         mut each: impl FnMut(&mut ScanChunk, usize, &mut ExecStats) -> Result<()>,
     ) -> Result<()> {
-        let mut c = ScanChunk::new(self.frame_width, s, rows.len().min(CHUNK_ROWS));
         for base in rows.clone().step_by(CHUNK_ROWS) {
             let end = (base + CHUNK_ROWS).min(rows.end);
             let n = end - base;
@@ -394,9 +650,68 @@ impl Pipeline {
                     stats.kernel_hits(id, n)
                 });
             }
-            each(&mut c, base, stats)?;
+            each(c, base, stats)?;
         }
         Ok(())
+    }
+
+    /// Load row `row` of chunk `c` — source `idx`, from source row `base`
+    /// on — into the scratch tuple `t`: its slots from the chunk's
+    /// vectors, its source row, and `valid`.
+    fn load_row(
+        &self,
+        idx: usize,
+        c: &ScanChunk,
+        base: usize,
+        row: u32,
+        valid: bool,
+        t: &mut Tuple,
+    ) {
+        for (slot, _, _) in &self.sources[idx].slot_cols {
+            t.frame[*slot] = c.cols[*slot][row as usize];
+        }
+        t.valid = valid;
+        t.rows[idx] = base + row as usize;
+    }
+
+    /// Collect the rows of chunk `c` of source `idx` that leave the scan
+    /// into `kept`, ascending, when they are not just `c.sel` (then return
+    /// `false`): the selected rows, or the ones that pass the selects that
+    /// did not compile, plus the unencodable rows that pass the selects
+    /// through the interpreter, evaluated in row order on the scratch
+    /// tuple `t`.
+    fn scan_survivors(
+        &self,
+        idx: usize,
+        c: &ScanChunk,
+        base: usize,
+        t: &mut Tuple,
+        kept: &mut Vec<u32>,
+        stats: &mut ExecStats,
+    ) -> Result<bool> {
+        let s = &self.sources[idx];
+        let fused = s.fused_selects.is_some() || s.selects.is_empty();
+        if fused && c.rest.is_empty() {
+            return Ok(false);
+        }
+        kept.clear();
+        let mut keep = |row: u32, valid: bool, stats: &mut ExecStats| {
+            self.load_row(idx, c, base, row, valid, t);
+            if (valid && fused) || self.pass_steps(&s.selects, t, stats)? {
+                kept.push(row);
+            }
+            Ok(())
+        };
+        in_row_order(
+            &c.sel,
+            &c.rest,
+            |&r| r,
+            |run| match run {
+                Run::Selected(i) => c.sel[i].iter().try_for_each(|&row| keep(row, true, stats)),
+                Run::Rest(&row) => keep(row, false, stats),
+            },
+        )?;
+        Ok(true)
     }
 
     /// Scan-side tuple production over a contiguous row range, pushed one
@@ -411,28 +726,30 @@ impl Pipeline {
         &self,
         idx: usize,
         rows: Range<usize>,
+        chunk: &mut ScanChunk,
         t: &mut Tuple,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
         let s = &self.sources[idx];
         let fused = s.fused_selects.is_some();
-        self.scan_chunks(s, rows, stats, |c, base, stats| {
+        self.scan_chunks(s, rows, chunk, stats, |c, base, stats| {
             let mut push = |row: u32, valid: bool, stats: &mut ExecStats| {
-                for (slot, _, _) in &s.slot_cols {
-                    t.frame[*slot] = c.cols[*slot][row as usize];
-                }
-                t.valid = valid;
-                t.rows[idx] = base + row as usize;
+                self.load_row(idx, c, base, row, valid, t);
                 if (valid && fused) || self.pass_steps(&s.selects, t, stats)? {
                     sink(stats, t)?;
                 }
                 Ok(())
             };
-            in_row_order(&c.sel, &c.rest, |run| match run {
-                Run::Selected(i) => c.sel[i].iter().try_for_each(|&row| push(row, true, stats)),
-                Run::Rest(row) => push(row, false, stats),
-            })
+            in_row_order(
+                &c.sel,
+                &c.rest,
+                |&r| r,
+                |run| match run {
+                    Run::Selected(i) => c.sel[i].iter().try_for_each(|&row| push(row, true, stats)),
+                    Run::Rest(&row) => push(row, false, stats),
+                },
+            )
         })
     }
 
@@ -448,17 +765,18 @@ impl Pipeline {
         node: &Node,
         range: Range<usize>,
         builds: &[JoinBuild],
+        chunk: &mut ScanChunk,
         stats: &mut ExecStats,
         sink: TupleSink<'_>,
     ) -> Result<()> {
         let (mut out, mut scratch) = (self.scratch(), Vec::new());
         match node {
-            Node::Source(idx) => self.push_source(*idx, range, &mut out, stats, sink),
+            Node::Source(idx) => self.push_source(*idx, range, chunk, &mut out, stats, sink),
             Node::Unnest {
                 input,
                 stage,
                 selects,
-            } => self.drive(input, range, builds, stats, &mut |stats, t| {
+            } => self.drive(input, range, builds, chunk, stats, &mut |stats, t| {
                 self.unnest_tuple(*stage, selects, t, &mut out, stats, sink)
             }),
             Node::HashJoin {
@@ -472,7 +790,7 @@ impl Pipeline {
                 ..
             } => {
                 let jb = &builds[*right - 1];
-                self.drive(left, range, builds, stats, &mut |stats, lt| {
+                self.drive(left, range, builds, chunk, stats, &mut |stats, lt| {
                     if lt.valid {
                         stats.kernel_hit(left_key.id());
                     }
@@ -489,7 +807,7 @@ impl Pipeline {
                 selects,
             } => {
                 let jb = &builds[*right - 1];
-                self.drive(left, range, builds, stats, &mut |stats, lt| {
+                self.drive(left, range, builds, chunk, stats, &mut |stats, lt| {
                     if let (Some(b), true, true) = (band, lt.valid, jb.index.is_some()) {
                         stats.kernel_hit(b.left_key.id());
                     }
@@ -502,15 +820,15 @@ impl Pipeline {
 
     /// Materialize the build side of every join in the tree, bottom-up: the
     /// build of source `right` lands at `right - 1`. These are the pipeline
-    /// breakers of push execution: each right side scans into flat build
-    /// rows once, morsel by morsel, then lays out one CSR bucket table or
+    /// breakers of push execution: each right side scans into owned build
+    /// columns once, morsel by morsel, then lays out one CSR bucket table or
     /// sorts into a band index on the coordinator. Bucket order is build
     /// order, so every thread count probes identical candidate sets.
-    fn prepare_builds<'p>(
-        &'p self,
+    fn prepare_builds(
+        &self,
         node: &Node,
         stats: &mut ExecStats,
-        builds: &mut Vec<JoinBuild<'p>>,
+        builds: &mut Vec<JoinBuild>,
     ) -> Result<()> {
         let (right, jb) = match node {
             Node::Source(_) => return Ok(()),
@@ -544,42 +862,62 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Build-side scan, morsel by morsel: each surviving right tuple
-    /// appends its slots, validity, source row and — when the join has a
-    /// build key kernel — its canonical key to the morsel's chunk; chunks
-    /// concatenate in morsel order, so the rows are the source's scan order
-    /// at every worker count.
+    /// Build-side scan, morsel by morsel and a chunk at a time: the build
+    /// key kernel runs over each chunk's surviving rows, and the rows
+    /// append column by column — slots, validity, source row and (when the
+    /// join has a build key kernel) canonical key — to the morsel's
+    /// columns; morsels concatenate in morsel order, so the rows are the
+    /// source's scan order at every worker count.
     fn build_rows(
         &self,
         idx: usize,
         key: Option<(&CompiledKernel, SlotType, bool)>,
         stats: &mut ExecStats,
-    ) -> Result<BuildRows<'_>> {
+    ) -> Result<BuildCols> {
         let s = &self.sources[idx];
         u32::try_from(s.nrows).map_err(|_| VidaError::Exec("build side over 2^32 rows".into()))?;
         let plan = MorselPlan::fixed(s.nrows, self.morsel_rows);
+        let slots = || s.slot_cols.iter().map(|(slot, ..)| *slot);
         morsel_fold(
             &self.pool,
             &plan,
             stage::BUILD_SIDE,
             stats,
-            |range, ws| {
-                let mut out = BuildRows::new(idx, &s.slots, range.len());
-                self.push_source(idx, range, &mut self.scratch(), ws, &mut |ws, t| {
-                    let key = key.map(|(k, ty, float_keys)| match t.valid {
-                        true => {
-                            ws.kernel_hit(k.id());
-                            encode_key(k.call(&t.frame), ty, float_keys)
+            || self.worker_scratch(s),
+            |w, range, ws| {
+                let mut out = BuildCols::new(idx, slots(), range.len());
+                let WorkerScratch {
+                    chunk, kept, row, ..
+                } = w;
+                self.scan_chunks(s, range, chunk, ws, |c, base, ws| {
+                    let kept = match self.scan_survivors(idx, c, base, row, kept, ws)? {
+                        true => &kept[..],
+                        false => &c.sel[..],
+                    };
+                    let keys: &[i64] = match key {
+                        Some((k, ty, float_keys)) => {
+                            // A row that could not encode gets a key too, but
+                            // no probe reads it: the row is loose or unindexed.
+                            k.call_batch(&c.cols, kept, &mut c.heads, &mut c.scratch);
+                            let valid = match c.rest.is_empty() {
+                                true => kept.len(),
+                                false => kept.iter().filter(|&&r| c.valid[r as usize]).count(),
+                            };
+                            ws.kernel_hits(k.id(), valid as u64);
+                            for bits in &mut c.heads {
+                                *bits = encode_key(*bits, ty, float_keys);
+                            }
+                            &c.heads
                         }
-                        false => 0,
-                    });
-                    out.push(t, key);
+                        None => &[],
+                    };
+                    out.extend(&c.cols, &c.valid, base, kept, keys);
                     Ok(())
                 })?;
                 let n = out.len() as u64;
                 Ok((out, n))
             },
-            BuildRows::new(idx, &s.slots, 0),
+            BuildCols::new(idx, slots(), 0),
             |mut all, chunk| {
                 all.append(chunk);
                 Ok(all)
@@ -678,11 +1016,11 @@ impl Pipeline {
 /// whatever the morsel size.
 const CHUNK_ROWS: usize = 1024;
 
-/// The vectors of one scan chunk, allocated once per morsel and
-/// overwritten chunk after chunk.
+/// The vectors of one scan chunk, allocated once per worker and phase
+/// ([`WorkerScratch`]) and overwritten chunk after chunk.
 struct ScanChunk {
-    /// Encoded slot columns indexed by frame slot: `CHUNK_ROWS` long for
-    /// the scanned source's slots, empty for every other slot.
+    /// Encoded slot columns indexed by frame slot: up to `CHUNK_ROWS` long
+    /// for the scanned source's slots, empty for every other slot.
     cols: Vec<Vec<i64>>,
     /// Per chunk row: did every slot encode?
     valid: Vec<bool>,
@@ -712,6 +1050,101 @@ impl ScanChunk {
     }
 }
 
+/// One worker's vectors for one phase, built on the worker's first morsel
+/// of the phase and reused for the rest (`WorkerPool::fold_morsels`'
+/// per-worker scratch), so a phase allocates them per worker, not per
+/// morsel.
+struct WorkerScratch {
+    chunk: ScanChunk,
+    /// A batch probe's pair vectors (empty in every other phase).
+    pairs: PairChunk,
+    /// A build chunk's surviving rows, when they are not its selection.
+    kept: Vec<u32>,
+    /// Scratch tuples of the rows that take the row path: the scanned row
+    /// and, in a batch probe, its join pair.
+    row: Tuple,
+    pair: Tuple,
+}
+
+/// A primitive fold's vector-at-a-time root (see [`Pipeline::vector_fold`]).
+enum VectorFold<'a> {
+    /// A scan, by source index.
+    Scan(usize),
+    /// A hash join probed by a scan.
+    Probe(VectorProbe<'a>),
+}
+
+/// A hash join whose left input is the scan of source `idx`, with its
+/// predicate and the selects above it all compiled.
+struct VectorProbe<'a> {
+    idx: usize,
+    build: &'a JoinBuild,
+    key: &'a CompiledKernel,
+    key_ty: SlotType,
+    float_keys: bool,
+    /// The predicate, then the selects, in syntactic order: the chain the
+    /// row probe short-circuits through.
+    steps: SelectKernel,
+    predicate: &'a Step,
+    selects: &'a [Step],
+}
+
+/// The join pairs of a batch probe buffered before a flush.
+#[derive(Default)]
+struct PairChunk {
+    /// Each pair's left chunk row and build row, in the row probe's order.
+    left: Vec<u32>,
+    right: Vec<u32>,
+    /// Pair slot columns indexed by frame slot, gathered from the left
+    /// chunk and the build columns; empty for every other slot.
+    cols: Vec<Vec<i64>>,
+    /// Pairs that pass the predicate and the selects, ascending.
+    sel: Vec<u32>,
+    /// Head kernel outputs, one per `sel` pair.
+    heads: Vec<i64>,
+    /// The rows that take the row probe, in order.
+    detours: Vec<Detour>,
+    scratch: BatchScratch,
+    /// The bucket id of each selected row of the left chunk, and the
+    /// lookup's scratch (see [`JoinBuild::lookup_batch`]).
+    ids: Vec<u32>,
+    pending: Vec<u32>,
+    at: Vec<usize>,
+}
+
+impl PairChunk {
+    /// Pair left chunk row `row` with each build row of `builds`.
+    fn extend(&mut self, row: u32, builds: &[u32]) {
+        self.left.extend(std::iter::repeat(row).take(builds.len()));
+        self.right.extend_from_slice(builds);
+    }
+
+    /// Pair left chunk row `row` with build row `b` if `n` (0 or 1) is 1.
+    #[inline]
+    fn push_first(&mut self, row: u32, b: u32, n: usize) {
+        let len = self.left.len() + n;
+        self.left.push(row);
+        self.right.push(b);
+        self.left.truncate(len);
+        self.right.truncate(len);
+    }
+
+    /// Send left chunk row `row` down the row probe after the pairs
+    /// buffered so far: against loose build row `b`, or — for a row that
+    /// could not encode (`None`) — against every build row.
+    fn detour(&mut self, row: u32, build: Option<u32>) {
+        let at = self.left.len() as u32;
+        self.detours.push(Detour { at, row, build });
+    }
+}
+
+/// A left row that takes the row probe, placed before pair `at`.
+struct Detour {
+    at: u32,
+    row: u32,
+    build: Option<u32>,
+}
+
 /// Step `acc` through `xs` in order — a typed loop over one run of head
 /// outputs. The accumulator is held in a local for the run's length, so
 /// it can stay in registers instead of going through `acc` every step.
@@ -730,22 +1163,28 @@ fn fold_run(
 }
 
 /// A stretch of one chunk's rows in ascending order: a run of selected
-/// rows (`sel[i]` for `i` in the range), or one row that could not encode.
-enum Run {
+/// rows (`sel[i]` for `i` in the range), or one row off the selection.
+enum Run<'a, T> {
     Selected(Range<usize>),
-    Rest(u32),
+    Rest(&'a T),
 }
 
-/// Visit the rows of `sel` and `rest` (both ascending, disjoint) in one
-/// ascending sequence, as runs of selected rows between the rows of `rest`.
-fn in_row_order(sel: &[u32], rest: &[u32], mut f: impl FnMut(Run) -> Result<()>) -> Result<()> {
+/// Visit the rows of `sel` (ascending) and `rest` (ascending by `at`) in
+/// one ascending sequence, as runs of selected rows between the items of
+/// `rest`: an item at `at` comes after every selected row below `at`.
+fn in_row_order<'a, T>(
+    sel: &[u32],
+    rest: &'a [T],
+    at: impl Fn(&T) -> u32,
+    mut f: impl FnMut(Run<'a, T>) -> Result<()>,
+) -> Result<()> {
     let mut from = 0;
-    for &row in rest {
-        let to = from + sel[from..].partition_point(|&r| r < row);
+    for item in rest {
+        let to = from + sel[from..].partition_point(|&r| r < at(item));
         if from < to {
             f(Run::Selected(from..to))?;
         }
-        f(Run::Rest(row))?;
+        f(Run::Rest(item))?;
         from = to;
     }
     match from < sel.len() {
@@ -755,18 +1194,21 @@ fn in_row_order(sel: &[u32], rest: &[u32], mut f: impl FnMut(Run) -> Result<()>)
 }
 
 /// The one way a phase runs on the pool: `work` processes each morsel of
-/// `plan` on scratch stats of its own, inside a `stage` span on the
+/// `plan` on the executing worker's `scratch` (built once per worker and
+/// reused across its morsels) and on stats of its own, inside a `stage` span on the
 /// worker's track (`worker + 1`; track 0 is the coordinator) that carries
 /// the tuple count `work` reports and 1 morsel. `merge` folds the partials
 /// into `init` in morsel order — absorbing each morsel's stats and spans
 /// into `stats` alongside — so results, counters, and traces are the same
 /// at every worker count.
-pub(super) fn morsel_fold<P: Send, A>(
+#[allow(clippy::too_many_arguments)]
+pub(super) fn morsel_fold<S: Send, P: Send, A>(
     pool: &WorkerPool,
     plan: &MorselPlan,
     stage: &'static str,
     stats: &mut ExecStats,
-    work: impl Fn(Range<usize>, &mut ExecStats) -> Result<(P, u64)> + Sync,
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, Range<usize>, &mut ExecStats) -> Result<(P, u64)> + Sync,
     init: A,
     mut merge: impl FnMut(A, P) -> Result<A>,
 ) -> Result<A> {
@@ -774,13 +1216,14 @@ pub(super) fn morsel_fold<P: Send, A>(
     let epoch = stats.trace_epoch();
     pool.fold_morsels(
         plan.len(),
-        |w, m| {
+        |w| (w, scratch()),
+        |(w, scratch), m| {
             let mut ws = ExecStats::default();
             if let Some(e) = epoch {
-                ws.trace = Some(Box::new(QueryTrace::with_epoch(w as u32 + 1, e)));
+                ws.trace = Some(Box::new(QueryTrace::with_epoch(*w as u32 + 1, e)));
             }
             ws.span_begin(stage);
-            let (partial, tuples) = work(plan.range(m), &mut ws)?;
+            let (partial, tuples) = work(scratch, plan.range(m), &mut ws)?;
             ws.span_end_counted(tuples, 1);
             Ok::<_, VidaError>((partial, ws))
         },

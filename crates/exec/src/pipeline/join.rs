@@ -1,35 +1,34 @@
-//! Join build sides — the pipeline breakers: the right side's flat slot
-//! matrix, the CSR hash buckets, the sorted band index, and
-//! candidate selection for probes.
+//! Join build sides — the pipeline breakers: the right side's owned slot
+//! columns, the CSR hash buckets under an open-addressing id table, the
+//! sorted band index, and candidate selection for probes.
 
 use super::{Band, Tuple};
-use std::collections::HashMap;
 use vida_jit::{CompiledKernel, SlotType};
 use vida_lang::BinOp;
 
-/// The scanned right side of one join, flat: the right source `src`'s
-/// frame slots `rslots` as one row-major matrix, a validity bitmap, each
-/// row's source row (its provenance), and — while the index is built — the
-/// canonical key of every row the join has a key kernel for. Morsel chunks
-/// append in morsel order, so build row `i` is the `i`-th survivor of the
-/// right scan at every worker count.
-pub(super) struct BuildRows<'p> {
+/// The scanned right side of one join, column by column: one `i64` column
+/// per frame slot of the right source `src`, each row's validity (did
+/// every slot encode?), each row's source row (its provenance), and —
+/// while the index is built — the canonical key of every row the join has
+/// a key kernel for. Morsel chunks append in morsel order, so build row
+/// `i` is the `i`-th survivor of the right scan at every worker count.
+pub(super) struct BuildCols {
     src: usize,
-    rslots: &'p [usize],
-    slots: Vec<i64>,
-    valid: Vec<u64>,
+    /// `(frame slot, column)`, one per slot of the right source.
+    cols: Vec<(usize, Vec<i64>)>,
+    valid: Vec<bool>,
     rows: Vec<u32>,
     keys: Vec<i64>,
 }
 
-impl<'p> BuildRows<'p> {
-    /// An empty chunk with room for `rows` rows.
-    pub(super) fn new(src: usize, rslots: &'p [usize], rows: usize) -> Self {
-        BuildRows {
+impl BuildCols {
+    /// No rows yet, with a column for each of `slots` and room for `rows`
+    /// rows.
+    pub(super) fn new(src: usize, slots: impl Iterator<Item = usize>, rows: usize) -> Self {
+        BuildCols {
             src,
-            rslots,
-            slots: Vec::with_capacity(rows * rslots.len()),
-            valid: Vec::with_capacity(rows.div_ceil(64)),
+            cols: slots.map(|s| (s, Vec::with_capacity(rows))).collect(),
+            valid: Vec::with_capacity(rows),
             rows: Vec::with_capacity(rows),
             keys: Vec::with_capacity(rows),
         }
@@ -39,33 +38,41 @@ impl<'p> BuildRows<'p> {
         self.rows.len()
     }
 
-    fn is_valid(&self, i: usize) -> bool {
-        self.valid[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    fn set_valid(&mut self, i: usize, valid: bool) {
-        if i % 64 == 0 {
-            self.valid.push(0);
+    /// Append the rows `kept` (ascending) of one scan chunk that starts at
+    /// source row `base`, column by column: slot `s` reads `chunk[s]` (the
+    /// chunk's slot vectors, indexed by frame slot) and the validity reads
+    /// `valid`. `keys` holds one build key per kept row, or nothing when
+    /// the join has no key kernel. Row ids fit `u32`: the build scan checks
+    /// the source size first.
+    pub(super) fn extend(
+        &mut self,
+        chunk: &[Vec<i64>],
+        valid: &[bool],
+        base: usize,
+        kept: &[u32],
+        keys: &[i64],
+    ) {
+        for (slot, col) in &mut self.cols {
+            let from = &chunk[*slot];
+            col.extend(kept.iter().map(|&r| from[r as usize]));
         }
-        self.valid[i / 64] |= (valid as u64) << (i % 64);
+        self.valid.extend(kept.iter().map(|&r| valid[r as usize]));
+        self.rows
+            .extend(kept.iter().map(|&r| (base + r as usize) as u32));
+        self.keys.extend_from_slice(keys);
     }
 
-    /// Append one surviving right tuple (row ids fit `u32`: the build scan
-    /// checks the source size first).
-    pub(super) fn push(&mut self, t: &Tuple, key: Option<i64>) {
-        self.set_valid(self.len(), t.valid);
-        self.slots.extend(self.rslots.iter().map(|&s| t.frame[s]));
-        self.rows.push(t.rows[self.src] as u32);
-        self.keys.extend(key);
-    }
-
-    /// Append the next morsel's chunk.
-    pub(super) fn append(&mut self, chunk: BuildRows<'p>) {
-        let n = self.len();
-        for i in 0..chunk.len() {
-            self.set_valid(n + i, chunk.is_valid(i));
+    /// Append the next morsel's rows (taking them whole while there are
+    /// none yet).
+    pub(super) fn append(&mut self, chunk: BuildCols) {
+        if self.rows.is_empty() {
+            *self = chunk;
+            return;
         }
-        self.slots.extend(chunk.slots);
+        for ((_, col), (_, more)) in self.cols.iter_mut().zip(chunk.cols) {
+            col.extend(more);
+        }
+        self.valid.extend(chunk.valid);
         self.rows.extend(chunk.rows);
         self.keys.extend(chunk.keys);
     }
@@ -74,8 +81,8 @@ impl<'p> BuildRows<'p> {
 /// Materialized build side of one join — the pipeline breaker the
 /// streaming engine still pays, constructed once before the push loop and
 /// shared (read-only) by every probe morsel.
-pub(super) struct JoinBuild<'p> {
-    rows: BuildRows<'p>,
+pub(super) struct JoinBuild {
+    rows: BuildCols,
     /// Hash strategy: one CSR bucket table over the valid rows plus the
     /// invalid-frame stragglers every probe checks through the
     /// interpreter, in build order.
@@ -88,33 +95,141 @@ pub(super) struct JoinBuild<'p> {
     all: Vec<u32>,
 }
 
-/// Hash buckets in CSR form: bucket `b = ids[key]` holds the build rows
-/// `items[offsets[b]..offsets[b + 1]]`, ascending.
+/// Hash buckets in CSR form: bucket `b = ids.get(key)` holds the build
+/// rows `items[offsets[b]..offsets[b + 1]]`, ascending. Bucket 0 is the
+/// empty bucket every absent key maps to, and `items` ends in one padding
+/// entry, so `items[offsets[b]]` is in bounds for every bucket.
 #[derive(Default)]
 struct Buckets {
-    ids: HashMap<i64, u32>,
+    ids: IdTable,
     offsets: Vec<u32>,
     items: Vec<u32>,
 }
 
-impl<'p> JoinBuild<'p> {
+/// Key bits → bucket id, by open addressing: linear probing from a
+/// multiplicative (Fibonacci) hash of the key bits over 4-byte slots, so
+/// the table of a build of tens of thousands of rows stays in cache. The
+/// table is at most two-thirds full, so every probe ends at a free slot.
+struct IdTable {
+    /// The bucket id in each slot, 0 in a free slot.
+    slots: Vec<u32>,
+    /// `keys[id]` is bucket `id`'s key bits (`keys[0]` stands in for the
+    /// empty bucket and matches nothing: its slot id is 0).
+    keys: Vec<i64>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl Default for IdTable {
+    fn default() -> Self {
+        IdTable::with_capacity(0)
+    }
+}
+
+impl IdTable {
+    /// Room for `n` keys.
+    fn with_capacity(n: usize) -> Self {
+        let len = (n + n / 2 + 1).next_power_of_two().max(2);
+        IdTable {
+            slots: vec![0; len],
+            keys: vec![0],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn home(&self, key: i64) -> usize {
+        let x = key as u64;
+        ((x ^ (x >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The bucket id of `key`; a new key gets the next id.
+    fn get_or_insert(&mut self, key: i64) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => {
+                    let id = self.keys.len() as u32;
+                    self.keys.push(key);
+                    self.slots[i] = id;
+                    return id;
+                }
+                id if self.keys[id as usize] == key => return id,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The bucket id of `key`, or 0 (the empty bucket).
+    #[inline]
+    fn get(&self, key: i64) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => return 0,
+                id if self.keys[id as usize] == key => return id,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The bucket id of every key of `keys` into `ids` (0 for an absent
+    /// key), a probe step at a time over the keys still unresolved
+    /// (`pending`, with each one's next slot in `at`). A step compacts the
+    /// unresolved keys without branching on the outcome, so whether a key
+    /// is present — a coin flip in a selective join — costs no branch
+    /// miss, where the one-key loop of [`IdTable::get`] pays one.
+    fn get_batch(
+        &self,
+        keys: &[i64],
+        ids: &mut Vec<u32>,
+        pending: &mut Vec<u32>,
+        at: &mut Vec<usize>,
+    ) {
+        let mask = self.slots.len() - 1;
+        ids.clear();
+        ids.resize(keys.len(), 0);
+        at.clear();
+        at.extend(keys.iter().map(|&k| self.home(k)));
+        pending.clear();
+        pending.extend(0..keys.len() as u32);
+        while !pending.is_empty() {
+            let mut kept = 0;
+            for j in 0..pending.len() {
+                let i = pending[j] as usize;
+                let id = self.slots[at[i]];
+                let hit = self.keys[id as usize] == keys[i];
+                ids[i] = id * hit as u32;
+                at[i] = (at[i] + 1) & mask;
+                pending[kept] = i as u32;
+                kept += (id != 0 && !hit) as usize;
+            }
+            pending.truncate(kept);
+        }
+    }
+}
+
+impl JoinBuild {
     /// Hash-join build, as one counting sort on the coordinator: count
     /// each key's valid rows, prefix-sum the counts into CSR offsets, then
     /// scatter the rows — both passes in build order, so every bucket
     /// lists its rows ascending (the right scan's order) and no bucket
     /// owns a `Vec`. Invalid rows go to `loose`, also in build order.
-    pub(super) fn hash(mut rows: BuildRows<'p>) -> Self {
+    pub(super) fn hash(mut rows: BuildCols) -> Self {
         // The count pass overwrites each valid row's key with its bucket
-        // id, so the scatter pass probes no map.
+        // id, so the scatter pass probes no table.
         let mut keys = std::mem::take(&mut rows.keys);
-        let mut ids = HashMap::with_capacity(rows.len());
-        let (mut counts, mut loose) = (Vec::<u32>::new(), Vec::new());
+        let mut ids = IdTable::with_capacity(rows.len());
+        // `counts[0]` is the empty bucket's.
+        let (mut counts, mut loose) = (vec![0u32], Vec::new());
         for (i, key) in keys.iter_mut().enumerate() {
-            if !rows.is_valid(i) {
+            if !rows.valid[i] {
                 loose.push(i as u32);
                 continue;
             }
-            let id = *ids.entry(*key).or_insert(counts.len() as u32);
+            let id = ids.get_or_insert(*key);
             match counts.get_mut(id as usize) {
                 Some(c) => *c += 1,
                 None => counts.push(1),
@@ -127,8 +242,8 @@ impl<'p> JoinBuild<'p> {
             offsets.push(offsets[offsets.len() - 1] + c);
         }
         let mut cursor = offsets.clone();
-        let mut items = vec![0; rows.len() - loose.len()];
-        for (i, &id) in keys.iter().enumerate().filter(|&(i, _)| rows.is_valid(i)) {
+        let mut items = vec![0; rows.len() - loose.len() + 1];
+        for (i, &id) in keys.iter().enumerate().filter(|&(i, _)| rows.valid[i]) {
             let at = &mut cursor[id as usize];
             items[*at as usize] = i as u32;
             *at += 1;
@@ -145,9 +260,9 @@ impl<'p> JoinBuild<'p> {
     }
 
     /// Theta-join build: the rows plus (for band joins) the sorted key index.
-    pub(super) fn theta(mut rows: BuildRows<'p>, band: Option<&Band>) -> Self {
+    pub(super) fn theta(mut rows: BuildCols, band: Option<&Band>) -> Self {
         let keys = std::mem::take(&mut rows.keys);
-        let index = band.map(|b| BandIndex::build(b, &rows, &keys));
+        let index = band.map(|b| BandIndex::build(b, &rows.valid, &keys));
         JoinBuild {
             index,
             ..JoinBuild::over(rows)
@@ -155,7 +270,7 @@ impl<'p> JoinBuild<'p> {
     }
 
     /// A build over `rows` with no index: the block-nested loop's.
-    fn over(rows: BuildRows<'p>) -> Self {
+    fn over(rows: BuildCols) -> Self {
         JoinBuild {
             all: (0..rows.len() as u32).collect(),
             rows,
@@ -165,17 +280,72 @@ impl<'p> JoinBuild<'p> {
         }
     }
 
+    /// The build columns, as `(frame slot, column)`.
+    pub(super) fn columns(&self) -> &[(usize, Vec<i64>)] {
+        &self.rows.cols
+    }
+
+    /// Every build row, ascending: an invalid probe frame's candidates.
+    pub(super) fn all(&self) -> &[u32] {
+        &self.all
+    }
+
+    /// The invalid build rows, ascending, which every hash probe checks
+    /// through the interpreter.
+    pub(super) fn loose(&self) -> &[u32] {
+        &self.loose
+    }
+
+    /// The bucket id of every probe key of `keys` into `ids` (see
+    /// [`JoinBuild::bucket_span`]); `pending` and `at` are scratch.
+    pub(super) fn lookup_batch(
+        &self,
+        keys: &[i64],
+        ids: &mut Vec<u32>,
+        pending: &mut Vec<u32>,
+        at: &mut Vec<usize>,
+    ) {
+        self.table.ids.get_batch(keys, ids, pending, at)
+    }
+
+    /// Where bucket `b`'s rows start in the bucket items
+    /// ([`JoinBuild::item`]), and how many there are.
+    #[inline]
+    pub(super) fn bucket_span(&self, b: u32) -> (usize, usize) {
+        let (b, offsets) = (b as usize, &self.table.offsets);
+        (offsets[b] as usize, (offsets[b + 1] - offsets[b]) as usize)
+    }
+
+    /// The bucket item at `at`, which may be one past the last bucket's
+    /// end: that reads the padding entry.
+    #[inline]
+    pub(super) fn item(&self, at: usize) -> u32 {
+        self.table.items[at]
+    }
+
+    /// The `n` bucket items from `at`: a bucket's rows, ascending.
+    #[inline]
+    pub(super) fn items(&self, at: usize, n: usize) -> &[u32] {
+        &self.table.items[at..at + n]
+    }
+
+    /// The valid build rows whose key bits are `key`, ascending.
+    #[inline]
+    pub(super) fn bucket(&self, key: i64) -> &[u32] {
+        let (at, n) = self.bucket_span(self.table.ids.get(key));
+        self.items(at, n)
+    }
+
     /// Write build row `i` into a probe's scratch tuple: the right slots
-    /// straight from the matrix, the right source's row, and the pair's
+    /// from their columns, the right source's row, and the pair's
     /// validity.
     pub(super) fn fill(&self, i: usize, lvalid: bool, out: &mut Tuple) {
         let r = &self.rows;
-        let w = r.rslots.len();
-        for (&slot, &bits) in r.rslots.iter().zip(&r.slots[i * w..(i + 1) * w]) {
-            out.frame[slot] = bits;
+        for (slot, col) in &r.cols {
+            out.frame[*slot] = col[i];
         }
         out.rows[r.src] = r.rows[i] as usize;
-        out.valid = lvalid && r.is_valid(i);
+        out.valid = lvalid && r.valid[i];
     }
 
     /// Candidate build rows for one hash probe, in ascending (right-scan)
@@ -195,25 +365,24 @@ impl<'p> JoinBuild<'p> {
         if !lt.valid {
             return &self.all;
         }
-        let k = encode_key(left_key.call(&lt.frame), left_key_ty, float_keys);
-        let t = &self.table;
-        let bucket = match t.ids.get(&k) {
-            Some(&b) => {
-                &t.items[t.offsets[b as usize] as usize..t.offsets[b as usize + 1] as usize]
-            }
-            None => &[],
-        };
+        let bucket = self.bucket(encode_key(
+            left_key.call(&lt.frame),
+            left_key_ty,
+            float_keys,
+        ));
         if self.loose.is_empty() {
             return bucket;
         }
-        sorted_union(bucket.iter().copied(), &self.loose, scratch)
+        scratch.clear();
+        merge_ascending(bucket, &self.loose, |i, _| scratch.push(i));
+        scratch
     }
 
     /// Candidate build rows for one theta probe, ascending like
     /// [`JoinBuild::hash_candidates`]. Invalid probe frames and band-less
     /// joins run the block-nested loop over every row; band probes narrow
     /// to the sorted key range plus the unindexed stragglers, ordered in
-    /// the probe's `scratch` list.
+    /// the probe's `scratch` list (the range is in key order, so it sorts).
     pub(super) fn theta_candidates<'a>(
         &'a self,
         lt: &Tuple,
@@ -234,17 +403,30 @@ impl<'p> JoinBuild<'p> {
             true => &[],
             false => index.range(band, lk),
         };
-        sorted_union(range.iter().map(|&(_, i)| i), &index.unindexed, scratch)
+        scratch.clear();
+        scratch.extend(range.iter().map(|&(_, i)| i));
+        scratch.extend_from_slice(&index.unindexed);
+        scratch.sort_unstable();
+        scratch
     }
 }
 
-/// `a ∪ b` in ascending build order, in a probe's scratch list.
-fn sorted_union<'a>(a: impl Iterator<Item = u32>, b: &[u32], out: &'a mut Vec<u32>) -> &'a [u32] {
-    out.clear();
-    out.extend(a);
-    out.extend_from_slice(b);
-    out.sort_unstable();
-    out
+/// Visit `a ∪ b` (each ascending, disjoint) in ascending order, telling
+/// `f` whether each row came from `b`.
+#[inline]
+pub(super) fn merge_ascending(a: &[u32], b: &[u32], mut f: impl FnMut(u32, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            f(a[i], false);
+            i += 1;
+        } else {
+            f(b[j], true);
+            j += 1;
+        }
+    }
+    a[i..].iter().for_each(|&x| f(x, false));
+    b[j..].iter().for_each(|&x| f(x, true));
 }
 
 /// The sorted key index a band theta join probes: valid build rows keyed
@@ -258,14 +440,14 @@ pub(super) struct BandIndex {
 }
 
 impl BandIndex {
-    fn build(band: &Band, rows: &BuildRows, keys: &[i64]) -> BandIndex {
-        let mut sorted = Vec::with_capacity(rows.len());
+    fn build(band: &Band, valid: &[bool], keys: &[i64]) -> BandIndex {
+        let mut sorted = Vec::with_capacity(keys.len());
         let mut unindexed = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             // NaN compares false under every IEEE ordering; keep such keys
             // out of the sorted run (they would break binary search) and
             // let the pairwise predicate reject them.
-            if !rows.is_valid(i) || band.float_keys && f64::from_bits(k as u64).is_nan() {
+            if !valid[i] || band.float_keys && f64::from_bits(k as u64).is_nan() {
                 unindexed.push(i as u32);
             } else {
                 sorted.push((k, i as u32));
@@ -368,6 +550,63 @@ mod tests {
                 assert_eq!(stats.theta_pipelines, 1, "{q}: {stats:?}");
             }
         }
+    }
+
+    #[test]
+    fn id_table_maps_each_key_to_its_bucket() {
+        use super::IdTable;
+        // Distinct keys with edge bits (0, the empty bucket's stand-in key;
+        // i64::MIN; float bits), filling the table to two-thirds.
+        let mut keys: Vec<i64> = vec![0, -1, i64::MIN, i64::MAX, 1.5f64.to_bits() as i64];
+        keys.extend((1..80).map(|i| i * 1024));
+        keys.extend((0..85).map(|i| i * 7 - 300));
+        let mut table = IdTable::with_capacity(keys.len());
+        assert_eq!((keys.len(), table.slots.len()), (169, 256));
+        let ids: Vec<u32> = keys.iter().map(|&k| table.get_or_insert(k)).collect();
+        let again: Vec<u32> = keys.iter().map(|&k| table.get_or_insert(k)).collect();
+        assert_eq!(ids, again, "a key keeps its bucket");
+        assert_eq!(ids, (1..=keys.len() as u32).collect::<Vec<_>>());
+        let absent = [
+            -1000,
+            5000,
+            1024 * 81,
+            i64::MIN + 1,
+            2.5f64.to_bits() as i64,
+        ];
+        let probes: Vec<i64> = keys.iter().chain(&absent).copied().collect();
+        let one: Vec<u32> = probes.iter().map(|&k| table.get(k)).collect();
+        let (mut batch, mut pending, mut at) = (Vec::new(), Vec::new(), Vec::new());
+        table.get_batch(&probes, &mut batch, &mut pending, &mut at);
+        assert_eq!(batch, one);
+        assert_eq!(&one[..keys.len()], &ids[..]);
+        assert!(
+            one[keys.len()..].iter().all(|&b| b == 0),
+            "absent keys: {one:?}"
+        );
+
+        // An empty table knows no key, 0 included.
+        let empty = IdTable::default();
+        assert_eq!(empty.get(0), 0);
+        empty.get_batch(&[0, 5], &mut batch, &mut pending, &mut at);
+        assert_eq!(batch, [0, 0]);
+    }
+
+    #[test]
+    fn merge_ascending_interleaves_and_tags_the_second_list() {
+        let mut out = Vec::new();
+        super::merge_ascending(&[1, 4, 5, 9], &[0, 2, 7, 10, 11], |i, b| out.push((i, b)));
+        let expected = [
+            (0, true),
+            (1, false),
+            (2, true),
+            (4, false),
+            (5, false),
+            (7, true),
+            (9, false),
+            (10, true),
+            (11, true),
+        ];
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -57,12 +57,20 @@
 //!
 //! The leftmost scan runs **a vector at a time** (MonetDB/X100-style):
 //! per chunk of at most 1024 rows, the fused selects refine a selection
-//! vector with batch kernels, and a primitive fold straight over the scan
-//! runs its head kernel over the selection and folds the outputs in a
-//! typed loop. Every other pipeline takes the selected rows one at a time
-//! from there.
+//! vector with batch kernels. A primitive fold with a kernel or `count`
+//! head stays vectorized when it sits straight over the scan — the head
+//! kernel runs over the selection and a typed loop folds its outputs — or
+//! over a hash join probed by the scan with a compiled predicate: the key
+//! kernel runs over the chunk, the keys look up their buckets, the
+//! matches expand into (left row, build row) pair vectors, and the
+//! predicate, the selects above the join and the head run over those
+//! (`ExecStats::vector_probe_pipelines`). Rows whose frame cannot encode,
+//! and pairs with a null-keyed build row, take the row path in their place
+//! in that order.
 //!
-//! Execution above the scan is a **streaming push loop** (HyPer-style
+//! Every other pipeline — join chains, unnests, theta joins, collection
+//! and record heads, interpreted steps — takes the selected rows one at a
+//! time from the scan into a **streaming push loop** (HyPer-style
 //! data-centric pipelines): each compiled stage consumes one tuple at a
 //! time and pushes it into the next stage's consumer closure, so
 //! select→project→unnest→probe→fold chains fuse end to end with no
@@ -71,9 +79,10 @@
 //! it, provenance is a fixed array of row and element indexes, and
 //! primitive folds keep unboxed [`Partial`](vida_types::Partial)
 //! accumulators until the morsel boundary. The only pipeline breakers are
-//! join build sides — a row-major slot matrix with CSR hash buckets or a
-//! sorted band index — which materialize once per join before the loop
-//! starts; `ExecStats::fused_stage_depth` reports the fused chain length.
+//! join build sides — owned slot columns with CSR hash buckets under an
+//! open-addressing id table, or a sorted band index — which materialize
+//! once per join before the loop starts; `ExecStats::fused_stage_depth`
+//! reports the fused chain length.
 //!
 //! One **morsel driver** (`vida-parallel`) runs every scan at every
 //! worker count: raw scans split into aligned byte ranges, replica decodes
@@ -91,9 +100,9 @@
 //! paths), `bind` (one post-order walk from the plan to the operator tree
 //! — sources, slots, selects, join strategies, unnest stages — then select
 //! fusion and head planning), `columns` (cache probe, raw scan, replica
-//! decode and sync, incremental tail), `join` (build sides: slot matrix,
+//! decode and sync, incremental tail), `join` (build sides: slot columns,
 //! CSR hash buckets, band index), `drive` (the morsel driver: push loop,
-//! fold, fold-partial seam). This file holds the entry points and the
+//! vector folds and the batch probe, fold-partial seam). This file holds the entry points and the
 //! pipeline IR those modules share.
 
 mod bind;
@@ -280,8 +289,6 @@ struct Source {
     /// that cannot encode (null, type mismatch) sends its tuple down the
     /// interpreted fallback.
     slot_cols: Vec<(usize, Arc<Vec<Value>>, SlotType)>,
-    /// All global slot indexes owned by this source (for frame merging).
-    slots: Vec<usize>,
     /// Selection steps applied as tuples leave the scan, syntactic order.
     selects: Vec<Step>,
     /// When every select compiled, the chain fused into one

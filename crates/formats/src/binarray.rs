@@ -308,10 +308,7 @@ impl ArrayFile {
     /// Materialize the full array as a ViDa [`Value::Array`].
     pub fn to_value(&self) -> Value {
         let data = (0..self.len()).map(|i| self.decode_at(i)).collect();
-        Value::Array {
-            dims: self.dims.clone(),
-            data,
-        }
+        Value::array(self.dims.clone(), data)
     }
 }
 
@@ -426,9 +423,8 @@ mod tests {
     fn to_value_matches() {
         let m = matrix();
         let v = m.to_value();
-        let Value::Array { dims, data } = v else {
-            panic!()
-        };
+        let Value::Array(a) = v else { panic!() };
+        let (dims, data) = (a.dims, a.data);
         assert_eq!(dims, vec![3, 4]);
         assert_eq!(data.len(), 12);
         assert_eq!(data[7], Value::Float(13.0));

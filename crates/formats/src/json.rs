@@ -643,9 +643,9 @@ fn write_json(v: &Value, out: &mut String) {
             }
             out.push(']');
         }
-        Value::Array { data, .. } => {
+        Value::Array(a) => {
             out.push('[');
-            for (i, v) in data.iter().enumerate() {
+            for (i, v) in a.data.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }

@@ -92,12 +92,12 @@ pub fn hash_value(v: &Value) -> u64 {
             }
             h
         }
-        Value::Array { dims, data } => {
-            let mut h = mix64(0x000A_88A7_u64 ^ dims.len() as u64);
-            for d in dims {
+        Value::Array(a) => {
+            let mut h = mix64(0x000A_88A7_u64 ^ a.dims.len() as u64);
+            for d in &a.dims {
                 h = mix64(h ^ *d as u64);
             }
-            for it in data {
+            for it in &a.data {
                 h = mix64(h ^ hash_value(it));
             }
             h

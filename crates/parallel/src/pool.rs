@@ -116,37 +116,46 @@ impl WorkerPool {
     /// Run `work` per morsel and fold the partials into one accumulator
     /// **in morsel order** — the merge half of push-pipeline parallelism.
     ///
-    /// `work(worker, morsel)` also receives the executing worker's index
-    /// (`0..threads`), so callers can attribute per-morsel output — trace
-    /// spans, scratch stats — to the worker that produced it. Workers race
-    /// on morsel claims and may complete out of order, but the fold the
-    /// caller sees is always the serial left fold over morsel-indexed
-    /// partials, so the result is identical at every worker count (the
-    /// determinism contract). A one-worker pool folds each partial into the
-    /// accumulator the moment it is produced — at most one un-merged
-    /// partial is ever alive, and the first `Err` (from `work` or `merge`)
-    /// stops the run before the next morsel starts. With more workers the
-    /// caller parks on the run's completion latch while the shared workers
-    /// drain its morsels (interleaved with any other attached runs), then
-    /// merges on its own thread.
-    pub fn fold_morsels<A, P, E, W, M>(
+    /// `init(worker)` builds one scratch value per executing worker
+    /// (`0..threads`) on its first morsel of the run, and `work(&mut
+    /// scratch, morsel)` processes one morsel on it, so per-morsel vectors
+    /// are allocated per worker and callers can attribute per-morsel
+    /// output — trace spans, scratch stats — to the worker that produced
+    /// it. Workers race on morsel claims and may complete out of order,
+    /// but the fold the caller sees is always the serial left fold over
+    /// morsel-indexed partials, so the result is identical at every worker
+    /// count (the determinism contract). A one-worker pool folds each
+    /// partial into the accumulator the moment it is produced — at most
+    /// one un-merged partial is ever alive, and the first `Err` (from
+    /// `work` or `merge`) stops the run before the next morsel starts.
+    /// With more workers the caller parks on the run's completion latch
+    /// while the shared workers drain its morsels (interleaved with any
+    /// other attached runs), then merges on its own thread.
+    pub fn fold_morsels<S, A, P, E, I, W, M>(
         &self,
         morsels: usize,
+        init: I,
         work: W,
-        init: A,
+        acc: A,
         mut merge: M,
     ) -> std::result::Result<A, E>
     where
+        S: Send,
         P: Send,
         E: Send,
-        W: Fn(usize, usize) -> std::result::Result<P, E> + Sync,
+        I: Fn(usize) -> S + Sync,
+        W: Fn(&mut S, usize) -> std::result::Result<P, E> + Sync,
         M: FnMut(A, P) -> std::result::Result<A, E>,
     {
-        if self.workers.is_none() {
-            return (0..morsels).try_fold(init, |acc, m| merge(acc, work(0, m)?));
+        if morsels == 0 {
+            return Ok(acc);
         }
-        let partials = self.run_morsels(morsels, |w| w, |w, m| work(*w, m))?;
-        partials.into_iter().try_fold(init, merge)
+        if self.workers.is_none() {
+            let mut scratch = init(0);
+            return (0..morsels).try_fold(acc, |acc, m| merge(acc, work(&mut scratch, m)?));
+        }
+        let partials = self.run_morsels(morsels, init, work)?;
+        partials.into_iter().try_fold(acc, merge)
     }
 }
 
@@ -641,6 +650,7 @@ mod tests {
             let folded = WorkerPool::new(threads)
                 .fold_morsels(
                     32,
+                    |_| (),
                     |_, m| Ok::<_, ()>(format!("[{m}]")),
                     String::new(),
                     |mut acc, p| {
@@ -657,6 +667,7 @@ mod tests {
     fn fold_morsels_propagates_errors() {
         let r = WorkerPool::new(4).fold_morsels(
             10,
+            |_| (),
             |_, m| if m == 3 { Err("bad morsel") } else { Ok(m) },
             0usize,
             |acc, p| Ok(acc + p),
@@ -681,6 +692,7 @@ mod tests {
         let merged = pool
             .fold_morsels(
                 64,
+                |_| (),
                 |_, _| {
                     let now = live.fetch_add(1, Ordering::Relaxed) + 1;
                     peak.fetch_max(now, Ordering::Relaxed);
@@ -698,6 +710,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let r = pool.fold_morsels(
             64,
+            |_| (),
             |_, m| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 if m == 3 {
@@ -719,7 +732,8 @@ mod tests {
             let workers = WorkerPool::new(threads)
                 .fold_morsels(
                     64,
-                    |w, _| Ok::<_, ()>(w),
+                    |w| w,
+                    |w, _| Ok::<_, ()>(*w),
                     Vec::new(),
                     |mut acc, w| {
                         acc.push(w);
@@ -729,6 +743,40 @@ mod tests {
                 .unwrap();
             assert_eq!(workers.len(), 64);
             assert!(workers.iter().all(|&w| w < threads), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fold_morsels_builds_scratch_once_per_worker() {
+        // Each worker's scratch outlives its morsels: the per-worker
+        // counts of morsels served add up to every morsel, and no more
+        // scratch values are built than there are workers.
+        for threads in [1, 2, 4] {
+            let built = AtomicUsize::new(0);
+            let served = WorkerPool::new(threads)
+                .fold_morsels(
+                    64,
+                    |_| {
+                        built.fetch_add(1, Ordering::Relaxed);
+                        0usize
+                    },
+                    |seen, _| {
+                        *seen += 1;
+                        Ok::<_, ()>(*seen)
+                    },
+                    0usize,
+                    |acc, seen| Ok(acc + (seen == 1) as usize),
+                )
+                .unwrap();
+            let built = built.load(Ordering::Relaxed);
+            assert!(
+                built <= threads,
+                "threads={threads}: {built} scratch values"
+            );
+            assert_eq!(
+                served, built,
+                "threads={threads}: one first morsel per scratch"
+            );
         }
     }
 
@@ -810,6 +858,7 @@ mod tests {
                         let folded = pool
                             .fold_morsels(
                                 8,
+                                |_| (),
                                 |_, m| {
                                     std::thread::sleep(Duration::from_millis(8));
                                     Ok::<_, ()>(format!("[{m}]"))
@@ -895,6 +944,7 @@ mod tests {
                         _ => run
                             .fold_morsels(
                                 64,
+                                |_| (),
                                 |_, m| {
                                     if m == 5 {
                                         panic!("boom in work");

@@ -22,4 +22,4 @@ pub use error::{Result, VidaError};
 pub use monoid::{CollectionKind, Monoid, Partial, PrimitiveMonoid};
 pub use schema::{AccessPath, Field, Schema};
 pub use types::Type;
-pub use value::Value;
+pub use value::{ArrayValue, Value};

@@ -525,7 +525,7 @@ fn bool_binop(a: Partial, b: Partial, name: &str, f: fn(bool, bool) -> bool) -> 
 fn into_elements(v: Value, kind: CollectionKind) -> Result<Vec<Value>> {
     match v {
         Value::Collection(_, items) => Ok(items),
-        Value::Array { data, .. } => Ok(data),
+        Value::Array(a) => Ok(a.data),
         other => Err(VidaError::Exec(format!(
             "{} merge expects a collection, got {other}",
             kind.name()

@@ -142,14 +142,15 @@ impl Type {
                     .unwrap_or(Type::Unknown);
                 Type::Collection(*k, Box::new(elem))
             }
-            Value::Array { dims, data } => {
-                let elem = data
+            Value::Array(a) => {
+                let elem = a
+                    .data
                     .iter()
                     .map(Type::of_value)
                     .try_fold(Type::Unknown, |acc, t| acc.unify(&t))
                     .unwrap_or(Type::Unknown);
                 Type::Array {
-                    dims: dims.len(),
+                    dims: a.dims.len(),
                     elem: Box::new(elem),
                 }
             }
