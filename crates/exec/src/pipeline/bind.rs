@@ -489,6 +489,12 @@ impl<'a> PipelineBuilder<'a> {
                             let float_keys = lt == SlotType::Float || rt == SlotType::Float;
                             let left_key = self.compile(&lk_expr, layout)?;
                             let right_key = self.compile(&rk_expr, layout)?;
+                            // `band_join_keys` found the comparison at the
+                            // top, or in one conjunct of an `and`.
+                            let exact = matches!(
+                                predicate,
+                                Expr::BinOp(BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..)
+                            );
                             band = Some(Band {
                                 left_key,
                                 right_key,
@@ -496,6 +502,7 @@ impl<'a> PipelineBuilder<'a> {
                                 float_keys,
                                 left_key_ty: lt,
                                 right_key_ty: rt,
+                                exact,
                             });
                         }
                     }

@@ -1,8 +1,8 @@
 //! The morsel driver: join builds, the fused push loop over the morsel
 //! grid, the monoid fold, and the fold-partial cache seam.
 
-use super::join::{encode_key, merge_ascending, BuildCols, JoinBuild};
-use super::{HeadPlan, Node, Pipeline, Source, Step, Tuple, TupleSink};
+use super::join::{encode_key, BandIndex, BuildCols, JoinBuild};
+use super::{Band, HeadPlan, Node, Pipeline, Source, Step, Tuple, TupleSink};
 use crate::stats::ExecStats;
 use std::ops::Range;
 use std::sync::Arc;
@@ -192,10 +192,11 @@ impl Pipeline {
 
     /// What a primitive fold reads a vector at a time: a scan whose
     /// selects are fused (or absent), either on its own or as the left
-    /// input of a hash join whose predicate and selects all compiled, under
-    /// a head of one kernel or none. Anything else folds row by row: an
-    /// interpreted select or head may error, and its error must surface in
-    /// row order relative to the fold's own.
+    /// input of a join — hash, band or block-nested loop — whose predicate
+    /// and selects all compiled, under a head of one kernel or none.
+    /// Anything else folds row by row: an interpreted select or head may
+    /// error, and its error must surface in row order relative to the
+    /// fold's own.
     fn vector_fold<'a>(&'a self, builds: &'a [JoinBuild]) -> Option<VectorFold<'a>> {
         if !matches!(self.head, HeadPlan::Kernel(..) | HeadPlan::CountOnly) {
             return None;
@@ -207,8 +208,8 @@ impl Pipeline {
             }
             _ => None,
         };
-        match &self.root {
-            root @ Node::Source(_) => scan(root).map(VectorFold::Scan),
+        let (left, build, predicate, selects, candidates) = match &self.root {
+            root @ Node::Source(_) => return scan(root).map(VectorFold::Scan),
             Node::HashJoin {
                 left,
                 right,
@@ -219,27 +220,49 @@ impl Pipeline {
                 selects,
                 ..
             } => {
-                let idx = scan(left)?;
-                let steps = std::iter::once(predicate)
-                    .chain(selects)
-                    .map(|step| match step {
-                        Step::Kernel(k, _) => Some(k.clone()),
-                        Step::Interp(_) => None,
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                Some(VectorFold::Probe(VectorProbe {
-                    idx,
-                    build: &builds[*right - 1],
-                    key: left_key,
-                    key_ty: *left_key_ty,
-                    float_keys: *float_keys,
-                    steps: SelectKernel::new(steps),
-                    predicate,
-                    selects,
-                }))
+                let key = (left_key, *left_key_ty, *float_keys);
+                let build = &builds[*right - 1];
+                (left, build, predicate, selects, Candidates::Hash(key))
             }
-            _ => None,
-        }
+            Node::ThetaJoin {
+                left,
+                right,
+                band,
+                predicate,
+                selects,
+            } => {
+                let build = &builds[*right - 1];
+                let candidates = match (band, &build.index) {
+                    (Some(band), Some(index)) => Candidates::Band {
+                        band,
+                        index,
+                        count: band.exact
+                            && matches!(self.head, HeadPlan::CountOnly)
+                            && selects.is_empty()
+                            && build.loose().is_empty(),
+                    },
+                    _ => Candidates::Loop,
+                };
+                (left, build, predicate, selects, candidates)
+            }
+            _ => return None,
+        };
+        let idx = scan(left)?;
+        let steps = std::iter::once(predicate)
+            .chain(selects)
+            .map(|step| match step {
+                Step::Kernel(k, _) => Some(k.clone()),
+                Step::Interp(_) => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(VectorFold::Probe(VectorProbe {
+            idx,
+            build,
+            candidates,
+            steps: SelectKernel::new(steps),
+            predicate,
+            selects,
+        }))
     }
 
     /// A scan-rooted primitive fold over `rows` of source `idx`, a chunk
@@ -283,16 +306,21 @@ impl Pipeline {
         Ok(acc)
     }
 
-    /// A primitive fold over a hash join whose left input is source
-    /// `vp.idx`, a left chunk at a time: the key kernel runs over the
-    /// chunk's selection, each key looks up its bucket, and the matches
-    /// expand into (left row, build row) pair vectors in left-row order,
-    /// then ascending build order — the row probe's pair order. The pairs
-    /// are flushed (see [`Pipeline::flush_pairs`]) at the end of every
-    /// chunk, and sooner when a left row with several matches brings them
-    /// to [`CHUNK_ROWS`]. Left rows that could not encode, and pairs that
-    /// meet a loose build row, become detours: they take the row probe
-    /// where they fall in that order.
+    /// A primitive fold over a join whose left input is source `vp.idx`,
+    /// a left chunk at a time. Each selected left row's candidate build
+    /// rows, ascending, come from its key's hash bucket (the key kernel
+    /// runs over the chunk's selection and the keys look up their buckets
+    /// in one batch), its band key's range (one binary search per row), or
+    /// every build row (a block-nested loop). They expand into (left row,
+    /// build row) pair vectors in left-row order, then ascending build
+    /// order — the row probe's pair order — which are flushed (see
+    /// [`Pipeline::flush_pairs`]) whenever they reach [`CHUNK_ROWS`] and at
+    /// the end of every chunk. Left rows that could not encode, and pairs
+    /// that meet a loose build row, become detours: they take the row probe
+    /// where they fall in that order. A `count` over a band join whose
+    /// predicate is the band comparison and whose build has no loose rows
+    /// expands no pair: every pair of a range passes, so each left row adds
+    /// its range's length.
     fn fold_probe(
         &self,
         vp: &VectorProbe,
@@ -306,19 +334,30 @@ impl Pipeline {
         let WorkerScratch {
             chunk,
             pairs,
+            kept: sorted,
             row: lt,
             pair: out,
-            ..
         } = w;
+        let loose = jb.loose();
         self.scan_chunks(s, rows, chunk, stats, |c, base, stats| {
-            vp.key
-                .call_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch);
-            stats.kernel_hits(vp.key.id(), c.sel.len() as u64);
-            for key in &mut c.heads {
-                *key = encode_key(*key, vp.key_ty, vp.float_keys);
+            let key = match &vp.candidates {
+                Candidates::Hash(key) => Some(*key),
+                Candidates::Band { band, .. } => {
+                    Some((&band.left_key, band.left_key_ty, band.float_keys))
+                }
+                Candidates::Loop => None,
+            };
+            if let Some((key, ty, float_keys)) = key {
+                key.call_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch);
+                stats.kernel_hits(key.id(), c.sel.len() as u64);
+                for bits in &mut c.heads {
+                    *bits = encode_key(*bits, ty, float_keys);
+                }
             }
-            let (ids, pending, at) = (&mut pairs.ids, &mut pairs.pending, &mut pairs.at);
-            jb.lookup_batch(&c.heads, ids, pending, at);
+            if let Candidates::Hash(_) = vp.candidates {
+                let (ids, pending, at) = (&mut pairs.ids, &mut pairs.pending, &mut pairs.at);
+                jb.lookup_batch(&c.heads, ids, pending, at);
+            }
             let c = &*c;
             let mut flush = |pairs: &mut PairChunk, acc: &mut Partial, stats: &mut ExecStats| {
                 self.flush_pairs(vp, p, acc, c, base, pairs, (&mut *lt, &mut *out), stats)
@@ -332,31 +371,63 @@ impl Pipeline {
                         Run::Selected(i) => i,
                         Run::Rest(&row) => {
                             pairs.detour(row, None);
-                            return Ok(());
+                            // Without pairs to place it among, a detour
+                            // runs at once, in its row's place.
+                            return match vp.candidates {
+                                Candidates::Band { count: true, .. } => {
+                                    flush(pairs, &mut acc, stats)
+                                }
+                                _ => Ok(()),
+                            };
                         }
                     };
-                    let loose = jb.loose();
-                    for (row, j) in c.sel[i.clone()].iter().copied().zip(i) {
-                        let (at, n) = jb.bucket_span(pairs.ids[j]);
-                        if n <= 1 && loose.is_empty() {
-                            // At most one match: append the pair and keep it
-                            // only if there is a match, with no branch on that.
-                            pairs.push_first(row, jb.item(at), n);
-                            continue;
+                    let sel = c.sel[i.clone()].iter().copied();
+                    match &vp.candidates {
+                        Candidates::Band {
+                            index, count: true, ..
+                        } => {
+                            // Every pair of a range passes: count them
+                            // without expanding them, and credit the
+                            // predicate kernel with the pairs the row probe
+                            // would have run it on.
+                            let n: usize = c.heads[i].iter().map(|&k| index.range(k).len()).sum();
+                            if let Step::Kernel(k, _) = vp.predicate {
+                                stats.kernel_hits(k.id(), n as u64);
+                            }
+                            stats.actual_rows += n as u64;
+                            count_rows(&mut acc, n)
                         }
-                        let bucket = jb.items(at, n);
-                        match loose {
-                            [] => pairs.extend(row, bucket),
-                            loose => merge_ascending(bucket, loose, |b, is_loose| match is_loose {
-                                false => pairs.extend(row, &[b]),
-                                true => pairs.detour(row, Some(b)),
-                            }),
+                        Candidates::Hash(_) => {
+                            for (row, j) in sel.zip(i) {
+                                let (at, n) = jb.bucket_span(pairs.ids[j]);
+                                if n <= 1 && loose.is_empty() {
+                                    // At most one match: append the pair and
+                                    // keep it only if there is a match, with
+                                    // no branch on that.
+                                    pairs.push_first(row, jb.item(at), n);
+                                    continue;
+                                }
+                                pairs.expand(row, jb.items(at, n), loose, &mut |pairs| {
+                                    flush(pairs, &mut acc, stats)
+                                })?;
+                            }
+                            Ok(())
                         }
-                        if pairs.left.len() >= CHUNK_ROWS {
-                            flush(pairs, &mut acc, stats)?;
+                        Candidates::Band { index, .. } => {
+                            for (row, &k) in sel.zip(&c.heads[i]) {
+                                let range = index.ascending(index.range(k), sorted);
+                                pairs.expand(row, range, loose, &mut |pairs| {
+                                    flush(pairs, &mut acc, stats)
+                                })?;
+                            }
+                            Ok(())
                         }
+                        Candidates::Loop => sel.into_iter().try_for_each(|row| {
+                            pairs.expand(row, jb.all(), loose, &mut |pairs| {
+                                flush(pairs, &mut acc, stats)
+                            })
+                        }),
                     }
-                    Ok(())
                 },
             )?;
             flush(pairs, &mut acc, stats)
@@ -470,8 +541,8 @@ impl Pipeline {
     }
 
     /// Step `acc` through the head outputs `heads[run]` of a head kernel
-    /// with output type `ty` — or, for `count` (`ty` is `None`), through
-    /// one `1` per row of the run — in a typed loop.
+    /// with output type `ty` in a typed loop — or, for `count` (`ty` is
+    /// `None`), add the run's length.
     fn fold_heads(
         &self,
         p: PrimitiveMonoid,
@@ -489,7 +560,7 @@ impl Pipeline {
                 heads().map(|&b| Partial::Float(f64::from_bits(b as u64))),
             ),
             Some(ty) => fold_run(p, acc, heads().map(|&b| self.decode_bits(b, ty).into())),
-            None => fold_run(p, acc, run.clone().map(|_| Partial::Int(1))),
+            None => count_rows(acc, run.len()),
         }
     }
 
@@ -808,7 +879,7 @@ impl Pipeline {
             } => {
                 let jb = &builds[*right - 1];
                 self.drive(left, range, builds, chunk, stats, &mut |stats, lt| {
-                    if let (Some(b), true, true) = (band, lt.valid, jb.index.is_some()) {
+                    if let (Some(b), true) = (band, lt.valid) {
                         stats.kernel_hit(b.left_key.id());
                     }
                     let c = jb.theta_candidates(lt, band.as_ref(), &mut scratch);
@@ -1058,7 +1129,8 @@ struct WorkerScratch {
     chunk: ScanChunk,
     /// A batch probe's pair vectors (empty in every other phase).
     pairs: PairChunk,
-    /// A build chunk's surviving rows, when they are not its selection.
+    /// A build chunk's surviving rows, when they are not its selection;
+    /// in a batch band probe, a range sorted into build order.
     kept: Vec<u32>,
     /// Scratch tuples of the rows that take the row path: the scanned row
     /// and, in a batch probe, its join pair.
@@ -1070,23 +1142,37 @@ struct WorkerScratch {
 enum VectorFold<'a> {
     /// A scan, by source index.
     Scan(usize),
-    /// A hash join probed by a scan.
+    /// A join probed by a scan.
     Probe(VectorProbe<'a>),
 }
 
-/// A hash join whose left input is the scan of source `idx`, with its
+/// A join whose left input is the scan of source `idx`, with its
 /// predicate and the selects above it all compiled.
 struct VectorProbe<'a> {
     idx: usize,
     build: &'a JoinBuild,
-    key: &'a CompiledKernel,
-    key_ty: SlotType,
-    float_keys: bool,
+    candidates: Candidates<'a>,
     /// The predicate, then the selects, in syntactic order: the chain the
     /// row probe short-circuits through.
     steps: SelectKernel,
     predicate: &'a Step,
     selects: &'a [Step],
+}
+
+/// Where a batch probe takes each left row's candidate build rows from.
+enum Candidates<'a> {
+    /// A hash join: the bucket of the left key `(kernel, type,
+    /// float_keys)`.
+    Hash((&'a CompiledKernel, SlotType, bool)),
+    /// A band join: the range of the left band key. With `count`, the fold
+    /// adds each range's length instead of expanding its pairs.
+    Band {
+        band: &'a Band,
+        index: &'a BandIndex,
+        count: bool,
+    },
+    /// A block-nested loop: every build row.
+    Loop,
 }
 
 /// The join pairs of a batch probe buffered before a flush.
@@ -1113,10 +1199,47 @@ struct PairChunk {
 }
 
 impl PairChunk {
-    /// Pair left chunk row `row` with each build row of `builds`.
-    fn extend(&mut self, row: u32, builds: &[u32]) {
-        self.left.extend(std::iter::repeat(row).take(builds.len()));
-        self.right.extend_from_slice(builds);
+    /// Pair left chunk row `row` with each build row of `builds`
+    /// (ascending), except the build rows of `loose` (ascending), each of
+    /// which becomes a detour in its place — `builds` may hold them or not.
+    /// `flush` empties the pairs whenever they reach [`CHUNK_ROWS`].
+    fn expand(
+        &mut self,
+        row: u32,
+        mut builds: &[u32],
+        loose: &[u32],
+        flush: &mut dyn FnMut(&mut PairChunk) -> Result<()>,
+    ) -> Result<()> {
+        for &b in loose {
+            let below = builds.partition_point(|&r| r < b);
+            self.extend(row, &builds[..below], flush)?;
+            self.detour(row, Some(b));
+            builds = &builds[below..];
+            builds = builds.strip_prefix(&[b]).unwrap_or(builds);
+        }
+        self.extend(row, builds, flush)
+    }
+
+    /// Pair left chunk row `row` with each build row of `builds`, in
+    /// pieces that keep the pairs within [`CHUNK_ROWS`].
+    fn extend(
+        &mut self,
+        row: u32,
+        mut builds: &[u32],
+        flush: &mut dyn FnMut(&mut PairChunk) -> Result<()>,
+    ) -> Result<()> {
+        loop {
+            if self.left.len() >= CHUNK_ROWS {
+                flush(self)?;
+            }
+            if builds.is_empty() {
+                return Ok(());
+            }
+            let (now, later) = builds.split_at(builds.len().min(CHUNK_ROWS - self.left.len()));
+            self.left.extend(std::iter::repeat(row).take(now.len()));
+            self.right.extend_from_slice(now);
+            builds = later;
+        }
     }
 
     /// Pair left chunk row `row` with build row `b` if `n` (0 or 1) is 1.
@@ -1159,6 +1282,14 @@ fn fold_run(
         p.step(&mut local, x)?;
     }
     *acc = local;
+    Ok(())
+}
+
+/// Add `n` rows to a `count` accumulator at once: the checked addition
+/// the fold's `count` steps make a row at a time, with the same overflow
+/// error.
+fn count_rows(acc: &mut Partial, n: usize) -> Result<()> {
+    *acc = PrimitiveMonoid::Count.merge(std::mem::take(acc), Partial::Int(n as i64))?;
     Ok(())
 }
 

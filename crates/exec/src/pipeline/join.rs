@@ -3,6 +3,7 @@
 //! sorted band index, and candidate selection for probes.
 
 use super::{Band, Tuple};
+use std::cmp::Ordering;
 use vida_jit::{CompiledKernel, SlotType};
 use vida_lang::BinOp;
 
@@ -83,10 +84,10 @@ impl BuildCols {
 /// shared (read-only) by every probe morsel.
 pub(super) struct JoinBuild {
     rows: BuildCols,
-    /// Hash strategy: one CSR bucket table over the valid rows plus the
-    /// invalid-frame stragglers every probe checks through the
-    /// interpreter, in build order.
+    /// Hash strategy: one CSR bucket table over the valid rows.
     table: Buckets,
+    /// The invalid build rows, in build order, which every probe checks
+    /// pairwise through the row probe.
     loose: Vec<u32>,
     /// Band strategy: the sorted key index.
     pub(super) index: Option<BandIndex>,
@@ -259,12 +260,15 @@ impl JoinBuild {
         }
     }
 
-    /// Theta-join build: the rows plus (for band joins) the sorted key index.
+    /// Theta-join build: the rows, the invalid ones among them (loose),
+    /// and (for band joins) the sorted key index over the others.
     pub(super) fn theta(mut rows: BuildCols, band: Option<&Band>) -> Self {
         let keys = std::mem::take(&mut rows.keys);
-        let index = band.map(|b| BandIndex::build(b, &rows.valid, &keys));
+        let index = band.map(|b| BandIndex::build(b.op, b.float_keys, &keys, &rows.valid));
+        let loose = invalid_rows(&rows.valid);
         JoinBuild {
             index,
+            loose,
             ..JoinBuild::over(rows)
         }
     }
@@ -290,8 +294,8 @@ impl JoinBuild {
         &self.all
     }
 
-    /// The invalid build rows, ascending, which every hash probe checks
-    /// through the interpreter.
+    /// The invalid build rows, ascending, which every probe checks
+    /// pairwise through the row probe.
     pub(super) fn loose(&self) -> &[u32] {
         &self.loose
     }
@@ -381,8 +385,9 @@ impl JoinBuild {
     /// Candidate build rows for one theta probe, ascending like
     /// [`JoinBuild::hash_candidates`]. Invalid probe frames and band-less
     /// joins run the block-nested loop over every row; band probes narrow
-    /// to the sorted key range plus the unindexed stragglers, ordered in
-    /// the probe's `scratch` list (the range is in key order, so it sorts).
+    /// to the sorted key range plus the loose rows. A range whose key
+    /// order is build order is borrowed (or merged with the loose rows in
+    /// the probe's `scratch` list); any other range is sorted there.
     pub(super) fn theta_candidates<'a>(
         &'a self,
         lt: &Tuple,
@@ -397,16 +402,19 @@ impl JoinBuild {
             band.left_key_ty,
             band.float_keys,
         );
-        // NaN probe keys satisfy no IEEE range; only the unindexed build
-        // rows (whose comparison runs through the full predicate) remain.
-        let range = match band.float_keys && f64::from_bits(lk as u64).is_nan() {
-            true => &[],
-            false => index.range(band, lk),
-        };
+        let range = index.range(lk);
+        if self.loose.is_empty() {
+            return index.ascending(range, scratch);
+        }
         scratch.clear();
-        scratch.extend(range.iter().map(|&(_, i)| i));
-        scratch.extend_from_slice(&index.unindexed);
-        scratch.sort_unstable();
+        match index.ordered {
+            true => merge_ascending(range, &self.loose, |i, _| scratch.push(i)),
+            false => {
+                scratch.extend_from_slice(range);
+                scratch.extend_from_slice(&self.loose);
+                scratch.sort_unstable();
+            }
+        }
         scratch
     }
 }
@@ -429,31 +437,34 @@ pub(super) fn merge_ascending(a: &[u32], b: &[u32], mut f: impl FnMut(u32, bool)
     b[j..].iter().for_each(|&x| f(x, true));
 }
 
-/// The sorted key index a band theta join probes: valid build rows keyed
-/// by their compiled band key, plus the rows the index cannot order
-/// (invalid frames, NaN keys) which every probe must still check pairwise.
+/// The sorted key index a band theta join probes: the valid build rows
+/// keyed by their compiled band key (the invalid ones are loose, and every
+/// probe checks them pairwise).
 pub(super) struct BandIndex {
-    /// `(key bits, build row)`, sorted by key then row.
-    sorted: Vec<(i64, u32)>,
-    /// Build-order rows outside the sorted run.
-    unindexed: Vec<u32>,
+    /// Key bits, ascending (float keys in IEEE total order, the order the
+    /// calculus and the comparison kernels use).
+    keys: Vec<i64>,
+    /// `rows[i]` is the build row of `keys[i]`; equal keys keep build
+    /// order.
+    rows: Vec<u32>,
+    /// Whether `rows` ascends, i.e. key order is build order: then every
+    /// range lists its rows in build order as it stands.
+    ordered: bool,
+    /// `left_key op right_key`: `Lt`, `Le`, `Gt` or `Ge`.
+    op: BinOp,
+    float_keys: bool,
 }
 
 impl BandIndex {
-    fn build(band: &Band, valid: &[bool], keys: &[i64]) -> BandIndex {
-        let mut sorted = Vec::with_capacity(keys.len());
-        let mut unindexed = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            // NaN compares false under every IEEE ordering; keep such keys
-            // out of the sorted run (they would break binary search) and
-            // let the pairwise predicate reject them.
-            if !valid[i] || band.float_keys && f64::from_bits(k as u64).is_nan() {
-                unindexed.push(i as u32);
-            } else {
-                sorted.push((k, i as u32));
-            }
-        }
-        if band.float_keys {
+    /// Index the key `keys[i]` of every valid build row `i`.
+    fn build(op: BinOp, float_keys: bool, keys: &[i64], valid: &[bool]) -> BandIndex {
+        let mut sorted: Vec<(i64, u32)> = keys
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| valid[i])
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
+        if float_keys {
             sorted.sort_unstable_by(|(a, ai), (b, bi)| {
                 f64::from_bits(*a as u64)
                     .total_cmp(&f64::from_bits(*b as u64))
@@ -462,35 +473,63 @@ impl BandIndex {
         } else {
             sorted.sort_unstable();
         }
-        BandIndex { sorted, unindexed }
+        let (keys, rows): (Vec<i64>, Vec<u32>) = sorted.into_iter().unzip();
+        BandIndex {
+            ordered: rows.windows(2).all(|w| w[0] < w[1]),
+            keys,
+            rows,
+            op,
+            float_keys,
+        }
     }
 
-    /// Indexes of the sorted run satisfying `left_key op right_key` for one
-    /// probe key, as the half-open range binary search finds.
-    fn range(&self, band: &Band, lk: i64) -> &[(i64, u32)] {
-        let lt = |k: i64| key_lt(k, lk, band.float_keys);
-        let le = |k: i64| !key_lt(lk, k, band.float_keys);
-        match band.op {
+    /// The build rows satisfying `left_key op right_key` for the probe key
+    /// `lk`, in key order: the half-open range binary search finds.
+    pub(super) fn range(&self, lk: i64) -> &[u32] {
+        let keys = &self.keys;
+        let lt = || keys.partition_point(|&k| key_lt(k, lk, self.float_keys));
+        let le = || keys.partition_point(|&k| !key_lt(lk, k, self.float_keys));
+        match self.op {
             // left < right: the strict suffix of keys above lk.
-            BinOp::Lt => &self.sorted[self.sorted.partition_point(|&(k, _)| le(k))..],
+            BinOp::Lt => &self.rows[le()..],
             // left <= right: keys at or above lk.
-            BinOp::Le => &self.sorted[self.sorted.partition_point(|&(k, _)| lt(k))..],
+            BinOp::Le => &self.rows[lt()..],
             // left > right: the strict prefix of keys below lk.
-            BinOp::Gt => &self.sorted[..self.sorted.partition_point(|&(k, _)| lt(k))],
+            BinOp::Gt => &self.rows[..lt()],
             // left >= right: keys at or below lk.
-            BinOp::Ge => &self.sorted[..self.sorted.partition_point(|&(k, _)| le(k))],
+            BinOp::Ge => &self.rows[..le()],
             _ => unreachable!("band ops are range comparisons"),
         }
     }
+
+    /// The rows of `range` (from [`BandIndex::range`]) in build order:
+    /// the range itself when key order is build order, else sorted into
+    /// `scratch`.
+    pub(super) fn ascending<'a>(&self, range: &'a [u32], scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        if self.ordered {
+            return range;
+        }
+        scratch.clear();
+        scratch.extend_from_slice(range);
+        scratch.sort_unstable();
+        scratch
+    }
 }
 
-/// Strict `a < b` over canonical key bits.
+/// Strict `a < b` over canonical key bits (floats in IEEE total order).
 fn key_lt(a: i64, b: i64, float_keys: bool) -> bool {
     if float_keys {
-        f64::from_bits(a as u64) < f64::from_bits(b as u64)
+        f64::from_bits(a as u64).total_cmp(&f64::from_bits(b as u64)) == Ordering::Less
     } else {
         a < b
     }
+}
+
+/// The rows whose `valid` is false, ascending.
+fn invalid_rows(valid: &[bool]) -> Vec<u32> {
+    (0..valid.len() as u32)
+        .filter(|&i| !valid[i as usize])
+        .collect()
 }
 
 /// Canonical hash bits for a join key. With `float_keys`, integer keys
@@ -589,6 +628,64 @@ mod tests {
         assert_eq!(empty.get(0), 0);
         empty.get_batch(&[0, 5], &mut batch, &mut pending, &mut at);
         assert_eq!(batch, [0, 0]);
+    }
+
+    #[test]
+    fn band_ranges_list_their_rows_in_build_order() {
+        use super::BandIndex;
+        use vida_lang::BinOp;
+        // Build rows 2 and 5 are invalid (loose) in every case.
+        let loose = [2u32, 5];
+        let valid: Vec<bool> = (0..9).map(|i| !loose.contains(&i)).collect();
+        let cases: [(&str, Vec<i64>, bool); 4] = [
+            ("sorted", (0..9).collect(), true),
+            ("shuffled", vec![4, 0, 7, 2, 8, 1, 6, 3, 5], false),
+            ("duplicate", vec![1, 1, 3, 3, 3, 5, 5, 7, 7], true),
+            ("shuffled duplicate", vec![3, 1, 3, 5, 1, 3, 7, 5, 1], false),
+        ];
+        for (name, keys, ordered) in cases {
+            for op in [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+                let index = BandIndex::build(op, false, &keys, &valid);
+                assert_eq!(index.ordered, ordered, "{name}");
+                for lk in -1..10 {
+                    let holds = |k: i64| match op {
+                        BinOp::Lt => lk < k,
+                        BinOp::Le => lk <= k,
+                        BinOp::Gt => lk > k,
+                        _ => lk >= k,
+                    };
+                    let expected: Vec<u32> = (0..keys.len() as u32)
+                        .filter(|i| !loose.contains(i) && holds(keys[*i as usize]))
+                        .collect();
+                    let mut scratch = Vec::new();
+                    let range = index.range(lk);
+                    let rows = index.ascending(range, &mut scratch);
+                    assert_eq!(rows, expected, "{name} {op:?} {lk}");
+                }
+            }
+        }
+
+        // Float keys order as the calculus does: NaN above +inf, -NaN
+        // below -inf, -0.0 below 0.0.
+        let floats = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            2.5,
+            f64::INFINITY,
+        ];
+        let keys: Vec<i64> = floats.iter().map(|f| f.to_bits() as i64).collect();
+        let index = BandIndex::build(BinOp::Lt, true, &keys, &[true; 7]);
+        for (i, lk) in floats.iter().enumerate() {
+            let mut scratch = Vec::new();
+            let rows = index.ascending(index.range(keys[i]), &mut scratch);
+            let expected: Vec<u32> = (0..floats.len() as u32)
+                .filter(|&j| lk.total_cmp(&floats[j as usize]).is_lt())
+                .collect();
+            assert_eq!(rows, expected, "{lk} < right");
+        }
     }
 
     #[test]

@@ -60,19 +60,24 @@
 //! vector with batch kernels. A primitive fold with a kernel or `count`
 //! head stays vectorized when it sits straight over the scan — the head
 //! kernel runs over the selection and a typed loop folds its outputs — or
-//! over a hash join probed by the scan with a compiled predicate: the key
-//! kernel runs over the chunk, the keys look up their buckets, the
-//! matches expand into (left row, build row) pair vectors, and the
-//! predicate, the selects above the join and the head run over those
-//! (`ExecStats::vector_probe_pipelines`). Rows whose frame cannot encode,
-//! and pairs with a null-keyed build row, take the row path in their place
-//! in that order.
+//! over a join probed by the scan with a compiled predicate
+//! (`ExecStats::vector_probe_pipelines`). Each left row's candidates are
+//! its hash bucket (the key kernel runs over the chunk and the keys look
+//! up their buckets), its band range (the band key kernel runs over the
+//! chunk and each key binary-searches the index), or every build row (a
+//! block-nested loop); they expand into (left row, build row) pair
+//! vectors, and the predicate, the selects above the join and the head
+//! run over those. Rows whose frame cannot encode, and pairs with an
+//! invalid build row, take the row path in their place in that order. A
+//! `count` over a band join whose predicate is the band comparison itself
+//! expands no pair: each left row adds its range's length.
 //!
-//! Every other pipeline — join chains, unnests, theta joins, collection
-//! and record heads, interpreted steps — takes the selected rows one at a
-//! time from the scan into a **streaming push loop** (HyPer-style
-//! data-centric pipelines): each compiled stage consumes one tuple at a
-//! time and pushes it into the next stage's consumer closure, so
+//! Every other pipeline — join chains, a theta join with an unnest or a
+//! join on its left, unnests, collection and record heads, interpreted
+//! steps — takes the selected rows one at a time from the scan into a
+//! **streaming push loop** (HyPer-style data-centric pipelines): each
+//! compiled stage consumes one tuple at a time and pushes it into the
+//! next stage's consumer closure, so
 //! select→project→unnest→probe→fold chains fuse end to end with no
 //! intermediate buffer between operators and **no allocation per row**:
 //! each stage overwrites one scratch tuple per morsel and its sink borrows
@@ -359,6 +364,12 @@ struct Band {
     float_keys: bool,
     left_key_ty: SlotType,
     right_key_ty: SlotType,
+    /// The join predicate is this comparison itself, not one conjunct of
+    /// an `and`. The predicate kernel compares the same key values in the
+    /// same domain (an int key against a float one promotes as
+    /// `encode_key` does), so a pair is in a probe's range exactly when
+    /// the predicate holds.
+    exact: bool,
 }
 
 /// One compiled unnest stage: where the collection comes from and which

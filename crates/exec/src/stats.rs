@@ -62,10 +62,10 @@ pub struct ExecStats {
     /// Theta-join stages (band sort-probe or block-nested-loop) executed
     /// through a generated pipeline.
     pub theta_pipelines: u32,
-    /// 1 when the query's fold ran over a hash join probe a vector at a
-    /// time (a scan on the join's left, a compiled predicate and selects, a
-    /// kernel or `count` head), 0 when every join probe ran a tuple at a
-    /// time.
+    /// 1 when the query's fold ran over a join probe — hash, band or
+    /// block-nested loop — a vector at a time (a scan on the join's left, a
+    /// compiled predicate and selects, a kernel or `count` head), 0 when
+    /// every join probe ran a tuple at a time.
     pub vector_probe_pipelines: u32,
     /// Bushy-join rotations the `left_deepen` pass applied while lowering
     /// this query's plan into a left-deep pipeline chain.

@@ -243,13 +243,25 @@ impl Gen {
         let lp = self.int_path(&ln, lk);
         let (rn, rk) = right.clone();
         let rp = self.int_path(&rn, rk);
-        match self.rng.below(6) {
+        let band = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+        match self.rng.below(7) {
             // Equi join (hash pipeline).
             0 | 1 => Expr::bin(BinOp::Eq, lp, rp),
             // Band (sort-probe theta pipeline).
-            2 | 3 => {
-                let op = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge][self.rng.below(4) as usize];
-                Expr::bin(op, lp, rp)
+            2 | 3 => Expr::bin(band[self.rng.below(4) as usize], lp, rp),
+            // Band + a residual conjunct over both sides, which selection
+            // pushdown cannot move into a scan: a pair in the band range
+            // may still fail the predicate, so a `count` must not add up
+            // range lengths.
+            6 => {
+                let op = band[self.rng.below(4) as usize];
+                let residual = [BinOp::Ne, BinOp::Le, BinOp::Gt][self.rng.below(3) as usize];
+                let (lq, rq) = (self.int_path(&ln, lk), self.int_path(&rn, rk));
+                Expr::bin(
+                    BinOp::And,
+                    Expr::bin(op, lp, rp),
+                    Expr::bin(residual, lq, rq),
+                )
             }
             // Inequality (block-nested-loop theta pipeline).
             4 => Expr::bin(BinOp::Ne, lp, rp),

@@ -111,16 +111,22 @@ fn nested_heavy_workload_hits_the_new_pipelines() {
             "{} did not fuse: {stats:?}",
             q.text
         );
-        // Each template exercises the stage it was built for.
+        // Each template exercises the stage it was built for: a theta join
+        // probed by a scan runs the batch probe, one with an unnest on its
+        // left the row probe.
         match q.template {
             Template::UnnestFold | Template::UnnestJoin => {
                 assert!(stats.unnest_pipelines >= 1, "{}: {stats:?}", q.text)
             }
-            Template::ThetaBand | Template::ThetaLoop => {
-                assert!(stats.theta_pipelines >= 1, "{}: {stats:?}", q.text)
-            }
+            Template::ThetaBand | Template::ThetaLoop => assert!(
+                stats.theta_pipelines >= 1 && stats.vector_probe_pipelines == 1,
+                "{}: {stats:?}",
+                q.text
+            ),
             Template::UnnestTheta => assert!(
-                stats.unnest_pipelines >= 1 && stats.theta_pipelines >= 1,
+                stats.unnest_pipelines >= 1
+                    && stats.theta_pipelines >= 1
+                    && stats.vector_probe_pipelines == 0,
                 "{}: {stats:?}",
                 q.text
             ),

@@ -354,6 +354,14 @@ fn fval(b: i64) -> f64 {
     f64::from_bits(b as u64)
 }
 
+/// The float bits `b` as an integer whose order is the IEEE total order
+/// of the floats (`f64::total_cmp`'s key): negative floats flip every bit
+/// below the sign.
+#[inline]
+fn ford(b: i64) -> i64 {
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
 /// What a node reads, which picks its batch specialisation: a slot column
 /// or a constant is read inside its parent's pass, not gathered first.
 #[derive(Clone, Copy)]
@@ -595,15 +603,18 @@ fn emit_binop(op: BinOp, l: Node, r: Node) -> Result<Node> {
                 _ => binary(l, r, Float, |x, y| bits(fval(x) * fval(y))),
             }
         }
+        // Floats compare in IEEE total order, as the calculus does
+        // (`Value::total_cmp`): NaN sorts above +inf (below -inf when
+        // negative) and equals itself, and -0.0 sorts below 0.0.
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge if float_domain => {
             let (l, r) = (as_float(l), as_float(r));
             match op {
-                BinOp::Eq => binary(l, r, Bool, |x, y| (fval(x) == fval(y)) as i64),
-                BinOp::Ne => binary(l, r, Bool, |x, y| (fval(x) != fval(y)) as i64),
-                BinOp::Lt => binary(l, r, Bool, |x, y| (fval(x) < fval(y)) as i64),
-                BinOp::Le => binary(l, r, Bool, |x, y| (fval(x) <= fval(y)) as i64),
-                BinOp::Gt => binary(l, r, Bool, |x, y| (fval(x) > fval(y)) as i64),
-                _ => binary(l, r, Bool, |x, y| (fval(x) >= fval(y)) as i64),
+                BinOp::Eq => binary(l, r, Bool, |x, y| (ford(x) == ford(y)) as i64),
+                BinOp::Ne => binary(l, r, Bool, |x, y| (ford(x) != ford(y)) as i64),
+                BinOp::Lt => binary(l, r, Bool, |x, y| (ford(x) < ford(y)) as i64),
+                BinOp::Le => binary(l, r, Bool, |x, y| (ford(x) <= ford(y)) as i64),
+                BinOp::Gt => binary(l, r, Bool, |x, y| (ford(x) > ford(y)) as i64),
+                _ => binary(l, r, Bool, |x, y| (ford(x) >= ford(y)) as i64),
             }
         }
         // Ints, interned strings (eq/ne only), bools.
@@ -810,6 +821,50 @@ mod tests {
                         jit.sem_eq(&interp),
                         "{src} at x={x}, y={y}: jit={jit}, interp={interp}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn float_comparisons_follow_the_interpreters_total_order() {
+        // NaN, signed zeros and infinities, against floats and ints: a
+        // comparison kernel answers what the calculus interpreter answers.
+        use vida_lang::{eval, Bindings};
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.0,
+        ];
+        let mut layout = FrameLayout::new();
+        layout.slot("f", SlotType::Float);
+        layout.slot("g", SlotType::Float);
+        layout.slot("i", SlotType::Int);
+        let mut interner = StringInterner::new();
+        for src in [
+            "f < g", "f <= g", "f > g", "f >= g", "f = g", "f != g", "f < i", "i >= f",
+        ] {
+            let expr = parse(src).unwrap();
+            let kernel = JitCompiler::new()
+                .unwrap()
+                .compile(&expr, &layout, &mut interner)
+                .unwrap();
+            for f in floats {
+                for g in floats {
+                    for i in [-2i64, 0, 1] {
+                        let jit = kernel.call_value(&[bits(f), bits(g), i]);
+                        let mut env = Bindings::new();
+                        env.insert("f".into(), Value::Float(f));
+                        env.insert("g".into(), Value::Float(g));
+                        env.insert("i".into(), Value::Int(i));
+                        let interp = eval(&expr, &env).unwrap();
+                        assert_eq!(jit, interp, "{src} at f={f}, g={g}, i={i}");
+                    }
                 }
             }
         }

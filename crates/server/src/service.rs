@@ -25,8 +25,10 @@
 //! stopping it — useful between phases of a benchmark.
 
 use crate::protocol::{finish_response, write_frame};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -392,7 +394,7 @@ fn executor_loop(shared: &Shared) {
         };
         let now = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         shared.peak_in_flight.fetch_max(now, Ordering::SeqCst);
-        let ok = serve(&shared.engine, request);
+        let ok = serve_contained(&shared.engine, request);
         if ok {
             shared.completed.fetch_add(1, Ordering::SeqCst);
         } else {
@@ -406,24 +408,47 @@ fn executor_loop(shared: &Shared) {
     }
 }
 
+/// [`serve`] one request with any panic contained: the engine catches a
+/// panic inside a query's execution, but parsing, planning, encoding and
+/// the sink's own `write` run outside it. A panic anywhere fails the
+/// request alone — it gets a best-effort error response — and the
+/// executor goes on to the next one. Dropping the sink is contained too.
+fn serve_contained(engine: &Engine, mut request: QueryRequest) -> bool {
+    let ok =
+        catch_unwind(AssertUnwindSafe(|| serve(engine, &mut request))).unwrap_or_else(|payload| {
+            let message = format!("-[server] request panicked: {}", panic_message(&*payload));
+            // The sink may be what panicked, and may panic again.
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                let _ = write_frame(&mut *request.sink, message.as_bytes());
+                let _ = finish_response(&mut *request.sink);
+            }));
+            false
+        });
+    catch_unwind(AssertUnwindSafe(move || drop(request))).is_ok() && ok
+}
+
+/// A panic payload's message, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload")
+}
+
 /// Run one request end to end: parse, execute as an engine session, and
 /// stream the response frames. Returns whether the query both executed
 /// and streamed successfully.
-fn serve(engine: &Engine, request: QueryRequest) -> bool {
-    let QueryRequest {
-        query,
-        tenant,
-        format,
-        mut sink,
-    } = request;
-    let rows = run_query(engine, &query, tenant.as_deref())
-        .and_then(|result| encode_rows(&result, format));
+fn serve(engine: &Engine, request: &mut QueryRequest) -> bool {
+    let sink = &mut *request.sink;
+    let rows = run_query(engine, &request.query, request.tenant.as_deref())
+        .and_then(|result| encode_rows(&result, request.format));
     let streamed = match rows {
-        Ok(Encoded::Lines(rows)) => stream_rows(&mut *sink, rows.lines().map(str::as_bytes)),
-        Ok(Encoded::Binary(rows)) => stream_rows(&mut *sink, rows.iter().map(Vec::as_slice)),
+        Ok(Encoded::Lines(rows)) => stream_rows(sink, rows.lines().map(str::as_bytes)),
+        Ok(Encoded::Binary(rows)) => stream_rows(sink, rows.iter().map(Vec::as_slice)),
         Err(e) => {
-            let _ = write_frame(&mut *sink, format!("-{e}").as_bytes());
-            let _ = finish_response(&mut *sink);
+            let _ = write_frame(sink, format!("-{e}").as_bytes());
+            let _ = finish_response(sink);
             return false;
         }
     };
@@ -917,6 +942,83 @@ mod tests {
 
         fn raw_bytes(&self) -> usize {
             self.0.raw_bytes()
+        }
+    }
+
+    /// A sink whose every write panics until it has panicked `panics`
+    /// times — the first from inside the response stream, the next from
+    /// the error frame the server writes after it.
+    struct PanickingSink {
+        panics: usize,
+        out: SharedBuffer,
+    }
+
+    impl Write for PanickingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.panics > 0 {
+                self.panics -= 1;
+                panic!("injected sink panic");
+            }
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_sink_fails_its_request_and_the_server_keeps_serving() {
+        for panics in [1, 2] {
+            let server = QueryServer::start(
+                engine(),
+                ServerConfig {
+                    executors: 1,
+                    ..ServerConfig::default()
+                },
+            );
+            let out = SharedBuffer::default();
+            let sink = PanickingSink {
+                panics,
+                out: out.clone(),
+            };
+            assert!(server.submit(QueryRequest::new(
+                "for { p <- Patients } yield sum p.age",
+                Box::new(sink),
+            )));
+            // A dead executor never counts the failure: the wait times out
+            // instead of hanging the test.
+            wait_until("the panicking request's failure", || {
+                server.stats().failed == 1
+            });
+            // The one executor survives to answer the next query, and
+            // `in_flight` returns to 0, so `drain` returns.
+            let next = SharedBuffer::default();
+            assert!(server.submit(QueryRequest::new(
+                "for { p <- Patients } yield sum p.age",
+                Box::new(next.clone()),
+            )));
+            wait_until("the next query", || server.stats().completed == 1);
+            server.drain();
+            let stats = server.stats();
+            assert_eq!(
+                (stats.failed, stats.completed, stats.in_flight),
+                (1, 1, 0),
+                "panics={panics}"
+            );
+            let resp = read_response(&mut Cursor::new(next.take())).unwrap();
+            assert_eq!(resp.rows, vec![b"105".to_vec()], "panics={panics}");
+            // The error frame reaches a sink that panicked once; one that
+            // panics again gets nothing.
+            let written = out.take();
+            match panics {
+                1 => {
+                    let resp = read_response(&mut Cursor::new(written)).unwrap();
+                    let error = resp.error.expect("an error frame");
+                    assert!(error.contains("injected sink panic"), "{error}");
+                }
+                _ => assert!(written.is_empty()),
+            }
         }
     }
 
