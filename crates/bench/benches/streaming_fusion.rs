@@ -1,4 +1,4 @@
-//! Streaming push pipelines on warm scan→select→join→fold and
+//! The chunk pipeline on warm scan→select→join→fold and
 //! scan→select→fold chains: wall time, and — through a counting global
 //! allocator — the **peak bytes live** and the **allocations per query**,
 //! which is where fusion shows up even when the operator work itself
@@ -7,11 +7,12 @@
 //! The asserted contract: a warm (cache-served) query allocates per morsel,
 //! never per row. Each chain runs on a resident engine over `N` and over
 //! `2N` rows, and the extra rows may add fewer than `N / 100` allocations;
-//! a push loop that boxed one tuple per row would add `2N` and fail.
+//! a pipeline that boxed one tuple per row would add `2N` and fail.
 //!
 //! Recorded baselines (frozen): the deleted pull-and-materialize executor,
 //! which handed a full tuple vector from every operator stage to the next,
-//! measured against the push loop on cold 20k x 20k runs:
+//! measured against the streaming push loop that preceded the chunk
+//! pipeline, on cold 20k x 20k runs:
 //!
 //! | chain | time, materializing / streaming | peak allocation drop |
 //! |---|---|---|
@@ -137,7 +138,7 @@ fn main() {
                 "{name}: the warm run must hit the cache"
             );
         }
-        case(&format!("{name}: streaming push, warm"), 3, 5, || {
+        case(&format!("{name}: chunk pipeline, warm"), 3, 5, || {
             small.execute(plan).expect("runs");
         });
         // One untimed run per engine, post-warmup.
@@ -155,7 +156,7 @@ fn main() {
         );
         assert!(
             at_2n.saturating_sub(at_n) < N / 100,
-            "{name}: {N} more rows cost {} more allocations — the push loop \
+            "{name}: {N} more rows cost {} more allocations — the pipeline \
              allocates per row again",
             at_2n.saturating_sub(at_n)
         );

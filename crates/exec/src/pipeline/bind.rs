@@ -6,7 +6,8 @@
 
 use super::shape::{collect_paths, pipelinable};
 use super::{
-    Band, ExecContext, FoldSeam, HeadPlan, JitOptions, Node, Pipeline, Source, Step, UnnestStage,
+    Batch, ExecContext, FoldSeam, HeadPlan, JitOptions, Keys, Pipeline, Probe, Source, Stage,
+    StageKind, Step, Steps, UnnestStage,
 };
 use crate::catalog::{QueryBinding, SourceProvider};
 use crate::stats::ExecStats;
@@ -89,7 +90,7 @@ struct SourceSpec {
 }
 
 /// What the lowering walk accumulates: the query-wide frame layout, and
-/// the sources and unnest stages in walk order. It reads
+/// the sources, unnest stages and spine stages in walk order. It reads
 /// `touched`: every plan-bound variable the query uses whole (`p`) and
 /// every field it reaches into (`p.age`), named like their frame slots.
 #[derive(Default)]
@@ -98,6 +99,7 @@ struct Lowering {
     layout: FrameLayout,
     specs: Vec<SourceSpec>,
     unnests: Vec<UnnestStage>,
+    stages: Vec<Stage>,
 }
 
 /// Adapts the catalog + cost-model sketches to the optimizer's `PlanStats`:
@@ -251,7 +253,7 @@ impl<'a> PipelineBuilder<'a> {
                 walk.touched.insert(used);
             }
         }
-        let root = self.lower(&input, &mut walk)?;
+        self.lower(&input, &mut walk)?;
         self.compile_end(codegen);
         self.stats.bushy_lowered += rotations;
         if let Some(r) = reorder_report {
@@ -295,13 +297,28 @@ impl<'a> PipelineBuilder<'a> {
                 nrows: spec.nrows,
                 env_fields,
                 slot_cols,
-                selects: spec.selects,
-                fused_selects: None,
+                selects: Steps::new(spec.selects, false),
             });
         }
         let codegen = self.compile_begin(stage::CODEGEN);
         for src in &mut sources {
-            src.fused_selects = self.fuse_selects(&src.selects, &src.dataset);
+            self.fuse_selects(&mut src.selects, &src.dataset);
+        }
+        // Each stage carries the slots bound below it, except the ones it
+        // binds itself.
+        let mut stages = walk.stages;
+        let mut bound: Vec<usize> = sources[0].slot_cols.iter().map(|c| c.0).collect();
+        for stage in &mut stages {
+            let own: Vec<usize> = match stage.kind {
+                StageKind::Join { right, .. } => {
+                    sources[right].slot_cols.iter().map(|c| c.0).collect()
+                }
+                StageKind::Unnest(u) => walk.unnests[u].slots.iter().map(|s| s.1).collect(),
+            };
+            bound.retain(|s| !own.contains(s));
+            stage.carried = bound.clone();
+            bound.extend(own);
+            stage.steps.fuse();
         }
         self.observe_select_stats(&sources);
         let head_plan = self.plan_head(*monoid, head, &walk.layout);
@@ -315,12 +332,12 @@ impl<'a> PipelineBuilder<'a> {
         // qualifying folds cache their pre-finalize accumulator, and when
         // revalidation proved the source grew in place with the cached
         // partial covering exactly the unchanged prefix, this run seeds
-        // from it and folds only the appended rows. A `Source` root has no
-        // join and no unnest above it.
+        // from it and folds only the appended rows: a scan with no join and
+        // no unnest above it.
         let fold_seam = match (&self.opts.cache, seam_src) {
             (Some(cache), Some((dataset, fingerprint, nrows)))
                 if matches!(*monoid, Monoid::Primitive(_))
-                    && matches!(root, Node::Source(_))
+                    && stages.is_empty()
                     && base_env.is_empty() =>
             {
                 let query_hash = fnv1a(&format!("{plan:?}"));
@@ -346,7 +363,8 @@ impl<'a> PipelineBuilder<'a> {
         Ok(Some(Pipeline {
             sources,
             unnests: walk.unnests,
-            root,
+            stages,
+            builds: Vec::new(),
             monoid: *monoid,
             head: head_plan,
             frame_width: walk.layout.len(),
@@ -358,19 +376,21 @@ impl<'a> PipelineBuilder<'a> {
         }))
     }
 
-    /// Lower an accepted plan (see [`pipelinable`]) into the operator tree
-    /// in one post-order walk. A scan binds its plugin, works out its
-    /// touched columns and claims their frame slots — column data is not
-    /// read here. A select compiles its conjuncts onto the node below it: a
-    /// scan keeps them on its [`SourceSpec`], a join or unnest on its node.
-    /// A join picks its strategy: hash join on compilable equi-keys, band
-    /// sort-probe on a compilable range predicate, block-nested-loop
-    /// otherwise (with the predicate compiled into one fused kernel when
-    /// possible). An unnest claims element slots, typed from the schemas of
-    /// the bindings its path roots at. Every join's right side is a scan,
-    /// so the walk meets the leftmost scan first and every join and unnest
-    /// sits on the left spine.
-    fn lower(&mut self, plan: &Plan, walk: &mut Lowering) -> Result<Node> {
+    /// Lower an accepted plan (see [`pipelinable`]) into sources and spine
+    /// stages in one post-order walk; returns the source a scan bound, or
+    /// `None` for a join or unnest, which it appends to `walk.stages`. A
+    /// scan binds its plugin, works out its touched columns and claims
+    /// their frame slots — column data is not read here. A select compiles
+    /// its conjuncts onto what is below it: a scan keeps them on its
+    /// [`SourceSpec`], a join or unnest on its stage. A join picks its
+    /// probe: hash on compilable equi-keys, band sort-probe on a
+    /// compilable range predicate, block-nested-loop otherwise (with the
+    /// predicate compiled into one fused kernel when possible). An unnest
+    /// claims element slots, typed from the schemas of the bindings its
+    /// path roots at. Every join's right side is a scan, so the walk meets
+    /// the leftmost scan first and every join and unnest sits on the left
+    /// spine, bottom-up.
+    fn lower(&mut self, plan: &Plan, walk: &mut Lowering) -> Result<Option<usize>> {
         match plan {
             Plan::Scan { dataset, binding } => {
                 // The binding re-stats the file on the query's first read
@@ -409,10 +429,10 @@ impl<'a> PipelineBuilder<'a> {
                     slot_meta,
                     selects: Vec::new(),
                 });
-                Ok(Node::Source(walk.specs.len() - 1))
+                Ok(Some(walk.specs.len() - 1))
             }
             Plan::Select { input, predicate } => {
-                let mut node = self.lower(input, walk)?;
+                let below = self.lower(input, walk)?;
                 // Split `p1 and p2` into separate select steps: kernels
                 // compile per conjunct (so the plan optimizer can rank
                 // them) and the step chain short-circuits left-to-right
@@ -423,28 +443,41 @@ impl<'a> PipelineBuilder<'a> {
                     .iter()
                     .map(|c| self.step(c, &walk.layout))
                     .collect::<Result<Vec<_>>>()?;
-                match &mut node {
-                    Node::Source(i) => walk.specs[*i].selects.extend(steps),
-                    Node::HashJoin { selects, .. }
-                    | Node::ThetaJoin { selects, .. }
-                    | Node::Unnest { selects, .. } => selects.extend(steps),
+                match below {
+                    Some(i) => walk.specs[i].selects.extend(steps),
+                    None => {
+                        let top = walk.stages.last_mut().expect("a stage below");
+                        top.steps.list.extend(steps);
+                    }
                 }
-                Ok(node)
+                Ok(below)
             }
             Plan::Join {
                 left,
                 right,
                 predicate,
             } => {
-                let lnode = self.lower(left, walk)?;
-                let Node::Source(ridx) = self.lower(right, walk)? else {
+                self.lower(left, walk)?;
+                let Some(right_src) = self.lower(right, walk)? else {
                     unreachable!("`pipelinable` accepts only scans as join right sides");
                 };
                 let lvars = left.bound_vars();
                 let rvars = right.bound_vars();
                 let numeric = |t: SlotType| matches!(t, SlotType::Int | SlotType::Float);
                 let layout = &walk.layout;
-                let predicate_step = self.step(predicate, layout)?;
+                let steps = Steps::new(vec![self.step(predicate, layout)?], true);
+                let join = |probe| {
+                    let kind = StageKind::Join {
+                        right: right_src,
+                        probe,
+                    };
+                    walk.stages.push(Stage {
+                        kind,
+                        steps,
+                        carried: Vec::new(),
+                    });
+                    Ok(None)
+                };
 
                 // Strategy 1: hash join on compilable equi-keys.
                 if let Some((lk_expr, rk_expr)) = Plan::equi_join_keys(predicate, &lvars, &rvars) {
@@ -458,26 +491,20 @@ impl<'a> PipelineBuilder<'a> {
                             _ => None, // incomparable key types
                         };
                         if let Some(float_keys) = float_keys {
-                            let left_key = self.compile(&lk_expr, layout)?;
-                            let right_key = self.compile(&rk_expr, layout)?;
-                            return Ok(Node::HashJoin {
-                                left: Box::new(lnode),
-                                right: ridx,
-                                left_key,
-                                right_key,
-                                left_key_ty: lt,
-                                right_key_ty: rt,
+                            return join(Probe::Hash(Keys {
+                                left: self.compile(&lk_expr, layout)?,
+                                right: self.compile(&rk_expr, layout)?,
+                                left_ty: lt,
+                                right_ty: rt,
                                 float_keys,
-                                predicate: predicate_step,
-                                selects: Vec::new(),
-                            });
+                            }));
                         }
                     }
                 }
 
                 // Strategy 2: band sort-probe on a compilable numeric range
                 // comparison between the sides.
-                let mut band = None;
+                self.stats.theta_pipelines += 1;
                 if let Some((lk_expr, rk_expr, op)) =
                     Plan::band_join_keys(predicate, &lvars, &rvars)
                 {
@@ -486,45 +513,34 @@ impl<'a> PipelineBuilder<'a> {
                         JitCompiler::try_prepare(&rk_expr, layout),
                     ) {
                         if numeric(lt) && numeric(rt) {
-                            let float_keys = lt == SlotType::Float || rt == SlotType::Float;
-                            let left_key = self.compile(&lk_expr, layout)?;
-                            let right_key = self.compile(&rk_expr, layout)?;
+                            let keys = Keys {
+                                left: self.compile(&lk_expr, layout)?,
+                                right: self.compile(&rk_expr, layout)?,
+                                left_ty: lt,
+                                right_ty: rt,
+                                float_keys: lt == SlotType::Float || rt == SlotType::Float,
+                            };
                             // `band_join_keys` found the comparison at the
                             // top, or in one conjunct of an `and`.
                             let exact = matches!(
                                 predicate,
                                 Expr::BinOp(BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..)
                             );
-                            band = Some(Band {
-                                left_key,
-                                right_key,
-                                op,
-                                float_keys,
-                                left_key_ty: lt,
-                                right_key_ty: rt,
-                                exact,
-                            });
+                            return join(Probe::Band { keys, op, exact });
                         }
                     }
                 }
 
-                // Strategy 3 (band = None): block-nested-loop over morsels
-                // with the fused predicate kernel.
-                self.stats.theta_pipelines += 1;
-                Ok(Node::ThetaJoin {
-                    left: Box::new(lnode),
-                    right: ridx,
-                    band,
-                    predicate: predicate_step,
-                    selects: Vec::new(),
-                })
+                // Strategy 3: block-nested-loop over morsels with the fused
+                // predicate kernel.
+                join(Probe::Loop)
             }
             Plan::Unnest {
                 input,
                 binding,
                 path,
             } => {
-                let inner = self.lower(input, walk)?;
+                self.lower(input, walk)?;
                 let (elem_ty, src_col) = unnest_elem_type(path, &walk.specs, &walk.unnests);
                 // Every slot type frames — including `Str`, whose elements
                 // intern at runtime through the lock-guarded shared
@@ -555,11 +571,12 @@ impl<'a> PipelineBuilder<'a> {
                     slots,
                 });
                 self.stats.unnest_pipelines += 1;
-                Ok(Node::Unnest {
-                    input: Box::new(inner),
-                    stage: walk.unnests.len() - 1,
-                    selects: Vec::new(),
-                })
+                walk.stages.push(Stage {
+                    kind: StageKind::Unnest(walk.unnests.len() - 1),
+                    steps: Steps::new(Vec::new(), false),
+                    carried: Vec::new(),
+                });
+                Ok(None)
             }
             Plan::Reduce { .. } => unreachable!("`pipelinable` declines nested reduces"),
         }
@@ -589,32 +606,24 @@ impl<'a> PipelineBuilder<'a> {
         Ok(k)
     }
 
-    /// Fuse a scan's select chain into one select stage, which refines each
-    /// chunk's selection vector of valid rows, when every step compiled;
-    /// rows that could not encode still walk the steps through the
-    /// interpreter. Compiled kernels are pure and total, so any evaluation
-    /// order keeps the same rows — rank cheapest-and-most-selective first.
-    /// The interpreted chain keeps syntactic order: interpreted conjuncts
-    /// can error, and error order is observable.
-    fn fuse_selects(&mut self, selects: &[Step], dataset: &str) -> Option<SelectKernel> {
-        let kernels = selects
-            .iter()
-            .map(|s| match s {
-                Step::Kernel(k, _) => Some(k.clone()),
-                Step::Interp(_) => None,
-            })
-            .collect::<Option<Vec<CompiledKernel>>>()?;
-        let order = match kernels.len() {
-            0 => return None,
-            1 => vec![0],
-            _ => rank_conjuncts(selects, dataset, self.sketch_model()),
+    /// Lay out a scan's select chain (see [`Steps`]). When every step
+    /// compiled, the chain fuses into one select kernel, ranked: compiled
+    /// kernels are pure and total, so any evaluation order keeps the same
+    /// rows — cheapest-and-most-selective first. A chain with an
+    /// interpreted step keeps syntactic order: interpreted conjuncts can
+    /// error, and error order is observable.
+    fn fuse_selects(&mut self, selects: &mut Steps, dataset: &str) {
+        let Some(kernels) = selects.kernels().filter(|k| k.len() > 1) else {
+            return selects.fuse();
         };
+        let order = rank_conjuncts(&selects.list, dataset, self.sketch_model());
         self.stats.conjuncts_reordered += order
             .iter()
             .enumerate()
             .filter(|&(pos, &i)| pos != i)
             .count() as u32;
-        Some(SelectKernel::with_order(kernels, &order))
+        let fused = SelectKernel::with_order(kernels, &order);
+        selects.batch = vec![Batch::Kernels(fused)];
     }
 
     /// Replay each scan-level conjunct over a small row sample and fold the
@@ -631,10 +640,10 @@ impl<'a> PipelineBuilder<'a> {
         };
         for src in sources {
             let sample = src.nrows.min(SAMPLE_ROWS);
-            if src.selects.is_empty() || sample == 0 {
+            if src.selects.list.is_empty() || sample == 0 {
                 continue;
             }
-            let mut hits = vec![0u64; src.selects.len()];
+            let mut hits = vec![0u64; src.selects.list.len()];
             let mut env = Bindings::new();
             for row in 0..sample {
                 let rec = src
@@ -642,11 +651,11 @@ impl<'a> PipelineBuilder<'a> {
                     .iter()
                     .map(|(name, col)| (name.clone(), col[row].clone()));
                 env.insert(src.binding.clone(), Value::Record(rec.collect()));
-                for (hit, sel) in hits.iter_mut().zip(&src.selects) {
+                for (hit, sel) in hits.iter_mut().zip(&src.selects.list) {
                     *hit += matches!(eval(sel.expr(), &env), Ok(Value::Bool(true))) as u64;
                 }
             }
-            for (sel, hits) in src.selects.iter().zip(hits) {
+            for (sel, hits) in src.selects.list.iter().zip(hits) {
                 let predicate = sel.expr().to_string();
                 model
                     .sketch()

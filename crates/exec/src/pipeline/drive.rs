@@ -1,24 +1,26 @@
-//! The morsel driver: join builds, the fused push loop over the morsel
-//! grid, the monoid fold, and the fold-partial cache seam.
+//! The morsel driver: join builds, then one chunk pipeline over the morsel
+//! grid — the leftmost scan, the spine's joins and unnests, the fold — and
+//! the fold-partial cache seam.
 
-use super::join::{encode_key, BandIndex, BuildCols, JoinBuild};
-use super::{Band, HeadPlan, Node, Pipeline, Source, Step, Tuple, TupleSink};
+use super::join::{encode_key, merge_ascending, BuildCols, JoinBuild};
+use super::{Batch, HeadPlan, Pipeline, Probe, Source, StageKind, Step, Steps};
 use crate::stats::ExecStats;
+use std::mem::take;
 use std::ops::Range;
 use std::sync::Arc;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
-use vida_jit::{BatchScratch, CompiledKernel, SelectKernel, SlotType};
-use vida_lang::eval;
+use vida_jit::{BatchScratch, CompiledKernel, SlotType};
+use vida_lang::{eval, Bindings};
 use vida_parallel::{MorselPlan, WorkerPool};
 use vida_trace::{stage, QueryTrace};
 use vida_types::{CollectionKind, Monoid, Partial, PrimitiveMonoid, Result, Value, VidaError};
 
-// One morsel driver runs the fused push pipeline at every worker count:
-// join build sides materialize first (the pipeline breakers), then the
-// leftmost scan's rows split into morsels and each morsel drives through
-// the whole stage chain into a private partial fold. Three invariants keep
-// every thread count result-identical:
+// One morsel driver runs the chunk pipeline at every worker count: join
+// build sides materialize first (the pipeline breakers), then the leftmost
+// scan's rows split into morsels and each morsel runs through the whole
+// spine, a chunk at a time, into a private partial fold. Three invariants
+// keep every thread count result-identical:
 //
 // 1. Morsel grids depend only on the leftmost scan's row count (and the
 //    `morsel_rows` knob), never on the worker count, so the partial-result
@@ -26,25 +28,26 @@ use vida_types::{CollectionKind, Monoid, Partial, PrimitiveMonoid, Result, Value
 // 2. Per-morsel partials merge — and collection chunks concatenate — in
 //    morsel order (`WorkerPool::fold_morsels`), so element order is the
 //    scan order and float folds associate the same way everywhere.
-// 3. Hash joins preserve candidate order: the build rows are the right
-//    scan's order (invariant 2), and the one CSR table is laid out
-//    serially in that order, so every bucket lists its rows ascending and
-//    every probe sees the same candidate set in the same order.
+// 3. Every stage keeps row order: a join lists each input row's pairs in
+//    ascending build order (the build rows are the right scan's order, by
+//    invariant 2, and the one CSR table and band index are laid out
+//    serially in that order), an unnest each row's elements in collection
+//    order, and a chunk's rows that take the interpreter stay in their
+//    place.
 
 impl Pipeline {
-    pub(super) fn execute(self, stats: &mut ExecStats) -> Result<Value> {
+    pub(super) fn execute(mut self, stats: &mut ExecStats) -> Result<Value> {
         stats.threads = self.pool.threads() as u32;
-        // Every join builds a scan of its own, so the sources past the
-        // leftmost are the joins, and every join and unnest is a stage on
-        // the left spine: scan + probes + unnests + the fold.
-        let joins = self.sources.len() - 1;
-        stats.fused_stage_depth = (joins + self.unnests.len() + 2) as u32;
-        if joins > 0 {
+        // The spine is the scan, its joins and unnests, and the fold.
+        stats.fused_stage_depth = (self.stages.len() + 2) as u32;
+        // Every join builds a scan of its own: the sources past the
+        // leftmost.
+        let joins = self.sources.len() > 1;
+        if joins {
             stats.span_begin(stage::BUILD_SIDE);
         }
-        let mut builds = Vec::new();
-        self.prepare_builds(&self.root, stats, &mut builds)?;
-        if joins > 0 {
+        self.builds = self.prepare_builds(stats)?;
+        if joins {
             stats.span_end();
         }
         // The walk met the leftmost scan first.
@@ -60,29 +63,16 @@ impl Pipeline {
             Monoid::Collection(kind) => {
                 // Per-morsel head values, concatenated in morsel order (the
                 // scan's element sequence), then one canonicalization.
-                let items = self.fold_drive(
-                    &plan,
-                    &builds,
-                    stats,
-                    |w, range, ws| {
-                        let sink = |items: &mut Vec<Value>, t: &Tuple, ws: &mut ExecStats| {
-                            items.push(self.head_value(t, ws)?);
-                            Ok(())
-                        };
-                        self.drive_rows(range, &builds, w, ws, Vec::new(), sink)
-                    },
-                    Vec::new(),
-                    |mut all: Vec<Value>, chunk| {
-                        all.extend(chunk);
-                        Ok(all)
-                    },
-                )?;
+                let items = self.fold_spine(&plan, stats, Vec::new(), |mut all, acc| {
+                    all.extend(acc.items);
+                    Ok(all)
+                })?;
                 match kind {
                     CollectionKind::Set => Value::set(items),
                     k => Value::Collection(k, items),
                 }
             }
-            Monoid::Primitive(p) => {
+            Monoid::Primitive(_) => {
                 // Per-morsel typed partials (`i64`/`f64`/`bool`, `avg`'s
                 // `(f64, i64)`) folded through `PrimitiveMonoid::step`,
                 // which keeps the overflow, promotion and type-error
@@ -93,30 +83,10 @@ impl Pipeline {
                 // exactly the whole-source order.
                 let m = self.monoid;
                 let prefix = self.fold_reuse_partial(stats);
-                let vector = self.vector_fold(&builds);
-                if let Some(VectorFold::Probe(_)) = vector {
-                    stats.vector_probe_pipelines = 1;
-                }
-                let merged = self.fold_drive(
-                    &plan,
-                    &builds,
-                    stats,
-                    |w, range, ws| match &vector {
-                        Some(VectorFold::Scan(idx)) => self.fold_source(*idx, p, range, w, ws),
-                        Some(VectorFold::Probe(vp)) => self.fold_probe(vp, p, range, w, ws),
-                        None => {
-                            let sink = |acc: &mut Partial, t: &Tuple, ws: &mut ExecStats| {
-                                p.step(acc, self.head_value(t, ws)?.into())
-                            };
-                            self.drive_rows(range, &builds, w, ws, p.zero(), sink)
-                        }
-                    },
-                    prefix,
-                    |acc: Option<Value>, part: Partial| {
-                        m.merge_partials(acc.into_iter().chain([part.into_value()]))
-                            .map(Some)
-                    },
-                )?;
+                let merged = self.fold_spine(&plan, stats, prefix, |acc, part| {
+                    m.merge_partials(acc.into_iter().chain([part.partial.into_value()]))
+                        .map(Some)
+                })?;
                 let merged = merged.unwrap_or_else(|| m.zero());
                 self.store_fold_partial(&merged);
                 m.finalize(merged)?
@@ -126,418 +96,500 @@ impl Pipeline {
         Ok(value)
     }
 
-    /// Run `work` over every morsel of `plan` — the morsel's private
-    /// partial, with the tuples it folded counted in `actual_rows` — on
-    /// the executing worker's vectors for the leftmost scan, and fold the
-    /// partials into `init` in morsel order with `merge`.
-    fn fold_drive<P: Send, A>(
+    /// Drive every morsel of `plan` through the spine — its private
+    /// partial, with the rows it folded counted in `actual_rows` — on the
+    /// executing worker's buffers, and fold the partials into `init` in
+    /// morsel order with `merge`.
+    fn fold_spine<A>(
         &self,
         plan: &MorselPlan,
-        builds: &[JoinBuild],
         stats: &mut ExecStats,
-        work: impl Fn(&mut WorkerScratch, Range<usize>, &mut ExecStats) -> Result<P> + Sync,
         init: A,
-        merge: impl FnMut(A, P) -> Result<A>,
+        merge: impl FnMut(A, Acc) -> Result<A>,
     ) -> Result<A> {
         morsel_fold(
             &self.pool,
             plan,
-            match builds.is_empty() {
+            match self.builds.is_empty() {
                 true => stage::SCAN,
                 false => stage::PROBE,
             },
             stats,
-            || self.worker_scratch(&self.sources[0]),
-            |w, range, ws| Ok((work(w, range, ws)?, ws.actual_rows)),
+            || self.buffers(),
+            |w, range, ws| Ok((self.run_morsel(range, w, ws)?, ws.actual_rows)),
             init,
             merge,
         )
     }
 
-    /// One worker's vectors for a phase that scans `s`.
-    fn worker_scratch(&self, s: &Source) -> WorkerScratch {
-        WorkerScratch {
-            chunk: ScanChunk::new(self.frame_width, s, s.nrows.min(CHUNK_ROWS)),
-            pairs: PairChunk::default(),
-            kept: Vec::new(),
-            row: self.scratch(),
-            pair: self.scratch(),
-        }
+    /// One worker's buffers for the spine: the scan's, one per stage, and
+    /// the fold's.
+    fn buffers(&self) -> Vec<Buf> {
+        let mut bufs = vec![Buf::scan(self.frame_width, &self.sources[0])];
+        bufs.extend((0..=self.stages.len()).map(|_| Buf::new(self.frame_width)));
+        bufs
     }
 
-    /// Drive `range` through the fused stage chain a tuple at a time,
-    /// pushing every tuple that reaches the fold into `partial`.
-    fn drive_rows<P>(
+    /// Run `rows` of the leftmost scan through the spine into the fold, a
+    /// chunk at a time, on the worker's buffers `w`; the morsel's partial.
+    fn run_morsel(&self, rows: Range<usize>, w: &mut [Buf], stats: &mut ExecStats) -> Result<Acc> {
+        let (scan, bufs) = w.split_first_mut().expect("a scan buffer");
+        if let Monoid::Primitive(p) = self.monoid {
+            bufs.last_mut().expect("a fold buffer").acc.partial = p.zero();
+        }
+        let selects = &self.sources[0].selects;
+        self.scan_chunks(0, rows, scan, stats, |buf, stats| {
+            let (chunk, scratch) = (&mut buf.chunk, &mut buf.scratch);
+            self.emit(Origin::Scan(0), chunk, scratch, selects, bufs, stats)
+        })?;
+        Ok(take(&mut bufs.last_mut().expect("a fold buffer").acc))
+    }
+
+    /// Narrow chunk `out` — made by `origin` — to the rows that pass
+    /// `steps`, and hand them to the rest of the spine: the stages whose
+    /// buffers are `bufs`, then the fold. A step that fails at row *r*
+    /// hands the rows before *r* on first, then returns its error, so the
+    /// first error in row order wins, as in the interpreter.
+    fn emit(
         &self,
-        range: Range<usize>,
-        builds: &[JoinBuild],
-        w: &mut WorkerScratch,
+        origin: Origin,
+        out: &mut Chunk,
+        scratch: &mut BatchScratch,
+        steps: &Steps,
+        bufs: &mut [Buf],
         stats: &mut ExecStats,
-        mut partial: P,
-        push: impl Fn(&mut P, &Tuple, &mut ExecStats) -> Result<()>,
-    ) -> Result<P> {
-        self.drive(
-            &self.root,
-            range,
-            builds,
-            &mut w.chunk,
-            stats,
-            &mut |ws, t| {
-                ws.actual_rows += 1;
-                push(&mut partial, t, ws)
-            },
-        )?;
-        Ok(partial)
+    ) -> Result<()> {
+        let (mut sel, mut rest) = (take(&mut out.sel), take(&mut out.rest));
+        let c = Chain { chunk: out, origin };
+        let failed = self.filter(steps, &c, &mut sel, &mut rest, scratch, stats);
+        (out.sel, out.rest) = (sel, rest);
+        if !out.sel.is_empty() || !out.rest.is_empty() {
+            self.push(&Chain { chunk: out, origin }, bufs, stats)?;
+        }
+        failed.map_or(Ok(()), Err)
     }
 
-    /// What a primitive fold reads a vector at a time: a scan whose
-    /// selects are fused (or absent), either on its own or as the left
-    /// input of a join — hash, band or block-nested loop — whose predicate
-    /// and selects all compiled, under a head of one kernel or none.
-    /// Anything else folds row by row: an interpreted select or head may
-    /// error, and its error must surface in row order relative to the
-    /// fold's own.
-    fn vector_fold<'a>(&'a self, builds: &'a [JoinBuild]) -> Option<VectorFold<'a>> {
-        if !matches!(self.head, HeadPlan::Kernel(..) | HeadPlan::CountOnly) {
-            return None;
+    /// Hand chunk `c` to the next stage of the spine, whose buffer leads
+    /// `bufs` — or, past the last stage, to the fold.
+    fn push(&self, c: &Chain, bufs: &mut [Buf], stats: &mut ExecStats) -> Result<()> {
+        let (buf, below) = bufs
+            .split_first_mut()
+            .expect("the fold's buffer ends the list");
+        let k = match c.origin {
+            Origin::Scan(_) => 0,
+            Origin::Stage(k, _) => k + 1,
+        };
+        let origin = Origin::Stage(k, c);
+        match self.stages.get(k).map(|s| &s.kind) {
+            None => self.fold_chunk(c, buf, stats),
+            Some(StageKind::Join { .. }) => self.probe(origin, buf, below, stats),
+            Some(StageKind::Unnest(_)) => self.unnest(origin, buf, below, stats),
         }
-        let scan = |node: &Node| match *node {
-            Node::Source(idx) => {
-                let s = &self.sources[idx];
-                (s.fused_selects.is_some() || s.selects.is_empty()).then_some(idx)
+    }
+
+    /// Narrow the rows of chunk `c` — its valid rows `sel` and the rows
+    /// that could not encode `rest`, each ascending — to those that pass
+    /// every step of `steps`, in order. Valid rows take the batch form:
+    /// each compiled run refines `sel`, crediting every kernel with the
+    /// rows it received, and each interpreted step evaluates the remaining
+    /// rows in row order. Rows in `rest` walk every step through the
+    /// interpreter. Returns the error of the first row, in row order, that
+    /// failed a step, with `sel` and `rest` cut to the rows before it.
+    fn filter(
+        &self,
+        steps: &Steps,
+        c: &Chain,
+        sel: &mut Vec<u32>,
+        rest: &mut Vec<u32>,
+        scratch: &mut BatchScratch,
+        stats: &mut ExecStats,
+    ) -> Option<VidaError> {
+        let mut failed = None;
+        for batch in &steps.batch {
+            match batch {
+                Batch::Kernels(k) => k.refine(&c.chunk.cols, sel, scratch, |id, n| {
+                    stats.kernel_hits(id, n)
+                }),
+                Batch::Interp(i) => retain(sel, &mut failed, |row| {
+                    self.interpret(steps, *i, c, row, stats)
+                }),
+            }
+        }
+        retain(rest, &mut failed, |row| {
+            for i in 0..steps.list.len() {
+                if !self.interpret(steps, i, c, row, stats)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        });
+        let (row, e) = failed?;
+        sel.truncate(sel.partition_point(|&r| r < row));
+        Some(e)
+    }
+
+    /// Step `i` of `steps` on row `row` of chunk `c`, through the
+    /// interpreter over the row's rebuilt bindings.
+    fn interpret(
+        &self,
+        steps: &Steps,
+        i: usize,
+        c: &Chain,
+        row: u32,
+        stats: &mut ExecStats,
+    ) -> Result<bool> {
+        stats.fallback_tuples += 1;
+        match eval(steps.list[i].expr(), &self.env_for(c, row))? {
+            Value::Bool(b) => Ok(b),
+            other => {
+                let context = match steps.join && i == 0 {
+                    true => "join",
+                    false => "selection",
+                };
+                Err(VidaError::Exec(format!(
+                    "{context} predicate not boolean: {other}"
+                )))
+            }
+        }
+    }
+
+    /// A join stage over chunk `c` (`origin` is `Stage(k, c)`). Each
+    /// surviving input row pairs, in row order, with its candidate build
+    /// rows, ascending: its left key's hash bucket (the key kernel runs
+    /// over `sel` and the keys look up their buckets in one batch), its
+    /// band key's range (one binary search per row), or every build row (a
+    /// block-nested loop). A row that could not encode pairs with every
+    /// build row, and loose build rows pair in their place; those pairs
+    /// take the interpreter. The pairs buffer in `buf` and flush (see
+    /// [`Pipeline::flush`]) whenever they reach [`CHUNK_ROWS`] and at the
+    /// end of the chunk. A `count` fold right over a band join whose
+    /// predicate is the band comparison, over a build without loose rows,
+    /// expands no valid row's pairs: each pair of a range passes, so the
+    /// row adds its range's length.
+    fn probe(
+        &self,
+        origin: Origin,
+        buf: &mut Buf,
+        bufs: &mut [Buf],
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        let Origin::Stage(k, c) = origin else {
+            unreachable!("a join takes its input from the spine")
+        };
+        let stage = &self.stages[k];
+        let StageKind::Join { right, probe } = &stage.kind else {
+            unreachable!("stage {k} is a join")
+        };
+        let jb = &self.builds[right - 1];
+        let Buf {
+            chunk: out,
+            scratch,
+            keys,
+            ids,
+            pending,
+            at,
+            kept,
+            ..
+        } = buf;
+        let (sel, rest) = (&c.chunk.sel[..], &c.chunk.rest[..]);
+        if let Some(key) = probe.keys() {
+            key.left.call_batch(&c.chunk.cols, sel, keys, scratch);
+            stats.kernel_hits(key.left.id(), sel.len() as u64);
+            for bits in keys.iter_mut() {
+                *bits = encode_key(*bits, key.left_ty, key.float_keys);
+            }
+        }
+        if let Probe::Hash(_) = probe {
+            jb.lookup_batch(keys, ids, pending, at);
+        }
+        let count = match (probe, &stage.steps.list[..]) {
+            (Probe::Band { exact: true, .. }, [Step::Kernel(k, _)])
+                if bufs.len() == 1
+                    && matches!(self.head, HeadPlan::CountOnly)
+                    && jb.loose().is_empty() =>
+            {
+                Some(k)
             }
             _ => None,
         };
-        let (left, build, predicate, selects, candidates) = match &self.root {
-            root @ Node::Source(_) => return scan(root).map(VectorFold::Scan),
-            Node::HashJoin {
-                left,
-                right,
-                left_key,
-                left_key_ty,
-                float_keys,
-                predicate,
-                selects,
-                ..
-            } => {
-                let key = (left_key, *left_key_ty, *float_keys);
-                let build = &builds[*right - 1];
-                (left, build, predicate, selects, Candidates::Hash(key))
-            }
-            Node::ThetaJoin {
-                left,
-                right,
-                band,
-                predicate,
-                selects,
-            } => {
-                let build = &builds[*right - 1];
-                let candidates = match (band, &build.index) {
-                    (Some(band), Some(index)) => Candidates::Band {
-                        band,
-                        index,
-                        count: band.exact
-                            && matches!(self.head, HeadPlan::CountOnly)
-                            && selects.is_empty()
-                            && build.loose().is_empty(),
-                    },
-                    _ => Candidates::Loop,
-                };
-                (left, build, predicate, selects, candidates)
-            }
-            _ => return None,
+        let (loose, index) = (jb.loose(), jb.index.as_ref());
+        let mut flush = |out: &mut Chunk, bufs: &mut [Buf], stats: &mut ExecStats| {
+            self.flush(origin, Some(jb), out, scratch, bufs, stats)
         };
-        let idx = scan(left)?;
-        let steps = std::iter::once(predicate)
-            .chain(selects)
-            .map(|step| match step {
-                Step::Kernel(k, _) => Some(k.clone()),
-                Step::Interp(_) => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(VectorFold::Probe(VectorProbe {
-            idx,
-            build,
-            candidates,
-            steps: SelectKernel::new(steps),
-            predicate,
-            selects,
-        }))
-    }
-
-    /// A scan-rooted primitive fold over `rows` of source `idx`, a chunk
-    /// at a time: the head kernel runs once over the chunk's selected rows,
-    /// and the fold steps through its outputs in a typed loop, in ascending
-    /// row order, interleaved with the rows that could not encode, which
-    /// take the interpreted selects and head exactly as on the row path.
-    /// Row order is the row path's, so float association, overflow and
-    /// error order are unchanged.
-    fn fold_source(
-        &self,
-        idx: usize,
-        p: PrimitiveMonoid,
-        rows: Range<usize>,
-        w: &mut WorkerScratch,
-        stats: &mut ExecStats,
-    ) -> Result<Partial> {
-        let s = &self.sources[idx];
-        let (mut acc, t) = (p.zero(), &mut w.row);
-        self.scan_chunks(s, rows, &mut w.chunk, stats, |c, base, stats| {
-            let head_ty = self.head_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch, stats);
-            stats.actual_rows += c.sel.len() as u64;
-            in_row_order(
-                &c.sel,
-                &c.rest,
-                |&r| r,
-                |run| match run {
-                    Run::Selected(i) => self.fold_heads(p, &mut acc, head_ty, &c.heads, i),
-                    Run::Rest(&row) => {
-                        self.load_row(idx, c, base, row, false, t);
-                        if !self.pass_steps(&s.selects, t, stats)? {
-                            return Ok(());
-                        }
-                        let x = self.head_value(t, stats)?;
-                        stats.actual_rows += 1;
-                        p.step(&mut acc, x.into())
-                    }
-                },
-            )
-        })?;
-        Ok(acc)
-    }
-
-    /// A primitive fold over a join whose left input is source `vp.idx`,
-    /// a left chunk at a time. Each selected left row's candidate build
-    /// rows, ascending, come from its key's hash bucket (the key kernel
-    /// runs over the chunk's selection and the keys look up their buckets
-    /// in one batch), its band key's range (one binary search per row), or
-    /// every build row (a block-nested loop). They expand into (left row,
-    /// build row) pair vectors in left-row order, then ascending build
-    /// order — the row probe's pair order — which are flushed (see
-    /// [`Pipeline::flush_pairs`]) whenever they reach [`CHUNK_ROWS`] and at
-    /// the end of every chunk. Left rows that could not encode, and pairs
-    /// that meet a loose build row, become detours: they take the row probe
-    /// where they fall in that order. A `count` over a band join whose
-    /// predicate is the band comparison and whose build has no loose rows
-    /// expands no pair: every pair of a range passes, so each left row adds
-    /// its range's length.
-    fn fold_probe(
-        &self,
-        vp: &VectorProbe,
-        p: PrimitiveMonoid,
-        rows: Range<usize>,
-        w: &mut WorkerScratch,
-        stats: &mut ExecStats,
-    ) -> Result<Partial> {
-        let (s, jb) = (&self.sources[vp.idx], vp.build);
-        let mut acc = p.zero();
-        let WorkerScratch {
-            chunk,
-            pairs,
-            kept: sorted,
-            row: lt,
-            pair: out,
-        } = w;
-        let loose = jb.loose();
-        self.scan_chunks(s, rows, chunk, stats, |c, base, stats| {
-            let key = match &vp.candidates {
-                Candidates::Hash(key) => Some(*key),
-                Candidates::Band { band, .. } => {
-                    Some((&band.left_key, band.left_key_ty, band.float_keys))
-                }
-                Candidates::Loop => None,
-            };
-            if let Some((key, ty, float_keys)) = key {
-                key.call_batch(&c.cols, &c.sel, &mut c.heads, &mut c.scratch);
-                stats.kernel_hits(key.id(), c.sel.len() as u64);
-                for bits in &mut c.heads {
-                    *bits = encode_key(*bits, ty, float_keys);
-                }
-            }
-            if let Candidates::Hash(_) = vp.candidates {
-                let (ids, pending, at) = (&mut pairs.ids, &mut pairs.pending, &mut pairs.at);
-                jb.lookup_batch(&c.heads, ids, pending, at);
-            }
-            let c = &*c;
-            let mut flush = |pairs: &mut PairChunk, acc: &mut Partial, stats: &mut ExecStats| {
-                self.flush_pairs(vp, p, acc, c, base, pairs, (&mut *lt, &mut *out), stats)
-            };
-            in_row_order(
-                &c.sel,
-                &c.rest,
-                |&r| r,
-                |run| {
-                    let i = match run {
-                        Run::Selected(i) => i,
-                        Run::Rest(&row) => {
-                            pairs.detour(row, None);
-                            // Without pairs to place it among, a detour
-                            // runs at once, in its row's place.
-                            return match vp.candidates {
-                                Candidates::Band { count: true, .. } => {
-                                    flush(pairs, &mut acc, stats)
-                                }
-                                _ => Ok(()),
-                            };
-                        }
-                    };
-                    let sel = c.sel[i.clone()].iter().copied();
-                    match &vp.candidates {
-                        Candidates::Band {
-                            index, count: true, ..
-                        } => {
-                            // Every pair of a range passes: count them
-                            // without expanding them, and credit the
-                            // predicate kernel with the pairs the row probe
-                            // would have run it on.
-                            let n: usize = c.heads[i].iter().map(|&k| index.range(k).len()).sum();
-                            if let Step::Kernel(k, _) = vp.predicate {
-                                stats.kernel_hits(k.id(), n as u64);
-                            }
-                            stats.actual_rows += n as u64;
-                            count_rows(&mut acc, n)
-                        }
-                        Candidates::Hash(_) => {
-                            for (row, j) in sel.zip(i) {
-                                let (at, n) = jb.bucket_span(pairs.ids[j]);
-                                if n <= 1 && loose.is_empty() {
-                                    // At most one match: append the pair and
-                                    // keep it only if there is a match, with
-                                    // no branch on that.
-                                    pairs.push_first(row, jb.item(at), n);
-                                    continue;
-                                }
-                                pairs.expand(row, jb.items(at, n), loose, &mut |pairs| {
-                                    flush(pairs, &mut acc, stats)
-                                })?;
-                            }
-                            Ok(())
-                        }
-                        Candidates::Band { index, .. } => {
-                            for (row, &k) in sel.zip(&c.heads[i]) {
-                                let range = index.ascending(index.range(k), sorted);
-                                pairs.expand(row, range, loose, &mut |pairs| {
-                                    flush(pairs, &mut acc, stats)
-                                })?;
-                            }
-                            Ok(())
-                        }
-                        Candidates::Loop => sel.into_iter().try_for_each(|row| {
-                            pairs.expand(row, jb.all(), loose, &mut |pairs| {
-                                flush(pairs, &mut acc, stats)
-                            })
-                        }),
-                    }
-                },
-            )?;
-            flush(pairs, &mut acc, stats)
-        })?;
-        Ok(acc)
-    }
-
-    /// Fold the pairs buffered in `pairs`, then clear it: gather their
-    /// slot columns from the left chunk `c` and the build columns, refine
-    /// the pair selection with the join predicate and the selects above
-    /// the join (each kernel credited with the pairs it received, as
-    /// [`SelectKernel::refine`] does), run the head kernel over the
-    /// survivors, and fold its outputs in pair order, interleaved with the
-    /// detours, which run the row probe on the scratch tuples `lt`/`out`.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_pairs(
-        &self,
-        vp: &VectorProbe,
-        p: PrimitiveMonoid,
-        acc: &mut Partial,
-        c: &ScanChunk,
-        base: usize,
-        pairs: &mut PairChunk,
-        (lt, out): (&mut Tuple, &mut Tuple),
-        stats: &mut ExecStats,
-    ) -> Result<()> {
-        let (s, jb) = (&self.sources[vp.idx], vp.build);
-        let n = pairs.left.len();
-        if n == 0 && pairs.detours.is_empty() {
-            return Ok(());
-        }
-        pairs.cols.resize_with(self.frame_width, Vec::new);
-        let left = s
-            .slot_cols
-            .iter()
-            .map(|(slot, ..)| (*slot, &c.cols[*slot], &pairs.left));
-        let right = jb
-            .columns()
-            .iter()
-            .map(|(slot, col)| (*slot, col, &pairs.right));
-        for (slot, from, at) in left.chain(right) {
-            let to = &mut pairs.cols[slot];
-            to.clear();
-            to.extend(at.iter().map(|&r| from[r as usize]));
-        }
-        pairs.sel.clear();
-        pairs.sel.extend(0..n as u32);
-        vp.steps
-            .refine(&pairs.cols, &mut pairs.sel, &mut pairs.scratch, |id, n| {
-                stats.kernel_hits(id, n)
-            });
-        let head_ty = self.head_batch(
-            &pairs.cols,
-            &pairs.sel,
-            &mut pairs.heads,
-            &mut pairs.scratch,
-            stats,
-        );
-        stats.actual_rows += pairs.sel.len() as u64;
         in_row_order(
-            &pairs.sel,
-            &pairs.detours,
-            |d| d.at,
-            |run| match run {
-                Run::Selected(i) => self.fold_heads(p, acc, head_ty, &pairs.heads, i),
-                Run::Rest(d) => {
-                    self.load_row(vp.idx, c, base, d.row, d.build.is_some(), lt);
-                    let candidates = match &d.build {
-                        Some(b) => std::slice::from_ref(b),
-                        None if self.pass_steps(&s.selects, lt, stats)? => jb.all(),
-                        None => return Ok(()),
-                    };
-                    self.probe_pairs(
-                        lt,
-                        candidates,
-                        jb,
-                        vp.predicate,
-                        vp.selects,
-                        out,
-                        stats,
-                        &mut |stats, t| {
-                            stats.actual_rows += 1;
-                            p.step(acc, self.head_value(t, stats)?.into())
-                        },
-                    )
+            sel,
+            rest,
+            |&r| r,
+            |run| {
+                let i = match run {
+                    Run::Selected(i) => i,
+                    Run::Rest(&row) => {
+                        let sink = &mut |out: &mut Chunk| flush(out, bufs, stats);
+                        return out.pair(row, jb.all(), false, sink);
+                    }
+                };
+                let rows = sel[i.clone()].iter().copied();
+                if let Some(predicate) = count {
+                    // The rows before these go first. Credit the predicate
+                    // kernel with the pairs it would have received.
+                    flush(out, bufs, stats)?;
+                    let index = index.expect("a band join builds a band index");
+                    let n: usize = keys[i].iter().map(|&k| index.range(k).len()).sum();
+                    stats.kernel_hits(predicate.id(), n as u64);
+                    stats.actual_rows += n as u64;
+                    return count_rows(&mut bufs[0].acc.partial, n);
+                }
+                let sink = &mut |out: &mut Chunk| flush(out, bufs, stats);
+                match probe {
+                    Probe::Hash(_) => {
+                        for (row, j) in rows.zip(i) {
+                            let (at, n) = jb.bucket_span(ids[j]);
+                            if n <= 1 && loose.is_empty() && out.parent.len() < CHUNK_ROWS {
+                                // At most one match: append the pair and keep it
+                                // only if there is a match, with no branch on
+                                // that.
+                                out.push_first(row, jb.item(at), n);
+                                continue;
+                            }
+                            out.expand(row, jb.items(at, n), loose, sink)?;
+                        }
+                        Ok(())
+                    }
+                    Probe::Band { .. } => {
+                        let index = index.expect("a band join builds a band index");
+                        for (row, &key) in rows.zip(&keys[i]) {
+                            let build = index.ascending(index.range(key), kept);
+                            out.expand(row, build, loose, sink)?;
+                        }
+                        Ok(())
+                    }
+                    Probe::Loop => rows
+                        .into_iter()
+                        .try_for_each(|row| out.expand(row, jb.all(), loose, sink)),
                 }
             },
         )?;
-        pairs.left.clear();
-        pairs.right.clear();
-        pairs.detours.clear();
-        Ok(())
+        flush(out, bufs, stats)
     }
 
-    /// Run the head kernel, if the head is one, over the rows `sel` of
-    /// `cols` into `heads`, crediting it with those rows; its output type.
-    fn head_batch(
+    /// An unnest stage over chunk `c` (`origin` is `Stage(k, c)`). Each
+    /// surviving input row expands, in row order, into one row per element
+    /// of its collection — read straight from a materialized column, or
+    /// evaluated by the interpreter — whose element slots encode as it is
+    /// appended; the input row's slots are gathered at flush (see
+    /// [`Pipeline::flush`]). An input row whose collection fails to
+    /// evaluate, or is no collection, hands the rows before it on first,
+    /// then returns its error.
+    fn unnest(
         &self,
-        cols: &[Vec<i64>],
-        sel: &[u32],
-        heads: &mut Vec<i64>,
-        scratch: &mut BatchScratch,
+        origin: Origin,
+        buf: &mut Buf,
+        bufs: &mut [Buf],
         stats: &mut ExecStats,
-    ) -> Option<SlotType> {
-        let HeadPlan::Kernel(k, _) = &self.head else {
-            return None;
+    ) -> Result<()> {
+        let Origin::Stage(k, c) = origin else {
+            unreachable!("an unnest takes its input from the spine")
         };
-        k.call_batch(cols, sel, heads, scratch);
-        stats.kernel_hits(k.id(), sel.len() as u64);
-        Some(k.output())
+        let StageKind::Unnest(u) = self.stages[k].kind else {
+            unreachable!("stage {k} is an unnest")
+        };
+        let u = &self.unnests[u];
+        let Buf {
+            chunk: out,
+            scratch,
+            ..
+        } = buf;
+        let mut flush = |out: &mut Chunk, bufs: &mut [Buf], stats: &mut ExecStats| {
+            self.flush(origin, None, out, scratch, bufs, stats)
+        };
+        in_row_order(
+            &c.chunk.sel,
+            &c.chunk.rest,
+            |&r| r,
+            |run| {
+                let (rows, valid) = match run {
+                    Run::Selected(i) => (&c.chunk.sel[i], true),
+                    Run::Rest(row) => (std::slice::from_ref(row), false),
+                };
+                for &row in rows {
+                    // The interpreter's collection stays with the rows, which
+                    // rebuild their bindings from it.
+                    let evaluated = match u.src_col {
+                        Some(_) => None,
+                        None => match eval(&u.path, &self.env_for(c, row)) {
+                            Ok(coll) => Some(Arc::new(coll)),
+                            Err(e) => return flush(out, bufs, stats).and(Err(e)),
+                        },
+                    };
+                    let coll = match (&evaluated, u.src_col) {
+                        (Some(coll), _) => coll,
+                        (None, Some((src, col))) => {
+                            let at = self.source_row(c, row, src);
+                            &self.sources[src].env_fields[col].1[at.expect("a bound source")]
+                        }
+                        (None, None) => unreachable!("an unnest reads a column or evaluates"),
+                    };
+                    let Some(items) = coll.elements() else {
+                        let e = format!("unnest path {} produced non-collection", u.path);
+                        return flush(out, bufs, stats).and(Err(VidaError::Exec(e)));
+                    };
+                    for (i, item) in items.iter().enumerate() {
+                        if out.parent.len() >= CHUNK_ROWS {
+                            flush(out, bufs, stats)?;
+                        }
+                        let mut ok = valid;
+                        for (field, slot, ty) in &u.slots {
+                            let v = match field {
+                                None => Some(item),
+                                Some(f) => item.field(f),
+                            };
+                            let bits = v.and_then(|v| self.encode(*ty, v));
+                            ok &= bits.is_some();
+                            out.cols[*slot].push(bits.unwrap_or(0));
+                        }
+                        if !ok {
+                            out.rest.push(out.parent.len() as u32);
+                        }
+                        out.parent.push(row);
+                        out.own.push(i as u32);
+                        if let Some(coll) = &evaluated {
+                            out.colls.push(Arc::clone(coll));
+                        }
+                    }
+                }
+                Ok(())
+            },
+        )?;
+        flush(out, bufs, stats)
+    }
+
+    /// Complete the rows buffered in `out` — stage k's rows over chunk `c`,
+    /// `origin` being `Stage(k, c)` — and emit them (see
+    /// [`Pipeline::emit`]): gather the slots they carry from their input
+    /// rows and a join's slots from their build rows, select every row not
+    /// in `rest`, then clear the buffer.
+    fn flush(
+        &self,
+        origin: Origin,
+        build: Option<&JoinBuild>,
+        out: &mut Chunk,
+        scratch: &mut BatchScratch,
+        bufs: &mut [Buf],
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        let Origin::Stage(k, c) = origin else {
+            unreachable!("a stage's rows come from the spine")
+        };
+        let n = out.parent.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let stage = &self.stages[k];
+        for &slot in &stage.carried {
+            gather(&mut out.cols[slot], &c.chunk.cols[slot], &out.parent);
+        }
+        for (slot, col) in build.map_or(&[][..], JoinBuild::columns) {
+            gather(&mut out.cols[*slot], col, &out.own);
+        }
+        out.sel.clear();
+        let mut next = 0;
+        for &r in &out.rest {
+            out.sel.extend(next..r);
+            next = r + 1;
+        }
+        out.sel.extend(next..n as u32);
+        let emitted = self.emit(origin, out, scratch, &stage.steps, bufs, stats);
+        out.clear();
+        emitted
+    }
+
+    /// The fold over the surviving rows of chunk `c`, in row order: the
+    /// head kernels run over `sel` by batch, credited with those rows; a
+    /// primitive fold with a kernel or `count` head steps through their
+    /// outputs in a typed loop, and any other fold takes one head `Value`
+    /// per row. The rows in `rest` evaluate the head through the
+    /// interpreter in their place. Row order is the interpreter's, so
+    /// float association, overflow and error order are unchanged.
+    fn fold_chunk(&self, c: &Chain, buf: &mut Buf, stats: &mut ExecStats) -> Result<()> {
+        let Buf {
+            heads,
+            scratch,
+            acc,
+            ..
+        } = buf;
+        let (sel, rest) = (&c.chunk.sel, &c.chunk.rest);
+        for (i, k) in self.head_kernels().enumerate() {
+            if heads.len() == i {
+                heads.push(Vec::new());
+            }
+            k.call_batch(&c.chunk.cols, sel, &mut heads[i], scratch);
+            stats.kernel_hits(k.id(), sel.len() as u64);
+        }
+        stats.actual_rows += (sel.len() + rest.len()) as u64;
+        let typed = match (self.monoid, &self.head) {
+            (Monoid::Primitive(p), HeadPlan::Kernel(k, _)) => Some((p, Some(k.output()))),
+            (Monoid::Primitive(p), HeadPlan::CountOnly) => Some((p, None)),
+            _ => None,
+        };
+        let heads = &heads[..];
+        in_row_order(
+            sel,
+            rest,
+            |&r| r,
+            |run| match (run, typed) {
+                (Run::Selected(i), Some((p, ty))) => {
+                    let outputs = heads.first().map_or(&[][..], Vec::as_slice);
+                    self.fold_heads(p, &mut acc.partial, ty, outputs, i)
+                }
+                (Run::Selected(i), None) => i.into_iter().try_for_each(|j| {
+                    let x = self.head_value(c, sel[j], Some(j), heads, stats)?;
+                    acc.step(self.monoid, x)
+                }),
+                (Run::Rest(&row), _) => {
+                    let x = self.head_value(c, row, None, heads, stats)?;
+                    acc.step(self.monoid, x)
+                }
+            },
+        )
+    }
+
+    /// The head's kernels: one for a scalar head, one per field of a
+    /// record head, none otherwise.
+    fn head_kernels(&self) -> impl Iterator<Item = &CompiledKernel> {
+        let (one, fields) = match &self.head {
+            HeadPlan::Kernel(k, _) => (Some(k), &[][..]),
+            HeadPlan::RecordKernels(ks, _) => (None, &ks[..]),
+            _ => (None, &[][..]),
+        };
+        one.into_iter().chain(fields.iter().map(|(_, k)| k))
+    }
+
+    /// The head's value on row `row` of chunk `c`: decoded from the head
+    /// kernels' outputs at `at` for a selected row, else evaluated by the
+    /// interpreter (an interpreted head, or a row that could not encode).
+    fn head_value(
+        &self,
+        c: &Chain,
+        row: u32,
+        at: Option<usize>,
+        heads: &[Vec<i64>],
+        stats: &mut ExecStats,
+    ) -> Result<Value> {
+        match (&self.head, at) {
+            (HeadPlan::CountOnly, _) => Ok(Value::Int(1)),
+            (HeadPlan::Kernel(k, _), Some(j)) => Ok(self.decode_bits(heads[0][j], k.output())),
+            (HeadPlan::RecordKernels(ks, _), Some(j)) => Ok(Value::Record(
+                ks.iter()
+                    .zip(heads)
+                    .map(|((n, k), h)| (n.clone(), self.decode_bits(h[j], k.output())))
+                    .collect(),
+            )),
+            (head, _) => {
+                stats.fallback_tuples += 1;
+                let e = head.source_expr().expect("CountOnly handled above");
+                eval(e, &self.env_for(c, row))
+            }
+        }
     }
 
     /// Step `acc` through the head outputs `heads[run]` of a head kernel
@@ -564,6 +616,60 @@ impl Pipeline {
         }
     }
 
+    /// Rebuild interpreter bindings for row `row` of chunk `c` from its
+    /// provenance — read on the fallback path alone: a record per bound
+    /// source row, then each bound unnest's element, read back from its
+    /// collection.
+    fn env_for(&self, c: &Chain, row: u32) -> Bindings {
+        let mut env = self.base_env.clone();
+        let rows: Vec<Option<usize>> = (0..self.sources.len())
+            .map(|src| self.source_row(c, row, src))
+            .collect();
+        for (s, row) in self.sources.iter().zip(&rows) {
+            let Some(row) = *row else { continue };
+            let fields = s
+                .env_fields
+                .iter()
+                .map(|(n, col)| (n.clone(), col[row].clone()));
+            env.insert(s.binding.clone(), Value::Record(fields.collect()));
+        }
+        for (ui, u) in self.unnests.iter().enumerate() {
+            let bound = trace(c, row as usize, |c, row| {
+                let Origin::Stage(k, _) = c.origin else {
+                    return None;
+                };
+                let element = (c.chunk.own[row] as usize, c.chunk.colls.get(row));
+                matches!(self.stages[k].kind, StageKind::Unnest(v) if v == ui).then_some(element)
+            });
+            let (i, coll) = match (bound, u.src_col) {
+                (Some((i, Some(coll))), _) => (i, &**coll),
+                (Some((i, None)), Some((src, col))) => match rows[src] {
+                    Some(r) => (i, &self.sources[src].env_fields[col].1[r]),
+                    None => continue,
+                },
+                _ => continue,
+            };
+            if let Some(item) = coll.elements().and_then(|e| e.get(i)) {
+                env.insert(u.binding.clone(), item.clone());
+            }
+        }
+        env
+    }
+
+    /// The row of source `src` that row `row` of chunk `c` descends from,
+    /// if it descends from one.
+    fn source_row(&self, c: &Chain, row: u32, src: usize) -> Option<usize> {
+        trace(c, row as usize, |c, row| match c.origin {
+            Origin::Scan(s) => (s == src).then_some(c.chunk.base + row),
+            Origin::Stage(k, _) => match self.stages[k].kind {
+                StageKind::Join { right, .. } if right == src => {
+                    Some(self.builds[right - 1].source_row(c.chunk.own[row]))
+                }
+                _ => None,
+            },
+        })
+    }
+
     /// The cached prefix partial for this run, counting the reuse.
     fn fold_reuse_partial(&self, stats: &mut ExecStats) -> Option<Value> {
         let p = self.fold_seam.as_ref()?.reuse.as_ref()?;
@@ -587,36 +693,6 @@ impl Pipeline {
         }
     }
 
-    fn head_value(&self, t: &Tuple, stats: &mut ExecStats) -> Result<Value> {
-        match &self.head {
-            HeadPlan::CountOnly => Ok(Value::Int(1)),
-            HeadPlan::Kernel(k, _) if t.valid => {
-                stats.kernel_hit(k.id());
-                Ok(self.decode(k, &t.frame))
-            }
-            HeadPlan::RecordKernels(ks, _) if t.valid => {
-                if stats.trace.is_some() {
-                    for (_, k) in ks {
-                        stats.kernel_hit(k.id());
-                    }
-                }
-                Ok(Value::Record(
-                    ks.iter()
-                        .map(|(n, k)| (n.clone(), self.decode(k, &t.frame)))
-                        .collect(),
-                ))
-            }
-            other => {
-                // Interpreted head, or a compiled head over a tuple whose
-                // frame could not encode (nulls): exact interpreter
-                // semantics over rebuilt bindings.
-                stats.fallback_tuples += 1;
-                let e = other.source_expr().expect("CountOnly handled above");
-                eval(e, &self.env_for(t))
-            }
-        }
-    }
-
     /// Encode one cell into its slot's bits, `None` when it cannot (null,
     /// type mismatch). `Str` cells intern through the shared interner: safe
     /// from parallel workers because the table is lock-guarded, and a
@@ -627,11 +703,7 @@ impl Pipeline {
         ty.encode(v, |s| self.interner.intern(s))
     }
 
-    /// Decode a kernel result, resolving interned string ids.
-    fn decode(&self, k: &CompiledKernel, frame: &[i64]) -> Value {
-        self.decode_bits(k.call(frame), k.output())
-    }
-
+    /// Decode a kernel output, resolving interned string ids.
     fn decode_bits(&self, bits: i64, ty: SlotType) -> Value {
         match ty {
             SlotType::Str => self
@@ -643,60 +715,25 @@ impl Pipeline {
         }
     }
 
-    /// Evaluate a boolean step: the kernel on valid frames, the interpreter
-    /// otherwise (nulls route through exact null semantics).
-    fn apply_step(
-        &self,
-        step: &Step,
-        t: &Tuple,
-        stats: &mut ExecStats,
-        context: &str,
-    ) -> Result<bool> {
-        if let Step::Kernel(k, _) = step {
-            if t.valid {
-                stats.kernel_hit(k.id());
-                return Ok(k.call_bool(&t.frame));
-            }
-        }
-        stats.fallback_tuples += 1;
-        match eval(step.expr(), &self.env_for(t))? {
-            Value::Bool(b) => Ok(b),
-            other => Err(VidaError::Exec(format!(
-                "{context} predicate not boolean: {other}"
-            ))),
-        }
-    }
-
-    /// Does `t` pass every select step, in order? Stops at the first
-    /// rejection, like the interpreter's `and`.
-    fn pass_steps(&self, steps: &[Step], t: &Tuple, stats: &mut ExecStats) -> Result<bool> {
-        for step in steps {
-            if !self.apply_step(step, t, stats, "selection")? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The scan stage over `rows` of source `s`, a chunk of at most
+    /// The scan stage over `rows` of source `idx`, a chunk of at most
     /// [`CHUNK_ROWS`] rows at a time: each slot column of the chunk encodes
     /// into a vector (`Str` cells under one interner read guard), the rows
-    /// whose every slot encoded form the selection vector, and the fused
-    /// select stage refines it, crediting each conjunct with the rows it
-    /// received. `each` then consumes the chunk starting at row `base`:
-    /// `sel` holds the rows that passed, `rest` the rows that could not
-    /// encode (nulls), which must take the interpreted path.
+    /// whose every slot encoded form `sel` and the others (nulls) `rest`,
+    /// and `each` takes the chunk from there.
     fn scan_chunks(
         &self,
-        s: &Source,
+        idx: usize,
         rows: Range<usize>,
-        c: &mut ScanChunk,
+        buf: &mut Buf,
         stats: &mut ExecStats,
-        mut each: impl FnMut(&mut ScanChunk, usize, &mut ExecStats) -> Result<()>,
+        mut each: impl FnMut(&mut Buf, &mut ExecStats) -> Result<()>,
     ) -> Result<()> {
+        let s = &self.sources[idx];
         for base in rows.clone().step_by(CHUNK_ROWS) {
             let end = (base + CHUNK_ROWS).min(rows.end);
             let n = end - base;
+            let c = &mut buf.chunk;
+            c.base = base;
             c.valid.clear();
             c.valid.resize(n, true);
             for (slot, col, ty) in &s.slot_cols {
@@ -716,229 +753,43 @@ impl Pipeline {
                     }
                 }
             }
-            if let Some(fused) = &s.fused_selects {
-                fused.refine(&c.cols, &mut c.sel, &mut c.scratch, |id, n| {
-                    stats.kernel_hits(id, n)
-                });
-            }
-            each(c, base, stats)?;
+            each(buf, stats)?;
         }
         Ok(())
     }
 
-    /// Load row `row` of chunk `c` — source `idx`, from source row `base`
-    /// on — into the scratch tuple `t`: its slots from the chunk's
-    /// vectors, its source row, and `valid`.
-    fn load_row(
-        &self,
-        idx: usize,
-        c: &ScanChunk,
-        base: usize,
-        row: u32,
-        valid: bool,
-        t: &mut Tuple,
-    ) {
-        for (slot, _, _) in &self.sources[idx].slot_cols {
-            t.frame[*slot] = c.cols[*slot][row as usize];
-        }
-        t.valid = valid;
-        t.rows[idx] = base + row as usize;
-    }
-
-    /// Collect the rows of chunk `c` of source `idx` that leave the scan
-    /// into `kept`, ascending, when they are not just `c.sel` (then return
-    /// `false`): the selected rows, or the ones that pass the selects that
-    /// did not compile, plus the unencodable rows that pass the selects
-    /// through the interpreter, evaluated in row order on the scratch
-    /// tuple `t`.
-    fn scan_survivors(
-        &self,
-        idx: usize,
-        c: &ScanChunk,
-        base: usize,
-        t: &mut Tuple,
-        kept: &mut Vec<u32>,
-        stats: &mut ExecStats,
-    ) -> Result<bool> {
-        let s = &self.sources[idx];
-        let fused = s.fused_selects.is_some() || s.selects.is_empty();
-        if fused && c.rest.is_empty() {
-            return Ok(false);
-        }
-        kept.clear();
-        let mut keep = |row: u32, valid: bool, stats: &mut ExecStats| {
-            self.load_row(idx, c, base, row, valid, t);
-            if (valid && fused) || self.pass_steps(&s.selects, t, stats)? {
-                kept.push(row);
-            }
-            Ok(())
-        };
-        in_row_order(
-            &c.sel,
-            &c.rest,
-            |&r| r,
-            |run| match run {
-                Run::Selected(i) => c.sel[i].iter().try_for_each(|&row| keep(row, true, stats)),
-                Run::Rest(&row) => keep(row, false, stats),
-            },
-        )?;
-        Ok(true)
-    }
-
-    /// Scan-side tuple production over a contiguous row range, pushed one
-    /// tuple at a time into `sink` — the head of every fused pipeline that
-    /// is not a vector fold. The scan stage ([`Pipeline::scan_chunks`])
-    /// encodes and selects a chunk at a time; then, in row order, each
-    /// selected row fills the scratch tuple `t` from the chunk's vectors
-    /// and goes to the sink, and each row that could not encode walks the
-    /// selects through the interpreter first. A scan whose selects did not
-    /// all compile walks them per row on valid frames too.
-    fn push_source(
-        &self,
-        idx: usize,
-        rows: Range<usize>,
-        chunk: &mut ScanChunk,
-        t: &mut Tuple,
-        stats: &mut ExecStats,
-        sink: TupleSink<'_>,
-    ) -> Result<()> {
-        let s = &self.sources[idx];
-        let fused = s.fused_selects.is_some();
-        self.scan_chunks(s, rows, chunk, stats, |c, base, stats| {
-            let mut push = |row: u32, valid: bool, stats: &mut ExecStats| {
-                self.load_row(idx, c, base, row, valid, t);
-                if (valid && fused) || self.pass_steps(&s.selects, t, stats)? {
-                    sink(stats, t)?;
-                }
-                Ok(())
+    /// Materialize the build side of every join, bottom-up: the build of
+    /// source `right` lands at `right - 1`. These are the pipeline
+    /// breakers: each right side scans into owned build columns once,
+    /// morsel by morsel, then lays out one CSR bucket table or sorts into a
+    /// band index on the coordinator. Bucket order is build order, so
+    /// every thread count probes identical candidate sets.
+    fn prepare_builds(&self, stats: &mut ExecStats) -> Result<Vec<JoinBuild>> {
+        let mut builds = Vec::new();
+        for stage in &self.stages {
+            let StageKind::Join { right, probe } = &stage.kind else {
+                continue;
             };
-            in_row_order(
-                &c.sel,
-                &c.rest,
-                |&r| r,
-                |run| match run {
-                    Run::Selected(i) => c.sel[i].iter().try_for_each(|&row| push(row, true, stats)),
-                    Run::Rest(&row) => push(row, false, stats),
-                },
-            )
-        })
-    }
-
-    /// Drive the push loop: stream `range` rows of the pipeline's leftmost
-    /// scan through every fused stage, handing each surviving tuple to
-    /// `sink`. Each operator arm wraps `sink` in its own consumer closure
-    /// around one scratch tuple (and a probe's candidate list), so a
-    /// select→unnest→probe→fold chain executes as one loop nest with no
-    /// intermediate buffer and no per-row allocation; the join build sides
-    /// arrive pre-materialized in `builds` (the only pipeline breakers).
-    fn drive(
-        &self,
-        node: &Node,
-        range: Range<usize>,
-        builds: &[JoinBuild],
-        chunk: &mut ScanChunk,
-        stats: &mut ExecStats,
-        sink: TupleSink<'_>,
-    ) -> Result<()> {
-        let (mut out, mut scratch) = (self.scratch(), Vec::new());
-        match node {
-            Node::Source(idx) => self.push_source(*idx, range, chunk, &mut out, stats, sink),
-            Node::Unnest {
-                input,
-                stage,
-                selects,
-            } => self.drive(input, range, builds, chunk, stats, &mut |stats, t| {
-                self.unnest_tuple(*stage, selects, t, &mut out, stats, sink)
-            }),
-            Node::HashJoin {
-                left,
-                right,
-                left_key,
-                left_key_ty,
-                float_keys,
-                predicate,
-                selects,
-                ..
-            } => {
-                let jb = &builds[*right - 1];
-                self.drive(left, range, builds, chunk, stats, &mut |stats, lt| {
-                    if lt.valid {
-                        stats.kernel_hit(left_key.id());
-                    }
-                    let c =
-                        jb.hash_candidates(lt, left_key, *left_key_ty, *float_keys, &mut scratch);
-                    self.probe_pairs(lt, c, jb, predicate, selects, &mut out, stats, sink)
-                })
-            }
-            Node::ThetaJoin {
-                left,
-                right,
-                band,
-                predicate,
-                selects,
-            } => {
-                let jb = &builds[*right - 1];
-                self.drive(left, range, builds, chunk, stats, &mut |stats, lt| {
-                    if let (Some(b), true) = (band, lt.valid) {
-                        stats.kernel_hit(b.left_key.id());
-                    }
-                    let c = jb.theta_candidates(lt, band.as_ref(), &mut scratch);
-                    self.probe_pairs(lt, c, jb, predicate, selects, &mut out, stats, sink)
-                })
-            }
+            let key = probe.keys().map(|k| (&k.right, k.right_ty, k.float_keys));
+            let rows = self.build_rows(*right, key, stats)?;
+            debug_assert_eq!(builds.len(), right - 1, "builds follow the walk order");
+            builds.push(match probe {
+                Probe::Hash(_) => JoinBuild::hash(rows),
+                Probe::Band { keys, op, .. } => {
+                    JoinBuild::theta(rows, Some((*op, keys.float_keys)))
+                }
+                Probe::Loop => JoinBuild::theta(rows, None),
+            });
         }
+        Ok(builds)
     }
 
-    /// Materialize the build side of every join in the tree, bottom-up: the
-    /// build of source `right` lands at `right - 1`. These are the pipeline
-    /// breakers of push execution: each right side scans into owned build
-    /// columns once, morsel by morsel, then lays out one CSR bucket table or
-    /// sorts into a band index on the coordinator. Bucket order is build
-    /// order, so every thread count probes identical candidate sets.
-    fn prepare_builds(
-        &self,
-        node: &Node,
-        stats: &mut ExecStats,
-        builds: &mut Vec<JoinBuild>,
-    ) -> Result<()> {
-        let (right, jb) = match node {
-            Node::Source(_) => return Ok(()),
-            Node::Unnest { input, .. } => return self.prepare_builds(input, stats, builds),
-            Node::HashJoin {
-                left,
-                right,
-                right_key,
-                right_key_ty,
-                float_keys,
-                ..
-            } => {
-                self.prepare_builds(left, stats, builds)?;
-                let key = Some((right_key, *right_key_ty, *float_keys));
-                let rows = self.build_rows(*right, key, stats)?;
-                (right, JoinBuild::hash(rows))
-            }
-            Node::ThetaJoin {
-                left, right, band, ..
-            } => {
-                self.prepare_builds(left, stats, builds)?;
-                let key = band
-                    .as_ref()
-                    .map(|b| (&b.right_key, b.right_key_ty, b.float_keys));
-                let rows = self.build_rows(*right, key, stats)?;
-                (right, JoinBuild::theta(rows, band.as_ref()))
-            }
-        };
-        debug_assert_eq!(builds.len(), *right - 1, "builds follow the walk order");
-        builds.push(jb);
-        Ok(())
-    }
-
-    /// Build-side scan, morsel by morsel and a chunk at a time: the build
-    /// key kernel runs over each chunk's surviving rows, and the rows
-    /// append column by column — slots, validity, source row and (when the
-    /// join has a build key kernel) canonical key — to the morsel's
-    /// columns; morsels concatenate in morsel order, so the rows are the
-    /// source's scan order at every worker count.
+    /// Build-side scan, morsel by morsel and a chunk at a time: the rows
+    /// that leave the scan (see [`Pipeline::filter`]) get the build key
+    /// from one batch kernel call, when the join has a build key, and
+    /// append column by column — slots, validity, source row and key — to
+    /// the morsel's columns; morsels concatenate in morsel order, so the
+    /// rows are the source's scan order at every worker count.
     fn build_rows(
         &self,
         idx: usize,
@@ -954,318 +805,297 @@ impl Pipeline {
             &plan,
             stage::BUILD_SIDE,
             stats,
-            || self.worker_scratch(s),
-            |w, range, ws| {
-                let mut out = BuildCols::new(idx, slots(), range.len());
-                let WorkerScratch {
-                    chunk, kept, row, ..
-                } = w;
-                self.scan_chunks(s, range, chunk, ws, |c, base, ws| {
-                    let kept = match self.scan_survivors(idx, c, base, row, kept, ws)? {
-                        true => &kept[..],
-                        false => &c.sel[..],
+            || Buf::scan(self.frame_width, s),
+            |buf, range, ws| {
+                let mut out = BuildCols::new(slots(), range.len());
+                self.scan_chunks(idx, range, buf, ws, |buf, ws| {
+                    let Buf {
+                        chunk: c,
+                        scratch,
+                        keys,
+                        kept,
+                        ..
+                    } = buf;
+                    let (mut sel, mut rest) = (take(&mut c.sel), take(&mut c.rest));
+                    let origin = Origin::Scan(idx);
+                    let chain = Chain { chunk: c, origin };
+                    if let Some(e) =
+                        self.filter(&s.selects, &chain, &mut sel, &mut rest, scratch, ws)
+                    {
+                        return Err(e);
+                    }
+                    // The rows that leave the scan, valid or not.
+                    let kept: &[u32] = match rest.is_empty() {
+                        true => &sel,
+                        false => {
+                            kept.clear();
+                            merge_ascending(&sel, &rest, |r, _| kept.push(r));
+                            kept
+                        }
                     };
                     let keys: &[i64] = match key {
                         Some((k, ty, float_keys)) => {
-                            // A row that could not encode gets a key too, but
-                            // no probe reads it: the row is loose or unindexed.
-                            k.call_batch(&c.cols, kept, &mut c.heads, &mut c.scratch);
-                            let valid = match c.rest.is_empty() {
-                                true => kept.len(),
-                                false => kept.iter().filter(|&&r| c.valid[r as usize]).count(),
-                            };
-                            ws.kernel_hits(k.id(), valid as u64);
-                            for bits in &mut c.heads {
+                            // A row that could not encode gets a key too,
+                            // but no probe reads it: the row is loose or
+                            // unindexed.
+                            k.call_batch(&c.cols, kept, keys, scratch);
+                            ws.kernel_hits(k.id(), sel.len() as u64);
+                            for bits in keys.iter_mut() {
                                 *bits = encode_key(*bits, ty, float_keys);
                             }
-                            &c.heads
+                            keys
                         }
                         None => &[],
                     };
-                    out.extend(&c.cols, &c.valid, base, kept, keys);
+                    out.extend(&c.cols, &c.valid, c.base, kept, keys);
+                    (c.sel, c.rest) = (sel, rest);
                     Ok(())
                 })?;
                 let n = out.len() as u64;
                 Ok((out, n))
             },
-            BuildCols::new(idx, slots(), 0),
+            BuildCols::new(slots(), 0),
             |mut all, chunk| {
                 all.append(chunk);
                 Ok(all)
             },
         )
     }
-
-    /// Emit the surviving join pairs of one probe tuple against its
-    /// candidate build rows, pushing each straight into `sink`. The probe
-    /// copies the left tuple into its scratch tuple once; per candidate it
-    /// writes only the right slots, and the predicate runs before anything
-    /// is forwarded.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_pairs(
-        &self,
-        lt: &Tuple,
-        candidates: &[u32],
-        jb: &JoinBuild,
-        predicate: &Step,
-        selects: &[Step],
-        out: &mut Tuple,
-        stats: &mut ExecStats,
-        sink: TupleSink<'_>,
-    ) -> Result<()> {
-        out.copy_from(lt);
-        'pairs: for &ri in candidates {
-            jb.fill(ri as usize, lt.valid, out);
-            if !self.apply_step(predicate, out, stats, "join")? {
-                continue;
-            }
-            for sel in selects {
-                if !self.apply_step(sel, out, stats, "selection")? {
-                    continue 'pairs;
-                }
-            }
-            sink(stats, out)?;
-        }
-        Ok(())
-    }
-
-    /// Flatten one input tuple through an unnest stage: one output tuple
-    /// per collection element in the stage's scratch tuple `out` (input
-    /// copied once, then only the element slots and index written per
-    /// element), stage selects applied, survivors pushed into `sink`.
-    fn unnest_tuple(
-        &self,
-        stage: usize,
-        selects: &[Step],
-        t: &Tuple,
-        out: &mut Tuple,
-        stats: &mut ExecStats,
-        sink: TupleSink<'_>,
-    ) -> Result<()> {
-        let u = &self.unnests[stage];
-        out.copy_from(t);
-        let evaluated;
-        let coll: &Value = match u.src_col {
-            Some((src, col)) => &self.sources[src].env_fields[col].1[t.rows[src]],
-            None => {
-                // Interpreted path: the stage keeps the collection, which
-                // downstream fallback bindings read their element from.
-                evaluated = Arc::new(eval(&u.path, &self.env_for(t))?);
-                out.elems[stage].1 = Some(Arc::clone(&evaluated));
-                &evaluated
-            }
-        };
-        let items = coll.elements().ok_or_else(|| {
-            VidaError::Exec(format!("unnest path {} produced non-collection", u.path))
-        })?;
-        'items: for (i, item) in items.iter().enumerate() {
-            out.valid = t.valid;
-            for (field, slot, ty) in &u.slots {
-                let v = match field {
-                    None => Some(item),
-                    Some(f) => item.field(f),
-                };
-                match v.and_then(|v| self.encode(*ty, v)) {
-                    Some(bits) => out.frame[*slot] = bits,
-                    None => out.valid = false,
-                }
-            }
-            out.elems[stage].0 = i;
-            for sel in selects {
-                if !self.apply_step(sel, out, stats, "selection")? {
-                    continue 'items;
-                }
-            }
-            sink(stats, out)?;
-        }
-        Ok(())
-    }
 }
 
-/// Rows per vector of the scan stage. A morsel's rows are encoded,
-/// selected and folded this many at a time, so the vectors stay in cache
-/// whatever the morsel size.
+/// Rows per chunk. A morsel's rows are encoded, selected, expanded and
+/// folded this many at a time, so the vectors stay in cache whatever the
+/// morsel size.
 const CHUNK_ROWS: usize = 1024;
 
-/// The vectors of one scan chunk, allocated once per worker and phase
-/// ([`WorkerScratch`]) and overwritten chunk after chunk.
-struct ScanChunk {
-    /// Encoded slot columns indexed by frame slot: up to `CHUNK_ROWS` long
-    /// for the scanned source's slots, empty for every other slot.
+/// The rows one spot of the spine hands the next — at most [`CHUNK_ROWS`]
+/// of them: their slot columns, the surviving rows split by validity,
+/// and, from a join or an unnest, each row's provenance by back-reference.
+#[derive(Default)]
+struct Chunk {
+    /// Slot columns indexed by frame slot, one entry per row; empty for
+    /// every slot not bound here.
     cols: Vec<Vec<i64>>,
-    /// Per chunk row: did every slot encode?
-    valid: Vec<bool>,
-    /// Chunk rows that encoded and passed the fused selects, ascending.
+    /// Surviving rows whose every slot encoded, ascending.
     sel: Vec<u32>,
-    /// Chunk rows that could not encode, ascending.
+    /// Surviving rows that could not encode (nulls), ascending: they take
+    /// the interpreter.
     rest: Vec<u32>,
-    /// Head kernel outputs, one per `sel` row.
-    heads: Vec<i64>,
-    scratch: BatchScratch,
+    /// A scan chunk's first source row, and per row: did every slot
+    /// encode?
+    base: usize,
+    valid: Vec<bool>,
+    /// A join's or unnest's rows: each one's input row, and its build row
+    /// or element index.
+    parent: Vec<u32>,
+    own: Vec<u32>,
+    /// An unnest whose path the interpreter evaluated: each row's
+    /// collection.
+    colls: Vec<Arc<Value>>,
 }
 
-impl ScanChunk {
-    fn new(frame_width: usize, s: &Source, rows: usize) -> Self {
-        let mut cols = vec![Vec::new(); frame_width];
-        for (slot, _, _) in &s.slot_cols {
-            cols[*slot] = vec![0; rows];
-        }
-        ScanChunk {
-            cols,
-            valid: Vec::with_capacity(rows),
-            sel: Vec::with_capacity(rows),
-            rest: Vec::new(),
-            heads: Vec::new(),
-            scratch: BatchScratch::default(),
+impl Chunk {
+    /// Append rows pairing input row `row` with each build row of
+    /// `build`, valid or not, in pieces that keep the chunk within
+    /// [`CHUNK_ROWS`] (`flush` empties it).
+    fn pair(
+        &mut self,
+        row: u32,
+        mut build: &[u32],
+        valid: bool,
+        flush: &mut dyn FnMut(&mut Chunk) -> Result<()>,
+    ) -> Result<()> {
+        loop {
+            if self.parent.len() >= CHUNK_ROWS {
+                flush(self)?;
+            }
+            if build.is_empty() {
+                return Ok(());
+            }
+            let (now, later) = build.split_at(build.len().min(CHUNK_ROWS - self.parent.len()));
+            if !valid {
+                let at = self.parent.len() as u32;
+                self.rest.extend(at..at + now.len() as u32);
+            }
+            self.parent.extend(std::iter::repeat(row).take(now.len()));
+            self.own.extend_from_slice(now);
+            build = later;
         }
     }
-}
 
-/// One worker's vectors for one phase, built on the worker's first morsel
-/// of the phase and reused for the rest (`WorkerPool::fold_morsels`'
-/// per-worker scratch), so a phase allocates them per worker, not per
-/// morsel.
-struct WorkerScratch {
-    chunk: ScanChunk,
-    /// A batch probe's pair vectors (empty in every other phase).
-    pairs: PairChunk,
-    /// A build chunk's surviving rows, when they are not its selection;
-    /// in a batch band probe, a range sorted into build order.
-    kept: Vec<u32>,
-    /// Scratch tuples of the rows that take the row path: the scanned row
-    /// and, in a batch probe, its join pair.
-    row: Tuple,
-    pair: Tuple,
-}
-
-/// A primitive fold's vector-at-a-time root (see [`Pipeline::vector_fold`]).
-enum VectorFold<'a> {
-    /// A scan, by source index.
-    Scan(usize),
-    /// A join probed by a scan.
-    Probe(VectorProbe<'a>),
-}
-
-/// A join whose left input is the scan of source `idx`, with its
-/// predicate and the selects above it all compiled.
-struct VectorProbe<'a> {
-    idx: usize,
-    build: &'a JoinBuild,
-    candidates: Candidates<'a>,
-    /// The predicate, then the selects, in syntactic order: the chain the
-    /// row probe short-circuits through.
-    steps: SelectKernel,
-    predicate: &'a Step,
-    selects: &'a [Step],
-}
-
-/// Where a batch probe takes each left row's candidate build rows from.
-enum Candidates<'a> {
-    /// A hash join: the bucket of the left key `(kernel, type,
-    /// float_keys)`.
-    Hash((&'a CompiledKernel, SlotType, bool)),
-    /// A band join: the range of the left band key. With `count`, the fold
-    /// adds each range's length instead of expanding its pairs.
-    Band {
-        band: &'a Band,
-        index: &'a BandIndex,
-        count: bool,
-    },
-    /// A block-nested loop: every build row.
-    Loop,
-}
-
-/// The join pairs of a batch probe buffered before a flush.
-#[derive(Default)]
-struct PairChunk {
-    /// Each pair's left chunk row and build row, in the row probe's order.
-    left: Vec<u32>,
-    right: Vec<u32>,
-    /// Pair slot columns indexed by frame slot, gathered from the left
-    /// chunk and the build columns; empty for every other slot.
-    cols: Vec<Vec<i64>>,
-    /// Pairs that pass the predicate and the selects, ascending.
-    sel: Vec<u32>,
-    /// Head kernel outputs, one per `sel` pair.
-    heads: Vec<i64>,
-    /// The rows that take the row probe, in order.
-    detours: Vec<Detour>,
-    scratch: BatchScratch,
-    /// The bucket id of each selected row of the left chunk, and the
-    /// lookup's scratch (see [`JoinBuild::lookup_batch`]).
-    ids: Vec<u32>,
-    pending: Vec<u32>,
-    at: Vec<usize>,
-}
-
-impl PairChunk {
-    /// Pair left chunk row `row` with each build row of `builds`
-    /// (ascending), except the build rows of `loose` (ascending), each of
-    /// which becomes a detour in its place — `builds` may hold them or not.
-    /// `flush` empties the pairs whenever they reach [`CHUNK_ROWS`].
+    /// Pair valid input row `row` with each build row of `build`
+    /// (ascending), the rows of `loose` (ascending) — invalid build rows,
+    /// which `build` may hold or not — as invalid rows in their place.
     fn expand(
         &mut self,
         row: u32,
-        mut builds: &[u32],
+        mut build: &[u32],
         loose: &[u32],
-        flush: &mut dyn FnMut(&mut PairChunk) -> Result<()>,
+        flush: &mut dyn FnMut(&mut Chunk) -> Result<()>,
     ) -> Result<()> {
         for &b in loose {
-            let below = builds.partition_point(|&r| r < b);
-            self.extend(row, &builds[..below], flush)?;
-            self.detour(row, Some(b));
-            builds = &builds[below..];
-            builds = builds.strip_prefix(&[b]).unwrap_or(builds);
+            let below = build.partition_point(|&r| r < b);
+            self.pair(row, &build[..below], true, flush)?;
+            self.pair(row, &[b], false, flush)?;
+            build = &build[below..];
+            build = build.strip_prefix(&[b]).unwrap_or(build);
         }
-        self.extend(row, builds, flush)
+        self.pair(row, build, true, flush)
     }
 
-    /// Pair left chunk row `row` with each build row of `builds`, in
-    /// pieces that keep the pairs within [`CHUNK_ROWS`].
-    fn extend(
-        &mut self,
-        row: u32,
-        mut builds: &[u32],
-        flush: &mut dyn FnMut(&mut PairChunk) -> Result<()>,
-    ) -> Result<()> {
-        loop {
-            if self.left.len() >= CHUNK_ROWS {
-                flush(self)?;
-            }
-            if builds.is_empty() {
-                return Ok(());
-            }
-            let (now, later) = builds.split_at(builds.len().min(CHUNK_ROWS - self.left.len()));
-            self.left.extend(std::iter::repeat(row).take(now.len()));
-            self.right.extend_from_slice(now);
-            builds = later;
-        }
-    }
-
-    /// Pair left chunk row `row` with build row `b` if `n` (0 or 1) is 1.
+    /// Pair input row `row` with build row `b` if `n` (0 or 1) is 1.
     #[inline]
     fn push_first(&mut self, row: u32, b: u32, n: usize) {
-        let len = self.left.len() + n;
-        self.left.push(row);
-        self.right.push(b);
-        self.left.truncate(len);
-        self.right.truncate(len);
+        let len = self.parent.len() + n;
+        self.parent.push(row);
+        self.own.push(b);
+        self.parent.truncate(len);
+        self.own.truncate(len);
     }
 
-    /// Send left chunk row `row` down the row probe after the pairs
-    /// buffered so far: against loose build row `b`, or — for a row that
-    /// could not encode (`None`) — against every build row.
-    fn detour(&mut self, row: u32, build: Option<u32>) {
-        let at = self.left.len() as u32;
-        self.detours.push(Detour { at, row, build });
+    /// Empty a join's or unnest's buffered rows.
+    fn clear(&mut self) {
+        self.cols.iter_mut().for_each(Vec::clear);
+        self.sel.clear();
+        self.rest.clear();
+        self.parent.clear();
+        self.own.clear();
+        self.colls.clear();
     }
 }
 
-/// A left row that takes the row probe, placed before pair `at`.
-struct Detour {
-    at: u32,
-    row: u32,
-    build: Option<u32>,
+/// One worker's vectors for one spot of the spine — the scan, a stage or
+/// the fold — built on the worker's first morsel of a phase and reused for
+/// the rest (`WorkerPool::fold_morsels`' per-worker scratch), so a phase
+/// allocates them per worker, not per morsel or row.
+#[derive(Default)]
+struct Buf {
+    /// The rows this spot hands on.
+    chunk: Chunk,
+    scratch: BatchScratch,
+    /// A join's canonical left key per selected input row, each key's
+    /// bucket id and the lookup's scratch (see
+    /// [`JoinBuild::lookup_batch`]); a band range sorted into build order,
+    /// or a build chunk's surviving rows.
+    keys: Vec<i64>,
+    ids: Vec<u32>,
+    pending: Vec<u32>,
+    at: Vec<usize>,
+    kept: Vec<u32>,
+    /// The fold's head kernel outputs (one vector per kernel) and partial.
+    heads: Vec<Vec<i64>>,
+    acc: Acc,
+}
+
+impl Buf {
+    fn new(frame_width: usize) -> Self {
+        let chunk = Chunk {
+            cols: vec![Vec::new(); frame_width],
+            ..Chunk::default()
+        };
+        Buf {
+            chunk,
+            ..Buf::default()
+        }
+    }
+
+    /// A scan's buffer over source `s`: its slot columns hold a chunk.
+    fn scan(frame_width: usize, s: &Source) -> Self {
+        let mut buf = Buf::new(frame_width);
+        for (slot, ..) in &s.slot_cols {
+            buf.chunk.cols[*slot] = vec![0; s.nrows.min(CHUNK_ROWS)];
+        }
+        buf
+    }
+}
+
+/// A morsel's private fold: a primitive monoid's partial, or a collection
+/// monoid's head values.
+#[derive(Default)]
+struct Acc {
+    partial: Partial,
+    items: Vec<Value>,
+}
+
+impl Acc {
+    fn step(&mut self, monoid: Monoid, x: Value) -> Result<()> {
+        match monoid {
+            Monoid::Primitive(p) => p.step(&mut self.partial, x.into()),
+            Monoid::Collection(_) => {
+                self.items.push(x);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// A chunk and where it came from: the provenance that rows taking the
+/// interpreter rebuild their bindings from.
+struct Chain<'a> {
+    chunk: &'a Chunk,
+    origin: Origin<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum Origin<'a> {
+    /// The scan of a source.
+    Scan(usize),
+    /// Stage `k` of the spine, over the chunk of the chain.
+    Stage(usize, &'a Chain<'a>),
+}
+
+/// Walk from row `row` of chunk `c` down its provenance — each chunk, with
+/// the row of it that `row` descends from — to the first that `f` finds
+/// something in.
+fn trace<'a, T>(
+    mut c: &Chain<'a>,
+    mut row: usize,
+    f: impl Fn(&Chain<'a>, usize) -> Option<T>,
+) -> Option<T> {
+    loop {
+        if let Some(found) = f(c, row) {
+            return Some(found);
+        }
+        let Origin::Stage(_, up) = c.origin else {
+            return None;
+        };
+        row = c.chunk.parent[row] as usize;
+        c = up;
+    }
+}
+
+/// `to` becomes `from` at each index of `at`.
+fn gather(to: &mut Vec<i64>, from: &[i64], at: &[u32]) {
+    to.clear();
+    to.extend(at.iter().map(|&r| from[r as usize]));
+}
+
+/// Keep the rows of `rows` (ascending) that `keep` holds for, up to the
+/// row of `failed`: the first row that `keep` fails on becomes `failed`,
+/// and the rows from it on are dropped.
+fn retain(
+    rows: &mut Vec<u32>,
+    failed: &mut Option<(u32, VidaError)>,
+    mut keep: impl FnMut(u32) -> Result<bool>,
+) {
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        let row = rows[i];
+        if failed.as_ref().is_some_and(|(at, _)| *at <= row) {
+            break;
+        }
+        match keep(row) {
+            Ok(pass) => {
+                rows[kept] = row;
+                kept += pass as usize;
+            }
+            Err(e) => {
+                *failed = Some((row, e));
+                break;
+            }
+        }
+    }
+    rows.truncate(kept);
 }
 
 /// Step `acc` through `xs` in order — a typed loop over one run of head
@@ -1580,9 +1410,9 @@ mod tests {
 
     #[test]
     fn push_loop_fuses_every_covered_shape() {
-        // The push loop must fuse every covered shape end to end: scans,
-        // joins (build sides are breakers, not stages), unnests, selects,
-        // every monoid.
+        // The chunk pipeline must fuse every covered shape end to end:
+        // scans, joins (build sides are breakers, not stages), unnests,
+        // selects, every monoid.
         let cat = catalog();
         let nested = nested_catalog();
         nested.register(cat.plugin("Patients").unwrap());

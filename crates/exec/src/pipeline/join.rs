@@ -1,20 +1,18 @@
 //! Join build sides — the pipeline breakers: the right side's owned slot
-//! columns, the CSR hash buckets under an open-addressing id table, the
-//! sorted band index, and candidate selection for probes.
+//! columns, the CSR hash buckets under an open-addressing id table, and
+//! the sorted band index.
 
-use super::{Band, Tuple};
 use std::cmp::Ordering;
-use vida_jit::{CompiledKernel, SlotType};
+use vida_jit::SlotType;
 use vida_lang::BinOp;
 
 /// The scanned right side of one join, column by column: one `i64` column
-/// per frame slot of the right source `src`, each row's validity (did
+/// per frame slot of the right source, each row's validity (did
 /// every slot encode?), each row's source row (its provenance), and —
 /// while the index is built — the canonical key of every row the join has
 /// a key kernel for. Morsel chunks append in morsel order, so build row
 /// `i` is the `i`-th survivor of the right scan at every worker count.
 pub(super) struct BuildCols {
-    src: usize,
     /// `(frame slot, column)`, one per slot of the right source.
     cols: Vec<(usize, Vec<i64>)>,
     valid: Vec<bool>,
@@ -25,9 +23,8 @@ pub(super) struct BuildCols {
 impl BuildCols {
     /// No rows yet, with a column for each of `slots` and room for `rows`
     /// rows.
-    pub(super) fn new(src: usize, slots: impl Iterator<Item = usize>, rows: usize) -> Self {
+    pub(super) fn new(slots: impl Iterator<Item = usize>, rows: usize) -> Self {
         BuildCols {
-            src,
             cols: slots.map(|s| (s, Vec::with_capacity(rows))).collect(),
             valid: Vec::with_capacity(rows),
             rows: Vec::with_capacity(rows),
@@ -79,20 +76,20 @@ impl BuildCols {
     }
 }
 
-/// Materialized build side of one join — the pipeline breaker the
-/// streaming engine still pays, constructed once before the push loop and
-/// shared (read-only) by every probe morsel.
+/// Materialized build side of one join — the pipeline breaker the chunk
+/// pipeline still pays, constructed once before the spine runs and shared
+/// (read-only) by every probe morsel.
 pub(super) struct JoinBuild {
     rows: BuildCols,
     /// Hash strategy: one CSR bucket table over the valid rows.
     table: Buckets,
-    /// The invalid build rows, in build order, which every probe checks
-    /// pairwise through the row probe.
+    /// The invalid build rows, in build order, which every probe pairs
+    /// with as rows that take the interpreter.
     loose: Vec<u32>,
     /// Band strategy: the sorted key index.
     pub(super) index: Option<BandIndex>,
-    /// `0..n`: the candidates of block-nested-loop and invalid-frame
-    /// probes, built once and borrowed by every probe.
+    /// `0..n`: the candidates of block-nested-loop probes and of input
+    /// rows that could not encode, built once and borrowed by every probe.
     all: Vec<u32>,
 }
 
@@ -162,26 +159,12 @@ impl IdTable {
         }
     }
 
-    /// The bucket id of `key`, or 0 (the empty bucket).
-    #[inline]
-    fn get(&self, key: i64) -> u32 {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            match self.slots[i] {
-                0 => return 0,
-                id if self.keys[id as usize] == key => return id,
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
     /// The bucket id of every key of `keys` into `ids` (0 for an absent
     /// key), a probe step at a time over the keys still unresolved
     /// (`pending`, with each one's next slot in `at`). A step compacts the
     /// unresolved keys without branching on the outcome, so whether a key
     /// is present — a coin flip in a selective join — costs no branch
-    /// miss, where the one-key loop of [`IdTable::get`] pays one.
+    /// miss, where a one-key probe loop pays one.
     fn get_batch(
         &self,
         keys: &[i64],
@@ -261,10 +244,12 @@ impl JoinBuild {
     }
 
     /// Theta-join build: the rows, the invalid ones among them (loose),
-    /// and (for band joins) the sorted key index over the others.
-    pub(super) fn theta(mut rows: BuildCols, band: Option<&Band>) -> Self {
+    /// and (for band joins, `band` being the comparison and whether keys
+    /// compare as floats) the sorted key index over the others.
+    pub(super) fn theta(mut rows: BuildCols, band: Option<(BinOp, bool)>) -> Self {
         let keys = std::mem::take(&mut rows.keys);
-        let index = band.map(|b| BandIndex::build(b.op, b.float_keys, &keys, &rows.valid));
+        let index =
+            band.map(|(op, float_keys)| BandIndex::build(op, float_keys, &keys, &rows.valid));
         let loose = invalid_rows(&rows.valid);
         JoinBuild {
             index,
@@ -289,13 +274,12 @@ impl JoinBuild {
         &self.rows.cols
     }
 
-    /// Every build row, ascending: an invalid probe frame's candidates.
+    /// Every build row, ascending.
     pub(super) fn all(&self) -> &[u32] {
         &self.all
     }
 
-    /// The invalid build rows, ascending, which every probe checks
-    /// pairwise through the row probe.
+    /// The invalid build rows, ascending.
     pub(super) fn loose(&self) -> &[u32] {
         &self.loose
     }
@@ -333,89 +317,9 @@ impl JoinBuild {
         &self.table.items[at..at + n]
     }
 
-    /// The valid build rows whose key bits are `key`, ascending.
-    #[inline]
-    pub(super) fn bucket(&self, key: i64) -> &[u32] {
-        let (at, n) = self.bucket_span(self.table.ids.get(key));
-        self.items(at, n)
-    }
-
-    /// Write build row `i` into a probe's scratch tuple: the right slots
-    /// from their columns, the right source's row, and the pair's
-    /// validity.
-    pub(super) fn fill(&self, i: usize, lvalid: bool, out: &mut Tuple) {
-        let r = &self.rows;
-        for (slot, col) in &r.cols {
-            out.frame[*slot] = col[i];
-        }
-        out.rows[r.src] = r.rows[i] as usize;
-        out.valid = lvalid && r.valid[i];
-    }
-
-    /// Candidate build rows for one hash probe, in ascending (right-scan)
-    /// order so non-commutative monoids see the interpreter's pair order:
-    /// the probe key's CSR bucket, borrowed — merged with the loose rows in
-    /// the probe's `scratch` list only when there are any. Invalid probe
-    /// frames are compared against every build row through the interpreter
-    /// (null keys join null keys in this calculus).
-    pub(super) fn hash_candidates<'a>(
-        &'a self,
-        lt: &Tuple,
-        left_key: &CompiledKernel,
-        left_key_ty: SlotType,
-        float_keys: bool,
-        scratch: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        if !lt.valid {
-            return &self.all;
-        }
-        let bucket = self.bucket(encode_key(
-            left_key.call(&lt.frame),
-            left_key_ty,
-            float_keys,
-        ));
-        if self.loose.is_empty() {
-            return bucket;
-        }
-        scratch.clear();
-        merge_ascending(bucket, &self.loose, |i, _| scratch.push(i));
-        scratch
-    }
-
-    /// Candidate build rows for one theta probe, ascending like
-    /// [`JoinBuild::hash_candidates`]. Invalid probe frames and band-less
-    /// joins run the block-nested loop over every row; band probes narrow
-    /// to the sorted key range plus the loose rows. A range whose key
-    /// order is build order is borrowed (or merged with the loose rows in
-    /// the probe's `scratch` list); any other range is sorted there.
-    pub(super) fn theta_candidates<'a>(
-        &'a self,
-        lt: &Tuple,
-        band: Option<&Band>,
-        scratch: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        let (Some(band), Some(index), true) = (band, &self.index, lt.valid) else {
-            return &self.all;
-        };
-        let lk = encode_key(
-            band.left_key.call(&lt.frame),
-            band.left_key_ty,
-            band.float_keys,
-        );
-        let range = index.range(lk);
-        if self.loose.is_empty() {
-            return index.ascending(range, scratch);
-        }
-        scratch.clear();
-        match index.ordered {
-            true => merge_ascending(range, &self.loose, |i, _| scratch.push(i)),
-            false => {
-                scratch.extend_from_slice(range);
-                scratch.extend_from_slice(&self.loose);
-                scratch.sort_unstable();
-            }
-        }
-        scratch
+    /// The source row of build row `b`.
+    pub(super) fn source_row(&self, b: u32) -> usize {
+        self.rows.rows[b as usize] as usize
     }
 }
 
@@ -613,19 +517,16 @@ mod tests {
             2.5f64.to_bits() as i64,
         ];
         let probes: Vec<i64> = keys.iter().chain(&absent).copied().collect();
-        let one: Vec<u32> = probes.iter().map(|&k| table.get(k)).collect();
         let (mut batch, mut pending, mut at) = (Vec::new(), Vec::new(), Vec::new());
         table.get_batch(&probes, &mut batch, &mut pending, &mut at);
-        assert_eq!(batch, one);
-        assert_eq!(&one[..keys.len()], &ids[..]);
+        assert_eq!(&batch[..keys.len()], &ids[..]);
         assert!(
-            one[keys.len()..].iter().all(|&b| b == 0),
-            "absent keys: {one:?}"
+            batch[keys.len()..].iter().all(|&b| b == 0),
+            "absent keys: {batch:?}"
         );
 
         // An empty table knows no key, 0 included.
         let empty = IdTable::default();
-        assert_eq!(empty.get(0), 0);
         empty.get_batch(&[0, 5], &mut batch, &mut pending, &mut at);
         assert_eq!(batch, [0, 0]);
     }

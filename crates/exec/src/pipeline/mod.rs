@@ -55,46 +55,57 @@
 //! is not a scan — so execution is total over all valid plans and
 //! `ExecStats::whole_query_fallbacks` records when the fallback engine ran.
 //!
-//! The leftmost scan runs **a vector at a time** (MonetDB/X100-style):
-//! per chunk of at most 1024 rows, the fused selects refine a selection
-//! vector with batch kernels. A primitive fold with a kernel or `count`
-//! head stays vectorized when it sits straight over the scan — the head
-//! kernel runs over the selection and a typed loop folds its outputs — or
-//! over a join probed by the scan with a compiled predicate
-//! (`ExecStats::vector_probe_pipelines`). Each left row's candidates are
-//! its hash bucket (the key kernel runs over the chunk and the keys look
-//! up their buckets), its band range (the band key kernel runs over the
-//! chunk and each key binary-searches the index), or every build row (a
-//! block-nested loop); they expand into (left row, build row) pair
-//! vectors, and the predicate, the selects above the join and the head
-//! run over those. Rows whose frame cannot encode, and pairs with an
-//! invalid build row, take the row path in their place in that order. A
-//! `count` over a band join whose predicate is the band comparison itself
-//! expands no pair: each left row adds its range's length.
+//! The left spine runs as **one chunk pipeline** (MonetDB/X100-style
+//! vectors, staged only at pipeline breakers as in relaxed operator
+//! fusion): the leftmost scan, then every join and unnest above it in walk
+//! order, then the fold, each mapping a chunk of at most 1024 rows to the
+//! next. A chunk holds slot columns and its surviving rows split by
+//! validity — `sel`, the rows whose every slot encoded, and `rest`, the
+//! rows that could not (nulls, non-scalars) — both ascending; a join's or
+//! unnest's chunk also records, per row, its input row and its own index
+//! (the build row or the element index), so provenance is a chain of
+//! back-references to the chunks below. The stages:
 //!
-//! Every other pipeline — join chains, a theta join with an unnest or a
-//! join on its left, unnests, collection and record heads, interpreted
-//! steps — takes the selected rows one at a time from the scan into a
-//! **streaming push loop** (HyPer-style data-centric pipelines): each
-//! compiled stage consumes one tuple at a time and pushes it into the
-//! next stage's consumer closure, so
-//! select→project→unnest→probe→fold chains fuse end to end with no
-//! intermediate buffer between operators and **no allocation per row**:
-//! each stage overwrites one scratch tuple per morsel and its sink borrows
-//! it, provenance is a fixed array of row and element indexes, and
-//! primitive folds keep unboxed [`Partial`](vida_types::Partial)
-//! accumulators until the morsel boundary. The only pipeline breakers are
-//! join build sides — owned slot columns with CSR hash buckets under an
-//! open-addressing id table, or a sorted band index — which materialize
-//! once per join before the loop starts; `ExecStats::fused_stage_depth`
-//! reports the fused chain length.
+//! - the **scan** encodes each slot column of the chunk into a vector;
+//! - a **join** pairs each input row with its candidate build rows,
+//!   ascending: its hash bucket (the key kernel runs over `sel` and the
+//!   keys look up their buckets in one batch), its band range (one binary
+//!   search per key), or every build row (a block-nested loop). A row that
+//!   could not encode pairs with every build row, and loose (invalid)
+//!   build rows pair in their place, as `rest` rows. Pairs gather their
+//!   slots from the input chunk and the build columns;
+//! - an **unnest** expands each input row into one row per element,
+//!   gathering the input row's slots the same way and encoding the
+//!   element's slots as it goes;
+//! - the **fold** runs the head kernels over `sel`; a primitive fold with a
+//!   kernel or `count` head steps through their outputs in a typed loop,
+//!   and any other head builds one `Value` per row. A `count` right over a
+//!   band join whose predicate is the band comparison expands no valid
+//!   pair: each row adds its range's length.
+//!
+//! Every stage then narrows its chunk with its step chain — a scan's
+//! selects, a join's predicate and the selects above it, an unnest's
+//! selects: compiled steps refine `sel` by batch (a chain of compiled
+//! steps as one fused select kernel), interpreted steps run per row, in
+//! syntactic order. Rows in `rest` walk every step, and the head, through
+//! `vida_lang::eval`, over bindings rebuilt from their provenance. Errors
+//! keep row order: a stage that fails at row *r* first hands the rows
+//! before *r* to the rest of the pipeline, then returns its error, so the
+//! first error in row order wins, as in the interpreter. Chunk buffers
+//! are allocated per worker and reused for every morsel — **no allocation
+//! per row** — and primitive folds keep unboxed
+//! [`Partial`](vida_types::Partial) accumulators until the morsel
+//! boundary. The only pipeline breakers are join build sides — owned slot
+//! columns with CSR hash buckets under an open-addressing id table, or a
+//! sorted band index — which materialize once per join before the spine
+//! runs; `ExecStats::fused_stage_depth` reports the spine's length.
 //!
 //! One **morsel driver** (`vida-parallel`) runs every scan at every
 //! worker count: raw scans split into aligned byte ranges, replica decodes
 //! and build-side scans into unit morsels (the join's bucket table or band
 //! index is then laid out serially), and the leftmost
-//! scan's rows into morsels that each drive through the whole stage chain
-//! into a private partial fold; partials merge in morsel order. Morsel
+//! scan's rows into morsels that each run through the whole spine into a
+//! private partial fold; partials merge in morsel order. Morsel
 //! boundaries depend only on the data — never the worker count — so every
 //! thread count produces the same result bit for bit, float folds
 //! included. Serial execution is the one-worker grid: the pool runs it
@@ -102,12 +113,12 @@
 //!
 //! Module map, in the order a query passes through: `options`
 //! ([`JitOptions`]), `shape` (which plans the pipelines accept, touched
-//! paths), `bind` (one post-order walk from the plan to the operator tree
-//! — sources, slots, selects, join strategies, unnest stages — then select
-//! fusion and head planning), `columns` (cache probe, raw scan, replica
-//! decode and sync, incremental tail), `join` (build sides: slot columns,
-//! CSR hash buckets, band index), `drive` (the morsel driver: push loop,
-//! vector folds and the batch probe, fold-partial seam). This file holds the entry points and the
+//! paths), `bind` (one post-order walk from the plan to sources and spine
+//! stages — slots, selects, join probes, unnest stages — then step fusion
+//! and head planning), `columns` (cache probe, raw scan, replica decode
+//! and sync, incremental tail), `join` (build sides: slot columns, CSR
+//! hash buckets, band index), `drive` (the morsel driver: the chunk
+//! pipeline's stages and fold, fold-partial seam). This file holds the entry points and the
 //! pipeline IR those modules share.
 
 mod bind;
@@ -245,7 +256,8 @@ fn execute(
 }
 
 /// One boolean evaluation step: a compiled kernel (with its source
-/// expression for null-tuple fallback) or an interpreted expression.
+/// expression for the rows that could not encode) or an interpreted
+/// expression.
 enum Step {
     Kernel(CompiledKernel, Expr),
     Interp(Expr),
@@ -260,8 +272,68 @@ impl Step {
     }
 }
 
-/// How the reduce head is evaluated per surviving tuple. Compiled variants
-/// carry the source expression for tuples on the fallback path.
+/// A chain of boolean steps in syntactic order — a scan's selects, a
+/// join's predicate and the selects above the join, or an unnest's
+/// selects — with its batch form over a chunk's valid rows.
+struct Steps {
+    list: Vec<Step>,
+    /// The first step is a join predicate (its errors say so).
+    join: bool,
+    /// The batch form, in order: each run of compiled steps fused into one
+    /// select kernel, and each interpreted step by its index in `list`. A
+    /// scan whose every select compiled has one kernel, ranked (see
+    /// `PipelineBuilder::fuse_selects`).
+    batch: Vec<Batch>,
+}
+
+enum Batch {
+    Kernels(SelectKernel),
+    Interp(usize),
+}
+
+impl Steps {
+    fn new(list: Vec<Step>, join: bool) -> Self {
+        Steps {
+            list,
+            join,
+            batch: Vec::new(),
+        }
+    }
+
+    /// Every step's kernel, in syntactic order, when every step compiled.
+    fn kernels(&self) -> Option<Vec<CompiledKernel>> {
+        self.list
+            .iter()
+            .map(|s| match s {
+                Step::Kernel(k, _) => Some(k.clone()),
+                Step::Interp(_) => None,
+            })
+            .collect()
+    }
+
+    /// Lay out the batch form in syntactic order.
+    fn fuse(&mut self) {
+        let mut run = Vec::new();
+        for (i, step) in self.list.iter().enumerate() {
+            match step {
+                Step::Kernel(k, _) => run.push(k.clone()),
+                Step::Interp(_) => {
+                    if !run.is_empty() {
+                        let run = SelectKernel::new(std::mem::take(&mut run));
+                        self.batch.push(Batch::Kernels(run));
+                    }
+                    self.batch.push(Batch::Interp(i));
+                }
+            }
+        }
+        if !run.is_empty() {
+            self.batch.push(Batch::Kernels(SelectKernel::new(run)));
+        }
+    }
+}
+
+/// How the reduce head is evaluated per surviving row. Compiled variants
+/// carry the source expression for rows on the fallback path.
 enum HeadPlan {
     /// `count` with a total head: no evaluation needed at all.
     CountOnly,
@@ -290,86 +362,78 @@ struct Source {
     /// Fields materialized for binding-record reconstruction, schema order.
     env_fields: Vec<(String, Arc<Vec<Value>>)>,
     /// `(global slot, materialized column, slot type)`: the columns shared
-    /// with `env_fields`, encoded cell by cell in the morsel loop. A cell
-    /// that cannot encode (null, type mismatch) sends its tuple down the
-    /// interpreted fallback.
+    /// with `env_fields`, encoded a chunk at a time. A cell that cannot
+    /// encode (null, type mismatch) makes its row take the interpreter.
     slot_cols: Vec<(usize, Arc<Vec<Value>>, SlotType)>,
-    /// Selection steps applied as tuples leave the scan, syntactic order.
-    selects: Vec<Step>,
-    /// When every select compiled, the chain fused into one
-    /// [`SelectKernel`], which refines each scan chunk's selection vector
-    /// of valid rows (rows that could not encode still walk `selects`
-    /// through the interpreter).
-    fused_selects: Option<SelectKernel>,
+    /// Selection steps applied as rows leave the scan.
+    selects: Steps,
 }
 
-/// Pipeline tree: left-deep joins and unnest stages over bound sources,
-/// built by the builder's one lowering walk.
-///
-/// The tree's left spine is one fused push pipeline: tuples stream from the
-/// leftmost scan (source 0) through every stage's sink without intermediate
-/// buffers. Join right sides are always scans and the pipeline breakers:
-/// source `right` is materialized once into the prepared [`JoinBuild`] at
-/// `right - 1` before the push loop starts (the sources after the leftmost
-/// are exactly the join right sides, bottom-up).
-enum Node {
-    Source(usize),
-    HashJoin {
-        left: Box<Node>,
-        right: usize,
-        left_key: CompiledKernel,
-        right_key: CompiledKernel,
-        left_key_ty: SlotType,
-        right_key_ty: SlotType,
-        /// Promote int keys to float bits so `p.id = g.fid` hashes
-        /// consistently across the numeric tower.
-        float_keys: bool,
-        /// Full join predicate, checked per candidate pair.
-        predicate: Step,
-        /// Selects sitting above this join.
-        selects: Vec<Step>,
-    },
-    /// Non-equi join: band sort-probe when the predicate contains a range
-    /// comparison between the two sides, block-nested-loop (with the
-    /// predicate compiled into one fused kernel) otherwise.
-    ThetaJoin {
-        left: Box<Node>,
-        right: usize,
-        band: Option<Band>,
-        /// Full join predicate, checked per candidate pair.
-        predicate: Step,
-        /// Selects sitting above this join.
-        selects: Vec<Step>,
-    },
-    /// Flatten a collection-valued path of earlier bindings; one output
-    /// tuple per element, frame extended with the element's slots.
-    Unnest {
-        input: Box<Node>,
-        /// Index into [`Pipeline::unnests`].
-        stage: usize,
-        /// Selects sitting above this unnest (may reference the element).
-        selects: Vec<Step>,
-    },
+/// One stage of the left spine above the leftmost scan (source 0). The
+/// builder's walk lists them bottom-up, so a chunk of the scan's surviving
+/// rows passes through each in turn into the fold. Join right sides are
+/// scans and the pipeline breakers: source `right` is materialized once
+/// into the prepared [`JoinBuild`](join::JoinBuild) at `right - 1` before
+/// the spine runs (the sources after the leftmost are exactly the join
+/// right sides, bottom-up).
+struct Stage {
+    kind: StageKind,
+    /// A join's predicate, then the selects above the stage.
+    steps: Steps,
+    /// The frame slots the stage copies from its input rows: every slot
+    /// bound below it, except the ones it binds itself.
+    carried: Vec<usize>,
 }
 
-/// Sort-probe strategy for a range theta join: both band keys compile to
-/// kernels; the right side sorts by key once and each probe narrows its
-/// candidates to the half-open range satisfying `left_key op right_key`.
-struct Band {
-    left_key: CompiledKernel,
-    right_key: CompiledKernel,
-    /// Comparison with the left key on the left: `Lt`, `Le`, `Gt`, or `Ge`.
-    op: BinOp,
-    /// Compare keys in the float domain (the numeric tower mixed).
+enum StageKind {
+    /// A join: each input row pairs with its candidate build rows.
+    Join { right: usize, probe: Probe },
+    /// Flatten a collection-valued path (index into
+    /// [`Pipeline::unnests`]): one row per element, frame extended with
+    /// the element's slots.
+    Unnest(usize),
+}
+
+/// Where a join takes each input row's candidate build rows from.
+enum Probe {
+    /// Equi-keys: the bucket of the left key.
+    Hash(Keys),
+    /// A range comparison between the sides: the build sorts by key once
+    /// and each probe narrows its candidates to the half-open range
+    /// satisfying `left_key op right_key`.
+    Band {
+        keys: Keys,
+        /// `Lt`, `Le`, `Gt`, or `Ge`, with the left key on the left.
+        op: BinOp,
+        /// The join predicate is this comparison itself, not one conjunct
+        /// of an `and`. The predicate kernel compares the same key values
+        /// in the same domain (an int key against a float one promotes as
+        /// `encode_key` does), so a pair is in a probe's range exactly
+        /// when the predicate holds.
+        exact: bool,
+    },
+    /// Any other predicate: every build row (a block-nested loop).
+    Loop,
+}
+
+impl Probe {
+    fn keys(&self) -> Option<&Keys> {
+        match self {
+            Probe::Hash(keys) | Probe::Band { keys, .. } => Some(keys),
+            Probe::Loop => None,
+        }
+    }
+}
+
+/// The compiled join keys of a hash or band join.
+struct Keys {
+    left: CompiledKernel,
+    right: CompiledKernel,
+    left_ty: SlotType,
+    right_ty: SlotType,
+    /// Compare keys in the float domain: int keys promote to float bits,
+    /// so `p.id = g.fid` hashes consistently across the numeric tower.
     float_keys: bool,
-    left_key_ty: SlotType,
-    right_key_ty: SlotType,
-    /// The join predicate is this comparison itself, not one conjunct of
-    /// an `and`. The predicate kernel compares the same key values in the
-    /// same domain (an int key against a float one promotes as
-    /// `encode_key` does), so a pair is in a probe's range exactly when
-    /// the predicate holds.
-    exact: bool,
 }
 
 /// One compiled unnest stage: where the collection comes from and which
@@ -390,50 +454,16 @@ struct UnnestStage {
     slots: Vec<(Option<String>, usize, SlotType)>,
 }
 
-/// Provenance entry of a source or unnest stage not bound upstream.
-const UNBOUND: usize = usize::MAX;
-
-/// The in-flight tuple of one push stage: a scratch state the stage
-/// allocates once per morsel and overwrites in place for every tuple it
-/// emits, so rows, join pairs and unnest elements flow through the chain
-/// without a heap object each. It holds the register frame, whether every
-/// slot bound so far encoded, and the provenance `Pipeline::env_for`
-/// rebuilds bindings from on the fallback path, sized at bind time:
-/// `rows[source]` is each upstream source's row and `elems[stage]` each
-/// upstream unnest's element index (`UNBOUND` elsewhere), plus the
-/// collection itself when the interpreter evaluated the unnest path
-/// (direct-column unnests find it at `(column, rows[source])`).
-struct Tuple {
-    frame: Vec<i64>,
-    valid: bool,
-    rows: Vec<usize>,
-    elems: Vec<(usize, Option<Arc<Value>>)>,
-}
-
-impl Tuple {
-    /// Overwrite this scratch tuple with `t` — once per input tuple of a
-    /// probe or unnest stage, without allocating.
-    fn copy_from(&mut self, t: &Tuple) {
-        self.frame.copy_from_slice(&t.frame);
-        self.valid = t.valid;
-        self.rows.copy_from_slice(&t.rows);
-        self.elems.clone_from_slice(&t.elems);
-    }
-}
-
-/// The consumer side of one pipeline stage: borrows each surviving tuple
-/// (plus the worker-local stats) and forwards it — into the next stage's
-/// closure, the fold, or a build side. Passing stats through the sink
-/// keeps one mutable path through the whole recursive loop nest.
-type TupleSink<'a> = &'a mut dyn FnMut(&mut ExecStats, &Tuple) -> Result<()>;
-
 struct Pipeline {
     /// Sources in walk order: the leftmost scan first, then each join's
     /// right side, bottom-up.
     sources: Vec<Source>,
-    /// Unnest stages in walk order (indexed by `Node::Unnest::stage`).
+    /// Unnest stages in walk order (indexed by `StageKind::Unnest`).
     unnests: Vec<UnnestStage>,
-    root: Node,
+    stages: Vec<Stage>,
+    /// Join build sides, filled when the pipeline executes: the build of
+    /// source `right` at `right - 1`.
+    builds: Vec<join::JoinBuild>,
     monoid: Monoid,
     head: HeadPlan,
     frame_width: usize,
@@ -454,48 +484,6 @@ struct Pipeline {
     /// Fold-partial cache seam for single-source primitive folds (`None`
     /// for every other shape — they always run the plain full fold).
     fold_seam: Option<FoldSeam>,
-}
-
-impl Pipeline {
-    /// A scratch tuple sized for this pipeline: one per stage per morsel.
-    fn scratch(&self) -> Tuple {
-        Tuple {
-            frame: vec![0; self.frame_width],
-            valid: true,
-            rows: vec![UNBOUND; self.sources.len()],
-            elems: vec![(UNBOUND, None); self.unnests.len()],
-        }
-    }
-
-    /// Rebuild interpreter bindings from a tuple's provenance — its only
-    /// reader, called on the fallback path alone: a record per bound source
-    /// row, then each bound unnest's element, read back from its
-    /// collection.
-    fn env_for(&self, t: &Tuple) -> Bindings {
-        let mut env = self.base_env.clone();
-        for (s, &row) in self.sources.iter().zip(&t.rows) {
-            if row == UNBOUND {
-                continue;
-            }
-            let fields = s
-                .env_fields
-                .iter()
-                .map(|(n, c)| (n.clone(), c[row].clone()));
-            env.insert(s.binding.clone(), Value::Record(fields.collect()));
-        }
-        for (u, (i, evaluated)) in self.unnests.iter().zip(&t.elems) {
-            let coll = match (*i, evaluated, u.src_col) {
-                (UNBOUND, ..) => continue,
-                (_, Some(c), _) => c,
-                (_, None, Some((src, col))) => &self.sources[src].env_fields[col].1[t.rows[src]],
-                (_, None, None) => continue,
-            };
-            if let Some(item) = coll.elements().and_then(|e| e.get(*i)) {
-                env.insert(u.binding.clone(), item.clone());
-            }
-        }
-        env
-    }
 }
 
 /// Where cached pre-finalize fold partials are looked up and refreshed,

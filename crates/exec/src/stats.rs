@@ -62,11 +62,6 @@ pub struct ExecStats {
     /// Theta-join stages (band sort-probe or block-nested-loop) executed
     /// through a generated pipeline.
     pub theta_pipelines: u32,
-    /// 1 when the query's fold ran over a join probe — hash, band or
-    /// block-nested loop — a vector at a time (a scan on the join's left, a
-    /// compiled predicate and selects, a kernel or `count` head), 0 when
-    /// every join probe ran a tuple at a time.
-    pub vector_probe_pipelines: u32,
     /// Bushy-join rotations the `left_deepen` pass applied while lowering
     /// this query's plan into a left-deep pipeline chain.
     pub bushy_lowered: u32,
@@ -74,7 +69,7 @@ pub struct ExecStats {
     /// (plan shape outside the generated pipelines — unit-dataset constant
     /// queries and the like); summed across queries by [`ExecStats::accumulate`].
     pub whole_query_fallbacks: u32,
-    /// Operator stages fused into one streaming push loop for this query
+    /// Operator stages fused into one chunk pipeline for this query
     /// (scan = 1, +1 per unnest stage and join probe, +1 for the fold), so
     /// at least 2 on every pipeline-covered shape; 0 when the query fell
     /// back wholesale. Join build sides and band indexes are pipeline
@@ -153,7 +148,6 @@ impl ExecStats {
         self.replicas_dropped += other.replicas_dropped;
         self.unnest_pipelines += other.unnest_pipelines;
         self.theta_pipelines += other.theta_pipelines;
-        self.vector_probe_pipelines += other.vector_probe_pipelines;
         self.bushy_lowered += other.bushy_lowered;
         self.whole_query_fallbacks += other.whole_query_fallbacks;
         self.fused_stage_depth = self.fused_stage_depth.max(other.fused_stage_depth);
@@ -230,14 +224,8 @@ impl ExecStats {
         }
     }
 
-    /// Record one invocation of a compiled kernel (no-op when tracing is
+    /// Record `n` invocations of a compiled kernel (no-op when tracing is
     /// off or the kernel was never tagged with an id).
-    #[inline]
-    pub(crate) fn kernel_hit(&mut self, id: u32) {
-        self.kernel_hits(id, 1);
-    }
-
-    /// Record `n` invocations of a compiled kernel.
     #[inline]
     pub(crate) fn kernel_hits(&mut self, id: u32, n: u64) {
         if let Some(t) = self.trace.as_deref_mut() {
@@ -278,10 +266,6 @@ impl ExecStats {
         out.push_str(&format!("\"replicas_dropped\":{},", self.replicas_dropped));
         out.push_str(&format!("\"unnest_pipelines\":{},", self.unnest_pipelines));
         out.push_str(&format!("\"theta_pipelines\":{},", self.theta_pipelines));
-        out.push_str(&format!(
-            "\"vector_probe_pipelines\":{},",
-            self.vector_probe_pipelines
-        ));
         out.push_str(&format!("\"bushy_lowered\":{},", self.bushy_lowered));
         out.push_str(&format!(
             "\"whole_query_fallbacks\":{},",
@@ -335,7 +319,6 @@ mod tests {
             replicas_dropped: 1,
             unnest_pipelines: 1,
             theta_pipelines: 2,
-            vector_probe_pipelines: 1,
             bushy_lowered: 1,
             whole_query_fallbacks: 1,
             fused_stage_depth: 4,
@@ -359,7 +342,6 @@ mod tests {
         assert_eq!(a.queries, 2);
         assert_eq!(a.unnest_pipelines, 2);
         assert_eq!(a.theta_pipelines, 4);
-        assert_eq!(a.vector_probe_pipelines, 2);
         assert_eq!(a.bushy_lowered, 2);
         assert_eq!(a.whole_query_fallbacks, 2);
         assert_eq!(a.fused_stage_depth, 4); // max, not sum
@@ -468,7 +450,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"tuples_scanned\":42"));
         assert!(json.contains("\"served_from_cache\":true"));
-        assert!(json.contains("\"vector_probe_pipelines\":0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

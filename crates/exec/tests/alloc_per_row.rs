@@ -1,6 +1,7 @@
-//! The push loop's allocation contract, as a hard assert: a warm query
-//! allocates per morsel (scratch tuples, partials, build-side chunks), never
-//! per scanned row, per join candidate or per unnest element.
+//! The chunk pipeline's allocation contract, as a hard assert: a warm query
+//! allocates per worker and per morsel (chunk buffers, partials, build-side
+//! chunks), never per scanned row, per join candidate or per unnest
+//! element.
 //!
 //! A counting global allocator measures the second (warm, cache-served) run
 //! of each covered shape on a resident engine over `N` and over `2N` rows;
@@ -146,6 +147,14 @@ fn warm_allocations_grow_with_morsels_not_rows() {
         ),
         ("for { p <- P, t <- T, p.age < t.lim } yield count p", false),
         ("for { r <- R, v <- r.xs, v > 2 } yield sum v", false),
+        (
+            "for { r <- R, v <- r.xs, g <- G, v = g.id } yield count v",
+            false,
+        ),
+        (
+            "for { p <- P, g <- G, q <- P, p.id = g.id, g.id = q.id } yield sum g.snp",
+            false,
+        ),
     ];
     let (small, large) = (engine(N), engine(2 * N));
     for (q, scan_only) in shapes {

@@ -15,7 +15,7 @@ use vida_formats::csv::CsvFile;
 use vida_formats::json::JsonFile;
 use vida_formats::plugin::{CsvPlugin, JsonPlugin};
 use vida_formats::MapMode;
-use vida_types::{CollectionKind, Schema, Type};
+use vida_types::{CollectionKind, Schema, Type, Value};
 
 /// `A.s` values as parsed — each one exercises RFC 4180 quoting: an
 /// embedded delimiter, a doubled-quote escape, and a quoted newline.
@@ -191,4 +191,22 @@ pub fn file_catalog(tag: &str, mode: MapMode) -> MemoryCatalog {
     let n = JsonFile::open_with("N", &n_path, n_schema(), mode).unwrap();
     cat.register(Arc::new(JsonPlugin::new(n)));
     cat
+}
+
+/// Register `N(id, xs)` over 150 rows: row `i` holds `i % 5` int elements
+/// in `0..70`, with a null element wherever `(i + j) % 9 == 4`.
+pub fn register_nested_ints(cat: &MemoryCatalog) {
+    let rows: Vec<Value> = (0..150i64)
+        .map(|i| {
+            let xs = (0..i % 5)
+                .map(|j| match (i + j) % 9 {
+                    4 => Value::Null,
+                    _ => Value::Int((i * 3 + j * 11) % 70),
+                })
+                .collect();
+            Value::record([("id", Value::Int(i)), ("xs", Value::bag(xs))])
+        })
+        .collect();
+    let schema = Schema::from_pairs([("id", Type::Int), ("xs", Type::bag(Type::Int))]);
+    cat.register_records("N", schema, &rows).unwrap();
 }

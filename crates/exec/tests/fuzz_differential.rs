@@ -30,9 +30,9 @@
 //! generated shape is inside the pipeline coverage, the fuzzer also
 //! asserts that **no plan takes the whole-query Volcano fallback**
 //! (unnests, theta joins, bushy trees, and *reordered* joins all compile)
-//! and that **every plan runs as one fused push chain**
+//! and that **every plan runs as one fused chunk pipeline**
 //! (`ExecStats::fused_stage_depth >= 2`: at least a scan and the fold,
-//! with no operator between them outside the loop).
+//! with no operator between them outside the pipeline).
 //!
 //! Seeds are fixed in code, so a failure replays exactly: the panic message
 //! carries the seed, the plan index, and the plan itself.
@@ -555,8 +555,8 @@ fn fuzz_all_shapes_agree_across_engines_and_thread_counts() {
                                     ctx(&format!("{tag} reordered then fell back"))
                                 );
                             }
-                            // Streaming execution: every covered shape fuses
-                            // end to end into the push loop.
+                            // Every covered shape fuses end to end into
+                            // the chunk pipeline.
                             assert!(
                                 stats.fused_stage_depth >= 2,
                                 "{}",

@@ -1,15 +1,17 @@
-//! The batch hash-join probe: a primitive fold over a hash join whose left
-//! input is a scan runs a vector at a time (key vector, bucket lookups,
-//! pair vectors, refined pair selection, head kernel, typed fold). Every
-//! answer must equal the plan interpreter's at every worker count and
-//! morsel size, with duplicate and null keys on both sides — so left rows
-//! that cannot encode and loose build rows take the row probe, interleaved
-//! in pair order — and mixed int/float keys. `vector_probe_pipelines`
-//! tells which shapes ran the batch probe, and the per-kernel trace hits
-//! are the row probe's: one per valid left row for the left key, one per
-//! valid build row for the right key, one per valid pair for the join
-//! predicate, and one per pair a kernel receives after it — as is the
-//! number of tuples the interpreter evaluates.
+//! The batch hash-join probe: every join of the chunk pipeline runs a
+//! chunk at a time (key vector, bucket lookups, pair vectors, refined pair
+//! selection), whatever sits on its left — a scan, an unnest or another
+//! join — and under any head. Every answer must equal the plan
+//! interpreter's at every worker count and morsel size, with duplicate and
+//! null keys on both sides — so left rows that cannot encode and loose
+//! build rows pair through the interpreter, in pair order — and mixed
+//! int/float keys. The per-kernel trace hits are the row probe's: one per
+//! valid left row for the left key, one per valid build row for the right
+//! key, one per valid pair for the join predicate, and one per pair a
+//! kernel receives after it — as are the tuples the interpreter evaluates
+//! and the rows that reach the fold, pinned per plan.
+
+mod common;
 
 use std::sync::Arc;
 use vida_algebra::{lower, rewrite, Plan};
@@ -31,9 +33,11 @@ fn right_k(i: i64) -> Option<i64> {
     (i % 13 != 5).then_some(i * 17 % 60)
 }
 
-/// `L(id, x, f, fk)` and `R(k, v, w)`. `f` and `v` are dyadic, so every
-/// association of a float sum gives the same bits; `fk` is `id` as a
-/// float, for joins that compare keys across the numeric tower.
+/// `L(id, x, f, fk)`, `R(k, v, w)` and `N(id, xs)` (see
+/// [`common::register_nested_ints`]). `f`
+/// and `v` are dyadic, so every association of a float sum gives the same
+/// bits; `fk` is `id` as a float, for joins that compare keys across the
+/// numeric tower.
 fn catalog() -> Arc<MemoryCatalog> {
     let cat = MemoryCatalog::new();
     let left: Vec<Value> = (0..LEFT_ROWS)
@@ -67,6 +71,7 @@ fn catalog() -> Arc<MemoryCatalog> {
         .collect();
     let schema = Schema::from_pairs([("k", Type::Int), ("v", Type::Float), ("w", Type::Int)]);
     cat.register_records("R", schema, &right).unwrap();
+    common::register_nested_ints(&cat);
     Arc::new(cat)
 }
 
@@ -116,92 +121,135 @@ fn run(
     session.execute_with_stats(plan).expect("query runs")
 }
 
-/// (query, a select above the join, whether the fold runs the batch probe)
-const QUERIES: [(&str, Option<&str>, bool); 15] = [
+/// What a plan did, as the tuple-at-a-time row probe that preceded the
+/// chunk pipeline counted it: the per-kernel trace hits, the tuples the
+/// interpreter evaluated (`fallback_tuples`) and the rows that reached the
+/// fold (`actual_rows`).
+type Counters = (&'static [u64], u64, u64);
+
+/// (query, a select above the join, its counters)
+const QUERIES: [(&str, Option<&str>, Counters); 22] = [
     // Int and float sums over a right-side slot, `count`, `avg`, `max`.
     (
         "for { l <- L, r <- R, l.id = r.k } yield sum r.w",
         None,
-        true,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield sum r.v",
         None,
-        true,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield count l",
         None,
-        true,
+        (&[1580, 545, 185], 19175, 2405),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield avg l.f",
         None,
-        true,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield max (r.w + l.x)",
         None,
-        true,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
     // A boolean head under `any`.
     (
         "for { l <- L, r <- R, l.id = r.k } yield any r.v > 3.0",
         None,
-        true,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
     // A fused left select; a condition over both sides, which joins the
     // predicate; a compiled select above the join.
     (
         "for { l <- L, r <- R, l.id = r.k, l.x > 3 } yield sum r.v",
         None,
-        true,
+        (&[545, 875, 301, 185, 875], 11235, 1340),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k, r.w + l.x > 6 } yield sum l.f",
         None,
-        true,
+        (&[1580, 545, 185, 986], 19670, 1481),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield sum l.f",
         Some("r.w + l.x > 6"),
-        true,
+        (&[1580, 545, 185, 1580, 986], 20495, 1481),
     ),
     // Mixed int/float keys: the int side promotes to float bits.
     (
         "for { l <- L, r <- R, l.fk = r.k } yield sum r.w",
         None,
-        true,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
-    // A band join probed by a scan runs the batch probe too
-    // (`theta_batch.rs` covers theta joins).
+    // A band join (`theta_batch.rs` covers theta joins).
     (
         "for { l <- L, r <- R, l.id < r.k } yield count l",
         None,
-        true,
+        (&[46766, 545, 185], 19175, 46766),
     ),
-    // Row probe: an interpreted left select (division does not compile),
-    // an interpreted select above the join, a collection head and an
-    // interpreted head.
+    // An interpreted left select (division does not compile), an
+    // interpreted select above the join, a collection head and an
+    // interpreted head: their compiled steps run by batch, the interpreted
+    // ones a row at a time.
     (
         "for { l <- L, r <- R, l.id = r.k, l.x / 2 > 1 } yield sum r.w",
         None,
-        false,
+        (&[875, 301, 185, 875], 11780, 1340),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield sum r.w",
         Some("r.w / 2 > 1"),
-        false,
+        (&[1580, 545, 185, 926], 22020, 1366),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield list r.v",
         None,
-        false,
+        (&[1580, 545, 185, 1580], 20000, 2405),
     ),
     (
         "for { l <- L, r <- R, l.id = r.k } yield sum (r.w / 2)",
         None,
-        false,
+        (&[1580, 545, 185], 21580, 2405),
+    ),
+    // A 3-way hash chain, under `count` and a collection head.
+    (
+        "for { l <- L, r <- R, s <- R, l.id = r.k, r.w = s.w } yield count l",
+        None,
+        (&[1580, 545, 185, 13839, 1580, 200], 184175, 21044),
+    ),
+    (
+        "for { l <- L, r <- R, s <- R, l.id = r.k, r.w = s.w } yield list (s.v + l.f)",
+        None,
+        (&[1580, 545, 185, 13839, 1580, 200, 13839], 191380, 21044),
+    ),
+    // An unnest on a join's left, and an unnest after a join.
+    (
+        "for { n <- N, v <- n.xs, r <- R, v = r.k } yield count v",
+        None,
+        (&[712, 266, 185], 10790, 1222),
+    ),
+    (
+        "for { n <- N, v <- n.xs, r <- R, v = r.k } yield sum (r.w + n.id)",
+        None,
+        (&[712, 266, 185, 712], 11300, 1222),
+    ),
+    (
+        "for { n <- N, l <- L, n.id = l.id, v <- n.xs, v > 20 } yield sum (v + l.x)",
+        None,
+        (&[545, 150, 545, 1036, 818], 8304, 818),
+    ),
+    (
+        "for { n <- N, l <- L, n.id = l.id, v <- n.xs } yield count v",
+        None,
+        (&[545, 150, 545], 8250, 1090),
+    ),
+    (
+        "for { n <- N, l <- L, n.id = l.id, v <- n.xs, v > 20 } yield list (v + l.x)",
+        None,
+        (&[545, 150, 545, 1036, 818], 8304, 818),
     ),
 ];
 
@@ -209,10 +257,9 @@ const QUERIES: [(&str, Option<&str>, bool); 15] = [
 fn batch_probe_agrees_with_the_interpreter_everywhere() {
     let cat = catalog();
     let default_rows = JitOptions::default().morsel_rows;
-    for (q, above, vector) in QUERIES {
+    for (q, above, (hits, fallbacks, rows)) in QUERIES {
         let plan = plan_of(q, above);
         let oracle = run_volcano(&plan, cat.as_ref()).unwrap();
-        let mut first: Option<(Vec<u64>, u64)> = None;
         for threads in [1usize, 2, 8] {
             for morsel_rows in [1, 64, default_rows] {
                 let (v, stats) = run(&cat, &plan, threads, morsel_rows);
@@ -222,11 +269,10 @@ fn batch_probe_agrees_with_the_interpreter_everywhere() {
                 assert_eq!(v, oracle, "{at}");
                 assert_eq!(stats.whole_query_fallbacks, 0, "{at}");
                 assert_eq!(stats.joins_reordered, 0, "L stays the probe side: {at}");
-                assert_eq!(stats.vector_probe_pipelines, vector as u32, "{at}");
-                // Trace hits and fallbacks do not depend on the grid.
-                let hits = stats.query_trace().unwrap().kernel_invocations().to_vec();
-                let seen = first.get_or_insert((hits.clone(), stats.fallback_tuples));
-                assert_eq!(*seen, (hits, stats.fallback_tuples), "{at}");
+                let trace = stats.query_trace().unwrap();
+                assert_eq!(trace.kernel_invocations(), hits, "kernel hits: {at}");
+                assert_eq!(stats.fallback_tuples, fallbacks, "fallback tuples: {at}");
+                assert_eq!(stats.actual_rows, rows, "rows folded: {at}");
             }
         }
     }
@@ -246,7 +292,6 @@ fn batch_probe_credits_each_kernel_with_the_rows_it_received() {
         .sum::<u64>();
     let plan = plan_of("for { l <- L, r <- R, l.id = r.k } yield sum r.w", None);
     let (_, stats) = run(&cat, &plan, 2, 64);
-    assert_eq!(stats.vector_probe_pipelines, 1);
     let hits = stats.query_trace().unwrap().kernel_invocations().to_vec();
     let (nl, nr) = (valid_left.len() as u64, valid_right.len() as u64);
     assert_eq!(hits, [pairs, nl, nr, pairs], "predicate, keys, head");

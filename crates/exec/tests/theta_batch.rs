@@ -1,14 +1,17 @@
-//! The batch theta-join probe: a primitive fold over a band or
-//! block-nested-loop join whose left input is a scan runs a vector at a
-//! time (band key vector, one range per left row or every build row, pair
-//! vectors, refined pair selection, head kernel, typed fold), and a
-//! `count` over a band join whose predicate is the band comparison adds up
-//! range lengths without expanding a pair. Every answer must equal the plan
+//! The batch theta-join probe: a band or block-nested-loop join runs a
+//! chunk at a time (band key vector, one range per left row or every build
+//! row, pair vectors, refined pair selection), whatever sits on its left —
+//! a scan or an unnest — and under any head, and a `count` right over a
+//! band join whose predicate is the band comparison adds up range lengths
+//! without expanding a pair. Every answer must equal the plan
 //! interpreter's at every worker count and morsel size — over int, float
 //! and mixed int/float keys with duplicate, null and NaN keys on both
-//! sides, so left rows that cannot encode and loose build rows take the
-//! row probe in their place — and the per-kernel trace hits and
-//! `fallback_tuples` must be the row probe's.
+//! sides, so left rows that cannot encode and loose build rows pair
+//! through the interpreter in their place — and the per-kernel trace hits,
+//! `fallback_tuples` and `actual_rows` must be the tuple-at-a-time row
+//! probe's, pinned per plan.
+
+mod common;
 
 use std::sync::Arc;
 use vida_algebra::{lower, rewrite, Plan};
@@ -48,9 +51,10 @@ fn right_fk(i: i64) -> Value {
     }
 }
 
-/// `L(id, x, f, fk)` and `R(k, n, v, w, fk)`. `n` is the row number (key
-/// order is build order, and never null); `f` and `v` are dyadic, so
-/// every association of a float sum gives the same bits.
+/// `L(id, x, f, fk)`, `R(k, n, v, w, fk)` and `N(id, xs)` (see
+/// [`common::register_nested_ints`]). `n` is the row number (key order is
+/// build order, and never null); `f` and `v` are dyadic, so every
+/// association of a float sum gives the same bits.
 fn catalog() -> Arc<MemoryCatalog> {
     let cat = MemoryCatalog::new();
     let left: Vec<Value> = (0..LEFT_ROWS)
@@ -89,6 +93,7 @@ fn catalog() -> Arc<MemoryCatalog> {
         ("fk", Type::Float),
     ]);
     cat.register_records("R", schema, &right).unwrap();
+    common::register_nested_ints(&cat);
     Arc::new(cat)
 }
 
@@ -125,10 +130,9 @@ fn select_above(plan: Plan, pred: &str) -> Plan {
 }
 
 /// A select above the join that holds on every pair and does not compile
-/// (division stays interpreted), so the fold takes the row probe: its
-/// kernels and their order are the batch plan's, and each pair that
-/// reaches it adds one interpreted tuple.
-const ROW_PROBE: &str = "(l.x + r.w) / 1 = l.x + r.w";
+/// (division stays interpreted): the plan's kernels and their order stay
+/// the same, and each pair that reaches it adds one interpreted tuple.
+const ROW_PROBE: &str = "r.w / 1 = r.w";
 
 /// Run `plan` on a fresh engine with `threads` workers and `morsel_rows`,
 /// traced.
@@ -153,124 +157,169 @@ fn hits(stats: &ExecStats) -> Vec<u64> {
     stats.query_trace().unwrap().kernel_invocations().to_vec()
 }
 
-/// (query, a select above the join, whether the fold runs the batch probe)
-const QUERIES: [(&str, Option<&str>, bool); 22] = [
+/// What a plan did, as the tuple-at-a-time row probe that preceded the
+/// chunk pipeline counted it: the per-kernel trace hits, the tuples the
+/// interpreter evaluated (`fallback_tuples`) and the rows that reached the
+/// fold (`actual_rows`).
+type Counters = (&'static [u64], u64, u64);
+
+/// (query, a select above the join, its counters)
+const QUERIES: [(&str, Option<&str>, Counters); 28] = [
     // The four band ops over int keys with nulls on both sides, under
     // `count` (the build has loose rows, so pairs expand), int and float
     // `sum`, `avg`, `max` and `any`.
     (
         "for { l <- L, r <- R, l.id < r.k } yield count l",
         None,
-        true,
+        (&[28277, 545, 111], 11505, 28277),
     ),
     (
         "for { l <- L, r <- R, l.id <= r.k } yield sum r.w",
         None,
-        true,
+        (&[29203, 545, 111, 29203], 11505, 29203),
     ),
     (
         "for { l <- L, r <- R, l.id > r.k } yield sum r.v",
         None,
-        true,
+        (&[31292, 545, 111, 31292], 11505, 31292),
     ),
     (
         "for { l <- L, r <- R, l.id >= r.k } yield avg l.f",
         None,
-        true,
+        (&[32218, 545, 111, 32218], 11505, 32218),
     ),
     (
         "for { l <- L, r <- R, l.id < r.k } yield max (r.w + l.x)",
         None,
-        true,
+        (&[28277, 545, 111, 28277], 11505, 28277),
     ),
     (
         "for { l <- L, r <- R, l.id > r.k } yield any r.v > 3.0",
         None,
-        true,
+        (&[31292, 545, 111, 31292], 11505, 31292),
     ),
     // A build without loose rows, whose key order is build order: `count`
     // adds up range lengths, under each op and under a fused left select.
     (
         "for { l <- L, r <- R, l.x < r.n } yield count l",
         None,
-        true,
+        (&[62684, 545, 120], 6600, 69009),
     ),
     (
         "for { l <- L, r <- R, l.x <= r.n } yield count r",
         None,
-        true,
+        (&[64407, 600, 111], 5400, 69609),
     ),
     (
         "for { l <- L, r <- R, l.id > r.n, l.x > 0 } yield count l",
         None,
-        true,
+        (&[545, 15169, 484, 120], 5935, 15169),
     ),
     (
         "for { l <- L, r <- R, l.id >= r.n } yield count l",
         None,
-        true,
+        (&[17660, 545, 120], 6600, 17660),
     ),
     (
         "for { l <- L, r <- R, l.x >= r.n } yield sum r.w",
         None,
-        true,
+        (&[2991, 600, 120, 2991], 0, 2991),
     ),
     // Float keys and mixed int/float keys, NaN on both sides.
     (
         "for { l <- L, r <- R, l.fk < r.fk } yield count l",
         None,
-        true,
+        (&[16909, 545, 111], 11505, 16909),
     ),
     (
         "for { l <- L, r <- R, l.fk >= r.fk } yield sum r.w",
         None,
-        true,
+        (&[43586, 545, 111, 43586], 11505, 43586),
     ),
     (
         "for { l <- L, r <- R, l.id <= r.fk } yield count l",
         None,
-        true,
+        (&[12020, 545, 111], 11505, 12020),
     ),
     (
         "for { l <- L, r <- R, l.fk > r.k } yield sum l.f",
         None,
-        true,
+        (&[17959, 545, 111, 17959], 11505, 17959),
     ),
     // A residual conjunct over both sides, which joins the predicate, and
     // a compiled select above the join.
     (
         "for { l <- L, r <- R, l.x < r.n, l.x != r.w } yield count l",
         None,
-        true,
+        (&[62684, 545, 120], 6600, 66009),
     ),
     (
         "for { l <- L, r <- R, l.x < r.n } yield count l",
         Some("r.w + l.x > 6"),
-        true,
+        (&[62684, 545, 120, 62684], 12925, 44427),
     ),
     // Block-nested loop and the product.
     (
         "for { l <- L, r <- R, l.id != r.k } yield sum r.w",
         None,
-        true,
+        (&[60495, 59569], 22515, 70579),
     ),
-    ("for { l <- L, r <- R } yield count l", None, true),
-    // Row probe: an interpreted left select (division does not compile),
-    // a collection head, and an interpreted head.
+    (
+        "for { l <- L, r <- R } yield count l",
+        None,
+        (&[65400], 6600, 72000),
+    ),
+    // An interpreted left select (division does not compile), a
+    // collection head, and an interpreted head.
     (
         "for { l <- L, r <- R, l.id < r.k, l.x / 2 > 1 } yield sum r.w",
         None,
-        false,
+        (&[15677, 301, 111, 15677], 7029, 15677),
     ),
     (
         "for { l <- L, r <- R, l.id != r.k } yield list r.n",
         None,
-        false,
+        (&[60495, 59569], 22515, 70579),
     ),
     (
         "for { l <- L, r <- R, l.id < r.k } yield sum (r.w / 2)",
         None,
-        false,
+        (&[28277, 545, 111], 39782, 28277),
+    ),
+    // An unnest on a band join's left, with and without loose build rows
+    // (`count` adds up range lengths without them), under `count` and
+    // `sum`, and on a block-nested loop's left.
+    (
+        "for { n <- N, v <- n.xs, r <- R, v < r.k } yield count v",
+        None,
+        (&[12643, 266, 111], 6474, 12643),
+    ),
+    (
+        "for { n <- N, v <- n.xs, r <- R, v < r.n } yield count v",
+        None,
+        (&[22592, 266, 120], 4080, 22592),
+    ),
+    (
+        "for { n <- N, v <- n.xs, r <- R, v >= r.n } yield sum (v + r.w)",
+        None,
+        (&[9328, 266, 120, 9328], 4080, 9328),
+    ),
+    (
+        "for { n <- N, v <- n.xs, r <- R, v != r.k } yield count n",
+        None,
+        (&[29526], 6474, 35271),
+    ),
+    // A collection head over a band join, and an interpreted select above
+    // one.
+    (
+        "for { l <- L, r <- R, l.id < r.k } yield list (l.x + r.n)",
+        None,
+        (&[28277, 545, 111, 28277], 11505, 28277),
+    ),
+    (
+        "for { l <- L, r <- R, l.id < r.k } yield count l",
+        Some("(l.x + r.w) / 1 = l.x + r.w"),
+        (&[28277, 545, 111], 39782, 28277),
     ),
 ];
 
@@ -278,10 +327,9 @@ const QUERIES: [(&str, Option<&str>, bool); 22] = [
 fn theta_batch_probe_agrees_with_the_interpreter_everywhere() {
     let cat = catalog();
     let default_rows = JitOptions::default().morsel_rows;
-    for (q, above, vector) in QUERIES {
+    for (q, above, (kernel_hits, fallbacks, rows)) in QUERIES {
         let plan = plan_of(q, above);
         let oracle = run_volcano(&plan, cat.as_ref()).unwrap();
-        let mut first: Option<(Vec<u64>, u64)> = None;
         for threads in [1usize, 2, 8] {
             for morsel_rows in [1, 64, default_rows] {
                 let (v, stats) = run(&cat, &plan, threads, morsel_rows);
@@ -292,10 +340,9 @@ fn theta_batch_probe_agrees_with_the_interpreter_everywhere() {
                 assert_eq!(stats.whole_query_fallbacks, 0, "{at}");
                 assert_eq!(stats.theta_pipelines, 1, "{at}");
                 assert_eq!(stats.joins_reordered, 0, "L stays the probe side: {at}");
-                assert_eq!(stats.vector_probe_pipelines, vector as u32, "{at}");
-                // Trace hits and fallbacks do not depend on the grid.
-                let seen = first.get_or_insert((hits(&stats), stats.fallback_tuples));
-                assert_eq!(*seen, (hits(&stats), stats.fallback_tuples), "{at}");
+                assert_eq!(hits(&stats), kernel_hits, "kernel hits: {at}");
+                assert_eq!(stats.fallback_tuples, fallbacks, "fallback tuples: {at}");
+                assert_eq!(stats.actual_rows, rows, "rows folded: {at}");
             }
         }
     }
@@ -304,11 +351,11 @@ fn theta_batch_probe_agrees_with_the_interpreter_everywhere() {
 #[test]
 fn theta_batch_probe_credits_what_the_row_probe_credits() {
     // The same plan with an always-true interpreted select on top runs the
-    // row probe over the same kernels: every kernel must see the same
-    // rows, and the interpreter the same tuples except the ones that
+    // same kernels over the same rows: the select's chain runs a row at a
+    // time, and the interpreter sees the same tuples except the ones that
     // select adds — one per tuple that reaches the fold.
     let cat = catalog();
-    for (q, above, vector) in QUERIES.into_iter().filter(|(.., vector)| *vector) {
+    for (q, above, _) in QUERIES {
         let plan = plan_of(q, above);
         let row_plan = select_above(plan.clone(), ROW_PROBE);
         for (threads, morsel_rows) in [(1, 0), (2, 64), (8, 1)] {
@@ -316,11 +363,6 @@ fn theta_batch_probe_credits_what_the_row_probe_credits() {
             let (v, batch) = run(&cat, &plan, threads, morsel_rows);
             let (w, row) = run(&cat, &row_plan, threads, morsel_rows);
             assert_eq!(v, w, "{at}");
-            assert_eq!(
-                (batch.vector_probe_pipelines, row.vector_probe_pipelines),
-                (vector as u32, 0),
-                "{at}"
-            );
             assert_eq!(hits(&batch), hits(&row), "kernel hits: {at}");
             assert_eq!(batch.actual_rows, row.actual_rows, "{at}");
             assert_eq!(
@@ -347,7 +389,6 @@ fn range_count_credits_the_pairs_it_does_not_expand() {
     for (threads, morsel_rows) in [(1, 0), (2, 64), (8, 1)] {
         let (v, stats) = run(&cat, &plan, threads, morsel_rows);
         assert_eq!(v, Value::Int(pairs));
-        assert_eq!(stats.vector_probe_pipelines, 1);
         let (nl, nr) = (LEFT_ROWS as u64, RIGHT_ROWS as u64);
         assert_eq!(hits(&stats), [pairs as u64, nl, nr], "predicate, keys");
         assert_eq!(stats.fallback_tuples, 0);

@@ -148,8 +148,9 @@ pub struct SelectKernel {
 impl SelectKernel {
     /// Fuse `preds` (each a boolean kernel) in the order given: a join
     /// predicate and the selects above the join, which run in syntactic
-    /// order so each kernel sees the pairs the row probe would give it.
-    /// Scan stages rank their conjuncts with [`SelectKernel::with_order`].
+    /// order so each kernel sees the pairs a short-circuit chain would
+    /// give it. Scan stages rank their conjuncts with
+    /// [`SelectKernel::with_order`].
     pub fn new(preds: Vec<CompiledKernel>) -> Self {
         debug_assert!(preds.iter().all(|k| k.output() == SlotType::Bool));
         SelectKernel { preds }
