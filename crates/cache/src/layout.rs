@@ -13,6 +13,7 @@
 //! choice a concrete representation and the conversion from parsed values.
 
 use crate::bson;
+use crate::zones::Zones;
 use std::sync::Arc;
 use vida_types::{Result, Value, VidaError};
 
@@ -45,24 +46,28 @@ impl Layout {
 /// whole column by pointer share instead of a per-row decode, and a pure
 /// append extends the resident vector in place
 /// ([`crate::CacheManager::extend_values`]) — the two moves that make warm
-/// re-query cost proportional to the delta, not the file.
+/// re-query cost proportional to the delta, not the file. Next to the rows
+/// sits the column's block summary ([`Zones`]), which the cache builds when
+/// it stores the replica and keeps exact on append; `None` before that, and
+/// for a column without a block of `Int` and `Null` cells that holds an
+/// `Int`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CachedData {
-    Values(Arc<Vec<Value>>),
+    Values(Arc<Vec<Value>>, Option<Arc<Zones>>),
     BinaryJson(Vec<Vec<u8>>),
 }
 
 impl CachedData {
     pub fn layout(&self) -> Layout {
         match self {
-            CachedData::Values(_) => Layout::Values,
+            CachedData::Values(..) => Layout::Values,
             CachedData::BinaryJson(_) => Layout::BinaryJson,
         }
     }
 
     pub fn len(&self) -> usize {
         match self {
-            CachedData::Values(v) => v.len(),
+            CachedData::Values(v, _) => v.len(),
             CachedData::BinaryJson(v) => v.len(),
         }
     }
@@ -71,10 +76,11 @@ impl CachedData {
         self.len() == 0
     }
 
-    /// Memory footprint used against the cache budget.
+    /// Memory footprint used against the cache budget; a `Values` replica
+    /// is billed for the block summary the cache stores with it.
     pub fn approx_bytes(&self) -> usize {
         match self {
-            CachedData::Values(v) => v.iter().map(Value::approx_bytes).sum::<usize>() + 24,
+            CachedData::Values(v, _) => Zones::summarize(v).0,
             CachedData::BinaryJson(v) => v.iter().map(|b| b.len() + 24).sum::<usize>() + 24,
         }
     }
@@ -83,7 +89,7 @@ impl CachedData {
     pub fn get(&self, row: usize) -> Result<Value> {
         let oob = || VidaError::Exec(format!("cache row {row} out of range"));
         match self {
-            CachedData::Values(v) => v.get(row).cloned().ok_or_else(oob),
+            CachedData::Values(v, _) => v.get(row).cloned().ok_or_else(oob),
             CachedData::BinaryJson(v) => {
                 let bytes = v.get(row).ok_or_else(oob)?;
                 bson::decode_value(bytes, 0).map(|(val, _)| val)
@@ -95,7 +101,7 @@ impl CachedData {
     /// converts; the `Result` is kept for callers that already handle one.
     pub fn from_values(values: &[Value], target: Layout) -> Result<CachedData> {
         Ok(match target {
-            Layout::Values => CachedData::Values(Arc::new(values.to_vec())),
+            Layout::Values => CachedData::Values(Arc::new(values.to_vec()), None),
             Layout::BinaryJson => {
                 CachedData::BinaryJson(values.iter().map(bson::to_bytes).collect())
             }
@@ -116,7 +122,7 @@ mod tests {
 
     #[test]
     fn values_layout_round_trip() {
-        let c = CachedData::Values(Arc::new(vals()));
+        let c = CachedData::Values(Arc::new(vals()), None);
         assert_eq!(c.layout(), Layout::Values);
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(1).unwrap().field("id"), Some(&Value::Int(2)));

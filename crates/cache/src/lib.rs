@@ -27,8 +27,10 @@ pub mod bson;
 pub mod fold;
 pub mod layout;
 pub mod manager;
+pub mod zones;
 
 pub use bson::{decode_value, encode_value};
 pub use fold::FoldPartial;
 pub use layout::{CachedData, Layout};
-pub use manager::{CacheKey, CacheManager, CacheStats, TenantStats};
+pub use manager::{CacheKey, CacheManager, CacheStats, SharedValues, TenantStats};
+pub use zones::{Zones, ZONE_ROWS};

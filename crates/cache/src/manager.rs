@@ -17,6 +17,7 @@
 
 use crate::fold::{FoldPartial, MAX_FOLD_ENTRIES};
 use crate::layout::{CachedData, Layout};
+use crate::zones::Zones;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -143,6 +144,9 @@ struct AtomicStats {
     invalidations: AtomicU64,
 }
 
+/// A `Values` replica's rows and block summary, shared with its entry.
+pub type SharedValues = (Arc<Vec<Value>>, Option<Arc<Zones>>);
+
 /// Budgeted cache of raw-data column replicas.
 ///
 /// # Example
@@ -165,7 +169,7 @@ struct AtomicStats {
 /// );
 /// cache.put(
 ///     CacheKey::new("Patients", "age", Layout::Values),
-///     CachedData::Values(Arc::new(ages.to_vec())),
+///     CachedData::Values(Arc::new(ages.to_vec()), None),
 ///     fingerprint,
 /// );
 /// assert_eq!(cache.len(), 1); // the binary-JSON replica was retired
@@ -318,15 +322,25 @@ impl CacheManager {
     /// until the new one fits its quota; then the global budget is
     /// enforced by evicting *unprotected* entries — never another tenant's
     /// while that tenant is at or under its own quota.
+    ///
+    /// A `Values` replica is stored with its block summary ([`Zones`]),
+    /// built in the pass that sums its footprint.
     pub fn put_with_cost_for(
         &self,
         tenant: Option<&str>,
         key: CacheKey,
-        data: CachedData,
+        mut data: CachedData,
         fingerprint: (u64, u64),
         rebuild_cost: f64,
     ) -> Option<usize> {
-        let bytes = data.approx_bytes();
+        let bytes = match &mut data {
+            CachedData::Values(v, zones) => {
+                let (bytes, summary) = Zones::summarize(v);
+                *zones = summary.map(Arc::new);
+                bytes
+            }
+            CachedData::BinaryJson(_) => data.approx_bytes(),
+        };
         let mut state = self.state.write();
         let victims = self.plan_evictions(&state, tenant, (&key.dataset, &key.field), bytes)?;
         self.evict(&mut state, victims);
@@ -358,9 +372,11 @@ impl CacheManager {
     /// with at least `keep_rows` rows; rows beyond `keep_rows` (a
     /// re-parsed unterminated last unit) are dropped, `tail` is appended,
     /// and the entry is promoted to `fingerprint` so the next query is a
-    /// plain full hit. Returns the full column, shared with the refreshed
-    /// entry, or `None` when no qualifying entry exists (the caller then
-    /// stitches prefix and tail by hand).
+    /// plain full hit. The block summary is kept exact: the block the
+    /// splice starts in is recomputed and the new blocks are added. Returns
+    /// the full column and its summary, shared with the refreshed entry,
+    /// or `None` when no qualifying entry exists (the caller then stitches
+    /// prefix and tail by hand).
     ///
     /// The growth is charged like an insert by the entry's owner: other
     /// entries are evicted to keep the owner within its quota and the
@@ -376,7 +392,7 @@ impl CacheManager {
         keep_rows: usize,
         tail: Vec<Value>,
         fingerprint: (u64, u64),
-    ) -> Option<Arc<Vec<Value>>> {
+    ) -> Option<SharedValues> {
         let added: usize = tail.iter().map(Value::approx_bytes).sum();
         let mut state = self.state.write();
         let extendable = state.entry(&key.dataset, &key.field).is_some_and(|e| {
@@ -391,20 +407,26 @@ impl CacheManager {
         let mut entry = self
             .take(&mut state, &key.dataset, &key.field)
             .expect("checked above");
-        let CachedData::Values(vec) = Arc::make_mut(&mut entry.data) else {
+        let CachedData::Values(vec, zones) = Arc::make_mut(&mut entry.data) else {
             unreachable!("layout checked above");
         };
         let vec = Arc::make_mut(vec);
         let removed: usize = vec[keep_rows..].iter().map(Value::approx_bytes).sum();
         vec.truncate(keep_rows);
         vec.extend(tail);
+        let mut summary = zones
+            .take()
+            .map(|z| Arc::try_unwrap(z).unwrap_or_else(|z| (*z).clone()));
+        let grew = Zones::extend(&mut summary, vec, keep_rows);
+        *zones = summary.map(Arc::new);
         entry.bytes = (entry.bytes + added).saturating_sub(removed);
+        entry.bytes = entry.bytes.saturating_add_signed(grew);
         entry.fingerprint = fingerprint;
         entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let CachedData::Values(full) = &*entry.data else {
+        let CachedData::Values(full, zones) = &*entry.data else {
             unreachable!("layout checked above");
         };
-        let full = Arc::clone(full);
+        let full = (Arc::clone(full), zones.clone());
         let owner = entry.tenant.clone();
         let slot = (key.dataset.as_str(), key.field.as_str());
         if let Some(victims) = self.plan_evictions(&state, owner.as_deref(), slot, entry.bytes) {
@@ -679,7 +701,10 @@ mod tests {
     use vida_types::Value;
 
     fn col(n: usize) -> CachedData {
-        CachedData::Values(Arc::new((0..n).map(|i| Value::Int(i as i64)).collect()))
+        CachedData::Values(
+            Arc::new((0..n).map(|i| Value::Int(i as i64)).collect()),
+            None,
+        )
     }
 
     fn binary(n: usize) -> CachedData {
@@ -890,16 +915,19 @@ mod tests {
         let key = values("a");
         m.put(key.clone(), col(5), (1, 1));
         let before = m.used_bytes();
-        let full = m
+        let (full, zones) = m
             .extend_values(&key, (1, 1), 5, vec![Value::Int(5), Value::Int(6)], (2, 2))
             .unwrap();
         assert_eq!(full.len(), 7);
         assert_eq!(full[6], Value::Int(6));
         assert_eq!(m.used_bytes(), before + 16);
+        // The summary covers the new rows: one block, 0..=6.
+        let zones = zones.expect("an int column");
+        assert!(zones.refutes(0, 7, i64::MAX) && !zones.refutes(0, 6, 6));
         // Promoted to the new generation, sharing storage with the caller.
         assert!(m.contains_fresh(&key, (2, 2)));
         let got = m.get(&key).unwrap();
-        let CachedData::Values(resident) = &*got else {
+        let CachedData::Values(resident, _) = &*got else {
             panic!("values replica expected");
         };
         assert!(Arc::ptr_eq(resident, &full));
@@ -912,7 +940,7 @@ mod tests {
         let m = CacheManager::new(1 << 20);
         let key = values("a");
         m.put(key.clone(), col(5), (1, 1));
-        let full = m
+        let (full, _) = m
             .extend_values(
                 &key,
                 (1, 1),
@@ -974,7 +1002,7 @@ mod tests {
         assert!(put_for(&m, "a", "hot", col(100)));
         let tail: Vec<Value> = (100..150).map(|i| Value::Int(i as i64)).collect();
         let full = m.extend_values(&values("hot"), (1, 1), 100, tail, (2, 2));
-        assert_eq!(full.unwrap().len(), 150);
+        assert_eq!(full.unwrap().0.len(), 150);
         let stats = m.tenant_stats("a");
         assert!(stats.used_bytes <= stats.budget_bytes.unwrap(), "{stats:?}");
         assert!(m.contains(&values("hot")), "the extended entry stays");

@@ -7,16 +7,18 @@
 use super::shape::{collect_paths, pipelinable};
 use super::{
     Batch, ExecContext, FoldSeam, HeadPlan, JitOptions, Keys, Pipeline, Probe, Source, Stage,
-    StageKind, Step, Steps, UnnestStage,
+    StageKind, Step, Steps, UnnestStage, ZoneCheck, ZoneTest,
 };
 use crate::catalog::{QueryBinding, SourceProvider};
 use crate::stats::ExecStats;
 use crate::volcano::collect_exprs;
 use std::collections::HashSet;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 use vida_algebra::lower::{left_deepen, split_conjuncts};
 use vida_algebra::Plan;
+use vida_cache::{Zones, ZONE_ROWS};
 use vida_jit::compile::path_of;
 use vida_jit::{CompiledKernel, FrameLayout, JitCompiler, SelectKernel, SlotType};
 use vida_lang::{eval, BinOp, Bindings, Expr};
@@ -277,9 +279,18 @@ impl<'a> PipelineBuilder<'a> {
         let mut sources: Vec<Source> = Vec::with_capacity(specs.len());
         for spec in specs {
             self.stats.tuples_scanned += spec.nrows as u64;
-            let columns =
-                self.materialize_columns(&spec.dataset, &spec.plugin, &spec.touched, spec.nrows)?;
+            let (columns, zones): (Vec<_>, Vec<_>) = self
+                .materialize_columns(&spec.dataset, &spec.plugin, &spec.touched, spec.nrows)?
+                .into_iter()
+                .unzip();
             let schema = spec.plugin.schema();
+            let zone = zone_check(&spec, |field| {
+                let pos = spec
+                    .touched
+                    .iter()
+                    .position(|&c| schema.fields()[c].name == field)?;
+                zones[pos].clone()
+            });
             let env_fields = spec
                 .touched
                 .iter()
@@ -298,6 +309,7 @@ impl<'a> PipelineBuilder<'a> {
                 env_fields,
                 slot_cols,
                 selects: Steps::new(spec.selects, false),
+                zone,
             });
         }
         let codegen = self.compile_begin(stage::CODEGEN);
@@ -697,6 +709,56 @@ impl<'a> PipelineBuilder<'a> {
         }
         HeadPlan::Interp(head.clone())
     }
+}
+
+/// The block skip of a scan (see [`ZoneCheck`]): the leading run of its
+/// selects that compare a column of its own with an int literal, while
+/// `zones` has that column's block summary.
+fn zone_check(spec: &SourceSpec, zones: impl Fn(&str) -> Option<Arc<Zones>>) -> Option<ZoneCheck> {
+    let blocks = spec.nrows.div_ceil(ZONE_ROWS);
+    let mut tests = Vec::new();
+    for step in &spec.selects {
+        let Expr::BinOp(op, l, r) = step.expr() else {
+            break;
+        };
+        // The column on the left: `lit < p.id` is `p.id > lit`.
+        let (op, var, field, lit) = match (&**l, &**r) {
+            (Expr::Proj(v, f), Expr::Const(Value::Int(c))) => (*op, v, f, *c),
+            (Expr::Const(Value::Int(c)), Expr::Proj(v, f)) => {
+                let op = match op {
+                    BinOp::Lt => BinOp::Gt,
+                    BinOp::Le => BinOp::Ge,
+                    BinOp::Gt => BinOp::Lt,
+                    BinOp::Ge => BinOp::Le,
+                    op => *op,
+                };
+                (op, v, f, *c)
+            }
+            _ => break,
+        };
+        let own = matches!(&**var, Expr::Var(b) if *b == spec.binding);
+        let (lo, hi) = match op {
+            BinOp::Lt => (Some(i64::MIN), lit.checked_sub(1)),
+            BinOp::Le => (Some(i64::MIN), Some(lit)),
+            BinOp::Gt => (lit.checked_add(1), Some(i64::MAX)),
+            BinOp::Ge => (Some(lit), Some(i64::MAX)),
+            BinOp::Eq => (Some(lit), Some(lit)),
+            _ => break,
+        };
+        let Some(zones) = zones(field).filter(|z| own && z.blocks() == blocks) else {
+            break;
+        };
+        // A bound past the ints leaves the range empty.
+        let (lo, hi) = match (lo, hi) {
+            (Some(lo), Some(hi)) => (lo, hi),
+            _ => (1, 0),
+        };
+        tests.push(ZoneTest { zones, lo, hi });
+    }
+    (!tests.is_empty()).then(|| ZoneCheck {
+        skipped: tests.iter().map(|_| AtomicU64::new(0)).collect(),
+        tests,
+    })
 }
 
 /// FNV-1a over the plan's debug rendering — the query half of the

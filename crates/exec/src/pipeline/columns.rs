@@ -5,7 +5,7 @@
 use super::bind::PipelineBuilder;
 use super::drive::morsel_fold;
 use std::sync::Arc;
-use vida_cache::{bson, CacheKey, CacheManager, CachedData, Layout};
+use vida_cache::{bson, CacheKey, CacheManager, CachedData, Layout, SharedValues, Zones};
 use vida_optimizer::FieldObservation;
 use vida_parallel::{plan_scan_tail, MorselPlan};
 use vida_trace::stage;
@@ -17,14 +17,16 @@ impl PipelineBuilder<'_> {
     /// anything missing is read from the raw file in one projected scan.
     /// The cache holds one replica per field, and the post-query
     /// [`PipelineBuilder::sync_replicas`] step is its only writer, in the
-    /// layout the model chooses.
+    /// layout the model chooses. Next to each column comes its block
+    /// summary when a `Values` replica served it (a full hit or an
+    /// extended one); a column read raw or decoded has none.
     pub(super) fn materialize_columns(
         &mut self,
         dataset: &str,
         plugin: &Arc<dyn vida_formats::InputPlugin>,
         touched: &[usize],
         nrows: usize,
-    ) -> Result<Vec<Arc<Vec<Value>>>> {
+    ) -> Result<Vec<SharedValues>> {
         let schema = plugin.schema();
         let fingerprint = plugin.fingerprint();
         let grown_from = self.catalog.grown_from(dataset);
@@ -33,6 +35,7 @@ impl PipelineBuilder<'_> {
         // their first `prefix_units` rows.
         let prefix = grown_from.filter(|prev| prev.prefix_units > 0);
         let mut out: Vec<Option<Arc<Vec<Value>>>> = vec![None; touched.len()];
+        let mut zones: Vec<Option<Arc<Zones>>> = vec![None; touched.len()];
         // Positions into `touched` that need a full raw scan.
         let mut missing: Vec<usize> = Vec::new();
         // Prefix-served columns awaiting the appended rows from one shared
@@ -65,9 +68,10 @@ impl PipelineBuilder<'_> {
                         let vals = match &*data {
                             // Parsed replicas serve by pointer share — no
                             // per-row decode, no copy.
-                            CachedData::Values(v) => {
+                            CachedData::Values(v, z) => {
                                 shared += 1;
                                 shared_rows += nrows as u64;
+                                zones[i] = z.clone();
                                 Arc::clone(v)
                             }
                             _ => Arc::new(self.decode_replica(&data, nrows)?),
@@ -86,7 +90,7 @@ impl PipelineBuilder<'_> {
                         // prefix.
                         let prefix_units = prefix.expect("guard").prefix_units;
                         let prefix = match &*data {
-                            CachedData::Values(_) => {
+                            CachedData::Values(..) => {
                                 shared += 1;
                                 shared_rows += prefix_units as u64;
                                 None
@@ -123,7 +127,10 @@ impl PipelineBuilder<'_> {
                     // step, so the next query is a plain full hit.
                     None => {
                         match cache.extend_values(&key, prev.fingerprint, from, tail, fingerprint) {
-                            Some(full) => full,
+                            Some((full, z)) => {
+                                zones[i] = z;
+                                full
+                            }
                             // The replica vanished between probe and splice
                             // (concurrent eviction): re-read the whole column
                             // from raw — correctness over speed on this rare
@@ -162,7 +169,7 @@ impl PipelineBuilder<'_> {
             .map(|c| c.expect("all columns filled"))
             .collect();
         self.sync_replicas(dataset, plugin, touched, &columns, fingerprint);
-        Ok(columns)
+        Ok(columns.into_iter().zip(zones).collect())
     }
 
     /// Decode the first `nrows` rows of a cached replica into a parsed
@@ -233,7 +240,7 @@ impl PipelineBuilder<'_> {
             let replica = match chosen {
                 // The values replica shares storage with the materialized
                 // column instead of copying it.
-                Layout::Values => CachedData::Values(Arc::clone(&columns[i])),
+                Layout::Values => CachedData::Values(Arc::clone(&columns[i]), None),
                 Layout::BinaryJson => {
                     CachedData::BinaryJson(columns[i].iter().map(bson::to_bytes).collect())
                 }

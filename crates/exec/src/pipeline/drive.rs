@@ -7,6 +7,7 @@ use super::{Batch, HeadPlan, Pipeline, Probe, Source, StageKind, Step, Steps};
 use crate::stats::ExecStats;
 use std::mem::take;
 use std::ops::Range;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use vida_cache::FoldPartial;
 use vida_jit::frame::decode_output;
@@ -93,7 +94,36 @@ impl Pipeline {
             }
         };
         stats.span_end();
+        self.report_skips(stats);
         Ok(value)
+    }
+
+    /// Add the rows each source's block skip refuted to `rows_skipped`,
+    /// and give the trace one decision line per source.
+    fn report_skips(&self, stats: &mut ExecStats) {
+        for s in &self.sources {
+            let (binding, dataset) = (&s.binding, &s.dataset);
+            let Some(z) = &s.zone else {
+                stats.trace_note(|| {
+                    format!(
+                        "block skip {binding} <- {dataset}: \
+                         no leading int-literal select on a summarized column"
+                    )
+                });
+                continue;
+            };
+            for (step, skipped) in s.selects.list.iter().zip(&z.skipped) {
+                let rows = skipped.load(Relaxed);
+                stats.rows_skipped += rows;
+                stats.trace_note(|| {
+                    let select = step.expr();
+                    format!(
+                        "block skip {binding} <- {dataset}: {select} refuted {rows} of {} rows",
+                        s.nrows
+                    )
+                });
+            }
+        }
     }
 
     /// Drive every morsel of `plan` through the spine — its private
@@ -716,10 +746,12 @@ impl Pipeline {
     }
 
     /// The scan stage over `rows` of source `idx`, a chunk of at most
-    /// [`CHUNK_ROWS`] rows at a time: each slot column of the chunk encodes
-    /// into a vector (`Str` cells under one interner read guard), the rows
-    /// whose every slot encoded form `sel` and the others (nulls) `rest`,
-    /// and `each` takes the chunk from there.
+    /// [`CHUNK_ROWS`] rows at a time: a chunk the source's block skip
+    /// refutes (see [`ZoneCheck`](super::ZoneCheck)) goes no further; each
+    /// slot column of any other chunk encodes into a vector (`Str` cells
+    /// under one interner read guard), the rows whose every slot encoded
+    /// form `sel` and the others (nulls) `rest`, and `each` takes the chunk
+    /// from there.
     fn scan_chunks(
         &self,
         idx: usize,
@@ -732,6 +764,12 @@ impl Pipeline {
         for base in rows.clone().step_by(CHUNK_ROWS) {
             let end = (base + CHUNK_ROWS).min(rows.end);
             let n = end - base;
+            if let Some(z) = &s.zone {
+                if let Some(t) = z.refuted(base..end) {
+                    z.skipped[t].fetch_add(n as u64, Relaxed);
+                    continue;
+                }
+            }
             let c = &mut buf.chunk;
             c.base = base;
             c.valid.clear();

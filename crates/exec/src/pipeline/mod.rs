@@ -66,7 +66,23 @@
 //! (the build row or the element index), so provenance is a chain of
 //! back-references to the chunks below. The stages:
 //!
-//! - the **scan** encodes each slot column of the chunk into a vector;
+//! - the **scan** encodes each slot column of the chunk into a vector —
+//!   unless its **block skip** refutes the chunk first: a scan whose
+//!   columns came from cached `Values` replicas has each one's block
+//!   summary ([`Zones`]: per 1,024-row block, the min and max of its
+//!   `Int` cells and whether a cell is neither `Int` nor `Null`), and the
+//!   leading run of its selects of the form `path op int-literal` (`<`,
+//!   `<=`, `>`, `>=`, `=`, either side) is tested against every block the
+//!   chunk overlaps. When one of them is false on every block, and no
+//!   block holds a non-`Int`, non-`Null` cell in the run's columns, the
+//!   chunk is skipped whole (`ZoneCheck`). That is exact: under the
+//!   interpreter's null rules an ordered comparison with `null` is false
+//!   and so is `null = c`; over `Int`/`Null` cells those comparisons
+//!   cannot error; and the selects evaluate left to right, so every row
+//!   of the chunk drops before it reaches a step that could error. The
+//!   skip covers the leftmost scan and every join build scan, and keeps
+//!   the grid and every row order; a column read raw or decoded has no
+//!   summary and never skips;
 //! - a **join** pairs each input row with its candidate build rows,
 //!   ascending: its hash bucket (the key kernel runs over `sel` and the
 //!   keys look up their buckets in one batch), its band range (one binary
@@ -134,11 +150,13 @@ use crate::catalog::{QueryBinding, SourceProvider};
 use crate::stats::ExecStats;
 use crate::volcano::run_bound;
 use bind::PipelineBuilder;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 use vida_algebra::Plan;
-use vida_cache::{CacheManager, FoldPartial};
+use vida_cache::{CacheManager, FoldPartial, Zones, ZONE_ROWS};
 use vida_jit::{CompiledKernel, SelectKernel, SharedInterner, SlotType};
 use vida_lang::{BinOp, Bindings, Expr};
 use vida_optimizer::CostModel;
@@ -367,6 +385,47 @@ struct Source {
     slot_cols: Vec<(usize, Arc<Vec<Value>>, SlotType)>,
     /// Selection steps applied as rows leave the scan.
     selects: Steps,
+    /// The block skip of the scan's leading selects, when it has any over
+    /// a summarized column.
+    zone: Option<ZoneCheck>,
+}
+
+/// A scan's block skip: the leading run of its selects of the form `path
+/// op int-literal` (`<`, `<=`, `>`, `>=`, `=`, either side) over a column a
+/// `Values` replica served with its block summary. A chunk is skipped
+/// when one of them is refuted on every block the chunk overlaps and none
+/// of those blocks holds a cell that is neither `Int` nor `Null` in any of
+/// the run's columns. Exact: over `Int`/`Null` cells these comparisons
+/// cannot error, and the interpreter evaluates the selects left to right,
+/// so every row of such a chunk drops before it reaches a step that could.
+struct ZoneCheck {
+    /// One per leading select: test `t` is `Source::selects`' step `t`.
+    tests: Vec<ZoneTest>,
+    /// Rows skipped per test, summed over the workers that scanned.
+    skipped: Vec<AtomicU64>,
+}
+
+/// One leading select of a [`ZoneCheck`]: its column's block summary and
+/// the ints it holds on, `lo..=hi` (empty when `lo > hi`).
+struct ZoneTest {
+    zones: Arc<Zones>,
+    lo: i64,
+    hi: i64,
+}
+
+impl ZoneCheck {
+    /// The test that refutes every block rows `rows` overlap, when no
+    /// block there holds a cell other than `Int` or `Null` in one of the
+    /// tests' columns.
+    fn refuted(&self, rows: Range<usize>) -> Option<usize> {
+        let blocks = rows.start / ZONE_ROWS..=(rows.end - 1) / ZONE_ROWS;
+        let clean = |t: &ZoneTest| blocks.clone().all(|b| !t.zones.mixed(b));
+        if !self.tests.iter().all(clean) {
+            return None;
+        }
+        let refutes = |t: &ZoneTest| blocks.clone().all(|b| t.zones.refutes(b, t.lo, t.hi));
+        self.tests.iter().position(refutes)
+    }
 }
 
 /// One stage of the left spine above the leftmost scan (source 0). The

@@ -106,6 +106,11 @@ pub struct ExecStats {
     /// Cached aggregate prefix partials merged in front of a tail-only fold
     /// (at most one per query): the warm half of O(delta) re-query.
     pub partials_reused: u64,
+    /// Scan rows never encoded or filtered because a leading `path op
+    /// int-literal` select was false on every block of their chunk (the
+    /// block summaries of cached `Values` replicas; see
+    /// `vida_cache::Zones`). The same at every thread count.
+    pub rows_skipped: u64,
     /// The query's span buffer when `JitOptions::trace` was set; `None`
     /// otherwise. Per-query — [`ExecStats::accumulate`] does not merge
     /// traces (export each query's trace before accumulating).
@@ -158,6 +163,7 @@ impl ExecStats {
         self.actual_rows += other.actual_rows;
         self.tail_rows_scanned += other.tail_rows_scanned;
         self.partials_reused += other.partials_reused;
+        self.rows_skipped += other.rows_skipped;
     }
 
     /// Relative error of the optimizer's cardinality estimates:
@@ -224,6 +230,14 @@ impl ExecStats {
         }
     }
 
+    /// Add a decision line to the trace (no-op when tracing is off).
+    #[inline]
+    pub(crate) fn trace_note(&mut self, line: impl FnOnce() -> String) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.note(line());
+        }
+    }
+
     /// Record `n` invocations of a compiled kernel (no-op when tracing is
     /// off or the kernel was never tagged with an id).
     #[inline]
@@ -287,6 +301,7 @@ impl ExecStats {
             self.tail_rows_scanned
         ));
         out.push_str(&format!("\"partials_reused\":{},", self.partials_reused));
+        out.push_str(&format!("\"rows_skipped\":{},", self.rows_skipped));
         out.push_str(&format!(
             "\"cardinality_error\":{:.4}",
             self.cardinality_error()
@@ -329,6 +344,7 @@ mod tests {
             actual_rows: 100,
             tail_rows_scanned: 5,
             partials_reused: 1,
+            rows_skipped: 7,
             trace: None,
         };
         assert_eq!(a.total(), Duration::from_micros(1000));
@@ -351,6 +367,7 @@ mod tests {
         assert_eq!(a.actual_rows, 200);
         assert_eq!(a.tail_rows_scanned, 10);
         assert_eq!(a.partials_reused, 2);
+        assert_eq!(a.rows_skipped, 14);
     }
 
     #[test]
@@ -444,11 +461,13 @@ mod tests {
         let stats = ExecStats {
             tuples_scanned: 42,
             served_from_cache: true,
+            rows_skipped: 3,
             ..ExecStats::default()
         };
         let json = stats.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"tuples_scanned\":42"));
+        assert!(json.contains("\"rows_skipped\":3"));
         assert!(json.contains("\"served_from_cache\":true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -696,3 +696,104 @@ fn distinct_sketches_match_a_fresh_model_after_every_file_change() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Block summaries follow the file
+// ---------------------------------------------------------------------------
+
+/// Rows `lo..hi` of `T(id, v)` as CSV with `id = id_at(i)` and `v = i`.
+fn keyed_rows(lo: i64, hi: i64, id_at: impl Fn(i64) -> i64) -> Vec<u8> {
+    let mut s = match lo {
+        0 => String::from("id,v\n"),
+        _ => String::new(),
+    };
+    for i in lo..hi {
+        s.push_str(&format!("{},{i}\n", id_at(i)));
+    }
+    s.into_bytes()
+}
+
+/// Ascending ids `0..3000`, then appended rows whose ids (`i % 50`) fall
+/// below the old maximum — into the partial last block (2048..3071) and a
+/// new one. The block summary the append extends must find them: every
+/// warm `id < 40` equals a cold re-scan, on both backings at 1/2/8
+/// threads, and once the grown column is served whole only block 1
+/// (1024..2047) is still refuted.
+#[test]
+fn appended_ids_below_the_old_maximum_are_found_by_the_extended_summary() {
+    let id_at = |i: i64| if i < 3_000 { i } else { i % 50 };
+    let plans = [
+        plan_of("for { t <- T, t.id < 40 } yield sum t.v"),
+        plan_of("for { t <- T, t.id < 40 } yield list t.v"),
+    ];
+    for mode in [MapMode::Auto, MapMode::Never] {
+        for threads in [1usize, 2, 8] {
+            let tag = format!("zones_append_{mode:?}_{threads}");
+            let path = fixture_path(&tag, "T.csv");
+            std::fs::write(&path, keyed_rows(0, 3_000, id_at)).unwrap();
+            let cat = MemoryCatalog::new();
+            cat.register(open_plugin("csv", &path, mode));
+            let opts = JitOptions {
+                cache: Some(Arc::new(CacheManager::new(64 << 20))),
+                threads,
+                ..Default::default()
+            };
+            let engine = Engine::new(Arc::new(cat), opts);
+            for plan in &plans {
+                engine.execute(plan).unwrap();
+                let (v, stats) = engine.execute_with_stats(plan).unwrap();
+                assert_eq!(v, cold_rescan(plan, "csv", &path), "{tag}");
+                assert_eq!(stats.rows_skipped, 3_000 - 1_024, "{tag}: blocks 1 and 2");
+            }
+            append(&path, &keyed_rows(3_000, 3_500, id_at));
+            for plan in &plans {
+                let (v, _) = engine.execute_with_stats(plan).unwrap();
+                assert_eq!(
+                    v,
+                    cold_rescan(plan, "csv", &path),
+                    "{tag}: after the append"
+                );
+            }
+            for plan in &plans {
+                let (v, stats) = engine.execute_with_stats(plan).unwrap();
+                assert_eq!(v, cold_rescan(plan, "csv", &path), "{tag}: served whole");
+                assert!(stats.served_from_cache, "{tag}");
+                assert_eq!(stats.rows_skipped, 1_024, "{tag}: block 1 alone");
+            }
+        }
+    }
+}
+
+/// A rewritten file drops its replicas and their block summaries: the old
+/// summary (ids `0..3000`) would refute `id = 5` on every block past the
+/// first, but the new file holds `id = 5` on every row.
+#[test]
+fn a_rewritten_file_drops_the_block_summary_with_its_replica() {
+    let path = fixture_path("zones_rewrite", "T.csv");
+    std::fs::write(&path, keyed_rows(0, 3_000, |i| i)).unwrap();
+    let cat = MemoryCatalog::new();
+    cat.register(open_plugin("csv", &path, MapMode::Auto));
+    let cache = Arc::new(CacheManager::new(64 << 20));
+    let engine = Engine::new(Arc::new(cat), JitOptions::with_cache(Arc::clone(&cache)));
+    let plan = plan_of("for { t <- T, t.id = 5 } yield count t");
+    engine.execute(&plan).unwrap();
+    let (v, stats) = engine.execute_with_stats(&plan).unwrap();
+    assert_eq!((v, stats.rows_skipped), (Value::Int(1), 3_000 - 1_024));
+
+    rewrite_until_fingerprint_moves(&path, &keyed_rows(0, 3_000, |_| 5));
+    let (v, stats) = engine.execute_with_stats(&plan).unwrap();
+    assert_eq!(v, Value::Int(3_000));
+    assert_eq!(v, cold_rescan(&plan, "csv", &path));
+    assert_eq!(
+        (stats.rows_skipped, stats.raw_columns),
+        (0, 2),
+        "read raw, unsummarized"
+    );
+    let (v, stats) = engine.execute_with_stats(&plan).unwrap();
+    assert_eq!(
+        (v, stats.rows_skipped),
+        (Value::Int(3_000), 0),
+        "the new summary"
+    );
+    assert!(stats.served_from_cache);
+}

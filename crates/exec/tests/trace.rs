@@ -13,8 +13,10 @@
 mod common;
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use vida_algebra::{lower, rewrite, Plan};
-use vida_exec::{run_jit_with_stats, ExecStats, JitOptions, QueryTrace};
+use vida_cache::CacheManager;
+use vida_exec::{run_jit_with_stats, Engine, ExecStats, JitOptions, QueryTrace};
 use vida_formats::json::parse_json;
 use vida_lang::parse;
 use vida_trace::{global_metrics, stage, Span};
@@ -23,6 +25,8 @@ use vida_types::Value;
 const JOIN_COUNT: &str = "for { a <- A, b <- B, a.k = b.k } yield count a";
 const SCAN_BAG: &str = "for { a <- A, a.x != null, a.x < 15 } yield bag (k := a.k, s := a.s)";
 const UNNEST_SUM: &str = "for { n <- N, v <- n.xs, v > 1 } yield sum v";
+const SKIP_SCAN: &str = "for { a <- A, a.k > 15, a.x != null } yield sum a.k";
+const SKIP_BUILD: &str = "for { b <- B, a <- A, 16 <= a.k, a.k = b.k } yield count b";
 
 fn plan_of(q: &str) -> Plan {
     rewrite(&lower(&parse(q).expect("parses")).expect("lowers"))
@@ -67,15 +71,40 @@ fn assert_nesting(trace: &QueryTrace) {
     }
 }
 
+/// Run `q` as [`traced`] does, twice on one cached engine, and return the
+/// second run: its columns come from `Values` replicas and their block
+/// summaries, so a leading `path op int-literal` select can skip chunks.
+fn traced_warm(q: &str, threads: usize) -> (Value, ExecStats) {
+    let opts = JitOptions {
+        threads,
+        morsel_rows: 4,
+        cache: Some(Arc::new(CacheManager::new(1 << 20))),
+        ..JitOptions::default()
+    }
+    .with_trace();
+    let engine = Engine::new(Arc::new(common::owned_catalog()), opts);
+    let mut session = engine.session();
+    session.execute_with_stats(&plan_of(q)).expect("query runs");
+    session.execute_with_stats(&plan_of(q)).expect("query runs")
+}
+
 /// The aggregates that must not depend on the worker count: per-stage
-/// tuple/morsel sums plus the per-kernel invocation counts.
-fn invariants(trace: &QueryTrace) -> (BTreeMap<&'static str, (u64, u64)>, Vec<u64>) {
+/// tuple/morsel sums, the per-kernel invocation counts and the rows the
+/// block skip refuted.
+type Invariants = (BTreeMap<&'static str, (u64, u64)>, Vec<u64>, u64);
+
+fn invariants(stats: &ExecStats) -> Invariants {
+    let trace = stats.query_trace().expect("trace recorded");
     let stages = trace
         .stage_totals()
         .into_iter()
         .map(|t| (t.stage, (t.tuples, t.morsels)))
         .collect();
-    (stages, trace.kernel_invocations().to_vec())
+    (
+        stages,
+        trace.kernel_invocations().to_vec(),
+        stats.rows_skipped,
+    )
 }
 
 #[test]
@@ -105,19 +134,31 @@ fn spans_nest_within_every_track() {
 
 #[test]
 fn aggregated_counters_are_identical_at_any_worker_count() {
-    for q in [JOIN_COUNT, SCAN_BAG, UNNEST_SUM] {
-        let (value1, stats1) = traced(q, 1);
-        let baseline = invariants(stats1.query_trace().unwrap());
+    type Run = fn(&str, usize) -> (Value, ExecStats);
+    let cold: Run = traced;
+    let warm: Run = traced_warm;
+    let skipping = [SKIP_SCAN, SKIP_BUILD];
+    let runs = [JOIN_COUNT, SCAN_BAG, UNNEST_SUM]
+        .map(|q| (q, cold))
+        .into_iter()
+        .chain(skipping.map(|q| (q, warm)));
+    for (q, run) in runs {
+        let (value1, stats1) = run(q, 1);
+        let baseline = invariants(&stats1);
         for threads in [2, 8] {
-            let (value, stats) = traced(q, threads);
+            let (value, stats) = run(q, threads);
             assert_eq!(value, value1, "{q}: result diverged at {threads} threads");
-            let got = invariants(stats.query_trace().unwrap());
+            let got = invariants(&stats);
             assert_eq!(
                 got, baseline,
                 "{q}: trace counters diverged at {threads} threads"
             );
         }
     }
+    // The warm key filters do skip: `A.k` is `0..16`, one block, which
+    // each query's leading select refutes.
+    assert_eq!(traced_warm(SKIP_SCAN, 1).1.rows_skipped, 16);
+    assert_eq!(traced_warm(SKIP_BUILD, 1).1.rows_skipped, 16);
 }
 
 #[test]

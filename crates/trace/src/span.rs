@@ -95,6 +95,8 @@ pub struct QueryTrace {
     spans: Vec<Span>,
     open: Vec<usize>,
     kernel_invocations: Vec<u64>,
+    /// Decision lines the engine recorded (see [`QueryTrace::note`]).
+    notes: Vec<String>,
 }
 
 impl QueryTrace {
@@ -112,6 +114,7 @@ impl QueryTrace {
             spans: Vec::new(),
             open: Vec::new(),
             kernel_invocations: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -180,8 +183,16 @@ impl QueryTrace {
         self.kernel_invocations[i] += n;
     }
 
+    /// Record one line of the engine's decisions for this query (say, how
+    /// many rows a scan's block skip refuted); [`QueryTrace::explain_analyze`]
+    /// prints them after the stage table.
+    pub fn note(&mut self, line: String) {
+        self.notes.push(line);
+    }
+
     /// Merge a worker buffer into this one: spans are appended (each span
-    /// already carries its track id) and kernel counts are summed. Call in
+    /// already carries its track id), kernel counts are summed and notes
+    /// appended. Call in
     /// morsel order to keep aggregate ordering deterministic.
     pub fn absorb(&mut self, other: QueryTrace) {
         debug_assert!(
@@ -189,6 +200,7 @@ impl QueryTrace {
             "absorbing a trace with open spans loses their durations"
         );
         self.spans.extend(other.spans);
+        self.notes.extend(other.notes);
         if self.kernel_invocations.len() < other.kernel_invocations.len() {
             self.kernel_invocations
                 .resize(other.kernel_invocations.len(), 0);
@@ -282,7 +294,9 @@ impl QueryTrace {
     }
 
     /// Render the per-stage execution profile: wall/busy time, tuples, and
-    /// morsels per stage, in pipeline order, indented by nesting depth.
+    /// morsels per stage, in pipeline order, indented by nesting depth;
+    /// then the kernel summary and the engine's decision lines
+    /// ([`QueryTrace::note`]).
     pub fn explain_analyze(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         let tracks = self.tracks();
@@ -321,6 +335,10 @@ impl QueryTrace {
                 invocations,
             )),
             None => out.push_str("kernels: no invocations recorded\n"),
+        }
+        for line in &self.notes {
+            out.push_str(line);
+            out.push('\n');
         }
         out
     }
